@@ -25,13 +25,12 @@
 // With -debug-addr the coordinator serves the pprof suite and Go
 // runtime gauges on a separate listener. -slow-query logs merged
 // queries slower than the threshold (with the query's trace ID), and
-// -trace-file appends every compact-merge session trace and every
-// recorded span — the same records /debug/merges and /debug/traces
-// serve — to a JSONL file for offline analysis.
+// -trace-file appends every recorded span — the records /debug/traces
+// serves and /debug/merges groups — to a JSONL file for offline analysis.
 //
 // Logging is structured (log/slog); -log-format selects text (default)
 // or json. Every query mints a trace ID that is stamped into shard
-// frames (tracing-aware shards echo it and record their own spans) and
+// frames (shards echo it and record their own spans under it) and
 // returned in the /v1/outliers response, so one ID follows a query
 // across the whole cluster.
 //
@@ -117,7 +116,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address for pprof + runtime metrics (empty disables)")
 	fs.DurationVar(&o.slowQuery, "slow-query", 0, "log merged queries slower than this threshold (0 disables)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log output format: text or json")
-	fs.StringVar(&o.traceFile, "trace-file", "", "append every merge trace and span to this file as JSONL (empty disables)")
+	fs.StringVar(&o.traceFile, "trace-file", "", "append every recorded span to this file as JSONL (empty disables)")
 	fs.BoolVar(&o.verbose, "v", false, "log requests and fleet events")
 	if err := fs.Parse(args); err != nil {
 		return o, err

@@ -121,8 +121,8 @@ func (c *ctlClient) close() error {
 // minted fresh by exchange; callers that retry a logical operation
 // mint the reqID once (newReqID) and reuse it across attempts, so a
 // shard sees the retry as the same request — its replay caches and the
-// span dedupe both key on it. A nonzero trace stamps the frame with
-// FlagTraced (only done against shards that proved tracing-aware).
+// span dedupe both key on it. trace is the query the request belongs to
+// (0 for untraced control work).
 type ctlRequest struct {
 	kind  protocol.FrameKind
 	flags uint8
@@ -198,6 +198,17 @@ func one(kind protocol.FrameKind, into *protocol.Frame) func(protocol.Frame) (bo
 	}
 }
 
+// ackCount runs a request answered by one ACK-bodied frame of the given
+// kind and returns the count it acknowledges.
+func (c *ctlClient) ackCount(ctx context.Context, addr *net.UDPAddr, req ctlRequest, kind protocol.FrameKind) (uint64, error) {
+	var resp protocol.Frame
+	if err := c.exchange(ctx, addr, req, one(kind, &resp)); err != nil {
+		return 0, err
+	}
+	ack, err := protocol.DecodeAck(resp.Body)
+	return ack.Count, err
+}
+
 // assign pushes one shard-map epoch and returns the version the shard
 // acknowledged.
 func (c *ctlClient) assign(ctx context.Context, addr *net.UDPAddr, body protocol.AssignBody) (uint64, error) {
@@ -205,31 +216,17 @@ func (c *ctlClient) assign(ctx context.Context, addr *net.UDPAddr, body protocol
 	if err != nil {
 		return 0, err
 	}
-	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameAssign, body: buf},
-		one(protocol.FrameAssign, &resp)); err != nil {
-		return 0, err
-	}
-	ack, err := protocol.DecodeAck(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	return ack.Count, nil
+	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameAssign, body: buf}, protocol.FrameAssign)
 }
 
-// health probes one shard. Probes are always stamped FlagTraced — a
-// legacy shard answers HEALTH without decoding the request body, so
-// the stamp is safe against any shard version — and traced reports
-// whether the response echoed the flag, which is how the coordinator
-// learns a shard is tracing-aware before stamping query frames at it.
-func (c *ctlClient) health(ctx context.Context, addr *net.UDPAddr) (protocol.HealthBody, bool, error) {
+// health probes one shard.
+func (c *ctlClient) health(ctx context.Context, addr *net.UDPAddr) (protocol.HealthBody, error) {
 	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth, flags: protocol.FlagTraced},
+	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth},
 		one(protocol.FrameHealth, &resp)); err != nil {
-		return protocol.HealthBody{}, false, err
+		return protocol.HealthBody{}, err
 	}
-	body, err := protocol.DecodeHealth(resp.Body)
-	return body, resp.Traced(), err
+	return protocol.DecodeHealth(resp.Body)
 }
 
 // readings routes one batch of identity-stamped points and returns the
@@ -239,16 +236,7 @@ func (c *ctlClient) readings(ctx context.Context, addr *net.UDPAddr, trace uint6
 	if err != nil {
 		return 0, err
 	}
-	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameReadings, trace: trace, body: buf},
-		one(protocol.FrameAck, &resp)); err != nil {
-		return 0, err
-	}
-	ack, err := protocol.DecodeAck(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	return ack.Count, nil
+	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameReadings, trace: trace, body: buf}, protocol.FrameAck)
 }
 
 // errUnknownSession reports a shard refusing a merge session it no
@@ -262,49 +250,78 @@ var errUnknownSession = errors.New("cluster: shard no longer holds the merge ses
 // ignores the frame as a stray, a non-nil error aborts the exchange.
 type fragmentParse func(f protocol.Frame) (frag, total int, pts []core.Point, ok bool, err error)
 
+// reassembly collects the fragments of one multi-frame response. Every
+// fragment repeats the response's fragment count, so the set is sized
+// from whichever arrives first.
+type reassembly struct {
+	total int
+	frags map[int][]core.Point
+	bytes map[int]int // fragment body sizes, for the merge-cost metrics
+}
+
+// add records one fragment and reports whether all of 0..total-1 are now
+// held. A fragment outside its own count is a stray; one announcing a
+// different count than the fragments held so far starts the set over, so
+// a complete set is always one response's worth.
+func (r *reassembly) add(frag, total int, pts []core.Point, bodyBytes int) (done bool) {
+	if frag < 0 || frag >= total {
+		return false
+	}
+	if total != r.total {
+		r.total, r.frags, r.bytes = total, make(map[int][]core.Point), make(map[int]int)
+	}
+	r.frags[frag] = pts
+	r.bytes[frag] = bodyBytes
+	return len(r.frags) == total
+}
+
+// join returns a complete set's points in fragment order and its summed
+// body bytes.
+func (r *reassembly) join() (pts []core.Point, bytes int) {
+	for i := 0; i < r.total; i++ {
+		pts = append(pts, r.frags[i]...)
+		bytes += r.bytes[i]
+	}
+	return pts, bytes
+}
+
 // collectFragments runs one request whose response spans FragCount
 // frames (ESTIMATE, HANDOFF window fetches, SUFFICIENT rounds),
 // reassembling the fragments in index order. bytes reports the summed
 // response payload, for the merge-cost metrics.
 func (c *ctlClient) collectFragments(ctx context.Context, addr *net.UDPAddr, req ctlRequest,
 	parse fragmentParse) (pts []core.Point, bytes int, err error) {
-	frags := make(map[int][]core.Point)
-	fragBytes := make(map[int]int)
-	total := -1
+	var set reassembly
 	collect := func(f protocol.Frame) (bool, error) {
-		frag, n, fpts, ok, err := parse(f)
+		frag, total, fpts, ok, err := parse(f)
 		if err != nil || !ok {
 			return false, err
 		}
-		frags[frag] = fpts
-		fragBytes[frag] = len(f.Body)
-		total = n
-		return len(frags) == total, nil
+		return set.add(frag, total, fpts, len(f.Body)), nil
 	}
 	if err := c.exchange(ctx, addr, req, collect); err != nil {
 		return nil, 0, err
 	}
-	for i := 0; i < total; i++ {
-		pts = append(pts, frags[i]...)
-		bytes += fragBytes[i]
-	}
+	pts, bytes = set.join()
 	return pts, bytes, nil
+}
+
+// estimateFragment parses one ESTIMATE response fragment.
+func estimateFragment(f protocol.Frame) (int, int, []core.Point, bool, error) {
+	if f.Kind != protocol.FrameEstimate {
+		return 0, 0, nil, false, nil
+	}
+	body, err := protocol.DecodeEstimate(f.Body)
+	if err != nil {
+		return 0, 0, nil, false, err
+	}
+	return int(body.Frag), int(body.FragCount), body.Points, true, nil
 }
 
 // estimate queries one shard's window snapshot, reassembling however many
 // fragments the shard split it into.
 func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint64) ([]core.Point, int, error) {
-	return c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameEstimate, trace: trace},
-		func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-			if f.Kind != protocol.FrameEstimate {
-				return 0, 0, nil, false, nil
-			}
-			body, err := protocol.DecodeEstimate(f.Body)
-			if err != nil {
-				return 0, 0, nil, false, err
-			}
-			return int(body.Frag), int(body.FragCount), body.Points, true, nil
-		})
+	return c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameEstimate, trace: trace}, estimateFragment)
 }
 
 // ledger delivers one chunk of the coordinator's compact-merge delta to
@@ -349,23 +366,28 @@ func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uin
 		return nil, 0, err
 	}
 	req := ctlRequest{kind: protocol.FrameSufficient, reqID: reqID, trace: trace, body: buf}
-	return c.collectFragments(ctx, addr, req,
-		func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-			if f.Kind != protocol.FrameSufficient {
-				return 0, 0, nil, false, nil
-			}
-			if f.Flags&protocol.FlagUnknownSession != 0 {
-				return 0, 0, nil, false, errUnknownSession
-			}
-			body, err := protocol.DecodeSufficient(f.Body)
-			if err != nil {
-				return 0, 0, nil, false, err
-			}
-			if body.Session != session || body.Round != round {
-				return 0, 0, nil, false, nil
-			}
-			return int(body.Frag), int(body.FragCount), body.Points, true, nil
-		})
+	return c.collectFragments(ctx, addr, req, sufficientFragment(session, round))
+}
+
+// sufficientFragment parses SUFFICIENT response fragments of one session
+// round; a refusal aborts the exchange, another round's frame is a stray.
+func sufficientFragment(session uint64, round uint16) fragmentParse {
+	return func(f protocol.Frame) (int, int, []core.Point, bool, error) {
+		if f.Kind != protocol.FrameSufficient {
+			return 0, 0, nil, false, nil
+		}
+		if f.Flags&protocol.FlagUnknownSession != 0 {
+			return 0, 0, nil, false, errUnknownSession
+		}
+		body, err := protocol.DecodeSufficient(f.Body)
+		if err != nil {
+			return 0, 0, nil, false, err
+		}
+		if body.Session != session || body.Round != round {
+			return 0, 0, nil, false, nil
+		}
+		return int(body.Frag), int(body.FragCount), body.Points, true, nil
+	}
 }
 
 // handoffFetch asks a shard for one sensor's current window points,
@@ -375,21 +397,25 @@ func (c *ctlClient) handoffFetch(ctx context.Context, addr *net.UDPAddr, sensor 
 	if err != nil {
 		return nil, err
 	}
-	pts, _, err := c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameHandoff, body: buf},
-		func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-			if f.Kind != protocol.FrameHandoff {
-				return 0, 0, nil, false, nil
-			}
-			body, err := protocol.DecodeHandoff(f.Body)
-			if err != nil {
-				return 0, 0, nil, false, err
-			}
-			if body.Sensor != sensor {
-				return 0, 0, nil, false, nil
-			}
-			return int(body.Frag), int(body.FragCount), body.Points, true, nil
-		})
+	pts, _, err := c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameHandoff, body: buf}, handoffFragment(sensor))
 	return pts, err
+}
+
+// handoffFragment parses HANDOFF window-response fragments for one sensor.
+func handoffFragment(sensor core.NodeID) fragmentParse {
+	return func(f protocol.Frame) (int, int, []core.Point, bool, error) {
+		if f.Kind != protocol.FrameHandoff {
+			return 0, 0, nil, false, nil
+		}
+		body, err := protocol.DecodeHandoff(f.Body)
+		if err != nil {
+			return 0, 0, nil, false, err
+		}
+		if body.Sensor != sensor {
+			return 0, 0, nil, false, nil
+		}
+		return int(body.Frag), int(body.FragCount), body.Points, true, nil
+	}
 }
 
 // handoffTransfer delivers one chunk of a sensor's window points to its
@@ -399,16 +425,8 @@ func (c *ctlClient) handoffTransfer(ctx context.Context, addr *net.UDPAddr, sens
 	if err != nil {
 		return 0, err
 	}
-	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHandoff, flags: protocol.FlagTransfer, body: buf},
-		one(protocol.FrameAck, &resp)); err != nil {
-		return 0, err
-	}
-	ack, err := protocol.DecodeAck(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	return ack.Count, nil
+	req := ctlRequest{kind: protocol.FrameHandoff, flags: protocol.FlagTransfer, body: buf}
+	return c.ackCount(ctx, addr, req, protocol.FrameAck)
 }
 
 // retry runs fn with a fresh per-attempt timeout until it succeeds, the

@@ -105,17 +105,13 @@ type Config struct {
 	// ID). Zero disables the log.
 	SlowQuery time.Duration
 
-	// TraceSink, when set, receives every compact-merge session trace
-	// and every query span as one JSON line each (the -trace-file flag);
-	// the in-memory /debug/merges and /debug/traces rings record them
-	// regardless.
+	// TraceSink, when set, receives every recorded span as one JSON line
+	// (the -trace-file flag); the in-memory ring behind /debug/traces and
+	// /debug/merges records them regardless.
 	TraceSink io.Writer
 
-	// TraceCapacity bounds the /debug/merges ring. Default 256.
-	TraceCapacity int
-
-	// SpanCapacity bounds the /debug/traces flight-recorder ring.
-	// Default 2048.
+	// SpanCapacity bounds the span flight-recorder ring that /debug/traces
+	// serves and /debug/merges groups. Default 2048.
 	SpanCapacity int
 }
 
@@ -153,9 +149,6 @@ func (c *Config) applyDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
-	if c.TraceCapacity < 1 {
-		c.TraceCapacity = 256
-	}
 	if c.SpanCapacity < 1 {
 		c.SpanCapacity = 2048
 	}
@@ -173,12 +166,6 @@ type shardState struct {
 	last    protocol.HealthBody
 	lastAt  time.Time
 	lastRTT time.Duration // last successful probe's round trip
-
-	// traced is whether the shard echoed FlagTraced on its last health
-	// response — the capability negotiation that keeps query frames to a
-	// legacy shard byte-identical to the old wire. Read by query fan-out
-	// goroutines without c.mu, hence atomic.
-	traced atomic.Bool
 }
 
 // sensorRoute is the coordinator-side per-sensor ingest state: the next
@@ -256,8 +243,7 @@ type Coordinator struct {
 	traceIDs   *sessionIDs
 
 	obs      *coordObs     // metrics registry + latency histograms, built in New
-	mergeLog *obs.MergeLog // /debug/merges ring of compact-merge session traces
-	traceLog *obs.TraceLog // /debug/traces flight-recorder ring of query spans
+	traceLog *obs.TraceLog // span flight recorder behind /debug/traces and /debug/merges
 
 	ctx        context.Context
 	cancel     context.CancelFunc
@@ -306,10 +292,8 @@ func New(cfg Config) (*Coordinator, error) {
 		healthDone: make(chan struct{}),
 	}
 	c.obs = newCoordObs(c)
-	c.mergeLog = obs.NewMergeLog(cfg.TraceCapacity)
 	c.traceLog = obs.NewTraceLog(cfg.SpanCapacity)
 	if cfg.TraceSink != nil {
-		c.mergeLog.SetSink(cfg.TraceSink)
 		c.traceLog.SetSink(cfg.TraceSink)
 	}
 	// Install the RPC timing hook before the first exchange — recovery
@@ -325,10 +309,6 @@ func New(cfg Config) (*Coordinator, error) {
 	go c.healthLoop()
 	return c, nil
 }
-
-// MergeTraces returns the recorded compact-merge session traces, newest
-// first — the same view /debug/merges serves.
-func (c *Coordinator) MergeTraces() []obs.MergeTrace { return c.mergeLog.Snapshot() }
 
 // Traces returns the coordinator's span flight recorder — the ring
 // /debug/traces serves.
@@ -544,7 +524,6 @@ type ShardInfo struct {
 	MapVersion    uint64    `json:"map_version"` // epoch the shard last reported
 	LastSeen      time.Time `json:"last_seen,omitzero"`
 	LastRTTMS     float64   `json:"last_rtt_ms"`    // last successful health probe's round trip
-	Traced        bool      `json:"traced"`         // shard negotiated trace propagation
 	MergeSessions int       `json:"merge_sessions"` // merge-session cache occupancy the shard last reported
 }
 
@@ -562,8 +541,7 @@ func (c *Coordinator) ShardInfos() []ShardInfo {
 			Sensors:       int(st.last.Sensors),
 			MapVersion:    st.last.MapVersion,
 			LastSeen:      st.lastAt,
-			LastRTTMS:     float64(st.lastRTT) / float64(time.Millisecond),
-			Traced:        st.traced.Load(),
+			LastRTTMS:     durMS(st.lastRTT),
 			MergeSessions: int(st.last.Sessions),
 		})
 	}
@@ -782,22 +760,18 @@ func (c *Coordinator) healthyOwnersLocked(sensor core.NodeID) (owners []string, 
 }
 
 // sendReadings ships one shard's batch as chunked READINGS frames with
-// retries, reporting whether every chunk was acknowledged. trace is
-// stamped onto the frames when the shard negotiated tracing.
+// retries, reporting whether every chunk was acknowledged. trace is the
+// ingest batch's trace ID, stamped onto the frames.
 func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) bool {
 	st := c.shardState(addr)
 	if st == nil {
 		return false
 	}
-	if !st.traced.Load() {
-		trace = 0
-	}
-	perAttempt := c.cfg.QueryTimeout / time.Duration(c.cfg.RetryAttempts)
 	for _, chunk := range chunkByBytes(pts, c.cfg.MaxFrameBytes) {
 		if len(chunk) == 0 {
 			continue
 		}
-		err := retry(c.ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
+		err := c.retryCtl(c.ctx, func(ctx context.Context) error {
 			_, err := c.client.readings(ctx, st.udp, trace, chunk)
 			return err
 		})
@@ -807,6 +781,12 @@ func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) 
 		c.frames.Add(1)
 	}
 	return true
+}
+
+// retryCtl runs one shard exchange under the standard policy:
+// RetryAttempts tries, each with an equal share of QueryTimeout.
+func (c *Coordinator) retryCtl(ctx context.Context, fn func(context.Context) error) error {
+	return retry(ctx, c.cfg.RetryAttempts, c.cfg.QueryTimeout/time.Duration(c.cfg.RetryAttempts), fn)
 }
 
 func (c *Coordinator) shardState(addr string) *shardState {
@@ -858,15 +838,19 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	}
 	start := time.Now()
 	// Every query gets a trace ID, minted here at the front door. It is
-	// returned in the result, stamped onto shard-control frames at shards
-	// that negotiated tracing, and keys every span the query emits.
+	// returned in the result, stamped onto every shard-control frame the
+	// query sends, and keys every span it emits on either side.
 	traceID := c.traceIDs.next()
-	// finish stamps the query's service time (observed under the mode
-	// that actually served the answer), records the root query span, and
-	// applies the slow-query log.
+	// finish counts the served merge, stamps the query's service time
+	// (observed under the mode that actually served the answer), records
+	// the root query span, and applies the slow-query log.
 	finish := func(res MergeResult, err error) (MergeResult, error) {
 		elapsed := time.Since(start)
 		res.Trace = traceID
+		c.merges.Add(1)
+		if res.Degraded {
+			c.mergesDegraded.Add(1)
+		}
 		if err == nil {
 			c.obs.queryLat.With(res.Mode).Observe(elapsed.Seconds())
 		}
@@ -920,12 +904,6 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.QueryTimeout)
 	defer cancel()
 
-	// mtrace, non-nil once a compact session ran, is recorded into the
-	// /debug/merges ring — on success here, or after the fallback full
-	// path below fills in how the session ended. Pure-full queries leave
-	// no merge trace: the ring is the Algorithm 1 cost record.
-	var mtrace *obs.MergeTrace
-
 	if mode == MergeCompact {
 		// The compact path needs every target to answer every round, so
 		// give it half the query budget and keep the rest for the
@@ -935,14 +913,6 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		ccancel()
 		c.mergeRounds.Add(uint64(cres.rounds))
 		c.mergeBytes.Add(uint64(cres.payload))
-		mtrace = &obs.MergeTrace{
-			Session:    fmt.Sprintf("%016x", cres.session),
-			Requested:  MergeCompact,
-			Rounds:     cres.trace,
-			Quiesced:   cres.quiesced,
-			Ledgers:    cres.ledgers,
-			TotalBytes: cres.payload,
-		}
 		if err == nil {
 			res := MergeResult{
 				Outliers:     cres.outliers,
@@ -955,19 +925,9 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 				ShardsOK:     len(targets),
 				Degraded:     len(targets) < total,
 			}
-			c.merges.Add(1)
 			c.mergesCompact.Add(1)
-			if res.Degraded {
-				c.mergesDegraded.Add(1)
-			}
-			mtrace.Final = MergeCompact
-			mtrace.Degraded = res.Degraded
-			mtrace.Outliers = len(res.Outliers)
-			mtrace.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-			c.mergeLog.Record(*mtrace)
 			return finish(res, nil)
 		}
-		mtrace.Fallback = err.Error()
 		c.mergeFallbacks.Add(1)
 		// The fallback event carries the query's trace ID — the span and
 		// the log line tie the abandoned compact rounds to the full-path
@@ -987,7 +947,6 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 			"rounds", cres.rounds, "err", err)
 	}
 
-	perAttempt := c.cfg.QueryTimeout / time.Duration(c.cfg.RetryAttempts)
 	var (
 		wg    sync.WaitGroup
 		setMu sync.Mutex
@@ -999,16 +958,12 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		wg.Add(1)
 		go func(st *shardState) {
 			defer wg.Done()
-			shardTrace := traceID
-			if !st.traced.Load() {
-				shardTrace = 0
-			}
 			shardStart := time.Now()
 			var pts []core.Point
 			var nb int
-			err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
+			err := c.retryCtl(ctx, func(ctx context.Context) error {
 				var err error
-				pts, nb, err = c.client.estimate(ctx, st.udp, shardTrace)
+				pts, nb, err = c.client.estimate(ctx, st.udp, traceID)
 				return err
 			})
 			span := obs.Span{
@@ -1048,21 +1003,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		Degraded:     ok < total,
 	}
 	res.Outliers = core.TopN(c.cfg.Detector.Ranker, union, c.cfg.Detector.N)
-	c.merges.Add(1)
 	c.mergeFullBytes.Add(uint64(bytes))
-	if res.Degraded {
-		c.mergesDegraded.Add(1)
-	}
-	if mtrace != nil {
-		// A fallen-back compact session: record how it ended so the ring
-		// shows both the abandoned exchange and what the rescue cost.
-		mtrace.Final = MergeFull
-		mtrace.Degraded = res.Degraded
-		mtrace.FullBytes = bytes
-		mtrace.Outliers = len(res.Outliers)
-		mtrace.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-		c.mergeLog.Record(*mtrace)
-	}
 	if ok == 0 && total > 0 {
 		return finish(res, errors.New("cluster: no shard answered the estimate query"))
 	}
@@ -1124,19 +1065,9 @@ func (c *Coordinator) rebalance(oldMap, newMap *ShardMap, seen []core.NodeID) {
 		if len(gained) == 0 {
 			continue
 		}
-		var src *shardState
-		c.mu.Lock()
-		for _, a := range old {
-			if st := c.shards[a]; st != nil && st.up {
-				src = st
-				break
-			}
+		if src := c.firstUp(old); src != nil {
+			c.moveSensor(sensor, src, gained)
 		}
-		c.mu.Unlock()
-		if src == nil {
-			continue
-		}
-		c.moveSensor(sensor, src, gained)
 	}
 }
 
@@ -1163,7 +1094,7 @@ func (c *Coordinator) RemoveShard(addr string) error {
 	if drainable {
 		for _, sensor := range oldMap.Owned(addr, seen, c.cfg.Replicas) {
 			// Only sensors that would lose their last copy need moving.
-			if c.anyUp(remove(oldMap.Owners(sensor, c.cfg.Replicas), addr)) {
+			if c.firstUp(remove(oldMap.Owners(sensor, c.cfg.Replicas), addr)) != nil {
 				continue
 			}
 			c.moveSensor(sensor, st, newMap.Owners(sensor, c.cfg.Replicas))
@@ -1192,27 +1123,28 @@ func remove(addrs []string, addr string) []string {
 	return out
 }
 
-func (c *Coordinator) anyUp(addrs []string) bool {
+// firstUp returns the first shard among addrs the health loop considers
+// up, or nil.
+func (c *Coordinator) firstUp(addrs []string) *shardState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, a := range addrs {
 		if st := c.shards[a]; st != nil && st.up {
-			return true
+			return st
 		}
 	}
-	return false
+	return nil
 }
 
 // transferWindow ships one sensor's window points to dst in
 // byte-budgeted chunks, each chunk retried independently (re-delivery
 // is a no-op: the points carry their identities).
 func (c *Coordinator) transferWindow(dst *shardState, sensor core.NodeID, pts []core.Point) error {
-	perAttempt := c.cfg.QueryTimeout / time.Duration(c.cfg.RetryAttempts)
 	for _, chunk := range chunkByBytes(pts, c.cfg.MaxFrameBytes) {
 		if len(chunk) == 0 {
 			continue
 		}
-		err := retry(c.ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
+		err := c.retryCtl(c.ctx, func(ctx context.Context) error {
 			_, err := c.client.handoffTransfer(ctx, dst.udp, sensor, chunk)
 			return err
 		})
@@ -1223,15 +1155,19 @@ func (c *Coordinator) transferWindow(dst *shardState, sensor core.NodeID, pts []
 	return nil
 }
 
-// moveSensor copies one sensor's window from src to each destination.
-func (c *Coordinator) moveSensor(sensor core.NodeID, src *shardState, dsts []string) {
-	perAttempt := c.cfg.QueryTimeout / time.Duration(c.cfg.RetryAttempts)
+// fetchWindow asks src for one sensor's current window points.
+func (c *Coordinator) fetchWindow(src *shardState, sensor core.NodeID) ([]core.Point, error) {
 	var pts []core.Point
-	err := retry(c.ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
-		var err error
+	err := c.retryCtl(c.ctx, func(ctx context.Context) (err error) {
 		pts, err = c.client.handoffFetch(ctx, src.udp, sensor)
 		return err
 	})
+	return pts, err
+}
+
+// moveSensor copies one sensor's window from src to each destination.
+func (c *Coordinator) moveSensor(sensor core.NodeID, src *shardState, dsts []string) {
+	pts, err := c.fetchWindow(src, sensor)
 	if err != nil || len(pts) == 0 {
 		return
 	}
@@ -1288,12 +1224,12 @@ func (c *Coordinator) healthLoop() {
 			go func(st *shardState) {
 				ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
 				probeStart := time.Now()
-				h, traced, err := c.client.health(ctx, st.udp)
+				h, err := c.client.health(ctx, st.udp)
 				cancel()
 				if err != nil {
 					c.noteMiss(st)
 				} else {
-					c.noteUp(st, h, traced, time.Since(probeStart))
+					c.noteUp(st, h, time.Since(probeStart))
 				}
 				c.mu.Lock()
 				st.probing = false
@@ -1315,7 +1251,7 @@ func (c *Coordinator) noteMiss(st *shardState) {
 	}
 }
 
-func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, traced bool, rtt time.Duration) {
+func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, rtt time.Duration) {
 	c.mu.Lock()
 	wasDown := !st.up
 	st.up = true
@@ -1323,13 +1259,11 @@ func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, traced bool,
 	st.last = h
 	st.lastAt = time.Now()
 	st.lastRTT = rtt
-	st.traced.Store(traced)
 	version := c.smap.Version()
 	needSync := wasDown || !st.synced || h.MapVersion != version
 	c.mu.Unlock()
 	if wasDown {
-		c.cfg.Logger.Info("shard back up",
-			"shard", st.addr, "map_version", h.MapVersion, "traced", traced)
+		c.cfg.Logger.Info("shard back up", "shard", st.addr, "map_version", h.MapVersion)
 	}
 	if needSync {
 		go c.resync(st)
@@ -1396,8 +1330,7 @@ func (c *Coordinator) resync(st *shardState) {
 		Sensors:    owned,
 		Evict:      evict,
 	}
-	perAttempt := c.cfg.QueryTimeout / time.Duration(c.cfg.RetryAttempts)
-	err := retry(c.ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
+	err := c.retryCtl(c.ctx, func(ctx context.Context) error {
 		_, err := c.client.assign(ctx, st.udp, body)
 		return err
 	})
@@ -1408,24 +1341,11 @@ func (c *Coordinator) resync(st *shardState) {
 
 	restored := 0
 	for _, sensor := range owned {
-		var src *shardState
-		c.mu.Lock()
-		for _, addr := range remove(smap.Owners(sensor, c.cfg.Replicas), st.addr) {
-			if other := c.shards[addr]; other != nil && other.up && addr != st.addr {
-				src = other
-				break
-			}
-		}
-		c.mu.Unlock()
+		src := c.firstUp(remove(smap.Owners(sensor, c.cfg.Replicas), st.addr))
 		if src == nil {
 			continue
 		}
-		var pts []core.Point
-		err := retry(c.ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
-			var err error
-			pts, err = c.client.handoffFetch(ctx, src.udp, sensor)
-			return err
-		})
+		pts, err := c.fetchWindow(src, sensor)
 		if err != nil || len(pts) == 0 {
 			continue
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"innet/internal/core"
 	"innet/internal/ingest"
 	"innet/internal/obs"
 )
@@ -48,8 +46,8 @@ type WireMergedEstimate struct {
 //	DELETE /v1/shards/{addr}  drain and remove a shard
 //	GET    /healthz           liveness + shard counts
 //	GET    /metrics           counters + histograms in Prometheus text format
-//	GET    /debug/merges      recorded compact-merge session traces (JSON)
 //	GET    /debug/traces      recorded query spans (?trace=<hex> filters)
+//	GET    /debug/merges      the same spans grouped per compact-merge session
 //	GET    /debug/status      one-snapshot cluster view: shards, health,
 //	                          identity/WAL state, build info
 func (c *Coordinator) Handler() http.Handler {
@@ -61,7 +59,9 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/shards/{addr}", c.handleRemoveShard)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.Handle("GET /debug/merges", c.mergeLog.Handler())
+	mux.Handle("GET /debug/merges", obs.RingHandler("merges",
+		func() uint64 { return c.mergesCompact.Load() + c.mergeFallbacks.Load() },
+		func(_ *http.Request, limit int) any { return c.MergeSessions(limit) }))
 	mux.Handle("GET /debug/traces", c.traceLog.Handler())
 	mux.HandleFunc("GET /debug/status", c.handleStatus)
 	return mux
@@ -78,36 +78,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (c *Coordinator) handleObservations(w http.ResponseWriter, r *http.Request) {
-	var batch ingest.WireBatch
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
+	readings, err := ingest.DecodeBatch(w, r)
+	if err != nil {
 		c.rejected.Add(1)
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad batch: %w", err))
 		return
 	}
-	readings := make([]ingest.Reading, len(batch.Readings))
-	for i, wr := range batch.Readings {
-		readings[i] = ingest.Reading{
-			Sensor: core.NodeID(wr.Sensor),
-			At:     time.Duration(wr.AtMS) * time.Millisecond,
-			Values: wr.Values,
-		}
-	}
-	errs := c.IngestBatch(readings)
-	result := ingest.WireBatchResult{}
-	for i, err := range errs {
-		if err != nil {
-			result.Rejected = append(result.Rejected, ingest.WireRejection{Index: i, Error: err.Error()})
-			continue
-		}
-		result.Accepted++
-	}
-	status := http.StatusAccepted
-	if result.Accepted == 0 && len(result.Rejected) > 0 {
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, result)
+	ingest.WriteBatchResult(w, c.IngestBatch(readings))
 }
 
 func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
@@ -125,7 +102,7 @@ func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := WireMergedEstimate{
-		Outliers:     make([]ingest.WireOutlier, 0, len(res.Outliers)),
+		Outliers:     ingest.WirePoints(res.Outliers),
 		ShardsTotal:  res.ShardsTotal,
 		ShardsOK:     res.ShardsOK,
 		Degraded:     res.Degraded,
@@ -135,24 +112,8 @@ func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		PayloadBytes: res.PayloadBytes,
 		Trace:        traceHex(res.Trace),
 	}
-	for _, p := range res.Outliers {
-		resp.Outliers = append(resp.Outliers, ingest.WireOutlier{
-			Sensor: uint16(p.ID.Origin),
-			Seq:    p.ID.Seq,
-			AtMS:   p.Birth.Milliseconds(),
-			Values: p.Value,
-		})
-	}
 	if r.URL.Query().Get("window") == "1" {
-		resp.Window = make([]ingest.WireOutlier, 0, len(res.Window))
-		for _, p := range res.Window {
-			resp.Window = append(resp.Window, ingest.WireOutlier{
-				Sensor: uint16(p.ID.Origin),
-				Seq:    p.ID.Seq,
-				AtMS:   p.Birth.Milliseconds(),
-				Values: p.Value,
-			})
-		}
+		resp.Window = ingest.WirePoints(res.Window)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -182,17 +143,22 @@ func (c *Coordinator) handleRemoveShard(w http.ResponseWriter, r *http.Request) 
 	}
 }
 
+// status names the cluster's health: ok, degraded (a shard is down) or
+// down (all are).
+func (st Stats) status() string {
+	switch {
+	case st.ShardsUp == 0:
+		return "down"
+	case st.ShardsUp < st.ShardsTotal:
+		return "degraded"
+	}
+	return "ok"
+}
+
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	st := c.Stats()
-	status := "ok"
-	if st.ShardsUp < st.ShardsTotal {
-		status = "degraded"
-	}
-	if st.ShardsUp == 0 {
-		status = "down"
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":       status,
+		"status":       st.status(),
 		"shards_up":    st.ShardsUp,
 		"shards_total": st.ShardsTotal,
 		"sensors":      st.Sensors,
@@ -222,15 +188,8 @@ type WireStatus struct {
 // identity floor / WAL state, and build info.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := c.Stats()
-	status := "ok"
-	if st.ShardsUp < st.ShardsTotal {
-		status = "degraded"
-	}
-	if st.ShardsUp == 0 {
-		status = "down"
-	}
 	writeJSON(w, http.StatusOK, WireStatus{
-		Status:         status,
+		Status:         st.status(),
 		ShardsUp:       st.ShardsUp,
 		ShardsTotal:    st.ShardsTotal,
 		Sensors:        st.Sensors,
@@ -277,31 +236,8 @@ func (c *Coordinator) ServeUDP(conn net.PacketConn) error {
 			}
 			return err
 		}
-		payload := buf[:n]
-		if n == len(buf) {
-			// Kernel-truncation sentinel: the final line may be cut
-			// mid-field and must not be parsed as a (wrong) reading.
-			// See ingest.ServeUDP, which applies the same rule.
-			c.rejected.Add(1)
-			if i := bytes.LastIndexByte(payload, '\n'); i >= 0 {
-				payload = payload[:i]
-			} else {
-				payload = nil
-			}
-		}
-		var readings []ingest.Reading
-		for _, line := range bytes.Split(payload, []byte{'\n'}) {
-			line = bytes.TrimSpace(line)
-			if len(line) == 0 {
-				continue
-			}
-			r, err := ingest.ParseLine(line)
-			if err != nil {
-				c.rejected.Add(1)
-				continue
-			}
-			readings = append(readings, r)
-		}
+		readings, malformed := ingest.ParseDatagram(buf, n)
+		c.rejected.Add(uint64(malformed))
 		if len(readings) > 0 {
 			c.IngestBatch(readings)
 		}

@@ -37,8 +37,9 @@ import (
 // ?merge= query parameter.
 const (
 	// MergeCompact runs the iterative Algorithm 1 exchange and falls
-	// back to MergeFull when a shard cannot play (predates the frames,
-	// dies mid-query) or the round budget runs out.
+	// back to MergeFull when a shard cannot play (its merge frames go
+	// unanswered, it dies mid-query, it refuses an evicted session) or the
+	// round budget runs out.
 	MergeCompact = "compact"
 	// MergeFull ships every shard's window snapshot and computes On
 	// over the union.
@@ -70,29 +71,24 @@ func newSessionIDs() *sessionIDs { return &sessionIDs{salt: rand.Uint64()} }
 func (g *sessionIDs) next() uint64 { return g.salt ^ g.seq.Add(1) }
 
 // compactResult carries what a compact merge learned, converged or not.
-// payload and the trace account identically: the summed RoundTrace.Bytes
-// always equal payload, which is what the caller adds to
-// innetcoord_merge_bytes_total — so a /debug/merges trace's total_bytes
-// matches the counter delta its session caused.
+// payload is the sum of the Bytes on the session's OpMergeRound spans —
+// one addition feeds both — so the /debug/merges view's total_bytes, the
+// MergeResult and the innetcoord_merge_bytes_total delta cannot disagree.
 type compactResult struct {
 	session  uint64
 	outliers []core.Point
 	cand     *core.Set // the coordinator's accumulated candidate set C
 	rounds   int
 	payload  int // point payload bytes exchanged, both directions
-
-	trace    []obs.RoundTrace  // per-round, per-shard exchange record
-	quiesced int               // round index that moved nothing; -1 if never
-	ledgers  []obs.LedgerTrace // final per-link ledger sizes
 }
 
 // compactMerge drives one compact-merge session against the targets. It
 // returns an error — and the rounds/payload spent — when any target
 // fails an exchange (the caller falls back to the full-window path) or
 // the round budget is exhausted. On success the result is exact for the
-// union of the targets' windows. trace is the query's trace ID; it is
-// stamped onto the merge frames of shards that negotiated tracing, and
-// every round records one coordinator-side span per shard.
+// union of the targets' windows. trace is the query's trace ID; it rides
+// every merge frame, and every round records one coordinator-side span
+// per shard.
 func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, trace uint64) (compactResult, error) {
 	session := c.sessionIDs.next()
 	cand := core.NewSet()
@@ -100,7 +96,7 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 	for i := range ledgers {
 		ledgers[i] = core.NewSet()
 	}
-	res := compactResult{session: session, cand: cand, quiesced: -1}
+	res := compactResult{session: session, cand: cand}
 	// Merge exchanges are small and fast; a tighter per-attempt timeout
 	// than the big transfers use keeps a dead shard from eating the
 	// whole query budget before the fallback gets its turn.
@@ -132,12 +128,12 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 		// shard still reports the bytes it confirmed receiving — they
 		// were on the wire, so the cost accounting must include them.
 		type reply struct {
-			pts        []core.Point
-			sent, recv int
-			reqID      uint32
-			start      time.Time
-			rtt        time.Duration
-			err        error
+			pts   []core.Point
+			bytes int // LEDGER payload delivered + SUFFICIENT payload received
+			reqID uint32
+			start time.Time
+			rtt   time.Duration
+			err   error
 		}
 		replies := make([]reply, len(targets))
 		var wg sync.WaitGroup
@@ -145,13 +141,6 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 			wg.Add(1)
 			go func(i int, st *shardState) {
 				defer wg.Done()
-				// Stamp the trace only at shards that negotiated tracing
-				// over a HEALTH probe; a zero trace leaves frames in the
-				// legacy byte layout.
-				shardTrace := trace
-				if !st.traced.Load() {
-					shardTrace = 0
-				}
 				start := time.Now()
 				sent := 0
 				for _, chunk := range chunkByBytes(deltas[i], c.cfg.MaxFrameBytes) {
@@ -165,11 +154,11 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 					var nb int
 					err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
 						var err error
-						nb, err = c.client.ledger(ctx, st.udp, reqID, shardTrace, session, chunk)
+						nb, err = c.client.ledger(ctx, st.udp, reqID, trace, session, chunk)
 						return err
 					})
 					if err != nil {
-						replies[i] = reply{sent: sent, reqID: reqID, start: start, rtt: time.Since(start),
+						replies[i] = reply{bytes: sent, reqID: reqID, start: start, rtt: time.Since(start),
 							err: fmt.Errorf("ledger to %s: %w", st.addr, err)}
 						return
 					}
@@ -180,36 +169,26 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				var nb int
 				err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
 					var err error
-					pts, nb, err = c.client.sufficient(ctx, st.udp, reqID, shardTrace, session, uint16(round))
+					pts, nb, err = c.client.sufficient(ctx, st.udp, reqID, trace, session, uint16(round))
 					return err
 				})
 				if err != nil {
-					replies[i] = reply{sent: sent, reqID: reqID, start: start, rtt: time.Since(start),
+					replies[i] = reply{bytes: sent, reqID: reqID, start: start, rtt: time.Since(start),
 						err: fmt.Errorf("sufficient from %s: %w", st.addr, err)}
 					return
 				}
-				replies[i] = reply{pts: pts, sent: sent, recv: nb, reqID: reqID, start: start, rtt: time.Since(start)}
+				replies[i] = reply{pts: pts, bytes: sent + nb, reqID: reqID, start: start, rtt: time.Since(start)}
 			}(i, st)
 		}
 		wg.Wait()
 
 		// Account the whole round — every shard's bytes, failed or not —
-		// before acting on any error, so payload and the trace cover what
+		// before acting on any error, so payload and the spans cover what
 		// actually moved.
-		rt := obs.RoundTrace{Round: round, Shards: make([]obs.ShardRoundTrace, len(targets))}
 		var firstErr error
 		for i := range targets {
 			rep := &replies[i]
-			rt.Shards[i] = obs.ShardRoundTrace{
-				Shard:      targets[i].addr,
-				SentBytes:  rep.sent,
-				RecvBytes:  rep.recv,
-				SentPoints: len(deltas[i]),
-				RecvPoints: len(rep.pts),
-				RTTMS:      float64(rep.rtt) / float64(time.Millisecond),
-			}
-			rt.Bytes += rep.sent + rep.recv
-			res.payload += rep.sent + rep.recv
+			res.payload += rep.bytes
 			span := obs.Span{
 				Trace:   trace,
 				Op:      obs.OpMergeRound,
@@ -218,7 +197,7 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				ReqID:   rep.reqID,
 				Round:   int32(round),
 				Points:  int32(len(rep.pts)),
-				Bytes:   int32(rep.sent + rep.recv),
+				Bytes:   int32(rep.bytes),
 				Start:   rep.start,
 				Dur:     rep.rtt,
 			}
@@ -227,7 +206,6 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 			}
 			c.traceLog.Record(span)
 			if rep.err != nil {
-				rt.Shards[i].Err = rep.err.Error()
 				if firstErr == nil {
 					firstErr = rep.err
 				}
@@ -246,17 +224,11 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				ledgers[i].AddMinHop(p)
 			}
 		}
-		res.trace = append(res.trace, rt)
 		if firstErr != nil {
 			return res, firstErr
 		}
 		if quiet {
-			res.quiesced = round
 			res.outliers = core.TopN(c.cfg.Detector.Ranker, cand, c.cfg.Detector.N)
-			res.ledgers = make([]obs.LedgerTrace, len(targets))
-			for i := range targets {
-				res.ledgers[i] = obs.LedgerTrace{Shard: targets[i].addr, Points: ledgers[i].Len()}
-			}
 			return res, nil
 		}
 	}

@@ -28,10 +28,9 @@ type lossyProxy struct {
 	back  *net.UDPConn // shard-facing socket
 	shard *net.UDPAddr
 
-	mu      sync.Mutex
-	client  *net.UDPAddr
-	rule    func(protocol.Frame) bool            // true = drop; nil = pass all
-	rewrite func(protocol.Frame) *protocol.Frame // non-nil result replaces the frame
+	mu     sync.Mutex
+	client *net.UDPAddr
+	rule   func(protocol.Frame) bool // true = drop; nil = pass all
 }
 
 func newLossyProxy(t testing.TB, shardAddr string) *lossyProxy {
@@ -80,16 +79,9 @@ func (p *lossyProxy) pump(conn *net.UDPConn, forward func([]byte, *net.UDPAddr))
 		if f, err := protocol.DecodeFrame(buf[:n]); err == nil {
 			p.mu.Lock()
 			drop := p.rule != nil && p.rule(f)
-			rewrite := p.rewrite
 			p.mu.Unlock()
 			if drop {
 				continue
-			}
-			if rewrite != nil {
-				if nf := rewrite(f); nf != nil {
-					forward(protocol.EncodeFrame(*nf), from)
-					continue
-				}
 			}
 		}
 		out := make([]byte, n)
@@ -103,15 +95,6 @@ func (p *lossyProxy) pump(conn *net.UDPConn, forward func([]byte, *net.UDPAddr))
 func (p *lossyProxy) setRule(rule func(protocol.Frame) bool) {
 	p.mu.Lock()
 	p.rule = rule
-	p.mu.Unlock()
-}
-
-// setRewrite installs a frame rewriter applied to every decodable
-// control frame in both directions; returning non-nil re-encodes and
-// forwards the replacement instead of the original bytes.
-func (p *lossyProxy) setRewrite(rewrite func(protocol.Frame) *protocol.Frame) {
-	p.mu.Lock()
-	p.rewrite = rewrite
 	p.mu.Unlock()
 }
 
@@ -350,12 +333,12 @@ func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 	}
 }
 
-// TestCompactMergeLegacyShardFallback points the coordinator at a shard
-// that predates the merge frames: its decoder rejects the unknown kinds
-// silently, exactly like an old binary, while ASSIGN/ESTIMATE/READINGS
-// still work. The compact path must fall back to full and stay exact and
-// undegraded.
-func TestCompactMergeLegacyShardFallback(t *testing.T) {
+// TestCompactMergeBlackholedFramesFallBackExact black-holes every LEDGER
+// and SUFFICIENT frame on one shard's link while ASSIGN/ESTIMATE/READINGS
+// still pass — a shard that is healthy but cannot play the compact
+// exchange. The compact path must time out, fall back to full and stay
+// exact and undegraded.
+func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	coord, single, shards, proxies := mergeCluster(t, 1, MergeCompact)
@@ -374,13 +357,13 @@ func TestCompactMergeLegacyShardFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if merged.Mode != MergeFull {
-		t.Fatalf("legacy shard merge served by %q, want full fallback", merged.Mode)
+		t.Fatalf("black-holed merge served by %q, want full fallback", merged.Mode)
 	}
 	if merged.Degraded {
-		t.Fatal("legacy-shard fallback flagged degraded; the shard is healthy")
+		t.Fatal("fallback flagged degraded; the shard is healthy")
 	}
 	if !samePoints(merged.Outliers, want) {
-		t.Fatalf("legacy fallback %s != baseline %s", ids(merged.Outliers), ids(want))
+		t.Fatalf("fallback %s != baseline %s", ids(merged.Outliers), ids(want))
 	}
 }
 

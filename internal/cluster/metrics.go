@@ -55,27 +55,12 @@ func newCoordObs(c *Coordinator) *coordObs {
 	counter("innetcoord_shard_flaps_total", "Up-to-down shard transitions observed.", &c.flaps)
 	r.CounterFunc("innetcoord_truncated_frames_total", "Control datagrams dropped as kernel-truncated.",
 		func() float64 { return float64(c.client.truncated.Load()) })
-	r.GaugeFunc("innetcoord_shards_up", "Shards the health loop currently considers up.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		up := 0
-		for _, st := range c.shards {
-			if st.up {
-				up++
-			}
-		}
-		return float64(up)
-	})
-	r.GaugeFunc("innetcoord_shards", "Shards in the map.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.shards))
-	})
-	r.GaugeFunc("innetcoord_sensors", "Distinct sensors routed so far.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.sensors))
-	})
+	r.GaugeFunc("innetcoord_shards_up", "Shards the health loop currently considers up.",
+		func() float64 { return float64(c.Stats().ShardsUp) })
+	r.GaugeFunc("innetcoord_shards", "Shards in the map.",
+		func() float64 { return float64(c.Stats().ShardsTotal) })
+	r.GaugeFunc("innetcoord_sensors", "Distinct sensors routed so far.",
+		func() float64 { return float64(c.Stats().Sensors) })
 
 	// Identity-recovery provenance: exactly one source label reads 1.
 	// The rolling-restart e2e asserts source="store" after a restart
@@ -94,20 +79,17 @@ func newCoordObs(c *Coordinator) *coordObs {
 		})
 
 	if c.cfg.Store != nil {
-		walCounter := func(name, help string, read func() float64) {
-			r.CounterFunc(name, help, read)
-		}
-		walCounter("innetcoord_wal_bytes_total", "Bytes appended to the identity WAL.",
+		r.CounterFunc("innetcoord_wal_bytes_total", "Bytes appended to the identity WAL.",
 			func() float64 { return float64(c.cfg.Store.Metrics().WALBytes) })
-		walCounter("innetcoord_wal_records_total", "Records appended to the identity WAL.",
+		r.CounterFunc("innetcoord_wal_records_total", "Records appended to the identity WAL.",
 			func() float64 { return float64(c.cfg.Store.Metrics().WALRecords) })
-		walCounter("innetcoord_wal_fsyncs_total", "Fsync calls issued by the identity store.",
+		r.CounterFunc("innetcoord_wal_fsyncs_total", "Fsync calls issued by the identity store.",
 			func() float64 { return float64(c.cfg.Store.Metrics().Fsyncs) })
-		walCounter("innetcoord_wal_compactions_total", "Identity-store snapshot rewrites.",
+		r.CounterFunc("innetcoord_wal_compactions_total", "Identity-store snapshot rewrites.",
 			func() float64 { return float64(c.cfg.Store.Metrics().Compacts) })
-		walCounter("innetcoord_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.",
+		r.CounterFunc("innetcoord_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.",
 			func() float64 { return float64(c.cfg.Store.Metrics().SnapCorrupt) })
-		walCounter("innetcoord_wal_append_errors_total", "Failed identity-store appends (routing keeps going).",
+		r.CounterFunc("innetcoord_wal_append_errors_total", "Failed identity-store appends (routing keeps going).",
 			func() float64 { return float64(c.walErrors.Load()) })
 	}
 

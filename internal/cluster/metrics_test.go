@@ -213,9 +213,12 @@ func TestExpositionLint(t *testing.T) {
 	}
 }
 
-// TestCompactTraceBytesMatchCounter pins the acceptance invariant: the
-// newest /debug/merges trace's total_bytes (and the sum of its per-round
-// bytes) equal the innetcoord_merge_bytes_total delta its query caused.
+// TestCompactTraceBytesMatchCounter pins the acceptance invariant on the
+// span-derived /debug/merges view: the newest session's total_bytes, the
+// sum of its per-round (and per-shard) bytes, MergeResult.PayloadBytes
+// and the innetcoord_merge_bytes_total delta the query caused are all the
+// same number — by construction, since the view only re-adds the bytes
+// the round spans were recorded with.
 func TestCompactTraceBytesMatchCounter(t *testing.T) {
 	var shards []*testShard
 	var addrs []string
@@ -261,32 +264,6 @@ func TestCompactTraceBytesMatchCounter(t *testing.T) {
 	}
 	delta := int(coord.mergeBytes.Load() - before)
 
-	traces := coord.MergeTraces()
-	if len(traces) == 0 {
-		t.Fatal("no merge trace recorded")
-	}
-	tr := traces[0]
-	if tr.Final != MergeCompact || tr.Fallback != "" {
-		t.Fatalf("newest trace final=%q fallback=%q, want a clean compact session", tr.Final, tr.Fallback)
-	}
-	summed := 0
-	for _, r := range tr.Rounds {
-		summed += r.Bytes
-	}
-	if summed != tr.TotalBytes {
-		t.Errorf("sum of per-round bytes = %d, trace total_bytes = %d", summed, tr.TotalBytes)
-	}
-	if tr.TotalBytes != delta {
-		t.Errorf("trace total_bytes = %d, innetcoord_merge_bytes_total delta = %d", tr.TotalBytes, delta)
-	}
-	if tr.TotalBytes != res.PayloadBytes {
-		t.Errorf("trace total_bytes = %d, MergeResult.PayloadBytes = %d", tr.TotalBytes, res.PayloadBytes)
-	}
-	if tr.Quiesced < 0 || tr.Quiesced != len(tr.Rounds)-1 {
-		t.Errorf("quiesced_round = %d with %d rounds, want the last round", tr.Quiesced, len(tr.Rounds))
-	}
-
-	// The same record must come back over /debug/merges.
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)
 	resp, err := http.Get(srv.URL + "/debug/merges")
@@ -295,16 +272,52 @@ func TestCompactTraceBytesMatchCounter(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var page struct {
-		Total  uint64           `json:"total"`
-		Merges []obs.MergeTrace `json:"merges"`
+		Total  uint64         `json:"total"`
+		Merges []MergeSession `json:"merges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		t.Fatal(err)
 	}
-	if page.Total == 0 || len(page.Merges) == 0 {
-		t.Fatal("/debug/merges empty after a compact query")
+	if page.Total != 1 || len(page.Merges) != 1 {
+		t.Fatalf("/debug/merges holds total=%d, %d sessions after one compact query, want 1/1", page.Total, len(page.Merges))
 	}
-	if got := page.Merges[0]; got.Session != tr.Session || got.TotalBytes != tr.TotalBytes {
-		t.Errorf("/debug/merges newest = %+v, want session %s with %d bytes", got, tr.Session, tr.TotalBytes)
+	tr := page.Merges[0]
+	if tr.Trace != traceHex(res.Trace) {
+		t.Fatalf("session trace %s, query trace %016x", tr.Trace, res.Trace)
+	}
+	if tr.Requested != MergeCompact || tr.Final != MergeCompact || tr.Fallback != "" || tr.FullBytes != 0 {
+		t.Fatalf("newest session %q→%q fallback=%q full_bytes=%d, want a clean compact session",
+			tr.Requested, tr.Final, tr.Fallback, tr.FullBytes)
+	}
+	summed := 0
+	for _, r := range tr.Rounds {
+		perShard := 0
+		for _, sh := range r.Shards {
+			perShard += sh.Bytes
+		}
+		if len(r.Shards) != len(shards) || perShard != r.Bytes {
+			t.Errorf("round %d: %d shards summing to %d bytes, round bytes = %d", r.Round, len(r.Shards), perShard, r.Bytes)
+		}
+		summed += r.Bytes
+	}
+	if summed != tr.TotalBytes {
+		t.Errorf("sum of per-round bytes = %d, session total_bytes = %d", summed, tr.TotalBytes)
+	}
+	if tr.TotalBytes != delta {
+		t.Errorf("session total_bytes = %d, innetcoord_merge_bytes_total delta = %d", tr.TotalBytes, delta)
+	}
+	if tr.TotalBytes != res.PayloadBytes {
+		t.Errorf("session total_bytes = %d, MergeResult.PayloadBytes = %d", tr.TotalBytes, res.PayloadBytes)
+	}
+	if len(tr.Rounds) != res.Rounds || tr.Quiesced != res.Rounds-1 {
+		t.Errorf("quiesced_round = %d with %d rounds (query drove %d), want the last round", tr.Quiesced, len(tr.Rounds), res.Rounds)
+	}
+
+	// A full-mode query is not an Algorithm 1 session: the view ignores it.
+	if _, err := coord.MergedEstimateMode(ctx, MergeFull); err != nil {
+		t.Fatalf("full merge: %v", err)
+	}
+	if got := coord.MergeSessions(0); len(got) != 1 {
+		t.Errorf("view holds %d sessions after a full-mode query, want still 1", len(got))
 	}
 }

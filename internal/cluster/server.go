@@ -203,17 +203,9 @@ func (s *ShardServer) Serve() error {
 			body := protocol.HealthBody{
 				MapVersion: s.mapVersion.Load(),
 				Sensors:    uint16(len(s.svc.Sensors())),
+				Sessions:   uint16(s.sessionCount()),
 			}
-			enc := body.Encode()
-			if f.Traced() {
-				// A traced probe is the capability negotiation: echoing
-				// FlagTraced (via respond) advertises this shard speaks
-				// tracing, and the extended body reports merge-session
-				// cache occupancy for /debug/status.
-				body.Sessions = uint16(s.sessionCount())
-				enc = body.EncodeExtended()
-			}
-			s.finish(f, from, s.respond(from, f, protocol.FrameHealth, enc))
+			s.finish(f, from, s.respond(from, f, protocol.FrameHealth, body.Encode()))
 			continue
 		}
 		select {
@@ -275,20 +267,36 @@ func (s *ShardServer) sessionCount() int {
 	return len(s.sessions)
 }
 
-// respond echoes the request's trace state: a traced request gets a
-// traced response carrying the same trace ID (possibly zero — a bare
-// FlagTraced echo is how the HEALTH negotiation says "I speak tracing"),
-// an untraced request gets the legacy byte layout.
+// respond answers req with one frame of the given kind, echoing its
+// reqID and trace ID.
 func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, body []byte) error {
 	frame := protocol.EncodeFrame(protocol.Frame{
 		Kind:  kind,
-		Flags: protocol.FlagResponse | (req.Flags & protocol.FlagTraced),
+		Flags: protocol.FlagResponse,
 		ReqID: req.ReqID,
 		Trace: req.Trace,
 		Body:  body,
 	})
 	_, err := s.conn.WriteToUDP(frame, to)
 	return err
+}
+
+// respondFragments answers req with pts split over as many frames of the
+// given kind as the byte budget requires (at least one, so an empty
+// answer still answers); body encodes fragment frag of count.
+func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, pts []core.Point,
+	body func(frag, count uint16, chunk []core.Point) ([]byte, error)) error {
+	chunks := chunkByBytes(pts, s.maxBytes)
+	for i, chunk := range chunks {
+		buf, err := body(uint16(i), uint16(len(chunks)), chunk)
+		if err != nil {
+			return err
+		}
+		if err := s.respond(to, req, kind, buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleAssign adopts a shard-map epoch: the owned sensors are
@@ -418,22 +426,9 @@ func (s *ShardServer) handleHandoffFetch(f protocol.Frame, from *net.UDPAddr) er
 			}
 		}
 	}
-	chunks := chunkByBytes(pts, s.maxBytes)
-	for i, chunk := range chunks {
-		resp, err := protocol.HandoffBody{
-			Sensor:    body.Sensor,
-			Frag:      uint16(i),
-			FragCount: uint16(len(chunks)),
-			Points:    chunk,
-		}.Encode()
-		if err != nil {
-			return err
-		}
-		if err := s.respond(from, f, protocol.FrameHandoff, resp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.respondFragments(from, f, protocol.FrameHandoff, pts, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+		return protocol.HandoffBody{Sensor: body.Sensor, Frag: frag, FragCount: count, Points: chunk}.Encode()
+	})
 }
 
 // fingerprintPoints hashes a window snapshot's content (IDs and birth
@@ -544,7 +539,7 @@ func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind pr
 	})
 	frame := protocol.EncodeFrame(protocol.Frame{
 		Kind:  kind,
-		Flags: protocol.FlagResponse | protocol.FlagUnknownSession | (req.Flags & protocol.FlagTraced),
+		Flags: protocol.FlagResponse | protocol.FlagUnknownSession,
 		ReqID: req.ReqID,
 		Trace: req.Trace,
 	})
@@ -625,23 +620,9 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 		Start:   start,
 		Dur:     time.Since(start),
 	})
-	chunks := chunkByBytes(delta, s.maxBytes)
-	for i, chunk := range chunks {
-		resp, err := protocol.SufficientBody{
-			Session:   body.Session,
-			Round:     body.Round,
-			Frag:      uint16(i),
-			FragCount: uint16(len(chunks)),
-			Points:    chunk,
-		}.Encode()
-		if err != nil {
-			return err
-		}
-		if err := s.respond(from, f, protocol.FrameSufficient, resp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.respondFragments(from, f, protocol.FrameSufficient, delta, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+		return protocol.SufficientBody{Session: body.Session, Round: body.Round, Frag: frag, FragCount: count, Points: chunk}.Encode()
+	})
 }
 
 // handleEstimate streams the shard's window snapshot back as however
@@ -651,19 +632,7 @@ func (s *ShardServer) handleEstimate(f protocol.Frame, from *net.UDPAddr) error 
 	if err != nil {
 		return err
 	}
-	chunks := chunkByBytes(snap, s.maxBytes)
-	for i, chunk := range chunks {
-		body, err := protocol.EstimateBody{
-			Frag:      uint16(i),
-			FragCount: uint16(len(chunks)),
-			Points:    chunk,
-		}.Encode()
-		if err != nil {
-			return err
-		}
-		if err := s.respond(from, f, protocol.FrameEstimate, body); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.respondFragments(from, f, protocol.FrameEstimate, snap, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+		return protocol.EstimateBody{Frag: frag, FragCount: count, Points: chunk}.Encode()
+	})
 }

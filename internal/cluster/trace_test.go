@@ -50,22 +50,6 @@ func opCount(spans []wireSpan) map[string]int {
 	return out
 }
 
-// waitTraced blocks until every shard is up and has negotiated trace
-// propagation over a health probe, so the query under test stamps its
-// frames instead of racing the first probe.
-func waitTraced(t *testing.T, coord *Coordinator) {
-	t.Helper()
-	waitFor(t, 15*time.Second, "shards traced", func() bool {
-		infos := coord.ShardInfos()
-		for _, si := range infos {
-			if !si.Up || !si.Traced {
-				return false
-			}
-		}
-		return len(infos) > 0
-	})
-}
-
 // TestQueryTraceEndToEnd is the tracing acceptance pin: one compact
 // query against a live 2-shard cluster yields, under a single trace ID,
 // coordinator-side round spans at its /debug/traces and shard-side
@@ -93,8 +77,6 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	waitTraced(t, coord)
-
 	for _, err := range coord.IngestBatch(trace(61, sensorRange(10), 4)) {
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
@@ -160,7 +142,6 @@ func TestRetryDoesNotDuplicateSpans(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
-	waitTraced(t, coord)
 	feedBoth(t, ctx, coord, single, shards, trace(71, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -238,7 +219,6 @@ func TestFallbackSpanSharesTrace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
-	waitTraced(t, coord)
 	feedBoth(t, ctx, coord, single, shards, trace(83, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -287,57 +267,93 @@ func TestFallbackSpanSharesTrace(t *testing.T) {
 	if fullSnaps == 0 {
 		t.Fatalf("trace %016x holds no merge_full span for the fallback path", merged.Trace)
 	}
+
+	// /debug/merges groups the same spans: one session under the query's
+	// trace showing the abandoned rounds, why they were abandoned, and
+	// what the full-path rescue cost.
+	sessions := coord.MergeSessions(0)
+	if len(sessions) == 0 || sessions[0].Trace != traceHex(merged.Trace) {
+		t.Fatalf("newest /debug/merges session is not trace %016x: %+v", merged.Trace, sessions)
+	}
+	sess := sessions[0]
+	if sess.Requested != MergeCompact || sess.Final != MergeFull || sess.Quiesced != -1 {
+		t.Fatalf("session modes = %q→%q quiesced=%d, want compact→full, never quiescent", sess.Requested, sess.Final, sess.Quiesced)
+	}
+	if sess.Fallback == "" {
+		t.Fatal("fallen-back session shows no fallback_reason")
+	}
+	if sess.FullBytes != merged.PayloadBytes || sess.FullBytes == 0 {
+		t.Fatalf("session full_bytes = %d, fallback answer moved %d", sess.FullBytes, merged.PayloadBytes)
+	}
+	viewFailed := 0
+	for _, r := range sess.Rounds {
+		for _, sh := range r.Shards {
+			if sh.Err != "" {
+				viewFailed++
+			}
+		}
+	}
+	if len(sess.Rounds) == 0 || viewFailed != failedRounds {
+		t.Fatalf("session shows %d rounds with %d failed shard exchanges, spans hold %d", len(sess.Rounds), viewFailed, failedRounds)
+	}
 }
 
-// TestNonStampingShardCompatibility runs the coordinator against shards
-// whose frames never carry the trace field (the proxy strips FlagTraced
-// in both directions, so probes land legacy-shaped and nothing is
-// echoed). Capability negotiation must leave those links unstamped and
-// the merge — compact included — must stay exact.
-func TestNonStampingShardCompatibility(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+// TestFirstQueryTracedBeforeAnyProbe issues a compact query immediately
+// after New, with the health loop too slow to have probed anything: the
+// trace ID rides every frame unconditionally, so the shards must already
+// hold session spans under the query's trace. (With per-shard capability
+// negotiation this start-up window left the shards' rings empty.)
+func TestFirstQueryTracedBeforeAnyProbe(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 1, MergeCompact)
-	for _, px := range proxies {
-		px.setRewrite(func(f protocol.Frame) *protocol.Frame {
-			if !f.Traced() {
-				return nil
-			}
-			f.Flags &^= protocol.FlagTraced
-			f.Trace = 0
-			return &f
-		})
+	var shards []*testShard
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		sh := startShard(t, "")
+		t.Cleanup(sh.stop)
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr)
 	}
-	feedBoth(t, ctx, coord, single, shards, trace(97, sensorRange(12), 5))
-	snap, err := single.Snapshot(ctx)
+	coord, err := New(Config{
+		Detector:       clusterDetCfg,
+		Shards:         addrs,
+		MergeMode:      MergeCompact,
+		QueryTimeout:   15 * time.Second,
+		HealthInterval: time.Hour, // no probe ever lands during the test
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
-
+	t.Cleanup(func() { coord.Close() })
+	for _, err := range coord.IngestBatch(trace(29, sensorRange(10), 4)) {
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	}
+	for _, sh := range shards {
+		if err := sh.svc.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	merged, err := coord.MergedEstimate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Mode != MergeCompact || !samePoints(merged.Outliers, want) {
-		t.Fatalf("non-stamping merge wrong: mode=%q %s != %s", merged.Mode, ids(merged.Outliers), ids(want))
+	if merged.Mode != MergeCompact {
+		t.Fatalf("query served by %q, want compact", merged.Mode)
 	}
 	for _, si := range coord.ShardInfos() {
-		if si.Traced {
-			t.Fatalf("shard %s marked traced behind a flag-stripping link", si.Addr)
+		if !si.LastSeen.IsZero() {
+			t.Fatalf("shard %s was probed; the test no longer covers the pre-probe window", si.Addr)
 		}
 	}
-	// The coordinator still owns a trace for the query; the shards,
-	// never having seen the ID, must hold nothing under it.
-	if merged.Trace == 0 {
-		t.Fatal("query against non-stamping shards minted no trace ID")
-	}
-	if spans := coord.Traces().Snapshot(merged.Trace, 0); len(spans) == 0 {
-		t.Fatal("coordinator recorded no spans for the unstamped query")
-	}
 	for _, sh := range shards {
-		if spans := sh.svc.Traces().Snapshot(merged.Trace, 0); len(spans) != 0 {
-			t.Fatalf("shard %s holds %d spans for a trace that never crossed its wire", sh.addr, len(spans))
+		ops := make(map[obs.SpanOp]int)
+		for _, s := range sh.svc.Traces().Snapshot(merged.Trace, 0) {
+			ops[s.Op]++
+		}
+		if ops[obs.OpSessionCreate] == 0 || ops[obs.OpSufficient] == 0 {
+			t.Fatalf("shard %s holds %v under trace %016x, want session_create and sufficient spans", sh.addr, ops, merged.Trace)
 		}
 	}
 }
@@ -347,7 +363,14 @@ func TestNonStampingShardCompatibility(t *testing.T) {
 // in one snapshot.
 func TestStatusEndpoint(t *testing.T) {
 	coord, _, _, _ := mergeCluster(t, 1, MergeCompact)
-	waitTraced(t, coord)
+	waitFor(t, 15*time.Second, "every shard probed", func() bool {
+		for _, si := range coord.ShardInfos() {
+			if si.LastSeen.IsZero() {
+				return false
+			}
+		}
+		return true
+	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/status")
@@ -364,8 +387,8 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Fatalf("status = %+v, want ok with 3/3 shards", st)
 	}
 	for _, si := range st.Shards {
-		if !si.Up || !si.Traced {
-			t.Fatalf("shard %s not up+traced in status: %+v", si.Addr, si)
+		if !si.Up {
+			t.Fatalf("shard %s not up in status: %+v", si.Addr, si)
 		}
 		if si.LastRTTMS <= 0 {
 			t.Fatalf("shard %s has no probe RTT: %+v", si.Addr, si)

@@ -54,8 +54,9 @@ func TestTruncatedControlDatagramDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFrame rejected the truncated datagram (%v); the read-size sentinel would be redundant", err)
 	}
-	if len(f.Body) != maxCtlDatagram-8 {
-		t.Fatalf("decoded body is %d bytes, want the cut %d", len(f.Body), maxCtlDatagram-8)
+	const header = 16 // magic ver kind flags reqID trace
+	if len(f.Body) != maxCtlDatagram-header {
+		t.Fatalf("decoded body is %d bytes, want the cut %d", len(f.Body), maxCtlDatagram-header)
 	}
 
 	// Only the read size can tell. The loops drop exactly this case.

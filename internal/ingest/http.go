@@ -58,8 +58,8 @@ type WireEstimate struct {
 	Window   []WireOutlier `json:"window,omitempty"`
 }
 
-// wirePoints converts core points to their wire form.
-func wirePoints(pts []core.Point) []WireOutlier {
+// WirePoints converts core points to their wire form.
+func WirePoints(pts []core.Point) []WireOutlier {
 	out := make([]WireOutlier, 0, len(pts))
 	for _, p := range pts {
 		out = append(out, WireOutlier{
@@ -108,22 +108,33 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Service) handleObservations(w http.ResponseWriter, r *http.Request) {
+// DecodeBatch reads a POST /v1/observations body into the readings it
+// carries. Both front doors speaking this format — this service's and the
+// cluster coordinator's — decode through it.
+func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]Reading, error) {
 	var batch WireBatch
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
-		s.malformed.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad batch: %w", err))
-		return
+		return nil, err
 	}
-	result := WireBatchResult{}
+	readings := make([]Reading, len(batch.Readings))
 	for i, wr := range batch.Readings {
-		err := s.Ingest(Reading{
+		readings[i] = Reading{
 			Sensor: core.NodeID(wr.Sensor),
 			At:     time.Duration(wr.AtMS) * time.Millisecond,
 			Values: wr.Values,
-		})
+		}
+	}
+	return readings, nil
+}
+
+// WriteBatchResult answers a decoded batch with its per-reading outcomes
+// (errs[i] is nil where reading i was admitted): 202 unless every
+// reading was rejected.
+func WriteBatchResult(w http.ResponseWriter, errs []error) {
+	result := WireBatchResult{}
+	for i, err := range errs {
 		if err != nil {
 			result.Rejected = append(result.Rejected, WireRejection{Index: i, Error: err.Error()})
 			continue
@@ -135,6 +146,20 @@ func (s *Service) handleObservations(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeJSON(w, status, result)
+}
+
+func (s *Service) handleObservations(w http.ResponseWriter, r *http.Request) {
+	readings, err := DecodeBatch(w, r)
+	if err != nil {
+		s.malformed.Add(1)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad batch: %w", err))
+		return
+	}
+	errs := make([]error, len(readings))
+	for i, rd := range readings {
+		errs[i] = s.Ingest(rd)
+	}
+	WriteBatchResult(w, errs)
 }
 
 func (s *Service) handleOutliers(w http.ResponseWriter, r *http.Request) {
@@ -169,14 +194,14 @@ func (s *Service) handleOutliers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	resp := WireEstimate{Sensor: uint16(id), Outliers: wirePoints(est)}
+	resp := WireEstimate{Sensor: uint16(id), Outliers: WirePoints(est)}
 	if r.URL.Query().Get("window") == "1" {
 		win, err := s.Snapshot(r.Context())
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		resp.Window = wirePoints(win)
+		resp.Window = WirePoints(win)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

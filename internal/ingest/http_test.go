@@ -229,6 +229,31 @@ func TestUDPLineProtocol(t *testing.T) {
 	}
 }
 
+// TestParseDatagram pins the one datagram parser both UDP front doors
+// share: line order kept, bad lines counted not fatal, and a read that
+// fills the buffer — the kernel's truncation sentinel — loses everything
+// past its last complete line, counted once, so a line cut mid-field is
+// never parsed as a (wrong) reading.
+func TestParseDatagram(t *testing.T) {
+	buf := make([]byte, 64)
+	n := copy(buf, "1 1000 20.5\n\nbanana 1 2\n2 2000 21 3.5\n")
+	rs, malformed := ParseDatagram(buf, n)
+	if malformed != 1 || len(rs) != 2 || rs[0].Sensor != 1 || rs[1].Sensor != 2 ||
+		rs[1].At != 2*time.Second || len(rs[1].Values) != 2 {
+		t.Fatalf("got %+v with %d malformed, want sensors 1,2 and 1 malformed", rs, malformed)
+	}
+
+	full := []byte("1 1000 20.5\n2 2000 21.5\n3 3000 22")
+	rs, malformed = ParseDatagram(full, len(full)) // "3 3000 22" may be a cut "3 3000 22.9"
+	if malformed != 1 || len(rs) != 2 || rs[1].Sensor != 2 {
+		t.Fatalf("buffer-filling read: got %+v with %d malformed, want the 2 complete lines and 1 malformed", rs, malformed)
+	}
+	oneLine := []byte("3 3000 22")
+	if rs, malformed = ParseDatagram(oneLine, len(oneLine)); malformed != 1 || len(rs) != 0 {
+		t.Fatalf("buffer-filling read without a newline: got %+v with %d malformed, want nothing and 1", rs, malformed)
+	}
+}
+
 // TestServeUDPReturnsOnServiceClose pins the documented shutdown path:
 // closing the service must end ServeUDP even when the socket is quiet.
 func TestServeUDPReturnsOnServiceClose(t *testing.T) {

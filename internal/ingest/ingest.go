@@ -401,7 +401,9 @@ func (s *Service) Join(id core.NodeID) error {
 		if err := p.AddNeighbor(s.ctx, nb); err != nil {
 			return err
 		}
-		if err := other.peer.AddNeighbor(s.ctx, id); err != nil {
+		// A neighbour whose peer stopped between the lookup and the
+		// link-up left while we were joining, same as the lookup miss.
+		if err := other.peer.AddNeighbor(s.ctx, id); err != nil && !errors.Is(err, peer.ErrStopped) {
 			return err
 		}
 	}
@@ -884,6 +886,9 @@ func (s *Service) Snapshot(ctx context.Context) ([]core.Point, error) {
 	union := core.NewSet()
 	for _, sn := range fleet {
 		held, err := sn.peer.Holdings(ctx)
+		if errors.Is(err, peer.ErrStopped) && s.ctx.Err() == nil {
+			continue // left after the fleet was listed; its points age out elsewhere
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"innet/internal/core"
@@ -53,30 +52,31 @@ func (s *Service) ServeUDP(conn net.PacketConn) error {
 			}
 			return err
 		}
-		s.ingestLines(trimTruncated(buf, n, &s.malformed))
+		readings, malformed := ParseDatagram(buf, n)
+		s.malformed.Add(uint64(malformed))
+		for _, r := range readings {
+			_ = s.Ingest(r) // rejections are counted by Ingest; UDP has no reply
+		}
 	}
 }
 
-// trimTruncated handles the kernel's truncation sentinel on a
-// line-protocol read: a datagram that fills the buffer exactly may have
-// lost its tail, leaving a final line cut mid-field that could still
-// parse — as the wrong reading. Drop everything past the last complete
-// line and count one malformed payload; complete lines ahead of the cut
-// are preserved, like the rest of a datagram with one corrupt line.
-func trimTruncated(buf []byte, n int, malformed *atomic.Uint64) []byte {
+// ParseDatagram decodes the line-protocol datagram read into buf[:n],
+// returning its readings in line order and how many lines (or truncated
+// tails) were dropped as malformed. It is the one datagram parser behind
+// both UDP front doors — this service's and the cluster coordinator's.
+//
+// A read that fills buf exactly is the kernel's truncation sentinel: the
+// datagram may have lost its tail, leaving a final line cut mid-field
+// that could still parse — as the wrong reading. Everything past the last
+// complete line is dropped and counted as one malformed payload; complete
+// lines ahead of the cut are preserved, like the rest of a datagram with
+// one corrupt line.
+func ParseDatagram(buf []byte, n int) (readings []Reading, malformed int) {
 	payload := buf[:n]
-	if n < len(buf) {
-		return payload
+	if n == len(buf) {
+		malformed++
+		payload = payload[:max(bytes.LastIndexByte(payload, '\n'), 0)]
 	}
-	malformed.Add(1)
-	if i := bytes.LastIndexByte(payload, '\n'); i >= 0 {
-		return payload[:i]
-	}
-	return nil
-}
-
-// ingestLines parses one datagram's worth of line protocol.
-func (s *Service) ingestLines(payload []byte) {
 	for _, line := range bytes.Split(payload, []byte{'\n'}) {
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
@@ -84,16 +84,16 @@ func (s *Service) ingestLines(payload []byte) {
 		}
 		r, err := ParseLine(line)
 		if err != nil {
-			s.malformed.Add(1)
+			malformed++
 			continue
 		}
-		_ = s.Ingest(r) // rejections are counted by Ingest; UDP has no reply
+		readings = append(readings, r)
 	}
+	return readings, malformed
 }
 
 // ParseLine decodes one line-protocol reading,
-// "<sensor> <at_ms> <v1> [v2 ...]". It is exported so other front doors
-// (the cluster coordinator's UDP listener) accept the same wire format.
+// "<sensor> <at_ms> <v1> [v2 ...]".
 func ParseLine(line []byte) (Reading, error) {
 	fields := bytes.Fields(line)
 	if len(fields) < 3 {

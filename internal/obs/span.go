@@ -10,15 +10,16 @@ import (
 	"time"
 )
 
-// Request-scoped tracing: MergeLog answers "what did compact merges
-// cost on average and per session"; the span ring answers "what did
-// THIS query do, on both sides of the shard wire". The coordinator
-// mints a 64-bit trace ID per query, stamps it into shard-control
-// frames (protocol.FlagTraced), and both daemons record fixed-size
-// spans into a TraceLog — a flight recorder served at /debug/traces
-// and teed to the -trace-file JSONL sink. Recording sits on the ingest
-// and merge hot paths, so it follows the histogram contract: no locks
-// held across I/O, and zero allocations per Record (pinned by test).
+// Request-scoped tracing: the span ring answers "what did THIS query
+// do, on both sides of the shard wire". The coordinator mints a 64-bit
+// trace ID per query and stamps it into every shard-control frame, and
+// both daemons record fixed-size spans into a TraceLog — a flight
+// recorder served at /debug/traces and teed to the -trace-file JSONL
+// sink. It is the only per-query record: the coordinator's
+// /debug/merges is a grouping of these spans, not a second log.
+// Recording sits on the ingest and merge hot paths, so it follows the
+// histogram contract: no locks held across I/O, and zero allocations per
+// Record (pinned by test).
 
 // SpanOp names what a span measured. The set is closed — op strings are
 // rendered from this enum, never from caller input — so span vocabulary
@@ -96,7 +97,7 @@ type Span struct {
 
 // spanWire is the JSON shape of a Span: 64-bit IDs as hex strings
 // (JSON numbers lose precision past 2^53), the op by name, and
-// durations in float milliseconds like the merge traces.
+// durations in float milliseconds.
 type spanWire struct {
 	Trace   string  `json:"trace"`
 	Op      string  `json:"op"`
@@ -139,9 +140,9 @@ func (s Span) MarshalJSON() ([]byte, error) {
 // is reliably recognized.
 const dedupeSlots = 256
 
-// TraceLog is a bounded flight-recorder ring of spans, the span-level
-// sibling of MergeLog: same eviction, same newest-first snapshot, same
-// optional JSONL sink. Spans that carry a reqID are deduplicated — a
+// TraceLog is a bounded flight-recorder ring of spans: oldest evicted
+// first, snapshots newest first, optionally teeing each record as one
+// JSON line to a sink. Spans that carry a reqID are deduplicated — a
 // retried shard-control request re-executes (or replays) server-side
 // work, and recording it twice would make one logical round look like
 // two — by remembering the last dedupeSlots request keys in a fixed

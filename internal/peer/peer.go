@@ -29,6 +29,7 @@
 //	cancel ctx, or close the        close: Run returns ctx.Err() on cancel,
 //	transport (mesh Detach /        or nil when the transport closes the
 //	UDPTransport.Close)             inbox; after that the peer is inert
+//	                                (event methods return ErrStopped)
 //
 // There is no separate Close method: the peer owns no resources beyond
 // its goroutine, so stopping Run — by context or by closing the transport
@@ -86,6 +87,7 @@ type Peer struct {
 	det *core.Detector
 
 	commands chan func(*core.Detector) *core.Outbound
+	done     chan struct{} // closed when Run returns; after that nothing drains commands
 
 	mu       sync.Mutex
 	estimate []core.Point
@@ -107,6 +109,7 @@ func New(cfg Config) (*Peer, error) {
 		cfg:      cfg,
 		det:      det,
 		commands: make(chan func(*core.Detector) *core.Outbound),
+		done:     make(chan struct{}),
 	}, nil
 }
 
@@ -120,6 +123,7 @@ func (p *Peer) Run(ctx context.Context) error {
 		return errors.New("peer: Run called twice")
 	}
 	p.started = true
+	defer close(p.done)
 
 	inbox := p.cfg.Transport.Inbox()
 	for {
@@ -173,7 +177,14 @@ func (p *Peer) dispatch(ctx context.Context, out *core.Outbound) {
 	_ = p.cfg.Transport.Broadcast(ctx, Packet{From: p.det.Node(), Payload: payload})
 }
 
-// do runs fn on the detector goroutine and returns once it is processed.
+// ErrStopped reports an event method called on a peer whose Run has
+// returned (context canceled, or the transport closed the inbox): no
+// goroutine will ever process the event.
+var ErrStopped = errors.New("peer: stopped")
+
+// do runs fn on the detector goroutine and returns once it is processed,
+// or ErrStopped once Run has returned — a caller holding a longer-lived
+// context than the peer's must not wait on a loop that no longer exists.
 func (p *Peer) do(ctx context.Context, fn func(*core.Detector) *core.Outbound) error {
 	done := make(chan struct{})
 	wrapped := func(d *core.Detector) *core.Outbound {
@@ -184,12 +195,16 @@ func (p *Peer) do(ctx context.Context, fn func(*core.Detector) *core.Outbound) e
 	case p.commands <- wrapped:
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-p.done:
+		return ErrStopped
 	}
 	select {
 	case <-done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-p.done:
+		return ErrStopped
 	}
 }
 

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -347,5 +348,36 @@ func TestPeerStateString(t *testing.T) {
 	s := PeerState{ID: 3, Estimate: []core.Point{core.NewPoint(1, 1, 0, 1)}}
 	if s.String() != fmt.Sprintf("peer %d: %d outliers", 3, 1) {
 		t.Fatalf("String = %q", s.String())
+	}
+}
+
+// TestStoppedPeerReturnsErrStopped pins the way out of a blocked event
+// call: once Run has returned (here: the mesh detached the transport),
+// a caller holding a still-live context gets ErrStopped instead of
+// waiting forever on an event loop that no longer exists.
+func TestStoppedPeerReturnsErrStopped(t *testing.T) {
+	mesh := NewMesh()
+	tr, err := mesh.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Detector: core.Config{Node: 1, Ranker: core.NN(), N: 1}, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() { ran <- p.Run(context.Background()) }()
+	if err := p.AddNeighbor(context.Background(), 2); err != nil {
+		t.Fatalf("live peer: %v", err)
+	}
+	mesh.Detach(1)
+	if err := <-ran; err != nil {
+		t.Fatalf("Run after detach: %v", err)
+	}
+	if err := p.AddNeighbor(context.Background(), 3); !errors.Is(err, ErrStopped) {
+		t.Fatalf("AddNeighbor on a stopped peer: %v, want ErrStopped", err)
+	}
+	if _, err := p.Holdings(context.Background()); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Holdings on a stopped peer: %v, want ErrStopped", err)
 	}
 }

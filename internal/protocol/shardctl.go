@@ -7,14 +7,16 @@ package protocol
 // and its detector shard processes, over the same UDP substrate the live
 // peers use (peer.UDPTransport datagrams).
 //
-//	frame := magic:'C' ver:0x01 kind:uint8 flags:uint8 reqID:uint32 [trace:uint64] body
+//	frame := magic:'C' ver:0x02 kind:uint8 flags:uint8 reqID:uint32 trace:uint64 body
 //
 // Multi-byte integers are big-endian, matching the detector wire. Every
 // request carries a caller-chosen reqID; the response echoes it with
 // FlagResponse set, which is all the correlation a UDP request/response
-// exchange needs. The trace field is present exactly when FlagTraced is
-// set (see FlagTraced for the compatibility contract). Bodies reuse
-// core.EncodePoints wherever points travel, so the point codec —
+// exchange needs. The trace field carries the query-scoped trace ID the
+// frame belongs to (0 = untraced work) and is echoed on responses. There
+// is one layout and one version: coordinator and shards deploy from one
+// build, and a frame of any other version is dropped as not ours. Bodies
+// reuse core.EncodePoints wherever points travel, so the point codec —
 // including its fuzz harness — is shared.
 //
 // Kinds:
@@ -69,28 +71,27 @@ const (
 	FrameSufficient FrameKind = 8
 )
 
+// frameKinds names every kind once: its wire-doc name and its lowercase
+// metric label. A kind is valid exactly when it has an entry here.
+var frameKinds = [...]struct{ name, label string }{
+	FrameAssign:     {"ASSIGN", "assign"},
+	FrameHandoff:    {"HANDOFF", "handoff"},
+	FrameEstimate:   {"ESTIMATE", "estimate"},
+	FrameHealth:     {"HEALTH", "health"},
+	FrameReadings:   {"READINGS", "readings"},
+	FrameAck:        {"ACK", "ack"},
+	FrameLedger:     {"LEDGER", "ledger"},
+	FrameSufficient: {"SUFFICIENT", "sufficient"},
+}
+
+func (k FrameKind) valid() bool { return k >= FrameAssign && int(k) < len(frameKinds) }
+
 // String implements fmt.Stringer.
 func (k FrameKind) String() string {
-	switch k {
-	case FrameAssign:
-		return "ASSIGN"
-	case FrameHandoff:
-		return "HANDOFF"
-	case FrameEstimate:
-		return "ESTIMATE"
-	case FrameHealth:
-		return "HEALTH"
-	case FrameReadings:
-		return "READINGS"
-	case FrameAck:
-		return "ACK"
-	case FrameLedger:
-		return "LEDGER"
-	case FrameSufficient:
-		return "SUFFICIENT"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+	return frameKinds[k].name
 }
 
 // MetricLabel returns the frame kind as a lowercase label value for the
@@ -98,26 +99,10 @@ func (k FrameKind) String() string {
 // fixed word: metric label cardinality must stay bounded even if a
 // corrupt frame carries an unknown kind byte.
 func (k FrameKind) MetricLabel() string {
-	switch k {
-	case FrameAssign:
-		return "assign"
-	case FrameHandoff:
-		return "handoff"
-	case FrameEstimate:
-		return "estimate"
-	case FrameHealth:
-		return "health"
-	case FrameReadings:
-		return "readings"
-	case FrameAck:
-		return "ack"
-	case FrameLedger:
-		return "ledger"
-	case FrameSufficient:
-		return "sufficient"
-	default:
+	if !k.valid() {
 		return "unknown"
 	}
+	return frameKinds[k].label
 }
 
 // Frame flags.
@@ -136,21 +121,12 @@ const (
 	// path, because its own ledger already counts points the shard
 	// would no longer know about.
 	FlagUnknownSession = 1 << 2
-	// FlagTraced marks a frame that carries a 64-bit trace ID between
-	// the fixed header and the body. The field is optional by flag, not
-	// by version bump: an unflagged frame is byte-identical to the
-	// pre-tracing format, so a stamping coordinator and a legacy shard
-	// (or vice versa) interoperate — the side that does not understand
-	// tracing simply never sets the flag, and the exchange proceeds
-	// untraced. A tracing-aware responder echoes the flag and the ID so
-	// the requester learns the peer participates.
-	FlagTraced = 1 << 3
 )
 
 const (
 	frameMagic   = 'C'
-	frameVersion = 0x01
-	frameHeader  = 2 + 1 + 1 + 4
+	frameVersion = 0x02
+	frameHeader  = 2 + 1 + 1 + 4 + 8
 )
 
 // ErrNotControlFrame reports a datagram that is not a shard-control frame
@@ -162,44 +138,24 @@ type Frame struct {
 	Kind  FrameKind
 	Flags uint8
 	ReqID uint32
-	// Trace is the query-scoped trace ID, present on the wire only when
-	// FlagTraced is set (EncodeFrame sets the flag whenever Trace is
-	// nonzero). Zero means untraced.
-	Trace uint64
+	Trace uint64 // query-scoped trace ID; 0 = untraced work
 	Body  []byte
 }
 
 // Response reports whether FlagResponse is set.
 func (f Frame) Response() bool { return f.Flags&FlagResponse != 0 }
 
-// Traced reports whether FlagTraced is set.
-func (f Frame) Traced() bool { return f.Flags&FlagTraced != 0 }
-
-// EncodeFrame serializes a shard-control frame. A nonzero Trace forces
-// FlagTraced; a zero Trace with FlagTraced set is encoded as flagged
-// (the 8 trace bytes ride along as zeros), which responders use to echo
-// "I speak tracing" even on probes they answer without a query trace.
+// EncodeFrame serializes a shard-control frame.
 func EncodeFrame(f Frame) []byte {
-	if f.Trace != 0 {
-		f.Flags |= FlagTraced
-	}
-	n := frameHeader
-	if f.Flags&FlagTraced != 0 {
-		n += 8
-	}
-	buf := make([]byte, 0, n+len(f.Body))
+	buf := make([]byte, 0, frameHeader+len(f.Body))
 	buf = append(buf, frameMagic, frameVersion, uint8(f.Kind), f.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, f.ReqID)
-	if f.Flags&FlagTraced != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, f.Trace)
-	}
+	buf = binary.BigEndian.AppendUint64(buf, f.Trace)
 	return append(buf, f.Body...)
 }
 
 // DecodeFrame parses a datagram produced by EncodeFrame. The body is a
-// sub-slice of buf, not a copy. A frame flagged FlagTraced must carry
-// the full 8-byte trace ID; a truncated trace field is a decode error,
-// never a silent fallthrough into misparsing the body.
+// sub-slice of buf, not a copy.
 func DecodeFrame(buf []byte) (Frame, error) {
 	if len(buf) < frameHeader {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrNotControlFrame, len(buf))
@@ -211,17 +167,11 @@ func DecodeFrame(buf []byte) (Frame, error) {
 		Kind:  FrameKind(buf[2]),
 		Flags: buf[3],
 		ReqID: binary.BigEndian.Uint32(buf[4:]),
+		Trace: binary.BigEndian.Uint64(buf[8:]),
 		Body:  buf[frameHeader:],
 	}
-	if f.Kind < FrameAssign || f.Kind > FrameSufficient {
+	if !f.Kind.valid() {
 		return Frame{}, fmt.Errorf("protocol: unknown shard-control kind %d", buf[2])
-	}
-	if f.Flags&FlagTraced != 0 {
-		if len(f.Body) < 8 {
-			return Frame{}, fmt.Errorf("protocol: traced frame truncated at %d trace bytes: %w", len(f.Body), core.ErrTruncated)
-		}
-		f.Trace = binary.BigEndian.Uint64(f.Body)
-		f.Body = f.Body[8:]
 	}
 	return f, nil
 }
@@ -388,45 +338,30 @@ func DecodeEstimate(buf []byte) (EstimateBody, error) {
 }
 
 // HealthBody is the HEALTH response payload (the request body is empty).
-// Sessions — the shard's live merge-session count, surfaced so the
-// coordinator's /debug/status can report cache occupancy per shard —
-// rides in an optional trailing field: legacy shards encode 10 bytes,
-// tracing-aware shards answering a traced probe append it, and
-// DecodeHealth accepts both lengths so either end may be the old one.
 type HealthBody struct {
 	MapVersion uint64 // shard-map epoch the shard last adopted
 	Sensors    uint16 // sensors currently attached
-	Sessions   uint16 // live merge sessions (extended form only)
+	Sessions   uint16 // live merge sessions, for the coordinator's /debug/status
 }
 
-// Encode serializes the HEALTH body in the legacy 10-byte form.
+// Encode serializes the HEALTH body.
 func (b HealthBody) Encode() []byte {
-	buf := make([]byte, 0, 10)
+	buf := make([]byte, 0, 12)
 	buf = binary.BigEndian.AppendUint64(buf, b.MapVersion)
-	return binary.BigEndian.AppendUint16(buf, b.Sensors)
+	buf = binary.BigEndian.AppendUint16(buf, b.Sensors)
+	return binary.BigEndian.AppendUint16(buf, b.Sessions)
 }
 
-// EncodeExtended serializes the HEALTH body with the trailing Sessions
-// field. Only sent in response to a probe that proved the requester is
-// tracing-aware (FlagTraced): a legacy coordinator's strict decoder
-// would reject the longer body and count the probe as a miss.
-func (b HealthBody) EncodeExtended() []byte {
-	return binary.BigEndian.AppendUint16(b.Encode(), b.Sessions)
-}
-
-// DecodeHealth parses a HEALTH body, legacy or extended.
+// DecodeHealth parses a HEALTH body.
 func DecodeHealth(buf []byte) (HealthBody, error) {
-	if len(buf) != 10 && len(buf) != 12 {
+	if len(buf) != 12 {
 		return HealthBody{}, core.ErrTruncated
 	}
-	b := HealthBody{
+	return HealthBody{
 		MapVersion: binary.BigEndian.Uint64(buf),
 		Sensors:    binary.BigEndian.Uint16(buf[8:]),
-	}
-	if len(buf) == 12 {
-		b.Sessions = binary.BigEndian.Uint16(buf[10:])
-	}
-	return b, nil
+		Sessions:   binary.BigEndian.Uint16(buf[10:]),
+	}, nil
 }
 
 // ReadingsBody is the READINGS payload: a routed ingest batch. Each point

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func TestFrameRejectsForeignDatagrams(t *testing.T) {
 		nil,
 		{frameMagic},
 		[]byte("GET / HTTP/1.1\r\n"),
-		append([]byte{frameMagic, 0x7f, 1, 0}, make([]byte, 4)...), // wrong version
+		append([]byte{frameMagic, 0x7f, 1, 0}, make([]byte, 12)...), // wrong version
 	}
 	for i, buf := range cases {
 		if _, err := DecodeFrame(buf); !errors.Is(err, ErrNotControlFrame) {
@@ -233,82 +234,89 @@ func TestFrameDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// TestFrameTraceRoundTrip pins the optional-trace-field contract: a
-// nonzero Trace travels (and forces FlagTraced), an explicitly flagged
-// zero trace travels as eight zero bytes (the capability echo), and the
-// decoded body excludes the trace prefix.
+// TestFrameTraceRoundTrip: the trace ID rides every frame — nonzero for
+// query work, zero for untraced control work — and never leaks into the
+// body.
 func TestFrameTraceRoundTrip(t *testing.T) {
 	body, err := LedgerBody{Session: 5, Points: ctlPoints()}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := Frame{Kind: FrameLedger, ReqID: 7, Trace: 0xabad1dea00c0ffee, Body: body}
-	out, err := DecodeFrame(EncodeFrame(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Traced() || out.Trace != in.Trace {
-		t.Fatalf("trace lost: got %+v", out)
-	}
-	if out.Kind != in.Kind || out.ReqID != in.ReqID || !bytes.Equal(out.Body, body) {
-		t.Fatalf("traced frame corrupted header or body: %+v", out)
-	}
-
-	// Zero trace + explicit flag: the "I speak tracing" echo.
-	echo, err := DecodeFrame(EncodeFrame(Frame{Kind: FrameHealth, Flags: FlagTraced, ReqID: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !echo.Traced() || echo.Trace != 0 || len(echo.Body) != 0 {
-		t.Fatalf("flagged zero-trace frame mangled: %+v", echo)
-	}
-}
-
-// TestFrameUntracedBytesIdentical pins backward compatibility at the
-// byte level: a frame without FlagTraced must encode exactly as it did
-// before the field existed — no length change, no flag bit — so legacy
-// peers see an unchanged wire format.
-func TestFrameUntracedBytesIdentical(t *testing.T) {
-	body := HealthBody{MapVersion: 3, Sensors: 9}.Encode()
-	enc := EncodeFrame(Frame{Kind: FrameHealth, Flags: FlagResponse, ReqID: 0x01020304, Body: body})
-	legacy := append([]byte{frameMagic, frameVersion, byte(FrameHealth), FlagResponse, 1, 2, 3, 4}, body...)
-	if !bytes.Equal(enc, legacy) {
-		t.Fatalf("untraced frame encoding changed:\n got %x\nwant %x", enc, legacy)
-	}
-}
-
-// TestFrameTracedTruncated: a flagged frame whose body cannot hold the
-// trace field is malformed, not silently un-traced.
-func TestFrameTracedTruncated(t *testing.T) {
-	enc := EncodeFrame(Frame{Kind: FrameHealth, ReqID: 2, Trace: 42})
-	for cut := len(enc) - 8; cut < len(enc); cut++ {
-		if _, err := DecodeFrame(enc[:cut]); !errors.Is(err, core.ErrTruncated) {
-			t.Fatalf("cut %d: got %v, want ErrTruncated", cut, err)
+	for _, trace := range []uint64{0xabad1dea00c0ffee, 0} {
+		in := Frame{Kind: FrameLedger, ReqID: 7, Trace: trace, Body: body}
+		out, err := DecodeFrame(EncodeFrame(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Trace != trace || out.Kind != in.Kind || out.Flags != 0 || out.ReqID != in.ReqID || !bytes.Equal(out.Body, body) {
+			t.Fatalf("trace %x: frame mangled: %+v", trace, out)
 		}
 	}
 }
 
-// TestHealthExtendedRoundTrip pins the two accepted HEALTH encodings:
-// the legacy 10-byte body and the 12-byte extended body carrying the
-// merge-session occupancy a tracing-aware shard reports.
-func TestHealthExtendedRoundTrip(t *testing.T) {
+// TestFrameLayout pins the one wire layout at the byte level — magic,
+// version 0x02, kind, flags, reqID, trace, body — and that a frame in the
+// retired v1 layout (8-byte header, no trace field) is dropped as not
+// ours, whatever its length.
+func TestFrameLayout(t *testing.T) {
+	body := HealthBody{MapVersion: 3, Sensors: 9, Sessions: 2}.Encode()
+	enc := EncodeFrame(Frame{Kind: FrameHealth, Flags: FlagResponse, ReqID: 0x01020304, Trace: 0x1112131415161718, Body: body})
+	want := append([]byte{'C', 0x02, byte(FrameHealth), FlagResponse,
+		1, 2, 3, 4, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18}, body...)
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("frame layout changed:\n got %x\nwant %x", enc, want)
+	}
+	v1 := append([]byte{'C', 0x01, byte(FrameHealth), FlagResponse, 1, 2, 3, 4}, body...)
+	for _, buf := range [][]byte{v1, v1[:8]} {
+		if _, err := DecodeFrame(buf); !errors.Is(err, ErrNotControlFrame) {
+			t.Fatalf("v1 frame (%d bytes): got %v, want ErrNotControlFrame", len(buf), err)
+		}
+	}
+}
+
+// TestFrameShortHeaderRejected: the header is fixed-size, so anything
+// shorter is not a control frame — never a frame with a partial trace.
+func TestFrameShortHeaderRejected(t *testing.T) {
+	enc := EncodeFrame(Frame{Kind: FrameHealth, ReqID: 2, Trace: 42})
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeFrame(enc[:cut]); !errors.Is(err, ErrNotControlFrame) {
+			t.Fatalf("cut %d: got %v, want ErrNotControlFrame", cut, err)
+		}
+	}
+}
+
+// TestHealthRoundTrip pins the one HEALTH encoding: 12 bytes carrying the
+// merge-session occupancy, with the retired 10-byte body (and anything
+// else) rejected.
+func TestHealthRoundTrip(t *testing.T) {
 	in := HealthBody{MapVersion: 11, Sensors: 300, Sessions: 6}
-	h, err := DecodeHealth(in.EncodeExtended())
+	enc := in.Encode()
+	h, err := DecodeHealth(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h != in {
-		t.Fatalf("extended health mismatch: got %+v, want %+v", h, in)
+		t.Fatalf("health mismatch: got %+v, want %+v", h, in)
 	}
-	// Legacy encoding drops Sessions; both sides must agree it is zero.
-	h, err = DecodeHealth(in.Encode())
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{10, 11, 13} {
+		if _, err := DecodeHealth(append(enc, 0)[:n]); err == nil {
+			t.Fatalf("%d-byte HEALTH decoded", n)
+		}
 	}
-	if h.MapVersion != 11 || h.Sensors != 300 || h.Sessions != 0 {
-		t.Fatalf("legacy health mismatch: %+v", h)
+}
+
+// TestFrameKindNames: every kind has a wire-doc name and a lowercase
+// metric label; unknown kinds fall back to a printable name and a single
+// fixed label (so a corrupt kind byte cannot grow metric cardinality).
+func TestFrameKindNames(t *testing.T) {
+	for k := FrameAssign; k <= FrameSufficient; k++ {
+		if !k.valid() || k.String() == "" || k.MetricLabel() != strings.ToLower(k.String()) {
+			t.Fatalf("kind %d: name %q, label %q", k, k.String(), k.MetricLabel())
+		}
 	}
-	if _, err := DecodeHealth(in.EncodeExtended()[:11]); err == nil {
-		t.Fatal("11-byte HEALTH decoded")
+	for _, k := range []FrameKind{0, FrameSufficient + 1, 255} {
+		if k.valid() || k.MetricLabel() != "unknown" || !strings.HasPrefix(k.String(), "kind(") {
+			t.Fatalf("unknown kind %d: valid=%v name %q label %q", k, k.valid(), k.String(), k.MetricLabel())
+		}
 	}
 }

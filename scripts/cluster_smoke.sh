@@ -150,15 +150,17 @@ echo "compact payload: ${COMPACT_BYTES}B/query, full-window payload: ${FULL_BYTE
 [[ "$COMPACT_BYTES" -gt 0 && "$COMPACT_BYTES" -lt "$FULL_BYTES" ]] || {
   echo "compact merge payload ${COMPACT_BYTES}B not below full ${FULL_BYTES}B" >&2; exit 1; }
 
-echo "== merge trace agrees with the payload counter"
-# The newest /debug/merges entry is the compact query just measured:
-# its total_bytes must equal the innetcoord_merge_bytes_total delta.
+echo "== /debug/merges agrees with the payload counter"
+# /debug/merges groups the span ring per compact session (full-mode
+# queries are not sessions), so its newest entry is the compact query just
+# measured: its total_bytes must equal the innetcoord_merge_bytes_total
+# delta.
 MERGES=$(curl -fsS "http://$COORD_HTTP/debug/merges")
 grep -q '"total":' <<<"$MERGES" || { echo "/debug/merges malformed: $MERGES" >&2; exit 1; }
 TRACE_BYTES=$(grep -o '"total_bytes":[0-9]*' <<<"$MERGES" | head -1 | cut -d: -f2)
 [[ "${TRACE_BYTES:-}" == "$COMPACT_BYTES" ]] || {
-  echo "newest trace total_bytes=${TRACE_BYTES:-missing}, counter delta=$COMPACT_BYTES" >&2; exit 1; }
-grep -q '"quiesced_round":' <<<"$MERGES" || { echo "trace missing quiesced_round: $MERGES" >&2; exit 1; }
+  echo "newest session total_bytes=${TRACE_BYTES:-missing}, counter delta=$COMPACT_BYTES" >&2; exit 1; }
+grep -q '"quiesced_round":' <<<"$MERGES" || { echo "session missing quiesced_round: $MERGES" >&2; exit 1; }
 echo "newest compact session moved ${TRACE_BYTES}B, matching the counter"
 
 echo "== coordinator metrics carry HELP/TYPE and histograms; pprof off by default"
@@ -186,7 +188,6 @@ done
 grep -q '"build_info":{"version":' <<<"$STATUS" || {
   echo "/debug/status missing build_info: $STATUS" >&2; exit 1; }
 grep -q '"go":"go' <<<"$STATUS" || { echo "build_info lacks a Go version: $STATUS" >&2; exit 1; }
-grep -q '"traced":true' <<<"$STATUS" || { echo "no shard negotiated tracing: $STATUS" >&2; exit 1; }
 echo "status ok: 3/3 shards, build info present"
 
 echo "== one trace ID follows the query across coordinator and shard"
@@ -235,9 +236,11 @@ echo "== clean shutdown"
 kill -INT "$COORD_PID"
 wait "$COORD_PID"
 
-echo "== -trace-file captured the sessions and spans as JSONL"
+echo "== -trace-file captured the spans as JSONL (one schema: every line a span)"
 [[ -s "$TRACE_FILE" ]] || { echo "trace file $TRACE_FILE empty" >&2; exit 1; }
-grep -q '"session":' "$TRACE_FILE" || { echo "trace file lines lack session IDs" >&2; exit 1; }
-grep -q '"op":' "$TRACE_FILE" || { echo "trace file lines lack spans" >&2; exit 1; }
+grep -q '"op":"merge_round".*"session":' "$TRACE_FILE" || { echo "trace file lacks merge_round spans with session IDs" >&2; exit 1; }
+if grep -qv '^{"trace":"[0-9a-f]*","op":"' "$TRACE_FILE"; then
+  echo "trace file holds a line that is not a span:" >&2; grep -v '^{"trace":"[0-9a-f]*","op":"' "$TRACE_FILE" | head -3 >&2; exit 1
+fi
 echo "$(wc -l < "$TRACE_FILE") records traced to $TRACE_FILE"
 echo "cluster smoke: OK"

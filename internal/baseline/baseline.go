@@ -75,7 +75,10 @@ func New(cfg Config) (*App, error) {
 // function: On(D) with the given ranker over the union of the collected
 // windows, deduplicated by point ID. This is the ground truth the paper
 // measures the distributed algorithms against, and the equivalence
-// property tests call it directly.
+// property tests call it directly. It is deliberately the exhaustive
+// computation — every point ranked to the end, everything sorted, the
+// first n taken — and not core.TopN's cutoff-pruned one, so that comparing
+// a detector's or a merge's answer with it compares two computations.
 func Compute(r core.Ranker, n int, windows ...[]core.Point) []core.Point {
 	set := core.NewSet()
 	for _, w := range windows {
@@ -83,7 +86,15 @@ func Compute(r core.Ranker, n int, windows ...[]core.Point) []core.Point {
 			set.Add(p)
 		}
 	}
-	return core.TopN(r, set, n)
+	if n <= 0 || set.Len() == 0 {
+		return nil
+	}
+	ranked := core.RankAll(r, set)
+	out := make([]core.Point, min(n, len(ranked)))
+	for i := range out {
+		out[i] = ranked[i].Point
+	}
+	return out
 }
 
 // LastResult returns the most recent outlier set this node knows (the

@@ -74,12 +74,84 @@ func BenchmarkLOFScores(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexBuild isolates construction cost at detector scale.
+// fleetPoints is a window of the bench fleet's shape: sensors×rounds
+// one-dimensional readings from the faulty stream (see burstStream), IDs
+// and births as 16 sensors sampling once a second would mint them.
+func fleetPoints(sensors, rounds int) []Point {
+	value := burstStream(uint64(sensors*rounds), 0.005, 15000)
+	pts := make([]Point, 0, sensors*rounds)
+	for r := 0; r < rounds; r++ {
+		for s := 1; s <= sensors; s++ {
+			pts = append(pts, NewPoint(NodeID(s), uint32(r), time.Duration(r)*time.Second, value()))
+		}
+	}
+	return pts
+}
+
+// BenchmarkIndexBuild isolates construction cost: at the pool a fleet
+// peer holds (≈240 of the 3,200 window points), at the full fleet window
+// a shard's MergeSource indexes, and at the paper's detector scale in
+// three dimensions.
 func BenchmarkIndexBuild(b *testing.B) {
-	pts := benchSet(b, 2120).Points()
+	for _, c := range []struct {
+		name string
+		pts  []Point
+	}{
+		{"fleet-240", fleetPoints(16, 15)},
+		{"fleet-3200", fleetPoints(16, 200)},
+		{"uniform3d-2120", benchSet(b, 2120).Points()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewIndex(c.pts)
+			}
+		})
+	}
+}
+
+// BenchmarkTopNPool measures On(pool) at the three pool sizes the fleet
+// ranks: a per-neighbour Eq. (2) candidate pool shared ∪ Z (≈40), one
+// peer's holdings (≈240) and the whole window (3,200), KNN k=2, n=3.
+func BenchmarkTopNPool(b *testing.B) {
+	rk := KNN{K: 2}
+	for _, c := range []struct {
+		name            string
+		sensors, rounds int
+	}{{"40", 8, 5}, {"240", 16, 15}, {"3200", 16, 200}} {
+		pts := fleetPoints(c.sensors, c.rounds)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				topNSlice(rk, pts, 3)
+			}
+		})
+	}
+}
+
+// BenchmarkReactClique16 measures one reading's cost in the fleet's
+// steady state: 16 detectors on a clique with a full 200-round window;
+// one op is one sensor's StepObserveBatch plus every receipt it triggers
+// until the network is quiescent again.
+func BenchmarkReactClique16(b *testing.B) {
+	ph := newPacketHasher(b, 16, Config{Ranker: KNN{K: 2}, N: 3, Window: 200 * time.Second})
+	for i, a := range ph.ids {
+		for _, c := range ph.ids[i+1:] {
+			ph.connect(a, c)
+		}
+	}
+	value := burstStream(16, 0.005, 15000)
+	for r := 0; r < 200; r++ {
+		ph.round(b, r, value)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewIndex(pts)
+		now := time.Duration(200+i/16) * time.Second
+		id := ph.ids[i%16]
+		_, out := ph.dets[id].StepObserveBatch(now, []Observation{{Birth: now, Value: []float64{value()}}})
+		ph.emit(out)
+		ph.settle(b)
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -154,12 +154,13 @@ type Detector struct {
 
 	sent map[NodeID]*Set // D(i→j): points sent to each neighbor
 	recv map[NodeID]*Set // D(j→i): points received from each neighbor
+	nbrs []NodeID        // Γ_i, the keys of sent and recv, kept sorted
 
 	// heldSup caches the ranking supporter (window snapshot, spatial
-	// index, ranking batch) over P_i, keyed on the window's mutation
+	// index, memoized top-n) over P_i, keyed on the window's mutation
 	// version: events that leave P_i unchanged — link changes, receipts
 	// of already-held points, repeated Estimate calls — reuse the index
-	// and the ranked batch instead of rebuilding both per ranking pass.
+	// and the estimate instead of rebuilding both per ranking pass.
 	heldSup  *supporter
 	heldSupV uint64
 
@@ -219,13 +220,14 @@ func (d *Detector) ReserveSeq(seq uint32) {
 }
 
 // Neighbors returns the current immediate neighborhood Γ_i, sorted.
-func (d *Detector) Neighbors() []NodeID {
-	ids := make([]NodeID, 0, len(d.sent))
-	for id := range d.sent {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+func (d *Detector) Neighbors() []NodeID { return slices.Clone(d.nbrs) }
+
+// link opens the per-link ledgers for a new neighbor j.
+func (d *Detector) link(j NodeID) {
+	d.sent[j] = NewSet()
+	d.recv[j] = NewSet()
+	at, _ := slices.BinarySearch(d.nbrs, j)
+	d.nbrs = slices.Insert(d.nbrs, at, j)
 }
 
 // Holdings returns a copy of P_i, the set of all points currently held.
@@ -247,27 +249,19 @@ func (d *Detector) heldSupporter() *supporter {
 // Estimate returns the sensor's current outlier estimate On(P_i) in
 // (rank desc, ≺) order.
 func (d *Detector) Estimate() []Point {
-	ranked := d.heldSupporter().rankAll()
-	n := d.cfg.N
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = ranked[i].Point
+	top := d.heldSupporter().topN(d.cfg.N)
+	out := make([]Point, len(top))
+	for i, rk := range top {
+		out[i] = rk.Point
 	}
 	return out
 }
 
 // EstimateRanked returns the current estimate with rank values attached.
 func (d *Detector) EstimateRanked() []Ranked {
-	ranked := d.heldSupporter().rankAll()
-	n := d.cfg.N
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	out := make([]Ranked, n)
-	copy(out, ranked[:n])
+	top := d.heldSupporter().topN(d.cfg.N)
+	out := make([]Ranked, len(top))
+	copy(out, top)
 	return out
 }
 
@@ -284,8 +278,7 @@ func (d *Detector) AddNeighbor(j NodeID) *Outbound {
 	if _, ok := d.sent[j]; ok {
 		return nil
 	}
-	d.sent[j] = NewSet()
-	d.recv[j] = NewSet()
+	d.link(j)
 	d.stats.Events++
 	return d.react()
 }
@@ -300,6 +293,8 @@ func (d *Detector) RemoveNeighbor(j NodeID) *Outbound {
 	}
 	delete(d.sent, j)
 	delete(d.recv, j)
+	at, _ := slices.BinarySearch(d.nbrs, j)
+	d.nbrs = slices.Delete(d.nbrs, at, at+1)
 	d.stats.Events++
 	return d.react()
 }
@@ -357,8 +352,7 @@ func (d *Detector) Receive(from NodeID, pts []Point) *Outbound {
 		return nil
 	}
 	if _, ok := d.sent[from]; !ok {
-		d.sent[from] = NewSet()
-		d.recv[from] = NewSet()
+		d.link(from)
 	}
 	d.stats.Events++
 	d.stats.PointsReceived += len(pts)
@@ -566,7 +560,7 @@ func (d *Detector) react() *Outbound {
 		seed := d.prepareSeed(sup)
 		deltas = func(j NodeID) []Point { return d.globalDelta(j, sup, seed) }
 	}
-	for _, j := range d.Neighbors() {
+	for _, j := range d.nbrs {
 		if delta := deltas(j); len(delta) > 0 {
 			out.Groups = append(out.Groups, Group{To: j, Points: delta})
 			d.stats.PointsSent += len(delta)
@@ -624,17 +618,13 @@ func (d *Detector) buildStrata() []stratum {
 // globalDelta computes Z_j \ (D(i→j) ∪ D(j→i)) for one neighbor under
 // Algorithm 1 and records the newly sent points in D(i→j).
 func (d *Detector) globalDelta(j NodeID, sup *supporter, seed *Set) []Point {
-	shared := d.sent[j].Union(d.recv[j])
-	z := seed
+	shared := ledgers{sent: d.sent[j], recv: d.recv[j], maxHop: anyHop}
+	var extra []Point
 	if !d.cfg.DisableFixedPoint {
-		z = sufficientFrom(d.cfg.Ranker, sup, seed, shared, d.cfg.N)
+		extra = closeSeed(d.cfg.Ranker, sup, seed, shared, d.cfg.N)
 	}
-	var delta []Point
-	for _, p := range z.Points() {
-		if shared.Contains(p.ID) {
-			continue
-		}
-		delta = append(delta, p)
+	delta := unshared(seed, extra, shared)
+	for _, p := range delta {
 		d.sent[j].Add(p)
 	}
 	return delta
@@ -646,29 +636,34 @@ func (d *Detector) globalDelta(j NodeID, sup *supporter, seed *Set) []Point {
 // anything the ledgers show the neighbor already has at an equal or
 // smaller hop count.
 func (d *Detector) semiGlobalDelta(j NodeID, strata []stratum) []Point {
-	shared := d.sent[j].Union(d.recv[j])
+	shared := ledgers{sent: d.sent[j], recv: d.recv[j], maxHop: anyHop}
 	merged := NewSet()
+	forward := func(p Point) {
+		p.Hop++
+		merged.AddMinHop(p)
+	}
 	for h, st := range strata {
 		if st.set.Len() == 0 {
 			continue
 		}
-		cutoff := uint8(h + 1) // receiver frame; see Config.LiteralHopFilter
+		sharedH := shared
+		sharedH.maxHop = uint8(h + 1) // receiver frame; see Config.LiteralHopFilter
 		if d.cfg.LiteralHopFilter {
-			cutoff = uint8(h)
+			sharedH.maxHop = uint8(h)
 		}
-		sharedH := shared.MaxHop(cutoff)
-		z := sufficientFrom(d.cfg.Ranker, st.sup, st.seed, sharedH, d.cfg.N)
-		for _, p := range z.Points() {
-			p.Hop++
-			merged.AddMinHop(p)
+		st.seed.ForEach(forward)
+		for _, p := range closeSeed(d.cfg.Ranker, st.sup, st.seed, sharedH, d.cfg.N) {
+			forward(p)
 		}
 	}
 	var delta []Point
-	for _, p := range merged.Points() {
-		if prior, ok := shared.Get(p.ID); ok && prior.Hop <= p.Hop {
-			continue
+	merged.ForEach(func(p Point) {
+		if prior, ok := shared.minHop(p.ID); !ok || prior > p.Hop {
+			delta = append(delta, p)
 		}
-		delta = append(delta, p)
+	})
+	sortByID(delta)
+	for _, p := range delta {
 		d.sent[j].AddMinHop(p)
 	}
 	return delta

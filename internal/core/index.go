@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 )
 
@@ -115,19 +117,8 @@ func (ix *Index) build(lo, hi int32) int32 {
 		// anything, so keep an oversized leaf (duplicate-heavy inputs).
 		return id
 	}
-	sub := ix.order[lo:hi]
-	slices.SortFunc(sub, func(a, b int32) int {
-		ca, cb := ix.at(a, axis), ix.at(b, axis)
-		switch {
-		case ca < cb:
-			return -1
-		case ca > cb:
-			return 1
-		default:
-			return 0
-		}
-	})
 	mid := lo + (hi-lo)/2
+	ix.selectNth(ix.order[lo:hi], int(mid-lo), axis)
 	// Points equal to the median coordinate may sit on both sides; the
 	// search handles that by pruning on plane distance, not membership.
 	ix.nodes[id].axis = axis
@@ -139,26 +130,68 @@ func (ix *Index) build(lo, hi int32) int32 {
 	return id
 }
 
+// selectNth partially orders sub by coordinate on axis: sub[nth] ends up
+// holding the element a full sort would put there, nothing before it has a
+// larger coordinate and nothing after it a smaller one — all a median
+// split needs, in expected linear time where the sort it replaces was
+// O(n log n) at every level. Quickselect with a median-of-three pivot and
+// Hoare's partition (which splits runs of equal coordinates evenly); a
+// range that keeps partitioning badly is sorted outright, so the worst
+// case stays O(n log n). Which of several points with the median's
+// coordinate land on which side depends on the input order, as it did with
+// the sort: queries are indifferent to it by the total-order contract.
+func (ix *Index) selectNth(sub []int32, nth int, axis int32) {
+	lo, hi := 0, len(sub)-1
+	for limit := 2 * bits.Len(uint(len(sub))); lo < hi; limit-- {
+		if limit == 0 {
+			slices.SortFunc(sub[lo:hi+1], func(a, b int32) int {
+				return cmp.Compare(ix.at(a, axis), ix.at(b, axis))
+			})
+			return
+		}
+		a, b, c := ix.at(sub[lo], axis), ix.at(sub[lo+(hi-lo)/2], axis), ix.at(sub[hi], axis)
+		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		i, j := lo, hi
+		for i <= j {
+			for ix.at(sub[i], axis) < pivot {
+				i++
+			}
+			for ix.at(sub[j], axis) > pivot {
+				j--
+			}
+			if i <= j {
+				sub[i], sub[j] = sub[j], sub[i]
+				i++
+				j--
+			}
+		}
+		// sub[lo..j] ≤ pivot ≤ sub[i..hi], and anything between is the pivot.
+		switch {
+		case nth <= j:
+			hi = j
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
 // KNearest returns the k indexed points nearest to x under the
 // (distance, ≺) order, excluding any point carrying x's own ID — exactly
 // kNearest(x, snapshot, k).
 func (ix *Index) KNearest(x Point, k int) []Point {
 	best := newBestList(k)
-	ix.knnInto(x, k, best)
+	if k > 0 && len(ix.pts) > 0 {
+		ix.knn(0, x, best)
+	}
 	return best.points()
 }
 
-// knnInto resets best to k slots and runs the k-nearest traversal into
-// it, allocating nothing beyond best's own (reusable) backing array.
-func (ix *Index) knnInto(x Point, k int, best *bestList) {
-	best.reset(k)
-	if k <= 0 || len(ix.pts) == 0 {
-		return
-	}
-	ix.knn(0, x, best)
-}
-
-func (ix *Index) knn(node int32, x Point, best *bestList) {
+// knn runs the k-nearest traversal of the subtree at node into best and
+// reports false if the query was abandoned (see bestList.abandoned); the
+// abort unwinds the recursion without visiting anything further.
+func (ix *Index) knn(node int32, x Point, best *bestList) bool {
 	n := &ix.nodes[node]
 	if n.left < 0 {
 		// Pre-filtering on the current bound skips the consider call —
@@ -168,28 +201,34 @@ func (ix *Index) knn(node int32, x Point, best *bestList) {
 		// scan does.
 		bound := best.bound()
 		for _, i := range ix.order[n.lo:n.hi] {
-			p := ix.pts[i]
+			p := &ix.pts[i]
 			if p.ID == x.ID {
 				continue
 			}
-			if d2 := x.dist2(p); d2 <= bound {
+			if d2 := x.dist2(*p); d2 <= bound {
 				best.consider(d2, p)
+				if best.abandoned() {
+					return false
+				}
 				bound = best.bound()
 			}
 		}
-		return
+		return true
 	}
 	d := coordOf(x, n.axis) - n.split
 	near, far := n.left, n.right
 	if d > 0 {
 		near, far = far, near
 	}
-	ix.knn(near, x, best)
+	if !ix.knn(near, x, best) {
+		return false
+	}
 	// A far-side point is at least |d| from x along the split axis. At
 	// exactly the bound it can still win a tie by ≺, hence <=.
 	if d*d <= best.bound() {
-		ix.knn(far, x, best)
+		return ix.knn(far, x, best)
 	}
+	return true
 }
 
 // coordOf returns the query point's coordinate under the zero-padding
@@ -208,7 +247,7 @@ func (ix *Index) WithinCount(x Point, alpha float64) int {
 		return 0
 	}
 	count := 0
-	ix.within(0, x, alpha*alpha, func(Point, float64) { count++ })
+	ix.within(0, x, alpha*alpha, func(*Point, float64) bool { count++; return true })
 	return count
 }
 
@@ -219,8 +258,9 @@ func (ix *Index) Within(x Point, alpha float64) []Point {
 		return nil
 	}
 	var hits []distPoint
-	ix.within(0, x, alpha*alpha, func(p Point, d2 float64) {
+	ix.within(0, x, alpha*alpha, func(p *Point, d2 float64) bool {
 		hits = append(hits, distPoint{d2: d2, p: p})
+		return true
 	})
 	slices.SortFunc(hits, func(a, b distPoint) int {
 		switch {
@@ -234,33 +274,39 @@ func (ix *Index) Within(x Point, alpha float64) []Point {
 	})
 	out := make([]Point, len(hits))
 	for i, h := range hits {
-		out[i] = h.p
+		out[i] = *h.p
 	}
 	return out
 }
 
-func (ix *Index) within(node int32, x Point, a2 float64, emit func(Point, float64)) {
+// within offers every point of the subtree at node within squared
+// distance a2 of x to emit, stopping — and reporting false — as soon as
+// emit does.
+func (ix *Index) within(node int32, x Point, a2 float64, emit func(*Point, float64) bool) bool {
 	n := &ix.nodes[node]
 	if n.left < 0 {
 		for _, i := range ix.order[n.lo:n.hi] {
-			p := ix.pts[i]
+			p := &ix.pts[i]
 			if p.ID == x.ID {
 				continue
 			}
-			if d2 := x.dist2(p); d2 <= a2 {
-				emit(p, d2)
+			if d2 := x.dist2(*p); d2 <= a2 && !emit(p, d2) {
+				return false
 			}
 		}
-		return
+		return true
 	}
 	d := coordOf(x, n.axis) - n.split
 	near, far := n.left, n.right
 	if d > 0 {
 		near, far = far, near
 	}
-	ix.within(near, x, a2, emit)
+	if !ix.within(near, x, a2, emit) {
+		return false
+	}
 	// Points at exactly radius alpha qualify (≤), hence <=.
 	if d*d <= a2 {
-		ix.within(far, x, a2, emit)
+		return ix.within(far, x, a2, emit)
 	}
+	return true
 }

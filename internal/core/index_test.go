@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -136,7 +137,7 @@ func TestIndexWithinMatchesBrute(t *testing.T) {
 						t.Fatalf("%s alpha=%g: index returned %v not within", name, alpha, p)
 					}
 					// The index reports (distance, ≺) order.
-					if i > 0 && closer(x.dist2(p), p, distPoint{d2: x.dist2(got[i-1]), p: got[i-1]}) {
+					if i > 0 && closer(x.dist2(p), &p, distPoint{d2: x.dist2(got[i-1]), p: &got[i-1]}) {
 						t.Fatalf("%s alpha=%g: Within out of order at %d", name, alpha, i)
 					}
 				}
@@ -157,8 +158,8 @@ func TestIndexedRankersMatchBrute(t *testing.T) {
 		for _, r := range rankers {
 			for _, x := range queriesFor(pts) {
 				want := r.Rank(x, pts)
-				got := r.rankIndexed(x, ix, scratch)
-				if want != got {
+				got, ok := r.rankBounded(x, pts, ix, math.Inf(-1), scratch)
+				if !ok || want != got {
 					t.Fatalf("%s %s n=%d x=%v: Rank %v != indexed %v",
 						name, r.Name(), len(pts), x, want, got)
 				}

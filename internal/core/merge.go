@@ -18,7 +18,7 @@ import "slices"
 //
 // Construction snapshots P and computes the neighbor-independent seed
 // On(P) ∪ [P|On(P)] once, through one supporter (spatial index +
-// memoized ranking batch — the same machinery behind the detector's
+// memoized top-n — the same machinery behind the detector's
 // per-window supporter cache). Every subsequent Delta call against any
 // link's ledger reuses that work, so a source kept across rounds — or
 // shared by several concurrent sessions over the same unchanged window
@@ -43,9 +43,9 @@ func NewMergeSource(r Ranker, n int, pts []Point) *MergeSource {
 		slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
 	}
 	sup := supporterFor(r, pts)
-	// seedFrom ranks the whole batch, which builds the spatial index
+	// seedFrom runs the ranking batch, which builds the spatial index
 	// (when the ranker supports one and P is large enough) and memoizes
-	// the ranking — the construction does all the mutating work up
+	// the estimate — the construction does all the mutating work up
 	// front, which is what makes Delta safe for concurrent sessions.
 	return &MergeSource{r: r, n: n, sup: sup, seed: seedFrom(sup, n), pts: pts}
 }
@@ -55,14 +55,10 @@ func (m *MergeSource) Len() int { return len(m.pts) }
 
 // Estimate returns On(P) in (rank desc, ≺) order.
 func (m *MergeSource) Estimate() []Point {
-	ranked := m.sup.rankAll()
-	n := m.n
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = ranked[i].Point
+	top := m.sup.topN(m.n)
+	out := make([]Point, len(top))
+	for i, rk := range top {
+		out[i] = rk.Point
 	}
 	return out
 }
@@ -80,14 +76,8 @@ func (m *MergeSource) Estimate() []Point {
 // simply recomputed — the exchange is resumable and idempotent (points
 // carry identities and ledgers deduplicate).
 func (m *MergeSource) Delta(shared *Set) []Point {
-	z := sufficientFrom(m.r, m.sup, m.seed, shared, m.n)
-	var delta []Point
-	for _, p := range z.Points() {
-		if !shared.Contains(p.ID) {
-			delta = append(delta, p)
-		}
-	}
-	return delta
+	link := ledgers{sent: shared, maxHop: anyHop}
+	return unshared(m.seed, closeSeed(m.r, m.sup, m.seed, link, m.n), link)
 }
 
 // MergeLink is one party's resumable state for a single exchange link:

@@ -34,20 +34,29 @@ type Ranker interface {
 	Support(x Point, neighbors []Point) []Point
 }
 
-// indexedRanker is implemented by rankers whose neighbor queries can be
-// served by a spatial Index instead of a linear scan over the neighbors
-// slice. The contract is strict equivalence: for an index built over
-// exactly the neighbors slice (x's own ID excluded by the query),
-// rankIndexed and supportIndexed must return bit-identical ranks and the
-// same support points as Rank and Support. The batch entry points
-// (rankSlice, SupportOf, supporter) use this path for large sets.
+// indexedRanker is implemented by rankers built on neighbor queries, which
+// can be served by a spatial Index instead of a linear scan and abandoned
+// early once the answer can no longer matter.
 //
-// rankIndexed receives a scratch bestList owned by the calling batch so
-// the per-point hot loop allocates nothing; implementations that do not
-// need one ignore it.
+// rankBounded computes R(x, pts ∪ {x}) — through ix when it is non-nil, in
+// which case ix indexes exactly pts, and by a linear scan of pts otherwise —
+// unless the point cannot reach floor: by anti-monotonicity the rank over
+// the neighbors seen so far is an upper bound on the final rank, and as soon
+// as that bound is strictly below floor the query stops and reports
+// ok=false. A point whose rank equals floor is always finished, so ties at
+// the floor stay with ≺. The bound is the rank formula itself applied to the
+// nearest list so far (never before the list is full, which leaves the
+// MissingNeighborPenalty regime alone), so a surviving point's rank comes
+// from the same arithmetic whatever the floor, and floor = -Inf is the
+// exhaustive query. Both paths return bit-identical ranks; supportIndexed
+// returns the same support points as Support. The batch entry points
+// (supporter, SupportOf) are the callers.
+//
+// scratch is a bestList owned by the calling batch so the per-point hot
+// loop allocates nothing; implementations that do not need one ignore it.
 type indexedRanker interface {
 	Ranker
-	rankIndexed(x Point, ix *Index, scratch *bestList) float64
+	rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (rank float64, ok bool)
 	supportIndexed(x Point, ix *Index) []Point
 }
 
@@ -96,22 +105,11 @@ func (r KNN) Name() string {
 	return fmt.Sprintf("KNN%d", r.k())
 }
 
-// rankFrom turns the (distance, ≺)-ordered nearest list into the rank.
-// Both the brute and indexed paths funnel through it so their float
-// accumulation order — and therefore the result bits — are identical.
-func (r KNN) rankFrom(x Point, nearest []Point) float64 {
-	k := r.k()
-	sum := float64(k-len(nearest)) * MissingNeighborPenalty
-	for _, p := range nearest {
-		sum += x.Dist(p)
-	}
-	return sum / float64(k)
-}
-
 // Rank implements Ranker: the average distance to the k nearest
 // neighbors, with missing neighbors charged MissingNeighborPenalty.
 func (r KNN) Rank(x Point, neighbors []Point) float64 {
-	return r.rankFrom(x, kNearest(x, neighbors, r.k()))
+	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), newBestList(r.k()))
+	return rank
 }
 
 // Support implements Ranker: the k nearest neighbors themselves (all of
@@ -121,18 +119,8 @@ func (r KNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-// rankIndexed computes the rank straight from the scratch list's squared
-// distances: math.Sqrt(d2) is bit-identical to x.Dist(p) for the same
-// pair, so the accumulation matches rankFrom exactly without
-// materializing the neighbor points.
-func (r KNN) rankIndexed(x Point, ix *Index, scratch *bestList) float64 {
-	k := r.k()
-	ix.knnInto(x, k, scratch)
-	sum := float64(k-len(scratch.best)) * MissingNeighborPenalty
-	for _, dp := range scratch.best {
-		sum += math.Sqrt(dp.d2)
-	}
-	return sum / float64(k)
+func (r KNN) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+	return scratch.rankBounded(x, pts, ix, r.k(), meanOfNearest, floor)
 }
 
 func (r KNN) supportIndexed(x Point, ix *Index) []Point {
@@ -160,22 +148,12 @@ func (r KthNN) k() int {
 // Name implements Ranker.
 func (r KthNN) Name() string { return fmt.Sprintf("%dthNN", r.k()) }
 
-// rankFrom computes the rank from the (distance, ≺)-ordered nearest
-// list; shared by the brute and indexed paths.
-func (r KthNN) rankFrom(x Point, nearest []Point) float64 {
-	k := r.k()
-	rank := float64(k-len(nearest)) * MissingNeighborPenalty
-	if len(nearest) > 0 {
-		rank += x.Dist(nearest[len(nearest)-1])
-	}
-	return rank
-}
-
 // Rank implements Ranker: distance to the k-th nearest neighbor, with a
 // MissingNeighborPenalty charge per missing neighbor so that every added
 // point strictly lowers an undersupplied rank (smoothness).
 func (r KthNN) Rank(x Point, neighbors []Point) float64 {
-	return r.rankFrom(x, kNearest(x, neighbors, r.k()))
+	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), newBestList(r.k()))
+	return rank
 }
 
 // Support implements Ranker.
@@ -183,16 +161,8 @@ func (r KthNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-// rankIndexed mirrors rankFrom's arithmetic on the scratch list's
-// squared distances (math.Sqrt(d2) ≡ x.Dist(p) bit-for-bit).
-func (r KthNN) rankIndexed(x Point, ix *Index, scratch *bestList) float64 {
-	k := r.k()
-	ix.knnInto(x, k, scratch)
-	rank := float64(k-len(scratch.best)) * MissingNeighborPenalty
-	if len(scratch.best) > 0 {
-		rank += math.Sqrt(scratch.best[len(scratch.best)-1].d2)
-	}
-	return rank
+func (r KthNN) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+	return scratch.rankBounded(x, pts, ix, r.k(), kthNearest, floor)
 }
 
 func (r KthNN) supportIndexed(x Point, ix *Index) []Point {
@@ -214,14 +184,33 @@ func (r CountWithin) Name() string { return fmt.Sprintf("DB(%g)", r.Alpha) }
 
 // Rank implements Ranker.
 func (r CountWithin) Rank(x Point, neighbors []Point) float64 {
+	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), nil)
+	return rank
+}
+
+// rankBounded counts the neighbors within Alpha; every one found lowers
+// the bound 1/(1+count so far), which is the rank formula on that count.
+func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64, _ *bestList) (float64, bool) {
 	a2 := r.Alpha * r.Alpha
 	count := 0
-	for _, p := range neighbors {
-		if p.ID != x.ID && x.dist2(p) <= a2 {
-			count++
+	more := func() bool {
+		count++
+		return 1/float64(1+count) >= floor
+	}
+	if ix != nil {
+		// A negative radius admits nothing on the index path, as ever.
+		if r.Alpha >= 0 && len(ix.pts) > 0 &&
+			!ix.within(0, x, a2, func(*Point, float64) bool { return more() }) {
+			return 0, false
+		}
+		return 1 / float64(1+count), true
+	}
+	for _, p := range pts {
+		if p.ID != x.ID && x.dist2(p) <= a2 && !more() {
+			return 0, false
 		}
 	}
-	return 1 / float64(1+count)
+	return 1 / float64(1+count), true
 }
 
 // Support implements Ranker.
@@ -236,10 +225,6 @@ func (r CountWithin) Support(x Point, neighbors []Point) []Point {
 	return within
 }
 
-func (r CountWithin) rankIndexed(x Point, ix *Index, _ *bestList) float64 {
-	return 1 / float64(1+ix.WithinCount(x, r.Alpha))
-}
-
 // supportIndexed returns the same point set as Support; the order differs
 // (the index reports (distance, ≺) order, the scan reports input order),
 // which is immaterial to every consumer — support sets are unioned into a
@@ -248,45 +233,103 @@ func (r CountWithin) supportIndexed(x Point, ix *Index) []Point {
 	return ix.Within(x, r.Alpha)
 }
 
-// distPoint pairs a candidate with its squared distance to the query.
+// distPoint pairs a candidate with its squared distance to the query. The
+// candidate is referenced where it lies in the caller's snapshot: the
+// selection loops shuffle these entries constantly, and 16 bytes move
+// faster than a Point.
 type distPoint struct {
 	d2 float64
-	p  Point
+	p  *Point
 }
+
+// nnRank selects how a k-nearest-neighbor ranker turns its nearest list
+// into a rank.
+type nnRank uint8
+
+const (
+	meanOfNearest nnRank = iota // KNN: mean distance to the k nearest
+	kthNearest                  // KthNN: distance to the k-th nearest
+)
 
 // bestList selects the k candidates nearest a query point under the total
 // (distance², ≺) order, by bounded insertion. It is shared by the brute
-// linear scan (kNearest) and the spatial index (Index.KNearest) so that
-// both produce identical results for identical candidate multisets — the
-// order candidates are offered in does not affect the outcome because the
-// comparison order is total.
+// linear scan (scan) and the spatial index (Index.knn) so that both produce
+// identical results for identical candidate multisets — the order
+// candidates are offered in does not affect the outcome because the
+// comparison order is total. It also carries the rank formula and the floor
+// of the query it serves, so both traversals abandon a query by the same
+// rule (see abandoned).
 type bestList struct {
-	k    int
-	best []distPoint
+	k     int
+	kind  nnRank
+	floor float64
+	best  []distPoint
 }
 
+// newBestList returns a list that keeps k candidates and never abandons.
 func newBestList(k int) *bestList {
-	return &bestList{k: k, best: make([]distPoint, 0, k)}
+	return &bestList{k: k, floor: math.Inf(-1), best: make([]distPoint, 0, k)}
 }
 
-// reset empties the list and retargets it to a new k, keeping the
+// reset empties the list and retargets it to a new query, keeping the
 // backing array so batch queries reuse one allocation.
-func (b *bestList) reset(k int) {
-	b.k = k
+func (b *bestList) reset(k int, kind nnRank, floor float64) {
+	b.k, b.kind, b.floor = k, kind, floor
 	b.best = b.best[:0]
+}
+
+// rank turns the (distance², ≺)-ordered list into the rank: each of the
+// neighbors the dataset could not supply is charged MissingNeighborPenalty.
+// math.Sqrt(d2) is bit-identical to Point.Dist for the same pair. Every
+// rank a k-nearest-neighbor ranker reports, and every bound it abandons a
+// query on, comes from this one accumulation.
+func (b *bestList) rank() float64 {
+	rank := float64(b.k-len(b.best)) * MissingNeighborPenalty
+	if b.kind == kthNearest {
+		if len(b.best) > 0 {
+			rank += math.Sqrt(b.best[len(b.best)-1].d2)
+		}
+		return rank
+	}
+	for _, dp := range b.best {
+		rank += math.Sqrt(dp.d2)
+	}
+	return rank / float64(b.k)
+}
+
+// abandoned reports whether the query can stop: the list is full and the
+// rank of what it holds — an upper bound on the final rank, because every
+// later candidate can only replace an entry with a closer one, and sqrt,
+// float addition and division are monotone — is strictly below the floor.
+func (b *bestList) abandoned() bool {
+	return len(b.best) == b.k && b.rank() < b.floor
+}
+
+// rankBounded is indexedRanker.rankBounded for the k-nearest-neighbor
+// rankers.
+func (b *bestList) rankBounded(x Point, pts []Point, ix *Index, k int, kind nnRank, floor float64) (float64, bool) {
+	b.reset(k, kind, floor)
+	if ix != nil {
+		if len(ix.pts) > 0 && !ix.knn(0, x, b) {
+			return 0, false
+		}
+	} else if !b.scan(x, pts) {
+		return 0, false
+	}
+	return b.rank(), true
 }
 
 // closer reports whether candidate (d2, p) precedes `than` in the
 // (distance², ≺) order.
-func closer(d2 float64, p Point, than distPoint) bool {
+func closer(d2 float64, p *Point, than distPoint) bool {
 	if d2 != than.d2 {
 		return d2 < than.d2
 	}
-	return Less(p, than.p)
+	return Less(*p, *than.p)
 }
 
 // consider offers one candidate at squared distance d2.
-func (b *bestList) consider(d2 float64, p Point) {
+func (b *bestList) consider(d2 float64, p *Point) {
 	if len(b.best) == b.k && !closer(d2, p, b.best[b.k-1]) {
 		return
 	}
@@ -318,28 +361,42 @@ func (b *bestList) bound() float64 {
 func (b *bestList) points() []Point {
 	out := make([]Point, len(b.best))
 	for i, dp := range b.best {
-		out[i] = dp.p
+		out[i] = *dp.p
 	}
 	return out
 }
 
-// kNearest returns the k points of candidates nearest to x, ties broken
-// by ≺, in (distance, ≺) order. A candidate carrying x's own ID is
-// skipped, so callers may pass sets that still contain x. Selection is
-// O(n·k) by bounded insertion over squared distances, which beats a full
-// sort (and all the square roots) for the small k the rankers use; for
-// large sets the package routes batched queries through Index instead.
-func kNearest(x Point, candidates []Point, k int) []Point {
-	best := newBestList(k)
-	bound := best.bound()
-	for _, p := range candidates {
+// scan offers every candidate to the list, skipping any that carries x's
+// own ID (so callers may pass sets that still contain x), and reports false
+// if the query was abandoned. Pre-filtering on the current bound skips the
+// consider call — and its tie-break logic — for the overwhelming majority
+// of candidates; one at d2 == bound still goes through consider, which
+// resolves the tie by ≺. Selection is O(n·k) by bounded insertion over
+// squared distances, which beats a full sort (and all the square roots)
+// for the small k the rankers use.
+func (b *bestList) scan(x Point, candidates []Point) bool {
+	bound := b.bound()
+	for i := range candidates {
+		p := &candidates[i]
 		if p.ID == x.ID {
 			continue
 		}
-		if d2 := x.dist2(p); d2 <= bound {
-			best.consider(d2, p)
-			bound = best.bound()
+		if d2 := x.dist2(*p); d2 <= bound {
+			b.consider(d2, p)
+			if b.abandoned() {
+				return false
+			}
+			bound = b.bound()
 		}
 	}
+	return true
+}
+
+// kNearest returns the k points of candidates nearest to x, ties broken
+// by ≺, in (distance, ≺) order; for large sets the package routes batched
+// queries through Index instead.
+func kNearest(x Point, candidates []Point, k int) []Point {
+	best := newBestList(k)
+	best.scan(x, candidates)
 	return best.points()
 }

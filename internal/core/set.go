@@ -142,8 +142,14 @@ func (s *Set) Points() []Point {
 	for _, p := range s.m {
 		pts = append(pts, p)
 	}
-	slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
+	sortByID(pts)
 	return pts
+}
+
+// sortByID orders points by ID. The key is unique within a set, so the
+// sort implementation cannot affect the result.
+func sortByID(pts []Point) {
+	slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
 }
 
 // IDs returns the held point IDs sorted.

@@ -191,21 +191,24 @@ func (t *port) PacketDone() {
 
 // WaitQuiescent blocks until no packets are in flight (sent but not yet
 // consumed) or the context expires. Combined with idle peers this means
-// the algorithm has converged.
+// the algorithm has converged. The caller's own goroutine does the
+// waiting: a sync.Cond cannot select on a context, so the context's end is
+// delivered as one more broadcast, taken under the lock so it cannot fall
+// between the waiter's check and its Wait.
 func (m *Mesh) WaitQuiescent(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
+	stop := context.AfterFunc(ctx, func() {
 		m.mu.Lock()
-		for m.inFlight != 0 {
-			m.cond.Wait()
-		}
+		m.cond.Broadcast()
 		m.mu.Unlock()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	})
+	defer stop()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for m.inFlight != 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		m.cond.Wait()
 	}
+	return nil
 }

@@ -2,6 +2,9 @@ package peer
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,5 +80,67 @@ func TestDetachDuringBroadcast(t *testing.T) {
 	defer cancel()
 	if err := mesh.WaitQuiescent(wctx); err != nil {
 		t.Fatalf("mesh never quiescent after detach: %v", err)
+	}
+}
+
+// TestWaitQuiescentLeavesNoGoroutineBehind pins the fix for a waiter leak:
+// each call used to park a helper goroutine in cond.Wait that exited only
+// when the mesh drained, so every Flush whose deadline passed first (a
+// POST /v1/flush against a fleet that never settles) left one behind.
+func TestWaitQuiescentLeavesNoGoroutineBehind(t *testing.T) {
+	mesh := NewMesh()
+	ta, err := mesh.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := mesh.Attach(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mesh.Connect(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody consumes node 2's inbox yet: this packet stays in flight.
+	if err := ta.Broadcast(context.Background(), Packet{From: 1, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	const calls = 50
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			defer cancel()
+			if err := mesh.WaitQuiescent(ctx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("WaitQuiescent = %v, want deadline exceeded", err)
+			}
+		}()
+	}
+	wg.Wait()
+	// The goroutines that carried an expired context's broadcast are
+	// already on their way out; give the scheduler a moment to retire them.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d expired WaitQuiescent calls left %d goroutines behind", calls, after-before)
+	}
+
+	// A waiter whose context stays live still sees the mesh drain.
+	waited := make(chan error, 1)
+	go func() { waited <- mesh.WaitQuiescent(context.Background()) }()
+	<-tb.Inbox()
+	tb.(PacketDoner).PacketDone()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatalf("WaitQuiescent after drain = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitQuiescent did not return once the mesh drained")
 	}
 }

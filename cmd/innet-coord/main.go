@@ -124,24 +124,6 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// buildRanker maps the -ranker/-k/-eps flags to a core.Ranker, exactly
-// as innetd does, so a coordinator and its shards agree by construction
-// when started from the same flag set.
-func buildRanker(o options) (core.Ranker, error) {
-	switch strings.ToLower(o.ranker) {
-	case "nn":
-		return core.NN(), nil
-	case "knn":
-		return core.KNN{K: o.k}, nil
-	case "kthnn":
-		return core.KthNN{K: o.k}, nil
-	case "db":
-		return core.CountWithin{Alpha: o.eps}, nil
-	default:
-		return nil, fmt.Errorf("unknown ranker %q (want nn, knn, kthnn or db)", o.ranker)
-	}
-}
-
 func parseShardList(spec string) ([]string, error) {
 	var out []string
 	for _, part := range strings.Split(spec, ",") {
@@ -175,9 +157,9 @@ type daemon struct {
 // newDaemon builds the coordinator and binds the listeners (but serves
 // nothing yet; call serve).
 func newDaemon(o options, logger *slog.Logger) (*daemon, error) {
-	ranker, err := buildRanker(o)
+	ranker, err := core.ParseRanker(o.ranker, o.k, o.eps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-ranker/-k/-eps: %w", err)
 	}
 	shards, err := parseShardList(o.shards)
 	if err != nil {

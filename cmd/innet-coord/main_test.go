@@ -32,16 +32,22 @@ func TestParseShardList(t *testing.T) {
 	}
 }
 
+// TestBuildRanker: the daemon refuses ranker parameters the ranker's
+// zero-value defaults would silently replace, before it binds anything,
+// and the error names the flags.
 func TestBuildRanker(t *testing.T) {
-	r, err := buildRanker(options{ranker: "knn", k: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != "KNN3" {
-		t.Fatalf("ranker %s, want KNN3", r.Name())
-	}
-	if _, err := buildRanker(options{ranker: "lof"}); err == nil {
-		t.Error("lof built without error, want rejection")
+	for _, args := range [][]string{
+		{"-ranker", "knn", "-k", "0"},
+		{"-ranker", "db", "-eps", "0"},
+		{"-ranker", "lof"},
+	} {
+		o, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newDaemon(o, testLogger(t)); err == nil || !strings.Contains(err.Error(), "-ranker/-k/-eps") {
+			t.Errorf("%v: newDaemon = %v, want an error naming the flags", args, err)
+		}
 	}
 }
 

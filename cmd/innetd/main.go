@@ -131,22 +131,6 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// buildRanker maps the -ranker/-k/-eps flags to a core.Ranker.
-func buildRanker(o options) (core.Ranker, error) {
-	switch strings.ToLower(o.ranker) {
-	case "nn":
-		return core.NN(), nil
-	case "knn":
-		return core.KNN{K: o.k}, nil
-	case "kthnn":
-		return core.KthNN{K: o.k}, nil
-	case "db":
-		return core.CountWithin{Alpha: o.eps}, nil
-	default:
-		return nil, fmt.Errorf("unknown ranker %q (want nn, knn, kthnn or db)", o.ranker)
-	}
-}
-
 // parseSensorList expands "1-9", "1,2,5" or a mix ("1-3,7") into IDs.
 func parseSensorList(spec string) ([]core.NodeID, error) {
 	if spec == "" {
@@ -189,9 +173,9 @@ type daemon struct {
 // newDaemon builds the service, attaches the initial sensors, and binds
 // both listeners (but serves nothing yet; call serve).
 func newDaemon(o options, logger *slog.Logger) (*daemon, error) {
-	ranker, err := buildRanker(o)
+	ranker, err := core.ParseRanker(o.ranker, o.k, o.eps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-ranker/-k/-eps: %w", err)
 	}
 	var st *store.File
 	if o.dataDir != "" {

@@ -49,20 +49,22 @@ func TestParseSensorList(t *testing.T) {
 	}
 }
 
+// TestBuildRanker: the daemon refuses ranker parameters the ranker's
+// zero-value defaults would silently replace, before it binds anything,
+// and the error names the flags.
 func TestBuildRanker(t *testing.T) {
-	for spec, want := range map[string]string{
-		"nn": "NN", "knn": "KNN2", "kthnn": "2thNN", "db": "DB(2)",
+	for _, args := range [][]string{
+		{"-ranker", "knn", "-k", "0"},
+		{"-ranker", "db", "-eps", "0"},
+		{"-ranker", "lof"},
 	} {
-		r, err := buildRanker(options{ranker: spec, k: 2, eps: 2})
+		o, err := parseFlags(args)
 		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
+			t.Fatal(err)
 		}
-		if r.Name() != want {
-			t.Errorf("%s: ranker %s, want %s", spec, r.Name(), want)
+		if _, err := newDaemon(o, testLogger(t)); err == nil || !strings.Contains(err.Error(), "-ranker/-k/-eps") {
+			t.Errorf("%v: newDaemon = %v, want an error naming the flags", args, err)
 		}
-	}
-	if _, err := buildRanker(options{ranker: "lof"}); err == nil {
-		t.Error("lof built without error, want rejection")
 	}
 }
 

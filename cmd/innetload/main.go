@@ -1,10 +1,12 @@
-// Command innetload is the load harness: it fires one JSON scenario's
-// synthetic sensor fleet at a live innetd or innet-coord over the UDP
-// line protocol, probes query latency per merge mode while the fleet
-// streams, freezes ingestion at checkpoint boundaries to prove the
-// served answer still equals the centralized baseline, and writes the
-// run's BENCH_innetload_<scenario>.json artifact. See the README's
-// "Load testing" section and scripts/scenarios/ for the matrix.
+// Command innetload is the exactness harness: it fires one JSON
+// scenario's seeded synthetic sensor fleet (churn, loss, bursts) at a
+// live innetd or innet-coord over the UDP line protocol, freezes
+// ingestion at checkpoint boundaries, and checks that every merge mode's
+// served answer equals the centralized baseline.Compute over the window
+// the target itself holds. It writes the verdicts to
+// innetload_<scenario>.json; it measures no timings (bench/ is the
+// repo's perf record). See the README's "Exactness under load" section
+// and scripts/scenarios/.
 //
 // Usage:
 //
@@ -19,8 +21,7 @@
 //
 // The target is classified automatically (a coordinator's /healthz
 // reports shard counts). -shard-http is required for a cluster target:
-// the exactness barrier flushes every shard, and throughput/drop
-// figures come from the shards' own metrics. innetload exits nonzero
+// the exactness barrier flushes every shard. innetload exits nonzero
 // if any exactness checkpoint fails to match the baseline.
 package main
 
@@ -61,7 +62,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.httpURL, "http", "http://127.0.0.1:8080", "target HTTP base URL (innetd or innet-coord)")
 	fs.StringVar(&o.udpAddr, "udp", "127.0.0.1:9000", "target UDP line-protocol address")
 	fs.StringVar(&o.shardHTTP, "shard-http", "", "comma-separated shard innetd HTTP base URLs (cluster targets)")
-	fs.StringVar(&o.out, "out", ".", "directory the BENCH artifact is written to")
+	fs.StringVar(&o.out, "out", ".", "directory the innetload_<scenario>.json artifact is written to")
 	fs.BoolVar(&o.verbose, "v", false, "log per-segment progress")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -95,7 +96,7 @@ func run(args []string) error {
 		return err
 	}
 	if target.Cluster && len(shards) == 0 {
-		return errors.New("target is a cluster: -shard-http is required for the flush barrier and metrics")
+		return errors.New("target is a cluster: -shard-http is required for the flush barrier")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -117,13 +118,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("innetload: %s: %.0f readings observed (%.0f/s, %.0f/s/shard), drop rate %.4f, wrote %s\n",
-		sc.Name, report.Ingest.Observed, report.Ingest.ReadingsPerSec,
-		report.Ingest.ReadingsPerSecPerShard, report.Ingest.EnqueueDropRate, path)
-	for mode, mr := range report.Modes {
-		fmt.Printf("innetload: %s query latency p50=%.2fms p95=%.2fms p99=%.2fms (%d samples, %d errors)\n",
-			mode, mr.Latency.P50MS, mr.Latency.P95MS, mr.Latency.P99MS, mr.Latency.Count, mr.Latency.Errors)
-	}
+	fmt.Printf("innetload: %s: %d readings sent in %d datagrams (%d lost, %d down), wrote %s\n",
+		sc.Name, report.Fire.Sent, report.Fire.Datagrams, report.Fire.Lost, report.Fire.Down, path)
 	for i, cp := range report.Checkpoints {
 		fmt.Printf("innetload: checkpoint %d: window=%d match=%v\n", i+1, cp.WindowPoints, cp.Match)
 	}

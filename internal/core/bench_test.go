@@ -54,26 +54,6 @@ func BenchmarkTopNIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkLOFScores measures the batch LOF path (index + memoized
-// k-distances and lrds) against the naive per-point Score.
-func BenchmarkLOFScores(b *testing.B) {
-	set := benchSet(b, 530)
-	l := LOF{K: 4}
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LOFScores(l, set)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		pts := set.Points()
-		for i := 0; i < b.N; i++ {
-			for _, x := range pts {
-				l.Score(x, pts)
-			}
-		}
-	})
-}
-
 // fleetPoints is a window of the bench fleet's shape: sensors×rounds
 // one-dimensional readings from the faulty stream (see burstStream), IDs
 // and births as 16 sensors sampling once a second would mint them.

@@ -28,36 +28,6 @@ type Config struct {
 	// within HopLimit hops. Zero selects the global algorithm
 	// (Algorithm 1), i.e. d = ∞.
 	HopLimit int
-
-	// TrackRedundant, when set, records points received from a neighbor
-	// in the D(j→i) ledger even when the point is already held. The
-	// paper's Algorithm 1 only records previously-unseen points; the
-	// extra bookkeeping is sound (the neighbor provably has the point)
-	// and suppresses some redundant retransmissions on cyclic
-	// topologies. Kept as an option so the ablation benchmark can
-	// quantify the difference; off reproduces the paper exactly.
-	TrackRedundant bool
-
-	// DisableFixedPoint skips the Eq. (2) fixed-point closure and sends
-	// only the naive seed On(P) ∪ [P|On(P)] to each neighbor. This
-	// violates Lemma 3 — the network can go quiescent with sensors
-	// disagreeing — and exists only so the ablation benchmark can
-	// quantify what the fixed point buys.
-	DisableFixedPoint bool
-
-	// LiteralHopFilter selects the hop cutoff applied to the per-link
-	// ledgers inside the stratum-h fixed point of Algorithm 2. The
-	// ledgers store hop fields post-increment (the hop a point has at
-	// the receiver), so the paper's literal D^{i,≤h} filter leaves the
-	// stratum-0 shared set permanently empty and the Eq. (2) fixed
-	// point never adapts to the neighbor's data. By default this
-	// implementation therefore filters at ≤ h+1 — the receiver's frame
-	// — which makes each stratum behave like the global algorithm run
-	// pairwise, as §6.1 describes ("in essence, the global outlier
-	// detection algorithm is applied"). Set LiteralHopFilter to follow
-	// the pseudo-code to the letter instead; the ablation benchmark
-	// quantifies the accuracy difference.
-	LiteralHopFilter bool
 }
 
 func (c Config) validate() error {
@@ -375,9 +345,6 @@ func (d *Detector) receiveGlobal(from NodeID, pts []Point) bool {
 	changed := false
 	for _, p := range pts {
 		if d.held.Contains(p.ID) {
-			if d.cfg.TrackRedundant && d.recv[from].Add(p) {
-				changed = true
-			}
 			continue
 		}
 		d.held.Add(p)
@@ -407,11 +374,6 @@ func (d *Detector) receiveSemiGlobal(from NodeID, pts []Point) bool {
 			}
 			d.recv[from].AddMinHop(p)
 			changed = true
-		case d.cfg.TrackRedundant:
-			added, lowered := d.recv[from].AddMinHop(p)
-			if added || lowered {
-				changed = true
-			}
 		}
 	}
 	return changed
@@ -619,10 +581,7 @@ func (d *Detector) buildStrata() []stratum {
 // Algorithm 1 and records the newly sent points in D(i→j).
 func (d *Detector) globalDelta(j NodeID, sup *supporter, seed *Set) []Point {
 	shared := ledgers{sent: d.sent[j], recv: d.recv[j], maxHop: anyHop}
-	var extra []Point
-	if !d.cfg.DisableFixedPoint {
-		extra = closeSeed(d.cfg.Ranker, sup, seed, shared, d.cfg.N)
-	}
+	extra := closeSeed(d.cfg.Ranker, sup, seed, shared, d.cfg.N)
 	delta := unshared(seed, extra, shared)
 	for _, p := range delta {
 		d.sent[j].Add(p)
@@ -647,10 +606,13 @@ func (d *Detector) semiGlobalDelta(j NodeID, strata []stratum) []Point {
 			continue
 		}
 		sharedH := shared
-		sharedH.maxHop = uint8(h + 1) // receiver frame; see Config.LiteralHopFilter
-		if d.cfg.LiteralHopFilter {
-			sharedH.maxHop = uint8(h)
-		}
+		// Receiver frame: the ledgers store hop fields post-increment
+		// (the hop a point has at the receiver), so the pseudo-code's
+		// literal D^{i,≤h} filter would leave the stratum-0 shared set
+		// permanently empty and the fixed point would never adapt to the
+		// neighbor's data. Filtering at ≤ h+1 makes each stratum behave
+		// like the global algorithm run pairwise, as §6.1 describes.
+		sharedH.maxHop = uint8(h + 1)
 		st.seed.ForEach(forward)
 		for _, p := range closeSeed(d.cfg.Ranker, st.sup, st.seed, sharedH, d.cfg.N) {
 			forward(p)

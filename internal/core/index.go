@@ -11,7 +11,7 @@ import (
 // leaves hold small buckets that are scanned linearly, so the structure
 // behaves like an adaptive grid near the bottom). It answers the two
 // neighbor queries every ranker in this package is built from —
-// k-nearest (KNN, KthNN, LOF) and fixed-radius (CountWithin) — in
+// k-nearest (KNN, KthNN) and fixed-radius (CountWithin) — in
 // O(log n + k) expected time instead of the O(n) scan.
 //
 // Construction never moves Point structs: the tree orders an int32

@@ -236,43 +236,3 @@ func TestSupportOfIndexedMatchesBrute(t *testing.T) {
 		}
 	}
 }
-
-// TestLOFScoresMatchScore checks the memoized, index-backed batch LOF
-// against the per-point definitional Score, above and below the index
-// threshold and on tie-prone data.
-func TestLOFScoresMatchScore(t *testing.T) {
-	r := rng(0x10f)
-	for _, l := range []LOF{{}, {K: 3}, {K: 7}} {
-		for _, count := range []int{0, 1, 5, 40, 200} {
-			set := NewSet()
-			for _, p := range randPoints(r, 4, count, 2, 6) {
-				set.Add(p)
-			}
-			for _, p := range tiePronePoints(r, count/2, 2, 3) {
-				p.ID.Origin += 20
-				set.Add(p)
-			}
-			pts := set.Points()
-			got := LOFScores(l, set)
-			if len(got) != len(pts) {
-				t.Fatalf("LOFScores returned %d of %d points", len(got), len(pts))
-			}
-			want := make(map[PointID]float64, len(pts))
-			for _, x := range pts {
-				want[x.ID] = l.Score(x, pts)
-			}
-			for _, g := range got {
-				if w := want[g.Point.ID]; g.Rank != w {
-					t.Fatalf("k=%d n=%d: LOFScores(%v) = %v, Score = %v",
-						l.k(), set.Len(), g.Point.ID, g.Rank, w)
-				}
-			}
-			for i := 1; i < len(got); i++ {
-				a, b := got[i-1], got[i]
-				if a.Rank < b.Rank || (a.Rank == b.Rank && Less(b.Point, a.Point)) {
-					t.Fatalf("LOFScores out of order at %d: %v then %v", i, a, b)
-				}
-			}
-		}
-	}
-}

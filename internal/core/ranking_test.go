@@ -36,6 +36,39 @@ func TestRankerNames(t *testing.T) {
 	}
 }
 
+func TestParseRanker(t *testing.T) {
+	tests := []struct {
+		name string
+		k    int
+		eps  float64
+		want Ranker // nil: rejected
+	}{
+		{name: "nn", want: KNN{K: 1}},
+		{name: "knn", k: 2, want: KNN{K: 2}},
+		{name: "KNN", k: 3, want: KNN{K: 3}},
+		{name: "kthnn", k: 3, want: KthNN{K: 3}},
+		{name: "db", eps: 1.5, want: CountWithin{Alpha: 1.5}},
+		{name: "knn", k: 0},      // KNN{K: 0} would silently rank as k = 1
+		{name: "kthnn", k: -1},   // likewise
+		{name: "db", eps: 0},     // nothing is ever within radius 0
+		{name: "db", eps: -2},    // α is squared: -2 would silently rank as 2
+		{name: "lof", k: 2},      // not anti-monotone, so not a Ranker at all
+		{name: "", k: 2, eps: 2}, // no default: callers pick theirs
+	}
+	for _, tt := range tests {
+		got, err := ParseRanker(tt.name, tt.k, tt.eps)
+		if tt.want == nil {
+			if err == nil {
+				t.Errorf("ParseRanker(%q, %d, %v) = %v, want an error", tt.name, tt.k, tt.eps, got)
+			}
+			continue
+		}
+		if err != nil || got != tt.want {
+			t.Errorf("ParseRanker(%q, %d, %v) = %#v, %v; want %#v", tt.name, tt.k, tt.eps, got, err, tt.want)
+		}
+	}
+}
+
 func TestKNNRankHandComputed(t *testing.T) {
 	x := NewPoint(9, 0, 0, 0)
 	neighbors := line(1, -2, 4, 8)

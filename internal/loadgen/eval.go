@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"innet/internal/baseline"
@@ -22,7 +20,7 @@ import (
 type Target struct {
 	HTTP      string   // base URL of the front door (innetd or innet-coord)
 	UDP       string   // host:port of its line-protocol listener
-	ShardHTTP []string // shard innetd HTTP bases (cluster throughput/drop scrape)
+	ShardHTTP []string // shard innetd HTTP bases (the barrier flushes each)
 	Cluster   bool     // true: coordinator; false: single innetd
 	Shards    int
 }
@@ -53,7 +51,7 @@ func DetectTarget(httpURL, udp string, shardHTTP []string) (Target, error) {
 	return t, nil
 }
 
-// queryURL builds the outlier query for one probe mode.
+// queryURL builds the outlier query for one merge mode.
 func (t Target) queryURL(mode string, window bool) string {
 	u := t.HTTP + "/v1/outliers"
 	var q []string
@@ -69,14 +67,11 @@ func (t Target) queryURL(mode string, window bool) string {
 	return u
 }
 
-// outlierReply is the union of the innetd and coordinator responses.
+// outlierReply is what a checkpoint reads of the innetd and coordinator
+// responses.
 type outlierReply struct {
-	Outliers     []ingest.WireOutlier `json:"outliers"`
-	Window       []ingest.WireOutlier `json:"window"`
-	MergeMode    string               `json:"merge_mode"`
-	Rounds       int                  `json:"rounds"`
-	PayloadBytes int                  `json:"payload_bytes"`
-	Degraded     bool                 `json:"degraded"`
+	Outliers []ingest.WireOutlier `json:"outliers"`
+	Window   []ingest.WireOutlier `json:"window"`
 }
 
 func getJSON(ctx context.Context, url string, into any) error {
@@ -96,363 +91,47 @@ func getJSON(ctx context.Context, url string, into any) error {
 	return json.NewDecoder(resp.Body).Decode(into)
 }
 
-// scrapeBody fetches one /metrics page as text.
-func scrapeBody(ctx context.Context, base string) (string, error) {
+// scrapeMetrics fetches a Prometheus-text /metrics page as name → value.
+func scrapeMetrics(ctx context.Context, base string) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return "", err
-	}
-	return string(body), nil
-}
-
-// scrapeMetrics fetches and parses a Prometheus-text /metrics page into
-// name → value. Labeled series are summed under their base name, so
-// innetd_sensor_queue_drops_total{sensor="7"} aggregates across the
-// fleet.
-func scrapeMetrics(ctx context.Context, base string) (map[string]float64, error) {
-	body, err := scrapeBody(ctx, base)
-	if err != nil {
 		return nil, err
 	}
-	return parseExposition(body).flat, nil
+	return parseMetrics(string(body)), nil
 }
 
-// histogram is one scraped (or differenced) Prometheus histogram family
-// child: cumulative bucket counts keyed by upper bound, plus the running
-// sum and count.
-type histogram struct {
-	buckets map[float64]float64 // le → cumulative observation count
-	sum     float64
-	count   float64
-}
-
-func newHistogram() *histogram { return &histogram{buckets: make(map[float64]float64)} }
-
-// add folds another scrape of the same family into h (summing a
-// cluster's per-shard histograms, like ingestTotals sums counters).
-func (h *histogram) add(o *histogram) {
-	for le, c := range o.buckets {
-		h.buckets[le] += c
-	}
-	h.sum += o.sum
-	h.count += o.count
-}
-
-// sub returns h minus a previous scrape of the same family: the
-// histogram of only the observations made between the two scrapes.
-// before may be nil (everything is new).
-func (h *histogram) sub(before *histogram) *histogram {
-	d := newHistogram()
-	for le, c := range h.buckets {
-		d.buckets[le] = c
-		if before != nil {
-			d.buckets[le] -= before.buckets[le]
-		}
-	}
-	d.sum, d.count = h.sum, h.count
-	if before != nil {
-		d.sum -= before.sum
-		d.count -= before.count
-	}
-	return d
-}
-
-// quantile interpolates the qth quantile (0 < q < 1) from the cumulative
-// buckets, the way PromQL's histogram_quantile does: linear within the
-// bucket the rank lands in, the highest finite bound for the +Inf
-// bucket. Returns 0 for an empty histogram. Units are the histogram's
-// own (seconds for the latency families).
-func (h *histogram) quantile(q float64) float64 {
-	bounds := make([]float64, 0, len(h.buckets))
-	for b := range h.buckets {
-		bounds = append(bounds, b)
-	}
-	sort.Float64s(bounds) // +Inf sorts last
-	if len(bounds) == 0 {
-		return 0
-	}
-	total := h.buckets[bounds[len(bounds)-1]]
-	if total <= 0 {
-		return 0
-	}
-	target := q * total
-	prevBound, prevCount := 0.0, 0.0
-	for _, b := range bounds {
-		c := h.buckets[b]
-		if c >= target {
-			if math.IsInf(b, +1) || c == prevCount {
-				return prevBound
-			}
-			return prevBound + (b-prevBound)*(target-prevCount)/(c-prevCount)
-		}
-		prevBound, prevCount = b, c
-	}
-	return prevBound
-}
-
-// exposition is one parsed /metrics page: the flat name → summed-value
-// view the counter deltas and the barrier use, plus every histogram
-// family keyed by base name and remaining labels (the le label
-// stripped), e.g. `innetcoord_query_latency_seconds{mode="compact"}`.
-type exposition struct {
-	flat  map[string]float64
-	hists map[string]*histogram
-}
-
-// parseExposition parses Prometheus text format. # HELP and other
-// comments are skipped; # TYPE lines are read just enough to know which
-// families are histograms, so their _bucket/_sum/_count series can be
-// reassembled instead of flattened.
-func parseExposition(body string) exposition {
-	ex := exposition{flat: make(map[string]float64), hists: make(map[string]*histogram)}
-	lines := strings.Split(body, "\n")
-	histType := make(map[string]bool)
-	for _, line := range lines {
-		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "# TYPE "); ok {
-			if base, kind, ok := strings.Cut(name, " "); ok && strings.TrimSpace(kind) == "histogram" {
-				histType[base] = true
-			}
-		}
-	}
-	for _, line := range lines {
+// parseMetrics flattens Prometheus text format into name → value.
+// Comments and unparsable lines are skipped; labeled series are summed
+// under their base name, so a per-shard or per-sensor counter reads as
+// its fleet-wide total.
+func parseMetrics(body string) map[string]float64 {
+	flat := make(map[string]float64)
+	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, labels, value, ok := parseSeries(line)
-		if !ok {
+		name, value, _ := strings.Cut(line, " ")
+		if i := strings.IndexByte(line, '{'); i >= 0 {
+			// Label values may hold spaces: the sample follows the brace.
+			name, value = line[:i], line[strings.LastIndexByte(line, '}')+1:]
+		}
+		f, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+		if err != nil {
 			continue
 		}
-		ex.flat[name] += value
-
-		base, suffix := name, ""
-		for _, s := range []string{"_bucket", "_sum", "_count"} {
-			if b := strings.TrimSuffix(name, s); b != name && histType[b] {
-				base, suffix = b, s
-				break
-			}
-		}
-		if suffix == "" {
-			continue
-		}
-		le := math.NaN()
-		rest := make([]string, 0, len(labels))
-		for _, l := range labels {
-			if k, v, _ := strings.Cut(l, "="); k == "le" {
-				if f, err := strconv.ParseFloat(strings.Trim(v, `"`), 64); err == nil {
-					le = f
-				}
-				continue
-			}
-			rest = append(rest, l)
-		}
-		key := base
-		if len(rest) > 0 {
-			key += "{" + strings.Join(rest, ",") + "}"
-		}
-		h := ex.hists[key]
-		if h == nil {
-			h = newHistogram()
-			ex.hists[key] = h
-		}
-		switch suffix {
-		case "_bucket":
-			if !math.IsNaN(le) {
-				h.buckets[le] += value
-			}
-		case "_sum":
-			h.sum += value
-		case "_count":
-			h.count += value
-		}
+		flat[name] += f
 	}
-	return ex
-}
-
-// parseSeries splits one sample line into name, raw `key="value"` label
-// pairs, and value.
-func parseSeries(line string) (name string, labels []string, value float64, ok bool) {
-	rest := line
-	if i := strings.IndexByte(rest, '{'); i >= 0 {
-		j := strings.LastIndexByte(rest, '}')
-		if j < i {
-			return "", nil, 0, false
-		}
-		name = rest[:i]
-		if body := rest[i+1 : j]; body != "" {
-			labels = strings.Split(body, ",")
-		}
-		rest = rest[j+1:]
-	} else if name, rest, ok = strings.Cut(rest, " "); !ok {
-		return "", nil, 0, false
-	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return "", nil, 0, false
-	}
-	return name, labels, f, true
-}
-
-// serverHistograms scrapes every daemon the run touches — the shards
-// plus the coordinator for a cluster, the single innetd otherwise — and
-// merges same-keyed histogram families across them.
-func (t Target) serverHistograms(ctx context.Context) (map[string]*histogram, error) {
-	bases := []string{t.HTTP}
-	if t.Cluster {
-		bases = append(append([]string{}, t.ShardHTTP...), t.HTTP)
-	}
-	out := make(map[string]*histogram)
-	for _, base := range bases {
-		body, err := scrapeBody(ctx, base)
-		if err != nil {
-			return nil, err
-		}
-		for key, h := range parseExposition(body).hists {
-			if out[key] == nil {
-				out[key] = newHistogram()
-			}
-			out[key].add(h)
-		}
-	}
-	return out, nil
-}
-
-// serverHistogramDeltas folds a before/after scrape pair into the
-// report's server-side latency view: one ServerHistogram per family
-// that observed anything during the run.
-func serverHistogramDeltas(before, after map[string]*histogram) map[string]ServerHistogram {
-	out := make(map[string]ServerHistogram)
-	for key, h := range after {
-		d := h.sub(before[key])
-		if d.count <= 0 {
-			continue
-		}
-		out[key] = ServerHistogram{
-			Count: d.count,
-			P50MS: d.quantile(0.50) * 1000,
-			P95MS: d.quantile(0.95) * 1000,
-			P99MS: d.quantile(0.99) * 1000,
-		}
-	}
-	return out
-}
-
-// ingestTotals sums the ingest-side counters the throughput and drop
-// figures come from: the shards' metrics for a cluster, the daemon's
-// own for a single innetd.
-func (t Target) ingestTotals(ctx context.Context) (map[string]float64, error) {
-	bases := t.ShardHTTP
-	if !t.Cluster {
-		bases = []string{t.HTTP}
-	}
-	sum := make(map[string]float64)
-	for _, base := range bases {
-		m, err := scrapeMetrics(ctx, base)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range m {
-			sum[k] += v
-		}
-	}
-	return sum, nil
-}
-
-// prober hammers one query mode at a fixed interval, recording latency
-// and the per-query merge cost the response reports.
-type prober struct {
-	mode string
-	url  string
-
-	mu        sync.Mutex
-	latencies []float64 // milliseconds
-	errors    int
-	rounds    int
-	payload   int
-	queries   int
-}
-
-func (p *prober) run(ctx context.Context, interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		var reply outlierReply
-		start := time.Now()
-		err := getJSON(ctx, p.url, &reply)
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		p.mu.Lock()
-		if err != nil {
-			if ctx.Err() != nil {
-				p.mu.Unlock()
-				return
-			}
-			p.errors++
-		} else {
-			p.latencies = append(p.latencies, ms)
-			p.queries++
-			p.rounds += reply.Rounds
-			p.payload += reply.PayloadBytes
-		}
-		p.mu.Unlock()
-	}
-}
-
-// percentile returns the pth percentile (0 < p ≤ 100) of sorted samples
-// by nearest-rank; 0 when empty.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// snapshot folds a prober's samples into the report form.
-func (p *prober) snapshot() ModeReport {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	lat := append([]float64(nil), p.latencies...)
-	sort.Float64s(lat)
-	mr := ModeReport{
-		Latency: LatencyStats{
-			Count:  len(lat),
-			Errors: p.errors,
-			P50MS:  percentile(lat, 50),
-			P95MS:  percentile(lat, 95),
-			P99MS:  percentile(lat, 99),
-		},
-	}
-	if len(lat) > 0 {
-		mr.Latency.MaxMS = lat[len(lat)-1]
-	}
-	if p.queries > 0 {
-		mr.AvgRounds = float64(p.rounds) / float64(p.queries)
-		mr.AvgPayloadBytes = float64(p.payload) / float64(p.queries)
-	}
-	if p.rounds > 0 {
-		mr.AvgPayloadBytesPerRound = float64(p.payload) / float64(p.rounds)
-	}
-	return mr
+	return flat
 }
 
 // barrier freezes the target's ingestion pipeline: first the in-flight
@@ -557,15 +236,15 @@ func getJSONRetry(ctx context.Context, url string, into any) error {
 
 // checkpoint runs one exactness checkpoint: barrier, fetch the window
 // the target computed over, recompute the answer with baseline.Compute,
-// and diff every probe mode's served answer against it.
+// and diff every queried mode's served answer against it.
 //
 // Failure taxonomy matters here: a fetch that errors out after retries
 // is an infrastructure failure — it is recorded in cp.FetchError and
 // returned as an error, and never folded into cp.Match, which reports
 // only genuine inexactness (a served answer that disagrees with the
 // baseline over the window the target itself handed us).
-func (t Target) checkpoint(ctx context.Context, sc *Scenario, modes []string, atS float64) (CheckpointReport, error) {
-	cp := CheckpointReport{AtS: atS, Modes: map[string]bool{}, Match: true}
+func (t Target) checkpoint(ctx context.Context, sc *Scenario, modes []string) (CheckpointReport, error) {
+	cp := CheckpointReport{Modes: map[string]bool{}, Match: true}
 	if err := t.barrier(ctx); err != nil {
 		cp.FetchError = err.Error()
 		return cp, err
@@ -623,7 +302,7 @@ func (t Target) checkpoint(ctx context.Context, sc *Scenario, modes []string, at
 		}
 	}
 	// The full window fetch above already carried its own answer; hold
-	// it to the same standard even when "full" is not a probe mode.
+	// it to the same standard even when "full" is not a queried mode.
 	if !sameSet(keySet(full.Outliers)) {
 		cp.Match = false
 		cp.Modes[mode+"(window-fetch)"] = false

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -72,7 +71,7 @@ func runCheckpoint(t *testing.T, f *fakeTarget) (CheckpointReport, error) {
 	target := Target{HTTP: srv.URL, Shards: 1}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
-	return target.checkpoint(ctx, checkpointScenario(), []string{"single"}, 1.0)
+	return target.checkpoint(ctx, checkpointScenario(), []string{"single"})
 }
 
 // A served answer that disagrees with the baseline over the served
@@ -115,110 +114,29 @@ func TestCheckpointExact(t *testing.T) {
 	}
 }
 
-// goldenExposition is a hand-checked slice of real innetd/innet-coord
-// /metrics output: HELP/TYPE comments, a plain counter, a labeled
-// counter, a plain histogram, and a two-child histogram vec.
-const goldenExposition = `# HELP innetd_readings_accepted_total Readings passing validation.
+// The flat scrape skips comments and garbage, and sums a labeled family
+// under its base name: the barrier looks its counter up by base name, so
+// a daemon that exported it per label would otherwise read as a constant
+// 0 and a still-draining pipeline would pass for frozen.
+func TestParseMetrics(t *testing.T) {
+	got := parseMetrics(`# HELP innetd_readings_accepted_total Readings passing validation.
 # TYPE innetd_readings_accepted_total counter
 innetd_readings_accepted_total 100
-# HELP innetd_sensor_queue_drops_total Oldest-reading drops per sensor queue.
-# TYPE innetd_sensor_queue_drops_total counter
 innetd_sensor_queue_drops_total{sensor="1"} 3
-innetd_sensor_queue_drops_total{sensor="2"} 4
-# HELP innetd_queue_latency_seconds Reading wait between enqueue and observe drain.
-# TYPE innetd_queue_latency_seconds histogram
-innetd_queue_latency_seconds_bucket{le="0.001"} 5
-innetd_queue_latency_seconds_bucket{le="0.01"} 9
-innetd_queue_latency_seconds_bucket{le="+Inf"} 10
-innetd_queue_latency_seconds_sum 0.5
-innetd_queue_latency_seconds_count 10
-# HELP innetcoord_query_latency_seconds Merged-estimate service time.
-# TYPE innetcoord_query_latency_seconds histogram
-innetcoord_query_latency_seconds_bucket{mode="compact",le="0.01"} 2
-innetcoord_query_latency_seconds_bucket{mode="compact",le="+Inf"} 2
-innetcoord_query_latency_seconds_sum{mode="compact"} 0.004
-innetcoord_query_latency_seconds_count{mode="compact"} 2
-innetcoord_query_latency_seconds_bucket{mode="full",le="0.01"} 0
-innetcoord_query_latency_seconds_bucket{mode="full",le="+Inf"} 1
-innetcoord_query_latency_seconds_sum{mode="full"} 0.2
-innetcoord_query_latency_seconds_count{mode="full"} 1
-`
-
-// The scraper must skip comments, keep the flat counter view the
-// barrier and the delta math rely on, and reassemble histogram families
-// (splitting vec children by their non-le labels).
-func TestParseExpositionGolden(t *testing.T) {
-	ex := parseExposition(goldenExposition)
-
-	if got := ex.flat["innetd_readings_accepted_total"]; got != 100 {
-		t.Errorf("flat accepted = %v, want 100", got)
+innetd_sensor_queue_drops_total{sensor="2",note="a b"} 4
+not a sample
+`)
+	want := map[string]float64{
+		"innetd_readings_accepted_total":  100,
+		"innetd_sensor_queue_drops_total": 7,
 	}
-	if got := ex.flat["innetd_sensor_queue_drops_total"]; got != 7 {
-		t.Errorf("flat drops (summed across sensors) = %v, want 7", got)
+	if len(got) != len(want) {
+		t.Fatalf("parseMetrics = %v, want %v", got, want)
 	}
-
-	q := ex.hists["innetd_queue_latency_seconds"]
-	if q == nil {
-		t.Fatal("plain histogram not parsed")
-	}
-	if q.count != 10 || q.sum != 0.5 {
-		t.Errorf("queue hist count/sum = %v/%v, want 10/0.5", q.count, q.sum)
-	}
-	if q.buckets[0.001] != 5 || q.buckets[0.01] != 9 || q.buckets[math.Inf(1)] != 10 {
-		t.Errorf("queue hist buckets = %v", q.buckets)
-	}
-
-	compact := ex.hists[`innetcoord_query_latency_seconds{mode="compact"}`]
-	full := ex.hists[`innetcoord_query_latency_seconds{mode="full"}`]
-	if compact == nil || full == nil {
-		t.Fatalf("vec children not split by mode label: keys %v", ex.hists)
-	}
-	if compact.count != 2 || full.count != 1 {
-		t.Errorf("vec child counts = %v/%v, want 2/1", compact.count, full.count)
-	}
-}
-
-// Quantile interpolation, checked against hand-computed ranks: the
-// median of the golden queue histogram lands exactly on the first
-// bucket's bound, p90 on the second's, and anything in the +Inf bucket
-// clamps to the highest finite bound.
-func TestHistogramQuantile(t *testing.T) {
-	q := parseExposition(goldenExposition).hists["innetd_queue_latency_seconds"]
-	check := func(p, want float64) {
-		t.Helper()
-		if got := q.quantile(p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("quantile(%v) = %v, want %v", p, got, want)
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %v, want %v", name, got[name], v)
 		}
-	}
-	check(0.50, 0.001)
-	check(0.90, 0.01)
-	check(0.95, 0.01) // rank 9.5 is in the +Inf bucket → highest finite bound
-}
-
-// The before/after delta must isolate the run's own observations and
-// drop families that saw none.
-func TestServerHistogramDeltas(t *testing.T) {
-	before := parseExposition(goldenExposition).hists
-	afterText := strings.ReplaceAll(goldenExposition, "innetd_queue_latency_seconds_bucket{le=\"+Inf\"} 10", "innetd_queue_latency_seconds_bucket{le=\"+Inf\"} 14")
-	afterText = strings.ReplaceAll(afterText, "innetd_queue_latency_seconds_bucket{le=\"0.01\"} 9", "innetd_queue_latency_seconds_bucket{le=\"0.01\"} 13")
-	afterText = strings.ReplaceAll(afterText, "innetd_queue_latency_seconds_count 10", "innetd_queue_latency_seconds_count 14")
-	afterText = strings.ReplaceAll(afterText, "innetd_queue_latency_seconds_sum 0.5", "innetd_queue_latency_seconds_sum 0.52")
-	after := parseExposition(afterText).hists
-
-	deltas := serverHistogramDeltas(before, after)
-	d, ok := deltas["innetd_queue_latency_seconds"]
-	if !ok {
-		t.Fatal("queue histogram missing from deltas")
-	}
-	if d.Count != 4 {
-		t.Errorf("delta count = %v, want 4", d.Count)
-	}
-	// All 4 new observations fell in the (0.001, 0.01] bucket.
-	if want := 5.5; math.Abs(d.P50MS-want) > 1e-9 {
-		t.Errorf("delta p50 = %vms, want %vms", d.P50MS, want)
-	}
-	if _, ok := deltas[`innetcoord_query_latency_seconds{mode="compact"}`]; ok {
-		t.Error("family with no new observations must be dropped from deltas")
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // FireStats counts what the firehose did, harness-side. Sent is lines
-// written to the socket; the target's own accepted/observed counters
-// (scraped separately) say what survived the trip.
+// written to the socket; what survived the trip is the window each
+// checkpoint fetches from the target.
 type FireStats struct {
 	Generated uint64 // events produced, down sensors included
 	Sent      uint64 // lines written to the UDP socket

@@ -16,7 +16,7 @@ import (
 // TestHarnessEndToEnd runs the whole loop in-process: a real
 // ingest.Service behind a real UDP socket and HTTP server, a scenario
 // with churn, loss and bursts, two exactness checkpoints, and the
-// BENCH artifact written and re-parsed. This is the harness's own
+// artifact written and re-parsed. This is the harness's own
 // integration proof; the shell smoke script repeats it against real
 // daemon processes.
 func TestHarnessEndToEnd(t *testing.T) {
@@ -53,7 +53,7 @@ func TestHarnessEndToEnd(t *testing.T) {
 		Churn:       &ChurnConfig{DownRate: 0.01, MinDownSteps: 2, MaxDownSteps: 4},
 		Loss:        &LossConfig{Rate: 0.05},
 		Detector:    DetectorConfig{Ranker: "knn", K: 2, N: 2, WindowS: 3600},
-		Queries:     QueryConfig{IntervalMS: 50, Modes: []string{"single"}},
+		Queries:     QueryConfig{Modes: []string{"single"}},
 		Checkpoints: CheckpointConfig{Count: 2},
 	}
 	if err := sc.Validate(); err != nil {
@@ -93,28 +93,12 @@ func TestHarnessEndToEnd(t *testing.T) {
 	if report.Fire.Lost == 0 || report.Fire.Down == 0 {
 		t.Errorf("loss/churn overlays never triggered: %+v", report.Fire)
 	}
-	if report.Ingest.Observed == 0 {
-		t.Errorf("target observed nothing: %+v", report.Ingest)
-	}
-	// Barrier guarantee: everything accepted was observed by report time.
-	if report.Ingest.Observed+report.Ingest.Dropped < report.Ingest.Accepted {
-		t.Errorf("accepted %v > observed %v + dropped %v after final barrier",
-			report.Ingest.Accepted, report.Ingest.Observed, report.Ingest.Dropped)
-	}
-	mr, ok := report.Modes["single"]
-	if !ok || mr.Latency.Count == 0 {
-		t.Errorf("no latency samples: %+v", report.Modes)
-	}
-	if mr.Latency.P50MS > mr.Latency.P99MS {
-		t.Errorf("p50 %.2f > p99 %.2f", mr.Latency.P50MS, mr.Latency.P99MS)
-	}
-
 	dir := t.TempDir()
 	path, err := report.Write(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := dir + "/BENCH_innetload_e2e.json"; path != want {
+	if want := dir + "/innetload_e2e.json"; path != want {
 		t.Errorf("artifact path = %q, want %q", path, want)
 	}
 	raw, err := os.ReadFile(path)
@@ -125,7 +109,7 @@ func TestHarnessEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if back.Scenario != "e2e" || back.Ingest.ReadingsPerSec <= 0 || !back.CheckpointsOK {
+	if back.Scenario != "e2e" || back.Fire.Sent != report.Fire.Sent || len(back.Checkpoints) != 2 || !back.CheckpointsOK {
 		t.Errorf("artifact round-trip lost fields: %+v", back)
 	}
 }

@@ -7,29 +7,9 @@ import (
 	"path/filepath"
 )
 
-// LatencyStats summarizes one probe mode's query latency distribution.
-type LatencyStats struct {
-	Count  int     `json:"count"`
-	Errors int     `json:"errors"`
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// ModeReport is one probe mode's share of the run: latency plus the
-// merge cost the coordinator reported per query.
-type ModeReport struct {
-	Latency                 LatencyStats `json:"latency"`
-	AvgRounds               float64      `json:"avg_rounds"`
-	AvgPayloadBytes         float64      `json:"avg_payload_bytes"`
-	AvgPayloadBytesPerRound float64      `json:"avg_payload_bytes_per_round"`
-}
-
 // CheckpointReport is one exactness checkpoint: whether every queried
 // mode's answer matched baseline.Compute over the target's own window.
 type CheckpointReport struct {
-	AtS          float64         `json:"at_s"`          // data-time offset of the checkpoint
 	WindowPoints int             `json:"window_points"` // size of the frozen window union
 	Expected     []string        `json:"expected"`      // baseline answer, "origin/seq" keys
 	Modes        map[string]bool `json:"modes"`         // mode → served answer matched
@@ -42,63 +22,24 @@ type CheckpointReport struct {
 	FetchError string `json:"fetch_error,omitempty"`
 }
 
-// ServerHistogram summarizes one server-side latency histogram over the
-// run: the before/after bucket delta of a family scraped from the
-// daemons' /metrics, with quantiles interpolated the way PromQL's
-// histogram_quantile does. Unlike the prober latencies — measured from
-// the outside, per mode — these are the targets' own measurements:
-// ingest queue wait, observe-batch time, WAL fsyncs, per-mode merge
-// service time.
-type ServerHistogram struct {
-	Count float64 `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// IngestReport is the target-side view of the segment, scraped from the
-// ingesting daemons' metrics (summed across shards for a cluster).
-type IngestReport struct {
-	Accepted  float64 `json:"accepted"`
-	Observed  float64 `json:"observed"`
-	Dropped   float64 `json:"dropped"`
-	Malformed float64 `json:"malformed"`
-	Stale     float64 `json:"stale"`
-
-	ReadingsPerSec         float64 `json:"readings_per_sec"`
-	ReadingsPerSecPerShard float64 `json:"readings_per_sec_per_shard"`
-	EnqueueDropRate        float64 `json:"enqueue_drop_rate"` // dropped / accepted
-}
-
-// Report is the full result of one scenario run — the BENCH artifact.
+// Report is the full result of one scenario run: what the firehose
+// sent and the verdict of every exactness checkpoint. It carries no
+// timings — the repo's one perf record is bench/.
 type Report struct {
-	Scenario    string  `json:"scenario"`
-	Seed        uint64  `json:"seed"`
-	Cluster     bool    `json:"cluster"`
-	Shards      int     `json:"shards"`
-	Sensors     int     `json:"sensors"`  // virtual fleet size
-	Attached    int     `json:"attached"` // physical sensors multiplexed onto
-	WallSeconds float64 `json:"wall_seconds"`
+	Scenario string `json:"scenario"`
+	Seed     uint64 `json:"seed"`
+	Cluster  bool   `json:"cluster"`
+	Shards   int    `json:"shards"`
+	Sensors  int    `json:"sensors"`  // virtual fleet size
+	Attached int    `json:"attached"` // physical sensors multiplexed onto
 
-	Fire   FireStats             `json:"fire"`
-	Ingest IngestReport          `json:"ingest"`
-	Modes  map[string]ModeReport `json:"modes"`
-	// Server holds the daemons' own latency histograms over the run,
-	// keyed by family and labels, e.g.
-	// innetcoord_query_latency_seconds{mode="compact"}.
-	Server      map[string]ServerHistogram `json:"server_histograms,omitempty"`
-	Checkpoints []CheckpointReport         `json:"checkpoints"`
+	Fire        FireStats          `json:"fire"`
+	Checkpoints []CheckpointReport `json:"checkpoints"`
 
 	CheckpointsOK bool `json:"checkpoints_ok"`
 }
 
-// Path returns the conventional artifact name for the report inside dir:
-// BENCH_innetload_<scenario>.json.
-func (r *Report) Path(dir string) string {
-	return filepath.Join(dir, "BENCH_innetload_"+r.Scenario+".json")
-}
-
-// Write stores the report under its conventional name in dir and
+// Write stores the report as innetload_<scenario>.json in dir and
 // returns the path written.
 func (r *Report) Write(dir string) (string, error) {
 	buf, err := json.MarshalIndent(r, "", "  ")
@@ -108,7 +49,7 @@ func (r *Report) Write(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("loadgen: write report: %w", err)
 	}
-	path := r.Path(dir)
+	path := filepath.Join(dir, "innetload_"+r.Scenario+".json")
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("loadgen: write report: %w", err)
 	}

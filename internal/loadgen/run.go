@@ -3,14 +3,12 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 )
 
 // Runner drives one scenario end to end: fire the trace at the target
-// in segments, freeze the pipeline at each segment boundary for an
-// exactness checkpoint, probe query latency throughout, and fold the
-// target's own counters into a Report.
+// in segments and freeze the pipeline at each segment boundary for an
+// exactness checkpoint.
 type Runner struct {
 	Scenario *Scenario
 	Target   Target
@@ -23,7 +21,7 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// modes returns the probe modes that make sense for the target: a
+// modes returns the query modes that make sense for the target: a
 // single innetd has exactly one query path, a coordinator has no
 // "single" one.
 func (r *Runner) modes() []string {
@@ -31,9 +29,9 @@ func (r *Runner) modes() []string {
 	for _, m := range r.Scenario.Queries.Modes {
 		switch {
 		case r.Target.Cluster && m == "single":
-			r.logf("loadgen: dropping probe mode %q: target is a cluster", m)
+			r.logf("loadgen: dropping query mode %q: target is a cluster", m)
 		case !r.Target.Cluster && m != "single":
-			r.logf("loadgen: probe mode %q collapses to the single query path", m)
+			r.logf("loadgen: query mode %q collapses to the single query path", m)
 			out = append(out, m)
 		default:
 			out = append(out, m)
@@ -56,32 +54,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	sc := r.Scenario
 	modes := r.modes()
 
-	before, err := r.Target.ingestTotals(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: initial scrape: %w", err)
-	}
-	histBefore, err := r.Target.serverHistograms(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: initial histogram scrape: %w", err)
-	}
-
-	// Probers run for the whole load phase, checkpoints included — a
-	// frozen pipeline still answers queries, and those samples are the
-	// interesting ones.
-	probeCtx, stopProbes := context.WithCancel(ctx)
-	defer stopProbes()
-	probers := make([]*prober, 0, len(modes))
-	var probeWG sync.WaitGroup
-	for _, m := range modes {
-		p := &prober{mode: m, url: r.Target.queryURL(m, false)}
-		probers = append(probers, p)
-		probeWG.Add(1)
-		go func() {
-			defer probeWG.Done()
-			p.run(probeCtx, time.Duration(sc.Queries.IntervalMS)*time.Millisecond)
-		}()
-	}
-
 	fire := NewFirehose(sc, r.Target.UDP)
 	total := time.Duration(sc.Traffic.DurationS * float64(time.Second))
 	segments := sc.Checkpoints.Count
@@ -96,21 +68,16 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		Shards:   r.Target.Shards,
 		Sensors:  sc.Fleet.Sensors,
 		Attached: sc.Fleet.Attached,
-		Modes:    map[string]ModeReport{},
 	}
 
-	start := time.Now()
-	var fired time.Duration
 	for seg := 0; seg < segments; seg++ {
 		d := total/time.Duration(segments) + time.Duration(seg%2) // spread rounding
-		segStart := time.Now()
 		if err := fire.Run(ctx, d); err != nil {
 			return nil, err
 		}
-		fired += time.Since(segStart)
 		if sc.Checkpoints.Count > 0 {
-			r.logf("loadgen: checkpoint %d/%d (%.1fs fired)", seg+1, segments, fired.Seconds())
-			cp, err := r.Target.checkpoint(ctx, sc, modes, fired.Seconds())
+			r.logf("loadgen: checkpoint %d/%d", seg+1, segments)
+			cp, err := r.Target.checkpoint(ctx, sc, modes)
 			if err != nil {
 				return nil, fmt.Errorf("loadgen: checkpoint %d: %w", seg+1, err)
 			}
@@ -119,46 +86,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 				seg+1, segments, cp.WindowPoints, cp.Match)
 		}
 	}
-	// No checkpoints requested: still barrier once so the final scrape
-	// counts every reading the firehose sent.
-	if sc.Checkpoints.Count == 0 {
-		if err := r.Target.barrier(ctx); err != nil {
-			return nil, fmt.Errorf("loadgen: final barrier: %w", err)
-		}
-	}
-	report.WallSeconds = time.Since(start).Seconds()
-
-	stopProbes()
-	probeWG.Wait()
-	for _, p := range probers {
-		report.Modes[p.mode] = p.snapshot()
-	}
-
-	after, err := r.Target.ingestTotals(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: final scrape: %w", err)
-	}
-	histAfter, err := r.Target.serverHistograms(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: final histogram scrape: %w", err)
-	}
-	report.Server = serverHistogramDeltas(histBefore, histAfter)
-	delta := func(name string) float64 { return after[name] - before[name] }
-	ing := IngestReport{
-		Accepted:  delta("innetd_readings_accepted_total"),
-		Observed:  delta("innetd_readings_observed_total"),
-		Dropped:   delta("innetd_readings_dropped_total"),
-		Malformed: delta("innetd_readings_malformed_total"),
-		Stale:     delta("innetd_readings_stale_total"),
-	}
-	if fired > 0 {
-		ing.ReadingsPerSec = ing.Observed / fired.Seconds()
-		ing.ReadingsPerSecPerShard = ing.ReadingsPerSec / float64(r.Target.Shards)
-	}
-	if ing.Accepted > 0 {
-		ing.EnqueueDropRate = ing.Dropped / ing.Accepted
-	}
-	report.Ingest = ing
 	report.Fire = fire.Stats()
 
 	report.CheckpointsOK = true

@@ -1,12 +1,13 @@
-// Package loadgen is the load harness: a config-driven generator and
-// evaluator that fires synthetic sensor fleets at a live innetd or
-// innet-coord cluster over the UDP line protocol and records what the
-// system did with them — readings/sec/shard, enqueue-drop rate, query
-// latency percentiles per merge mode, per-round merge payload — into a
-// BENCH_innetload_<scenario>.json. Scenarios are JSON files selecting a
-// reading regime (steady, drift, burst outliers, diurnal cycles) and
-// overlays (node churn, simulated radio loss, adversarial collusion),
-// all driven by one seeded PRNG so a scenario replays bit-identically.
+// Package loadgen is the exactness harness: a config-driven generator
+// and evaluator that fires synthetic sensor fleets at a live innetd or
+// innet-coord cluster over the UDP line protocol and checks, at
+// checkpoints, that what the system serves is still the centralized
+// answer. Scenarios are JSON files selecting a reading regime (steady,
+// drift, burst outliers, diurnal cycles) and overlays (node churn,
+// simulated radio loss, adversarial collusion), all driven by one seeded
+// PRNG so a scenario replays bit-identically. Timings are not its job:
+// bench/ is the repo's perf record, and draws its inputs from the same
+// Scenario and Trace.
 //
 // The harness separates the fleet it simulates from the sensors the
 // target sees: NodeID is uint16 and a clique mesh is O(n²) links, so a
@@ -122,17 +123,15 @@ type DetectorConfig struct {
 	WindowS float64 `json:"window_s"`
 }
 
-// QueryConfig shapes the latency probers.
+// QueryConfig selects what each checkpoint queries.
 type QueryConfig struct {
-	// IntervalMS between probes per mode. Default 250.
-	IntervalMS int `json:"interval_ms"`
-	// Modes to probe: "compact" and/or "full" against a coordinator,
+	// Modes to check: "compact" and/or "full" against a coordinator,
 	// "single" against a plain innetd. Defaults by target kind.
 	Modes []string `json:"modes"`
 }
 
 // CheckpointConfig counts exactness checkpoints, spread evenly through
-// the run (0 disables them — the million-scale throughput scenarios).
+// the run (0 disables them: the run only fires).
 type CheckpointConfig struct {
 	Count int `json:"count"`
 }
@@ -258,12 +257,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Detector.N < 1 {
 		return errors.New("detector.n must be positive")
 	}
-	if sc.Queries.IntervalMS == 0 {
-		sc.Queries.IntervalMS = 250
-	}
-	if sc.Queries.IntervalMS < 1 {
-		return errors.New("queries.interval_ms must be positive")
-	}
 	for _, m := range sc.Queries.Modes {
 		switch m {
 		case "compact", "full", "single":
@@ -278,30 +271,19 @@ func (sc *Scenario) Validate() error {
 }
 
 // Ranker builds the core ranker the scenario's detector config names —
-// the same mapping the daemons' -ranker flag applies, so the harness's
-// baseline recomputation ranks exactly like the target.
+// through the same core.ParseRanker as the daemons' -ranker flag, so the
+// harness's baseline recomputation ranks exactly like the target. An
+// omitted ranker is nn.
 func (sc *Scenario) Ranker() (core.Ranker, error) {
-	switch sc.Detector.Ranker {
-	case "nn", "":
-		return core.NN(), nil
-	case "knn":
-		if sc.Detector.K < 1 {
-			return nil, errors.New("detector.k must be positive for knn")
-		}
-		return core.KNN{K: sc.Detector.K}, nil
-	case "kthnn":
-		if sc.Detector.K < 1 {
-			return nil, errors.New("detector.k must be positive for kthnn")
-		}
-		return core.KthNN{K: sc.Detector.K}, nil
-	case "db":
-		if sc.Detector.Eps <= 0 {
-			return nil, errors.New("detector.eps must be positive for db")
-		}
-		return core.CountWithin{Alpha: sc.Detector.Eps}, nil
-	default:
-		return nil, fmt.Errorf("detector.ranker %q (want nn, knn, kthnn or db)", sc.Detector.Ranker)
+	name := sc.Detector.Ranker
+	if name == "" {
+		name = "nn"
 	}
+	r, err := core.ParseRanker(name, sc.Detector.K, sc.Detector.Eps)
+	if err != nil {
+		return nil, fmt.Errorf("detector: %w", err)
+	}
+	return r, nil
 }
 
 // Window returns the detector window as a duration (0 = unwindowed).

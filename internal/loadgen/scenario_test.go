@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"innet/internal/core"
 )
 
 func writeScenario(t *testing.T, body string) string {
@@ -40,9 +38,6 @@ func TestLoadScenarioDefaults(t *testing.T) {
 	}
 	if sc.Regime.Kind != "steady" {
 		t.Errorf("regime kind default = %q, want steady", sc.Regime.Kind)
-	}
-	if sc.Queries.IntervalMS != 250 {
-		t.Errorf("queries interval default = %d, want 250", sc.Queries.IntervalMS)
 	}
 	if _, err := sc.Ranker(); err != nil {
 		t.Errorf("ranker: %v", err)
@@ -103,8 +98,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero burst offset", func(s *Scenario) { s.Burst = &BurstConfig{Rate: 0.1} }, "offset"},
 		{"churn rate", func(s *Scenario) { s.Churn = &ChurnConfig{DownRate: 1.5} }, "down_rate"},
 		{"loss rate", func(s *Scenario) { s.Loss = &LossConfig{Rate: -0.1} }, "loss.rate"},
-		{"knn no k", func(s *Scenario) { s.Detector = DetectorConfig{Ranker: "knn", N: 1} }, "detector.k"},
-		{"db no eps", func(s *Scenario) { s.Detector = DetectorConfig{Ranker: "db", N: 1} }, "detector.eps"},
+		{"knn no k", func(s *Scenario) { s.Detector = DetectorConfig{Ranker: "knn", N: 1} }, "k must be"},
+		{"db no eps", func(s *Scenario) { s.Detector = DetectorConfig{Ranker: "db", N: 1} }, "eps must be"},
 		{"no n", func(s *Scenario) { s.Detector.N = 0 }, "detector.n"},
 		{"bad mode", func(s *Scenario) { s.Queries.Modes = []string{"turbo"} }, "modes"},
 	}
@@ -117,25 +112,5 @@ func TestValidateRejects(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error mentioning %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestRankerMapping(t *testing.T) {
-	sc := &Scenario{Detector: DetectorConfig{Ranker: "kthnn", K: 3}}
-	r, err := sc.Ranker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(core.KthNN); !ok {
-		t.Fatalf("kthnn ranker = %T", r)
-	}
-	sc.Detector = DetectorConfig{Ranker: "db", Eps: 1.5}
-	r, err = sc.Ranker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, ok := r.(core.CountWithin)
-	if !ok || cw.Alpha != 1.5 {
-		t.Fatalf("db ranker = %#v", r)
 	}
 }

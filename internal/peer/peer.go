@@ -27,8 +27,8 @@
 //	  │                             is handed to the transport)
 //	  ▼
 //	cancel ctx, or close the        close: Run returns ctx.Err() on cancel,
-//	transport (mesh Detach /        or nil when the transport closes the
-//	UDPTransport.Close)             inbox; after that the peer is inert
+//	transport (mesh Detach)         or nil when the transport closes the
+//	                                inbox; after that the peer is inert
 //	                                (event methods return ErrStopped)
 //
 // There is no separate Close method: the peer owns no resources beyond
@@ -44,7 +44,6 @@ package peer
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -92,7 +91,6 @@ type Peer struct {
 	mu       sync.Mutex
 	estimate []core.Point
 
-	wg      sync.WaitGroup
 	started bool
 }
 
@@ -318,17 +316,4 @@ func (p *Peer) Stats(ctx context.Context) (core.Stats, error) {
 		return core.Stats{}, err
 	}
 	return <-res, nil
-}
-
-var _ fmt.Stringer = PeerState{}
-
-// PeerState is a diagnostic snapshot.
-type PeerState struct {
-	ID       core.NodeID
-	Estimate []core.Point
-}
-
-// String implements fmt.Stringer.
-func (s PeerState) String() string {
-	return fmt.Sprintf("peer %d: %d outliers", s.ID, len(s.Estimate))
 }

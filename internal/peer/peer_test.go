@@ -3,7 +3,6 @@ package peer
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -341,13 +340,6 @@ func TestMeshValidation(t *testing.T) {
 	mesh.Detach(1)
 	if _, err := mesh.Attach(1); err != nil {
 		t.Fatal("re-attach after detach must work")
-	}
-}
-
-func TestPeerStateString(t *testing.T) {
-	s := PeerState{ID: 3, Estimate: []core.Point{core.NewPoint(1, 1, 0, 1)}}
-	if s.String() != fmt.Sprintf("peer %d: %d outliers", 3, 1) {
-		t.Fatalf("String = %q", s.String())
 	}
 }
 

@@ -55,23 +55,12 @@ func newARQ() *arq {
 }
 
 // sendReliable fragments the packet M into mote-sized frames, each with
-// a fresh sequence number and its own retransmission timer. In the
-// per-neighbor ablation mode the recipient tagging is forgone and every
-// neighbor's group becomes its own frame sequence.
+// a fresh sequence number and its own retransmission timer.
 func (a *App) sendReliable(n *wsn.Node, out *core.Outbound) {
 	if out == nil || n.Down() {
 		return
 	}
-	var frags []*core.Outbound
-	if a.cfg.PerNeighborFrames {
-		for _, g := range out.Groups {
-			single := &core.Outbound{From: out.From, Groups: []core.Group{g}}
-			frags = append(frags, fragment(single, maxPointsPerFrame)...)
-		}
-	} else {
-		frags = fragment(out, maxPointsPerFrame)
-	}
-	for _, frag := range frags {
+	for _, frag := range fragment(out, maxPointsPerFrame) {
 		a.arq.seq++
 		seq := a.arq.seq
 		pp := &pendingPacket{groups: make(map[core.NodeID][]core.Point, len(frag.Groups))}

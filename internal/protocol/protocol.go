@@ -33,12 +33,6 @@ type Config struct {
 	// LocationWeight scales the coordinate features (1 = the paper's
 	// raw coordinates).
 	LocationWeight float64
-
-	// PerNeighborFrames disables the paper's recipient-tagged broadcast
-	// (design point: one transmission serves all neighbors) and sends
-	// each neighbor's group as its own frame. Exists for the ablation
-	// benchmark quantifying the tagged-broadcast saving.
-	PerNeighborFrames bool
 }
 
 // App is the distributed-detection firmware for one node. It implements

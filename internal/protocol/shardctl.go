@@ -4,8 +4,7 @@ package protocol
 // detector's tagged-broadcast packets (core.EncodeOutbound). Where the
 // detector wire carries the paper's algorithm between sensors, these
 // frames carry the cluster-control plane between the coordinator process
-// and its detector shard processes, over the same UDP substrate the live
-// peers use (peer.UDPTransport datagrams).
+// and its detector shard processes, as UDP datagrams.
 //
 //	frame := magic:'C' ver:0x02 kind:uint8 flags:uint8 reqID:uint32 trace:uint64 body
 //

@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// Scale bundles the simulation-scale knobs shared by every figure, so the
-// full paper-scale regeneration (cmd/expfig) and the quick benchmark
-// regeneration (bench_test.go) run the same code.
+// Scale bundles the simulation-scale knobs shared by every figure, so
+// cmd/expfig's quick and full paper-scale regenerations run the same code.
 type Scale struct {
 	Nodes         int
 	Period        time.Duration
@@ -43,10 +42,10 @@ func PaperScale() Scale {
 	}
 }
 
-// QuickScale is a reduced setup for benchmarks and CI: same network and
-// sampling cadence as PaperScale, one seed, coarser sweeps, and a run
-// just long enough (50 epochs) that even the 40-sample window turns
-// over.
+// QuickScale is the reduced setup cmd/expfig runs by default: same
+// network and sampling cadence as PaperScale, one seed, coarser sweeps,
+// and a run just long enough (50 epochs) that even the 40-sample window
+// turns over.
 func QuickScale() Scale {
 	return Scale{
 		Nodes:         53,
@@ -168,10 +167,10 @@ func NewSession() *Session {
 // cacheKey identifies a cell by every field that affects its results;
 // Workers is deliberately absent (it only shapes scheduling).
 func cacheKey(cfg Config) string {
-	return fmt.Sprintf("%v|%s|k%d|n%d|w%d|h%d|%d|%v|%v|%v|%v|%v|acc%d|wu%d|u%t",
+	return fmt.Sprintf("%v|%s|k%d|n%d|w%d|h%d|%d|%v|%v|%v|%v|%v|acc%d|wu%d",
 		cfg.Algo, cfg.Ranker, cfg.K, cfg.N, cfg.WindowSamples, cfg.HopLimit,
 		cfg.Nodes, cfg.Period, cfg.Duration, cfg.Seeds, cfg.LossProb,
-		cfg.LocationWeight, cfg.AccuracyEvery, cfg.WarmupRounds, cfg.PerNeighborFrames)
+		cfg.LocationWeight, cfg.AccuracyEvery, cfg.WarmupRounds)
 }
 
 func (s *Session) run(cfg Config) (Result, error) {

@@ -19,30 +19,44 @@ func microScale() Scale {
 	}
 }
 
+// TestFig4SeriesShape checks every energy figure the session builds on
+// the micro scale: the series the paper plots, one point per x value, and
+// non-zero energy past warm-up.
 func TestFig4SeriesShape(t *testing.T) {
 	s := NewSession()
-	fig, err := s.Fig4(microScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig4" || len(fig.Series) != 3 {
-		t.Fatalf("fig4 shape: %s with %d series", fig.ID, len(fig.Series))
-	}
-	labels := map[string]bool{}
-	for _, ser := range fig.Series {
-		labels[ser.Label] = true
-		if len(ser.Points) != 2 {
-			t.Fatalf("series %s has %d points, want one per window", ser.Label, len(ser.Points))
+	scale := microScale()
+	semi := []string{"Centralized", "Semi-global, epsilon=1", "Semi-global, epsilon=2", "Semi-global, epsilon=3"}
+	for _, tc := range []struct {
+		id     string
+		build  func(Scale) (Figure, error)
+		labels []string
+		points int
+	}{
+		{"fig4", s.Fig4, []string{"Centralized", "Global-NN", "Global-KNN"}, len(scale.Windows)},
+		{"fig7", s.Fig7, semi, len(scale.Windows)},
+		{"fig8", s.Fig8, semi, len(scale.Windows)},
+		{"fig9", s.Fig9, semi, len(scale.Outliers)},
+		{"scale", s.ScaleComparison, []string{"Centralized", "Global-NN"}, 2},
+	} {
+		fig, err := tc.build(scale)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, p := range ser.Points {
-			if p.TxJ <= 0 || p.RxJ <= 0 {
-				t.Fatalf("series %s has empty energy at w=%g", ser.Label, p.X)
+		if fig.ID != tc.id || len(fig.Series) != len(tc.labels) {
+			t.Fatalf("%s shape: %s with %d series", tc.id, fig.ID, len(fig.Series))
+		}
+		for i, ser := range fig.Series {
+			if ser.Label != tc.labels[i] {
+				t.Fatalf("%s series %d is %q, want %q", tc.id, i, ser.Label, tc.labels[i])
 			}
-		}
-	}
-	for _, want := range []string{"Centralized", "Global-NN", "Global-KNN"} {
-		if !labels[want] {
-			t.Fatalf("missing series %q", want)
+			if len(ser.Points) != tc.points {
+				t.Fatalf("%s series %s has %d points, want %d", tc.id, ser.Label, len(ser.Points), tc.points)
+			}
+			for _, p := range ser.Points {
+				if p.TxJ <= 0 || p.RxJ <= 0 {
+					t.Fatalf("%s series %s has empty energy at x=%g", tc.id, ser.Label, p.X)
+				}
+			}
 		}
 	}
 }
@@ -146,7 +160,6 @@ func TestCacheKeyDistinguishesConfigs(t *testing.T) {
 		"algo":     func(c Config) Config { c.Algo = AlgoCentralized; return c },
 		"loss":     func(c Config) Config { c.LossProb = 0.5; return c },
 		"nodes":    func(c Config) Config { c.Nodes = 32; return c },
-		"unicast":  func(c Config) Config { c.PerNeighborFrames = true; return c },
 		"duration": func(c Config) Config { c.Duration = 123 * time.Second; return c },
 	}
 	for name, mutate := range variants {

@@ -102,11 +102,6 @@ type Config struct {
 	// not the steady state the paper plots. Defaults to 10.
 	WarmupRounds int
 
-	// PerNeighborFrames selects the ablation where each neighbor's
-	// group is transmitted as its own frame instead of the paper's
-	// recipient-tagged single broadcast.
-	PerNeighborFrames bool
-
 	// Workers bounds how many seed simulations of this Run execute
 	// concurrently. Zero (the default) draws slots from the shared
 	// process-wide pool sized runtime.GOMAXPROCS (see DefaultWorkers);
@@ -321,10 +316,9 @@ func buildSeedRun(cfg Config, seed uint64) (*seedRun, error) {
 					Window:   window,
 					HopLimit: hop,
 				},
-				Stream:            stream,
-				Topology:          topo,
-				LocationWeight:    cfg.LocationWeight,
-				PerNeighborFrames: cfg.PerNeighborFrames,
+				Stream:         stream,
+				Topology:       topo,
+				LocationWeight: cfg.LocationWeight,
 			})
 			if err != nil {
 				return nil, err

@@ -14,7 +14,7 @@ echo "== go vet"
 go vet ./...
 
 echo "== gofmt"
-UNFORMATTED=$(gofmt -l cmd internal examples 2>/dev/null || true)
+UNFORMATTED=$(gofmt -l . 2>/dev/null || true)
 if [[ -n "$UNFORMATTED" ]]; then
   echo "gofmt needed on:" >&2
   echo "$UNFORMATTED" >&2

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Load-harness smoke test: build innetd, innet-coord and innetload,
+# Exactness-harness smoke test: build innetd, innet-coord and innetload,
 # start 1 coordinator + 2 detector shards, fire the checked-in smoke
 # scenario (10^3 virtual sensors over the UDP line protocol) at the
-# cluster, and assert the run's BENCH_innetload_smoke.json artifact
-# exists, carries the required throughput/latency/merge-cost fields,
-# and that its exactness checkpoint matched the centralized baseline
-# (innetload exits nonzero on any checkpoint mismatch).
+# cluster, and assert the run's innetload_smoke.json artifact exists
+# and records that both merge modes' answers matched the centralized
+# baseline at the exactness checkpoint (innetload exits nonzero on any
+# checkpoint mismatch).
 #
 # Needs: go, curl, bash. CI runs this and uploads the artifact; it is
 # also runnable locally: scripts/loadgen_smoke.sh [outdir]
@@ -67,22 +67,19 @@ echo "== run the smoke scenario"
   -shard-http "$(printf 'http://%s,' "${SHARD_HTTP[@]}" | sed 's/,$//')" \
   -out "$OUTDIR" -v
 
-BENCH=$OUTDIR/BENCH_innetload_smoke.json
-echo "== check the artifact: $BENCH"
-[[ -s "$BENCH" ]] || { echo "missing artifact $BENCH" >&2; exit 1; }
-for field in readings_per_sec readings_per_sec_per_shard enqueue_drop_rate \
-             p50_ms p95_ms p99_ms avg_payload_bytes_per_round \
-             '"checkpoints_ok": true' '"compact"' '"full"'; do
-  grep -q -- "$field" "$BENCH" || {
+REPORT=$OUTDIR/innetload_smoke.json
+echo "== check the artifact: $REPORT"
+[[ -s "$REPORT" ]] || { echo "missing artifact $REPORT" >&2; exit 1; }
+# innetload already exits nonzero on a mismatch; the artifact must say
+# the same thing to whoever reads it later: the one checkpoint the
+# scenario asks for matched, in both merge modes.
+for field in '"checkpoints_ok": true' '"match": true' '"compact": true' '"full": true'; do
+  grep -q -- "$field" "$REPORT" || {
     echo "artifact lacks $field:" >&2
-    cat "$BENCH" >&2
+    cat "$REPORT" >&2
     exit 1
   }
 done
-# The scenario asked for one exactness checkpoint; it must be recorded
-# as a match (innetload already exits nonzero otherwise — belt and
-# braces for artifact consumers).
-grep -q '"match": true' "$BENCH" || { echo "no matching checkpoint in artifact" >&2; cat "$BENCH" >&2; exit 1; }
 
-cat "$BENCH"
+cat "$REPORT"
 echo "loadgen smoke: OK"

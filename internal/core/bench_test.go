@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -44,12 +45,11 @@ func BenchmarkTopNIndexed(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("brute-%d", n), func(b *testing.B) {
-			saved := indexMinPoints
-			indexMinPoints = n + 1
-			defer func() { indexMinPoints = saved }()
-			for i := 0; i < b.N; i++ {
-				TopN(rk, set, 4)
-			}
+			withIndexMin(math.MaxInt, func() {
+				for i := 0; i < b.N; i++ {
+					TopN(rk, set, 4)
+				}
+			})
 		})
 	}
 }
@@ -92,7 +92,17 @@ func BenchmarkIndexBuild(b *testing.B) {
 
 // BenchmarkTopNPool measures On(pool) at the three pool sizes the fleet
 // ranks: a per-neighbour Eq. (2) candidate pool shared ∪ Z (≈40), one
-// peer's holdings (≈240) and the whole window (3,200), KNN k=2, n=3.
+// peer's holdings (≈240) and the whole window (3,200), KNN k=2, n=3 — cold,
+// no hint, the way a first ranking or a MergeSource meets them.
+//
+// The rows under a stream's name are the measurement behind topN's index
+// rule (DESIGN.md § "The reaction path's invalidation table"): the same
+// ranking cold and warm (hinted with its own answer, as a detector's next
+// event is) at 64…4,096 points, by the plain scan alone, with the index
+// built before the first query, and as the rule decides. The streams differ
+// in where the floor ends up: far above the bulk (faulty: a few readings
+// 15,000 away), in the tail of the noise (quiet), or inside the bulk
+// (uniform: no outlier to speak of).
 func BenchmarkTopNPool(b *testing.B) {
 	rk := KNN{K: 2}
 	for _, c := range []struct {
@@ -107,23 +117,130 @@ func BenchmarkTopNPool(b *testing.B) {
 			}
 		})
 	}
+	for _, size := range []int{64, 256, 1024, 4096} {
+		streams := map[string][]Point{
+			"faulty":  streamPoints(burstStream(uint64(size), 0.005, 15000), size),
+			"quiet":   streamPoints(burstStream(uint64(size), 0.001, 150), size),
+			"uniform": randPoints(rng(uint64(size)), 1, size, 1, 100),
+		}
+		for _, stream := range []string{"faulty", "quiet", "uniform"} {
+			pts := streams[stream]
+			answer := supporterFor(rk, pts).topN(3)
+			for _, warm := range []bool{false, true} {
+				for _, how := range []string{"scan", "index", "rule"} {
+					floor := "cold"
+					if warm {
+						floor = "warm"
+					}
+					b.Run(fmt.Sprintf("%s-%d/%s/%s", stream, size, floor, how), func(b *testing.B) {
+						indexMin := indexMinPoints
+						switch how {
+						case "scan":
+							indexMin = math.MaxInt
+						case "index":
+							indexMin = 1
+						}
+						withIndexMin(indexMin, func() {
+							for i := 0; i < b.N; i++ {
+								s := supporterFor(rk, pts)
+								if warm {
+									s.hint = answer
+								}
+								if how == "index" {
+									s.ensureIndex()
+								}
+								s.topN(3)
+							}
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// streamPoints draws count one-dimensional readings from value, sixteen
+// sensors taking turns.
+func streamPoints(value func() float64, count int) []Point {
+	pts := make([]Point, count)
+	for i := range pts {
+		pts[i] = NewPoint(NodeID(1+i%16), uint32(i/16), 0, value())
+	}
+	return pts
+}
+
+// BenchmarkEvictBefore measures window expiry on a ledger-sized set: the
+// common call that has nothing to expire, which the oldest-birth bound
+// answers without a scan, and the call that expires one point (and re-adds
+// one, so the set stays at 200), which pays for the scan.
+func BenchmarkEvictBefore(b *testing.B) {
+	const size = 200
+	fill := func() *Set {
+		s := NewSet()
+		for i := 0; i < size; i++ {
+			s.Add(NewPoint(1, uint32(i), time.Duration(i)*time.Second, 20))
+		}
+		return s
+	}
+	b.Run("nothing", func(b *testing.B) {
+		s := fill()
+		for i := 0; i < b.N; i++ {
+			s.EvictBefore(0)
+		}
+	})
+	b.Run("one", func(b *testing.B) {
+		s := fill()
+		p := NewPoint(1, 0, 0, 20)
+		for i := 0; i < b.N; i++ {
+			s.EvictBefore(time.Duration(i+1) * time.Second)
+			p.ID.Seq, p.Birth = uint32(size+i), time.Duration(size+i)*time.Second
+			s.Add(p)
+		}
+	})
+}
+
+// steadyClique16 is the fleet's steady state at the core level: 16
+// detectors on a clique, the faulty stream, a 200-round window filled. It
+// returns the network and the stream to go on feeding it from.
+func steadyClique16(t testing.TB) (*packetHasher, func() float64) {
+	ph := newPacketHasher(t, 16, Config{Ranker: KNN{K: 2}, N: 3, Window: 200 * time.Second})
+	ph.clique()
+	value := burstStream(16, 0.005, 15000)
+	for r := 0; r < 200; r++ {
+		ph.round(t, r, value)
+	}
+	return ph, value
+}
+
+// totalStats sums the counters over every detector.
+func (ph *packetHasher) totalStats() Stats {
+	var sum Stats
+	for _, d := range ph.dets {
+		st := d.Stats()
+		sum.Events += st.Events
+		sum.Broadcasts += st.Broadcasts
+		sum.PointsSent += st.PointsSent
+		sum.PointsReceived += st.PointsReceived
+		sum.Evicted += st.Evicted
+		sum.MemoHits += st.MemoHits
+		sum.MemoMisses += st.MemoMisses
+		sum.RankQueries += st.RankQueries
+		sum.RankAbandoned += st.RankAbandoned
+		sum.IndexBuilds += st.IndexBuilds
+	}
+	return sum
 }
 
 // BenchmarkReactClique16 measures one reading's cost in the fleet's
 // steady state: 16 detectors on a clique with a full 200-round window;
 // one op is one sensor's StepObserveBatch plus every receipt it triggers
-// until the network is quiescent again.
+// until the network is quiescent again. Beside the time it reports what
+// the reaction path had to do for it: the share of per-link rankings the
+// link memos answered, ranking queries started per reading and the share
+// of them the cutoff abandoned, and spatial indexes built per reading.
 func BenchmarkReactClique16(b *testing.B) {
-	ph := newPacketHasher(b, 16, Config{Ranker: KNN{K: 2}, N: 3, Window: 200 * time.Second})
-	for i, a := range ph.ids {
-		for _, c := range ph.ids[i+1:] {
-			ph.connect(a, c)
-		}
-	}
-	value := burstStream(16, 0.005, 15000)
-	for r := 0; r < 200; r++ {
-		ph.round(b, r, value)
-	}
+	ph, value := steadyClique16(b)
+	before := ph.totalStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,6 +249,83 @@ func BenchmarkReactClique16(b *testing.B) {
 		_, out := ph.dets[id].StepObserveBatch(now, []Observation{{Birth: now, Value: []float64{value()}}})
 		ph.emit(out)
 		ph.settle(b)
+	}
+	b.StopTimer()
+	after := ph.totalStats()
+	hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses
+	queries := after.RankQueries - before.RankQueries
+	b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "memo-hit-share")
+	b.ReportMetric(float64(queries)/float64(b.N), "rank-queries/op")
+	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/float64(max(1, queries)), "abandoned-share")
+	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
+}
+
+// BenchmarkBurstStates replays the fleet's burst shape — 16 detectors on a
+// clique, every step each sensor observes its next eight readings as one
+// batch and the network settles — from two fills that differ only in the
+// stream's seed, and reports the counters that tell apart the two states
+// such a fleet settles into for good (DESIGN.md § "Two states of one
+// fleet"): "clean", where only faults ever cross a link, and
+// "contaminated", where every link ledger carries a population of inliers
+// that Eq. (2) re-seeds each time one of them expires. One op is one step
+// of 128 readings; foreign-inliers/detector is read at the end.
+func BenchmarkBurstStates(b *testing.B) {
+	for _, fill := range []struct {
+		name string
+		seed uint64
+	}{{"clean", 9}, {"contaminated", 10}} {
+		b.Run(fill.name, func(b *testing.B) {
+			ph := newPacketHasher(b, 16, Config{Ranker: KNN{K: 2}, N: 3, Window: 200 * time.Second})
+			ph.clique()
+			value := burstStream(fill.seed, 0.005, 15000)
+			round := 0
+			step := func() {
+				batches := make([][]Observation, len(ph.ids))
+				for r := 0; r < 8; r++ {
+					at := time.Duration(round+r) * time.Second
+					for s := range batches {
+						batches[s] = append(batches[s], Observation{Birth: at, Value: []float64{value()}})
+					}
+				}
+				round += 8
+				for s, id := range ph.ids {
+					_, out := ph.dets[id].StepObserveBatch(time.Duration(round-1)*time.Second, batches[s])
+					ph.emit(out)
+					ph.settle(b)
+				}
+			}
+			// Four windows: the start-up transient (fewer than n faults in
+			// a window, so the noise tail is the estimate and inliers cross
+			// every link) is over well before the state is read.
+			for i := 0; i < 100; i++ {
+				step()
+			}
+			before := ph.totalStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.StopTimer()
+			after := ph.totalStats()
+			steps := float64(b.N)
+			hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses
+			b.ReportMetric(float64(after.Broadcasts-before.Broadcasts)/steps, "broadcasts/op")
+			b.ReportMetric(float64(after.PointsSent-before.PointsSent)/steps, "points-sent/op")
+			// A full window evicts what it takes in: 128 own readings a
+			// step and whatever arrived that the detector did not hold.
+			b.ReportMetric(float64(after.Evicted-before.Evicted)/steps-128, "novel-receipts/op")
+			b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "memo-hit-share")
+			b.ReportMetric(float64(after.RankQueries-before.RankQueries)/steps, "rank-queries/op")
+			foreign := 0
+			for id, d := range ph.dets {
+				d.held.ForEach(func(p Point) {
+					if p.ID.Origin != id && p.Value[0] < 1000 {
+						foreign++
+					}
+				})
+			}
+			b.ReportMetric(float64(foreign)/float64(len(ph.dets)), "foreign-inliers/detector")
+		})
 	}
 }
 

@@ -104,6 +104,48 @@ type Stats struct {
 	PointsReceived int
 	// Evicted is the number of points aged out of the sliding window.
 	Evicted int
+
+	// The remaining counters name the state of the reaction path rather
+	// than the protocol's: what an event had to recompute.
+
+	// MemoHits and MemoMisses count the per-link first rankings
+	// On(seed ∪ shared) of Eq. (2) that were answered from the link's
+	// memory of the previous event and that had to be recomputed.
+	MemoHits, MemoMisses int
+	// RankQueries is the number of ranking queries R(x, ·) started by
+	// top-n passes over the window, its hop strata and the per-link
+	// candidate pools; RankAbandoned is how many of them the top-n cutoff
+	// stopped before they finished.
+	RankQueries, RankAbandoned int
+	// IndexBuilds is the number of spatial indexes built.
+	IndexBuilds int
+}
+
+// The counting methods accept a nil receiver and then count nothing: a
+// supporter outside a detector (a MergeSource's, a one-off TopN) has no
+// Stats to write to and must not share one.
+
+func (st *Stats) memo(hit bool) {
+	switch {
+	case st == nil:
+	case hit:
+		st.MemoHits++
+	default:
+		st.MemoMisses++
+	}
+}
+
+func (st *Stats) ranked(queries, abandoned int) {
+	if st != nil {
+		st.RankQueries += queries
+		st.RankAbandoned += abandoned
+	}
+}
+
+func (st *Stats) indexBuilt() {
+	if st != nil {
+		st.IndexBuilds++
+	}
 }
 
 // Detector implements the per-sensor state machine of the paper's global
@@ -122,23 +164,24 @@ type Detector struct {
 	own  *Set // D_i: points sampled by this sensor
 	held *Set // P_i: everything currently held
 
-	sent map[NodeID]*Set // D(i→j): points sent to each neighbor
-	recv map[NodeID]*Set // D(j→i): points received from each neighbor
-	nbrs []NodeID        // Γ_i, the keys of sent and recv, kept sorted
+	links map[NodeID]*link // per-neighbor ledgers and memory
+	nbrs  []NodeID         // Γ_i, the keys of links, kept sorted
 
-	// heldSup caches the ranking supporter (window snapshot, spatial
-	// index, memoized top-n) over P_i, keyed on the window's mutation
-	// version: events that leave P_i unchanged — link changes, receipts
-	// of already-held points, repeated Estimate calls — reuse the index
-	// and the estimate instead of rebuilding both per ranking pass.
+	// heldSup caches the ranking supporter (window snapshot, memoized
+	// top-n, and the spatial index if the ranking had to build one) over
+	// P_i, keyed on the window's mutation version: events that leave P_i
+	// unchanged — link changes, repeated Estimate calls — reuse it whole.
+	// When the window did change, the outgoing supporter's estimate is
+	// the incoming one's hint (see supporter.topN).
 	heldSup  *supporter
 	heldSupV uint64
 
-	// strata is the semi-global (HopLimit > 0) counterpart of heldSup:
-	// the hop strata P≤h with their supporters and Eq. (2) seeds, keyed
-	// on the same window version. The strata are pure derivations of
-	// P_i (filter by hop, rank, seed), so any event that leaves the
-	// window unchanged reuses them wholesale.
+	// strata are the datasets the reaction runs over with their
+	// supporters and Eq. (2) seeds, keyed on the same window version: the
+	// hop strata P≤h for h < HopLimit under Algorithm 2, and under
+	// Algorithm 1 the single stratum P_i, which shares heldSup. They are
+	// pure derivations of P_i (filter by hop, rank, seed), so any event
+	// that leaves the window unchanged reuses them wholesale.
 	strata  []stratum
 	strataV uint64
 
@@ -153,11 +196,10 @@ func NewDetector(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{
-		cfg:  cfg,
-		own:  NewSet(),
-		held: NewSet(),
-		sent: make(map[NodeID]*Set),
-		recv: make(map[NodeID]*Set),
+		cfg:   cfg,
+		own:   NewSet(),
+		held:  NewSet(),
+		links: make(map[NodeID]*link),
 	}, nil
 }
 
@@ -192,12 +234,29 @@ func (d *Detector) ReserveSeq(seq uint32) {
 // Neighbors returns the current immediate neighborhood Γ_i, sorted.
 func (d *Detector) Neighbors() []NodeID { return slices.Clone(d.nbrs) }
 
-// link opens the per-link ledgers for a new neighbor j.
-func (d *Detector) link(j NodeID) {
-	d.sent[j] = NewSet()
-	d.recv[j] = NewSet()
+// link is everything a detector keeps per immediate neighbor j.
+type link struct {
+	sent *Set // D(i→j): points sent to j
+	recv *Set // D(j→i): points received from j
+
+	// memo remembers the link's last Eq. (2) ranking, one per stratum
+	// (see Detector.strata): the hop cutoff on the ledgers differs by
+	// stratum, and so does the pool.
+	memo []linkMemo
+}
+
+// shared is the link's ledger view D(i→j) ∪ D(j→i), every hop admitted.
+func (l *link) shared() ledgers {
+	return ledgers{sent: l.sent, recv: l.recv, maxHop: anyHop}
+}
+
+// link opens the per-link state for a new neighbor j.
+func (d *Detector) link(j NodeID) *link {
+	l := &link{sent: NewSet(), recv: NewSet(), memo: make([]linkMemo, max(1, d.cfg.HopLimit))}
+	d.links[j] = l
 	at, _ := slices.BinarySearch(d.nbrs, j)
 	d.nbrs = slices.Insert(d.nbrs, at, j)
+	return l
 }
 
 // Holdings returns a copy of P_i, the set of all points currently held.
@@ -210,10 +269,22 @@ func (d *Detector) OwnPoints() *Set { return d.own.Clone() }
 // when the window content has changed since it was built.
 func (d *Detector) heldSupporter() *supporter {
 	if d.heldSup == nil || d.heldSupV != d.held.Version() {
-		d.heldSup = newSupporter(d.cfg.Ranker, d.held)
+		d.heldSup = d.supporterAfter(d.heldSup, d.held)
 		d.heldSupV = d.held.Version()
 	}
 	return d.heldSup
+}
+
+// supporterAfter snapshots set for ranking, counted in the detector's
+// stats and hinted with whatever prev — the supporter this one replaces,
+// nil if none — last estimated.
+func (d *Detector) supporterAfter(prev *supporter, set *Set) *supporter {
+	sup := newSupporter(d.cfg.Ranker, set)
+	sup.stats = &d.stats
+	if prev != nil {
+		sup.hint = prev.top
+	}
+	return sup
 }
 
 // Estimate returns the sensor's current outlier estimate On(P_i) in
@@ -245,7 +316,7 @@ func (d *Detector) Start() *Outbound {
 // AddNeighbor processes a link-up event for neighbor j (paper event iv).
 // Adding an already-present neighbor is a no-op returning nil.
 func (d *Detector) AddNeighbor(j NodeID) *Outbound {
-	if _, ok := d.sent[j]; ok {
+	if _, ok := d.links[j]; ok {
 		return nil
 	}
 	d.link(j)
@@ -254,15 +325,15 @@ func (d *Detector) AddNeighbor(j NodeID) *Outbound {
 }
 
 // RemoveNeighbor processes a link-down event for neighbor j (paper event
-// iv): the per-link ledgers are dropped, while points already received
-// from j remain held and age out of the sliding window as §5.3 suggests.
+// iv): the per-link ledgers are dropped (and the link's memory with them),
+// while points already received from j remain held and age out of the
+// sliding window as §5.3 suggests.
 // Removing an unknown neighbor is a no-op returning nil.
 func (d *Detector) RemoveNeighbor(j NodeID) *Outbound {
-	if _, ok := d.sent[j]; !ok {
+	if _, ok := d.links[j]; !ok {
 		return nil
 	}
-	delete(d.sent, j)
-	delete(d.recv, j)
+	delete(d.links, j)
 	at, _ := slices.BinarySearch(d.nbrs, j)
 	d.nbrs = slices.Delete(d.nbrs, at, at+1)
 	d.stats.Events++
@@ -321,16 +392,17 @@ func (d *Detector) Receive(from NodeID, pts []Point) *Outbound {
 	if len(pts) == 0 {
 		return nil
 	}
-	if _, ok := d.sent[from]; !ok {
-		d.link(from)
+	l, ok := d.links[from]
+	if !ok {
+		l = d.link(from)
 	}
 	d.stats.Events++
 	d.stats.PointsReceived += len(pts)
 	var changed bool
 	if d.cfg.HopLimit > 0 {
-		changed = d.receiveSemiGlobal(from, pts)
+		changed = d.receiveSemiGlobal(l, pts)
 	} else {
-		changed = d.receiveGlobal(from, pts)
+		changed = d.receiveGlobal(l, pts)
 	}
 	if !changed {
 		return nil
@@ -341,14 +413,14 @@ func (d *Detector) Receive(from NodeID, pts []Point) *Outbound {
 // receiveGlobal is the update step of Algorithm 1: only points not
 // already held are added to P_i and recorded in D(j→i). It reports
 // whether any state changed.
-func (d *Detector) receiveGlobal(from NodeID, pts []Point) bool {
+func (d *Detector) receiveGlobal(from *link, pts []Point) bool {
 	changed := false
 	for _, p := range pts {
 		if d.held.Contains(p.ID) {
 			continue
 		}
 		d.held.Add(p)
-		d.recv[from].Add(p)
+		from.recv.Add(p)
 		changed = true
 	}
 	return changed
@@ -358,21 +430,21 @@ func (d *Detector) receiveGlobal(from NodeID, pts []Point) bool {
 // held copy only when it traveled fewer hops, in which case every ledger's
 // copy is lowered too ("updating as needed D_i and D(f→i) for each f").
 // It reports whether any state changed.
-func (d *Detector) receiveSemiGlobal(from NodeID, pts []Point) bool {
+func (d *Detector) receiveSemiGlobal(from *link, pts []Point) bool {
 	changed := false
 	for _, p := range pts {
 		held, ok := d.held.Get(p.ID)
 		switch {
 		case !ok:
 			d.held.Add(p)
-			d.recv[from].AddMinHop(p)
+			from.recv.AddMinHop(p)
 			changed = true
 		case p.Hop < held.Hop:
 			d.held.Add(p)
-			for _, ledger := range d.recv {
-				ledger.SetHop(p.ID, p.Hop)
+			for _, l := range d.links {
+				l.recv.SetHop(p.ID, p.Hop)
 			}
-			d.recv[from].AddMinHop(p)
+			from.recv.AddMinHop(p)
 			changed = true
 		}
 	}
@@ -404,11 +476,9 @@ func (d *Detector) advance(now time.Duration) bool {
 	// the authoritative one; the other books are subsets.
 	evicted := d.held.EvictBefore(cutoff)
 	d.own.EvictBefore(cutoff)
-	for _, s := range d.sent {
-		s.EvictBefore(cutoff)
-	}
-	for _, s := range d.recv {
-		s.EvictBefore(cutoff)
+	for _, l := range d.links {
+		l.sent.EvictBefore(cutoff)
+		l.recv.EvictBefore(cutoff)
 	}
 	d.stats.Evicted += evicted
 	return evicted > 0
@@ -494,11 +564,9 @@ func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Poi
 func (d *Detector) RemoveOrigin(origin NodeID) *Outbound {
 	removed := d.held.EvictOrigin(origin)
 	removed += d.own.EvictOrigin(origin)
-	for _, s := range d.sent {
-		s.EvictOrigin(origin)
-	}
-	for _, s := range d.recv {
-		s.EvictOrigin(origin)
+	for _, l := range d.links {
+		l.sent.EvictOrigin(origin)
+		l.recv.EvictOrigin(origin)
 	}
 	if removed == 0 {
 		return nil
@@ -510,20 +578,18 @@ func (d *Detector) RemoveOrigin(origin NodeID) *Outbound {
 // react runs the main for-loop of Algorithms 1/2 over every neighbor and
 // assembles the broadcast packet M. The estimate-plus-support seed of
 // Eq. (2) depends only on P_i (or its hop strata), so it is computed once
-// per event and shared across neighbors.
+// per window change and shared across neighbors and events.
 func (d *Detector) react() *Outbound {
 	out := &Outbound{From: d.cfg.Node}
-	var deltas func(j NodeID) []Point
-	if d.cfg.HopLimit > 0 {
-		strata := d.hopStrata()
-		deltas = func(j NodeID) []Point { return d.semiGlobalDelta(j, strata) }
-	} else {
-		sup := d.heldSupporter()
-		seed := d.prepareSeed(sup)
-		deltas = func(j NodeID) []Point { return d.globalDelta(j, sup, seed) }
-	}
+	strata := d.currentStrata()
 	for _, j := range d.nbrs {
-		if delta := deltas(j); len(delta) > 0 {
+		var delta []Point
+		if d.cfg.HopLimit > 0 {
+			delta = d.semiGlobalDelta(d.links[j], strata)
+		} else {
+			delta = d.globalDelta(d.links[j], &strata[0])
+		}
+		if len(delta) > 0 {
 			out.Groups = append(out.Groups, Group{To: j, Points: delta})
 			d.stats.PointsSent += len(delta)
 		}
@@ -535,56 +601,55 @@ func (d *Detector) react() *Outbound {
 	return out
 }
 
-// prepareSeed computes On(P) ∪ [P|On(P)], the neighbor-independent part
-// of Eq. (2), through the given supporter over P. One supporter serves
-// the ranking batch, the support lookups, and the per-neighbor fixed
-// points, so the spatial index over P is built at most once — and, via
-// the heldSupporter cache, at most once per window change.
-func (d *Detector) prepareSeed(sup *supporter) *Set {
-	return seedFrom(sup, d.cfg.N)
-}
-
-// stratum carries the hop-filtered point set P≤h, its supporter, and its
-// Eq. (2) seed.
-type stratum struct {
-	set  *Set
-	sup  *supporter
-	seed *Set
-}
-
-// hopStrata returns the cached hop strata over P_i, rebuilding them only
+// currentStrata returns the cached strata over P_i, re-deriving them only
 // when the window content has changed since they were built — the same
-// version-keyed reuse heldSupporter gives the global path. The slice is
-// never empty (HopLimit ≥ 1 when this is called), so nil doubles as the
-// not-yet-built sentinel.
-func (d *Detector) hopStrata() []stratum {
-	if d.strata == nil || d.strataV != d.held.Version() {
-		d.strata = d.buildStrata()
-		d.strataV = d.held.Version()
+// version-keyed reuse heldSupporter gives the estimate. The slice is never
+// empty, so nil doubles as the not-yet-built sentinel. A re-derived
+// stratum is hinted by the one it replaces and keeps its seed generation
+// when the seed's ID set came out the same, which is what the links'
+// memos are keyed on.
+func (d *Detector) currentStrata() []stratum {
+	if d.strata != nil && d.strataV == d.held.Version() {
+		return d.strata
 	}
+	prev := d.strata
+	if prev == nil {
+		prev = make([]stratum, max(1, d.cfg.HopLimit))
+	}
+	d.strata = make([]stratum, len(prev))
+	for h := range d.strata {
+		var sup *supporter
+		if d.cfg.HopLimit > 0 {
+			sup = d.supporterAfter(prev[h].sup, d.held.MaxHop(uint8(h)))
+		} else {
+			sup = d.heldSupporter()
+		}
+		st := newStratum(sup, d.cfg.N)
+		st.gen = prev[h].gen
+		if !st.seed.EqualIDs(prev[h].seed) {
+			st.gen++
+		}
+		d.strata[h] = st
+	}
+	d.strataV = d.held.Version()
 	return d.strata
-}
-
-// buildStrata computes the hop strata P≤h and their seeds for
-// h = 0..HopLimit-1.
-func (d *Detector) buildStrata() []stratum {
-	strata := make([]stratum, d.cfg.HopLimit)
-	for h := range strata {
-		set := d.held.MaxHop(uint8(h))
-		sup := newSupporter(d.cfg.Ranker, set)
-		strata[h] = stratum{set: set, sup: sup, seed: d.prepareSeed(sup)}
-	}
-	return strata
 }
 
 // globalDelta computes Z_j \ (D(i→j) ∪ D(j→i)) for one neighbor under
 // Algorithm 1 and records the newly sent points in D(i→j).
-func (d *Detector) globalDelta(j NodeID, sup *supporter, seed *Set) []Point {
-	shared := ledgers{sent: d.sent[j], recv: d.recv[j], maxHop: anyHop}
-	extra := closeSeed(d.cfg.Ranker, sup, seed, shared, d.cfg.N)
-	delta := unshared(seed, extra, shared)
+func (d *Detector) globalDelta(l *link, st *stratum) []Point {
+	shared := l.shared()
+	owed := st.seed
+	if l.memo[0].holds(st.gen, shared) {
+		// Same seed, same ledgers as at the link's previous reaction — and
+		// the ledgers are the same because that reaction sent nothing,
+		// which it could only do with the whole seed already shared.
+		owed = nil
+	}
+	extra := closeSeed(st, shared, d.cfg.N, &l.memo[0])
+	delta := unshared(owed, extra, shared)
 	for _, p := range delta {
-		d.sent[j].Add(p)
+		l.sent.Add(p)
 	}
 	return delta
 }
@@ -594,15 +659,16 @@ func (d *Detector) globalDelta(j NodeID, sup *supporter, seed *Set) []Point {
 // hop fields incremented, min-merged across strata, then filtered against
 // anything the ledgers show the neighbor already has at an equal or
 // smaller hop count.
-func (d *Detector) semiGlobalDelta(j NodeID, strata []stratum) []Point {
-	shared := ledgers{sent: d.sent[j], recv: d.recv[j], maxHop: anyHop}
+func (d *Detector) semiGlobalDelta(l *link, strata []stratum) []Point {
+	shared := l.shared()
 	merged := NewSet()
 	forward := func(p Point) {
 		p.Hop++
 		merged.AddMinHop(p)
 	}
-	for h, st := range strata {
-		if st.set.Len() == 0 {
+	for h := range strata {
+		st := &strata[h]
+		if len(st.sup.pts) == 0 {
 			continue
 		}
 		sharedH := shared
@@ -614,7 +680,7 @@ func (d *Detector) semiGlobalDelta(j NodeID, strata []stratum) []Point {
 		// like the global algorithm run pairwise, as §6.1 describes.
 		sharedH.maxHop = uint8(h + 1)
 		st.seed.ForEach(forward)
-		for _, p := range closeSeed(d.cfg.Ranker, st.sup, st.seed, sharedH, d.cfg.N) {
+		for _, p := range closeSeed(st, sharedH, d.cfg.N, &l.memo[h]) {
 			forward(p)
 		}
 	}
@@ -626,7 +692,7 @@ func (d *Detector) semiGlobalDelta(j NodeID, strata []stratum) []Point {
 	})
 	sortByID(delta)
 	for _, p := range delta {
-		d.sent[j].AddMinHop(p)
+		l.sent.AddMinHop(p)
 	}
 	return delta
 }

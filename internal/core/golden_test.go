@@ -94,6 +94,15 @@ func (ph *packetHasher) connect(a, b NodeID) {
 	ph.emit(ph.dets[b].AddNeighbor(a))
 }
 
+// clique connects every pair of sensors.
+func (ph *packetHasher) clique() {
+	for i, a := range ph.ids {
+		for _, b := range ph.ids[i+1:] {
+			ph.connect(a, b)
+		}
+	}
+}
+
 func (ph *packetHasher) disconnect(a, b NodeID) {
 	delete(ph.adj, [2]NodeID{a, b})
 	delete(ph.adj, [2]NodeID{b, a})
@@ -146,11 +155,7 @@ func burstStream(seed uint64, rate, offset float64) func() float64 {
 
 func goldenClique(t *testing.T, value func() float64) *packetHasher {
 	ph := newPacketHasher(t, 16, Config{Ranker: KNN{K: 2}, N: 3, Window: 200 * time.Second})
-	for i, a := range ph.ids {
-		for _, b := range ph.ids[i+1:] {
-			ph.connect(a, b)
-		}
-	}
+	ph.clique()
 	for r := 0; r < 400; r++ {
 		ph.round(t, r, value)
 	}

@@ -194,11 +194,9 @@ func TestTopNIndexedMatchesBrute(t *testing.T) {
 		}
 		indexed := TopNRanked(ranker, set, 12)
 
-		saved := indexMinPoints
-		indexMinPoints = set.Len() + 1 // force the brute path
-		brute := TopNRanked(ranker, set, 12)
+		var brute []Ranked
+		withIndexMin(math.MaxInt, func() { brute = TopNRanked(ranker, set, 12) })
 		naive := naiveTopN(ranker, set, 12)
-		indexMinPoints = saved
 
 		if len(indexed) != len(brute) || len(indexed) != len(naive) {
 			t.Fatalf("%s: result sizes differ: %d %d %d",
@@ -226,10 +224,8 @@ func TestSupportOfIndexedMatchesBrute(t *testing.T) {
 		q := append(randPoints(r, 3, 9, 3, 8), set.Points()[:5]...)
 
 		indexed := SupportOf(ranker, set, q)
-		saved := indexMinPoints
-		indexMinPoints = set.Len() + 1
-		brute := SupportOf(ranker, set, q)
-		indexMinPoints = saved
+		var brute *Set
+		withIndexMin(math.MaxInt, func() { brute = SupportOf(ranker, set, q) })
 
 		if !indexed.EqualIDs(brute) {
 			t.Fatalf("%s: indexed support %v != brute %v", ranker.Name(), indexed, brute)

@@ -25,11 +25,10 @@ import "slices"
 // — answers from cache. After construction a MergeSource is read-only
 // and safe for concurrent use.
 type MergeSource struct {
-	r    Ranker
-	n    int
-	sup  *supporter
-	seed *Set
-	pts  []Point
+	r   Ranker
+	n   int
+	st  stratum
+	pts []Point
 }
 
 // NewMergeSource snapshots pts (which must be duplicate-free by PointID,
@@ -42,12 +41,11 @@ func NewMergeSource(r Ranker, n int, pts []Point) *MergeSource {
 		pts = slices.Clone(pts)
 		slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
 	}
-	sup := supporterFor(r, pts)
-	// seedFrom runs the ranking batch, which builds the spatial index
+	// newStratum runs the ranking batch, which builds the spatial index
 	// (when the ranker supports one and P is large enough) and memoizes
 	// the estimate — the construction does all the mutating work up
 	// front, which is what makes Delta safe for concurrent sessions.
-	return &MergeSource{r: r, n: n, sup: sup, seed: seedFrom(sup, n), pts: pts}
+	return &MergeSource{r: r, n: n, st: newStratum(supporterFor(r, pts), n), pts: pts}
 }
 
 // Len returns |P|.
@@ -55,7 +53,7 @@ func (m *MergeSource) Len() int { return len(m.pts) }
 
 // Estimate returns On(P) in (rank desc, ≺) order.
 func (m *MergeSource) Estimate() []Point {
-	top := m.sup.topN(m.n)
+	top := m.st.sup.topN(m.n)
 	out := make([]Point, len(top))
 	for i, rk := range top {
 		out[i] = rk.Point
@@ -77,7 +75,7 @@ func (m *MergeSource) Estimate() []Point {
 // carry identities and ledgers deduplicate).
 func (m *MergeSource) Delta(shared *Set) []Point {
 	link := ledgers{sent: shared, maxHop: anyHop}
-	return unshared(m.seed, closeSeed(m.r, m.sup, m.seed, link, m.n), link)
+	return unshared(m.st.seed, closeSeed(&m.st, link, m.n, nil), link)
 }
 
 // MergeLink is one party's resumable state for a single exchange link:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -12,12 +13,23 @@ type Ranked struct {
 	Rank  float64
 }
 
-// indexMinPoints is the set size from which ranking batches build a
-// spatial index instead of scanning linearly: index construction is
-// O(n log n), so tiny sets (the common fixed-point candidate pools) stay
-// on the cheaper brute path. It is a variable so package tests can force
-// either path.
+// indexMinPoints is the set size below which a ranking batch never builds
+// a spatial index: construction is O(n log n), and on tiny sets (the common
+// fixed-point candidate pools) no query volume wins it back. From this size
+// up, when the index is built depends on what the batch knows; see
+// supporter.topN. It is a variable so package tests can force either path.
 var indexMinPoints = 64
+
+// indexPrice is what an index over n points is worth to a batch that is
+// scanning, in the currency the scan spends: candidates visited. A build
+// costs about 10 ns a point a level (BenchmarkIndexBuild: 15 µs at 240
+// points, 520 µs at 3,200) and a visit about 7 ns, so the build itself is
+// ≈ 1.5·n·log₂n visits. The price is twice that, because a query through
+// the index is not free either (≈ 30 visits' worth): a scan only starts
+// to lose some way after it has spent what the build costs.
+func indexPrice(n int) int {
+	return 3 * n * bits.Len(uint(n))
+}
 
 // rankedBefore is the (rank desc, ≺) order On(P) is reported in: higher
 // rank first, and among equal ranks the point lower under ≺. The order is
@@ -32,6 +44,11 @@ func rankedBefore(a, b Ranked) bool {
 	return Less(a.Point, b.Point)
 }
 
+// ranksID reports whether ranked names the point with the given ID.
+func ranksID(ranked []Ranked, id PointID) bool {
+	return slices.ContainsFunc(ranked, func(rk Ranked) bool { return rk.Point.ID == id })
+}
+
 // rankedPoints strips the rank values.
 func rankedPoints(ranked []Ranked) []Point {
 	if len(ranked) == 0 {
@@ -42,11 +59,6 @@ func rankedPoints(ranked []Ranked) []Point {
 		out[i] = rk.Point
 	}
 	return out
-}
-
-// topNSlice is TopN over a duplicate-free point slice.
-func topNSlice(r Ranker, pts []Point, n int) []Point {
-	return rankedPoints(supporterFor(r, pts).topN(n))
 }
 
 // TopN computes On(P): the n points of P with the highest outlier rank
@@ -73,24 +85,34 @@ func RankAll(r Ranker, set *Set) []Ranked {
 
 // supporter answers repeated rank and smallest-support-set queries
 // against one fixed dataset P. It snapshots P once and builds the
-// spatial index lazily: a ranking batch (one query per point of P)
-// always amortizes the O(n log n) build, so it indexes eagerly, while
-// support lookups for a handful of points stay on the O(n) scan unless
-// an index already exists or the caller announces enough volume via
-// ensureIndex. An earlier version indexed unconditionally, and the
-// per-event builds cost more than the scans they replaced.
+// spatial index lazily: the exhaustive ranking (one finished query per
+// point of P) always amortizes the O(n log n) build and indexes up front,
+// topN decides as it goes (see there), and support lookups for a handful
+// of points stay on the O(n) scan unless an index already exists or the
+// caller announces enough volume via ensureIndex. An earlier version
+// indexed unconditionally, and the per-event builds cost more than the
+// scans they replaced.
 type supporter struct {
 	r   Ranker
-	pts []Point
+	pts []Point       // the snapshot, in no particular order
 	ir  indexedRanker // nil when r implements only the public Ranker
 	ix  *Index        // built lazily, see ensureIndex
+
+	// hint names points topN should rank before the rest: whatever was
+	// On(·) the last time something like P was ranked. It is advice, not
+	// data — entries P no longer holds, duplicates and points that have
+	// since become inliers cost time, never correctness.
+	hint []Ranked
+	// stats is where the ranking work is counted. Nil counts nothing,
+	// which is what keeps a MergeSource's supporter read-only.
+	stats *Stats
 
 	top    []Ranked // memoized topN(topFor) result (the snapshot is immutable)
 	topFor int
 }
 
 func newSupporter(r Ranker, set *Set) *supporter {
-	return supporterFor(r, set.Points())
+	return supporterFor(r, set.snapshot())
 }
 
 // supporterFor snapshots a duplicate-free point slice; rankers exclude a
@@ -108,6 +130,7 @@ func supporterFor(r Ranker, pts []Point) *supporter {
 func (s *supporter) ensureIndex() {
 	if s.ir != nil && s.ix == nil && len(s.pts) >= indexMinPoints {
 		s.ix = NewIndex(s.pts)
+		s.stats.indexBuilt()
 	}
 }
 
@@ -128,9 +151,31 @@ func (s *supporter) rank(x Point, floor float64, scratch *bestList) (float64, bo
 // Bay & Schwabacher 2003; sound by anti-monotonicity, see
 // indexedRanker.rankBounded). A point that ties the floor is finished and
 // placed by ≺, so the result is exactly the first n of rankAll, rank bits
-// included. The result is memoized (the snapshot never changes), so a
-// supporter cached across events answers repeat estimates for free;
-// callers must treat the returned slice as read-only.
+// included, whatever order the points are visited in.
+//
+// That freedom is spent on the hint: the points it names are ranked first,
+// so when the hint is any good — and the previous event's estimate nearly
+// always is — the floor is already at its final height before the first
+// inlier is looked at. What the rest of P then costs on the plain scan
+// depends on the data, not on |P|: a floor far above the bulk (a fault, a
+// spike) abandons every inlier after k candidates, cheaper than a tree
+// descent reaches its first leaf, while a floor inside the bulk (no real
+// outlier) leaves every query looking through much of P for neighbors
+// that close. So the index is built by what the batch observes:
+//
+//   - cold — the hinted pass did not fill the list (no hint, or too few of
+//     its points still in P): the coming queries run long whatever the
+//     data, and the build pays from indexMinPoints up (256 points: 55 µs
+//     indexed, 78 µs scanned; 1,024: 350 against 470–2,000);
+//   - warm — scan, and build once the scan has visited as many candidates
+//     as the build is worth (indexPrice). A batch the cutoff serves well
+//     finishes far below that and never builds; one it serves badly pays
+//     the price once on top of the indexed batch, the classic rent-or-buy
+//     bound, instead of the scan's quadratic worst case.
+//
+// The result is memoized (the snapshot never changes), so a supporter
+// cached across events answers repeat estimates for free; callers must
+// treat the returned slice as read-only.
 func (s *supporter) topN(n int) []Ranked {
 	if n > len(s.pts) {
 		n = len(s.pts)
@@ -141,20 +186,24 @@ func (s *supporter) topN(n int) []Ranked {
 	if s.top != nil && s.topFor == n {
 		return s.top
 	}
-	s.ensureIndex()
 	top := make([]Ranked, 0, n)
 	floor := math.Inf(-1)
 	scratch := newBestList(1)
-	for _, x := range s.pts {
+	price, abandoned := indexPrice(len(s.pts)), 0
+	offer := func(x Point) {
 		rank, ok := s.rank(x, floor, scratch)
+		if scratch.visited > price {
+			s.ensureIndex()
+		}
 		if !ok {
-			continue
+			abandoned++
+			return
 		}
 		cand := Ranked{Point: x, Rank: rank}
 		i := len(top)
 		if i == n {
 			if !rankedBefore(cand, top[n-1]) {
-				continue
+				return
 			}
 			i--
 		} else {
@@ -168,6 +217,30 @@ func (s *supporter) topN(n int) []Ranked {
 			floor = top[n-1].Rank
 		}
 	}
+
+	// Where the snapshot holds the hinted points: ascending positions,
+	// each at most once however often the hint repeats an ID (n is small;
+	// the first eight stay on the stack).
+	lead := make([]int, 0, 8)
+	for i := 0; i < len(s.pts) && len(lead) < len(s.hint); i++ {
+		if ranksID(s.hint, s.pts[i].ID) {
+			lead = append(lead, i)
+		}
+	}
+	for _, i := range lead {
+		offer(s.pts[i])
+	}
+	if len(top) < n {
+		s.ensureIndex()
+	}
+	for i, x := range s.pts {
+		if len(lead) > 0 && lead[0] == i {
+			lead = lead[1:]
+			continue
+		}
+		offer(x)
+	}
+	s.stats.ranked(len(s.pts), abandoned)
 	s.top, s.topFor = top, n
 	return top
 }
@@ -248,24 +321,37 @@ func SupportOf(r Ranker, set *Set, q []Point) *Set {
 // the iteration terminates. The result is not guaranteed minimal (nor is
 // the paper's).
 func Sufficient(r Ranker, set, shared *Set, n int) *Set {
-	sup := newSupporter(r, set)
-	z := seedFrom(sup, n)
-	for _, p := range closeSeed(r, sup, z, ledgers{sent: shared, maxHop: anyHop}, n) {
+	st := newStratum(newSupporter(r, set), n)
+	z := st.seed
+	for _, p := range closeSeed(&st, ledgers{sent: shared, maxHop: anyHop}, n, nil) {
 		z.AddMinHop(p)
 	}
 	return z
 }
 
-// seedFrom computes On(P) ∪ [P|On(P)], the neighbor-independent seed of
-// Eq. (2), through one supporter over P — so the ranking batch, the
-// support lookups, and the caller's fixed points all share one snapshot
-// and at most one spatial index. The detector's per-event reaction and
-// the standalone Sufficient both build on this.
-func seedFrom(sup *supporter, n int) *Set {
+// stratum is one dataset the Eq. (2) reaction runs over — P_i itself under
+// Algorithm 1, a hop stratum P≤h under Algorithm 2, a MergeSource's
+// snapshot — as the supporter over it and its neighbor-independent seed
+// On(P) ∪ [P|On(P)]. One supporter serves the ranking batch, the support
+// lookups and every link's fixed point, so they share one snapshot and at
+// most one spatial index.
+type stratum struct {
+	sup  *supporter
+	seed *Set
+
+	// gen names the seed's ID set across rebuilds: a detector that
+	// re-derives a stratum after a window change carries gen over when the
+	// new seed holds the same IDs and advances it otherwise, so a link can
+	// tell "same seed as last time" with one comparison (see linkMemo).
+	gen uint64
+}
+
+// newStratum ranks P through sup and derives the seed; gen starts at zero.
+func newStratum(sup *supporter, n int) stratum {
 	estimate := rankedPoints(sup.topN(n))
 	seed := NewSet(estimate...)
 	sup.eachSupport(estimate, func(p Point) { seed.AddMinHop(p) })
-	return seed
+	return stratum{sup: sup, seed: seed}
 }
 
 // ledgers is a read-only view of one link's shared ledger
@@ -312,39 +398,83 @@ func (l ledgers) forEach(fn func(Point)) {
 	})
 }
 
-// closeSeed closes seed = On(P) ∪ [P|On(P)] under the Eq. (2) fixed point
-// against one link's shared ledger and returns the points the closure
+// linkMemo is what one link remembers from one event to the next:
+// On(seed ∪ shared), the ranking closeSeed's first iteration computes,
+// together with the three things it is a function of — the seed's ID set
+// (stratum.gen) and the content of the two ledgers (Set.Version, which
+// every insert, hop change and removal advances). A PointID names one
+// observation, so equal ID sets are equal candidate pools; rank values
+// ignore the hop field; and the hop cutoff of the ledger view is fixed per
+// memo (a link keeps one per stratum). While all three stand the ranking
+// would come out bit for bit the same, so it is not repeated. A memo dies
+// with its link: a neighbor that leaves and returns gets fresh ledgers and
+// a fresh memo.
+type linkMemo struct {
+	top          []Point // On(seed ∪ shared); nil before the first ranking
+	gen          uint64
+	sentV, recvV uint64
+}
+
+// holds reports whether the remembered ranking is still the ranking of
+// seed generation gen against shared. A nil memo remembers nothing.
+func (m *linkMemo) holds(gen uint64, shared ledgers) bool {
+	return m != nil && m.top != nil && m.gen == gen &&
+		m.sentV == shared.sent.Version() && m.recvV == shared.recv.Version()
+}
+
+// closeSeed closes st.seed = On(P) ∪ [P|On(P)] under the Eq. (2) fixed
+// point against one link's shared ledger and returns the points the closure
 // added: Z = seed ∪ extra, disjoint. Splitting the seed — and the supporter
 // over P — out lets the detector compute both once per event (or reuse them
 // across events while the window is unchanged) and share them, unmodified,
-// across every neighbor. The candidate pool shared ∪ Z is a duplicate-free
+// across every neighbor.
+//
+// Each iteration ranks the candidate pool shared ∪ Z, a duplicate-free
 // slice (rank values ignore the hop field, so which copy of a point it
-// holds is immaterial) with Z first: Z holds the local outliers, so the
-// pool's top-n floor is as high as it will get before the first shared
-// point is ranked, and whatever in the ledger has since become an inlier is
-// dropped after a few comparisons.
-func closeSeed(r Ranker, sup *supporter, seed *Set, shared ledgers, n int) (extra []Point) {
-	pool := make([]Point, 0, seed.Len()+shared.sent.Len()+shared.recv.Len())
-	seed.ForEach(func(p Point) { pool = append(pool, p) })
-	shared.forEach(func(p Point) {
-		if !seed.Contains(p.ID) {
-			pool = append(pool, p)
+// holds is immaterial), with On(P) as the hint: in the steady state
+// On(shared ∪ Z) is On(P), so the pool's floor is final after n queries and
+// whatever in the ledger has since become an inlier is dropped after a few
+// comparisons. The first iteration's ranking is what memo keeps; when it
+// still holds, the pool is not even assembled unless the closure goes on to
+// grow. A nil memo (Sufficient, MergeSource.Delta) remembers nothing and is
+// never written, which is what lets concurrent sessions share a source.
+func closeSeed(st *stratum, shared ledgers, n int, memo *linkMemo) (extra []Point) {
+	sup, seed := st.sup, st.seed
+	estimate := sup.topN(n)
+	var pool []Point
+	for first := true; ; first = false {
+		var top []Point
+		if first && memo.holds(st.gen, shared) {
+			top = memo.top
+			sup.stats.memo(true)
+		} else {
+			if pool == nil {
+				pool = candidatePool(seed, extra, shared)
+			}
+			ranking := supporterFor(sup.r, pool)
+			ranking.hint, ranking.stats = estimate, sup.stats
+			top = rankedPoints(ranking.topN(n))
+			if first && memo != nil {
+				*memo = linkMemo{top: top, gen: st.gen, sentV: shared.sent.Version(), recvV: shared.recv.Version()}
+				sup.stats.memo(false)
+			}
 		}
-	})
-	for {
+		// [P|x] of a point of On(P) is in seed by construction, and in the
+		// steady state On(shared ∪ Z) is On(P): look up the rest.
+		var approx []Point
+		for _, x := range top {
+			if !ranksID(estimate, x.ID) {
+				approx = append(approx, x)
+			}
+		}
 		grew := false
-		// [P|x] of a point of On(P) is in seed by construction, and in
-		// the steady state On(shared ∪ Z) is On(P): look up the rest.
-		approx := slices.DeleteFunc(topNSlice(r, pool, n), func(x Point) bool {
-			return slices.ContainsFunc(sup.topN(n), func(rk Ranked) bool { return rk.Point.ID == x.ID })
-		})
 		sup.eachSupport(approx, func(p Point) {
 			if seed.Contains(p.ID) || slices.ContainsFunc(extra, func(q Point) bool { return q.ID == p.ID }) {
 				return
 			}
 			extra = append(extra, p)
 			grew = true
-			if !shared.contains(p.ID) {
+			if pool != nil && !shared.contains(p.ID) {
 				pool = append(pool, p)
 			}
 		})
@@ -352,6 +482,24 @@ func closeSeed(r Ranker, sup *supporter, seed *Set, shared ledgers, n int) (extr
 			return extra
 		}
 	}
+}
+
+// candidatePool assembles shared ∪ Z for Z = seed ∪ extra (disjoint) as a
+// duplicate-free slice.
+func candidatePool(seed *Set, extra []Point, shared ledgers) []Point {
+	pool := make([]Point, 0, seed.Len()+len(extra)+shared.sent.Len()+shared.recv.Len())
+	seed.ForEach(func(p Point) { pool = append(pool, p) })
+	shared.forEach(func(p Point) {
+		if !seed.Contains(p.ID) {
+			pool = append(pool, p)
+		}
+	})
+	for _, p := range extra {
+		if !shared.contains(p.ID) {
+			pool = append(pool, p)
+		}
+	}
+	return pool
 }
 
 // unshared returns Z \ shared for Z = seed ∪ extra, in ID order: what the

@@ -12,9 +12,14 @@ import (
 // minimal subset Q of the neighbors such that R(x, Q) = R(x, P), with
 // uniqueness obtained from the ≺ tie-break order (see Less).
 //
-// The neighbors argument excludes x itself: callers rank x against
-// P \ {x}. Both methods must treat neighbors as read-only; the slice is
-// sorted by ≺ before the call so implementations are deterministic.
+// The neighbors argument need not exclude x: callers may pass all of P,
+// and implementations skip any entry carrying x's own ID, ranking x against
+// P \ {x}. Both methods must treat neighbors as read-only, and neither may
+// depend on the order of the slice: it arrives in no particular order (a
+// snapshot of a map), and R is a function of a set. An implementation whose
+// floating-point result could vary with the order it adds things up in must
+// fix that order itself, as the rankers here do by accumulating over the
+// (distance, ≺)-sorted nearest list.
 //
 // Implementations must satisfy the paper's two axioms:
 //
@@ -190,7 +195,7 @@ func (r CountWithin) Rank(x Point, neighbors []Point) float64 {
 
 // rankBounded counts the neighbors within Alpha; every one found lowers
 // the bound 1/(1+count so far), which is the rank formula on that count.
-func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64, _ *bestList) (float64, bool) {
+func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
 	a2 := r.Alpha * r.Alpha
 	count := 0
 	more := func() bool {
@@ -205,11 +210,13 @@ func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64,
 		}
 		return 1 / float64(1+count), true
 	}
-	for _, p := range pts {
+	for i, p := range pts {
 		if p.ID != x.ID && x.dist2(p) <= a2 && !more() {
+			scratch.visit(i + 1)
 			return 0, false
 		}
 	}
+	scratch.visit(len(pts))
 	return 1 / float64(1+count), true
 }
 
@@ -264,6 +271,11 @@ type bestList struct {
 	kind  nnRank
 	floor float64
 	best  []distPoint
+
+	// visited counts the candidates the linear scans of the batch this
+	// list serves have looked at; reset leaves it alone. It is how
+	// supporter.topN knows what its scanning has cost so far.
+	visited int
 }
 
 // newBestList returns a list that keeps k candidates and never abandons.
@@ -384,12 +396,23 @@ func (b *bestList) scan(x Point, candidates []Point) bool {
 		if d2 := x.dist2(*p); d2 <= bound {
 			b.consider(d2, p)
 			if b.abandoned() {
+				b.visited += i + 1
 				return false
 			}
 			bound = b.bound()
 		}
 	}
+	b.visited += len(candidates)
 	return true
+}
+
+// visit records n candidates looked at by a scan that does not go through
+// the list itself (CountWithin's). A nil list — a single query outside any
+// batch — keeps no count.
+func (b *bestList) visit(n int) {
+	if b != nil {
+		b.visited += n
+	}
 }
 
 // kNearest returns the k points of candidates nearest to x, ties broken

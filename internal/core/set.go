@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -25,7 +26,18 @@ type Set struct {
 	// window's version, skipping the per-event rebuild while the window
 	// is unchanged.
 	version uint64
+
+	// oldest is a lower bound on the Birth of every held point (noBirth
+	// when the set is empty or freshly filtered to nothing): inserts lower
+	// it, removals leave it alone, and an eviction scan — the one place
+	// that visits every point anyway — tightens it to the exact minimum of
+	// what survives. EvictBefore consults it first, so expiring a window
+	// costs a scan only when something can actually expire.
+	oldest time.Duration
 }
+
+// noBirth is the oldest-birth bound of a set that holds nothing.
+const noBirth = time.Duration(math.MaxInt64)
 
 // Version returns the mutation counter; see the field comment.
 func (s *Set) Version() uint64 {
@@ -38,7 +50,7 @@ func (s *Set) Version() uint64 {
 // NewSet returns a set holding the given points. Duplicate IDs keep the
 // copy with the smallest hop field.
 func NewSet(pts ...Point) *Set {
-	s := &Set{m: make(map[PointID]Point, len(pts))}
+	s := &Set{m: make(map[PointID]Point, len(pts)), oldest: noBirth}
 	for _, p := range pts {
 		s.AddMinHop(p)
 	}
@@ -75,8 +87,7 @@ func (s *Set) Get(id PointID) (Point, bool) {
 // whether the ID was not previously present.
 func (s *Set) Add(p Point) bool {
 	_, existed := s.m[p.ID]
-	s.m[p.ID] = p
-	s.version++ // an overwrite can change the held copy's fields
+	s.put(p) // an overwrite can change the held copy's fields
 	return !existed
 }
 
@@ -88,16 +99,24 @@ func (s *Set) Add(p Point) bool {
 func (s *Set) AddMinHop(p Point) (added, lowered bool) {
 	old, existed := s.m[p.ID]
 	if !existed {
-		s.m[p.ID] = p
-		s.version++
+		s.put(p)
 		return true, false
 	}
 	if p.Hop < old.Hop {
-		s.m[p.ID] = p
-		s.version++
+		s.put(p)
 		return false, true
 	}
 	return false, false
+}
+
+// put stores p under its ID: the one place a point enters the map, so the
+// one place the oldest-birth bound has to follow.
+func (s *Set) put(p Point) {
+	s.m[p.ID] = p
+	s.version++
+	if p.Birth < s.oldest {
+		s.oldest = p.Birth
+	}
 }
 
 // SetHop lowers the hop field of the held copy of id to hop if the held
@@ -129,12 +148,19 @@ func (s *Set) Remove(id PointID) bool {
 	return ok
 }
 
-// Points returns the held points sorted by ID, so that iteration order —
-// and therefore the whole algorithm — is deterministic. The ordering key
-// is unique, so the sort implementation cannot affect the result;
-// slices.SortFunc avoids sort.Slice's reflection-based swaps on what is
-// one of the hottest allocation sites in the detector.
+// Points returns the held points sorted by ID, so that callers iterate —
+// and print, encode and compare — in one deterministic order. The ordering
+// key is unique, so the sort implementation cannot affect the result. The
+// detector's own ranking path does not come through here: On(P) does not
+// depend on the order P is visited in, so it takes the unsorted snapshot.
 func (s *Set) Points() []Point {
+	pts := s.snapshot()
+	sortByID(pts)
+	return pts
+}
+
+// snapshot copies the held points out in unspecified order.
+func (s *Set) snapshot() []Point {
 	if s == nil {
 		return nil
 	}
@@ -142,7 +168,6 @@ func (s *Set) Points() []Point {
 	for _, p := range s.m {
 		pts = append(pts, p)
 	}
-	sortByID(pts)
 	return pts
 }
 
@@ -179,11 +204,12 @@ func (s *Set) ForEach(fn func(Point)) {
 // Clone returns a copy of the set sharing the (immutable by convention)
 // feature vectors.
 func (s *Set) Clone() *Set {
-	c := &Set{m: make(map[PointID]Point, s.Len())}
+	c := &Set{m: make(map[PointID]Point, s.Len()), oldest: noBirth}
 	if s != nil {
 		for id, p := range s.m {
 			c.m[id] = p
 		}
+		c.oldest = s.oldest
 	}
 	return c
 }
@@ -205,13 +231,13 @@ func (s *Set) Union(others ...*Set) *Set {
 
 // Filter returns a new set holding the points for which keep returns true.
 func (s *Set) Filter(keep func(Point) bool) *Set {
-	f := &Set{m: make(map[PointID]Point)}
+	f := &Set{m: make(map[PointID]Point), oldest: noBirth}
 	if s == nil {
 		return f
 	}
-	for id, p := range s.m {
+	for _, p := range s.m {
 		if keep(p) {
-			f.m[id] = p
+			f.put(p)
 		}
 	}
 	return f
@@ -225,18 +251,22 @@ func (s *Set) MaxHop(h uint8) *Set {
 
 // EvictBefore removes every point whose Birth is earlier than cutoff,
 // implementing the time-based sliding window of §5.3. It returns the
-// number of points evicted.
+// number of points evicted. When the oldest-birth bound shows nothing can
+// be that old it returns without looking at a single point.
 func (s *Set) EvictBefore(cutoff time.Duration) int {
-	if s == nil {
+	if s == nil || s.oldest >= cutoff {
 		return 0
 	}
-	evicted := 0
+	evicted, oldest := 0, noBirth
 	for id, p := range s.m {
 		if p.Birth < cutoff {
 			delete(s.m, id)
 			evicted++
+		} else if p.Birth < oldest {
+			oldest = p.Birth
 		}
 	}
+	s.oldest = oldest
 	if evicted > 0 {
 		s.version++
 	}

@@ -232,3 +232,142 @@ func TestSetAlgebraProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// modelSet is a Set with the plain map it must stay equal to.
+type modelSet struct {
+	set   *Set
+	model map[PointID]Point
+}
+
+// check asserts the set holds exactly the model's points and that its
+// oldest-birth bound is a lower bound on every one of them.
+func (ms modelSet) check(t *testing.T, after string) {
+	t.Helper()
+	if ms.set.Len() != len(ms.model) {
+		t.Fatalf("after %s: set holds %d points, model %d", after, ms.set.Len(), len(ms.model))
+	}
+	for id, want := range ms.model {
+		got, ok := ms.set.Get(id)
+		if !ok || got.Hop != want.Hop || got.Birth != want.Birth {
+			t.Fatalf("after %s: set has %v (held %v), model %v", after, got, ok, want)
+		}
+		if got.Birth < ms.set.oldest {
+			t.Fatalf("after %s: %v born at %v, before the set's oldest-birth bound %v", after, id, got.Birth, ms.set.oldest)
+		}
+	}
+}
+
+// Property: whatever Add, AddMinHop, SetHop, Remove, EvictBefore,
+// EvictOrigin, Clone, Filter and Union are interleaved, the oldest-birth
+// bound never exceeds a held point's birth, EvictBefore evicts exactly the
+// points a scan of the model evicts, and after it the bound is at least the
+// cutoff — tight again, so the next expiry of nothing costs nothing.
+func TestSetOldestBirthBound(t *testing.T) {
+	r := rng(0x01de57)
+	fresh := func() modelSet { return modelSet{set: NewSet(), model: make(map[PointID]Point)} }
+	sets := []modelSet{fresh(), fresh(), fresh()}
+	point := func() Point {
+		p := NewPoint(NodeID(1+r.IntN(3)), uint32(r.IntN(40)), time.Duration(r.IntN(100))*time.Second, 1)
+		p.Hop = uint8(r.IntN(4))
+		return p
+	}
+	cloneModel := func(m map[PointID]Point, keep func(Point) bool) map[PointID]Point {
+		c := make(map[PointID]Point)
+		for id, p := range m {
+			if keep(p) {
+				c[id] = p
+			}
+		}
+		return c
+	}
+	all := func(Point) bool { return true }
+	for step := 0; step < 20000; step++ {
+		at := r.IntN(len(sets))
+		ms := sets[at]
+		op := ""
+		switch r.IntN(10) {
+		case 0, 1:
+			op = "Add"
+			// A PointID names one observation: a second copy differs in
+			// its hop field only.
+			p := point()
+			if old, ok := ms.model[p.ID]; ok {
+				p.Birth = old.Birth
+			}
+			ms.set.Add(p)
+			ms.model[p.ID] = p
+		case 2, 3:
+			op = "AddMinHop"
+			p := point()
+			old, ok := ms.model[p.ID]
+			if ok {
+				p.Birth = old.Birth
+			}
+			ms.set.AddMinHop(p)
+			if !ok || p.Hop < old.Hop {
+				ms.model[p.ID] = p
+			}
+		case 4:
+			op = "SetHop"
+			p := point()
+			ms.set.SetHop(p.ID, p.Hop)
+			if old, ok := ms.model[p.ID]; ok && p.Hop < old.Hop {
+				old.Hop = p.Hop
+				ms.model[p.ID] = old
+			}
+		case 5:
+			op = "Remove"
+			id := point().ID
+			ms.set.Remove(id)
+			delete(ms.model, id)
+		case 6:
+			op = "EvictBefore"
+			cutoff := time.Duration(r.IntN(110)) * time.Second
+			want := 0
+			for id, p := range ms.model {
+				if p.Birth < cutoff {
+					delete(ms.model, id)
+					want++
+				}
+			}
+			if got := ms.set.EvictBefore(cutoff); got != want {
+				t.Fatalf("step %d: EvictBefore(%v) evicted %d, a scan evicts %d", step, cutoff, got, want)
+			}
+			if ms.set.oldest < cutoff {
+				t.Fatalf("step %d: oldest-birth bound %v still below the cutoff %v just evicted to", step, ms.set.oldest, cutoff)
+			}
+		case 7:
+			op = "EvictOrigin"
+			origin := NodeID(1 + r.IntN(3))
+			ms.set.EvictOrigin(origin)
+			for id := range ms.model {
+				if id.Origin == origin {
+					delete(ms.model, id)
+				}
+			}
+		case 8:
+			to := r.IntN(len(sets))
+			if r.IntN(2) == 0 {
+				op = "Clone"
+				sets[to] = modelSet{set: ms.set.Clone(), model: cloneModel(ms.model, all)}
+			} else {
+				op = "Filter"
+				young := func(p Point) bool { return p.Birth >= 50*time.Second }
+				sets[to] = modelSet{set: ms.set.Filter(young), model: cloneModel(ms.model, young)}
+			}
+			sets[to].check(t, op)
+		case 9:
+			op = "Union"
+			other, to := sets[r.IntN(len(sets))], r.IntN(len(sets))
+			u := cloneModel(ms.model, all)
+			for id, p := range other.model {
+				if old, ok := u[id]; !ok || p.Hop < old.Hop {
+					u[id] = p
+				}
+			}
+			sets[to] = modelSet{set: ms.set.Union(other.set, nil), model: u}
+			sets[to].check(t, op)
+		}
+		ms.check(t, op)
+	}
+}

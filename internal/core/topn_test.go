@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -15,22 +17,60 @@ func withIndexMin(min int, fn func()) {
 	fn()
 }
 
+// topNSlice is TopN over a duplicate-free point slice: cold, no hint.
+func topNSlice(r Ranker, pts []Point, n int) []Point {
+	return rankedPoints(supporterFor(r, pts).topN(n))
+}
+
 // checkTopN asserts the cutoff-pruned topN(n) is exactly the first n of the
 // exhaustive ranking — same points, same order, same rank bits — on the
 // indexed and on the brute path, and that the two paths agree on the
-// exhaustive ranking itself.
+// exhaustive ranking itself. Neither the order of the snapshot nor the hint
+// may show in the answer, so every path is also run over a shuffled
+// snapshot under hints chosen to mislead: points P does not hold, the n
+// lowest-ranked points of P, the n runners-up (on a lattice they tie the
+// floor, and the true members must still displace them by ≺), and the true
+// answer named twice over.
 func checkTopN(t testing.TB, name string, r Ranker, pts []Point, n int) {
 	t.Helper()
+	shuffled := slices.Clone(pts)
+	rand.New(rand.NewPCG(uint64(len(pts)), uint64(n))).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
 	var exhaustive [2][]Ranked
 	for path, threshold := range []int{1, math.MaxInt} {
 		withIndexMin(threshold, func() {
 			all := supporterFor(r, pts).rankAll()
 			exhaustive[path] = all
 			want := all[:max(0, min(n, len(all)))]
-			got := supporterFor(r, pts).topN(n)
-			if err := sameRanked(got, want); err != nil {
-				t.Fatalf("%s %s |P|=%d n=%d indexMin=%d: topN is not the exhaustive prefix: %v",
-					name, r.Name(), len(pts), n, threshold, err)
+			absent := make([]Ranked, n)
+			for i := range absent {
+				absent[i].Point = NewPoint(60000, uint32(i), 0, 1)
+			}
+			hints := map[string][]Ranked{
+				"none":       nil,
+				"absent":     absent,
+				"lowest":     all[len(all)-len(want):],
+				"runners-up": all[len(want):min(2*len(want), len(all))],
+				"doubled":    append(slices.Clone(want), want...),
+			}
+			for hinted, hint := range hints {
+				for _, snapshot := range [][]Point{pts, shuffled} {
+					// prebuilt: the index is there before the first query;
+					// otherwise topN's own rule decides, which under a
+					// hint that warms the floor means mid-batch or never.
+					for _, prebuilt := range []bool{false, true} {
+						s := supporterFor(r, snapshot)
+						s.hint = hint
+						if prebuilt {
+							s.ensureIndex()
+						}
+						if err := sameRanked(s.topN(n), want); err != nil {
+							t.Fatalf("%s %s |P|=%d n=%d indexMin=%d hint=%s prebuilt=%v: topN is not the exhaustive prefix: %v",
+								name, r.Name(), len(pts), n, threshold, hinted, prebuilt, err)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -85,13 +85,23 @@ type Peer struct {
 	cfg Config
 	det *core.Detector
 
-	commands chan func(*core.Detector) *core.Outbound
+	commands chan command
 	done     chan struct{} // closed when Run returns; after that nothing drains commands
 
 	mu       sync.Mutex
 	estimate []core.Point
 
 	started bool
+}
+
+// command is one event queued for the detector goroutine. done is closed
+// once the event is fully processed: the detector has reacted, the estimate
+// is refreshed and any broadcast has been handed to the transport — not
+// merely once fn has returned, or a caller released in between could see a
+// quiescent mesh that the broadcast is about to disturb.
+type command struct {
+	fn   func(*core.Detector) *core.Outbound
+	done chan struct{}
 }
 
 // New builds a peer. Call Run to start it.
@@ -106,7 +116,7 @@ func New(cfg Config) (*Peer, error) {
 	return &Peer{
 		cfg:      cfg,
 		det:      det,
-		commands: make(chan func(*core.Detector) *core.Outbound),
+		commands: make(chan command),
 		done:     make(chan struct{}),
 	}, nil
 }
@@ -129,7 +139,8 @@ func (p *Peer) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case cmd := <-p.commands:
-			p.dispatch(ctx, cmd(p.det))
+			p.dispatch(ctx, cmd.fn(p.det))
+			close(cmd.done)
 		case pkt, ok := <-inbox:
 			if !ok {
 				return nil // removed from the mesh
@@ -185,12 +196,8 @@ var ErrStopped = errors.New("peer: stopped")
 // context than the peer's must not wait on a loop that no longer exists.
 func (p *Peer) do(ctx context.Context, fn func(*core.Detector) *core.Outbound) error {
 	done := make(chan struct{})
-	wrapped := func(d *core.Detector) *core.Outbound {
-		defer close(done)
-		return fn(d)
-	}
 	select {
-	case p.commands <- wrapped:
+	case p.commands <- command{fn: fn, done: done}:
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-p.done:

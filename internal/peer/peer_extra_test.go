@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,5 +144,60 @@ func TestMeshNeighbors(t *testing.T) {
 	mesh.Disconnect(1, 2)
 	if got := mesh.Neighbors(1); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("after disconnect: %v", got)
+	}
+}
+
+// gatedTransport lets a test hold a peer inside Broadcast.
+type gatedTransport struct {
+	inbox   chan Packet
+	entered chan struct{} // receives once per Broadcast, on entry
+	release chan struct{} // Broadcast returns once this is closed
+	left    atomic.Bool   // set just before Broadcast returns
+}
+
+func (g *gatedTransport) Broadcast(ctx context.Context, _ Packet) error {
+	g.entered <- struct{}{}
+	<-g.release
+	g.left.Store(true)
+	return nil
+}
+
+func (g *gatedTransport) Inbox() <-chan Packet { return g.inbox }
+
+// An event method returns only once the broadcast its event produced has
+// been handed to the transport. ingest.Service.Flush is built on that: a
+// feeder counts a batch done when ObserveBatch returns, and Flush then asks
+// the mesh whether anything is in flight — which a broadcast the peer has
+// not yet made is not. The regression this pins released the caller as
+// soon as the detector had reacted, before the peer called Broadcast.
+func TestEventReturnsAfterBroadcast(t *testing.T) {
+	tr := &gatedTransport{inbox: make(chan Packet), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	p, err := New(Config{Detector: core.Config{Node: 1, Ranker: core.NN(), N: 1}, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go p.Run(ctx)
+	if err := p.AddNeighbor(ctx, 2); err != nil { // nothing held yet: no broadcast
+		t.Fatal(err)
+	}
+
+	returned := make(chan bool, 1) // carries whether Broadcast had returned first
+	go func() {
+		err := p.Observe(ctx, 0, 42) // the first point is owed to neighbor 2
+		returned <- err == nil && tr.left.Load()
+	}()
+	<-tr.entered
+	// The peer now sits inside Broadcast. Give a caller that was released
+	// early every chance to show it before opening the gate.
+	select {
+	case <-returned:
+		t.Fatal("Observe returned while its broadcast was still inside the transport")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(tr.release)
+	if !<-returned {
+		t.Fatal("Observe failed, or returned before Broadcast did")
 	}
 }

@@ -340,26 +340,19 @@ func (s *ShardServer) handleAssign(f protocol.Frame, from *net.UDPAddr) error {
 	return s.respond(from, f, protocol.FrameAssign, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
 }
 
-// ingestPoints feeds identity-stamped points through the normal ingest
-// front door (validation, staleness gate, bounded queues) and reports
-// how many were admitted. trace propagates the frame's trace ID into
-// the readings' queue-wait and observe spans.
-func (s *ShardServer) ingestPoints(trace uint64, pts []core.Point) uint64 {
-	var accepted uint64
-	for _, p := range pts {
-		err := s.svc.Ingest(ingest.Reading{
-			Sensor: p.ID.Origin,
-			At:     p.Birth,
-			Values: p.Value,
-			Seq:    p.ID.Seq,
-			HasSeq: true,
-			Trace:  trace,
-		})
-		if err == nil {
-			accepted++
-		}
+// readingOf turns an identity-stamped point back into a reading for the
+// normal ingest front door (validation, staleness gate, bounded queues).
+// trace propagates the frame's trace ID into the reading's queue-wait and
+// observe spans.
+func readingOf(trace uint64, p core.Point) ingest.Reading {
+	return ingest.Reading{
+		Sensor: p.ID.Origin,
+		At:     p.Birth,
+		Values: p.Value,
+		Seq:    p.ID.Seq,
+		HasSeq: true,
+		Trace:  trace,
 	}
-	return accepted
 }
 
 func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error {
@@ -368,7 +361,12 @@ func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error 
 	if err != nil {
 		return err
 	}
-	accepted := s.ingestPoints(f.Trace, body.Points)
+	var accepted uint64
+	for _, p := range body.Points {
+		if s.svc.Ingest(readingOf(f.Trace, p)) == nil {
+			accepted++
+		}
+	}
 	s.svc.Traces().Record(obs.Span{
 		Trace:  f.Trace,
 		ReqID:  f.ReqID,
@@ -383,29 +381,24 @@ func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error 
 
 // handleHandoffTransfer adopts a sensor's window from another shard.
 // Unlike live READINGS — where latest-wins shedding under burst is the
-// documented policy — a window restore must not lose points, so the
-// batch is fed in sub-batches below the default queue depth with a
-// flush-to-quiescence between them.
+// documented policy — a window restore must not lose points, whatever
+// queue depth the shard runs with: that is ingest.Service.Admit.
 func (s *ShardServer) handleHandoffTransfer(f protocol.Frame, from *net.UDPAddr) error {
 	body, err := protocol.DecodeHandoff(f.Body)
 	if err != nil {
 		return err
 	}
-	var accepted uint64
-	const sub = 64
-	for lo := 0; lo < len(body.Points); lo += sub {
-		hi := lo + sub
-		if hi > len(body.Points) {
-			hi = len(body.Points)
-		}
-		accepted += s.ingestPoints(f.Trace, body.Points[lo:hi])
-		if err := s.svc.Flush(s.ctx); err != nil {
-			return err
-		}
+	restore := make([]ingest.Reading, len(body.Points))
+	for i, p := range body.Points {
+		restore[i] = readingOf(f.Trace, p)
+	}
+	accepted, err := s.svc.Admit(s.ctx, restore)
+	if err != nil {
+		return err
 	}
 	s.log.Info("HANDOFF adopted", "sensor", uint64(body.Sensor),
 		"accepted", accepted, "points", len(body.Points))
-	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: accepted}.Encode())
+	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: uint64(accepted)}.Encode())
 }
 
 // handleHandoffFetch returns one sensor's current window points, in as

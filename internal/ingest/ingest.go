@@ -12,15 +12,17 @@
 // Service.Ingest — called by the HTTP batch endpoint ([Service.Handler])
 // and the UDP line-protocol listener ([Service.ServeUDP]) — and flows:
 //
-//	Ingest → validate → per-sensor bounded queue → feeder goroutine
-//	       → Peer.ObserveBatch (one ranking pass per drained burst)
-//	       → broadcast on the in-memory mesh → neighbors converge
+//	Ingest → validate → per-sensor bounded queue → drain posted to the
+//	         sensor's peer (one ranking pass per drained burst, then the
+//	         WAL append) → broadcast on the in-memory mesh → neighbors
+//	         converge
 //
-// Each sensor owns one queue and one feeder goroutine on top of the
-// peer's own event goroutine. The feeder drains whatever has accumulated
-// (up to Config.MaxBatch) into a single batch-observe event, so a sensor
-// that falls behind catches up with one ranking pass instead of one per
-// queued reading.
+// Each sensor owns one queue and one goroutine: its peer's. Ingest posts
+// a drain to the peer's mailbox (at most one outstanding per sensor); the
+// peer runs it in turn with its neighbors' packets, taking whatever has
+// accumulated (up to Config.MaxBatch) as a single batch-observe event, so
+// a sensor that falls behind catches up with one ranking pass instead of
+// one per queued reading. Flush is the mesh's quiescence wait.
 //
 // # Backpressure and drop policy
 //
@@ -51,7 +53,7 @@
 // Config.AutoJoin is set, otherwise they are rejected and counted.
 // Leave detaches the peer — remaining sensors receive link-down events,
 // and the departed sensor's points age out of their windows as §5.3 of
-// the paper prescribes — then reaps both goroutines. Close does this for
+// the paper prescribes — then reaps its goroutine. Close does this for
 // the whole fleet at once via context cancellation.
 package ingest
 
@@ -139,8 +141,8 @@ type Config struct {
 	// oldest queued reading is dropped (latest wins). Default 256.
 	QueueDepth int
 
-	// MaxBatch caps how many queued readings one feeder pass drains
-	// into a single batch-observe event. Default 64.
+	// MaxBatch caps how many queued readings one drain takes into a
+	// single batch-observe event. Default 64.
 	MaxBatch int
 
 	// AutoJoin makes readings for unknown sensor IDs attach the sensor
@@ -150,7 +152,7 @@ type Config struct {
 	// MaxSensors caps the fleet size; Join — including auto-join —
 	// beyond it returns ErrFleetFull. The cap is what stands between
 	// unauthenticated input and unbounded goroutines (each sensor costs
-	// two goroutines, a detector, and O(fleet) mesh links under the
+	// one goroutine, a detector, and O(fleet) mesh links under the
 	// default clique topology). Default 1024.
 	MaxSensors int
 
@@ -231,7 +233,7 @@ type Stats struct {
 }
 
 // queued is one admitted observation plus its enqueue instant, so the
-// feeder can observe how long the reading waited in the queue, and the
+// drain can observe how long the reading waited in the queue, and the
 // trace ID it arrived under (0 for untraced front doors).
 type queued struct {
 	obs   core.Observation
@@ -239,19 +241,37 @@ type queued struct {
 	trace uint64
 }
 
-// sensor is one attached sensor: its peer, its bounded queue, and its
-// feeder goroutine's lifecycle handles.
+// sensor is one attached sensor: its peer, its bounded queue, and the
+// drain event that moves readings from the one to the other.
 type sensor struct {
 	id    core.NodeID
 	peer  *peer.Peer
-	queue chan queued
+	queue chan queued // every send and receive on it is non-blocking
 
-	latest   atomic.Int64  // newest ingested timestamp, nanoseconds
-	drops    atomic.Uint64 // readings this sensor shed (latest-wins + leave drain)
-	nextSeq  atomic.Uint64 // 1 + highest seq minted for this sensor (0 = none); identity floor for compaction
-	stop     chan struct{}
-	feedDone chan struct{}
-	runDone  chan struct{}
+	latest  atomic.Int64  // newest ingested timestamp, nanoseconds
+	drops   atomic.Uint64 // readings this sensor shed (latest-wins + leave drain)
+	nextSeq atomic.Int64  // 1 + highest seq minted for this sensor (0 = none); identity floor for compaction
+	runDone chan struct{} // closed when the peer's Run has returned
+
+	drain func(*core.Detector) *core.Outbound // Service.drain bound to this sensor, built once
+	batch []core.Observation                  // the drain's buffer; the peer goroutine's only
+
+	kickMu sync.Mutex
+	posted bool // a drain sits in the mailbox and has not begun
+}
+
+// kick makes sure a drain is queued in the peer's mailbox — one at most,
+// so a stalled sensor's mailbox stays as bounded as its queue. A drain
+// clears posted before it looks at the queue, so it sees any reading whose
+// kick found posted set. The mutex makes "posted" mean "already on the mesh
+// counter": behind a bare flag a second producer could return while the
+// first was still on its way to Post, and a Flush then find nothing in flight.
+func (sn *sensor) kick() {
+	sn.kickMu.Lock()
+	if !sn.posted {
+		sn.posted = sn.peer.Post(sn.drain)
+	}
+	sn.kickMu.Unlock()
 }
 
 // Service owns the fleet: the mesh, one sensor record per attached ID,
@@ -266,7 +286,7 @@ type Service struct {
 	sensors map[core.NodeID]*sensor
 	closed  bool
 
-	pending atomic.Int64 // accepted but not yet observed (Flush watches this)
+	pending atomic.Int64 // accepted but not yet observed: a gauge, nothing waits on it
 
 	// Durability state (all zero-valued and inert when cfg.Store is nil).
 	walSince   atomic.Uint64 // records appended since the last compaction
@@ -329,8 +349,8 @@ func New(cfg Config) (*Service, error) {
 }
 
 // Join attaches a sensor: a peer on the mesh, linked to the sensors the
-// topology selects, with its queue and feeder running. Joining an
-// attached sensor or a closed service is an error.
+// topology selects, with its queue ready and its goroutine running.
+// Joining an attached sensor or a closed service is an error.
 func (s *Service) Join(id core.NodeID) error {
 	if id == 0 {
 		return fmt.Errorf("%w: sensor id 0 is reserved", ErrBadReading)
@@ -368,13 +388,13 @@ func (s *Service) Join(id core.NodeID) error {
 		return err
 	}
 	sn := &sensor{
-		id:       id,
-		peer:     p,
-		queue:    make(chan queued, s.cfg.QueueDepth),
-		stop:     make(chan struct{}),
-		feedDone: make(chan struct{}),
-		runDone:  make(chan struct{}),
+		id:      id,
+		peer:    p,
+		queue:   make(chan queued, s.cfg.QueueDepth),
+		runDone: make(chan struct{}),
+		batch:   make([]core.Observation, 0, s.cfg.MaxBatch),
 	}
+	sn.drain = func(d *core.Detector) *core.Outbound { return s.drain(sn, d) }
 	s.sensors[id] = sn
 	neighbors := existing
 	if s.cfg.Topology != nil {
@@ -386,7 +406,6 @@ func (s *Service) Join(id core.NodeID) error {
 		defer close(sn.runDone)
 		_ = p.Run(s.ctx)
 	}()
-	go s.feed(sn)
 
 	for _, nb := range neighbors {
 		s.mu.RLock()
@@ -411,8 +430,9 @@ func (s *Service) Join(id core.NodeID) error {
 	return nil
 }
 
-// Leave detaches a sensor: its queue is drained, its goroutines reaped,
-// and every remaining neighbor receives a link-down event. Points the
+// Leave detaches a sensor: its peer finishes what is already in its
+// mailbox, its goroutine is reaped, whatever is still queued is shed, and
+// every remaining neighbor receives a link-down event. Points the
 // fleet already received from the departed sensor stay held and age out
 // of the sliding windows (§5.3); they are not eagerly purged.
 func (s *Service) Leave(id core.NodeID) error {
@@ -429,22 +449,10 @@ func (s *Service) Leave(id core.NodeID) error {
 
 	neighbors := s.mesh.Neighbors(id)
 
-	close(sn.stop)
-	<-sn.feedDone
-drain: // shed whatever the feeder left behind
-	for {
-		select {
-		case <-sn.queue:
-			s.pending.Add(-1)
-			s.dropped.Add(1)
-			sn.drops.Add(1)
-		default:
-			break drain
-		}
-	}
-
-	s.mesh.Detach(id) // closes the inbox → Run returns nil
+	s.mesh.Detach(id) // closes the mailbox → Run empties it, then returns nil
 	<-sn.runDone
+	for s.shed(sn) { // what the last drain left behind: nobody will post another
+	}
 	for _, nb := range neighbors {
 		s.mu.RLock()
 		other, ok := s.sensors[nb]
@@ -500,131 +508,134 @@ func (s *Service) enqueue(sn *sensor, r Reading) error {
 			return fmt.Errorf("%w: %v is older than %v − %v", ErrStale, r.At, latest, w)
 		}
 	}
-	for prev := sn.latest.Load(); int64(r.At) > prev; prev = sn.latest.Load() {
-		if sn.latest.CompareAndSwap(prev, int64(r.At)) {
-			break
-		}
-	}
+	raise(&sn.latest, int64(r.At))
 	item := queued{
 		obs:   core.Observation{Birth: r.At, Value: r.Values, Seq: r.Seq, Assigned: r.HasSeq},
 		enq:   time.Now(),
 		trace: r.Trace,
 	}
-	// Count the reading as pending before the send, not after: once the
-	// send lands the feeder may drain and observe it at any moment, and
-	// an increment that trails the send lets a concurrent Flush read
-	// pending == 0 with this reading still queued and unobserved — an
-	// early return that breaks the barrier the exactness checkpoints
-	// (and the cluster snapshot protocol) stand on. Every exit below
-	// either sends the observation or sheds a previously-counted one, so
-	// the counter stays conserved.
+	// Pending counts the reading before the send, so that a drain cannot
+	// take the gauge below zero; every exit below either sends it or sheds
+	// a previously counted one, so the gauge stays conserved.
 	s.pending.Add(1)
 	for {
 		select {
 		case sn.queue <- item:
+			// Kick before counting the reading accepted: a drain that will
+			// see it then holds a unit of the mesh counter, so no Flush
+			// begun once the new Accepted is readable returns before the
+			// reading is observed or shed — the barrier the exactness
+			// checkpoints and the cluster snapshot protocol stand on.
+			sn.kick()
 			s.accepted.Add(1)
 			return nil
 		default:
+			s.shed(sn) // full: the oldest queued reading makes room
 		}
+	}
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int64, v int64) {
+	for old := a.Load(); v > old; old = a.Load() {
+		if a.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
+// shed drops the oldest queued reading, if there is one.
+func (s *Service) shed(sn *sensor) bool {
+	select {
+	case <-sn.queue:
+		s.pending.Add(-1)
+		s.dropped.Add(1)
+		sn.drops.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
+// drain is the event Ingest posts to a sensor's peer: on the goroutine
+// that owns the detector it takes what the queue holds (up to MaxBatch; the
+// next drain is queued before this one ends), feeds it as one batch-observe
+// event, appends what the detector minted to the store, and returns the
+// reaction for the peer to broadcast.
+func (s *Service) drain(sn *sensor, d *core.Detector) *core.Outbound {
+	sn.kickMu.Lock()
+	sn.posted = false
+	sn.kickMu.Unlock()
+	drained := time.Now()
+	batch := sn.batch[:0]
+	var first time.Time
+	var trace uint64
+take:
+	for len(batch) < s.cfg.MaxBatch {
 		select {
-		case <-sn.queue: // full: shed the oldest queued reading
-			s.pending.Add(-1)
-			s.dropped.Add(1)
-			sn.drops.Add(1)
+		case q := <-sn.queue:
+			if len(batch) == 0 {
+				first = q.enq
+			}
+			s.obs.queueLat.Observe(drained.Sub(q.enq).Seconds())
+			batch = append(batch, q.obs)
+			if trace == 0 {
+				trace = q.trace
+			}
 		default:
+			break take
 		}
 	}
-}
-
-// feed is the per-sensor consumer: it drains bursts from the queue and
-// feeds each as one batch-observe event.
-func (s *Service) feed(sn *sensor) {
-	defer close(sn.feedDone)
-	for {
-		var first queued
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-sn.stop:
-			return
-		case first = <-sn.queue:
-		}
-		drained := time.Now()
-		s.obs.queueLat.Observe(drained.Sub(first.enq).Seconds())
-		batch := append(make([]core.Observation, 0, s.cfg.MaxBatch), first.obs)
-		trace := first.trace
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case q := <-sn.queue:
-				s.obs.queueLat.Observe(drained.Sub(q.enq).Seconds())
-				batch = append(batch, q.obs)
-				if trace == 0 {
-					trace = q.trace
-				}
-			default:
-				break drain
-			}
-		}
-		// One enqueue→drain span per batch, carrying the first traced
-		// reading's ID: per-reading spans would flood the ring under
-		// burst, and the batch is the unit the detector observes anyway.
-		s.traces.Record(obs.Span{
-			Trace:  trace,
-			Op:     obs.OpEnqueue,
-			Points: int32(len(batch)),
-			Start:  first.enq,
-			Dur:    drained.Sub(first.enq),
-		})
-		now := time.Duration(sn.latest.Load())
-		for _, o := range batch {
-			if o.Birth > now {
-				now = o.Birth
-			}
-		}
-		var err error
-		if s.cfg.Store == nil {
-			err = sn.peer.ObserveBatch(s.ctx, now, batch)
-		} else {
-			var minted []core.Point
-			minted, err = sn.peer.ObserveBatchMinted(s.ctx, now, batch)
-			if err == nil {
-				s.persist(sn, trace, minted)
-			}
-		}
-		s.obs.observeDur.Observe(time.Since(drained).Seconds())
-		s.traces.Record(obs.Span{
-			Trace:  trace,
-			Op:     obs.OpObserve,
-			Points: int32(len(batch)),
-			Start:  drained,
-			Dur:    time.Since(drained),
-		})
-		s.pending.Add(-int64(len(batch)))
-		if err != nil {
-			return // service shutting down
-		}
-		s.observed.Add(uint64(len(batch)))
-		s.batches.Add(1)
+	if len(batch) == 0 {
+		return nil // shed, or taken by a drain that ran between the send and the kick
 	}
+	if len(sn.queue) > 0 {
+		sn.kick()
+	}
+	// One enqueue→drain span per batch, carrying the first traced
+	// reading's ID: per-reading spans would flood the ring under
+	// burst, and the batch is the unit the detector observes anyway.
+	s.traces.Record(obs.Span{
+		Trace:  trace,
+		Op:     obs.OpEnqueue,
+		Points: int32(len(batch)),
+		Start:  first,
+		Dur:    drained.Sub(first),
+	})
+	now := time.Duration(sn.latest.Load())
+	for _, o := range batch {
+		now = max(now, o.Birth)
+	}
+	minted, out := d.StepObserveBatch(now, batch)
+	s.persist(sn, trace, minted)
+	s.obs.observeDur.Observe(time.Since(drained).Seconds())
+	s.traces.Record(obs.Span{
+		Trace:  trace,
+		Op:     obs.OpObserve,
+		Points: int32(len(batch)),
+		Start:  drained,
+		Dur:    time.Since(drained),
+	})
+	s.pending.Add(-int64(len(batch)))
+	s.observed.Add(uint64(len(batch)))
+	s.batches.Add(1)
+	clear(batch) // keep no feature vector alive until the next drain
+	return out
 }
 
-// persist appends one observed batch's minted points to the store and
-// triggers a background compaction when the WAL has grown enough. A
-// failed append is counted, not fatal: the fleet keeps serving from
-// memory and the gap closes at the next successful compaction.
+// persist appends one observed batch's minted points (identities included:
+// exactly what a replay needs) to the store, if there is one, and triggers
+// a background compaction when the WAL has grown enough. A failed append
+// is counted, not fatal: the fleet keeps serving from memory and the gap
+// closes at the next successful compaction.
 func (s *Service) persist(sn *sensor, trace uint64, minted []core.Point) {
-	if len(minted) == 0 {
+	if s.cfg.Store == nil || len(minted) == 0 {
 		return
 	}
 	recs := make([]store.Record, len(minted))
 	for i, p := range minted {
 		recs[i] = store.RecordOf(p)
-		for floor := sn.nextSeq.Load(); uint64(p.ID.Seq)+1 > floor; floor = sn.nextSeq.Load() {
-			if sn.nextSeq.CompareAndSwap(floor, uint64(p.ID.Seq)+1) {
-				break
-			}
-		}
+		raise(&sn.nextSeq, int64(p.ID.Seq)+1)
 	}
 	appendStart := time.Now()
 	s.appendMu.Lock()
@@ -758,28 +769,22 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 			}
 		}
 	}
-	restored := 0
-	sinceFlush := 0
+	replay := make([]Reading, 0, len(st.Records))
 	for _, r := range st.Records {
 		if c, ok := cutoff[r.Sensor]; ok && r.Birth < c {
 			continue
 		}
 		if err := s.ensureJoined(r.Sensor); err != nil {
-			return restored, fmt.Errorf("ingest: warm: %w", err)
+			return 0, fmt.Errorf("ingest: warm: %w", err)
 		}
-		err := s.Ingest(Reading{Sensor: r.Sensor, At: r.Birth, Values: r.Values, Seq: r.Seq, HasSeq: true})
-		if err != nil {
-			return restored, fmt.Errorf("ingest: warm: replay %d#%d: %w", r.Sensor, r.Seq, err)
-		}
-		restored++
-		// Flush well below the queue depth: replay must never trip the
-		// latest-wins shedding that live bursts are allowed to.
-		if sinceFlush++; sinceFlush >= s.cfg.QueueDepth/2 {
-			if err := s.Flush(ctx); err != nil {
-				return restored, fmt.Errorf("ingest: warm: %w", err)
-			}
-			sinceFlush = 0
-		}
+		replay = append(replay, Reading{Sensor: r.Sensor, At: r.Birth, Values: r.Values, Seq: r.Seq, HasSeq: true})
+	}
+	restored, err := s.Admit(ctx, replay)
+	if err != nil {
+		return restored, fmt.Errorf("ingest: warm: %w", err)
+	}
+	if restored != len(replay) {
+		return restored, fmt.Errorf("ingest: warm: the front door rejected %d of %d surviving records", len(replay)-restored, len(replay))
 	}
 	for _, id := range st.Identities {
 		if err := s.ensureJoined(id.Sensor); err != nil {
@@ -794,21 +799,10 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 		if err := sn.peer.ReserveSeq(ctx, id.NextSeq); err != nil {
 			return restored, fmt.Errorf("ingest: warm: %w", err)
 		}
-		for floor := sn.nextSeq.Load(); uint64(id.NextSeq) > floor; floor = sn.nextSeq.Load() {
-			if sn.nextSeq.CompareAndSwap(floor, uint64(id.NextSeq)) {
-				break
-			}
-		}
+		raise(&sn.nextSeq, int64(id.NextSeq))
 		// Restore the staleness gate so a reading the pre-crash fleet
 		// would have rejected stays rejected after the restart.
-		for prev := sn.latest.Load(); int64(id.Latest) > prev; prev = sn.latest.Load() {
-			if sn.latest.CompareAndSwap(prev, int64(id.Latest)) {
-				break
-			}
-		}
-	}
-	if err := s.Flush(ctx); err != nil {
-		return restored, fmt.Errorf("ingest: warm: %w", err)
+		raise(&sn.latest, int64(id.Latest))
 	}
 	// Replay re-appended every restored record; compacting now collapses
 	// the duplication and bounds WAL growth across repeated restarts.
@@ -843,20 +837,38 @@ func (s *Service) StoreMetrics() (m store.Metrics, walErrors, replayed uint64, o
 	return s.cfg.Store.Metrics(), s.walErrors.Load(), s.replayed.Load(), true
 }
 
-// Flush blocks until every reading ingested so far has been observed by
-// its detector and the mesh is quiescent — i.e. the fleet's estimates
-// have converged on the data ingested before the call.
-func (s *Service) Flush(ctx context.Context) error {
-	for s.pending.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.ctx.Done():
-			return ErrClosed
-		case <-time.After(200 * time.Microsecond):
+// Admit is Ingest for a window that must arrive whole — restored from the
+// store or handed over by another shard. A live burst may trip latest-wins
+// shedding; this may not, so it lets the fleet settle every QueueDepth/2
+// readings and at the end. It returns how many passed the front door (the
+// service counters say why the rest did not), and an error only when the
+// fleet could not settle.
+func (s *Service) Admit(ctx context.Context, readings []Reading) (int, error) {
+	admitted, every := 0, max(1, s.cfg.QueueDepth/2)
+	for i, r := range readings {
+		if s.Ingest(r) == nil {
+			admitted++
+		}
+		if (i+1)%every == 0 || i+1 == len(readings) {
+			if err := s.Flush(ctx); err != nil {
+				return admitted, err
+			}
 		}
 	}
-	return s.mesh.WaitQuiescent(ctx)
+	return admitted, nil
+}
+
+// Flush blocks until every reading ingested so far has been observed by
+// its detector and the mesh is quiescent — i.e. the fleet's estimates
+// have converged on the data ingested before the call. A reading's drain
+// is on the mesh counter before Ingest returns, so the mesh's wait is the
+// whole barrier; a closing fleet empties the counter, which wakes it.
+func (s *Service) Flush(ctx context.Context) error {
+	err := s.mesh.WaitQuiescent(ctx)
+	if s.ctx.Err() != nil {
+		return ErrClosed
+	}
+	return err
 }
 
 // Estimate returns the current outlier estimate as seen by the given
@@ -989,9 +1001,9 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Close stops the fleet: ingestion is refused, every peer and feeder
-// goroutine exits via context cancellation, and Close returns once all
-// of them have. It is idempotent.
+// Close stops the fleet: ingestion is refused, every peer goroutine exits
+// via context cancellation, and Close returns once all of them have. It
+// is idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1007,7 +1019,6 @@ func (s *Service) Close() error {
 
 	s.cancel()
 	for _, sn := range fleet {
-		<-sn.feedDone
 		<-sn.runDone
 	}
 	return nil

@@ -128,7 +128,7 @@ func TestJoinThenBurst(t *testing.T) {
 }
 
 // TestBackpressureLatestWins pins the documented drop policy: with the
-// feeder stalled, a full queue sheds its oldest reading for each new one,
+// consumer stalled, a full queue sheds its oldest reading for each new one,
 // so the queue always holds the newest QueueDepth readings.
 func TestBackpressureLatestWins(t *testing.T) {
 	cfg := testConfig()
@@ -141,8 +141,16 @@ func TestBackpressureLatestWins(t *testing.T) {
 	s.mu.RLock()
 	sn := s.sensors[1]
 	s.mu.RUnlock()
-	close(sn.stop) // stall the consumer
-	<-sn.feedDone
+	// Stall the consumer: park the peer's loop in a posted event, so the
+	// drains Ingest posts queue up behind it.
+	parked, gate := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	sn.peer.Post(func(*core.Detector) *core.Outbound {
+		close(parked)
+		<-gate
+		return nil
+	})
+	<-parked
 
 	const total = 10
 	for i := 0; i < total; i++ {
@@ -167,7 +175,7 @@ func TestBackpressureLatestWins(t *testing.T) {
 		if got.obs.Value[0] != float64(want) {
 			t.Fatalf("queue yielded value %v, want %d (latest-wins order)", got.obs.Value[0], want)
 		}
-		s.pending.Add(-1) // keep Close/Flush accounting honest
+		s.pending.Add(-1) // keep the gauge honest
 	}
 }
 

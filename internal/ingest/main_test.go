@@ -1,0 +1,9 @@
+package ingest
+
+import (
+	"testing"
+
+	"innet/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -18,7 +18,7 @@ import (
 type serviceObs struct {
 	reg *obs.Registry
 
-	queueLat   *obs.Histogram // enqueue → feeder drain, per reading
+	queueLat   *obs.Histogram // enqueue → drain on the sensor's peer, per reading
 	observeDur *obs.Histogram // one ObserveBatch ranking pass
 	queryLat   *obs.Histogram // GET /v1/outliers service time
 
@@ -111,7 +111,7 @@ func newServiceObs(s *Service) *serviceObs {
 
 	b := obs.LatencyBuckets()
 	m.queueLat = r.Histogram("innetd_queue_latency_seconds",
-		"Time a reading waits between enqueue and its feeder draining it.", b)
+		"Time a reading waits between enqueue and its sensor's peer draining it.", b)
 	m.observeDur = r.Histogram("innetd_observe_batch_seconds",
 		"Duration of one batch-observe ranking pass.", b)
 	m.queryLat = r.Histogram("innetd_query_latency_seconds",

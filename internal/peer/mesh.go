@@ -5,95 +5,172 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"innet/internal/core"
 )
 
 // Mesh is an in-memory single-hop broadcast fabric for live peers: an
-// undirected neighbor graph where Broadcast delivers a packet to every
-// current neighbor's inbox. It tracks in-flight packets so tests and
-// coordinators can wait for network quiescence.
+// undirected neighbor graph where Broadcast queues each tagged group of a
+// packet in its recipient's mailbox, and one count of the events in
+// flight so tests and coordinators can wait for network quiescence.
 type Mesh struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	ports    map[core.NodeID]*port
-	adj      map[core.NodeID]map[core.NodeID]bool
-	inFlight int
-	delay    func(from, to core.NodeID) bool // true = drop (loss injection)
+	mu    sync.Mutex // topology; Broadcast delivers under it, so Detach cannot interleave
+	boxes map[core.NodeID]*Mailbox
+	adj   map[core.NodeID]map[core.NodeID]bool
+
+	// An event holds a unit of inFlight from the moment it is queued until
+	// the peer has reacted to it and queued the reaction's broadcast at
+	// every neighbor, so the count cannot read zero while a consequence of
+	// an accepted event is still to come. Its zero crossing closes idle.
+	inFlight atomic.Int64
+	idleMu   sync.Mutex
+	idle     chan struct{} // nil with no waiter
 }
 
 // NewMesh returns an empty fabric.
 func NewMesh() *Mesh {
-	m := &Mesh{
-		ports: make(map[core.NodeID]*port),
+	return &Mesh{
+		boxes: make(map[core.NodeID]*Mailbox),
 		adj:   make(map[core.NodeID]map[core.NodeID]bool),
 	}
-	m.cond = sync.NewCond(&m.mu)
-	return m
 }
 
-// SetLossFunc installs a per-delivery drop predicate (nil disables loss).
-// It must be set before traffic flows.
-func (m *Mesh) SetLossFunc(drop func(from, to core.NodeID) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.delay = drop
+// add moves the in-flight count and releases the waiters at zero.
+func (m *Mesh) add(n int) {
+	if m.inFlight.Add(int64(n)) != 0 {
+		return
+	}
+	m.idleMu.Lock()
+	if m.idle != nil {
+		close(m.idle)
+		m.idle = nil
+	}
+	m.idleMu.Unlock()
 }
 
-// port is one peer's attachment to the mesh. sendMu serializes senders
-// against Detach's close of the inbox: a broadcast captures target ports
-// outside the mesh lock, so without it a concurrent Detach could close
-// the channel mid-send and panic the sender.
-type port struct {
+// event is one unit of work for a peer's goroutine: the points a neighbor
+// tagged for it, or (fn set) a function to run on the detector — a
+// caller's command when done is set, a fire-and-forget post otherwise.
+type event struct {
+	from core.NodeID
+	pts  []core.Point
+	fn   func(*core.Detector) *core.Outbound
+	done chan struct{} // closed once the event is fully processed
+}
+
+// Mailbox is one peer's attachment to the mesh and its event queue: a
+// mutex, a slice and a one-slot wake channel. Putting never blocks and,
+// until the mailbox is closed, never refuses: a sender's progress does not
+// depend on the receiver's, so every peer of a large clique can broadcast
+// at once. What bounds it is what bounds the work (fleet size, the ingest
+// queues, a finite cascade per reading).
+type Mailbox struct {
 	mesh *Mesh
 	id   core.NodeID
-	in   chan Packet
+	wake chan struct{} // a token: the queue went from empty to not
 
-	sendMu sync.Mutex
+	mu     sync.Mutex
+	queue  []event
 	closed bool
+
+	batch []event // the consumer's own: swapped out of queue, taken one by one
+	pos   int
 }
 
-var _ Transport = (*port)(nil)
+// put queues ev, in flight from this moment; a closed mailbox refuses it
+// and counts nothing.
+func (b *Mailbox) put(ev event) bool {
+	b.mesh.add(1)
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		b.mesh.add(-1)
+		return false
+	}
+	first := len(b.queue) == 0
+	b.queue = append(b.queue, ev)
+	b.mu.Unlock()
+	if first {
+		b.signal()
+	}
+	return true
+}
 
-// Attach registers a node and returns its transport. The inbox buffer
-// must absorb bursts: peers consume serially while many neighbors may
-// broadcast at once.
+func (b *Mailbox) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// next waits for the next event in arrival order; the caller owes
+// mesh.add(-1) once it has dealt with it. ok is false when stop closes, or
+// once a closed mailbox has yielded everything it accepted.
+func (b *Mailbox) next(stop <-chan struct{}) (ev event, ok bool) {
+	for b.pos == len(b.batch) {
+		clear(b.batch)
+		b.mu.Lock()
+		b.batch, b.queue, b.pos = b.queue, b.batch[:0], 0
+		closed := b.closed
+		b.mu.Unlock()
+		if len(b.batch) > 0 {
+			break
+		}
+		if closed {
+			return event{}, false
+		}
+		select {
+		case <-stop:
+			return event{}, false
+		case <-b.wake:
+		}
+	}
+	select {
+	case <-stop:
+		return event{}, false
+	default:
+	}
+	b.pos++
+	return b.batch[b.pos-1], true
+}
+
+// close stops the mailbox accepting events and wakes its consumer.
+func (b *Mailbox) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.signal()
+}
+
+// Attach registers a node and returns its transport.
 func (m *Mesh) Attach(id core.NodeID) (Transport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.ports[id]; dup {
+	if _, dup := m.boxes[id]; dup {
 		return nil, fmt.Errorf("peer: node %d already attached", id)
 	}
-	t := &port{mesh: m, id: id, in: make(chan Packet, 4096)}
-	m.ports[id] = t
+	b := &Mailbox{mesh: m, id: id, wake: make(chan struct{}, 1)}
+	m.boxes[id] = b
 	m.adj[id] = make(map[core.NodeID]bool)
-	return t, nil
+	return b, nil
 }
 
-// Detach removes a node, cutting its links and closing its inbox (which
-// ends the attached peer's Run loop). It waits for sends already in
-// progress to that inbox to finish, so it must not be called while the
-// node's own consumer is stopped AND its inbox is full — the normal
-// sequence (detach while the peer still drains, as ingest.Leave does)
-// cannot block.
+// Detach removes a node, cutting its links and closing its mailbox: the
+// attached peer handles what was queued, then its Run returns nil.
 func (m *Mesh) Detach(id core.NodeID) {
 	m.mu.Lock()
-	t, ok := m.ports[id]
+	defer m.mu.Unlock()
+	b, ok := m.boxes[id]
 	if !ok {
-		m.mu.Unlock()
 		return
 	}
-	delete(m.ports, id)
+	delete(m.boxes, id)
 	for other := range m.adj[id] {
 		delete(m.adj[other], id)
 	}
 	delete(m.adj, id)
-	m.mu.Unlock()
-
-	t.sendMu.Lock()
-	t.closed = true
-	close(t.in)
-	t.sendMu.Unlock()
+	b.close()
 }
 
 // Connect establishes the undirected link a—b.
@@ -103,10 +180,10 @@ func (m *Mesh) Connect(a, b core.NodeID) error {
 	if a == b {
 		return errors.New("peer: self link")
 	}
-	if _, ok := m.ports[a]; !ok {
+	if _, ok := m.boxes[a]; !ok {
 		return fmt.Errorf("peer: unknown node %d", a)
 	}
-	if _, ok := m.ports[b]; !ok {
+	if _, ok := m.boxes[b]; !ok {
 		return fmt.Errorf("peer: unknown node %d", b)
 	}
 	m.adj[a][b] = true
@@ -118,12 +195,8 @@ func (m *Mesh) Connect(a, b core.NodeID) error {
 func (m *Mesh) Disconnect(a, b core.NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.adj[a]; ok {
-		delete(m.adj[a], b)
-	}
-	if _, ok := m.adj[b]; ok {
-		delete(m.adj[b], a)
-	}
+	delete(m.adj[a], b) // deleting from a departed node's nil map is a no-op
+	delete(m.adj[b], a)
 }
 
 // Neighbors returns the current neighbors of id.
@@ -137,78 +210,46 @@ func (m *Mesh) Neighbors(id core.NodeID) []core.NodeID {
 	return out
 }
 
-// Broadcast implements Transport for a port. Each delivery holds the
-// target's sendMu so a concurrent Detach cannot close the inbox under
-// the send; a target that detached after being selected is skipped, like
-// a receiver that left radio range mid-transmission.
-func (t *port) Broadcast(ctx context.Context, p Packet) error {
-	m := t.mesh
-	m.mu.Lock()
-	targets := make([]*port, 0, len(m.adj[t.id]))
-	for other := range m.adj[t.id] {
-		if m.delay != nil && m.delay(t.id, other) {
-			continue
-		}
-		targets = append(targets, m.ports[other])
-	}
-	m.inFlight += len(targets)
-	m.mu.Unlock()
-
-	for _, target := range targets {
-		target.sendMu.Lock()
-		delivered := false
-		if !target.closed {
-			select {
-			case target.in <- p:
-				delivered = true
-			case <-ctx.Done():
-			}
-		}
-		target.sendMu.Unlock()
-		if !delivered {
-			m.mu.Lock()
-			m.inFlight--
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// Inbox implements Transport for a port.
-func (t *port) Inbox() <-chan Packet { return t.in }
-
-// PacketDone implements the peer runtime's completion hook: a packet
-// counts as in flight until the receiving peer has fully reacted to it
-// (including broadcasting its own response), so quiescence really means
-// the distributed computation has settled.
-func (t *port) PacketDone() {
-	t.mesh.mu.Lock()
-	t.mesh.inFlight--
-	t.mesh.cond.Broadcast()
-	t.mesh.mu.Unlock()
-}
-
-// WaitQuiescent blocks until no packets are in flight (sent but not yet
-// consumed) or the context expires. Combined with idle peers this means
-// the algorithm has converged. The caller's own goroutine does the
-// waiting: a sync.Cond cannot select on a context, so the context's end is
-// delivered as one more broadcast, taken under the lock so it cannot fall
-// between the waiter's check and its Wait.
-func (m *Mesh) WaitQuiescent(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		m.mu.Lock()
-		m.cond.Broadcast()
-		m.mu.Unlock()
-	})
-	defer stop()
+// Broadcast implements Transport on the mesh: each tagged group reaches
+// its recipient's mailbox iff the link still exists, as in
+// core.SyncNetwork; a node no group is tagged for sees no event (§5.2).
+// Points are handed over by reference: a packet is immutable once the
+// detector's reaction has returned it, and Receive only reads.
+func (b *Mailbox) Broadcast(out *core.Outbound) {
+	m := b.mesh
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.inFlight != 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+	links := m.adj[b.id]
+	for _, g := range out.Groups {
+		if links[g.To] {
+			m.boxes[g.To].put(event{from: out.From, pts: g.Points})
 		}
-		m.cond.Wait()
 	}
-	return nil
+}
+
+// Mailbox implements Transport: a mesh attachment is its own mailbox.
+func (b *Mailbox) Mailbox() *Mailbox { return b }
+
+// WaitQuiescent blocks until no event is in flight — queued, running, or
+// with its reaction's broadcast not yet queued at every neighbor — or the
+// context expires. Once every event method called so far has returned,
+// that means the algorithm has converged on what they fed in.
+func (m *Mesh) WaitQuiescent(ctx context.Context) error {
+	for {
+		m.idleMu.Lock()
+		if m.inFlight.Load() == 0 {
+			m.idleMu.Unlock()
+			return nil
+		}
+		if m.idle == nil {
+			m.idle = make(chan struct{})
+		}
+		idle := m.idle
+		m.idleMu.Unlock()
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }

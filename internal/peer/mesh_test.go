@@ -7,15 +7,29 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"innet/internal/core"
+	"innet/internal/leakcheck"
 )
 
-// TestDetachDuringBroadcast pins the fix for a shutdown crash: Broadcast
-// captures target inboxes outside the mesh lock, so Detach closing an
-// inbox mid-send used to panic the sender with "send on closed channel".
-// The worst case is a sender blocked on a full inbox at the moment of
-// Detach; now Detach waits for the send, which completes as soon as the
-// consumer drains one slot.
-func TestDetachDuringBroadcast(t *testing.T) {
+func TestMain(m *testing.M) { leakcheck.Main(m) }
+
+// packetFor is a broadcast carrying one point tagged for node to.
+func packetFor(from, to core.NodeID, seq uint32) *core.Outbound {
+	return &core.Outbound{From: from, Groups: []core.Group{
+		{To: to, Points: []core.Point{core.NewPoint(from, seq, 0, float64(seq))}},
+	}}
+}
+
+// TestMailboxNeverRefusesUntilDetach pins the property the fleet's
+// liveness stands on: a sender's progress never depends on a receiver's.
+// With the bounded inbox this replaces, every peer of a large clique
+// could sit in Broadcast on a full inbox while its own went undrained;
+// now ten thousand broadcasts into a mailbox nobody reads simply return.
+// Detach then closes the mailbox without waiting on anyone: everything
+// it accepted is still handed to the consumer before it reports closed,
+// and a broadcast to the departed node is not an event at all.
+func TestMailboxNeverRefusesUntilDetach(t *testing.T) {
 	mesh := NewMesh()
 	ta, err := mesh.Attach(1)
 	if err != nil {
@@ -29,54 +43,49 @@ func TestDetachDuringBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fill node 2's inbox to capacity so the next send blocks.
-	ctx := context.Background()
-	pkt := Packet{From: 1, Payload: []byte("x")}
-	for i := 0; i < cap(tb.Inbox()); i++ {
-		if err := ta.Broadcast(ctx, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sendDone := make(chan struct{})
+	const sent = 10000
+	returned := make(chan struct{})
 	go func() {
-		defer close(sendDone)
-		_ = ta.Broadcast(ctx, pkt) // blocks on the full inbox
-	}()
-	detachDone := make(chan struct{})
-	go func() {
-		defer close(detachDone)
-		time.Sleep(10 * time.Millisecond) // let the send block first
-		mesh.Detach(2)
-	}()
-
-	done := tb.(PacketDoner)
-	<-tb.Inbox() // drain one slot: the blocked send completes, then Detach closes
-	done.PacketDone()
-	for _, ch := range []chan struct{}{sendDone, detachDone} {
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatal("send/detach did not finish")
+		defer close(returned)
+		for i := 0; i < sent; i++ {
+			ta.Broadcast(packetFor(1, 2, uint32(i)))
 		}
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("broadcasts into an unconsumed mailbox did not return")
+	}
+	if got := mesh.inFlight.Load(); got != sent {
+		t.Fatalf("%d events in flight, want %d", got, sent)
 	}
 
-	// The inbox must drain fully and then report closed.
-	got := 0
-	for range tb.Inbox() {
-		got++
-		done.PacketDone()
+	mesh.Detach(2)
+
+	// The mailbox must drain fully, in order, and then report closed.
+	box := tb.Mailbox()
+	for want := 0; want < sent; want++ {
+		ev, ok := box.next(nil)
+		if !ok {
+			t.Fatalf("mailbox ran dry after %d events, want %d", want, sent)
+		}
+		if ev.from != 1 || len(ev.pts) != 1 || ev.pts[0].ID.Seq != uint32(want) {
+			t.Fatalf("event %d is %+v: out of order", want, ev)
+		}
+		mesh.add(-1)
 	}
-	if got != cap(tb.Inbox()) {
-		t.Fatalf("drained %d packets after detach, want %d", got, cap(tb.Inbox()))
+	if _, ok := box.next(nil); ok {
+		t.Fatal("an event after the last: want an empty mailbox that reports closed")
 	}
 
 	// Broadcasts to a departed node are dropped, not delivered, and do
-	// not count as in flight (quiescence still settles).
-	if err := ta.Broadcast(ctx, pkt); err != nil {
-		t.Fatal(err)
+	// not count as in flight (quiescence still settles); its mailbox
+	// refuses direct puts the same way.
+	ta.Broadcast(packetFor(1, 2, sent))
+	if box.put(event{from: 1}) {
+		t.Fatal("a closed mailbox accepted an event")
 	}
-	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	wctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := mesh.WaitQuiescent(wctx); err != nil {
 		t.Fatalf("mesh never quiescent after detach: %v", err)
@@ -100,10 +109,8 @@ func TestWaitQuiescentLeavesNoGoroutineBehind(t *testing.T) {
 	if err := mesh.Connect(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	// Nobody consumes node 2's inbox yet: this packet stays in flight.
-	if err := ta.Broadcast(context.Background(), Packet{From: 1, Payload: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
+	// Nobody consumes node 2's mailbox yet: this packet stays in flight.
+	ta.Broadcast(packetFor(1, 2, 0))
 
 	before := runtime.NumGoroutine()
 	const calls = 50
@@ -120,21 +127,17 @@ func TestWaitQuiescentLeavesNoGoroutineBehind(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The goroutines that carried an expired context's broadcast are
-	// already on their way out; give the scheduler a moment to retire them.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d expired WaitQuiescent calls left %d goroutines behind", calls, after-before)
+	if left := leakcheck.Settle(before); left > 0 {
+		t.Fatalf("%d expired WaitQuiescent calls left %d goroutines behind", calls, left)
 	}
 
 	// A waiter whose context stays live still sees the mesh drain.
 	waited := make(chan error, 1)
 	go func() { waited <- mesh.WaitQuiescent(context.Background()) }()
-	<-tb.Inbox()
-	tb.(PacketDoner).PacketDone()
+	if _, ok := tb.Mailbox().next(nil); !ok {
+		t.Fatal("the packet never reached node 2's mailbox")
+	}
+	mesh.add(-1)
 	select {
 	case err := <-waited:
 		if err != nil {

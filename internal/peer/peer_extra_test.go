@@ -147,31 +147,35 @@ func TestMeshNeighbors(t *testing.T) {
 	}
 }
 
-// gatedTransport lets a test hold a peer inside Broadcast.
+// gatedTransport lets a test hold a peer inside Broadcast; the mailbox is
+// the embedded mesh transport's.
 type gatedTransport struct {
-	inbox   chan Packet
+	Transport
 	entered chan struct{} // receives once per Broadcast, on entry
 	release chan struct{} // Broadcast returns once this is closed
 	left    atomic.Bool   // set just before Broadcast returns
 }
 
-func (g *gatedTransport) Broadcast(ctx context.Context, _ Packet) error {
+func (g *gatedTransport) Broadcast(*core.Outbound) {
 	g.entered <- struct{}{}
 	<-g.release
 	g.left.Store(true)
-	return nil
 }
 
-func (g *gatedTransport) Inbox() <-chan Packet { return g.inbox }
-
 // An event method returns only once the broadcast its event produced has
-// been handed to the transport. ingest.Service.Flush is built on that: a
-// feeder counts a batch done when ObserveBatch returns, and Flush then asks
-// the mesh whether anything is in flight — which a broadcast the peer has
-// not yet made is not. The regression this pins released the caller as
-// soon as the detector had reacted, before the peer called Broadcast.
+// been handed to the transport. Every barrier is built on that: a caller
+// whose event method has returned asks the mesh whether anything is in
+// flight (bench's replay, the tests' settle), and an event gives up its
+// own unit of that count at the same moment — after the broadcast, so the
+// count cannot touch zero in between. The regression this pins released
+// the caller as soon as the detector had reacted, before the peer called
+// Broadcast.
 func TestEventReturnsAfterBroadcast(t *testing.T) {
-	tr := &gatedTransport{inbox: make(chan Packet), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	inner, err := NewMesh().Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &gatedTransport{Transport: inner, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	p, err := New(Config{Detector: core.Config{Node: 1, Ranker: core.NN(), N: 1}, Transport: tr})
 	if err != nil {
 		t.Fatal(err)

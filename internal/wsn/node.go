@@ -90,7 +90,6 @@ type Counters struct {
 // reception is one in-flight frame arriving at a node.
 type reception struct {
 	frame   *Frame
-	from    *Node
 	end     Clock
 	dist    float64 // sender distance, for the capture effect
 	corrupt bool
@@ -107,6 +106,12 @@ const captureRatio = 2.0
 // survive.
 type interferer struct {
 	end  Clock
+	dist float64
+}
+
+// link is one radio-table entry: a node in earshot and its distance.
+type link struct {
+	to   *Node
 	dist float64
 }
 
@@ -135,12 +140,16 @@ const (
 // energy meter and an application.
 type Node struct {
 	ID  core.NodeID
-	Pos Point2
+	Pos Point2 // fixed once added: the radio tables are built from it
 
 	sim *Sim
 	app App
 
 	down bool
+
+	// Radio tables (Sim.buildTables): who decodes and who only senses
+	// this node's transmissions.
+	decode, sense []link
 
 	// MAC state.
 	queue        []outFrame
@@ -289,11 +298,12 @@ func (n *Node) transmit(of outFrame) {
 	n.energy.TxTime += air
 	n.counters.FramesSent++
 
-	for _, nb := range n.sim.neighborsOf(n) {
-		nb.beginReception(of.frame, n, end, air)
+	n.sim.buildTables()
+	for _, l := range n.decode {
+		l.to.beginReception(of.frame, l.dist, end, air)
 	}
-	for _, far := range n.sim.sensersOf(n) {
-		far.interfere(n, end)
+	for _, l := range n.sense {
+		l.to.interfere(l.dist, end)
 	}
 
 	n.sim.At(end, func() {
@@ -307,10 +317,10 @@ func (n *Node) transmit(of outFrame) {
 	})
 }
 
-// beginReception registers an incoming frame at this node, accounting for
-// half-duplex deafness, collisions with other ongoing receptions, and
-// promiscuous receive energy.
-func (n *Node) beginReception(f *Frame, from *Node, end Clock, air Clock) {
+// beginReception registers an incoming frame from dist meters away at
+// this node, accounting for half-duplex deafness, collisions with other
+// ongoing receptions, and promiscuous receive energy.
+func (n *Node) beginReception(f *Frame, dist float64, end Clock, air Clock) {
 	if n.down {
 		return
 	}
@@ -328,7 +338,7 @@ func (n *Node) beginReception(f *Frame, from *Node, end Clock, air Clock) {
 	n.energy.RxJ += n.sim.cfg.Radio.RxPower * air.Seconds()
 	n.energy.RxTime += air
 
-	rx := &reception{frame: f, from: from, end: end, dist: n.Pos.Dist(from.Pos)}
+	rx := &reception{frame: f, end: end, dist: dist}
 	for _, other := range n.receptions {
 		if other.end <= now {
 			continue
@@ -364,11 +374,11 @@ func (n *Node) corruptReception(rx *reception) {
 	n.counters.Collisions++
 }
 
-// interfere registers a transmission audible but not decodable here: the
-// carrier looks busy for its duration and any reception (present or
-// starting within it) from a sender not clearly stronger than the
-// interferer is corrupted.
-func (n *Node) interfere(from *Node, end Clock) {
+// interfere registers a transmission from dist meters away, audible but
+// not decodable here: the carrier looks busy for its duration and any
+// reception (present or starting within it) from a sender not clearly
+// stronger than the interferer is corrupted.
+func (n *Node) interfere(dist float64, end Clock) {
 	if n.down {
 		return
 	}
@@ -376,7 +386,6 @@ func (n *Node) interfere(from *Node, end Clock) {
 	if n.carrierUntil < end {
 		n.carrierUntil = end
 	}
-	dist := n.Pos.Dist(from.Pos)
 	for _, rx := range n.receptions {
 		if rx.end > now && rx.dist*captureRatio > dist {
 			n.corruptReception(rx)

@@ -1,6 +1,8 @@
 package wsn
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -249,6 +251,109 @@ func TestFailedNodeIsSilent(t *testing.T) {
 	}
 	if !s.Node(1).Down() {
 		t.Fatal("Down() must report failure")
+	}
+}
+
+// checkTables compares every node's radio tables with the definition,
+// evaluated from scratch: every other node within Range decodes, every
+// other node within (Range, SenseRange] senses, in insertion order, at the
+// distance the receiver itself computes, to the bit.
+func checkTables(t *testing.T, s *Sim) (atRange, atSense int) {
+	t.Helper()
+	radio := s.cfg.Radio
+	for _, n := range s.order {
+		var decode, sense []link
+		for _, o := range s.order {
+			if o == n {
+				continue
+			}
+			switch d := o.Pos.Dist(n.Pos); {
+			case d <= radio.Range:
+				decode = append(decode, link{o, d})
+				if d == radio.Range {
+					atRange++
+				}
+			case d <= radio.SenseRange:
+				sense = append(sense, link{o, d})
+				if d == radio.SenseRange {
+					atSense++
+				}
+			}
+		}
+		if !slices.Equal(n.decode, decode) || !slices.Equal(n.sense, sense) {
+			t.Fatalf("node %d tables\n decode %v\n sense  %v\nwant\n decode %v\n sense  %v", n.ID, n.decode, n.sense, decode, sense)
+		}
+	}
+	return atRange, atSense
+}
+
+// TestRadioTablesMatchDefinition builds tables on an integer lattice,
+// where 3-4-5 triangles put nodes at exactly Range and SenseRange, then
+// adds nodes after traffic has started and checks the rebuilt tables.
+func TestRadioTablesMatchDefinition(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	s := NewSim(Config{Seed: 1, Radio: RadioConfig{Range: 5, SenseRange: 10}})
+	add := func(k int) {
+		for i := 0; i < k; i++ {
+			id := core.NodeID(len(s.order) + 1)
+			s.AddNode(id, Point2{X: float64(r.IntN(25) - 12), Y: float64(r.IntN(25) - 12)}, &collectApp{})
+		}
+	}
+	add(40)
+	s.order[0].SendBroadcast([]byte{1})
+	s.Run(time.Second)
+	atRange, atSense := checkTables(t, s)
+
+	add(15)
+	if s.tables {
+		t.Fatal("AddNode must invalidate the radio tables")
+	}
+	s.order[len(s.order)-1].SendBroadcast([]byte{2})
+	s.Run(2 * time.Second)
+	r2, s2 := checkTables(t, s)
+	if r2 <= atRange || s2 <= atSense || atRange == 0 || atSense == 0 {
+		t.Fatalf("lattice never put a node at exactly Range/SenseRange: %d,%d then %d,%d", atRange, atSense, r2, s2)
+	}
+}
+
+// TestFailedNodeNeitherReceivesNorInterferes: a down node in a sender's
+// decode or sense table gets no reception, energy or carrier, and a down
+// hidden terminal corrupts nothing.
+//
+//	sense-only F4 (-9) … decode F3 (-4) … sender S (0) … receiver R (4) … hidden H (11)
+func TestFailedNodeNeitherReceivesNorInterferes(t *testing.T) {
+	run := func(failHidden bool) (*Sim, *collectApp) {
+		s := NewSim(Config{Radio: RadioConfig{Range: 5, SenseRange: 10}})
+		recv := &collectApp{}
+		s.AddNode(1, Point2{X: 0}, &collectApp{})
+		s.AddNode(2, Point2{X: 4}, recv)
+		s.AddNode(3, Point2{X: -4}, &collectApp{})
+		s.AddNode(4, Point2{X: -9}, &collectApp{})
+		s.AddNode(5, Point2{X: 11}, &collectApp{})
+		s.Node(3).Fail()
+		s.Node(4).Fail()
+		if failHidden {
+			s.Node(5).Fail()
+		}
+		payload := make([]byte, 50)
+		s.At(0, func() { s.Node(1).SendBroadcast(payload) })
+		s.At(0, func() { s.Node(5).SendBroadcast(payload) })
+		s.Run(time.Second)
+		return s, recv
+	}
+	if _, recv := run(false); len(recv.frames) != 0 {
+		t.Fatal("a live hidden terminal 7 m from the receiver must corrupt a frame sent from 4 m")
+	}
+	s, recv := run(true)
+	if len(recv.frames) != 1 {
+		t.Fatalf("receiver decoded %d frames with the hidden terminal down, want 1", len(recv.frames))
+	}
+	for _, id := range []core.NodeID{3, 4} {
+		n := s.Node(id)
+		if n.Energy() != (Energy{}) || n.Counters() != (Counters{}) || n.carrierUntil != 0 ||
+			len(n.receptions) != 0 || len(n.interference) != 0 {
+			t.Fatalf("failed node %d was reached: %+v %+v carrier %v", id, n.Energy(), n.Counters(), n.carrierUntil)
+		}
 	}
 }
 

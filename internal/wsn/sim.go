@@ -20,7 +20,6 @@
 package wsn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -39,23 +38,54 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap orders events by (time, insertion sequence).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before orders events by (time, insertion sequence). Sequence numbers
+// are unique, so the order is total and any correct heap pops the same
+// sequence: ties at one time run first-scheduled first.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
-func (h *eventHeap) pop() event   { return heap.Pop(h).(event) }
-func (h *eventHeap) push(e event) { heap.Push(h, e) }
-func (h eventHeap) empty() bool   { return len(h) == 0 }
+
+// eventQueue is a binary min-heap under before.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top, last := h[0], h[len(h)-1]
+	h[len(h)-1] = event{} // the backing array must not keep the callback alive
+	h = h[:len(h)-1]
+	*q = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
+}
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -149,11 +179,12 @@ type Sim struct {
 	cfg   Config
 	now   Clock
 	seq   uint64
-	queue eventHeap
+	queue eventQueue
 	rng   *rand.Rand
 
 	nodes  map[core.NodeID]*Node
-	order  []core.NodeID // insertion order, for deterministic iteration
+	order  []*Node // insertion order, for deterministic iteration
+	tables bool    // every node's radio tables match order
 	events int
 }
 
@@ -192,7 +223,7 @@ func (s *Sim) After(d Clock, fn func()) { s.At(s.now+d, fn) }
 // Run executes events until the queue empties or simulated time reaches
 // until; events scheduled at exactly until still run.
 func (s *Sim) Run(until Clock) {
-	for !s.queue.empty() && s.queue.peek().at <= until {
+	for len(s.queue) > 0 && s.queue[0].at <= until {
 		e := s.queue.pop()
 		s.now = e.at
 		s.events++
@@ -207,7 +238,7 @@ func (s *Sim) Run(until Clock) {
 // given safety cap, and reports whether the queue drained.
 func (s *Sim) RunUntilIdle(maxEvents int) bool {
 	for i := 0; i < maxEvents; i++ {
-		if s.queue.empty() {
+		if len(s.queue) == 0 {
 			return true
 		}
 		e := s.queue.pop()
@@ -215,7 +246,7 @@ func (s *Sim) RunUntilIdle(maxEvents int) bool {
 		s.events++
 		e.fn()
 	}
-	return s.queue.empty()
+	return len(s.queue) == 0
 }
 
 // AddNode places a sensor at pos running the given application. Node IDs
@@ -226,7 +257,8 @@ func (s *Sim) AddNode(id core.NodeID, pos Point2, app App) *Node {
 	}
 	n := newNode(s, id, pos, app)
 	s.nodes[id] = n
-	s.order = append(s.order, id)
+	s.order = append(s.order, n)
+	s.tables = false
 	return n
 }
 
@@ -234,54 +266,43 @@ func (s *Sim) AddNode(id core.NodeID, pos Point2, app App) *Node {
 func (s *Sim) Node(id core.NodeID) *Node { return s.nodes[id] }
 
 // Nodes returns all nodes in insertion order.
-func (s *Sim) Nodes() []*Node {
-	out := make([]*Node, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.nodes[id]
-	}
-	return out
-}
+func (s *Sim) Nodes() []*Node { return append([]*Node(nil), s.order...) }
 
 // Start invokes every application's Start callback at time zero with a
 // small random stagger, as deployed motes boot asynchronously.
 func (s *Sim) Start() {
-	for _, id := range s.order {
-		n := s.nodes[id]
+	for _, n := range s.order {
 		s.At(Clock(s.rng.Int64N(int64(50*time.Millisecond))), func() { n.app.Start(n) })
 	}
 }
 
-// neighborsOf returns the alive nodes within decoding range of n, in
-// insertion order.
-func (s *Sim) neighborsOf(n *Node) []*Node {
-	var out []*Node
-	for _, id := range s.order {
-		other := s.nodes[id]
-		if other == n || other.down {
-			continue
-		}
-		if n.Pos.Dist(other.Pos) <= s.cfg.Radio.Range {
-			out = append(out, other)
+// buildTables gives every node its radio tables: the nodes within Range
+// (decode) and within (Range, SenseRange] (sense), each in insertion
+// order with its distance. Positions do not change after AddNode, so the
+// tables hold until the next AddNode. Liveness is not in them: a down
+// node is skipped where a frame reaches it. Each pair's distance is
+// computed once for both ends: Hypot is symmetric under negating its
+// arguments, so it is the value either node would compute.
+func (s *Sim) buildTables() {
+	if s.tables {
+		return
+	}
+	s.tables = true
+	for _, n := range s.order {
+		n.decode, n.sense = n.decode[:0], n.sense[:0]
+	}
+	for i, a := range s.order {
+		for _, b := range s.order[i+1:] {
+			switch d := a.Pos.Dist(b.Pos); {
+			case d <= s.cfg.Radio.Range:
+				a.decode = append(a.decode, link{b, d})
+				b.decode = append(b.decode, link{a, d})
+			case d <= s.cfg.Radio.SenseRange:
+				a.sense = append(a.sense, link{b, d})
+				b.sense = append(b.sense, link{a, d})
+			}
 		}
 	}
-	return out
-}
-
-// sensersOf returns the alive nodes within carrier-sense (interference)
-// range but beyond decoding range of n.
-func (s *Sim) sensersOf(n *Node) []*Node {
-	var out []*Node
-	for _, id := range s.order {
-		other := s.nodes[id]
-		if other == n || other.down {
-			continue
-		}
-		d := n.Pos.Dist(other.Pos)
-		if d > s.cfg.Radio.Range && d <= s.cfg.Radio.SenseRange {
-			out = append(out, other)
-		}
-	}
-	return out
 }
 
 // Point2 is a position on the simulated terrain, in meters.

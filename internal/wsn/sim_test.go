@@ -1,6 +1,9 @@
 package wsn
 
 import (
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -51,6 +54,78 @@ func TestEventOrdering(t *testing.T) {
 	}
 	if s.Now() != 10*time.Second {
 		t.Fatalf("clock = %v, want advance to horizon", s.Now())
+	}
+}
+
+// TestEventQueueMatchesSort drives random interleavings of At, After,
+// Run and RunUntilIdle — equal times, times in the past (clamped to now),
+// events that schedule events — and requires every event to run at its
+// clamped time, Run to stop exactly at its horizon, and the whole run to
+// come out in the order a sort by (at, seq) gives.
+func TestEventQueueMatchesSort(t *testing.T) {
+	type key struct {
+		at  Clock
+		seq uint64
+	}
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0x5eed))
+		s := NewSim(Config{})
+		var scheduled, ran []key
+		var schedule func()
+		schedule = func() {
+			var when Clock
+			switch r.IntN(4) {
+			case 0:
+				when = s.Now()
+			case 1:
+				when = s.Now() - Clock(r.IntN(5))*time.Millisecond
+			case 2:
+				when = Clock(r.IntN(8)) * time.Millisecond // a coarse grid: ties
+			default:
+				when = s.Now() + Clock(r.IntN(1000))*time.Microsecond
+			}
+			var me key
+			fn := func() {
+				if s.Now() != me.at {
+					t.Fatalf("seed %d: event %+v ran at %v", seed, me, s.Now())
+				}
+				ran = append(ran, me)
+				for k := r.IntN(3); k > 0 && len(scheduled) < 3000; k-- {
+					schedule()
+				}
+			}
+			if r.IntN(2) == 0 {
+				s.At(when, fn)
+			} else {
+				s.After(when-s.Now(), fn)
+			}
+			me = key{max(when, s.Now()), s.seq}
+			scheduled = append(scheduled, me)
+		}
+		for step := 0; step < 300; step++ {
+			switch r.IntN(3) {
+			case 0:
+				schedule()
+			case 1:
+				until := s.Now() + Clock(r.IntN(3))*time.Millisecond
+				s.Run(until)
+				if len(s.queue) > 0 && s.queue[0].at <= until {
+					t.Fatalf("seed %d: Run(%v) left an event due at %v", seed, until, s.queue[0].at)
+				}
+			default:
+				s.RunUntilIdle(r.IntN(10))
+			}
+		}
+		if !s.RunUntilIdle(1 << 20) {
+			t.Fatalf("seed %d: queue did not drain", seed)
+		}
+		sort.Slice(scheduled, func(i, j int) bool {
+			a, b := scheduled[i], scheduled[j]
+			return a.at < b.at || a.at == b.at && a.seq < b.seq
+		})
+		if !slices.Equal(ran, scheduled) {
+			t.Fatalf("seed %d: %d events ran out of (at, seq) order", seed, len(ran))
+		}
 	}
 }
 

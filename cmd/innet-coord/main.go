@@ -50,17 +50,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"innet/internal/cluster"
-	"innet/internal/core"
-	"innet/internal/obs"
-	"innet/internal/store"
+	"innet/internal/daemon"
 )
 
 func main() {
@@ -73,51 +68,32 @@ func main() {
 // options is the parsed flag set, separated from flag.Parse so the
 // end-to-end test can drive the coordinator in-process.
 type options struct {
-	httpAddr       string
-	udpAddr        string
+	daemon.Flags
 	shards         string
 	replicas       int
 	merge          string
 	mergeRounds    int
 	queryTimeout   time.Duration
 	healthInterval time.Duration
-	ranker         string
-	k              int
-	eps            float64
-	n              int
-	window         time.Duration
-	dataDir        string
-	fsync          bool
-	debugAddr      string
-	slowQuery      time.Duration
-	logFormat      string
-	traceFile      string
-	verbose        bool
 }
 
 func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("innet-coord", flag.ContinueOnError)
 	var o options
-	fs.StringVar(&o.httpAddr, "http", ":8080", "HTTP listen address (API + health + metrics)")
-	fs.StringVar(&o.udpAddr, "udp", "", "UDP line-protocol listen address (empty disables)")
+	o.Register(fs, map[string]string{
+		"ranker":     "ranking function: nn, knn, kthnn or db (must match the shards)",
+		"window":     "time-based sliding window (must match the shards)",
+		"data-dir":   "durability directory for the identity WAL + snapshots (empty = in-memory only)",
+		"slow-query": "log merged queries slower than this threshold (0 disables)",
+		"trace-file": "append every recorded span to this file as JSONL (empty disables)",
+		"v":          "log requests and fleet events",
+	})
 	fs.StringVar(&o.shards, "shards", "", "comma-separated shard control addresses (required)")
 	fs.IntVar(&o.replicas, "replicas", 1, "shards each sensor's readings are replicated to (boundary-sensor replication)")
 	fs.StringVar(&o.merge, "merge", cluster.MergeCompact, "estimate merge mode: compact (iterative Algorithm 1, O(estimate+support) payload per round) or full (window snapshots)")
 	fs.IntVar(&o.mergeRounds, "merge-rounds", 16, "compact-merge round budget before falling back to the full path")
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 2*time.Second, "estimate fan-out deadline")
 	fs.DurationVar(&o.healthInterval, "health-interval", 500*time.Millisecond, "shard health probe period")
-	fs.StringVar(&o.ranker, "ranker", "knn", "ranking function: nn, knn, kthnn or db (must match the shards)")
-	fs.IntVar(&o.k, "k", 2, "neighbor count for knn/kthnn")
-	fs.Float64Var(&o.eps, "eps", 2, "neighborhood radius α for the db ranker")
-	fs.IntVar(&o.n, "n", 2, "number of outliers to detect")
-	fs.DurationVar(&o.window, "window", 10*time.Minute, "time-based sliding window (must match the shards)")
-	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory for the identity WAL + snapshots (empty = in-memory only)")
-	fs.BoolVar(&o.fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
-	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug listen address for pprof + runtime metrics (empty disables)")
-	fs.DurationVar(&o.slowQuery, "slow-query", 0, "log merged queries slower than this threshold (0 disables)")
-	fs.StringVar(&o.logFormat, "log-format", "text", "structured log output format: text or json")
-	fs.StringVar(&o.traceFile, "trace-file", "", "append every recorded span to this file as JSONL (empty disables)")
-	fs.BoolVar(&o.verbose, "v", false, "log requests and fleet events")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -142,24 +118,12 @@ func parseShardList(spec string) ([]string, error) {
 	return out, nil
 }
 
-// daemon bundles the coordinator and its listeners so tests can reach
-// the bound addresses.
-type daemon struct {
-	coord   *cluster.Coordinator
-	st      *store.File // nil without -data-dir; closed last
-	traceF  *os.File    // nil without -trace-file; closed after coord
-	httpLn  net.Listener
-	debugLn net.Listener // nil without -debug-addr
-	udpConn net.PacketConn
-	log     *slog.Logger
-}
-
 // newDaemon builds the coordinator and binds the listeners (but serves
-// nothing yet; call serve).
-func newDaemon(o options, logger *slog.Logger) (*daemon, error) {
-	ranker, err := core.ParseRanker(o.ranker, o.k, o.eps)
+// nothing yet; call Serve).
+func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
+	det, err := o.Detector()
 	if err != nil {
-		return nil, fmt.Errorf("-ranker/-k/-eps: %w", err)
+		return nil, err
 	}
 	shards, err := parseShardList(o.shards)
 	if err != nil {
@@ -171,169 +135,29 @@ func newDaemon(o options, logger *slog.Logger) (*daemon, error) {
 		return nil, fmt.Errorf("unknown -merge mode %q (want %q or %q)",
 			o.merge, cluster.MergeCompact, cluster.MergeFull)
 	}
-	cfg := cluster.Config{
-		Detector: core.Config{
-			Ranker: ranker,
-			N:      o.n,
-			Window: o.window,
-		},
-		Shards:         shards,
-		Replicas:       o.replicas,
-		MergeMode:      o.merge,
-		MergeRounds:    o.mergeRounds,
-		QueryTimeout:   o.queryTimeout,
-		HealthInterval: o.healthInterval,
-		SlowQuery:      o.slowQuery,
-		Logger:         logger,
-	}
-	var traceF *os.File
-	if o.traceFile != "" {
-		traceF, err = os.OpenFile(o.traceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return daemon.Open(o.Flags, logger, func(sh *daemon.Shell) error {
+		coord, err := cluster.New(cluster.Config{
+			Detector:       det,
+			Shards:         shards,
+			Replicas:       o.replicas,
+			MergeMode:      o.merge,
+			MergeRounds:    o.mergeRounds,
+			QueryTimeout:   o.queryTimeout,
+			HealthInterval: o.healthInterval,
+			SlowQuery:      o.SlowQuery,
+			Logger:         logger,
+			Store:          sh.Store(),
+			TraceSink:      sh.TraceSink(),
+		})
 		if err != nil {
-			return nil, fmt.Errorf("open -trace-file: %w", err)
+			return err
 		}
-		cfg.TraceSink = traceF
-	}
-	var st *store.File
-	if o.dataDir != "" {
-		if st, err = store.Open(store.Config{Dir: o.dataDir, Fsync: o.fsync}); err != nil {
-			if traceF != nil {
-				traceF.Close()
-			}
-			return nil, err
-		}
-		cfg.Store = st
-	}
-	coord, err := cluster.New(cfg)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		if traceF != nil {
-			traceF.Close()
-		}
-		return nil, err
-	}
-	d := &daemon{coord: coord, st: st, traceF: traceF, log: logger}
-	fail := func(err error) (*daemon, error) {
-		coord.Close()
-		if st != nil {
-			st.Close()
-		}
-		if traceF != nil {
-			traceF.Close()
-		}
-		return nil, err
-	}
-	if d.httpLn, err = net.Listen("tcp", o.httpAddr); err != nil {
-		return fail(err)
-	}
-	if o.udpAddr != "" {
-		if d.udpConn, err = net.ListenPacket("udp", o.udpAddr); err != nil {
-			d.httpLn.Close()
-			return fail(err)
-		}
-	}
-	if o.debugAddr != "" {
-		if d.debugLn, err = net.Listen("tcp", o.debugAddr); err != nil {
-			if d.udpConn != nil {
-				d.udpConn.Close()
-			}
-			d.httpLn.Close()
-			return fail(err)
-		}
-	}
-	return d, nil
-}
-
-// logRequests is the -v middleware: one record per API call.
-func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		next.ServeHTTP(w, r)
-		logger.Debug("request", "method", r.Method, "path", r.URL.Path,
-			"elapsed", time.Since(start).Round(time.Microsecond))
+		// Closing the coordinator stops its health loop and control socket
+		// and leaves the identity store compact.
+		sh.Defer(func(context.Context) error { return coord.Close() })
+		logger.Info("coordinating shards", "shards", coord.ShardMapSnapshot().Len())
+		return sh.Listen(coord.Handler(), coord.ServeUDP)
 	})
-}
-
-// serve runs the listeners until ctx is canceled, then shuts down in
-// order: stop accepting HTTP, close the UDP socket, close the
-// coordinator (health loop and control socket).
-func (d *daemon) serve(ctx context.Context, verbose bool) error {
-	handler := d.coord.Handler()
-	if verbose {
-		handler = logRequests(d.log, handler)
-	}
-	httpSrv := &http.Server{Handler: handler}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- httpSrv.Serve(d.httpLn) }()
-
-	// The debug listener is separate from the API listener on purpose:
-	// pprof and runtime internals stay off the operator-facing port.
-	var debugSrv *http.Server
-	debugDone := make(chan error, 1)
-	if d.debugLn != nil {
-		debugSrv = &http.Server{Handler: obs.DebugMux()}
-		go func() { debugDone <- debugSrv.Serve(d.debugLn) }()
-	} else {
-		debugDone <- nil
-	}
-
-	udpDone := make(chan error, 1)
-	if d.udpConn != nil {
-		go func() { udpDone <- d.coord.ServeUDP(d.udpConn) }()
-	} else {
-		udpDone <- nil
-	}
-
-	d.log.Info("http listening", "addr", d.httpLn.Addr().String())
-	if d.debugLn != nil {
-		d.log.Info("debug listening (pprof + runtime metrics)", "addr", d.debugLn.Addr().String())
-	}
-	if d.udpConn != nil {
-		d.log.Info("udp firehose listening", "addr", d.udpConn.LocalAddr().String())
-	}
-	d.log.Info("coordinating shards", "shards", d.coord.ShardMapSnapshot().Len())
-
-	<-ctx.Done()
-	d.log.Info("shutting down")
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	errShutdown := httpSrv.Shutdown(shutdownCtx)
-	if err := <-httpDone; err != nil && !errors.Is(err, http.ErrServerClosed) && errShutdown == nil {
-		errShutdown = err
-	}
-	if debugSrv != nil {
-		if err := debugSrv.Shutdown(shutdownCtx); err != nil && errShutdown == nil {
-			errShutdown = err
-		}
-	}
-	if err := <-debugDone; err != nil && !errors.Is(err, http.ErrServerClosed) && errShutdown == nil {
-		errShutdown = err
-	}
-	if d.udpConn != nil {
-		d.udpConn.Close()
-	}
-	if err := <-udpDone; err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, cluster.ErrClosed) && errShutdown == nil {
-		errShutdown = err
-	}
-	if err := d.coord.Close(); err != nil && errShutdown == nil {
-		errShutdown = err
-	}
-	if d.traceF != nil {
-		// After coord.Close: no merge can record into the sink anymore.
-		if err := d.traceF.Close(); err != nil && errShutdown == nil {
-			errShutdown = err
-		}
-	}
-	if d.st != nil {
-		if err := d.st.Close(); err != nil && errShutdown == nil {
-			errShutdown = err
-		}
-	}
-	d.log.Info("bye")
-	return errShutdown
 }
 
 func run(args []string) error {
@@ -341,15 +165,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, o.logFormat, o.verbose)
-	if err != nil {
-		return err
-	}
-	d, err := newDaemon(o, logger)
-	if err != nil {
-		return err
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return d.serve(ctx, o.verbose)
+	return daemon.Run(o.Flags, func(logger *slog.Logger) (*daemon.Shell, error) {
+		return newDaemon(o, logger)
+	})
 }

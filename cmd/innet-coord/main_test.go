@@ -90,6 +90,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 		"-ranker", "nn",
 		"-n", "1",
 		"-window", "10m",
+		"-v",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +101,9 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- d.serve(ctx, true) }()
+	go func() { serveDone <- d.Serve(ctx) }()
 
-	base := "http://" + d.httpLn.Addr().String()
+	base := "http://" + d.Addr("http")
 	waitOK(t, base+"/healthz")
 
 	// HTTP path: a clean batch across five sensors, routed by the
@@ -127,7 +128,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	}
 
 	// UDP path: line-protocol burst, sensor 7 reading a stuck rail.
-	conn, err := net.Dial("udp", d.udpConn.LocalAddr().String())
+	conn, err := net.Dial("udp", d.Addr("udp"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,6 +80,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"-ranker", "nn",
 		"-n", "1",
 		"-window", "10m",
+		"-v",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +91,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- d.serve(ctx, true) }()
+	go func() { serveDone <- d.Serve(ctx) }()
 
-	base := "http://" + d.httpLn.Addr().String()
+	base := "http://" + d.Addr("http")
 	waitOK(t, base+"/healthz")
 
 	// HTTP path: one clean batch across the pre-attached fleet.
@@ -117,7 +118,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// UDP path: a burst of lines, including sensor 7 — not attached yet
 	// (auto-join) — reading a stuck-at-rail value.
-	conn, err := net.Dial("udp", d.udpConn.LocalAddr().String())
+	conn, err := net.Dial("udp", d.Addr("udp"))
 	if err != nil {
 		t.Fatal(err)
 	}

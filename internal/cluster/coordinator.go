@@ -63,11 +63,6 @@ type Config struct {
 	// HealthInterval is the probe period. Default 500ms.
 	HealthInterval time.Duration
 
-	// ProbeTimeout bounds one health probe, independently of the probe
-	// period: a short period keeps down-detection snappy without a
-	// scheduling hiccup on a loaded host counting as a miss. Default 1s.
-	ProbeTimeout time.Duration
-
 	// HealthMisses is how many consecutive probe failures mark a shard
 	// down. Default 3.
 	HealthMisses int
@@ -75,11 +70,6 @@ type Config struct {
 	// RetryAttempts bounds per-RPC retries on the lossy control wire.
 	// Default 3.
 	RetryAttempts int
-
-	// MaxFrameBytes is the byte budget for one READINGS/HANDOFF frame's
-	// point payload; batches are fragmented to stay under it. Default
-	// 60000, under the UDP payload ceiling at any feature dimension.
-	MaxFrameBytes int
 
 	// Store, when set, persists the coordinator's per-sensor identity
 	// state (next sequence number, newest timestamp): every batch that
@@ -89,11 +79,6 @@ type Config struct {
 	// from surviving shard windows. The Coordinator uses the store but
 	// does not own it; the caller closes it after Close.
 	Store store.Store
-
-	// IdentityCompactEvery bounds the identity WAL: after this many
-	// appended identity updates the store is compacted down to one
-	// record per sensor. Default 4096.
-	IdentityCompactEvery int
 
 	// Logger receives structured fleet and query events. Every record
 	// that belongs to a query carries its trace ID as a "trace" attr.
@@ -115,6 +100,15 @@ type Config struct {
 	SpanCapacity int
 }
 
+// probeTimeout bounds one health probe, independently of the probe
+// period: a short period keeps down-detection snappy without a scheduling
+// hiccup on a loaded host counting as a miss.
+const probeTimeout = time.Second
+
+// identityCompactEvery bounds the identity WAL: after this many appended
+// identity updates the store is compacted down to one record per sensor.
+const identityCompactEvery = 4096
+
 func (c *Config) applyDefaults() {
 	if c.Replicas < 1 {
 		c.Replicas = 1
@@ -131,20 +125,11 @@ func (c *Config) applyDefaults() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.HealthMisses < 1 {
 		c.HealthMisses = 3
 	}
 	if c.RetryAttempts < 1 {
 		c.RetryAttempts = 3
-	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = defaultFrameBytes
-	}
-	if c.IdentityCompactEvery < 1 {
-		c.IdentityCompactEvery = 4096
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -228,12 +213,9 @@ type Coordinator struct {
 	assigns, handoffSen, handoffPts atomic.Uint64
 	flaps                           atomic.Uint64
 
-	// Identity durability (inert when cfg.Store is nil).
-	identitySource atomic.Value  // string: store, shard-fan, none
-	idStoreMu      sync.Mutex    // serializes identity appends with snapshot+Compact
-	idsSince       atomic.Uint64 // identity updates appended since last compaction
-	idCompacting   atomic.Bool   // single-flight guard
-	walErrors      atomic.Uint64 // failed store appends
+	// Identity durability (wal is nil and inert when cfg.Store is nil).
+	identitySource atomic.Value // string: store, shard-fan, none
+	wal            *store.Policy
 
 	// sessionIDs mints compact-merge session IDs that cannot collide
 	// within this process; see merge.go. traceIDs mints per-query trace
@@ -300,11 +282,10 @@ func New(cfg Config) (*Coordinator, error) {
 	// below already talks to shards — so the field is never written
 	// concurrently with a read.
 	client.onRTT = c.obs.rpcObserve
-	if st, ok := cfg.Store.(interface {
-		SetTiming(func(op string, d time.Duration))
-	}); ok {
-		st.SetTiming(c.obs.storeTiming)
-	}
+	c.wal = store.NewPolicy(cfg.Store, identityCompactEvery, c.traceLog, c.obs.walTiming,
+		func(context.Context) (store.State, error) {
+			return store.State{Identities: c.identitySnapshot()}, nil
+		})
 	c.recoverIdentities()
 	go c.healthLoop()
 	return c, nil
@@ -369,7 +350,7 @@ func (c *Coordinator) recoverIdentities() {
 		wg.Add(1)
 		go func(i int, st *shardState) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 			defer cancel()
 			pts, _, err := c.client.estimate(ctx, st.udp, 0)
 			if err == nil {
@@ -402,7 +383,7 @@ func (c *Coordinator) recoverIdentities() {
 		c.identitySource.Store("shard-fan")
 		c.cfg.Logger.Info("recovered identity counters", "source", "shard-fan", "sensors", n)
 		// Seed the store so the next restart recovers without shards.
-		c.persistIdentities(0, c.identitySnapshot())
+		_ = c.wal.PutIdentities(c.ctx, 0, c.identitySnapshot())
 	}
 }
 
@@ -426,66 +407,6 @@ func (c *Coordinator) identitySnapshot() []store.Identity {
 	return out
 }
 
-// persistIdentities appends identity-floor updates to the store,
-// compacting in the background once the log has grown enough. Append
-// failures are counted, not fatal: routing continues, and the floors
-// land at the next successful append or compaction. trace is the
-// ingest batch that advanced the floors (0 at startup seeding); the
-// append lands in the flight recorder either way.
-func (c *Coordinator) persistIdentities(trace uint64, ids []store.Identity) {
-	if c.cfg.Store == nil || len(ids) == 0 {
-		return
-	}
-	start := time.Now()
-	c.idStoreMu.Lock()
-	err := c.cfg.Store.PutIdentities(ids)
-	c.idStoreMu.Unlock()
-	span := obs.Span{
-		Trace:  trace,
-		Op:     obs.OpWALAppend,
-		Points: int32(len(ids)),
-		Start:  start,
-		Dur:    time.Since(start),
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	c.traceLog.Record(span)
-	if err != nil {
-		c.walErrors.Add(1)
-		return
-	}
-	if c.idsSince.Add(uint64(len(ids))) >= uint64(c.cfg.IdentityCompactEvery) {
-		if !c.idCompacting.CompareAndSwap(false, true) {
-			return
-		}
-		go func() {
-			defer c.idCompacting.Store(false)
-			if err := c.compactIdentityStore(); err != nil {
-				c.walErrors.Add(1)
-				return
-			}
-			// Reset only on success so a failed compaction retries at the
-			// very next append instead of a full IdentityCompactEvery later.
-			c.idsSince.Store(0)
-		}()
-	}
-}
-
-// compactIdentityStore snapshots the live identity floors and compacts
-// the store down to them. Snapshot and Compact happen under idStoreMu —
-// the lock PutIdentities holds — so no floor can be appended to the WAL
-// between the snapshot and the truncation: every floor a concurrent
-// IngestBatch advances is either already in c.sensors (and therefore in
-// the snapshot) or its append lands in the fresh WAL after Compact.
-// Without this, Compact could truncate away a newer floor and a crash
-// would recover the stale one, re-minting PointIDs shards already hold.
-func (c *Coordinator) compactIdentityStore() error {
-	c.idStoreMu.Lock()
-	defer c.idStoreMu.Unlock()
-	return c.cfg.Store.Compact(nil, c.identitySnapshot())
-}
-
 // Close stops the health loop and releases the control socket.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
@@ -499,11 +420,7 @@ func (c *Coordinator) Close() error {
 	<-c.healthDone
 	// Leave the identity store compact: one record per sensor, no WAL
 	// suffix for the next start to replay.
-	if c.cfg.Store != nil {
-		if err := c.compactIdentityStore(); err != nil {
-			c.walErrors.Add(1)
-		}
-	}
+	_ = c.wal.Compact(context.Background())
 	return c.client.close()
 }
 
@@ -575,7 +492,7 @@ func (c *Coordinator) Stats() Stats {
 		MergeFullBytes:  c.mergeFullBytes.Load(),
 		Recovered:       c.recovered.Load(),
 		IdentitySource:  c.IdentitySource(),
-		WALErrors:       c.walErrors.Load(),
+		WALErrors:       c.wal.Errors(),
 		Assigns:         c.assigns.Load(),
 		HandoffSensors:  c.handoffSen.Load(),
 		HandoffPoints:   c.handoffPts.Load(),
@@ -685,7 +602,7 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 		for _, id := range advanced {
 			ids = append(ids, id)
 		}
-		c.persistIdentities(trace, ids)
+		_ = c.wal.PutIdentities(c.ctx, trace, ids)
 	}
 
 	// Phase 2: fan the per-shard batches out concurrently. A failed
@@ -767,7 +684,7 @@ func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) 
 	if st == nil {
 		return false
 	}
-	for _, chunk := range chunkByBytes(pts, c.cfg.MaxFrameBytes) {
+	for _, chunk := range chunkByBytes(pts, maxFrameBytes) {
 		if len(chunk) == 0 {
 			continue
 		}
@@ -1140,7 +1057,7 @@ func (c *Coordinator) firstUp(addrs []string) *shardState {
 // byte-budgeted chunks, each chunk retried independently (re-delivery
 // is a no-op: the points carry their identities).
 func (c *Coordinator) transferWindow(dst *shardState, sensor core.NodeID, pts []core.Point) error {
-	for _, chunk := range chunkByBytes(pts, c.cfg.MaxFrameBytes) {
+	for _, chunk := range chunkByBytes(pts, maxFrameBytes) {
 		if len(chunk) == 0 {
 			continue
 		}
@@ -1222,7 +1139,7 @@ func (c *Coordinator) healthLoop() {
 		c.mu.Unlock()
 		for _, st := range targets {
 			go func(st *shardState) {
-				ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
+				ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 				probeStart := time.Now()
 				h, err := c.client.health(ctx, st.udp)
 				cancel()

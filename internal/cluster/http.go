@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"innet/internal/ingest"
 	"innet/internal/obs"
@@ -58,7 +56,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/shards/{addr}", c.handleAddShard)
 	mux.HandleFunc("DELETE /v1/shards/{addr}", c.handleRemoveShard)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.Handle("GET /metrics", c.obs.reg.Handler())
 	mux.Handle("GET /debug/merges", obs.RingHandler("merges",
 		func() uint64 { return c.mergesCompact.Load() + c.mergeFallbacks.Load() },
 		func(_ *http.Request, limit int) any { return c.MergeSessions(limit) }))
@@ -67,21 +65,11 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 func (c *Coordinator) handleObservations(w http.ResponseWriter, r *http.Request) {
 	readings, err := ingest.DecodeBatch(w, r)
 	if err != nil {
 		c.rejected.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad batch: %w", err))
+		ingest.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad batch: %w", err))
 		return
 	}
 	ingest.WriteBatchResult(w, c.IngestBatch(readings))
@@ -92,13 +80,13 @@ func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	switch mode {
 	case "", MergeCompact, MergeFull:
 	default:
-		writeError(w, http.StatusBadRequest,
+		ingest.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("cluster: merge=%q (want %q or %q)", mode, MergeCompact, MergeFull))
 		return
 	}
 	res, err := c.MergedEstimateMode(r.Context(), mode)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		ingest.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	resp := WireMergedEstimate{
@@ -115,31 +103,31 @@ func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("window") == "1" {
 		resp.Window = ingest.WirePoints(res.Window)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	ingest.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleShards(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"shards": c.ShardInfos()})
+	ingest.WriteJSON(w, http.StatusOK, map[string]any{"shards": c.ShardInfos()})
 }
 
 func (c *Coordinator) handleAddShard(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
 	if err := c.AddShard(addr); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		ingest.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"added": addr})
+	ingest.WriteJSON(w, http.StatusCreated, map[string]any{"added": addr})
 }
 
 func (c *Coordinator) handleRemoveShard(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("addr")
 	switch err := c.RemoveShard(addr); {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]any{"removed": addr})
+		ingest.WriteJSON(w, http.StatusOK, map[string]any{"removed": addr})
 	case errors.Is(err, ErrUnknownShard):
-		writeError(w, http.StatusNotFound, err)
+		ingest.WriteError(w, http.StatusNotFound, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		ingest.WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -157,7 +145,7 @@ func (st Stats) status() string {
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	st := c.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	ingest.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":       st.status(),
 		"shards_up":    st.ShardsUp,
 		"shards_total": st.ShardsTotal,
@@ -188,7 +176,7 @@ type WireStatus struct {
 // identity floor / WAL state, and build info.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := c.Stats()
-	writeJSON(w, http.StatusOK, WireStatus{
+	ingest.WriteJSON(w, http.StatusOK, WireStatus{
 		Status:         st.status(),
 		ShardsUp:       st.ShardsUp,
 		ShardsTotal:    st.ShardsTotal,
@@ -204,42 +192,16 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleMetrics serves the obs registry built in New: the same counter
-// and gauge series the retired hand-rolled writer printed (names, label
-// spellings, and integer formatting preserved) plus the latency
-// histograms, now with # HELP/# TYPE metadata.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.obs.reg.Handler().ServeHTTP(w, r)
-}
-
 // ServeUDP accepts the innetd line protocol ("<sensor> <at_ms> <v1>
-// [v2 ...]" per line) and routes each parsed reading, so firehose
-// producers can point at the coordinator unchanged. Best-effort like the
-// shard-local listener: rejections are counted, not reported. It returns
-// when conn is closed or the coordinator shuts down.
+// [v2 ...]" per line) and routes each datagram's readings as one batch,
+// so firehose producers can point at the coordinator unchanged.
+// Best-effort like the shard-local listener: rejections are counted, not
+// reported. It returns when conn is closed or the coordinator shuts down.
 func (c *Coordinator) ServeUDP(conn net.PacketConn) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-c.ctx.Done():
-			_ = conn.SetReadDeadline(time.Now())
-		case <-done:
-		}
-	}()
-	buf := make([]byte, 64*1024)
-	for {
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			if c.ctx.Err() != nil {
-				return ErrClosed
-			}
-			return err
-		}
-		readings, malformed := ingest.ParseDatagram(buf, n)
+	return ingest.ServeLines(c.ctx, conn, ErrClosed, func(readings []ingest.Reading, malformed int) {
 		c.rejected.Add(uint64(malformed))
 		if len(readings) > 0 {
 			c.IngestBatch(readings)
 		}
-	}
+	})
 }

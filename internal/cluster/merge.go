@@ -143,7 +143,7 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				defer wg.Done()
 				start := time.Now()
 				sent := 0
-				for _, chunk := range chunkByBytes(deltas[i], c.cfg.MaxFrameBytes) {
+				for _, chunk := range chunkByBytes(deltas[i], maxFrameBytes) {
 					if len(chunk) == 0 {
 						continue
 					}

@@ -21,10 +21,9 @@ type coordObs struct {
 	queryLat *obs.HistogramVec // merge-query service time, by served mode
 	rpcLat   *obs.HistogramVec // shard-control exchange round trip, by frame kind
 
-	// Identity-WAL durations; nil without a store, like the WAL counters.
-	walAppend  *obs.Histogram
-	walFsync   *obs.Histogram
-	walCompact *obs.Histogram
+	// walTiming feeds the identity-WAL duration histograms; nil without
+	// a store, like the WAL counters.
+	walTiming func(op string, d time.Duration)
 }
 
 func newCoordObs(c *Coordinator) *coordObs {
@@ -90,7 +89,7 @@ func newCoordObs(c *Coordinator) *coordObs {
 		r.CounterFunc("innetcoord_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.",
 			func() float64 { return float64(c.cfg.Store.Metrics().SnapCorrupt) })
 		r.CounterFunc("innetcoord_wal_append_errors_total", "Failed identity-store appends (routing keeps going).",
-			func() float64 { return float64(c.walErrors.Load()) })
+			func() float64 { return float64(c.wal.Errors()) })
 	}
 
 	r.LabeledGaugeFunc("innetcoord_shard_up", "Per-shard up/down as seen by the health loop.",
@@ -110,12 +109,7 @@ func newCoordObs(c *Coordinator) *coordObs {
 	m.rpcLat = r.HistogramVec("innetcoord_rpc_latency_seconds",
 		"Shard-control exchange round trip (send to last response frame), by frame kind.", "op", b)
 	if c.cfg.Store != nil {
-		m.walAppend = r.Histogram("innetcoord_wal_append_seconds",
-			"Identity-WAL write+flush duration per append batch.", b)
-		m.walFsync = r.Histogram("innetcoord_wal_fsync_seconds",
-			"Duration of one fsync (WAL, snapshot, or directory).", b)
-		m.walCompact = r.Histogram("innetcoord_wal_compact_seconds",
-			"Duration of one whole identity-store snapshot rewrite.", b)
+		m.walTiming = r.StoreTiming("innetcoord", "Identity-WAL", "identity-store snapshot")
 	}
 	// Registered last so existing exposition order is undisturbed.
 	obs.RegisterBuildInfo(r)
@@ -126,17 +120,4 @@ func newCoordObs(c *Coordinator) *coordObs {
 // successful exchange, labeled by the request frame kind.
 func (m *coordObs) rpcObserve(kind protocol.FrameKind, d time.Duration) {
 	m.rpcLat.With(kind.MetricLabel()).Observe(d.Seconds())
-}
-
-// storeTiming routes the identity store's durability-op durations into
-// the WAL histograms; installed on stores that expose SetTiming.
-func (m *coordObs) storeTiming(op string, d time.Duration) {
-	switch op {
-	case "append":
-		m.walAppend.Observe(d.Seconds())
-	case "fsync":
-		m.walFsync.Observe(d.Seconds())
-	case "compact":
-		m.walCompact.Observe(d.Seconds())
-	}
 }

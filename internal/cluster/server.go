@@ -18,9 +18,11 @@ import (
 	"innet/internal/protocol"
 )
 
-// defaultFrameBytes is the point-payload byte budget per control frame,
-// comfortably under the 65507-byte UDP payload ceiling with header room.
-const defaultFrameBytes = 60000
+// maxFrameBytes is the point-payload byte budget per control frame:
+// outgoing point lists are fragmented to stay under it, comfortably below
+// the 65507-byte UDP payload ceiling at any feature dimension the wire
+// admits.
+const maxFrameBytes = 60000
 
 // chunkByBytes splits a point list into chunks whose encoded size stays
 // within the budget (one max-dimension point is ~2 KiB, so every chunk
@@ -52,13 +54,11 @@ func chunkByBytes(pts []core.Point, budget int) [][]core.Point {
 // HANDOFF points carry preassigned identities and deduplicate inside the
 // detectors' windows, and queries are pure.
 type ShardServer struct {
-	svc      *ingest.Service
-	conn     *net.UDPConn
-	log      *slog.Logger
-	maxBytes int
+	svc  *ingest.Service
+	conn *net.UDPConn
+	log  *slog.Logger
 
 	mapVersion atomic.Uint64
-	truncated  atomic.Uint64 // datagrams dropped by the truncation sentinel
 
 	// Compact-merge state: live sessions keyed by the coordinator's
 	// session ID, plus the last snapshot's merge source keyed by a
@@ -103,12 +103,6 @@ type ShardServerConfig struct {
 	// Required; use port 0 to let the kernel pick (see Addr).
 	Addr string
 
-	// MaxFrameBytes is the byte budget for one frame's point payload;
-	// outgoing point lists are fragmented to stay under it. The default
-	// (60000) leaves headroom below the 65507-byte UDP payload ceiling
-	// at any feature dimension the wire admits.
-	MaxFrameBytes int
-
 	// MaxMergeSessions caps concurrent compact-merge sessions; beyond it
 	// the least-recently-touched session is evicted (its coordinator
 	// falls back to the full-window path). Default 8.
@@ -123,9 +117,6 @@ type ShardServerConfig struct {
 func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("cluster: ShardServerConfig.Service is required")
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = defaultFrameBytes
 	}
 	if cfg.MaxMergeSessions <= 0 {
 		cfg.MaxMergeSessions = 8
@@ -146,7 +137,6 @@ func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 		svc:         cfg.Service,
 		conn:        conn,
 		log:         cfg.Logger,
-		maxBytes:    cfg.MaxFrameBytes,
 		sessions:    make(map[uint64]*mergeSession),
 		maxSessions: cfg.MaxMergeSessions,
 		slots:       make(chan struct{}, 8),
@@ -157,14 +147,6 @@ func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 
 // Addr returns the bound control address (useful with port 0).
 func (s *ShardServer) Addr() string { return s.conn.LocalAddr().String() }
-
-// MapVersion returns the shard-map epoch last adopted via ASSIGN.
-func (s *ShardServer) MapVersion() uint64 { return s.mapVersion.Load() }
-
-// TruncatedFrames returns how many control datagrams Serve dropped
-// because they filled the receive buffer exactly — the kernel's
-// truncation sentinel; see maxCtlDatagram.
-func (s *ShardServer) TruncatedFrames() uint64 { return s.truncated.Load() }
 
 // Close stops the listener; a blocked Serve returns.
 func (s *ShardServer) Close() error {
@@ -191,7 +173,6 @@ func (s *ShardServer) Serve() error {
 			return err
 		}
 		if truncatedDatagram(n, len(buf)) {
-			s.truncated.Add(1)
 			s.log.Warn("dropped truncated datagram", "bytes", n, "from", from.String())
 			continue // tail lost in the kernel; the peer's retry covers it
 		}
@@ -286,7 +267,7 @@ func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, kind protocol
 // answer still answers); body encodes fragment frag of count.
 func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, pts []core.Point,
 	body func(frag, count uint16, chunk []core.Point) ([]byte, error)) error {
-	chunks := chunkByBytes(pts, s.maxBytes)
+	chunks := chunkByBytes(pts, maxFrameBytes)
 	for i, chunk := range chunks {
 		buf, err := body(uint16(i), uint16(len(chunks)), chunk)
 		if err != nil {

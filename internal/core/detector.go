@@ -215,10 +215,6 @@ func (d *Detector) Stats() Stats { return d.stats }
 // Now returns the detector's current clock reading.
 func (d *Detector) Now() time.Duration { return d.now }
 
-// NextSeq returns the sequence number the next unassigned observation
-// would mint.
-func (d *Detector) NextSeq() uint32 { return d.nextSeq }
-
 // ReserveSeq raises the per-sensor sequence counter so the next
 // unassigned observation mints at least seq. A warm restart uses this to
 // restore the identity floor past points whose records already aged out

@@ -93,19 +93,23 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sensors/{id}", s.handleJoin)
 	mux.HandleFunc("DELETE /v1/sensors/{id}", s.handleLeave)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.obs.reg.Handler())
 	mux.Handle("GET /debug/traces", s.traces.Handler())
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as JSON. Both daemons' HTTP
+// APIs — this service's and the cluster coordinator's — answer through
+// it and WriteError.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError answers with status and {"error": err}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // DecodeBatch reads a POST /v1/observations body into the readings it
@@ -145,14 +149,14 @@ func WriteBatchResult(w http.ResponseWriter, errs []error) {
 	if result.Accepted == 0 && len(result.Rejected) > 0 {
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, result)
+	WriteJSON(w, status, result)
 }
 
 func (s *Service) handleObservations(w http.ResponseWriter, r *http.Request) {
 	readings, err := DecodeBatch(w, r)
 	if err != nil {
 		s.malformed.Add(1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad batch: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad batch: %w", err))
 		return
 	}
 	errs := make([]error, len(readings))
@@ -177,33 +181,33 @@ func (s *Service) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("sensor"); q != "" {
 		n, err := strconv.ParseUint(q, 10, 16)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad sensor %q", q))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad sensor %q", q))
 			return
 		}
 		id = core.NodeID(n)
 	} else {
 		ids := s.Sensors()
 		if len(ids) == 0 {
-			writeError(w, http.StatusNotFound, errors.New("ingest: no sensors attached"))
+			WriteError(w, http.StatusNotFound, errors.New("ingest: no sensors attached"))
 			return
 		}
 		id = ids[0]
 	}
 	est, err := s.Estimate(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	resp := WireEstimate{Sensor: uint16(id), Outliers: WirePoints(est)}
 	if r.URL.Query().Get("window") == "1" {
 		win, err := s.Snapshot(r.Context())
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		resp.Window = WirePoints(win)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleFlush blocks until every reading accepted before the call has
@@ -216,11 +220,11 @@ func (s *Service) handleFlush(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			status = http.StatusGatewayTimeout
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	st := s.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"flushed":  true,
 		"observed": st.Observed,
 		"pending":  st.Pending,
@@ -238,7 +242,7 @@ func (s *Service) handleSensors(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range stats {
 		out = append(out, sensorInfo{ID: uint16(st.ID), Queue: st.Queue, Drops: st.Drops})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sensors": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"sensors": out})
 }
 
 func pathSensorID(r *http.Request) (core.NodeID, error) {
@@ -252,43 +256,35 @@ func pathSensorID(r *http.Request) (core.NodeID, error) {
 func (s *Service) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id, err := pathSensorID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	switch err := s.Join(id); {
 	case err == nil:
-		writeJSON(w, http.StatusCreated, map[string]any{"joined": uint16(id)})
+		WriteJSON(w, http.StatusCreated, map[string]any{"joined": uint16(id)})
 	case errors.Is(err, ErrAlreadyJoined):
-		writeError(w, http.StatusConflict, err)
+		WriteError(w, http.StatusConflict, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	}
 }
 
 func (s *Service) handleLeave(w http.ResponseWriter, r *http.Request) {
 	id, err := pathSensorID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.Leave(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"left": uint16(id)})
+	WriteJSON(w, http.StatusOK, map[string]any{"left": uint16(id)})
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"sensors": len(s.Sensors()),
 	})
-}
-
-// handleMetrics serves the obs registry built in New: the same counter
-// and gauge series the retired hand-rolled writer printed (names, label
-// spellings, and integer formatting preserved) plus the latency
-// histograms, now with # HELP/# TYPE metadata.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.obs.reg.Handler().ServeHTTP(w, r)
 }

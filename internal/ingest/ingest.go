@@ -288,22 +288,9 @@ type Service struct {
 
 	pending atomic.Int64 // accepted but not yet observed: a gauge, nothing waits on it
 
-	// Durability state (all zero-valued and inert when cfg.Store is nil).
-	walSince   atomic.Uint64 // records appended since the last compaction
-	compacting atomic.Bool   // single-flight guard for background compaction
-	walErrors  atomic.Uint64 // failed store appends (the fleet keeps serving)
-	replayed   atomic.Uint64 // records restored by Warm
-
-	// appendMu serializes store appends with CompactStore's window-union
-	// snapshot → Compact sequence. While a compaction is snapshotting,
-	// concurrently persisted records are also recorded in compactTail so
-	// they can be folded into the compacted state: without that, a record
-	// appended (and acknowledged) between the snapshot and the truncation
-	// would be durably lost until the next compaction.
-	appendMu    sync.Mutex
-	compactTail []store.Record // records persisted since the in-flight snapshot began
-	tailing     bool           // a CompactStore snapshot is in flight
-	compactMu   sync.Mutex     // serializes whole CompactStore calls
+	// Durability (wal is nil and inert when cfg.Store is nil).
+	wal      *store.Policy
+	replayed atomic.Uint64 // records restored by Warm
 
 	accepted, observed, batches atomic.Uint64
 	dropped, stale, malformed   atomic.Uint64
@@ -338,13 +325,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.TraceSink != nil {
 		s.traces.SetSink(cfg.TraceSink)
 	}
-	// Stores that expose SetTiming (the file store does, the in-memory
-	// reference does not bother) feed the WAL duration histograms.
-	if st, ok := cfg.Store.(interface {
-		SetTiming(func(op string, d time.Duration))
-	}); ok {
-		st.SetTiming(s.obs.storeTiming)
-	}
+	s.wal = store.NewPolicy(cfg.Store, cfg.CompactEvery, s.traces, s.obs.walTiming, s.durableState)
 	return s, nil
 }
 
@@ -624,12 +605,10 @@ take:
 }
 
 // persist appends one observed batch's minted points (identities included:
-// exactly what a replay needs) to the store, if there is one, and triggers
-// a background compaction when the WAL has grown enough. A failed append
-// is counted, not fatal: the fleet keeps serving from memory and the gap
-// closes at the next successful compaction.
+// exactly what a replay needs) to the store, if there is one; the policy
+// counts the append toward the next background compaction.
 func (s *Service) persist(sn *sensor, trace uint64, minted []core.Point) {
-	if s.cfg.Store == nil || len(minted) == 0 {
+	if s.wal == nil || len(minted) == 0 {
 		return
 	}
 	recs := make([]store.Record, len(minted))
@@ -637,84 +616,31 @@ func (s *Service) persist(sn *sensor, trace uint64, minted []core.Point) {
 		recs[i] = store.RecordOf(p)
 		raise(&sn.nextSeq, int64(p.ID.Seq)+1)
 	}
-	appendStart := time.Now()
-	s.appendMu.Lock()
-	if s.tailing {
-		// A compaction is snapshotting: this batch may miss the snapshot,
-		// so hand it to CompactStore to fold into the compacted state.
-		s.compactTail = append(s.compactTail, recs...)
-	}
-	err := s.cfg.Store.AppendReadings(recs)
-	s.appendMu.Unlock()
-	span := obs.Span{
-		Trace:  trace,
-		Op:     obs.OpWALAppend,
-		Points: int32(len(recs)),
-		Start:  appendStart,
-		Dur:    time.Since(appendStart),
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	s.traces.Record(span)
-	if err != nil {
-		s.walErrors.Add(1)
-		return
-	}
-	if s.walSince.Add(uint64(len(recs))) >= uint64(s.cfg.CompactEvery) {
-		s.compactAsync()
-	}
-}
-
-// compactAsync rewrites the store snapshot from the live window union in
-// a background goroutine, single-flight.
-func (s *Service) compactAsync() {
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.compacting.Store(false)
-		_ = s.CompactStore(s.ctx)
-	}()
+	_ = s.wal.AppendReadings(s.ctx, trace, recs)
 }
 
 // CompactStore snapshots the current window union and identity floors
 // into the store and truncates its WAL. It is called automatically as
 // the WAL grows; callers (Warm, tests) may also invoke it directly.
-//
-// Compaction must not lose records that persist() appends while the
-// snapshot is being taken: a record minted after a sensor's holdings
-// were read is absent from the snapshot, yet Compact truncates the WAL
-// frames that held it. So the snapshot window is bracketed — persist()
-// records every batch appended while it is open (compactTail), and the
-// tail is folded into the compacted state under appendMu, which also
-// blocks appends for the duration of the Compact itself. Every record
-// acknowledged before the truncation is therefore either in the window
-// snapshot or in the tail; duplicates collapse at Load (records carry
-// their identities).
+// Records persisted while the snapshot is taken are folded in by the
+// store's policy, so none is lost to the truncation.
 func (s *Service) CompactStore(ctx context.Context) error {
-	if s.cfg.Store == nil {
-		return nil
-	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	s.appendMu.Lock()
-	s.compactTail = nil
-	s.tailing = true
-	s.appendMu.Unlock()
+	return s.wal.Compact(ctx)
+}
+
+// durableState is the fleet's side of a compaction: the window union
+// and every sensor's identity floor.
+func (s *Service) durableState(ctx context.Context) (store.State, error) {
 	pts, err := s.Snapshot(ctx)
 	if err != nil {
-		s.appendMu.Lock()
-		s.compactTail = nil
-		s.tailing = false
-		s.appendMu.Unlock()
-		return err
+		return store.State{}, err
 	}
 	recs := make([]store.Record, len(pts))
 	for i, p := range pts {
 		recs[i] = store.RecordOf(p)
 	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	ids := make([]store.Identity, 0, len(s.sensors))
 	for id, sn := range s.sensors {
 		next := sn.nextSeq.Load()
@@ -724,21 +650,7 @@ func (s *Service) CompactStore(ctx context.Context) error {
 		}
 		ids = append(ids, store.Identity{Sensor: id, NextSeq: uint32(next), Latest: latest})
 	}
-	s.mu.RUnlock()
-	s.appendMu.Lock()
-	recs = append(recs, s.compactTail...)
-	s.compactTail = nil
-	s.tailing = false
-	err = s.cfg.Store.Compact(recs, ids)
-	s.appendMu.Unlock()
-	if err != nil {
-		s.walErrors.Add(1)
-		return err
-	}
-	// Reset only on success so a failed compaction retries at the next
-	// append instead of a full CompactEvery later.
-	s.walSince.Store(0)
-	return nil
+	return store.State{Records: recs, Identities: ids}, nil
 }
 
 // Warm replays the store's persisted state into a freshly started fleet:
@@ -834,7 +746,7 @@ func (s *Service) StoreMetrics() (m store.Metrics, walErrors, replayed uint64, o
 	if s.cfg.Store == nil {
 		return store.Metrics{}, 0, 0, false
 	}
-	return s.cfg.Store.Metrics(), s.walErrors.Load(), s.replayed.Load(), true
+	return s.cfg.Store.Metrics(), s.wal.Errors(), s.replayed.Load(), true
 }
 
 // Admit is Ingest for a window that must arrive whole — restored from the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"innet/internal/obs"
+	"innet/internal/store"
 )
 
 // serviceObs is the daemon's metrics surface: one obs.Registry whose
@@ -22,10 +23,9 @@ type serviceObs struct {
 	observeDur *obs.Histogram // one ObserveBatch ranking pass
 	queryLat   *obs.Histogram // GET /v1/outliers service time
 
-	// WAL durations; nil without a store, like the legacy WAL counters.
-	walAppend  *obs.Histogram
-	walFsync   *obs.Histogram
-	walCompact *obs.Histogram
+	// walTiming feeds the WAL duration histograms; nil without a
+	// store, like the WAL counters.
+	walTiming func(op string, d time.Duration)
 }
 
 func newServiceObs(s *Service) *serviceObs {
@@ -57,41 +57,19 @@ func newServiceObs(s *Service) *serviceObs {
 	// Durability series, registered only when a store is attached so the
 	// e2e suites can assert their presence (and absence) by flag.
 	if s.cfg.Store != nil {
-		walCounter := func(name, help string, read func() uint64) {
-			r.CounterFunc(name, help, func() float64 { return float64(read()) })
+		walCounter := func(name, help string, read func(store.Metrics) uint64) {
+			r.CounterFunc(name, help, func() float64 { return float64(read(s.cfg.Store.Metrics())) })
 		}
-		walCounter("innetd_wal_bytes_total", "Bytes appended to the WAL.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.WALBytes
-		})
-		walCounter("innetd_wal_records_total", "Records appended to the WAL.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.WALRecords
-		})
-		walCounter("innetd_wal_fsyncs_total", "Fsync calls issued by the store.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.Fsyncs
-		})
-		walCounter("innetd_wal_compactions_total", "Snapshot rewrites.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.Compacts
-		})
-		walCounter("innetd_wal_truncated_bytes_total", "Torn-tail bytes discarded at open.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.Truncated
-		})
-		walCounter("innetd_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.", func() uint64 {
-			m, _, _, _ := s.StoreMetrics()
-			return m.SnapCorrupt
-		})
-		walCounter("innetd_wal_append_errors_total", "Failed store appends (the fleet keeps serving).", func() uint64 {
-			_, walErrs, _, _ := s.StoreMetrics()
-			return walErrs
-		})
-		r.GaugeFunc("innetd_replayed_records", "Records restored by the last warm start.", func() float64 {
-			_, _, replayed, _ := s.StoreMetrics()
-			return float64(replayed)
-		})
+		walCounter("innetd_wal_bytes_total", "Bytes appended to the WAL.", func(m store.Metrics) uint64 { return m.WALBytes })
+		walCounter("innetd_wal_records_total", "Records appended to the WAL.", func(m store.Metrics) uint64 { return m.WALRecords })
+		walCounter("innetd_wal_fsyncs_total", "Fsync calls issued by the store.", func(m store.Metrics) uint64 { return m.Fsyncs })
+		walCounter("innetd_wal_compactions_total", "Snapshot rewrites.", func(m store.Metrics) uint64 { return m.Compacts })
+		walCounter("innetd_wal_truncated_bytes_total", "Torn-tail bytes discarded at open.", func(m store.Metrics) uint64 { return m.Truncated })
+		walCounter("innetd_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.", func(m store.Metrics) uint64 { return m.SnapCorrupt })
+		r.CounterFunc("innetd_wal_append_errors_total", "Failed store appends (the fleet keeps serving).",
+			func() float64 { return float64(s.wal.Errors()) })
+		r.GaugeFunc("innetd_replayed_records", "Records restored by the last warm start.",
+			func() float64 { return float64(s.replayed.Load()) })
 	}
 
 	// Per-sensor queue state: depth now, drops since attach. The drop
@@ -117,27 +95,9 @@ func newServiceObs(s *Service) *serviceObs {
 	m.queryLat = r.Histogram("innetd_query_latency_seconds",
 		"Service time of GET /v1/outliers.", b)
 	if s.cfg.Store != nil {
-		m.walAppend = r.Histogram("innetd_wal_append_seconds",
-			"WAL write+flush duration per append batch.", b)
-		m.walFsync = r.Histogram("innetd_wal_fsync_seconds",
-			"Duration of one fsync (WAL, snapshot, or directory).", b)
-		m.walCompact = r.Histogram("innetd_wal_compact_seconds",
-			"Duration of one whole snapshot rewrite.", b)
+		m.walTiming = r.StoreTiming("innetd", "WAL", "snapshot")
 	}
 	// Registered last so existing exposition order is undisturbed.
 	obs.RegisterBuildInfo(r)
 	return m
-}
-
-// storeTiming routes the store's durability-op durations into the WAL
-// histograms; installed on stores that expose SetTiming.
-func (m *serviceObs) storeTiming(op string, d time.Duration) {
-	switch op {
-	case "append":
-		m.walAppend.Observe(d.Seconds())
-	case "fsync":
-		m.walFsync.Observe(d.Seconds())
-	case "compact":
-		m.walCompact.Observe(d.Seconds())
-	}
 }

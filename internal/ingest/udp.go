@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -28,16 +29,30 @@ import (
 const maxUDPPayload = 64 * 1024
 
 // ServeUDP reads line-protocol datagrams from conn and ingests each
-// parsed reading, until conn is closed or the service closes (a watcher
-// forces the blocked read out via a read deadline, so Close really does
-// end the loop on a quiet socket). It always returns a non-nil error:
-// net.ErrClosed after the socket closed, ErrClosed after the service did.
+// parsed reading until conn is closed or the service closes; see
+// ServeLines.
 func (s *Service) ServeUDP(conn net.PacketConn) error {
+	return ServeLines(s.ctx, conn, ErrClosed, func(readings []Reading, malformed int) {
+		s.malformed.Add(uint64(malformed))
+		for _, r := range readings {
+			_ = s.Ingest(r) // rejections are counted by Ingest; UDP has no reply
+		}
+	})
+}
+
+// ServeLines is the read loop behind both UDP front doors — this
+// service's and the cluster coordinator's. It hands each datagram's
+// readings, and how many of its lines were malformed, to deliver, until
+// conn is closed or ctx ends (a watcher forces the blocked read out via a
+// read deadline, so a closing engine really does end the loop on a quiet
+// socket). It always returns a non-nil error: net.ErrClosed after the
+// socket closed, closed after ctx ended.
+func ServeLines(ctx context.Context, conn net.PacketConn, closed error, deliver func(readings []Reading, malformed int)) error {
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
 		select {
-		case <-s.ctx.Done():
+		case <-ctx.Done():
 			_ = conn.SetReadDeadline(time.Now())
 		case <-done:
 		}
@@ -47,16 +62,12 @@ func (s *Service) ServeUDP(conn net.PacketConn) error {
 	for {
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
-			if s.ctx.Err() != nil {
-				return ErrClosed
+			if ctx.Err() != nil {
+				return closed
 			}
 			return err
 		}
-		readings, malformed := ParseDatagram(buf, n)
-		s.malformed.Add(uint64(malformed))
-		for _, r := range readings {
-			_ = s.Ingest(r) // rejections are counted by Ingest; UDP has no reply
-		}
+		deliver(ParseDatagram(buf, n))
 	}
 }
 

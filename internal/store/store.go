@@ -229,10 +229,6 @@ func (m *Mem) Load() (State, error) {
 // Sync implements Store (a no-op in memory).
 func (m *Mem) Sync() error { return nil }
 
-// SetTiming accepts a durability-timing observer for interface symmetry
-// with File; memory operations are not worth timing, so it is dropped.
-func (m *Mem) SetTiming(func(op string, d time.Duration)) {}
-
 // Metrics implements Store.
 func (m *Mem) Metrics() Metrics {
 	m.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -239,35 +240,58 @@ type modelSet struct {
 	model map[PointID]Point
 }
 
-// check asserts the set holds exactly the model's points and that its
-// oldest-birth bound is a lower bound on every one of them.
+// check asserts the set holds exactly the model's points — through Points,
+// IDs, Len, Get and Contains — and that its oldest-birth bound is a lower
+// bound on every one of them.
 func (ms modelSet) check(t *testing.T, after string) {
 	t.Helper()
-	if ms.set.Len() != len(ms.model) {
-		t.Fatalf("after %s: set holds %d points, model %d", after, ms.set.Len(), len(ms.model))
+	want := make([]Point, 0, len(ms.model))
+	for _, p := range ms.model {
+		want = append(want, p)
 	}
-	for id, want := range ms.model {
-		got, ok := ms.set.Get(id)
-		if !ok || got.Hop != want.Hop || got.Birth != want.Birth {
-			t.Fatalf("after %s: set has %v (held %v), model %v", after, got, ok, want)
+	slices.SortFunc(want, func(a, b Point) int { return idCompare(a.ID, b.ID) })
+	if ms.set.Len() != len(want) {
+		t.Fatalf("after %s: set holds %d points, model %d", after, ms.set.Len(), len(want))
+	}
+	got, ids := ms.set.Points(), ms.set.IDs()
+	if len(got) != len(want) || len(ids) != len(want) {
+		t.Fatalf("after %s: Points has %d, IDs %d, model %d", after, len(got), len(ids), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; g.ID != w.ID || g.Hop != w.Hop || g.Birth != w.Birth || ids[i] != w.ID {
+			t.Fatalf("after %s: Points[%d] = %v born %v (IDs[%d] = %v), model %v born %v", after, i, g, g.Birth, i, ids[i], w, w.Birth)
 		}
-		if got.Birth < ms.set.oldest {
-			t.Fatalf("after %s: %v born at %v, before the set's oldest-birth bound %v", after, id, got.Birth, ms.set.oldest)
+		g, ok := ms.set.Get(w.ID)
+		if !ok || !ms.set.Contains(w.ID) || g.Hop != w.Hop || g.Birth != w.Birth {
+			t.Fatalf("after %s: Get(%v) = %v, %v; model %v", after, w.ID, g, ok, w)
+		}
+		if g.Birth < ms.set.oldest {
+			t.Fatalf("after %s: %v born at %v, before the set's oldest-birth bound %v", after, w.ID, g.Birth, ms.set.oldest)
 		}
 	}
 }
 
-// Property: whatever Add, AddMinHop, SetHop, Remove, EvictBefore,
-// EvictOrigin, Clone, Filter and Union are interleaved, the oldest-birth
-// bound never exceeds a held point's birth, EvictBefore evicts exactly the
-// points a scan of the model evicts, and after it the bound is at least the
-// cutoff — tight again, so the next expiry of nothing costs nothing.
-func TestSetOldestBirthBound(t *testing.T) {
+// Property: a Set is its model, a plain map, under any interleaving of
+// Add (overwrites included), AddMinHop, SetHop, Remove, EvictBefore,
+// EvictOrigin, Clone, Filter, MaxHop and Union, with points of each origin
+// arriving in random Seq order. Origins 1 and 2 are born in Seq order, as a
+// sensor's readings are, until an overwrite with a new birth breaks that;
+// origins 3 and 4 never are. After every operation the set holds exactly
+// the model's points, each operation reports what the model says it did,
+// Version moves exactly when the content changed, the oldest-birth bound
+// never exceeds a held point's birth, and after EvictBefore(c) the bound is
+// at least c — tight again, so the next expiry of nothing costs nothing.
+func TestSetMatchesModel(t *testing.T) {
 	r := rng(0x01de57)
 	fresh := func() modelSet { return modelSet{set: NewSet(), model: make(map[PointID]Point)} }
 	sets := []modelSet{fresh(), fresh(), fresh()}
 	point := func() Point {
-		p := NewPoint(NodeID(1+r.IntN(3)), uint32(r.IntN(40)), time.Duration(r.IntN(100))*time.Second, 1)
+		origin, seq := NodeID(1+r.IntN(4)), uint32(r.IntN(40))
+		birth := time.Duration(seq) * 5 * time.Second / 2
+		if origin > 2 {
+			birth = time.Duration(r.IntN(100)) * time.Second
+		}
+		p := NewPoint(origin, seq, birth, 1)
 		p.Hop = uint8(r.IntN(4))
 		return p
 	}
@@ -284,18 +308,28 @@ func TestSetOldestBirthBound(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		at := r.IntN(len(sets))
 		ms := sets[at]
+		version := ms.set.Version()
+		changed := false
 		op := ""
-		switch r.IntN(10) {
+		report := func(got, want any) {
+			if got != want {
+				t.Fatalf("step %d: %s reported %v, the model %v", step, op, got, want)
+			}
+		}
+		switch r.IntN(11) {
 		case 0, 1:
 			op = "Add"
-			// A PointID names one observation: a second copy differs in
-			// its hop field only.
+			// A PointID names one observation, so a second copy usually
+			// differs in its hop field only; one overwrite in eight also
+			// moves the birth, which the API allows.
 			p := point()
-			if old, ok := ms.model[p.ID]; ok {
+			old, ok := ms.model[p.ID]
+			if ok && r.IntN(8) != 0 {
 				p.Birth = old.Birth
 			}
-			ms.set.Add(p)
+			report(ms.set.Add(p), !ok)
 			ms.model[p.ID] = p
+			changed = true
 		case 2, 3:
 			op = "AddMinHop"
 			p := point()
@@ -303,22 +337,27 @@ func TestSetOldestBirthBound(t *testing.T) {
 			if ok {
 				p.Birth = old.Birth
 			}
-			ms.set.AddMinHop(p)
+			added, lowered := ms.set.AddMinHop(p)
+			report([2]bool{added, lowered}, [2]bool{!ok, ok && p.Hop < old.Hop})
 			if !ok || p.Hop < old.Hop {
 				ms.model[p.ID] = p
+				changed = true
 			}
 		case 4:
 			op = "SetHop"
 			p := point()
-			ms.set.SetHop(p.ID, p.Hop)
-			if old, ok := ms.model[p.ID]; ok && p.Hop < old.Hop {
+			old, ok := ms.model[p.ID]
+			changed = ok && p.Hop < old.Hop
+			report(ms.set.SetHop(p.ID, p.Hop), changed)
+			if changed {
 				old.Hop = p.Hop
 				ms.model[p.ID] = old
 			}
 		case 5:
 			op = "Remove"
 			id := point().ID
-			ms.set.Remove(id)
+			_, changed = ms.model[id]
+			report(ms.set.Remove(id), changed)
 			delete(ms.model, id)
 		case 6:
 			op = "EvictBefore"
@@ -330,30 +369,37 @@ func TestSetOldestBirthBound(t *testing.T) {
 					want++
 				}
 			}
-			if got := ms.set.EvictBefore(cutoff); got != want {
-				t.Fatalf("step %d: EvictBefore(%v) evicted %d, a scan evicts %d", step, cutoff, got, want)
-			}
+			report(ms.set.EvictBefore(cutoff), want)
+			changed = want > 0
 			if ms.set.oldest < cutoff {
 				t.Fatalf("step %d: oldest-birth bound %v still below the cutoff %v just evicted to", step, ms.set.oldest, cutoff)
 			}
 		case 7:
 			op = "EvictOrigin"
-			origin := NodeID(1 + r.IntN(3))
-			ms.set.EvictOrigin(origin)
+			origin := NodeID(1 + r.IntN(4))
+			want := 0
 			for id := range ms.model {
 				if id.Origin == origin {
 					delete(ms.model, id)
+					want++
 				}
 			}
+			report(ms.set.EvictOrigin(origin), want)
+			changed = want > 0
 		case 8:
 			to := r.IntN(len(sets))
-			if r.IntN(2) == 0 {
+			switch r.IntN(3) {
+			case 0:
 				op = "Clone"
 				sets[to] = modelSet{set: ms.set.Clone(), model: cloneModel(ms.model, all)}
-			} else {
+			case 1:
 				op = "Filter"
 				young := func(p Point) bool { return p.Birth >= 50*time.Second }
 				sets[to] = modelSet{set: ms.set.Filter(young), model: cloneModel(ms.model, young)}
+			default:
+				op = "MaxHop"
+				h := uint8(r.IntN(4))
+				sets[to] = modelSet{set: ms.set.MaxHop(h), model: cloneModel(ms.model, func(p Point) bool { return p.Hop <= h })}
 			}
 			sets[to].check(t, op)
 		case 9:
@@ -367,6 +413,16 @@ func TestSetOldestBirthBound(t *testing.T) {
 			}
 			sets[to] = modelSet{set: ms.set.Union(other.set, nil), model: u}
 			sets[to].check(t, op)
+		case 10:
+			op = "Get of an absent ID"
+			p := point()
+			if _, held := ms.model[p.ID]; !held {
+				_, ok := ms.set.Get(p.ID)
+				report([2]bool{ok, ms.set.Contains(p.ID)}, [2]bool{false, false})
+			}
+		}
+		if moved := ms.set.Version() != version; moved != changed {
+			t.Fatalf("step %d: %s moved Version: %v, changed the content: %v", step, op, moved, changed)
 		}
 		ms.check(t, op)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -54,9 +56,17 @@ func BenchmarkTopNIndexed(b *testing.B) {
 	}
 }
 
+// byID puts pts in ID order, the order a Set hands out its points and every
+// ranking visits them in.
+func byID(pts []Point) []Point {
+	slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
+	return pts
+}
+
 // fleetPoints is a window of the bench fleet's shape: sensors×rounds
 // one-dimensional readings from the faulty stream (see burstStream), IDs
-// and births as 16 sensors sampling once a second would mint them.
+// and births as 16 sensors sampling once a second would mint them, in ID
+// order.
 func fleetPoints(sensors, rounds int) []Point {
 	value := burstStream(uint64(sensors*rounds), 0.005, 15000)
 	pts := make([]Point, 0, sensors*rounds)
@@ -65,7 +75,7 @@ func fleetPoints(sensors, rounds int) []Point {
 			pts = append(pts, NewPoint(NodeID(s), uint32(r), time.Duration(r)*time.Second, value()))
 		}
 	}
-	return pts
+	return byID(pts)
 }
 
 // BenchmarkIndexBuild isolates construction cost: at the pool a fleet
@@ -160,19 +170,19 @@ func BenchmarkTopNPool(b *testing.B) {
 }
 
 // streamPoints draws count one-dimensional readings from value, sixteen
-// sensors taking turns.
+// sensors taking turns, and returns them in ID order.
 func streamPoints(value func() float64, count int) []Point {
 	pts := make([]Point, count)
 	for i := range pts {
 		pts[i] = NewPoint(NodeID(1+i%16), uint32(i/16), 0, value())
 	}
-	return pts
+	return byID(pts)
 }
 
 // BenchmarkEvictBefore measures window expiry on a ledger-sized set: the
 // common call that has nothing to expire, which the oldest-birth bound
 // answers without a scan, and the call that expires one point (and re-adds
-// one, so the set stays at 200), which pays for the scan.
+// one, so the set stays at 200), which pops it off the front of its run.
 func BenchmarkEvictBefore(b *testing.B) {
 	const size = 200
 	fill := func() *Set {
@@ -213,9 +223,12 @@ func steadyClique16(t testing.TB) (*packetHasher, func() float64) {
 }
 
 // totalStats sums the counters over every detector.
-func (ph *packetHasher) totalStats() Stats {
+func (ph *packetHasher) totalStats() Stats { return sumStats(ph.dets) }
+
+// sumStats sums the counters over the given detectors.
+func sumStats(dets map[NodeID]*Detector) Stats {
 	var sum Stats
-	for _, d := range ph.dets {
+	for _, d := range dets {
 		st := d.Stats()
 		sum.Events += st.Events
 		sum.Broadcasts += st.Broadcasts
@@ -226,6 +239,7 @@ func (ph *packetHasher) totalStats() Stats {
 		sum.MemoMisses += st.MemoMisses
 		sum.RankQueries += st.RankQueries
 		sum.RankAbandoned += st.RankAbandoned
+		sum.RankVisits += st.RankVisits
 		sum.IndexBuilds += st.IndexBuilds
 	}
 	return sum
@@ -236,8 +250,9 @@ func (ph *packetHasher) totalStats() Stats {
 // one op is one sensor's StepObserveBatch plus every receipt it triggers
 // until the network is quiescent again. Beside the time it reports what
 // the reaction path had to do for it: the share of per-link rankings the
-// link memos answered, ranking queries started per reading and the share
-// of them the cutoff abandoned, and spatial indexes built per reading.
+// link memos answered, ranking queries started per reading, the candidates
+// a query visited on average and the share of queries the cutoff
+// abandoned, and spatial indexes built per reading.
 func BenchmarkReactClique16(b *testing.B) {
 	ph, value := steadyClique16(b)
 	before := ph.totalStats()
@@ -256,6 +271,7 @@ func BenchmarkReactClique16(b *testing.B) {
 	queries := after.RankQueries - before.RankQueries
 	b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "memo-hit-share")
 	b.ReportMetric(float64(queries)/float64(b.N), "rank-queries/op")
+	b.ReportMetric(float64(after.RankVisits-before.RankVisits)/float64(max(1, queries)), "visits/query")
 	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/float64(max(1, queries)), "abandoned-share")
 	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
 }
@@ -381,11 +397,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncRound53 measures one full sampling round of the reference
-// runtime at the paper's network size: 53 sensors observe, then the
-// network settles to global agreement (KNN, k=4, n=4, 15-sample window).
-func BenchmarkSyncRound53(b *testing.B) {
-	r := rng(1)
+// grid53 is the reference runtime at the paper's network size: 53 sensors
+// on a grid eight wide, each linked to its right and its lower neighbour,
+// running KNN (k=4, n=4) over a 15-sample window.
+func grid53(tb testing.TB) (*SyncNetwork, []NodeID) {
+	tb.Helper()
 	net := NewSyncNetwork()
 	var ids []NodeID
 	for i := 1; i <= 53; i++ {
@@ -396,7 +412,7 @@ func BenchmarkSyncRound53(b *testing.B) {
 			Window: 15*31*time.Second - 15*time.Second,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		net.Add(det)
 	}
@@ -408,15 +424,39 @@ func BenchmarkSyncRound53(b *testing.B) {
 			net.Connect(ids[i], ids[i+8])
 		}
 	}
+	return net, ids
+}
+
+// sampleRound53 is round n on the grid: every sensor observes a reading
+// drawn from r, then the network settles to global agreement.
+func sampleRound53(tb testing.TB, net *SyncNetwork, ids []NodeID, n int, r *rand.Rand) {
+	tb.Helper()
+	at := time.Duration(n) * 31 * time.Second
+	net.AdvanceTo(at)
+	for _, id := range ids {
+		net.Observe(id, at, r.Float64()*10+20, r.Float64()*50, r.Float64()*50)
+	}
+	if _, err := net.Settle(10_000_000); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkSyncRound53 measures one full sampling round of the reference
+// runtime at the paper's network size (grid53). Beside the time it reports
+// the candidates a ranking query visited on average, the share of queries
+// the cutoff abandoned and the spatial indexes built per round.
+func BenchmarkSyncRound53(b *testing.B) {
+	r := rng(1)
+	net, ids := grid53(b)
+	before := sumStats(net.detectors)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		at := time.Duration(n) * 31 * time.Second
-		net.AdvanceTo(at)
-		for _, id := range ids {
-			net.Observe(id, at, r.Float64()*10+20, r.Float64()*50, r.Float64()*50)
-		}
-		if _, err := net.Settle(10_000_000); err != nil {
-			b.Fatal(err)
-		}
+		sampleRound53(b, net, ids, n, r)
 	}
+	b.StopTimer()
+	after := sumStats(net.detectors)
+	queries := float64(max(1, after.RankQueries-before.RankQueries))
+	b.ReportMetric(float64(after.RankVisits-before.RankVisits)/queries, "visits/query")
+	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/queries, "abandoned-share")
+	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
 }

@@ -115,8 +115,10 @@ type Stats struct {
 	// RankQueries is the number of ranking queries R(x, ·) started by
 	// top-n passes over the window, its hop strata and the per-link
 	// candidate pools; RankAbandoned is how many of them the top-n cutoff
-	// stopped before they finished.
-	RankQueries, RankAbandoned int
+	// stopped before they finished, and RankVisits how many candidates
+	// their linear scans looked at (a query through a spatial index
+	// counts none).
+	RankQueries, RankAbandoned, RankVisits int
 	// IndexBuilds is the number of spatial indexes built.
 	IndexBuilds int
 }
@@ -135,10 +137,11 @@ func (st *Stats) memo(hit bool) {
 	}
 }
 
-func (st *Stats) ranked(queries, abandoned int) {
+func (st *Stats) ranked(queries, abandoned, visits int) {
 	if st != nil {
 		st.RankQueries += queries
 		st.RankAbandoned += abandoned
+		st.RankVisits += visits
 	}
 }
 
@@ -680,13 +683,12 @@ func (d *Detector) semiGlobalDelta(l *link, strata []stratum) []Point {
 			forward(p)
 		}
 	}
-	var delta []Point
+	var delta []Point // in ID order, the order merged is walked in
 	merged.ForEach(func(p Point) {
 		if prior, ok := shared.minHop(p.ID); !ok || prior > p.Hop {
 			delta = append(delta, p)
 		}
 	})
-	sortByID(delta)
 	for _, p := range delta {
 		l.sent.AddMinHop(p)
 	}

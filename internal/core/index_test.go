@@ -158,7 +158,7 @@ func TestIndexedRankersMatchBrute(t *testing.T) {
 		for _, r := range rankers {
 			for _, x := range queriesFor(pts) {
 				want := r.Rank(x, pts)
-				got, ok := r.rankBounded(x, pts, ix, math.Inf(-1), scratch)
+				got, ok := r.rankBounded(x, pts, 0, ix, math.Inf(-1), scratch)
 				if !ok || want != got {
 					t.Fatalf("%s %s n=%d x=%v: Rank %v != indexed %v",
 						name, r.Name(), len(pts), x, want, got)

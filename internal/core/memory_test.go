@@ -226,3 +226,29 @@ func TestSteadyStateCliqueRemembers(t *testing.T) {
 		t.Error("no ranking query was abandoned by the cutoff")
 	}
 }
+
+// The work counters are a function of the input: two runs of the same
+// rounds on the 53-sensor grid start, abandon and scan the same ranking
+// queries and build the same indexes on every detector. Snapshots and
+// candidate pools come out in ID order, not map order, so what the cutoff
+// abandons — and with it when a batch buys an index — repeats too.
+func TestWorkCountersRepeat(t *testing.T) {
+	counts := func() map[NodeID]Stats {
+		net, ids := grid53(t)
+		r := rng(1)
+		for n := 0; n < 5; n++ {
+			sampleRound53(t, net, ids, n, r)
+		}
+		stats := make(map[NodeID]Stats, len(ids))
+		for _, id := range ids {
+			stats[id] = net.Detector(id).Stats()
+		}
+		return stats
+	}
+	first, second := counts(), counts()
+	for id, st := range first {
+		if second[id] != st {
+			t.Errorf("sensor %d counted %+v on the first run and %+v on the second", id, st, second[id])
+		}
+	}
+}

@@ -94,7 +94,7 @@ func RankAll(r Ranker, set *Set) []Ranked {
 // scans they replaced.
 type supporter struct {
 	r   Ranker
-	pts []Point       // the snapshot, in no particular order
+	pts []Point       // the snapshot, in ID order (see supporterFor)
 	ir  indexedRanker // nil when r implements only the public Ranker
 	ix  *Index        // built lazily, see ensureIndex
 
@@ -112,12 +112,15 @@ type supporter struct {
 }
 
 func newSupporter(r Ranker, set *Set) *supporter {
-	return supporterFor(r, set.snapshot())
+	return supporterFor(r, set.Points())
 }
 
-// supporterFor snapshots a duplicate-free point slice; rankers exclude a
-// point's own ID themselves, and rank values are insensitive to slice
-// order, so callers need not sort.
+// supporterFor snapshots a duplicate-free point slice. Rankers exclude a
+// point's own ID themselves and rank values are insensitive to slice
+// order, so any order is correct; ID order — what Set.Points and
+// candidatePool hand out — is the fast one: every scan starts at its
+// query's own slot, where its nearest candidates are, and the hint is
+// found by binary search.
 func supporterFor(r Ranker, pts []Point) *supporter {
 	s := &supporter{r: r, pts: pts}
 	s.ir, _ = r.(indexedRanker)
@@ -134,14 +137,15 @@ func (s *supporter) ensureIndex() {
 	}
 }
 
-// rank is the one ranking query: R(x, P) unless it is provably below
-// floor (see indexedRanker.rankBounded). A ranker that implements only the
-// public interface cannot be interrupted and always finishes.
-func (s *supporter) rank(x Point, floor float64, scratch *bestList) (float64, bool) {
+// rank is the one ranking query: R(x, P) for x = pts[i], unless it is
+// provably below floor (see indexedRanker.rankBounded). A ranker that
+// implements only the public interface cannot be interrupted and always
+// finishes.
+func (s *supporter) rank(i int, floor float64, scratch *bestList) (float64, bool) {
 	if s.ir == nil {
-		return s.r.Rank(x, s.pts), true
+		return s.r.Rank(s.pts[i], s.pts), true
 	}
-	return s.ir.rankBounded(x, s.pts, s.ix, floor, scratch)
+	return s.ir.rankBounded(s.pts[i], s.pts, i, s.ix, floor, scratch)
 }
 
 // topN computes On(P) with rank values, in (rank desc, ≺) order, without
@@ -190,8 +194,8 @@ func (s *supporter) topN(n int) []Ranked {
 	floor := math.Inf(-1)
 	scratch := newBestList(1)
 	price, abandoned := indexPrice(len(s.pts)), 0
-	offer := func(x Point) {
-		rank, ok := s.rank(x, floor, scratch)
+	offer := func(i int) {
+		rank, ok := s.rank(i, floor, scratch)
 		if scratch.visited > price {
 			s.ensureIndex()
 		}
@@ -199,20 +203,20 @@ func (s *supporter) topN(n int) []Ranked {
 			abandoned++
 			return
 		}
-		cand := Ranked{Point: x, Rank: rank}
-		i := len(top)
-		if i == n {
+		cand := Ranked{Point: s.pts[i], Rank: rank}
+		j := len(top)
+		if j == n {
 			if !rankedBefore(cand, top[n-1]) {
 				return
 			}
-			i--
+			j--
 		} else {
 			top = append(top, Ranked{})
 		}
-		for ; i > 0 && rankedBefore(cand, top[i-1]); i-- {
-			top[i] = top[i-1]
+		for ; j > 0 && rankedBefore(cand, top[j-1]); j-- {
+			top[j] = top[j-1]
 		}
-		top[i] = cand
+		top[j] = cand
 		if len(top) == n {
 			floor = top[n-1].Rank
 		}
@@ -222,25 +226,27 @@ func (s *supporter) topN(n int) []Ranked {
 	// each at most once however often the hint repeats an ID (n is small;
 	// the first eight stay on the stack).
 	lead := make([]int, 0, 8)
-	for i := 0; i < len(s.pts) && len(lead) < len(s.hint); i++ {
-		if ranksID(s.hint, s.pts[i].ID) {
-			lead = append(lead, i)
+	for _, h := range s.hint {
+		if i, held := slotOf(s.pts, h.Point.ID); held {
+			if at, dup := slices.BinarySearch(lead, i); !dup {
+				lead = slices.Insert(lead, at, i)
+			}
 		}
 	}
 	for _, i := range lead {
-		offer(s.pts[i])
+		offer(i)
 	}
 	if len(top) < n {
 		s.ensureIndex()
 	}
-	for i, x := range s.pts {
+	for i := range s.pts {
 		if len(lead) > 0 && lead[0] == i {
 			lead = lead[1:]
 			continue
 		}
-		offer(x)
+		offer(i)
 	}
-	s.stats.ranked(len(s.pts), abandoned)
+	s.stats.ranked(len(s.pts), abandoned, scratch.visited)
 	s.top, s.topFor = top, n
 	return top
 }
@@ -253,7 +259,7 @@ func (s *supporter) rankAll() []Ranked {
 	ranked := make([]Ranked, len(s.pts))
 	scratch := newBestList(1)
 	for i, x := range s.pts {
-		rank, _ := s.rank(x, math.Inf(-1), scratch)
+		rank, _ := s.rank(i, math.Inf(-1), scratch)
 		ranked[i] = Ranked{Point: x, Rank: rank}
 	}
 	sortRanked(ranked)
@@ -358,8 +364,8 @@ func newStratum(sup *supporter, n int) stratum {
 // D(i→j) ∪ D(j→i), min-merged on the hop field and restricted to copies
 // that traveled at most maxHop hops (the semi-global D^{≤h} filter; anyHop
 // for the global algorithm). The reaction path consults it per neighbor
-// per event, so the union is probed, never materialized. Either set may
-// be nil.
+// per event, so the union is probed or walked, never materialized. Either
+// set may be nil.
 type ledgers struct {
 	sent, recv *Set
 	maxHop     uint8
@@ -381,21 +387,6 @@ func (l ledgers) minHop(id PointID) (uint8, bool) {
 func (l ledgers) contains(id PointID) bool {
 	_, ok := l.minHop(id)
 	return ok
-}
-
-// forEach calls fn once per point of the view, in unspecified order, with
-// whichever qualifying copy it meets first.
-func (l ledgers) forEach(fn func(Point)) {
-	l.sent.ForEach(func(p Point) {
-		if p.Hop <= l.maxHop {
-			fn(p)
-		}
-	})
-	l.recv.ForEach(func(p Point) {
-		if q, dup := l.sent.Get(p.ID); p.Hop <= l.maxHop && !(dup && q.Hop <= l.maxHop) {
-			fn(p)
-		}
-	})
 }
 
 // linkMemo is what one link remembers from one event to the next:
@@ -424,20 +415,21 @@ func (m *linkMemo) holds(gen uint64, shared ledgers) bool {
 
 // closeSeed closes st.seed = On(P) ∪ [P|On(P)] under the Eq. (2) fixed
 // point against one link's shared ledger and returns the points the closure
-// added: Z = seed ∪ extra, disjoint. Splitting the seed — and the supporter
-// over P — out lets the detector compute both once per event (or reuse them
-// across events while the window is unchanged) and share them, unmodified,
-// across every neighbor.
+// added, in ID order: Z = seed ∪ extra, disjoint. Splitting the seed — and
+// the supporter over P — out lets the detector compute both once per event
+// (or reuse them across events while the window is unchanged) and share
+// them, unmodified, across every neighbor.
 //
 // Each iteration ranks the candidate pool shared ∪ Z, a duplicate-free
-// slice (rank values ignore the hop field, so which copy of a point it
-// holds is immaterial), with On(P) as the hint: in the steady state
-// On(shared ∪ Z) is On(P), so the pool's floor is final after n queries and
-// whatever in the ledger has since become an inlier is dropped after a few
-// comparisons. The first iteration's ranking is what memo keeps; when it
-// still holds, the pool is not even assembled unless the closure goes on to
-// grow. A nil memo (Sufficient, MergeSource.Delta) remembers nothing and is
-// never written, which is what lets concurrent sessions share a source.
+// slice kept in ID order (rank values ignore the hop field, so which copy
+// of a point it holds is immaterial), with On(P) as the hint: in the steady
+// state On(shared ∪ Z) is On(P), so the pool's floor is final after n
+// queries and whatever in the ledger has since become an inlier is dropped
+// after a few comparisons. The first iteration's ranking is what memo
+// keeps; when it still holds, the pool is not even assembled unless the
+// closure goes on to grow. A nil memo (Sufficient, MergeSource.Delta)
+// remembers nothing and is never written, which is what lets concurrent
+// sessions share a source.
 func closeSeed(st *stratum, shared ledgers, n int, memo *linkMemo) (extra []Point) {
 	sup, seed := st.sup, st.seed
 	estimate := sup.topN(n)
@@ -469,13 +461,15 @@ func closeSeed(st *stratum, shared ledgers, n int, memo *linkMemo) (extra []Poin
 		}
 		grew := false
 		sup.eachSupport(approx, func(p Point) {
-			if seed.Contains(p.ID) || slices.ContainsFunc(extra, func(q Point) bool { return q.ID == p.ID }) {
+			at, dup := slotOf(extra, p.ID)
+			if dup || seed.Contains(p.ID) {
 				return
 			}
-			extra = append(extra, p)
+			extra = slices.Insert(extra, at, p)
 			grew = true
 			if pool != nil && !shared.contains(p.ID) {
-				pool = append(pool, p)
+				at, _ := slotOf(pool, p.ID)
+				pool = slices.Insert(pool, at, p)
 			}
 		})
 		if !grew {
@@ -485,20 +479,17 @@ func closeSeed(st *stratum, shared ledgers, n int, memo *linkMemo) (extra []Poin
 }
 
 // candidatePool assembles shared ∪ Z for Z = seed ∪ extra (disjoint) as a
-// duplicate-free slice.
+// duplicate-free slice in ID order: one merge of four ID-ordered walks —
+// the seed, extra, and the two ledgers under the view's hop cutoff — that
+// keeps the first copy of every ID.
 func candidatePool(seed *Set, extra []Point, shared ledgers) []Point {
 	pool := make([]Point, 0, seed.Len()+len(extra)+shared.sent.Len()+shared.recv.Len())
-	seed.ForEach(func(p Point) { pool = append(pool, p) })
-	shared.forEach(func(p Point) {
-		if !seed.Contains(p.ID) {
-			pool = append(pool, p)
-		}
-	})
-	for _, p := range extra {
-		if !shared.contains(p.ID) {
-			pool = append(pool, p)
-		}
-	}
+	mergeByID([]cursor{
+		seed.cursor(anyHop),
+		{pts: extra, maxHop: anyHop},
+		shared.sent.cursor(shared.maxHop),
+		shared.recv.cursor(shared.maxHop),
+	}, func(p Point) { pool = append(pool, p) })
 	return pool
 }
 
@@ -506,15 +497,10 @@ func candidatePool(seed *Set, extra []Point, shared ledgers) []Point {
 // link's peer is owed.
 func unshared(seed *Set, extra []Point, shared ledgers) []Point {
 	var delta []Point
-	owe := func(p Point) {
+	mergeByID([]cursor{seed.cursor(anyHop), {pts: extra, maxHop: anyHop}}, func(p Point) {
 		if !shared.contains(p.ID) {
 			delta = append(delta, p)
 		}
-	}
-	seed.ForEach(owe)
-	for _, p := range extra {
-		owe(p)
-	}
-	sortByID(delta)
+	})
 	return delta
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Ranker is the paper's outlier ranking function R. Rank maps a point x
@@ -15,11 +16,13 @@ import (
 // The neighbors argument need not exclude x: callers may pass all of P,
 // and implementations skip any entry carrying x's own ID, ranking x against
 // P \ {x}. Both methods must treat neighbors as read-only, and neither may
-// depend on the order of the slice: it arrives in no particular order (a
-// snapshot of a map), and R is a function of a set. An implementation whose
-// floating-point result could vary with the order it adds things up in must
-// fix that order itself, as the rankers here do by accumulating over the
-// (distance, ≺)-sorted nearest list.
+// depend on the order of the slice: R is a function of a set. The package
+// passes P in ID order, the order a Set holds it in, and its own rankers
+// use that order for speed alone — a query's nearest candidates tend to sit
+// next to its own slot — so any other order gives the same result. An
+// implementation whose floating-point result could vary with the order it
+// adds things up in must fix that order itself, as the rankers here do by
+// accumulating over the (distance, ≺)-sorted nearest list.
 //
 // Implementations must satisfy the paper's two axioms:
 //
@@ -44,24 +47,25 @@ type Ranker interface {
 // early once the answer can no longer matter.
 //
 // rankBounded computes R(x, pts ∪ {x}) — through ix when it is non-nil, in
-// which case ix indexes exactly pts, and by a linear scan of pts otherwise —
-// unless the point cannot reach floor: by anti-monotonicity the rank over
-// the neighbors seen so far is an upper bound on the final rank, and as soon
-// as that bound is strictly below floor the query stops and reports
-// ok=false. A point whose rank equals floor is always finished, so ties at
-// the floor stay with ≺. The bound is the rank formula itself applied to the
-// nearest list so far (never before the list is full, which leaves the
-// MissingNeighborPenalty regime alone), so a surviving point's rank comes
-// from the same arithmetic whatever the floor, and floor = -Inf is the
-// exhaustive query. Both paths return bit-identical ranks; supportIndexed
-// returns the same support points as Support. The batch entry points
-// (supporter, SupportOf) are the callers.
+// which case ix indexes exactly pts, and otherwise by a linear scan of pts
+// that starts at slot at (x's own, or where x's ID would go) and works
+// outward — unless the point cannot reach floor: by anti-monotonicity the
+// rank over the neighbors seen so far is an upper bound on the final rank,
+// and as soon as that bound is strictly below floor the query stops and
+// reports ok=false. A point whose rank equals floor is always finished, so
+// ties at the floor stay with ≺. The bound is the rank formula itself
+// applied to the nearest list so far (never before the list is full, which
+// leaves the MissingNeighborPenalty regime alone), so a surviving point's
+// rank comes from the same arithmetic whatever the floor and wherever the
+// scan starts, and floor = -Inf is the exhaustive query. Both paths return
+// bit-identical ranks; supportIndexed returns the same support points as
+// Support. The batch entry points (supporter, SupportOf) are the callers.
 //
 // scratch is a bestList owned by the calling batch so the per-point hot
 // loop allocates nothing; implementations that do not need one ignore it.
 type indexedRanker interface {
 	Ranker
-	rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (rank float64, ok bool)
+	rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (rank float64, ok bool)
 	supportIndexed(x Point, ix *Index) []Point
 }
 
@@ -113,7 +117,8 @@ func (r KNN) Name() string {
 // Rank implements Ranker: the average distance to the k nearest
 // neighbors, with missing neighbors charged MissingNeighborPenalty.
 func (r KNN) Rank(x Point, neighbors []Point) float64 {
-	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), newBestList(r.k()))
+	at, _ := slotOf(neighbors, x.ID)
+	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
 	return rank
 }
 
@@ -124,8 +129,8 @@ func (r KNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-func (r KNN) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
-	return scratch.rankBounded(x, pts, ix, r.k(), meanOfNearest, floor)
+func (r KNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+	return scratch.rankBounded(x, pts, at, ix, r.k(), meanOfNearest, floor)
 }
 
 func (r KNN) supportIndexed(x Point, ix *Index) []Point {
@@ -157,7 +162,8 @@ func (r KthNN) Name() string { return fmt.Sprintf("%dthNN", r.k()) }
 // MissingNeighborPenalty charge per missing neighbor so that every added
 // point strictly lowers an undersupplied rank (smoothness).
 func (r KthNN) Rank(x Point, neighbors []Point) float64 {
-	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), newBestList(r.k()))
+	at, _ := slotOf(neighbors, x.ID)
+	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
 	return rank
 }
 
@@ -166,8 +172,8 @@ func (r KthNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-func (r KthNN) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
-	return scratch.rankBounded(x, pts, ix, r.k(), kthNearest, floor)
+func (r KthNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+	return scratch.rankBounded(x, pts, at, ix, r.k(), kthNearest, floor)
 }
 
 func (r KthNN) supportIndexed(x Point, ix *Index) []Point {
@@ -189,13 +195,14 @@ func (r CountWithin) Name() string { return fmt.Sprintf("DB(%g)", r.Alpha) }
 
 // Rank implements Ranker.
 func (r CountWithin) Rank(x Point, neighbors []Point) float64 {
-	rank, _ := r.rankBounded(x, neighbors, nil, math.Inf(-1), nil)
+	at, _ := slotOf(neighbors, x.ID)
+	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), nil)
 	return rank
 }
 
 // rankBounded counts the neighbors within Alpha; every one found lowers
 // the bound 1/(1+count so far), which is the rank formula on that count.
-func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+func (r CountWithin) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
 	a2 := r.Alpha * r.Alpha
 	count := 0
 	more := func() bool {
@@ -210,9 +217,10 @@ func (r CountWithin) rankBounded(x Point, pts []Point, ix *Index, floor float64,
 		}
 		return 1 / float64(1+count), true
 	}
-	for i, p := range pts {
-		if p.ID != x.ID && x.dist2(p) <= a2 && !more() {
-			scratch.visit(i + 1)
+	w := newOutward(at, len(pts))
+	for i := w.next(); i >= 0; i = w.next() {
+		if p := &pts[i]; p.ID != x.ID && x.dist2(*p) <= a2 && !more() {
+			scratch.visit(w.visited())
 			return 0, false
 		}
 	}
@@ -274,7 +282,8 @@ type bestList struct {
 
 	// visited counts the candidates the linear scans of the batch this
 	// list serves have looked at; reset leaves it alone. It is how
-	// supporter.topN knows what its scanning has cost so far.
+	// supporter.topN knows what its scanning has cost so far, and what
+	// Stats.RankVisits adds up.
 	visited int
 }
 
@@ -319,13 +328,13 @@ func (b *bestList) abandoned() bool {
 
 // rankBounded is indexedRanker.rankBounded for the k-nearest-neighbor
 // rankers.
-func (b *bestList) rankBounded(x Point, pts []Point, ix *Index, k int, kind nnRank, floor float64) (float64, bool) {
+func (b *bestList) rankBounded(x Point, pts []Point, at int, ix *Index, k int, kind nnRank, floor float64) (float64, bool) {
 	b.reset(k, kind, floor)
 	if ix != nil {
 		if len(ix.pts) > 0 && !ix.knn(0, x, b) {
 			return 0, false
 		}
-	} else if !b.scan(x, pts) {
+	} else if !b.scan(x, pts, at) {
 		return 0, false
 	}
 	return b.rank(), true
@@ -380,15 +389,18 @@ func (b *bestList) points() []Point {
 
 // scan offers every candidate to the list, skipping any that carries x's
 // own ID (so callers may pass sets that still contain x), and reports false
-// if the query was abandoned. Pre-filtering on the current bound skips the
-// consider call — and its tie-break logic — for the overwhelming majority
-// of candidates; one at d2 == bound still goes through consider, which
-// resolves the tie by ≺. Selection is O(n·k) by bounded insertion over
-// squared distances, which beats a full sort (and all the square roots)
-// for the small k the rankers use.
-func (b *bestList) scan(x Point, candidates []Point) bool {
+// if the query was abandoned. It starts at slot at and works outward, so in
+// an ID-ordered snapshot the nearest candidates come first and the cutoff
+// stops an inlier within a few visits. Pre-filtering on the current bound
+// skips the consider call — and its tie-break logic — for the overwhelming
+// majority of candidates; one at d2 == bound still goes through consider,
+// which resolves the tie by ≺. Selection is O(n·k) by bounded insertion
+// over squared distances, which beats a full sort (and all the square
+// roots) for the small k the rankers use.
+func (b *bestList) scan(x Point, candidates []Point, at int) bool {
 	bound := b.bound()
-	for i := range candidates {
+	w := newOutward(at, len(candidates))
+	for i := w.next(); i >= 0; i = w.next() {
 		p := &candidates[i]
 		if p.ID == x.ID {
 			continue
@@ -396,7 +408,7 @@ func (b *bestList) scan(x Point, candidates []Point) bool {
 		if d2 := x.dist2(*p); d2 <= bound {
 			b.consider(d2, p)
 			if b.abandoned() {
-				b.visited += i + 1
+				b.visited += w.visited()
 				return false
 			}
 			bound = b.bound()
@@ -415,11 +427,46 @@ func (b *bestList) visit(n int) {
 	}
 }
 
+// outward visits each slot of an n-slot slice once, from slot at outward:
+// at, at+1, at−1, at+2, at−2, … A sensor's readings share its X,Y and
+// neighbouring sensors have neighbouring IDs, so in an ID-ordered snapshot
+// a query's nearest candidates sit around its own slot, and the cutoff
+// prunes best when they come first (Bay & Schwabacher 2003). The order is
+// a matter of speed only: every slot is visited either way.
+type outward struct{ at, lo, hi, n int }
+
+func newOutward(at, n int) outward { return outward{at: at, lo: at - 1, hi: at, n: n} }
+
+// next returns the next slot, or -1 once every slot has been visited.
+func (w *outward) next() int {
+	if w.hi < w.n && (w.lo < 0 || w.hi-w.at <= w.at-w.lo) {
+		w.hi++
+		return w.hi - 1
+	}
+	if w.lo >= 0 {
+		w.lo--
+		return w.lo + 1
+	}
+	return -1
+}
+
+// visited returns how many slots next has returned so far.
+func (w *outward) visited() int { return w.hi - w.lo - 1 }
+
+// slotOf returns where id sits in pts, or where it would go, and whether
+// it is there: the slot a scan for that point starts from. pts is expected
+// in ID order; in any other order the slot returned is still in range, and
+// only the speed of the scan suffers.
+func slotOf(pts []Point, id PointID) (int, bool) {
+	return slices.BinarySearchFunc(pts, id, func(p Point, id PointID) int { return idCompare(p.ID, id) })
+}
+
 // kNearest returns the k points of candidates nearest to x, ties broken
 // by ≺, in (distance, ≺) order; for large sets the package routes batched
 // queries through Index instead.
 func kNearest(x Point, candidates []Point, k int) []Point {
 	best := newBestList(k)
-	best.scan(x, candidates)
+	at, _ := slotOf(candidates, x.ID)
+	best.scan(x, candidates, at)
 	return best.points()
 }

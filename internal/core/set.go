@@ -1,22 +1,28 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"strings"
 	"time"
 )
 
-// Set is a collection of points keyed by PointID. The zero value is not
-// ready for use; construct sets with NewSet. A nil *Set behaves as an
-// empty, read-only set for the query methods (Len, Contains, Get, Points,
-// ForEach), which keeps call sites free of nil checks.
+// Set is a collection of points keyed by PointID, held in ID order. The
+// zero value is not ready for use; construct sets with NewSet. A nil *Set
+// behaves as an empty, read-only set for the query methods (Len, Contains,
+// Get, Points, ForEach), which keeps call sites free of nil checks.
 //
 // Set deduplicates by PointID: at most one copy of a given observation is
 // held, and for the semi-global algorithm the copy with the smallest hop
 // field wins (AddMinHop), matching the paper's [Q]min operator.
+//
+// The points sit in one run per origin, runs in origin order, each run in
+// Seq order (DESIGN.md § "One ordered Set"): every walk over the set is ID
+// order with no sort, and window expiry pops the front of each run.
 type Set struct {
-	m map[PointID]Point
+	runs []run
+	n    int // points held, over all runs
 
 	// version counts content mutations. Every operation that changes
 	// what the set holds (insert, replace, hop lowering, removal,
@@ -29,11 +35,22 @@ type Set struct {
 
 	// oldest is a lower bound on the Birth of every held point (noBirth
 	// when the set is empty or freshly filtered to nothing): inserts lower
-	// it, removals leave it alone, and an eviction scan — the one place
-	// that visits every point anyway — tightens it to the exact minimum of
-	// what survives. EvictBefore consults it first, so expiring a window
-	// costs a scan only when something can actually expire.
+	// it, removals leave it alone, and an eviction — the one place that
+	// visits every run anyway — tightens it to the exact minimum of what
+	// survives. EvictBefore consults it first, so expiring a window costs
+	// nothing unless something can actually expire.
 	oldest time.Duration
+}
+
+// run is one origin's points in Seq order, no Seq twice. A run is ordered
+// while its births do not decrease along it, so that its front is its
+// oldest point; unordered marks one that an out-of-birth-order insert or
+// overwrite has broken, and eviction then filters it whole. The mark clears
+// when the run is emptied or an eviction finds it back in order.
+type run struct {
+	origin    NodeID
+	unordered bool
+	pts       []Point
 }
 
 // noBirth is the oldest-birth bound of a set that holds nothing.
@@ -50,7 +67,7 @@ func (s *Set) Version() uint64 {
 // NewSet returns a set holding the given points. Duplicate IDs keep the
 // copy with the smallest hop field.
 func NewSet(pts ...Point) *Set {
-	s := &Set{m: make(map[PointID]Point, len(pts)), oldest: noBirth}
+	s := &Set{oldest: noBirth}
 	for _, p := range pts {
 		s.AddMinHop(p)
 	}
@@ -62,33 +79,91 @@ func (s *Set) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.m)
+	return s.n
+}
+
+// runOf returns the position of origin's run, or where it would go, and
+// whether the set has one.
+func (s *Set) runOf(origin NodeID) (int, bool) {
+	lo, hi := 0, len(s.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.runs[mid].origin < origin {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s.runs) && s.runs[lo].origin == origin
+}
+
+// slot returns the position of seq in the run, or where it would go, and
+// whether the run holds it. A Seq past the run's last — a sensor's next
+// reading — is answered without a search.
+func (r *run) slot(seq uint32) (int, bool) {
+	pts := r.pts
+	if len(pts) == 0 || pts[len(pts)-1].ID.Seq < seq {
+		return len(pts), false
+	}
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pts[mid].ID.Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, pts[lo].ID.Seq == seq
+}
+
+// locate returns the held copy of id in place, or nil.
+func (s *Set) locate(id PointID) *Point {
+	if s == nil {
+		return nil
+	}
+	i, ok := s.runOf(id.Origin)
+	if !ok {
+		return nil
+	}
+	r := &s.runs[i]
+	j, ok := r.slot(id.Seq)
+	if !ok {
+		return nil
+	}
+	return &r.pts[j]
 }
 
 // Contains reports whether a point with the given ID is held.
 func (s *Set) Contains(id PointID) bool {
-	if s == nil {
-		return false
-	}
-	_, ok := s.m[id]
-	return ok
+	return s.locate(id) != nil
 }
 
 // Get returns the held copy of the point with the given ID.
 func (s *Set) Get(id PointID) (Point, bool) {
-	if s == nil {
-		return Point{}, false
+	if p := s.locate(id); p != nil {
+		return *p, true
 	}
-	p, ok := s.m[id]
-	return p, ok
+	return Point{}, false
+}
+
+// runFor returns origin's run, opening an empty one in origin order if the
+// set has none.
+func (s *Set) runFor(origin NodeID) *run {
+	i, ok := s.runOf(origin)
+	if !ok {
+		s.runs = slices.Insert(s.runs, i, run{origin: origin})
+	}
+	return &s.runs[i]
 }
 
 // Add inserts p, overwriting any held copy with the same ID. It reports
 // whether the ID was not previously present.
 func (s *Set) Add(p Point) bool {
-	_, existed := s.m[p.ID]
-	s.put(p) // an overwrite can change the held copy's fields
-	return !existed
+	r := s.runFor(p.ID.Origin)
+	j, held := r.slot(p.ID.Seq)
+	s.put(r, j, held, p) // an overwrite can change the held copy's fields
+	return !held
 }
 
 // AddMinHop inserts p unless a copy with the same ID and a hop field no
@@ -97,22 +172,33 @@ func (s *Set) Add(p Point) bool {
 // paper's [Q]min redundancy elimination. added reports that the ID was
 // new; lowered reports that an existing copy's hop was reduced.
 func (s *Set) AddMinHop(p Point) (added, lowered bool) {
-	old, existed := s.m[p.ID]
-	if !existed {
-		s.put(p)
+	r := s.runFor(p.ID.Origin)
+	j, held := r.slot(p.ID.Seq)
+	switch {
+	case !held:
+		s.put(r, j, false, p)
 		return true, false
-	}
-	if p.Hop < old.Hop {
-		s.put(p)
+	case p.Hop < r.pts[j].Hop:
+		s.put(r, j, true, p)
 		return false, true
 	}
 	return false, false
 }
 
-// put stores p under its ID: the one place a point enters the map, so the
-// one place the oldest-birth bound has to follow.
-func (s *Set) put(p Point) {
-	s.m[p.ID] = p
+// put stores p at slot j of r — over the copy there when held, between its
+// Seq neighbours otherwise: the one place a point enters the set, so the
+// one place the run's birth order and the oldest-birth bound have to
+// follow.
+func (s *Set) put(r *run, j int, held bool, p Point) {
+	if held {
+		r.pts[j] = p
+	} else {
+		r.pts = slices.Insert(r.pts, j, p)
+		s.n++
+	}
+	if j > 0 && r.pts[j-1].Birth > p.Birth || j+1 < len(r.pts) && p.Birth > r.pts[j+1].Birth {
+		r.unordered = true
+	}
 	s.version++
 	if p.Birth < s.oldest {
 		s.oldest = p.Birth
@@ -122,15 +208,11 @@ func (s *Set) put(p Point) {
 // SetHop lowers the hop field of the held copy of id to hop if the held
 // copy's hop is larger. It reports whether a change was made.
 func (s *Set) SetHop(id PointID, hop uint8) bool {
-	if s == nil {
-		return false
-	}
-	p, ok := s.m[id]
-	if !ok || p.Hop <= hop {
+	p := s.locate(id)
+	if p == nil || p.Hop <= hop {
 		return false
 	}
 	p.Hop = hop
-	s.m[id] = p
 	s.version++
 	return true
 }
@@ -140,78 +222,65 @@ func (s *Set) Remove(id PointID) bool {
 	if s == nil {
 		return false
 	}
-	_, ok := s.m[id]
-	delete(s.m, id)
-	if ok {
-		s.version++
+	i, ok := s.runOf(id.Origin)
+	if !ok {
+		return false
 	}
-	return ok
+	r := &s.runs[i]
+	j, ok := r.slot(id.Seq)
+	if !ok {
+		return false
+	}
+	r.pts = slices.Delete(r.pts, j, j+1)
+	if len(r.pts) == 0 {
+		r.unordered = false
+	}
+	s.n--
+	s.version++
+	return true
 }
 
-// Points returns the held points sorted by ID, so that callers iterate —
-// and print, encode and compare — in one deterministic order. The ordering
-// key is unique, so the sort implementation cannot affect the result. The
-// detector's own ranking path does not come through here: On(P) does not
-// depend on the order P is visited in, so it takes the unsorted snapshot.
+// Points returns a copy of the held points in ID order — the runs front to
+// back, no sort — so that callers iterate, print, encode, compare and rank
+// in one deterministic order.
 func (s *Set) Points() []Point {
-	pts := s.snapshot()
-	sortByID(pts)
-	return pts
-}
-
-// snapshot copies the held points out in unspecified order.
-func (s *Set) snapshot() []Point {
 	if s == nil {
 		return nil
 	}
-	pts := make([]Point, 0, len(s.m))
-	for _, p := range s.m {
-		pts = append(pts, p)
+	pts := make([]Point, 0, s.n)
+	for _, r := range s.runs {
+		pts = append(pts, r.pts...)
 	}
 	return pts
 }
 
-// sortByID orders points by ID. The key is unique within a set, so the
-// sort implementation cannot affect the result.
-func sortByID(pts []Point) {
-	slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
-}
-
-// IDs returns the held point IDs sorted.
+// IDs returns the held point IDs in order.
 func (s *Set) IDs() []PointID {
 	if s == nil {
 		return nil
 	}
-	ids := make([]PointID, 0, len(s.m))
-	for id := range s.m {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, idCompare)
+	ids := make([]PointID, 0, s.n)
+	s.ForEach(func(p Point) { ids = append(ids, p.ID) })
 	return ids
 }
 
-// ForEach calls fn for every held point in unspecified order. Use Points
-// when order matters.
+// ForEach calls fn for every held point in ID order. fn must not modify
+// the set.
 func (s *Set) ForEach(fn func(Point)) {
 	if s == nil {
 		return
 	}
-	for _, p := range s.m {
-		fn(p)
+	for _, r := range s.runs {
+		for _, p := range r.pts {
+			fn(p)
+		}
 	}
 }
 
 // Clone returns a copy of the set sharing the (immutable by convention)
 // feature vectors.
 func (s *Set) Clone() *Set {
-	c := &Set{m: make(map[PointID]Point, s.Len()), oldest: noBirth}
-	if s != nil {
-		for id, p := range s.m {
-			c.m[id] = p
-		}
-		c.oldest = s.oldest
-	}
-	return c
+	return s.Filter(func(Point) bool { return true })
 }
 
 // Union returns a new set holding the points of s and of every other set,
@@ -219,28 +288,39 @@ func (s *Set) Clone() *Set {
 func (s *Set) Union(others ...*Set) *Set {
 	u := s.Clone()
 	for _, o := range others {
-		if o == nil {
-			continue
-		}
-		for _, p := range o.m {
-			u.AddMinHop(p)
-		}
+		o.ForEach(func(p Point) { u.AddMinHop(p) })
 	}
 	return u
 }
 
-// Filter returns a new set holding the points for which keep returns true.
+// Filter returns a new set holding the points for which keep returns true,
+// with an exact oldest-birth bound. Its runs share one backing array, each
+// capped at its own end, so growing one never writes into the next.
 func (s *Set) Filter(keep func(Point) bool) *Set {
-	f := &Set{m: make(map[PointID]Point), oldest: noBirth}
+	f := &Set{oldest: noBirth}
 	if s == nil {
 		return f
 	}
-	for _, p := range s.m {
-		if keep(p) {
-			f.put(p)
+	buf := make([]Point, 0, s.n)
+	for _, r := range s.runs {
+		from := len(buf)
+		for _, p := range r.pts {
+			if keep(p) {
+				buf = append(buf, p)
+				f.oldest = min(f.oldest, p.Birth)
+			}
+		}
+		if kept := buf[from:len(buf):len(buf)]; len(kept) > 0 {
+			f.runs = append(f.runs, run{origin: r.origin, unordered: !birthOrdered(kept), pts: kept})
 		}
 	}
+	f.n = len(buf)
 	return f
+}
+
+// birthOrdered reports whether births do not decrease along pts.
+func birthOrdered(pts []Point) bool {
+	return slices.IsSortedFunc(pts, func(a, b Point) int { return cmp.Compare(a.Birth, b.Birth) })
 }
 
 // MaxHop returns the points with hop field at most h — the paper's P≤h
@@ -252,25 +332,68 @@ func (s *Set) MaxHop(h uint8) *Set {
 // EvictBefore removes every point whose Birth is earlier than cutoff,
 // implementing the time-based sliding window of §5.3. It returns the
 // number of points evicted. When the oldest-birth bound shows nothing can
-// be that old it returns without looking at a single point.
+// be that old it returns without looking at a single point; otherwise an
+// ordered run costs what it evicts.
 func (s *Set) EvictBefore(cutoff time.Duration) int {
 	if s == nil || s.oldest >= cutoff {
 		return 0
 	}
 	evicted, oldest := 0, noBirth
-	for id, p := range s.m {
-		if p.Birth < cutoff {
-			delete(s.m, id)
-			evicted++
-		} else if p.Birth < oldest {
-			oldest = p.Birth
-		}
+	for i := range s.runs {
+		r := &s.runs[i]
+		evicted += r.evictBefore(cutoff)
+		oldest = min(oldest, r.oldest())
 	}
 	s.oldest = oldest
 	if evicted > 0 {
+		s.n -= evicted
 		s.version++
 	}
 	return evicted
+}
+
+// evictBefore drops the run's points born before cutoff and returns how
+// many it dropped: the front of an ordered run, a filter of an unordered
+// one, which also re-checks the order of what survives.
+func (r *run) evictBefore(cutoff time.Duration) int {
+	pts := r.pts
+	if !r.unordered {
+		k := 0
+		for k < len(pts) && pts[k].Birth < cutoff {
+			k++
+		}
+		clear(pts[:k]) // let the evicted feature vectors go
+		if k == len(pts) {
+			r.pts = pts[:0]
+		} else {
+			r.pts = pts[k:]
+		}
+		return k
+	}
+	kept := pts[:0]
+	for _, p := range pts {
+		if p.Birth >= cutoff {
+			kept = append(kept, p)
+		}
+	}
+	clear(pts[len(kept):])
+	r.pts, r.unordered = kept, !birthOrdered(kept)
+	return len(pts) - len(kept)
+}
+
+// oldest returns the earliest birth the run holds, noBirth when empty.
+func (r *run) oldest() time.Duration {
+	if len(r.pts) == 0 {
+		return noBirth
+	}
+	if !r.unordered {
+		return r.pts[0].Birth
+	}
+	oldest := noBirth
+	for _, p := range r.pts {
+		oldest = min(oldest, p.Birth)
+	}
+	return oldest
 }
 
 // EvictOrigin removes every point that originated at the given sensor,
@@ -280,14 +403,14 @@ func (s *Set) EvictOrigin(origin NodeID) int {
 	if s == nil {
 		return 0
 	}
-	evicted := 0
-	for id := range s.m {
-		if id.Origin == origin {
-			delete(s.m, id)
-			evicted++
-		}
+	i, ok := s.runOf(origin)
+	if !ok {
+		return 0
 	}
+	evicted := len(s.runs[i].pts)
+	s.runs = slices.Delete(s.runs, i, i+1)
 	if evicted > 0 {
+		s.n -= evicted
 		s.version++
 	}
 	return evicted
@@ -298,9 +421,11 @@ func (s *Set) SubsetOf(t *Set) bool {
 	if s == nil {
 		return true
 	}
-	for id := range s.m {
-		if !t.Contains(id) {
-			return false
+	for _, r := range s.runs {
+		for _, p := range r.pts {
+			if !t.Contains(p.ID) {
+				return false
+			}
 		}
 	}
 	return true
@@ -314,7 +439,7 @@ func (s *Set) EqualIDs(t *Set) bool {
 	return s.SubsetOf(t)
 }
 
-// String implements fmt.Stringer, listing IDs in sorted order.
+// String implements fmt.Stringer, listing IDs in order.
 func (s *Set) String() string {
 	ids := s.IDs()
 	parts := make([]string, len(ids))
@@ -322,4 +447,60 @@ func (s *Set) String() string {
 		parts[i] = id.String()
 	}
 	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// cursor walks a set's points in ID order, passing over copies whose hop
+// field exceeds maxHop. The zero cursor is at its end.
+type cursor struct {
+	runs   []run
+	pts    []Point // what is left of the current run
+	maxHop uint8
+}
+
+// cursor starts a walk over the set; a nil set yields nothing.
+func (s *Set) cursor(maxHop uint8) cursor {
+	if s == nil {
+		return cursor{}
+	}
+	return cursor{runs: s.runs, maxHop: maxHop}
+}
+
+// head returns the cursor's next point in place, or nil at the end.
+func (c *cursor) head() *Point {
+	for {
+		for len(c.pts) > 0 {
+			if c.pts[0].Hop <= c.maxHop {
+				return &c.pts[0]
+			}
+			c.pts = c.pts[1:]
+		}
+		if len(c.runs) == 0 {
+			return nil
+		}
+		c.pts, c.runs = c.runs[0].pts, c.runs[1:]
+	}
+}
+
+// mergeByID calls fn once for every ID the cursors hold between them, in ID
+// order, with the copy of the first cursor that holds it. Each cursor must
+// walk in ID order with no ID twice.
+func mergeByID(cs []cursor, fn func(Point)) {
+	for {
+		var next *Point
+		for i := range cs {
+			if p := cs[i].head(); p != nil && (next == nil || idLess(p.ID, next.ID)) {
+				next = p
+			}
+		}
+		if next == nil {
+			return
+		}
+		id := next.ID
+		fn(*next)
+		for i := range cs {
+			if p := cs[i].head(); p != nil && p.ID == id {
+				cs[i].pts = cs[i].pts[1:]
+			}
+		}
+	}
 }

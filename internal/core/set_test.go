@@ -254,12 +254,14 @@ func (ms modelSet) check(t *testing.T, after string) {
 		t.Fatalf("after %s: set holds %d points, model %d", after, ms.set.Len(), len(want))
 	}
 	got, ids := ms.set.Points(), ms.set.IDs()
-	if len(got) != len(want) || len(ids) != len(want) {
-		t.Fatalf("after %s: Points has %d, IDs %d, model %d", after, len(got), len(ids), len(want))
+	var walked []PointID
+	ms.set.ForEach(func(p Point) { walked = append(walked, p.ID) })
+	if len(got) != len(want) || len(ids) != len(want) || len(walked) != len(want) {
+		t.Fatalf("after %s: Points has %d, IDs %d, ForEach %d, model %d", after, len(got), len(ids), len(walked), len(want))
 	}
 	for i, w := range want {
-		if g := got[i]; g.ID != w.ID || g.Hop != w.Hop || g.Birth != w.Birth || ids[i] != w.ID {
-			t.Fatalf("after %s: Points[%d] = %v born %v (IDs[%d] = %v), model %v born %v", after, i, g, g.Birth, i, ids[i], w, w.Birth)
+		if g := got[i]; g.ID != w.ID || g.Hop != w.Hop || g.Birth != w.Birth || ids[i] != w.ID || walked[i] != w.ID {
+			t.Fatalf("after %s: slot %d: Points %v born %v, IDs %v, ForEach %v; model %v born %v", after, i, g, g.Birth, ids[i], walked[i], w, w.Birth)
 		}
 		g, ok := ms.set.Get(w.ID)
 		if !ok || !ms.set.Contains(w.ID) || g.Hop != w.Hop || g.Birth != w.Birth {

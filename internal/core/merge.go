@@ -144,16 +144,6 @@ func (l *MergeLink) Delta() []Point {
 // is in ID order (Set.Points), so a binary search avoids materializing a
 // set per link.
 func (m *MergeSource) has(id PointID) bool {
-	lo, hi := 0, len(m.pts)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c := idCompare(m.pts[mid].ID, id); c < 0 {
-			lo = mid + 1
-		} else if c > 0 {
-			hi = mid
-		} else {
-			return true
-		}
-	}
-	return false
+	_, ok := slotOf(m.pts, id)
+	return ok
 }

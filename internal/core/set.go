@@ -42,11 +42,13 @@ type Set struct {
 	oldest time.Duration
 }
 
-// run is one origin's points in Seq order, no Seq twice. A run is ordered
-// while its births do not decrease along it, so that its front is its
-// oldest point; unordered marks one that an out-of-birth-order insert or
-// overwrite has broken, and eviction then filters it whole. The mark clears
-// when the run is emptied or an eviction finds it back in order.
+// run is one origin's points in Seq order, no Seq twice, never empty: the
+// set drops a run as its last point goes, so it holds one run per origin it
+// holds points of, not per origin it has ever seen. A run is ordered while
+// its births do not decrease along it, so that its front is its oldest
+// point; unordered marks one that an out-of-birth-order insert or overwrite
+// has broken, and eviction then filters it whole. The mark clears when an
+// eviction finds it back in order.
 type run struct {
 	origin    NodeID
 	unordered bool
@@ -85,16 +87,7 @@ func (s *Set) Len() int {
 // runOf returns the position of origin's run, or where it would go, and
 // whether the set has one.
 func (s *Set) runOf(origin NodeID) (int, bool) {
-	lo, hi := 0, len(s.runs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.runs[mid].origin < origin {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(s.runs) && s.runs[lo].origin == origin
+	return slices.BinarySearchFunc(s.runs, origin, func(r run, o NodeID) int { return cmp.Compare(r.origin, o) })
 }
 
 // slot returns the position of seq in the run, or where it would go, and
@@ -105,16 +98,7 @@ func (r *run) slot(seq uint32) (int, bool) {
 	if len(pts) == 0 || pts[len(pts)-1].ID.Seq < seq {
 		return len(pts), false
 	}
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].ID.Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, pts[lo].ID.Seq == seq
+	return slices.BinarySearchFunc(pts, seq, func(p Point, seq uint32) int { return cmp.Compare(p.ID.Seq, seq) })
 }
 
 // locate returns the held copy of id in place, or nil.
@@ -233,7 +217,7 @@ func (s *Set) Remove(id PointID) bool {
 	}
 	r.pts = slices.Delete(r.pts, j, j+1)
 	if len(r.pts) == 0 {
-		r.unordered = false
+		s.runs = slices.Delete(s.runs, i, i+1)
 	}
 	s.n--
 	s.version++
@@ -346,6 +330,7 @@ func (s *Set) EvictBefore(cutoff time.Duration) int {
 	}
 	s.oldest = oldest
 	if evicted > 0 {
+		s.runs = slices.DeleteFunc(s.runs, func(r run) bool { return len(r.pts) == 0 })
 		s.n -= evicted
 		s.version++
 	}
@@ -363,11 +348,7 @@ func (r *run) evictBefore(cutoff time.Duration) int {
 			k++
 		}
 		clear(pts[:k]) // let the evicted feature vectors go
-		if k == len(pts) {
-			r.pts = pts[:0]
-		} else {
-			r.pts = pts[k:]
-		}
+		r.pts = pts[k:]
 		return k
 	}
 	kept := pts[:0]
@@ -409,10 +390,8 @@ func (s *Set) EvictOrigin(origin NodeID) int {
 	}
 	evicted := len(s.runs[i].pts)
 	s.runs = slices.Delete(s.runs, i, i+1)
-	if evicted > 0 {
-		s.n -= evicted
-		s.version++
-	}
+	s.n -= evicted
+	s.version++
 	return evicted
 }
 

@@ -253,6 +253,13 @@ func (ms modelSet) check(t *testing.T, after string) {
 	if ms.set.Len() != len(want) {
 		t.Fatalf("after %s: set holds %d points, model %d", after, ms.set.Len(), len(want))
 	}
+	origins := make(map[NodeID]bool)
+	for id := range ms.model {
+		origins[id.Origin] = true
+	}
+	if len(ms.set.runs) != len(origins) {
+		t.Fatalf("after %s: set keeps %d runs for the model's %d origins", after, len(ms.set.runs), len(origins))
+	}
 	got, ids := ms.set.Points(), ms.set.IDs()
 	var walked []PointID
 	ms.set.ForEach(func(p Point) { walked = append(walked, p.ID) })

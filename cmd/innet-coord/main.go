@@ -10,8 +10,7 @@
 // Usage:
 //
 //	innet-coord -shards addr1,addr2,... [-http addr] [-udp addr]
-//	            [-replicas n] [-merge compact|full] [-merge-rounds n]
-//	            [-query-timeout d] [-health-interval d]
+//	            [-replicas n] [-query-timeout d] [-health-interval d]
 //	            [-ranker nn|knn|kthnn|db] [-k n] [-eps α] [-n outliers]
 //	            [-window d] [-data-dir dir] [-fsync] [-debug-addr addr]
 //	            [-slow-query d] [-log-format text|json] [-trace-file path] [-v]
@@ -71,8 +70,6 @@ type options struct {
 	daemon.Flags
 	shards         string
 	replicas       int
-	merge          string
-	mergeRounds    int
 	queryTimeout   time.Duration
 	healthInterval time.Duration
 }
@@ -90,8 +87,6 @@ func parseFlags(args []string) (options, error) {
 	})
 	fs.StringVar(&o.shards, "shards", "", "comma-separated shard control addresses (required)")
 	fs.IntVar(&o.replicas, "replicas", 1, "shards each sensor's readings are replicated to (boundary-sensor replication)")
-	fs.StringVar(&o.merge, "merge", cluster.MergeCompact, "estimate merge mode: compact (iterative Algorithm 1, O(estimate+support) payload per round) or full (window snapshots)")
-	fs.IntVar(&o.mergeRounds, "merge-rounds", 16, "compact-merge round budget before falling back to the full path")
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 2*time.Second, "estimate fan-out deadline")
 	fs.DurationVar(&o.healthInterval, "health-interval", 500*time.Millisecond, "shard health probe period")
 	if err := fs.Parse(args); err != nil {
@@ -129,19 +124,11 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch o.merge {
-	case cluster.MergeCompact, cluster.MergeFull:
-	default:
-		return nil, fmt.Errorf("unknown -merge mode %q (want %q or %q)",
-			o.merge, cluster.MergeCompact, cluster.MergeFull)
-	}
 	return daemon.Open(o.Flags, logger, func(sh *daemon.Shell) error {
 		coord, err := cluster.New(cluster.Config{
 			Detector:       det,
 			Shards:         shards,
 			Replicas:       o.replicas,
-			MergeMode:      o.merge,
-			MergeRounds:    o.mergeRounds,
 			QueryTimeout:   o.queryTimeout,
 			HealthInterval: o.healthInterval,
 			SlowQuery:      o.SlowQuery,

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	innetd [-http addr] [-udp addr] [-shard addr] [-merge-sessions n]
+//	innetd [-http addr] [-udp addr] [-shard addr]
 //	       [-sensors list] [-autojoin] [-ranker nn|knn|kthnn|db] [-k n]
 //	       [-eps α] [-n outliers] [-window d] [-hop d] [-queue depth]
 //	       [-batch max] [-data-dir dir] [-fsync] [-debug-addr addr]
@@ -71,14 +71,13 @@ func main() {
 // end-to-end test can drive the daemon in-process.
 type options struct {
 	daemon.Flags
-	shardAddr     string
-	mergeSessions int
-	sensors       string
-	autojoin      bool
-	hop           int
-	queue         int
-	batch         int
-	maxSensors    int
+	shardAddr  string
+	sensors    string
+	autojoin   bool
+	hop        int
+	queue      int
+	batch      int
+	maxSensors int
 }
 
 func parseFlags(args []string) (options, error) {
@@ -86,7 +85,6 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	o.Register(fs, nil)
 	fs.StringVar(&o.shardAddr, "shard", "", "UDP shard-control listen address for cluster mode (empty disables)")
-	fs.IntVar(&o.mergeSessions, "merge-sessions", 8, "concurrent compact-merge sessions kept by the shard control plane")
 	fs.StringVar(&o.sensors, "sensors", "", "sensors to attach at startup, e.g. \"1-9\" or \"1,2,5\"")
 	fs.BoolVar(&o.autojoin, "autojoin", true, "attach unknown sensors on first contact")
 	fs.IntVar(&o.hop, "hop", 0, "hop diameter d for semi-global detection (0 = global)")
@@ -176,10 +174,9 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 		}
 		if o.shardAddr != "" {
 			srv, err := cluster.NewShardServer(cluster.ShardServerConfig{
-				Service:          svc,
-				Addr:             o.shardAddr,
-				MaxMergeSessions: o.mergeSessions,
-				Logger:           logger,
+				Service: svc,
+				Addr:    o.shardAddr,
+				Logger:  logger,
 			})
 			if err != nil {
 				return err

@@ -325,11 +325,12 @@ func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint6
 }
 
 // ledger delivers one chunk of the coordinator's compact-merge delta to
-// a shard's session ledger. bytes reports the request payload size. A
-// nonzero reqID pins the request identity across retry attempts.
+// a shard's session ledger; the query's trace ID is the session ID.
+// bytes reports the request payload size. A nonzero reqID pins the
+// request identity across retry attempts.
 func (c *ctlClient) ledger(ctx context.Context, addr *net.UDPAddr, reqID uint32, trace uint64,
-	session uint64, pts []core.Point) (bytes int, err error) {
-	buf, err := protocol.LedgerBody{Session: session, Points: pts}.Encode()
+	pts []core.Point) (bytes int, err error) {
+	buf, err := protocol.LedgerBody{Session: trace, Points: pts}.Encode()
 	if err != nil {
 		return 0, err
 	}
@@ -355,18 +356,19 @@ func (c *ctlClient) ledger(ctx context.Context, addr *net.UDPAddr, reqID uint32,
 }
 
 // sufficient runs one compact-merge round against a shard: it returns
-// the shard's Eq. (2) sufficient delta for the session, reassembled from
-// however many fragments the shard split it into, and the response
-// payload size. Retries are safe: the shard replays a computed round,
-// and refuses — rather than recreates — a session it no longer holds.
+// the shard's Eq. (2) sufficient delta for the session named by the
+// query's trace ID, reassembled from however many fragments the shard
+// split it into, and the response payload size. Retries are safe: the
+// shard replays a computed round, and refuses — rather than recreates —
+// a session it no longer holds.
 func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uint32, trace uint64,
-	session uint64, round uint16) ([]core.Point, int, error) {
-	buf, err := protocol.SufficientBody{Session: session, Round: round, FragCount: 1}.Encode()
+	round uint16) ([]core.Point, int, error) {
+	buf, err := protocol.SufficientBody{Session: trace, Round: round, FragCount: 1}.Encode()
 	if err != nil {
 		return nil, 0, err
 	}
 	req := ctlRequest{kind: protocol.FrameSufficient, reqID: reqID, trace: trace, body: buf}
-	return c.collectFragments(ctx, addr, req, sufficientFragment(session, round))
+	return c.collectFragments(ctx, addr, req, sufficientFragment(trace, round))
 }
 
 // sufficientFragment parses SUFFICIENT response fragments of one session

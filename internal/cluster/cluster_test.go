@@ -179,7 +179,6 @@ func TestClusterEquivalence(t *testing.T) {
 						Detector:       clusterDetCfg,
 						Shards:         addrs,
 						Replicas:       replicas,
-						MergeMode:      mode,
 						QueryTimeout:   5 * time.Second,
 						HealthInterval: 50 * time.Millisecond,
 						HealthMisses:   2,
@@ -196,7 +195,7 @@ func TestClusterEquivalence(t *testing.T) {
 
 					feedBoth(t, ctx, coord, single, shards, trace(seed, sensorRange(12), 5))
 
-					merged, err := coord.MergedEstimate(ctx)
+					merged, err := coord.MergedEstimateMode(ctx, mode)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -425,12 +424,9 @@ func TestClusterMembershipChange(t *testing.T) {
 		addrs = append(addrs, sh.addr)
 	}
 	coord, err := New(Config{
-		Detector: clusterDetCfg,
-		Shards:   addrs,
-		Replicas: 1,
-		// The full path: this test pins window movement through its
-		// Window field, which the compact path does not materialize.
-		MergeMode:      MergeFull,
+		Detector:       clusterDetCfg,
+		Shards:         addrs,
+		Replicas:       1,
 		QueryTimeout:   5 * time.Second,
 		HealthInterval: 50 * time.Millisecond,
 		HealthMisses:   2,
@@ -458,8 +454,10 @@ func TestClusterMembershipChange(t *testing.T) {
 	if err := coord.AddShard(fourth.addr); err != nil {
 		t.Fatal(err)
 	}
+	// The full path: this test pins window movement through the result's
+	// Window field, which the compact path does not materialize.
 	waitFor(t, 15*time.Second, "exact merge after shard add", func() bool {
-		m, err := coord.MergedEstimate(ctx)
+		m, err := coord.MergedEstimateMode(ctx, MergeFull)
 		return err == nil && !m.Degraded && m.ShardsTotal == 4 &&
 			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
 	})
@@ -470,7 +468,7 @@ func TestClusterMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 15*time.Second, "exact merge after shard removal", func() bool {
-		m, err := coord.MergedEstimate(ctx)
+		m, err := coord.MergedEstimateMode(ctx, MergeFull)
 		return err == nil && !m.Degraded && m.ShardsTotal == 3 &&
 			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
 	})

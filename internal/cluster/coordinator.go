@@ -26,6 +26,7 @@ var (
 	ErrRouteFailed    = errors.New("cluster: no owning shard accepted the reading")
 	ErrUnknownShard   = errors.New("cluster: unknown shard")
 	ErrClosed         = errors.New("cluster: coordinator closed")
+	ErrMergeMode      = errors.New("cluster: unknown merge mode")
 )
 
 // Config parameterizes a Coordinator.
@@ -47,18 +48,6 @@ type Config struct {
 
 	// QueryTimeout bounds the whole estimate fan-out. Default 2s.
 	QueryTimeout time.Duration
-
-	// MergeMode selects how MergedEstimate combines the shards:
-	// MergeCompact (default) runs the paper's Algorithm 1 iteratively
-	// over the shard-control wire — O(estimate + support) payload per
-	// round — falling back to MergeFull when a shard cannot play or the
-	// round budget runs out; MergeFull ships whole window snapshots.
-	// Both are exact.
-	MergeMode string
-
-	// MergeRounds bounds one compact merge's iteration count before it
-	// falls back to the full-window path. Default 16.
-	MergeRounds int
 
 	// HealthInterval is the probe period. Default 500ms.
 	HealthInterval time.Duration
@@ -115,12 +104,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 2 * time.Second
-	}
-	if c.MergeMode == "" {
-		c.MergeMode = MergeCompact
-	}
-	if c.MergeRounds < 1 {
-		c.MergeRounds = 16
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 500 * time.Millisecond
@@ -217,12 +200,10 @@ type Coordinator struct {
 	identitySource atomic.Value // string: store, shard-fan, none
 	wal            *store.Policy
 
-	// sessionIDs mints compact-merge session IDs that cannot collide
-	// within this process; see merge.go. traceIDs mints per-query trace
-	// IDs the same way — a second generator so neither sequence
-	// constrains the other.
-	sessionIDs *sessionIDs
-	traceIDs   *sessionIDs
+	// traceIDs mints the trace ID of every query and ingest batch; IDs
+	// never repeat within this process, so a compact merge uses its
+	// query's trace as its merge-session ID (see merge.go).
+	traceIDs *traceIDGen
 
 	obs      *coordObs     // metrics registry + latency histograms, built in New
 	traceLog *obs.TraceLog // span flight recorder behind /debug/traces and /debug/merges
@@ -267,8 +248,7 @@ func New(cfg Config) (*Coordinator, error) {
 		smap:       smap,
 		shards:     shards,
 		sensors:    make(map[core.NodeID]*sensorRoute),
-		sessionIDs: newSessionIDs(),
-		traceIDs:   newSessionIDs(),
+		traceIDs:   newTraceIDGen(),
 		ctx:        ctx,
 		cancel:     cancel,
 		healthDone: make(chan struct{}),
@@ -684,20 +664,28 @@ func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) 
 	if st == nil {
 		return false
 	}
+	return c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
+		_, err := c.client.readings(ctx, st.udp, trace, chunk)
+		if err == nil {
+			c.frames.Add(1)
+		}
+		return err
+	}) == nil
+}
+
+// sendChunks ships pts in byte-budgeted chunks, each retried
+// independently (re-delivery is a no-op: the points carry their
+// identities), and stops at the first chunk that fails.
+func (c *Coordinator) sendChunks(pts []core.Point, send func(context.Context, []core.Point) error) error {
 	for _, chunk := range chunkByBytes(pts, maxFrameBytes) {
 		if len(chunk) == 0 {
 			continue
 		}
-		err := c.retryCtl(c.ctx, func(ctx context.Context) error {
-			_, err := c.client.readings(ctx, st.udp, trace, chunk)
+		if err := c.retryCtl(c.ctx, func(ctx context.Context) error { return send(ctx, chunk) }); err != nil {
 			return err
-		})
-		if err != nil {
-			return false
 		}
-		c.frames.Add(1)
 	}
-	return true
+	return nil
 }
 
 // retryCtl runs one shard exchange under the standard policy:
@@ -732,26 +720,26 @@ type MergeResult struct {
 	Degraded    bool
 }
 
-// MergedEstimate merges the shards' outlier views using the configured
-// merge mode; see MergedEstimateMode.
+// MergedEstimate merges the shards' outlier views by the compact path;
+// see MergedEstimateMode.
 func (c *Coordinator) MergedEstimate(ctx context.Context) (MergeResult, error) {
-	return c.MergedEstimateMode(ctx, "")
+	return c.MergedEstimateMode(ctx, MergeCompact)
 }
 
 // MergedEstimateMode serves the cluster-wide outlier estimate — by
 // construction the same answer baseline.Compute gives over the union of
-// all sensor windows. Mode "" uses Config.MergeMode; MergeCompact runs
-// the iterative Algorithm 1 exchange (falling back to the full path when
-// a shard cannot play or the round budget runs out); MergeFull fans
-// ESTIMATE snapshot queries to every up shard and computes On over the
-// union.
+// all sensor windows. MergeCompact (also mode "") runs the iterative
+// Algorithm 1 exchange, falling back to the full path when a shard
+// cannot play or the round budget runs out; MergeFull fans ESTIMATE
+// snapshot queries to every up shard and computes On over the union.
+// Any other mode is an ErrMergeMode.
 func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (MergeResult, error) {
 	switch mode {
 	case "":
-		mode = c.cfg.MergeMode
+		mode = MergeCompact
 	case MergeCompact, MergeFull:
 	default:
-		return MergeResult{}, fmt.Errorf("cluster: unknown merge mode %q", mode)
+		return MergeResult{}, fmt.Errorf("%w %q (want %q or %q)", ErrMergeMode, mode, MergeCompact, MergeFull)
 	}
 	start := time.Now()
 	// Every query gets a trace ID, minted here at the front door. It is
@@ -850,18 +838,16 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		// the log line tie the abandoned compact rounds to the full-path
 		// rescue that follows.
 		c.traceLog.Record(obs.Span{
-			Trace:   traceID,
-			Op:      obs.OpMergeFallback,
-			Session: cres.session,
-			Round:   int32(cres.rounds),
-			Bytes:   int32(cres.payload),
-			Err:     err.Error(),
-			Start:   start,
-			Dur:     time.Since(start),
+			Trace: traceID,
+			Op:    obs.OpMergeFallback,
+			Round: int32(cres.rounds),
+			Bytes: int32(cres.payload),
+			Err:   err.Error(),
+			Start: start,
+			Dur:   time.Since(start),
 		})
 		c.cfg.Logger.Warn("compact merge falling back to full",
-			"trace", traceHex(traceID), "session", traceHex(cres.session),
-			"rounds", cres.rounds, "err", err)
+			"trace", traceHex(traceID), "rounds", cres.rounds, "err", err)
 	}
 
 	var (
@@ -954,7 +940,17 @@ func (c *Coordinator) AddShard(addr string) error {
 	c.shards[addr] = &shardState{addr: addr, udp: udp, up: true}
 	seen := c.seenSensorsLocked()
 	c.mu.Unlock()
-	c.rebalance(oldMap, newMap, seen)
+	// Adding a shard changes no other shard's rendezvous score, so the
+	// new shard is the only owner any sensor can gain.
+	for _, sensor := range seen {
+		if !slices.Contains(newMap.Owners(sensor, c.cfg.Replicas), addr) {
+			continue
+		}
+		from, to := c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas)), c.firstUp([]string{addr})
+		if from != nil && to != nil {
+			c.copyWindow(sensor, from, to)
+		}
+	}
 
 	c.mu.Lock()
 	c.smap = newMap
@@ -965,27 +961,6 @@ func (c *Coordinator) AddShard(addr string) error {
 	c.cfg.Logger.Info("shard added", "shard", addr, "map_version", newMap.Version())
 	c.kickResyncs()
 	return nil
-}
-
-// rebalance hands the window of every sensor that gained an owner under
-// the new map off from a surviving old owner to the shards that gained
-// it.
-func (c *Coordinator) rebalance(oldMap, newMap *ShardMap, seen []core.NodeID) {
-	for _, sensor := range seen {
-		old := oldMap.Owners(sensor, c.cfg.Replicas)
-		var gained []string
-		for _, a := range newMap.Owners(sensor, c.cfg.Replicas) {
-			if !slices.Contains(old, a) {
-				gained = append(gained, a)
-			}
-		}
-		if len(gained) == 0 {
-			continue
-		}
-		if src := c.firstUp(old); src != nil {
-			c.moveSensor(sensor, src, gained)
-		}
-	}
 }
 
 // RemoveShard drains and deregisters a shard: while it is still
@@ -1010,11 +985,15 @@ func (c *Coordinator) RemoveShard(addr string) error {
 
 	if drainable {
 		for _, sensor := range oldMap.Owned(addr, seen, c.cfg.Replicas) {
-			// Only sensors that would lose their last copy need moving.
+			// Only sensors that would lose their last copy need moving:
+			// their other owners are down, so the first up new owner is
+			// the shard that gains them.
 			if c.firstUp(remove(oldMap.Owners(sensor, c.cfg.Replicas), addr)) != nil {
 				continue
 			}
-			c.moveSensor(sensor, st, newMap.Owners(sensor, c.cfg.Replicas))
+			if to := c.firstUp(newMap.Owners(sensor, c.cfg.Replicas)); to != nil {
+				c.copyWindow(sensor, st, to)
+			}
 		}
 	}
 
@@ -1053,56 +1032,31 @@ func (c *Coordinator) firstUp(addrs []string) *shardState {
 	return nil
 }
 
-// transferWindow ships one sensor's window points to dst in
-// byte-budgeted chunks, each chunk retried independently (re-delivery
-// is a no-op: the points carry their identities).
-func (c *Coordinator) transferWindow(dst *shardState, sensor core.NodeID, pts []core.Point) error {
-	for _, chunk := range chunkByBytes(pts, maxFrameBytes) {
-		if len(chunk) == 0 {
-			continue
-		}
-		err := c.retryCtl(c.ctx, func(ctx context.Context) error {
-			_, err := c.client.handoffTransfer(ctx, dst.udp, sensor, chunk)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fetchWindow asks src for one sensor's current window points.
-func (c *Coordinator) fetchWindow(src *shardState, sensor core.NodeID) ([]core.Point, error) {
+// copyWindow copies one sensor's window from a shard that holds it to
+// one that should: a HANDOFF fetch from from, then byte-budgeted HANDOFF
+// transfers to to. It is the one window-copy path behind AddShard,
+// RemoveShard's drain and resync. A failed copy is not retried here:
+// resync repeats it wherever a surviving copy exists.
+func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	var pts []core.Point
 	err := c.retryCtl(c.ctx, func(ctx context.Context) (err error) {
-		pts, err = c.client.handoffFetch(ctx, src.udp, sensor)
+		pts, err = c.client.handoffFetch(ctx, from.udp, sensor)
 		return err
 	})
-	return pts, err
-}
-
-// moveSensor copies one sensor's window from src to each destination.
-func (c *Coordinator) moveSensor(sensor core.NodeID, src *shardState, dsts []string) {
-	pts, err := c.fetchWindow(src, sensor)
 	if err != nil || len(pts) == 0 {
 		return
 	}
-	moved := false
-	for _, dst := range dsts {
-		st := c.shardState(dst)
-		if st == nil || !st.up {
-			continue
-		}
-		if c.transferWindow(st, sensor, pts) == nil {
-			moved = true
-		}
+	err = c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
+		_, err := c.client.handoffTransfer(ctx, to.udp, sensor, chunk)
+		return err
+	})
+	if err != nil {
+		return
 	}
-	if moved {
-		c.handoffSen.Add(1)
-		c.handoffPts.Add(uint64(len(pts)))
-		c.cfg.Logger.Info("sensor handed off", "sensor", uint64(sensor), "points", len(pts))
-	}
+	c.handoffSen.Add(1)
+	c.handoffPts.Add(uint64(len(pts)))
+	c.cfg.Logger.Info("sensor handed off", "sensor", uint64(sensor), "points", len(pts),
+		"from", from.addr, "to", to.addr)
 }
 
 func (c *Coordinator) seenSensorsLocked() []core.NodeID {
@@ -1256,20 +1210,9 @@ func (c *Coordinator) resync(st *shardState) {
 	}
 	c.assigns.Add(1)
 
-	restored := 0
 	for _, sensor := range owned {
-		src := c.firstUp(remove(smap.Owners(sensor, c.cfg.Replicas), st.addr))
-		if src == nil {
-			continue
-		}
-		pts, err := c.fetchWindow(src, sensor)
-		if err != nil || len(pts) == 0 {
-			continue
-		}
-		if c.transferWindow(st, sensor, pts) == nil {
-			restored++
-			c.handoffSen.Add(1)
-			c.handoffPts.Add(uint64(len(pts)))
+		if from := c.firstUp(remove(smap.Owners(sensor, c.cfg.Replicas), st.addr)); from != nil {
+			c.copyWindow(sensor, from, st)
 		}
 	}
 	c.mu.Lock()
@@ -1278,11 +1221,8 @@ func (c *Coordinator) resync(st *shardState) {
 		st.synced = true
 	}
 	c.mu.Unlock()
-	if restored > 0 {
-		c.cfg.Logger.Info("shard resynced", "shard", st.addr, "sensors_restored", restored)
-	}
 }
 
-// traceHex renders a trace or session ID the way every JSON surface
+// traceHex renders a trace ID the way every JSON surface
 // does — 16 hex digits — so log lines grep against /debug/traces.
 func traceHex(id uint64) string { return fmt.Sprintf("%016x", id) }

@@ -76,16 +76,12 @@ func (c *Coordinator) handleObservations(w http.ResponseWriter, r *http.Request)
 }
 
 func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
-	mode := r.URL.Query().Get("merge")
-	switch mode {
-	case "", MergeCompact, MergeFull:
-	default:
-		ingest.WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("cluster: merge=%q (want %q or %q)", mode, MergeCompact, MergeFull))
+	res, err := c.MergedEstimateMode(r.Context(), r.URL.Query().Get("merge"))
+	switch {
+	case errors.Is(err, ErrMergeMode):
+		ingest.WriteError(w, http.StatusBadRequest, err)
 		return
-	}
-	res, err := c.MergedEstimateMode(r.Context(), mode)
-	if err != nil {
+	case err != nil:
 		ingest.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -162,7 +158,6 @@ type WireStatus struct {
 	ShardsTotal    int           `json:"shards_total"`
 	Sensors        int           `json:"sensors"`
 	MapVersion     uint64        `json:"map_version"`
-	MergeMode      string        `json:"merge_mode"`
 	Shards         []ShardInfo   `json:"shards"`
 	IdentitySource string        `json:"identity_source"` // store, shard-fan or none
 	Recovered      uint64        `json:"recovered"`       // identity counters recovered at startup
@@ -182,7 +177,6 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		ShardsTotal:    st.ShardsTotal,
 		Sensors:        st.Sensors,
 		MapVersion:     c.ShardMapSnapshot().Version(),
-		MergeMode:      c.cfg.MergeMode,
 		Shards:         c.ShardInfos(),
 		IdentitySource: st.IdentitySource,
 		Recovered:      st.Recovered,

@@ -33,8 +33,8 @@ import (
 // payload is O(estimate + support), not O(window); see DESIGN.md for
 // the regime analysis and the fallback rules.
 
-// Merge modes selectable via Config.MergeMode, the -merge flag and the
-// ?merge= query parameter.
+// Merge modes selectable per query via MergedEstimateMode and the
+// ?merge= query parameter; compact is the default.
 const (
 	// MergeCompact runs the iterative Algorithm 1 exchange and falls
 	// back to MergeFull when a shard cannot play (its merge frames go
@@ -46,36 +46,39 @@ const (
 	MergeFull = "full"
 )
 
+// mergeRounds bounds one compact merge's iteration count before it falls
+// back to the full-window path.
+const mergeRounds = 16
+
 // errMergeRounds reports a compact merge that did not converge within
 // the round budget.
 var errMergeRounds = errors.New("cluster: compact merge round budget exhausted")
 
-// sessionIDs mints compact-merge session IDs. Shards key merge state —
-// frozen snapshot link, ledger, per-round reply cache — by the
-// coordinator-chosen ID alone, so two concurrent queries that collide
-// replay each other's cached rounds and answer over each other's
-// snapshots. A bare rand.Uint64() per query makes that collision merely
-// improbable; salting a monotone counter makes it impossible within a
-// process: the salt is fixed at startup and the counter never repeats,
-// so IDs are pairwise distinct for the life of the coordinator (while
-// the salt still keeps two coordinators sharing a shard from walking
-// the same ID sequence).
-type sessionIDs struct {
+// traceIDGen mints trace IDs, and a compact merge's session ID is its
+// query's trace ID. Shards key merge state — frozen snapshot link,
+// ledger, per-round reply cache — by that ID alone, so two concurrent
+// queries that collide replay each other's cached rounds and answer over
+// each other's snapshots. A bare rand.Uint64() per query makes that
+// collision merely improbable; salting a monotone counter makes it
+// impossible within a process: the salt is fixed at startup and the
+// counter never repeats, so IDs are pairwise distinct for the life of
+// the coordinator (while the salt still keeps two coordinators sharing a
+// shard from walking the same ID sequence).
+type traceIDGen struct {
 	salt uint64
 	seq  atomic.Uint64
 }
 
-func newSessionIDs() *sessionIDs { return &sessionIDs{salt: rand.Uint64()} }
+func newTraceIDGen() *traceIDGen { return &traceIDGen{salt: rand.Uint64()} }
 
 // next returns an ID that never repeats for this generator.
-func (g *sessionIDs) next() uint64 { return g.salt ^ g.seq.Add(1) }
+func (g *traceIDGen) next() uint64 { return g.salt ^ g.seq.Add(1) }
 
 // compactResult carries what a compact merge learned, converged or not.
-// payload is the sum of the Bytes on the session's OpMergeRound spans —
+// payload is the sum of the Bytes on the query's OpMergeRound spans —
 // one addition feeds both — so the /debug/merges view's total_bytes, the
 // MergeResult and the innetcoord_merge_bytes_total delta cannot disagree.
 type compactResult struct {
-	session  uint64
 	outliers []core.Point
 	cand     *core.Set // the coordinator's accumulated candidate set C
 	rounds   int
@@ -86,23 +89,23 @@ type compactResult struct {
 // returns an error — and the rounds/payload spent — when any target
 // fails an exchange (the caller falls back to the full-window path) or
 // the round budget is exhausted. On success the result is exact for the
-// union of the targets' windows. trace is the query's trace ID; it rides
-// every merge frame, and every round records one coordinator-side span
-// per shard.
+// union of the targets' windows. trace is the query's trace ID and the
+// session's ID: it rides every merge frame, in the header and in the
+// body's session field, and every round records one coordinator-side
+// span per shard.
 func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, trace uint64) (compactResult, error) {
-	session := c.sessionIDs.next()
 	cand := core.NewSet()
 	ledgers := make([]*core.Set, len(targets))
 	for i := range ledgers {
 		ledgers[i] = core.NewSet()
 	}
-	res := compactResult{session: session, cand: cand}
+	res := compactResult{cand: cand}
 	// Merge exchanges are small and fast; a tighter per-attempt timeout
 	// than the big transfers use keeps a dead shard from eating the
 	// whole query budget before the fallback gets its turn.
 	perAttempt := c.cfg.QueryTimeout / time.Duration(2*c.cfg.RetryAttempts)
 
-	for round := 0; round < c.cfg.MergeRounds; round++ {
+	for round := 0; round < mergeRounds; round++ {
 		res.rounds++
 		// The coordinator's side of the round: its sufficient delta over
 		// C per link, computed sequentially (C is estimate-sized) so the
@@ -154,7 +157,7 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 					var nb int
 					err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
 						var err error
-						nb, err = c.client.ledger(ctx, st.udp, reqID, trace, session, chunk)
+						nb, err = c.client.ledger(ctx, st.udp, reqID, trace, chunk)
 						return err
 					})
 					if err != nil {
@@ -169,7 +172,7 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				var nb int
 				err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
 					var err error
-					pts, nb, err = c.client.sufficient(ctx, st.udp, reqID, trace, session, uint16(round))
+					pts, nb, err = c.client.sufficient(ctx, st.udp, reqID, trace, uint16(round))
 					return err
 				})
 				if err != nil {
@@ -190,16 +193,15 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 			rep := &replies[i]
 			res.payload += rep.bytes
 			span := obs.Span{
-				Trace:   trace,
-				Op:      obs.OpMergeRound,
-				Shard:   targets[i].addr,
-				Session: session,
-				ReqID:   rep.reqID,
-				Round:   int32(round),
-				Points:  int32(len(rep.pts)),
-				Bytes:   int32(rep.bytes),
-				Start:   rep.start,
-				Dur:     rep.rtt,
+				Trace:  trace,
+				Op:     obs.OpMergeRound,
+				Shard:  targets[i].addr,
+				ReqID:  rep.reqID,
+				Round:  int32(round),
+				Points: int32(len(rep.pts)),
+				Bytes:  int32(rep.bytes),
+				Start:  rep.start,
+				Dur:    rep.rtt,
 			}
 			if rep.err != nil {
 				span.Err = rep.err.Error()

@@ -107,7 +107,7 @@ func (p *lossyProxy) close() {
 
 // mergeCluster boots 3 shards behind lossy proxies plus a coordinator
 // routed through them and a single-process reference.
-func mergeCluster(t *testing.T, replicas int, mode string) (*Coordinator, *ingest.Service, []*testShard, []*lossyProxy) {
+func mergeCluster(t *testing.T, replicas int) (*Coordinator, *ingest.Service, []*testShard, []*lossyProxy) {
 	t.Helper()
 	var shards []*testShard
 	var proxies []*lossyProxy
@@ -124,7 +124,6 @@ func mergeCluster(t *testing.T, replicas int, mode string) (*Coordinator, *inges
 		Detector:      clusterDetCfg,
 		Shards:        addrs,
 		Replicas:      replicas,
-		MergeMode:     mode,
 		QueryTimeout:  15 * time.Second,
 		RetryAttempts: 4,
 		// These tests exercise the merge protocol, not down-detection:
@@ -172,7 +171,7 @@ func TestCompactMergeEquivalenceUnderLoss(t *testing.T) {
 	defer cancel()
 	for _, replicas := range []int{1, 2} {
 		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
-			coord, single, shards, proxies := mergeCluster(t, replicas, MergeCompact)
+			coord, single, shards, proxies := mergeCluster(t, replicas)
 			for _, px := range proxies {
 				px.setRule(dropEveryNth(3))
 			}
@@ -244,7 +243,7 @@ func TestCompactMergeEquivalenceUnderLoss(t *testing.T) {
 func TestCompactMergeRetryIdempotent(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
+	coord, single, shards, proxies := mergeCluster(t, 2)
 	feedBoth(t, ctx, coord, single, shards, trace(23, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -294,7 +293,7 @@ func TestCompactMergeRetryIdempotent(t *testing.T) {
 func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
+	coord, single, shards, proxies := mergeCluster(t, 2)
 	feedBoth(t, ctx, coord, single, shards, trace(37, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -341,7 +340,7 @@ func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 1, MergeCompact)
+	coord, single, shards, proxies := mergeCluster(t, 1)
 	proxies[2].setRule(func(f protocol.Frame) bool {
 		return f.Kind == protocol.FrameLedger || f.Kind == protocol.FrameSufficient
 	})
@@ -367,14 +366,15 @@ func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	}
 }
 
-// TestMergeSessionEvictionRefused pins the mid-exchange eviction
-// contract: merge sessions are created only by a round-0 SUFFICIENT, so
-// once a session has been evicted (here forced by MaxMergeSessions=1),
-// later frames naming it must be refused — not silently served from a
-// recreated session with an empty ledger, which would desynchronize the
-// two ends and could let a quiescent-but-wrong compact answer through.
-// The refusal surfaces as errUnknownSession, which sends the
-// coordinator to the exact full-window fallback.
+// TestMergeSessionEvictionRefused pins the session cap and the
+// mid-exchange eviction contract: opening one session more than the cap
+// evicts exactly one, whatever the clock says about their ages, and
+// since merge sessions are created only by a round-0 SUFFICIENT, later
+// frames naming the evicted one must be refused — not silently served
+// from a recreated session with an empty ledger, which would
+// desynchronize the two ends and could let a quiescent-but-wrong compact
+// answer through. The refusal surfaces as errUnknownSession, which sends
+// the coordinator to the exact full-window fallback.
 func TestMergeSessionEvictionRefused(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -391,7 +391,7 @@ func TestMergeSessionEvictionRefused(t *testing.T) {
 	if err := svc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewShardServer(ShardServerConfig{Service: svc, Addr: "127.0.0.1:0", MaxMergeSessions: 1})
+	srv, err := NewShardServer(ShardServerConfig{Service: svc, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,23 +408,35 @@ func TestMergeSessionEvictionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := client.sufficient(ctx, addr, 0, 0, 1, 0); err != nil {
-		t.Fatalf("session 1 round 0: %v", err)
+	// One session more than the cap evicts exactly one of them.
+	for id := uint64(1); id <= maxMergeSessions+1; id++ {
+		if _, _, err := client.sufficient(ctx, addr, 0, id, 0); err != nil {
+			t.Fatalf("session %d round 0: %v", id, err)
+		}
 	}
-	// A second session evicts the first (cap is 1).
-	if _, _, err := client.sufficient(ctx, addr, 0, 0, 2, 0); err != nil {
-		t.Fatalf("session 2 round 0: %v", err)
+	srv.mergeMu.Lock()
+	held := len(srv.sessions)
+	var evicted uint64
+	for id := uint64(1); id <= maxMergeSessions+1; id++ {
+		if srv.sessions[id] == nil {
+			evicted = id
+		}
 	}
-	if _, _, err := client.sufficient(ctx, addr, 0, 0, 1, 1); !errors.Is(err, errUnknownSession) {
+	srv.mergeMu.Unlock()
+	if held != maxMergeSessions || evicted == 0 {
+		t.Fatalf("shard holds %d sessions after opening %d (evicted %d), want the cap %d",
+			held, maxMergeSessions+1, evicted, maxMergeSessions)
+	}
+	if _, _, err := client.sufficient(ctx, addr, 0, evicted, 1); !errors.Is(err, errUnknownSession) {
 		t.Fatalf("round 1 on evicted session: err = %v, want errUnknownSession", err)
 	}
 	pt := []core.Point{core.NewPoint(9, 0, 0, 55.3)}
-	if _, err := client.ledger(ctx, addr, 0, 0, 1, pt); !errors.Is(err, errUnknownSession) {
+	if _, err := client.ledger(ctx, addr, 0, evicted, pt); !errors.Is(err, errUnknownSession) {
 		t.Fatalf("ledger on evicted session: err = %v, want errUnknownSession", err)
 	}
 	// A fresh round 0 reopens the session cleanly.
-	if _, _, err := client.sufficient(ctx, addr, 0, 0, 1, 0); err != nil {
-		t.Fatalf("reopened session 1 round 0: %v", err)
+	if _, _, err := client.sufficient(ctx, addr, 0, evicted, 0); err != nil {
+		t.Fatalf("reopened session %d round 0: %v", evicted, err)
 	}
 }
 

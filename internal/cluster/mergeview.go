@@ -19,8 +19,7 @@ import (
 // MergeSession is one finished compact-merge query as /debug/merges
 // shows it.
 type MergeSession struct {
-	Trace      string       `json:"trace"`   // the query's trace ID (hex); key into /debug/traces
-	Session    string       `json:"session"` // merge-session ID (hex)
+	Trace      string       `json:"trace"` // the query's trace ID (hex), also its merge-session ID; key into /debug/traces
 	Requested  string       `json:"requested_mode"`
 	Final      string       `json:"final_mode"` // after any fallback
 	Rounds     []MergeRound `json:"rounds"`
@@ -79,7 +78,6 @@ func (c *Coordinator) MergeSessions(limit int) []MergeSession {
 		switch sp.Op {
 		case obs.OpMergeRound:
 			s := get(sp.Trace)
-			s.Session = traceHex(sp.Session)
 			if n := len(s.Rounds); n == 0 || s.Rounds[n-1].Round != int(sp.Round) {
 				s.Rounds = append(s.Rounds, MergeRound{Round: int(sp.Round)})
 			}

@@ -60,16 +60,16 @@ type ShardServer struct {
 
 	mapVersion atomic.Uint64
 
-	// Compact-merge state: live sessions keyed by the coordinator's
-	// session ID, plus the last snapshot's merge source keyed by a
-	// content fingerprint — sessions over an unchanged window skip the
-	// snapshot's index build and ranking batch entirely (the cluster
-	// counterpart of the detector's version-keyed supporter cache).
-	mergeMu     sync.Mutex
-	sessions    map[uint64]*mergeSession
-	maxSessions int
-	lastSrc     *core.MergeSource
-	lastFP      uint64
+	// Compact-merge state: live sessions keyed by the wire's session ID
+	// (the coordinator sends its query's trace ID), plus the last
+	// snapshot's merge source keyed by a content fingerprint — sessions
+	// over an unchanged window skip the snapshot's index build and
+	// ranking batch entirely (the cluster counterpart of the detector's
+	// version-keyed supporter cache).
+	mergeMu  sync.Mutex
+	sessions map[uint64]*mergeSession
+	lastSrc  *core.MergeSource
+	lastFP   uint64
 
 	// slots bounds concurrent heavy handlers; see Serve.
 	slots chan struct{}
@@ -93,6 +93,11 @@ type mergeSession struct {
 // crashed query must not pin snapshots forever.
 const mergeSessionTTL = time.Minute
 
+// maxMergeSessions caps concurrent compact-merge sessions; beyond it the
+// least-recently-touched session is evicted (its coordinator falls back
+// to the full-window path).
+const maxMergeSessions = 8
+
 // ShardServerConfig parameterizes a ShardServer.
 type ShardServerConfig struct {
 	// Service is the shard's ingest fleet. Required. It should run with
@@ -103,11 +108,6 @@ type ShardServerConfig struct {
 	// Required; use port 0 to let the kernel pick (see Addr).
 	Addr string
 
-	// MaxMergeSessions caps concurrent compact-merge sessions; beyond it
-	// the least-recently-touched session is evicted (its coordinator
-	// falls back to the full-window path). Default 8.
-	MaxMergeSessions int
-
 	// Logger receives structured control-action events. Nil discards.
 	Logger *slog.Logger
 }
@@ -117,9 +117,6 @@ type ShardServerConfig struct {
 func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 	if cfg.Service == nil {
 		return nil, errors.New("cluster: ShardServerConfig.Service is required")
-	}
-	if cfg.MaxMergeSessions <= 0 {
-		cfg.MaxMergeSessions = 8
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
@@ -134,14 +131,13 @@ func NewShardServer(cfg ShardServerConfig) (*ShardServer, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &ShardServer{
-		svc:         cfg.Service,
-		conn:        conn,
-		log:         cfg.Logger,
-		sessions:    make(map[uint64]*mergeSession),
-		maxSessions: cfg.MaxMergeSessions,
-		slots:       make(chan struct{}, 8),
-		ctx:         ctx,
-		cancel:      cancel,
+		svc:      cfg.Service,
+		conn:     conn,
+		log:      cfg.Logger,
+		sessions: make(map[uint64]*mergeSession),
+		slots:    make(chan struct{}, 8),
+		ctx:      ctx,
+		cancel:   cancel,
 	}, nil
 }
 
@@ -469,28 +465,30 @@ func (s *ShardServer) mergeSession(id uint64, create bool, trace uint64) (*merge
 		s.lastSrc, s.lastFP = src, fp
 	}
 	s.svc.Traces().Record(obs.Span{
-		Trace:   trace,
-		Op:      obs.OpSessionCreate,
-		Session: id,
-		Points:  int32(len(snap)),
-		Hit:     hit,
-		Start:   createStart,
-		Dur:     time.Since(createStart),
+		Trace:  trace,
+		Op:     obs.OpSessionCreate,
+		Points: int32(len(snap)),
+		Hit:    hit,
+		Start:  createStart,
+		Dur:    time.Since(createStart),
 	})
+	// Expire silent sessions, then evict the least-recently-touched live
+	// one if the cap is still reached — whatever its age, so ties on a
+	// coarse clock cannot let the map outgrow the cap.
 	now := time.Now()
-	var oldest uint64
-	oldestAt := now
+	var victim uint64
+	var victimAt time.Time // zero until a live session is seen
 	for sid, sess := range s.sessions {
 		if now.Sub(sess.touched) > mergeSessionTTL {
 			delete(s.sessions, sid)
 			continue
 		}
-		if sess.touched.Before(oldestAt) {
-			oldest, oldestAt = sid, sess.touched
+		if victimAt.IsZero() || sess.touched.Before(victimAt) {
+			victim, victimAt = sid, sess.touched
 		}
 	}
-	if len(s.sessions) >= s.maxSessions {
-		delete(s.sessions, oldest)
+	if len(s.sessions) >= maxMergeSessions {
+		delete(s.sessions, victim)
 	}
 	sess := &mergeSession{
 		link:    src.NewLink(),
@@ -503,13 +501,12 @@ func (s *ShardServer) mergeSession(id uint64, create bool, trace uint64) (*merge
 
 // refuseSession answers a frame naming a merge session this shard no
 // longer holds; see mergeSession.
-func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, session uint64) error {
+func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind) error {
 	s.svc.Traces().Record(obs.Span{
-		Trace:   req.Trace,
-		ReqID:   req.ReqID,
-		Op:      obs.OpSessionRefuse,
-		Session: session,
-		Start:   time.Now(),
+		Trace: req.Trace,
+		ReqID: req.ReqID,
+		Op:    obs.OpSessionRefuse,
+		Start: time.Now(),
 	})
 	frame := protocol.EncodeFrame(protocol.Frame{
 		Kind:  kind,
@@ -537,20 +534,19 @@ func (s *ShardServer) handleLedger(f protocol.Frame, from *net.UDPAddr) error {
 		return err
 	}
 	if sess == nil {
-		return s.refuseSession(from, f, protocol.FrameAck, body.Session)
+		return s.refuseSession(from, f, protocol.FrameAck)
 	}
 	sess.mu.Lock()
 	added := sess.link.Absorb(body.Points)
 	sess.mu.Unlock()
 	s.svc.Traces().Record(obs.Span{
-		Trace:   f.Trace,
-		ReqID:   f.ReqID,
-		Op:      obs.OpLedger,
-		Session: body.Session,
-		Points:  int32(added),
-		Bytes:   int32(len(f.Body)),
-		Start:   start,
-		Dur:     time.Since(start),
+		Trace:  f.Trace,
+		ReqID:  f.ReqID,
+		Op:     obs.OpLedger,
+		Points: int32(added),
+		Bytes:  int32(len(f.Body)),
+		Start:  start,
+		Dur:    time.Since(start),
 	})
 	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: uint64(added)}.Encode())
 }
@@ -571,7 +567,7 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 		return err
 	}
 	if sess == nil {
-		return s.refuseSession(from, f, protocol.FrameSufficient, body.Session)
+		return s.refuseSession(from, f, protocol.FrameSufficient)
 	}
 	sess.mu.Lock()
 	delta, ok := sess.rounds[body.Round]
@@ -584,15 +580,14 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 	// request); the reqID-keyed dedupe in the ring keeps the retry from
 	// recording a second span either way.
 	s.svc.Traces().Record(obs.Span{
-		Trace:   f.Trace,
-		ReqID:   f.ReqID,
-		Op:      obs.OpSufficient,
-		Session: body.Session,
-		Round:   int32(body.Round),
-		Points:  int32(len(delta)),
-		Hit:     ok,
-		Start:   start,
-		Dur:     time.Since(start),
+		Trace:  f.Trace,
+		ReqID:  f.ReqID,
+		Op:     obs.OpSufficient,
+		Round:  int32(body.Round),
+		Points: int32(len(delta)),
+		Hit:    ok,
+		Start:  start,
+		Dur:    time.Since(start),
 	})
 	return s.respondFragments(from, f, protocol.FrameSufficient, delta, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
 		return protocol.SufficientBody{Session: body.Session, Round: body.Round, Frag: frag, FragCount: count, Points: chunk}.Encode()

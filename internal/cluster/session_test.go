@@ -13,13 +13,14 @@ import (
 )
 
 // TestSessionIDsNeverRepeat pins the uniqueness guarantee the compact
-// merge stands on: shards key merge state by the coordinator-chosen
-// session ID alone, so IDs minted by one coordinator must be pairwise
-// distinct for the life of the process — not merely unlikely to repeat,
-// as the old bare rand.Uint64() made them. The salted monotone counter
-// cannot repeat: the salt is fixed and the counter strictly increases.
+// merge stands on: shards key merge state by the session ID alone, and
+// a query's session ID is its trace ID, so the trace IDs minted by one
+// coordinator must be pairwise distinct for the life of the process —
+// not merely unlikely to repeat, as a bare rand.Uint64() would make
+// them. The salted monotone counter cannot repeat: the salt is fixed and
+// the counter strictly increases.
 func TestSessionIDsNeverRepeat(t *testing.T) {
-	g := newSessionIDs()
+	g := newTraceIDGen()
 	const workers, perWorker = 16, 4096
 	out := make([][]uint64, workers)
 	var wg sync.WaitGroup
@@ -39,14 +40,14 @@ func TestSessionIDsNeverRepeat(t *testing.T) {
 	for _, ids := range out {
 		for _, id := range ids {
 			if _, dup := seen[id]; dup {
-				t.Fatalf("session ID %#x minted twice", id)
+				t.Fatalf("trace ID %#x minted twice", id)
 			}
 			seen[id] = struct{}{}
 		}
 	}
 	// Distinct generators (coordinator restarts, two coordinators on one
 	// shard) must not walk the same sequence: their salts differ.
-	if g2 := newSessionIDs(); g2.salt == g.salt {
+	if g2 := newTraceIDGen(); g2.salt == g.salt {
 		t.Fatalf("two generators share salt %#x", g.salt)
 	}
 }
@@ -94,7 +95,7 @@ func TestMergeSessionIDCollisionReplaysStaleRound(t *testing.T) {
 	}
 
 	// Query A opens session 7; its round 0 freezes the 3-point window.
-	first, _, err := client.sufficient(ctx, addr, 0, 0, 7, 0)
+	first, _, err := client.sufficient(ctx, addr, 0, 7, 0)
 	if err != nil {
 		t.Fatalf("session 7 round 0: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestMergeSessionIDCollisionReplaysStaleRound(t *testing.T) {
 
 	// Query B collides on session 7: its "fresh" round 0 is the replay
 	// of A's cached round over A's stale snapshot — the outlier is gone.
-	collided, _, err := client.sufficient(ctx, addr, 0, 0, 7, 0)
+	collided, _, err := client.sufficient(ctx, addr, 0, 7, 0)
 	if err != nil {
 		t.Fatalf("colliding session 7 round 0: %v", err)
 	}
@@ -125,7 +126,7 @@ func TestMergeSessionIDCollisionReplaysStaleRound(t *testing.T) {
 
 	// A distinct ID — what the salted counter guarantees every query
 	// gets — freezes the current window and surfaces the outlier.
-	fresh, _, err := client.sufficient(ctx, addr, 0, 0, 8, 0)
+	fresh, _, err := client.sufficient(ctx, addr, 0, 8, 0)
 	if err != nil {
 		t.Fatalf("session 8 round 0: %v", err)
 	}

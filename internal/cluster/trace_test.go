@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,11 +18,10 @@ import (
 
 // wireSpan is the /debug/traces JSON shape the tests decode.
 type wireSpan struct {
-	Trace   string `json:"trace"`
-	Op      string `json:"op"`
-	Shard   string `json:"shard"`
-	Session string `json:"session"`
-	Err     string `json:"err"`
+	Trace string `json:"trace"`
+	Op    string `json:"op"`
+	Shard string `json:"shard"`
+	Err   string `json:"err"`
 }
 
 // fetchSpans GETs a /debug/traces URL and decodes the span list.
@@ -68,7 +69,6 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 	coord, err := New(Config{
 		Detector:       clusterDetCfg,
 		Shards:         addrs,
-		MergeMode:      MergeCompact,
 		QueryTimeout:   15 * time.Second,
 		HealthInterval: 50 * time.Millisecond,
 		HealthMisses:   1 << 20,
@@ -141,7 +141,7 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 func TestRetryDoesNotDuplicateSpans(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
+	coord, single, shards, proxies := mergeCluster(t, 2)
 	feedBoth(t, ctx, coord, single, shards, trace(71, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -194,15 +194,14 @@ func TestRetryDoesNotDuplicateSpans(t *testing.T) {
 	// Shard side: a retried SUFFICIENT must not double its span.
 	sawShardSpans := false
 	for _, sh := range shards {
-		perRound := make(map[string]int)
+		perRound := make(map[int32]int)
 		for _, s := range sh.svc.Traces().Snapshot(merged.Trace, 0) {
 			if s.Op != obs.OpSufficient {
 				continue
 			}
 			sawShardSpans = true
-			key := fmt.Sprintf("%x/%d", s.Session, s.Round)
-			if perRound[key]++; perRound[key] > 1 {
-				t.Fatalf("shard %s recorded %d sufficient spans for session/round %s", sh.addr, perRound[key], key)
+			if perRound[s.Round]++; perRound[s.Round] > 1 {
+				t.Fatalf("shard %s recorded %d sufficient spans for round %d", sh.addr, perRound[s.Round], s.Round)
 			}
 		}
 	}
@@ -218,7 +217,7 @@ func TestRetryDoesNotDuplicateSpans(t *testing.T) {
 func TestFallbackSpanSharesTrace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, single, shards, proxies := mergeCluster(t, 2, MergeCompact)
+	coord, single, shards, proxies := mergeCluster(t, 2)
 	feedBoth(t, ctx, coord, single, shards, trace(83, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
 	if err != nil {
@@ -317,7 +316,6 @@ func TestFirstQueryTracedBeforeAnyProbe(t *testing.T) {
 	coord, err := New(Config{
 		Detector:       clusterDetCfg,
 		Shards:         addrs,
-		MergeMode:      MergeCompact,
 		QueryTimeout:   15 * time.Second,
 		HealthInterval: time.Hour, // no probe ever lands during the test
 	})
@@ -362,7 +360,7 @@ func TestFirstQueryTracedBeforeAnyProbe(t *testing.T) {
 // health + per-shard probe state, identity/WAL fields, and build info
 // in one snapshot.
 func TestStatusEndpoint(t *testing.T) {
-	coord, _, _, _ := mergeCluster(t, 1, MergeCompact)
+	coord, _, _, _ := mergeCluster(t, 1)
 	waitFor(t, 15*time.Second, "every shard probed", func() bool {
 		for _, si := range coord.ShardInfos() {
 			if si.LastSeen.IsZero() {
@@ -400,7 +398,114 @@ func TestStatusEndpoint(t *testing.T) {
 	if st.Build.Go == "" {
 		t.Fatalf("build info missing Go version: %+v", st.Build)
 	}
-	if st.MergeMode != MergeCompact {
-		t.Fatalf("merge mode = %q", st.MergeMode)
+}
+
+// TestMergeSessionIsQueryTrace pins one ID per query: a compact query's
+// merge session is its trace. Every span the query leaves — the
+// coordinator's query and round spans, each shard's session-create,
+// ledger and sufficient spans — carries that trace, and each shard keys
+// the session by it.
+func TestMergeSessionIsQueryTrace(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var shards []*testShard
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		sh := startShard(t, "")
+		t.Cleanup(sh.stop)
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr)
+	}
+	coord, err := New(Config{
+		Detector:       clusterDetCfg,
+		Shards:         addrs,
+		QueryTimeout:   15 * time.Second,
+		HealthInterval: 50 * time.Millisecond,
+		HealthMisses:   1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	for _, err := range coord.IngestBatch(trace(37, sensorRange(10), 4)) {
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	}
+	for _, sh := range shards {
+		if err := sh.svc.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged, err := coord.MergedEstimate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Mode != MergeCompact {
+		t.Fatalf("query served by %q, want compact", merged.Mode)
+	}
+
+	// tally counts the spans of the given ops and fails on one that does
+	// not carry the query's trace.
+	tally := func(where string, spans []obs.Span, ops ...obs.SpanOp) map[obs.SpanOp]int {
+		t.Helper()
+		n := make(map[obs.SpanOp]int)
+		for _, s := range spans {
+			if !slices.Contains(ops, s.Op) {
+				continue
+			}
+			if s.Trace != merged.Trace {
+				t.Fatalf("%s: %s span under trace %016x, the query's is %016x", where, s.Op, s.Trace, merged.Trace)
+			}
+			n[s.Op]++
+		}
+		return n
+	}
+	if n := tally("coordinator", coord.Traces().Snapshot(0, 0), obs.OpQuery, obs.OpMergeRound); n[obs.OpQuery] != 1 || n[obs.OpMergeRound] == 0 {
+		t.Fatalf("coordinator spans = %v, want one query span and ≥1 merge_round", n)
+	}
+	ledgers := 0
+	for _, sh := range shards {
+		n := tally(sh.addr, sh.svc.Traces().Snapshot(0, 0), obs.OpSessionCreate, obs.OpLedger, obs.OpSufficient)
+		if n[obs.OpSessionCreate] != 1 || n[obs.OpSufficient] == 0 {
+			t.Fatalf("shard %s spans = %v, want one session_create and ≥1 sufficient", sh.addr, n)
+		}
+		ledgers += n[obs.OpLedger]
+		sh.srv.mergeMu.Lock()
+		held, keyed := len(sh.srv.sessions), sh.srv.sessions[merged.Trace] != nil
+		sh.srv.mergeMu.Unlock()
+		if held != 1 || !keyed {
+			t.Fatalf("shard %s holds %d sessions, keyed by the query's trace: %v", sh.addr, held, keyed)
+		}
+	}
+	if ledgers == 0 {
+		t.Fatal("no shard recorded a ledger span; the query delivered no candidates")
+	}
+}
+
+// TestOutliersRejectsUnknownMergeMode pins the one ?merge= check:
+// MergedEstimateMode refuses an unknown mode with ErrMergeMode, which
+// the handler answers with 400 rather than a 503 that reads as an
+// unhealthy cluster.
+func TestOutliersRejectsUnknownMergeMode(t *testing.T) {
+	sh := startShard(t, "")
+	t.Cleanup(sh.stop)
+	coord, err := New(Config{Detector: clusterDetCfg, Shards: []string{sh.addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/outliers?merge=bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("?merge=bogus answered %d, want 400", resp.StatusCode)
+	}
+	if _, err := coord.MergedEstimateMode(context.Background(), "bogus"); !errors.Is(err, ErrMergeMode) {
+		t.Fatalf("MergedEstimateMode(bogus) err = %v, want ErrMergeMode", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package leakcheck is the goroutine-leak gate shared by the tests of the
-// packages that start goroutines (internal/peer, internal/ingest): a
-// blocking call without a way out shows up as a goroutine that never
-// retires.
+// packages that start goroutines (internal/peer, internal/ingest,
+// internal/cluster): a blocking call without a way out shows up as a
+// goroutine that never retires.
 package leakcheck
 
 import (

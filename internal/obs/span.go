@@ -81,18 +81,17 @@ func (o SpanOp) String() string {
 // size (strings are headers into already-live memory), so passing and
 // storing a Span never allocates.
 type Span struct {
-	Trace   uint64        // query trace ID; 0 = untraced work
-	Op      SpanOp        // what happened
-	Shard   string        // peer address, "" for local work
-	Session uint64        // merge session, 0 if none
-	ReqID   uint32        // shard-control reqID, 0 if none
-	Round   int32         // merge round, meaningful for merge ops
-	Points  int32         // points moved/observed
-	Bytes   int32         // payload bytes moved
-	Hit     bool          // cache hit / replay, per op docs
-	Err     string        // failure, "" on success
-	Start   time.Time     // when the spanned work began
-	Dur     time.Duration // how long it took
+	Trace  uint64        // query trace ID; 0 = untraced work
+	Op     SpanOp        // what happened
+	Shard  string        // peer address, "" for local work
+	ReqID  uint32        // shard-control reqID, 0 if none
+	Round  int32         // merge round, meaningful for merge ops
+	Points int32         // points moved/observed
+	Bytes  int32         // payload bytes moved
+	Hit    bool          // cache hit / replay, per op docs
+	Err    string        // failure, "" on success
+	Start  time.Time     // when the spanned work began
+	Dur    time.Duration // how long it took
 }
 
 // spanWire is the JSON shape of a Span: 64-bit IDs as hex strings
@@ -102,7 +101,6 @@ type spanWire struct {
 	Trace   string  `json:"trace"`
 	Op      string  `json:"op"`
 	Shard   string  `json:"shard,omitempty"`
-	Session string  `json:"session,omitempty"`
 	ReqID   uint32  `json:"req_id,omitempty"`
 	Round   int32   `json:"round"`
 	Points  int32   `json:"points,omitempty"`
@@ -127,9 +125,6 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		Err:     s.Err,
 		StartMS: s.Start.UnixMilli(),
 		DurMS:   float64(s.Dur) / float64(time.Millisecond),
-	}
-	if s.Session != 0 {
-		w.Session = fmt.Sprintf("%016x", s.Session)
 	}
 	return json.Marshal(w)
 }

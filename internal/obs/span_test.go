@@ -96,20 +96,19 @@ func TestTraceLogSinkJSONL(t *testing.T) {
 	var sb strings.Builder
 	l := NewTraceLog(4)
 	l.SetSink(&sb)
-	l.Record(Span{Trace: 0xfeed, Op: OpSufficient, Session: 0xbeef, Round: 2, Hit: true, Err: "late"})
+	l.Record(Span{Trace: 0xfeed, Op: OpSufficient, Round: 2, Hit: true, Err: "late"})
 	line := strings.TrimSpace(sb.String())
 	var w struct {
-		Trace   string `json:"trace"`
-		Op      string `json:"op"`
-		Session string `json:"session"`
-		Round   int32  `json:"round"`
-		Hit     bool   `json:"hit"`
-		Err     string `json:"err"`
+		Trace string `json:"trace"`
+		Op    string `json:"op"`
+		Round int32  `json:"round"`
+		Hit   bool   `json:"hit"`
+		Err   string `json:"err"`
 	}
 	if err := json.Unmarshal([]byte(line), &w); err != nil {
 		t.Fatalf("sink line %q: %v", line, err)
 	}
-	if w.Trace != "000000000000feed" || w.Op != "sufficient" || w.Session != "000000000000beef" ||
+	if w.Trace != "000000000000feed" || w.Op != "sufficient" ||
 		w.Round != 2 || !w.Hit || w.Err != "late" {
 		t.Fatalf("sink line decoded to %+v", w)
 	}

@@ -1223,6 +1223,6 @@ func (c *Coordinator) resync(st *shardState) {
 	c.mu.Unlock()
 }
 
-// traceHex renders a trace ID the way every JSON surface
-// does — 16 hex digits — so log lines grep against /debug/traces.
+// traceHex renders a trace ID the way every JSON surface does — 16 hex
+// digits — so log lines grep against /debug/traces.
 func traceHex(id uint64) string { return fmt.Sprintf("%016x", id) }

@@ -408,12 +408,25 @@ func TestMergeSessionEvictionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One session more than the cap evicts exactly one of them.
-	for id := uint64(1); id <= maxMergeSessions+1; id++ {
+	open := func(id uint64) {
+		t.Helper()
 		if _, _, err := client.sufficient(ctx, addr, 0, id, 0); err != nil {
 			t.Fatalf("session %d round 0: %v", id, err)
 		}
 	}
+	for id := uint64(1); id <= maxMergeSessions; id++ {
+		open(id)
+	}
+	// A coarse clock: no held session was touched before the next
+	// creation reads the time.
+	srv.mergeMu.Lock()
+	touched := time.Now().Add(time.Second)
+	for _, sess := range srv.sessions {
+		sess.touched = touched
+	}
+	srv.mergeMu.Unlock()
+	// One session more than the cap evicts exactly one of them.
+	open(maxMergeSessions + 1)
 	srv.mergeMu.Lock()
 	held := len(srv.sessions)
 	var evicted uint64

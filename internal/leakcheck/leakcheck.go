@@ -7,6 +7,7 @@ package leakcheck
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"testing"
@@ -29,6 +30,13 @@ func Settle(base int) int {
 // Main is a TestMain body: it runs the package's tests and fails the run,
 // with the stacks, if they pass but leave goroutines behind.
 func Main(m *testing.M) {
+	// The fuzzing engine's signal.NotifyContext starts os/signal's
+	// watcher goroutine, which then lives as long as the process. Start
+	// it before taking the baseline, so a -fuzz run counts it there
+	// rather than as a leak.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	signal.Stop(sig)
 	base := runtime.NumGoroutine()
 	code := m.Run()
 	if code == 0 {

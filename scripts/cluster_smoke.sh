@@ -48,7 +48,7 @@ done
 echo "== start the coordinator (replicas=2, compact merge)"
 TRACE_FILE=$BINDIR/merges.jsonl
 "$BINDIR/innet-coord" -http "$COORD_HTTP" -udp "$HOST:$COORD_UDP_PORT" \
-  -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -replicas 2 -merge compact \
+  -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -replicas 2 \
   -health-interval 100ms -trace-file "$TRACE_FILE" "${DETFLAGS[@]}" &
 COORD_PID=$!
 PIDS+=("$COORD_PID")
@@ -238,7 +238,8 @@ wait "$COORD_PID"
 
 echo "== -trace-file captured the spans as JSONL (one schema: every line a span)"
 [[ -s "$TRACE_FILE" ]] || { echo "trace file $TRACE_FILE empty" >&2; exit 1; }
-grep -q '"op":"merge_round".*"session":' "$TRACE_FILE" || { echo "trace file lacks merge_round spans with session IDs" >&2; exit 1; }
+grep -q "^{\"trace\":\"$TRACE_ID\",\"op\":\"merge_round\"" "$TRACE_FILE" || {
+  echo "trace file lacks merge_round spans of the compact query's trace $TRACE_ID" >&2; exit 1; }
 if grep -qv '^{"trace":"[0-9a-f]*","op":"' "$TRACE_FILE"; then
   echo "trace file holds a line that is not a span:" >&2; grep -v '^{"trace":"[0-9a-f]*","op":"' "$TRACE_FILE" | head -3 >&2; exit 1
 fi

@@ -44,7 +44,7 @@ done
 
 echo "== start the coordinator"
 "$BINDIR/innet-coord" -http "$COORD_HTTP" -udp "$COORD_UDP" \
-  -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -merge compact \
+  -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" \
   -health-interval 100ms "${DETFLAGS[@]}" &
 PIDS+=($!)
 

@@ -53,7 +53,7 @@ start_shard() { # start_shard <index>
 
 start_coord() {
   "$BINDIR/innet-coord" -http "$COORD_HTTP" -udp "$HOST:$COORD_UDP_PORT" \
-    -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -replicas 1 -merge compact \
+    -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -replicas 1 \
     -health-interval 100ms -data-dir "$DATADIR/coord" "${DETFLAGS[@]}" &
   COORD_PID=$!
 }

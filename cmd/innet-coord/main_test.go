@@ -174,6 +174,14 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	if full.MergeMode != cluster.MergeFull || len(full.Outliers) != 1 || full.Outliers[0].Sensor != 7 {
 		t.Fatalf("?merge=full gave mode=%q outliers=%v", full.MergeMode, full.Outliers)
 	}
+	// Any other mode is the client's error, not an unhealthy cluster.
+	if resp, err = http.Get(base + "/v1/outliers?merge=bogus"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("?merge=bogus answered %d, want 400", resp.StatusCode)
+	}
 
 	// Shard states: all three up.
 	var shards struct {

@@ -26,7 +26,6 @@ var (
 	ErrRouteFailed    = errors.New("cluster: no owning shard accepted the reading")
 	ErrUnknownShard   = errors.New("cluster: unknown shard")
 	ErrClosed         = errors.New("cluster: coordinator closed")
-	ErrMergeMode      = errors.New("cluster: unknown merge mode")
 )
 
 // Config parameterizes a Coordinator.
@@ -732,14 +731,14 @@ func (c *Coordinator) MergedEstimate(ctx context.Context) (MergeResult, error) {
 // Algorithm 1 exchange, falling back to the full path when a shard
 // cannot play or the round budget runs out; MergeFull fans ESTIMATE
 // snapshot queries to every up shard and computes On over the union.
-// Any other mode is an ErrMergeMode.
+// Any other mode is refused before any shard is asked.
 func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (MergeResult, error) {
 	switch mode {
 	case "":
 		mode = MergeCompact
 	case MergeCompact, MergeFull:
 	default:
-		return MergeResult{}, fmt.Errorf("%w %q (want %q or %q)", ErrMergeMode, mode, MergeCompact, MergeFull)
+		return MergeResult{}, fmt.Errorf("%w %q (want %q or %q)", errMergeMode, mode, MergeCompact, MergeFull)
 	}
 	start := time.Now()
 	// Every query gets a trace ID, minted here at the front door. It is

@@ -78,7 +78,7 @@ func (c *Coordinator) handleObservations(w http.ResponseWriter, r *http.Request)
 func (c *Coordinator) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	res, err := c.MergedEstimateMode(r.Context(), r.URL.Query().Get("merge"))
 	switch {
-	case errors.Is(err, ErrMergeMode):
+	case errors.Is(err, errMergeMode):
 		ingest.WriteError(w, http.StatusBadRequest, err)
 		return
 	case err != nil:

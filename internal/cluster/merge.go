@@ -54,6 +54,10 @@ const mergeRounds = 16
 // the round budget.
 var errMergeRounds = errors.New("cluster: compact merge round budget exhausted")
 
+// errMergeMode reports a merge mode other than MergeCompact and
+// MergeFull; the HTTP handler answers it with 400.
+var errMergeMode = errors.New("cluster: unknown merge mode")
+
 // traceIDGen mints trace IDs, and a compact merge's session ID is its
 // query's trace ID. Shards key merge state — frozen snapshot link,
 // ledger, per-round reply cache — by that ID alone, so two concurrent

@@ -3,11 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -54,7 +54,10 @@ func opCount(spans []wireSpan) map[string]int {
 // TestQueryTraceEndToEnd is the tracing acceptance pin: one compact
 // query against a live 2-shard cluster yields, under a single trace ID,
 // coordinator-side round spans at its /debug/traces and shard-side
-// merge-session spans at each shard's /debug/traces.
+// merge-session spans at each shard's /debug/traces. It also pins one ID
+// per query: the merge session is the trace, so every query, round,
+// session-create, ledger and sufficient span in either ring carries it,
+// and each shard keys the session by it.
 func TestQueryTraceEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -131,6 +134,47 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 				t.Fatalf("shard %s trace filter leaked span %+v", sh.addr, s)
 			}
 		}
+	}
+
+	// The whole rings, unfiltered: no span of the query's ops sits under
+	// another ID.
+	id, err := strconv.ParseUint(est.Trace, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := func(where string, spans []obs.Span, ops ...obs.SpanOp) map[obs.SpanOp]int {
+		t.Helper()
+		n := make(map[obs.SpanOp]int)
+		for _, s := range spans {
+			if !slices.Contains(ops, s.Op) {
+				continue
+			}
+			if s.Trace != id {
+				t.Fatalf("%s: %s span under trace %016x, the query's is %s", where, s.Op, s.Trace, est.Trace)
+			}
+			n[s.Op]++
+		}
+		return n
+	}
+	if n := tally("coordinator", coord.Traces().Snapshot(0, 0), obs.OpQuery, obs.OpMergeRound); n[obs.OpQuery] != 1 || n[obs.OpMergeRound] == 0 {
+		t.Fatalf("coordinator spans = %v, want one query span and ≥1 merge_round", n)
+	}
+	ledgers := 0
+	for _, sh := range shards {
+		n := tally(sh.addr, sh.svc.Traces().Snapshot(0, 0), obs.OpSessionCreate, obs.OpLedger, obs.OpSufficient)
+		if n[obs.OpSessionCreate] != 1 || n[obs.OpSufficient] == 0 {
+			t.Fatalf("shard %s spans = %v, want one session_create and ≥1 sufficient", sh.addr, n)
+		}
+		ledgers += n[obs.OpLedger]
+		sh.srv.mergeMu.Lock()
+		held, keyed := len(sh.srv.sessions), sh.srv.sessions[id] != nil
+		sh.srv.mergeMu.Unlock()
+		if held != 1 || !keyed {
+			t.Fatalf("shard %s holds %d sessions, keyed by the query's trace: %v", sh.addr, held, keyed)
+		}
+	}
+	if ledgers == 0 {
+		t.Fatal("no shard recorded a ledger span; the query delivered no candidates")
 	}
 }
 
@@ -397,115 +441,5 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 	if st.Build.Go == "" {
 		t.Fatalf("build info missing Go version: %+v", st.Build)
-	}
-}
-
-// TestMergeSessionIsQueryTrace pins one ID per query: a compact query's
-// merge session is its trace. Every span the query leaves — the
-// coordinator's query and round spans, each shard's session-create,
-// ledger and sufficient spans — carries that trace, and each shard keys
-// the session by it.
-func TestMergeSessionIsQueryTrace(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var shards []*testShard
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		sh := startShard(t, "")
-		t.Cleanup(sh.stop)
-		shards = append(shards, sh)
-		addrs = append(addrs, sh.addr)
-	}
-	coord, err := New(Config{
-		Detector:       clusterDetCfg,
-		Shards:         addrs,
-		QueryTimeout:   15 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		HealthMisses:   1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	for _, err := range coord.IngestBatch(trace(37, sensorRange(10), 4)) {
-		if err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
-	}
-	for _, sh := range shards {
-		if err := sh.svc.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := coord.MergedEstimate(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Mode != MergeCompact {
-		t.Fatalf("query served by %q, want compact", merged.Mode)
-	}
-
-	// tally counts the spans of the given ops and fails on one that does
-	// not carry the query's trace.
-	tally := func(where string, spans []obs.Span, ops ...obs.SpanOp) map[obs.SpanOp]int {
-		t.Helper()
-		n := make(map[obs.SpanOp]int)
-		for _, s := range spans {
-			if !slices.Contains(ops, s.Op) {
-				continue
-			}
-			if s.Trace != merged.Trace {
-				t.Fatalf("%s: %s span under trace %016x, the query's is %016x", where, s.Op, s.Trace, merged.Trace)
-			}
-			n[s.Op]++
-		}
-		return n
-	}
-	if n := tally("coordinator", coord.Traces().Snapshot(0, 0), obs.OpQuery, obs.OpMergeRound); n[obs.OpQuery] != 1 || n[obs.OpMergeRound] == 0 {
-		t.Fatalf("coordinator spans = %v, want one query span and ≥1 merge_round", n)
-	}
-	ledgers := 0
-	for _, sh := range shards {
-		n := tally(sh.addr, sh.svc.Traces().Snapshot(0, 0), obs.OpSessionCreate, obs.OpLedger, obs.OpSufficient)
-		if n[obs.OpSessionCreate] != 1 || n[obs.OpSufficient] == 0 {
-			t.Fatalf("shard %s spans = %v, want one session_create and ≥1 sufficient", sh.addr, n)
-		}
-		ledgers += n[obs.OpLedger]
-		sh.srv.mergeMu.Lock()
-		held, keyed := len(sh.srv.sessions), sh.srv.sessions[merged.Trace] != nil
-		sh.srv.mergeMu.Unlock()
-		if held != 1 || !keyed {
-			t.Fatalf("shard %s holds %d sessions, keyed by the query's trace: %v", sh.addr, held, keyed)
-		}
-	}
-	if ledgers == 0 {
-		t.Fatal("no shard recorded a ledger span; the query delivered no candidates")
-	}
-}
-
-// TestOutliersRejectsUnknownMergeMode pins the one ?merge= check:
-// MergedEstimateMode refuses an unknown mode with ErrMergeMode, which
-// the handler answers with 400 rather than a 503 that reads as an
-// unhealthy cluster.
-func TestOutliersRejectsUnknownMergeMode(t *testing.T) {
-	sh := startShard(t, "")
-	t.Cleanup(sh.stop)
-	coord, err := New(Config{Detector: clusterDetCfg, Shards: []string{sh.addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/outliers?merge=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("?merge=bogus answered %d, want 400", resp.StatusCode)
-	}
-	if _, err := coord.MergedEstimateMode(context.Background(), "bogus"); !errors.Is(err, ErrMergeMode) {
-		t.Fatalf("MergedEstimateMode(bogus) err = %v, want ErrMergeMode", err)
 	}
 }

@@ -45,8 +45,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	runner.DefaultWorkers(*workers)
-
 	scale := runner.QuickScale()
 	if *full {
 		scale = runner.PaperScale()
@@ -62,6 +60,7 @@ func run(args []string) error {
 	}
 
 	session := runner.NewSession()
+	session.Workers = *workers
 	if *verbose {
 		start := time.Now()
 		session.Observer = func(cfg runner.Config, res runner.Result) {

@@ -18,12 +18,12 @@ func TestDetectorAccessors(t *testing.T) {
 	if got := det.Config(); got.N != 3 || got.Window != time.Minute {
 		t.Fatalf("Config() = %+v", got)
 	}
-	det.AdvanceTo(30 * time.Second)
+	det.StepObserveBatch(30*time.Second, nil)
 	if det.Now() != 30*time.Second {
 		t.Fatalf("Now() = %v", det.Now())
 	}
 	// Clocks never run backwards.
-	det.AdvanceTo(10 * time.Second)
+	det.StepObserveBatch(10*time.Second, nil)
 	if det.Now() != 30*time.Second {
 		t.Fatalf("clock regressed to %v", det.Now())
 	}
@@ -34,7 +34,7 @@ func TestOwnPointsVersusHoldings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.Observe(0, 5)
+	observe(det, 0, []float64{5})
 	det.Receive(2, []Point{NewPoint(2, 0, 0, 7)})
 	if det.OwnPoints().Len() != 1 {
 		t.Fatalf("D_i = %d, want only the local sample", det.OwnPoints().Len())
@@ -50,26 +50,6 @@ func TestOwnPointsVersusHoldings(t *testing.T) {
 	}
 }
 
-func TestEstimateRankedOrdering(t *testing.T) {
-	det, err := NewDetector(Config{Node: 1, Ranker: NN(), N: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.ObserveBatch(0, []float64{0}, []float64{1}, []float64{2}, []float64{50}, []float64{100})
-	ranked := det.EstimateRanked()
-	if len(ranked) != 3 {
-		t.Fatalf("got %d ranked outliers", len(ranked))
-	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].Rank > ranked[i-1].Rank {
-			t.Fatalf("ranks not descending: %v", ranked)
-		}
-	}
-	if ranked[0].Point.Value[0] != 100 && ranked[0].Point.Value[0] != 50 {
-		t.Fatalf("top outlier %v", ranked[0].Point)
-	}
-}
-
 // Property: a detector fed any random batch always produces an estimate
 // of size min(N, |P|) and never panics.
 func TestEstimateSizeInvariant(t *testing.T) {
@@ -82,7 +62,7 @@ func TestEstimateSizeInvariant(t *testing.T) {
 		}
 		count := r.IntN(12)
 		for i := 0; i < count; i++ {
-			det.Observe(0, r.Float64()*100, r.Float64()*100)
+			observe(det, 0, []float64{r.Float64() * 100, r.Float64() * 100})
 		}
 		want := n
 		if count < n {
@@ -104,7 +84,7 @@ func TestReceiveIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		det.Observe(0, r.Float64()*10)
+		observe(det, 0, []float64{r.Float64() * 10})
 		pts := randPoints(r, 2, 1+r.IntN(8), 2, 100)
 		det.Receive(2, pts)
 		before := det.Holdings()
@@ -140,9 +120,9 @@ func TestConvergenceTrafficScalesWithOutliersNotData(t *testing.T) {
 			for i := 0; i < bulk; i++ {
 				vals = append(vals, []float64{float64(id)*10 + r.Float64()})
 			}
-			net.ObserveBatch(id, 0, vals...)
+			net.Observe(id, 0, vals...)
 		}
-		net.Observe(1, 0, 10_000)
+		net.Observe(1, 0, []float64{10_000})
 		if _, err := net.Settle(100000); err != nil {
 			t.Fatal(err)
 		}

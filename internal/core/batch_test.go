@@ -53,9 +53,10 @@ func batchDetector(t *testing.T, neighbors ...NodeID) *Detector {
 }
 
 // TestStepObserveBatchMatchesSingles is the batch-observe fast-path
-// contract: a burst fed through StepObserveBatch leaves the detector in a
-// byte-identical state to the same readings fed one ObservePoint at a
-// time, while spending one event (one ranking pass) instead of N.
+// contract: a burst fed through one StepObserveBatch call leaves the
+// detector in a byte-identical state to an expiry-only event followed by
+// the same readings fed one call at a time, while spending one event (one
+// ranking pass) instead of N.
 func TestStepObserveBatchMatchesSingles(t *testing.T) {
 	burst := []Observation{
 		{Birth: 10 * time.Second, Value: []float64{20.1}},
@@ -81,9 +82,9 @@ func TestStepObserveBatchMatchesSingles(t *testing.T) {
 			}
 
 			single := batchDetector(t, tc.neighbors...)
-			single.AdvanceTo(now)
-			for i, o := range burst {
-				single.ObservePoint(NewPoint(single.Node(), uint32(i), o.Birth, o.Value...))
+			single.StepObserveBatch(now, nil)
+			for i := range burst {
+				single.StepObserveBatch(now, burst[i:i+1])
 			}
 
 			got, want := encodeState(t, batched), encodeState(t, single)
@@ -121,9 +122,10 @@ func TestStepObserveBatchEvicts(t *testing.T) {
 	}
 }
 
-// TestStepObserveBatchEmpty checks the degenerate cases: an empty batch
-// with nothing to evict is a non-event; with something to evict it
-// behaves exactly like AdvanceTo.
+// TestStepObserveBatchEmpty checks the expiry-only event: an empty batch
+// with nothing to evict is a non-event (no reaction, no event counted);
+// with something to evict it is one data-change event that moves the
+// clock and empties what aged out.
 func TestStepObserveBatchEmpty(t *testing.T) {
 	d := batchDetector(t)
 	if pts, out := d.StepObserveBatch(time.Second, nil); pts != nil || out != nil {
@@ -136,5 +138,11 @@ func TestStepObserveBatchEmpty(t *testing.T) {
 	d.StepObserveBatch(10*time.Minute, nil) // evicts the point
 	if got := d.Holdings().Len(); got != 0 {
 		t.Fatalf("holdings length %d after empty-batch eviction, want 0", got)
+	}
+	if ev := d.Stats().Events; ev != 2 {
+		t.Fatalf("reading then expiry counted %d events, want 2", ev)
+	}
+	if d.Now() != 10*time.Minute {
+		t.Fatalf("clock %v after the expiry, want 10m", d.Now())
 	}
 }

@@ -363,7 +363,7 @@ func BenchmarkDetectorReceive(b *testing.B) {
 		b.Fatal(err)
 	}
 	det.AddNeighbor(2)
-	det.ObserveBatch(0, vectors(r, 50)...)
+	observe(det, 0, vectors(r, 50)...)
 	incoming := randPoints(r, 2, 10000, 3, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -434,7 +434,7 @@ func sampleRound53(tb testing.TB, net *SyncNetwork, ids []NodeID, n int, r *rand
 	at := time.Duration(n) * 31 * time.Second
 	net.AdvanceTo(at)
 	for _, id := range ids {
-		net.Observe(id, at, r.Float64()*10+20, r.Float64()*50, r.Float64()*50)
+		net.Observe(id, at, []float64{r.Float64()*10 + 20, r.Float64() * 50, r.Float64() * 50})
 	}
 	if _, err := net.Settle(10_000_000); err != nil {
 		tb.Fatal(err)

@@ -27,11 +27,6 @@ func TestHeldSupporterCache(t *testing.T) {
 				t.Fatalf("hop=%d %s: cached estimate %s, fresh %s",
 					hop, step, idList(got), idList(want))
 			}
-			ranked := det.EstimateRanked()
-			if len(ranked) != len(want) {
-				t.Fatalf("hop=%d %s: EstimateRanked len %d, want %d",
-					hop, step, len(ranked), len(want))
-			}
 		}
 
 		det.Start()
@@ -39,8 +34,8 @@ func TestHeldSupporterCache(t *testing.T) {
 		det.AddNeighbor(2)
 		check("add neighbor") // no window change: must reuse, still correct
 		for s := 0; s < 40; s++ {
-			det.StepObserve(time.Duration(s)*time.Second,
-				randPoint(r, 1, uint32(s), 2, 100))
+			det.StepObserveBatch(time.Duration(s)*time.Second,
+				readings(randPoint(r, 1, uint32(s), 2, 100)))
 			check("observe")
 			if s%5 == 0 {
 				det.Receive(2, []Point{randPoint(r, 2, uint32(s), 2, 100)})
@@ -54,9 +49,7 @@ func TestHeldSupporterCache(t *testing.T) {
 		}
 		det.RemoveNeighbor(2)
 		check("remove neighbor")
-		det.RemoveOrigin(2)
-		check("remove origin")
-		det.AdvanceTo(90 * time.Second) // evicts everything
+		det.StepObserveBatch(90*time.Second, nil) // evicts everything
 		check("evict all")
 	}
 }
@@ -84,7 +77,10 @@ func TestStrataCacheMatchesFresh(t *testing.T) {
 	}
 	for s := 0; s < 30; s++ {
 		p := randPoint(r, 1, uint32(s), 2, 100)
-		feed(func(d *Detector) *Outbound { return d.ObservePoint(p) })
+		feed(func(d *Detector) *Outbound {
+			_, out := d.StepObserveBatch(d.Now(), readings(p))
+			return out
+		})
 		if s%4 == 0 {
 			in := randPoint(r, 2, uint32(s), 2, 100)
 			in.Hop = 1
@@ -197,7 +193,7 @@ func BenchmarkEstimateWindowUnchanged(b *testing.B) {
 	for i := range vals {
 		vals[i] = []float64{r.Float64() * 10, r.Float64() * 50, r.Float64() * 50}
 	}
-	det.ObserveBatch(0, vals...)
+	observe(det, 0, vals...)
 	set := det.Holdings()
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -225,7 +221,7 @@ func BenchmarkSemiGlobalLinkEventWindowUnchanged(b *testing.B) {
 	for i := range vals {
 		vals[i] = []float64{r.Float64() * 10, r.Float64() * 50, r.Float64() * 50}
 	}
-	det.ObserveBatch(0, vals...)
+	observe(det, 0, vals...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.AddNeighbor(NodeID(2 + i%2))
@@ -246,7 +242,7 @@ func BenchmarkLinkEventWindowUnchanged(b *testing.B) {
 	for i := range vals {
 		vals[i] = []float64{r.Float64() * 10, r.Float64() * 50, r.Float64() * 50}
 	}
-	det.ObserveBatch(0, vals...)
+	observe(det, 0, vals...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.AddNeighbor(NodeID(2 + i%2))

@@ -297,14 +297,6 @@ func (d *Detector) Estimate() []Point {
 	return out
 }
 
-// EstimateRanked returns the current estimate with rank values attached.
-func (d *Detector) EstimateRanked() []Ranked {
-	top := d.heldSupporter().topN(d.cfg.N)
-	out := make([]Ranked, len(top))
-	copy(out, top)
-	return out
-}
-
 // Start processes the paper's event (i): algorithm initialization. It
 // must be called after the initial neighborhood is configured.
 func (d *Detector) Start() *Outbound {
@@ -335,48 +327,6 @@ func (d *Detector) RemoveNeighbor(j NodeID) *Outbound {
 	delete(d.links, j)
 	at, _ := slices.BinarySearch(d.nbrs, j)
 	d.nbrs = slices.Delete(d.nbrs, at, at+1)
-	d.stats.Events++
-	return d.react()
-}
-
-// Observe samples a new data point with the given feature vector at time
-// birth, assigning the next per-sensor sequence number (paper event ii:
-// D_i changes). It returns the sampled point and the packet to broadcast.
-func (d *Detector) Observe(birth time.Duration, value ...float64) (Point, *Outbound) {
-	p := NewPoint(d.cfg.Node, d.nextSeq, birth, value...)
-	d.nextSeq++
-	return p, d.ObservePoint(p)
-}
-
-// ObserveBatch samples one point per feature vector, all stamped with the
-// same birth time, and processes a single data-change event for the whole
-// batch. Loading initial datasets through ObserveBatch matches the
-// paper's model, where a change to D_i — of any size — is one event.
-func (d *Detector) ObserveBatch(birth time.Duration, values ...[]float64) ([]Point, *Outbound) {
-	pts := make([]Point, len(values))
-	for i, v := range values {
-		p := NewPoint(d.cfg.Node, d.nextSeq, birth, v...)
-		d.nextSeq++
-		d.own.Add(p)
-		d.held.Add(p)
-		pts[i] = p
-	}
-	d.stats.Events++
-	return pts, d.react()
-}
-
-// ObservePoint adds a pre-built point sampled by this sensor to D_i and
-// processes the data-change event. The point's origin must be this node.
-func (d *Detector) ObservePoint(p Point) *Outbound {
-	if p.ID.Origin != d.cfg.Node {
-		panic(fmt.Sprintf("core: ObservePoint origin %d on node %d", p.ID.Origin, d.cfg.Node))
-	}
-	p.Hop = 0
-	if p.ID.Seq >= d.nextSeq {
-		d.nextSeq = p.ID.Seq + 1
-	}
-	d.own.Add(p)
-	d.held.Add(p)
 	d.stats.Events++
 	return d.react()
 }
@@ -450,17 +400,6 @@ func (d *Detector) receiveSemiGlobal(from *link, pts []Point) bool {
 	return changed
 }
 
-// AdvanceTo moves the detector clock to now and evicts points that have
-// aged out of the sliding window (§5.3). Evictions count as a data-change
-// event; with nothing evicted there is nothing to send.
-func (d *Detector) AdvanceTo(now time.Duration) *Outbound {
-	if !d.advance(now) {
-		return nil
-	}
-	d.stats.Events++
-	return d.react()
-}
-
 // advance performs the clock move and window eviction, reporting whether
 // anything was evicted.
 func (d *Detector) advance(now time.Duration) bool {
@@ -483,28 +422,6 @@ func (d *Detector) advance(now time.Duration) bool {
 	return evicted > 0
 }
 
-// StepObserve advances the clock (evicting expired window contents) and
-// records one new observation, all as a single data-change event with a
-// single reaction. Sensors sampling on a period use this instead of
-// AdvanceTo followed by ObservePoint: the paper's event model treats any
-// change to D_i as one event, and reacting once to the combined change
-// avoids broadcasting an interim estimate that the very next event would
-// supersede.
-func (d *Detector) StepObserve(now time.Duration, p Point) *Outbound {
-	if p.ID.Origin != d.cfg.Node {
-		panic(fmt.Sprintf("core: StepObserve origin %d on node %d", p.ID.Origin, d.cfg.Node))
-	}
-	d.advance(now)
-	p.Hop = 0
-	if p.ID.Seq >= d.nextSeq {
-		d.nextSeq = p.ID.Seq + 1
-	}
-	d.own.Add(p)
-	d.held.Add(p)
-	d.stats.Events++
-	return d.react()
-}
-
 // Observation is one raw reading of a batch: the sample timestamp and the
 // feature vector, before a Point identity is assigned. It is the unit the
 // streaming ingestion layer (internal/ingest) queues per sensor.
@@ -515,7 +432,8 @@ func (d *Detector) StepObserve(now time.Duration, p Point) *Outbound {
 // identity before fanning it out, so replica shards — which may see
 // different subsets and orderings under UDP loss — still mint identical
 // PointIDs for the same reading and the merged estimate deduplicates
-// instead of double-counting.
+// instead of double-counting. The simulator firmware (internal/protocol)
+// passes its sampling epoch.
 type Observation struct {
 	Birth time.Duration
 	Value []float64
@@ -524,16 +442,21 @@ type Observation struct {
 	Assigned bool
 }
 
-// StepObserveBatch advances the clock (evicting expired window contents)
-// and records a burst of readings as a single data-change event with a
-// single reaction — the ingestion fast path: a burst of b readings costs
-// one ranking pass instead of b. Points are assigned consecutive sequence
-// numbers in slice order and each keeps its own birth timestamp, so the
-// resulting detector state (P_i, D_i, clock, sequence counter, estimate)
-// is identical to calling AdvanceTo(now) followed by one ObservePoint per
-// reading; only the interim broadcasts — which the very next observation
-// would have superseded — are skipped. With an empty batch it degenerates
-// to AdvanceTo.
+// StepObserveBatch is the one event that changes D_i (paper event ii):
+// it advances the clock to now, evicting what has aged out of the
+// sliding window (§5.3), and records a burst of readings, all as a
+// single data-change event with a single reaction. The paper treats any
+// change to D_i — one reading, a burst, an expiry — as one event, and
+// reacting once to the combined change avoids broadcasting an interim
+// estimate the very next change would supersede: a burst of b readings
+// costs one ranking pass instead of b.
+//
+// Unassigned readings take consecutive sequence numbers in slice order;
+// each keeps its own birth timestamp. The resulting state (P_i, D_i,
+// clock, sequence counter, estimate) is the same as feeding the readings
+// one call at a time at the same now. An empty batch is an expiry-only
+// event: it reacts, and counts an event, only when something was
+// evicted, and otherwise returns nil.
 func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Point, *Outbound) {
 	evicted := d.advance(now)
 	if len(obs) == 0 && !evicted {
@@ -555,23 +478,6 @@ func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Poi
 	}
 	d.stats.Events++
 	return pts, d.react()
-}
-
-// RemoveOrigin explicitly deletes every held point that originated at the
-// given (removed) sensor, the eager variant of sensor removal sketched in
-// §5.3. The deletion is a data-change event.
-func (d *Detector) RemoveOrigin(origin NodeID) *Outbound {
-	removed := d.held.EvictOrigin(origin)
-	removed += d.own.EvictOrigin(origin)
-	for _, l := range d.links {
-		l.sent.EvictOrigin(origin)
-		l.recv.EvictOrigin(origin)
-	}
-	if removed == 0 {
-		return nil
-	}
-	d.stats.Events++
-	return d.react()
 }
 
 // react runs the main for-loop of Algorithms 1/2 over every neighbor and

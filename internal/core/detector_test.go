@@ -67,10 +67,10 @@ func TestExample51SequentialTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, out := pi.ObserveBatch(0, di...); out != nil {
+	if _, out := observe(pi, 0, di...); out != nil {
 		t.Fatal("no neighbors yet: nothing to send")
 	}
-	if _, out := pj.ObserveBatch(0, dj...); out != nil {
+	if _, out := observe(pj, 0, dj...); out != nil {
 		t.Fatal("no neighbors yet: nothing to send")
 	}
 
@@ -123,8 +123,8 @@ func TestExample51Concurrent(t *testing.T) {
 		}
 		net.Add(det)
 	}
-	net.ObserveBatch(1, 0, di...)
-	net.ObserveBatch(2, 0, dj...)
+	net.Observe(1, 0, di...)
+	net.Observe(2, 0, dj...)
 	net.Connect(1, 2)
 	if _, err := net.Settle(1000); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestGlobalDynamicUpdate(t *testing.T) {
 	net := buildNetwork(t, r, g, cfg, 5)
 
 	// A wild outlier appears at the node farthest from node 1.
-	net.Observe(g.nodes[len(g.nodes)-1], time.Second, 10_000, 10_000)
+	net.Observe(g.nodes[len(g.nodes)-1], time.Second, []float64{10_000, 10_000})
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +232,10 @@ func TestSlidingWindowEviction(t *testing.T) {
 		net.Connect(e[0], e[1])
 	}
 	// Old cohort at t=0 including a screaming outlier, fresh cohort at t=8.
-	net.Observe(g.nodes[0], 0, 9_999, 9_999)
+	net.Observe(g.nodes[0], 0, []float64{9_999, 9_999})
 	for _, id := range g.nodes {
-		net.Observe(id, 0, r.Float64()*10, r.Float64()*10)
-		net.Observe(id, 8*time.Second, 50+r.Float64()*10, 50+r.Float64()*10)
+		net.Observe(id, 0, []float64{r.Float64() * 10, r.Float64() * 10})
+		net.Observe(id, 8*time.Second, []float64{50 + r.Float64()*10, 50 + r.Float64()*10})
 	}
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestNodeAddition(t *testing.T) {
 	net.Add(det)
 	net.Connect(100, g.nodes[0])
 	for s := 0; s < 5; s++ {
-		net.Observe(100, 0, -50-r.Float64()*10, -50-r.Float64()*10)
+		net.Observe(100, 0, []float64{-50 - r.Float64()*10, -50 - r.Float64()*10})
 	}
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestLinkChurn(t *testing.T) {
 		net.Disconnect(e[0], e[1])
 	}
 	net.Connect(g.nodes[0], g.nodes[len(g.nodes)-1])
-	net.Observe(g.nodes[2], time.Second, 777, 777)
+	net.Observe(g.nodes[2], time.Second, []float64{777, 777})
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -321,83 +321,21 @@ func TestLinkChurn(t *testing.T) {
 	}
 }
 
-// TestRemoveOrigin checks the eager node-removal variant of §5.3: every
-// surviving sensor purges the departed sensor's points and the network
-// re-converges on the remaining data.
-func TestRemoveOrigin(t *testing.T) {
-	r := rng(19)
-	g := randConnectedGraph(r, 6, 6)
-	cfg := Config{Ranker: NN(), N: 2}
-	net := buildNetwork(t, r, g, cfg, 4)
-
-	dead := g.nodes[len(g.nodes)-1]
-	// Disconnect the dead node, then purge its points everywhere.
-	for _, e := range g.edges {
-		if e[0] == dead || e[1] == dead {
-			net.Disconnect(e[0], e[1])
-		}
-	}
-	for _, id := range net.Nodes() {
-		if id != dead {
-			net.enqueue(net.Detector(id).RemoveOrigin(dead))
-		}
-	}
-	if _, err := net.Settle(100000); err != nil {
-		t.Fatal(err)
-	}
-
-	// Ground truth over the survivors only.
-	survivors := NewSet()
-	for _, id := range net.Nodes() {
-		if id != dead {
-			net.Detector(id).OwnPoints().ForEach(func(p Point) { survivors.AddMinHop(p) })
-		}
-	}
-	want := TopN(NN(), survivors, 2)
-	for _, id := range net.Nodes() {
-		if id == dead {
-			continue
-		}
-		det := net.Detector(id)
-		det.Holdings().ForEach(func(p Point) {
-			if p.ID.Origin == dead {
-				t.Errorf("node %d still holds %v from the removed sensor", id, p.ID)
-			}
-		})
-		if got := det.Estimate(); !sameIDs(got, want) {
-			t.Fatalf("node %d estimate %v, want %v", id, idList(got), idList(want))
-		}
-	}
-}
-
-func TestObservePointRejectsForeignOrigin(t *testing.T) {
-	det, err := NewDetector(Config{Node: 1, Ranker: NN(), N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ObservePoint with a foreign origin must panic")
-		}
-	}()
-	det.ObservePoint(NewPoint(2, 0, 0, 1))
-}
-
 func TestObserveAssignsSequences(t *testing.T) {
 	det, err := NewDetector(Config{Node: 1, Ranker: NN(), N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, _ := det.Observe(0, 1)
-	p2, _ := det.Observe(0, 2)
-	if p1.ID.Seq == p2.ID.Seq {
+	p1, _ := observe(det, 0, []float64{1})
+	p2, _ := observe(det, 0, []float64{2})
+	if p1[0].ID.Seq == p2[0].ID.Seq {
 		t.Fatal("observations must get distinct sequence numbers")
 	}
-	// Pre-built points advance the counter past their own sequence.
-	det.ObservePoint(NewPoint(1, 50, 0, 3))
-	p3, _ := det.Observe(0, 4)
-	if p3.ID.Seq <= 50 {
-		t.Fatalf("sequence %d not advanced past explicit 50", p3.ID.Seq)
+	// Assigned sequence numbers advance the counter past their own.
+	det.StepObserveBatch(0, []Observation{{Value: []float64{3}, Seq: 50, Assigned: true}})
+	p3, _ := observe(det, 0, []float64{4})
+	if p3[0].ID.Seq <= 50 {
+		t.Fatalf("sequence %d not advanced past explicit 50", p3[0].ID.Seq)
 	}
 }
 
@@ -407,8 +345,8 @@ func TestDetectorStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	det.AddNeighbor(2)
-	_, out := det.Observe(0, 1)
-	_, out2 := det.Observe(0, 100)
+	_, out := observe(det, 0, []float64{1})
+	_, out2 := observe(det, 0, []float64{100})
 	st := det.Stats()
 	if st.Events != 3 {
 		t.Errorf("Events = %d, want 3", st.Events)

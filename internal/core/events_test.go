@@ -22,9 +22,10 @@ func TestCountWithinConvergesInNetwork(t *testing.T) {
 	}
 }
 
-// TestStepObserveMatchesSeparateEvents: coalescing eviction and
-// observation must leave the detector in the same state as processing
-// them separately (only the transient traffic differs).
+// TestStepObserveMatchesSeparateEvents: an eviction and a reading coalesced
+// into one StepObserveBatch call must leave the detector in the same state
+// as an expiry-only event followed by the reading (only the transient
+// traffic differs).
 func TestStepObserveMatchesSeparateEvents(t *testing.T) {
 	build := func() *Detector {
 		det, err := NewDetector(Config{Node: 1, Ranker: NN(), N: 2, Window: 10 * time.Second})
@@ -33,16 +34,16 @@ func TestStepObserveMatchesSeparateEvents(t *testing.T) {
 		}
 		det.AddNeighbor(2)
 		for e := 0; e < 4; e++ {
-			det.ObservePoint(NewPoint(1, uint32(e), time.Duration(e)*4*time.Second, float64(e)))
+			det.StepObserveBatch(0, readings(NewPoint(1, uint32(e), time.Duration(e)*4*time.Second, float64(e))))
 		}
 		return det
 	}
 	a := build()
 	b := build()
 	p := NewPoint(1, 9, 16*time.Second, 99)
-	a.AdvanceTo(16 * time.Second)
-	a.ObservePoint(p)
-	b.StepObserve(16*time.Second, p)
+	a.StepObserveBatch(16*time.Second, nil)
+	a.StepObserveBatch(16*time.Second, readings(p))
+	b.StepObserveBatch(16*time.Second, readings(p))
 	if !a.Holdings().EqualIDs(b.Holdings()) {
 		t.Fatalf("holdings diverge: %v vs %v", a.Holdings(), b.Holdings())
 	}
@@ -50,21 +51,8 @@ func TestStepObserveMatchesSeparateEvents(t *testing.T) {
 		t.Fatalf("estimates diverge")
 	}
 	if a.Stats().Events != b.Stats().Events+1 {
-		t.Fatalf("StepObserve must save one event: %d vs %d", a.Stats().Events, b.Stats().Events)
+		t.Fatalf("coalescing must save one event: %d vs %d", a.Stats().Events, b.Stats().Events)
 	}
-}
-
-func TestStepObserveRejectsForeignOrigin(t *testing.T) {
-	det, err := NewDetector(Config{Node: 1, Ranker: NN(), N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign origin must panic")
-		}
-	}()
-	det.StepObserve(0, NewPoint(2, 0, 0, 1))
 }
 
 // TestNoChangeReceiveIsSilent: re-delivering known points must not
@@ -75,7 +63,7 @@ func TestNoChangeReceiveIsSilent(t *testing.T) {
 		t.Fatal(err)
 	}
 	det.AddNeighbor(2)
-	det.ObserveBatch(0, []float64{0}, []float64{10}, []float64{20}, []float64{30})
+	observe(det, 0, []float64{0}, []float64{10}, []float64{20}, []float64{30})
 	// A fresh extreme point: its nearest neighbor (30) was never sent,
 	// so the detector must answer with it.
 	pts := []Point{NewPoint(2, 0, 0, 1000)}
@@ -98,9 +86,9 @@ func TestEvictionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.Observe(0, 1)
-	det.Observe(0, 2)
-	det.AdvanceTo(10 * time.Second)
+	observe(det, 0, []float64{1})
+	observe(det, 0, []float64{2})
+	det.StepObserveBatch(10*time.Second, nil)
 	if got := det.Stats().Evicted; got != 2 {
 		t.Fatalf("Evicted = %d, want 2", got)
 	}
@@ -115,8 +103,8 @@ func TestUnwindowedDetectorKeepsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.Observe(0, 1)
-	if out := det.AdvanceTo(time.Hour * 24 * 365); out != nil {
+	observe(det, 0, []float64{1})
+	if _, out := det.StepObserveBatch(time.Hour*24*365, nil); out != nil {
 		t.Fatal("no window: advancing must not react")
 	}
 	if det.Holdings().Len() != 1 {

@@ -24,12 +24,21 @@ func ExampleTopN() {
 }
 
 // ExampleDetector wires two detectors by hand: observe, exchange, agree.
+// Every change to a sensor's data — here each sensor's first three
+// readings, at clock 0 — is one StepObserveBatch event.
 func ExampleDetector() {
 	a, _ := core.NewDetector(core.Config{Node: 1, Ranker: core.NN(), N: 1})
 	b, _ := core.NewDetector(core.Config{Node: 2, Ranker: core.NN(), N: 1})
 
-	a.ObserveBatch(0, []float64{1}, []float64{2}, []float64{3})
-	b.ObserveBatch(0, []float64{4}, []float64{5}, []float64{99})
+	readings := func(vs ...float64) []core.Observation {
+		obs := make([]core.Observation, len(vs))
+		for i, v := range vs {
+			obs[i] = core.Observation{Value: []float64{v}}
+		}
+		return obs
+	}
+	a.StepObserveBatch(0, readings(1, 2, 3))
+	b.StepObserveBatch(0, readings(4, 5, 99))
 
 	// Link up starting with a; relay packets until quiescence.
 	out := a.AddNeighbor(2)
@@ -59,9 +68,9 @@ func ExampleSyncNetwork() {
 	net.Connect(1, 2)
 	net.Connect(2, 3)
 
-	net.Observe(1, 0, 20.1)
-	net.Observe(2, 0, 20.3)
-	net.Observe(3, 0, 47.9) // a stuck sensor
+	net.Observe(1, 0, []float64{20.1})
+	net.Observe(2, 0, []float64{20.3})
+	net.Observe(3, 0, []float64{47.9}) // a stuck sensor
 	net.Settle(1000)
 
 	est := net.Detector(1).Estimate()

@@ -141,28 +141,27 @@ func TestMemoryIsInvisible(t *testing.T) {
 			}
 			return []float64{v}
 		}
-		seq := make(map[NodeID]uint32)
+		step := func(now time.Duration, obs ...Observation) func(*Detector) *Outbound {
+			return func(d *Detector) *Outbound {
+				_, out := d.StepObserveBatch(now, obs)
+				return out
+			}
+		}
 		now := time.Duration(0)
 		for round := 0; round < 90; round++ {
 			now += time.Second
 			for _, id := range tn.ids {
 				switch r.IntN(4) {
 				case 0: // a burst, one event
-					obs := []Observation{{Birth: now, Value: reading()}, {Birth: now, Value: reading()}, {Birth: now, Value: reading()}}
-					tn.event("observe batch", id, func(d *Detector) *Outbound {
-						_, out := d.StepObserveBatch(now, obs)
-						return out
-					})
-					seq[id] += 3
+					tn.event("observe batch", id, step(now,
+						Observation{Birth: now, Value: reading()},
+						Observation{Birth: now, Value: reading()},
+						Observation{Birth: now, Value: reading()}))
 				case 1: // clock first, then the reading: two events
-					tn.event("advance", id, func(d *Detector) *Outbound { return d.AdvanceTo(now) })
-					p := NewPoint(id, seq[id], now, reading()...)
-					tn.event("observe point", id, func(d *Detector) *Outbound { return d.ObservePoint(p) })
-					seq[id]++
+					tn.event("expire", id, step(now))
+					tn.event("observe", id, step(now, Observation{Birth: now, Value: reading()}))
 				default:
-					p := NewPoint(id, seq[id], now, reading()...)
-					tn.event("step observe", id, func(d *Detector) *Outbound { return d.StepObserve(now, p) })
-					seq[id]++
+					tn.event("step observe", id, step(now, Observation{Birth: now, Value: reading()}))
 				}
 			}
 			tn.settle()
@@ -170,7 +169,7 @@ func TestMemoryIsInvisible(t *testing.T) {
 			case round == 60: // silence longer than the window: everything expires
 				now += 40 * time.Second
 				for _, id := range tn.ids {
-					tn.event("evict all", id, func(d *Detector) *Outbound { return d.AdvanceTo(now) })
+					tn.event("evict all", id, step(now))
 				}
 				tn.settle()
 			case round%11 == 5: // a link drops and the same neighbor returns
@@ -179,10 +178,6 @@ func TestMemoryIsInvisible(t *testing.T) {
 				tn.disconnect(a, b)
 				tn.settle()
 				tn.connect(a, b)
-				tn.settle()
-			case round%17 == 9: // a sensor's data is withdrawn at one node
-				at, origin := tn.ids[r.IntN(len(tn.ids))], tn.ids[r.IntN(len(tn.ids))]
-				tn.event("remove origin", at, func(d *Detector) *Outbound { return d.RemoveOrigin(origin) })
 				tn.settle()
 			}
 		}

@@ -91,29 +91,34 @@ func (n *SyncNetwork) mustHave(id NodeID) {
 	}
 }
 
-// Observe has the given sensor sample a new point and queues the
-// resulting traffic.
-func (n *SyncNetwork) Observe(id NodeID, birth time.Duration, value ...float64) Point {
+// Observe has the given sensor sample one point per feature vector, all
+// born at birth, as a single data-change event
+// (Detector.StepObserveBatch), and queues the resulting traffic. The
+// detector's clock stays where it is: only AdvanceTo moves it.
+func (n *SyncNetwork) Observe(id NodeID, birth time.Duration, values ...[]float64) []Point {
 	n.mustHave(id)
-	p, out := n.detectors[id].Observe(birth, value...)
-	n.enqueue(out)
-	return p
-}
-
-// ObserveBatch has the given sensor sample one point per feature vector
-// as a single data-change event, and queues the resulting traffic.
-func (n *SyncNetwork) ObserveBatch(id NodeID, birth time.Duration, values ...[]float64) []Point {
-	n.mustHave(id)
-	pts, out := n.detectors[id].ObserveBatch(birth, values...)
+	d := n.detectors[id]
+	pts, out := d.StepObserveBatch(d.Now(), observations(birth, values))
 	n.enqueue(out)
 	return pts
+}
+
+// observations stamps one unassigned reading per feature vector with the
+// same birth.
+func observations(birth time.Duration, values [][]float64) []Observation {
+	obs := make([]Observation, len(values))
+	for i, v := range values {
+		obs[i] = Observation{Birth: birth, Value: v}
+	}
+	return obs
 }
 
 // AdvanceTo moves every detector's clock, triggering sliding-window
 // evictions, and queues the resulting traffic.
 func (n *SyncNetwork) AdvanceTo(now time.Duration) {
 	for _, id := range n.Nodes() {
-		n.enqueue(n.detectors[id].AdvanceTo(now))
+		_, out := n.detectors[id].StepObserveBatch(now, nil)
+		n.enqueue(out)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestHopDistancesUnreachable(t *testing.T) {
 func TestWithinHops(t *testing.T) {
 	net := pathNetwork(t, 5)
 	for id := NodeID(1); id <= 5; id++ {
-		net.Observe(id, 0, float64(id))
+		net.Observe(id, 0, []float64{float64(id)})
 	}
 	if _, err := net.Settle(10000); err != nil {
 		t.Fatal(err)
@@ -84,8 +84,8 @@ func TestConnectedTrivial(t *testing.T) {
 
 func TestSettleMaxRoundsGuard(t *testing.T) {
 	net := pathNetwork(t, 3)
-	net.Observe(1, 0, 1)
-	net.Observe(1, 0, 100)
+	net.Observe(1, 0, []float64{1})
+	net.Observe(1, 0, []float64{100})
 	if _, err := net.Settle(0); err == nil {
 		t.Fatal("Settle(0) with traffic in flight must error")
 	}
@@ -96,7 +96,7 @@ func TestDisconnectedLinkDropsTraffic(t *testing.T) {
 	// Cut the link, then generate data: groups tagged for the lost
 	// neighbor must be dropped, not delivered.
 	net.Disconnect(1, 2)
-	net.Observe(1, 0, 1)
+	net.Observe(1, 0, []float64{1})
 	if _, err := net.Settle(100); err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestSelfLinkPanics(t *testing.T) {
 
 func TestGlobalOutliersGroundTruth(t *testing.T) {
 	net := pathNetwork(t, 3)
-	net.Observe(1, 0, 0)
-	net.Observe(2, 0, 1)
-	net.Observe(3, 0, 100)
+	net.Observe(1, 0, []float64{0})
+	net.Observe(2, 0, []float64{1})
+	net.Observe(3, 0, []float64{100})
 	got := net.GlobalOutliers(NN(), 1)
 	if len(got) != 1 || got[0].Value[0] != 100 {
 		t.Fatalf("ground truth = %v", idList(got))
@@ -143,8 +143,8 @@ func TestGlobalOutliersGroundTruth(t *testing.T) {
 
 func TestNetworkCountsTraffic(t *testing.T) {
 	net := pathNetwork(t, 2)
-	net.Observe(1, 0, 1)
-	net.Observe(2, 0, 2)
+	net.Observe(1, 0, []float64{1})
+	net.Observe(2, 0, []float64{2})
 	if _, err := net.Settle(1000); err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,7 @@ func TestSemiGlobalPath(t *testing.T) {
 	r := rng(3)
 	for id := NodeID(1); id <= 5; id++ {
 		base := float64(id) * 10
-		net.ObserveBatch(id, 0,
-			[]float64{base}, []float64{base + 1}, []float64{base + 2}, []float64{base + 50})
+		net.Observe(id, 0, []float64{base}, []float64{base + 1}, []float64{base + 2}, []float64{base + 50})
 	}
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestSemiGlobalMinHopReplacement(t *testing.T) {
 func TestSemiGlobalDynamicUpdate(t *testing.T) {
 	const d = 2
 	net, g := buildSemiNetwork(t, 77, 8, 3, d, 5, NN(), 2)
-	injected := net.Observe(g.nodes[0], time.Second, 5_000, 5_000)
+	injected := net.Observe(g.nodes[0], time.Second, []float64{5_000, 5_000})
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestSemiGlobalDynamicUpdate(t *testing.T) {
 		}
 		found := false
 		for _, p := range net.Detector(id).Estimate() {
-			if p.ID == injected.ID {
+			if p.ID == injected[0].ID {
 				found = true
 			}
 		}
@@ -220,8 +219,8 @@ func TestSemiGlobalWindowEviction(t *testing.T) {
 		net.Connect(e[0], e[1])
 	}
 	for _, id := range g.nodes {
-		net.Observe(id, 0, r.Float64()*100, r.Float64()*100)
-		net.Observe(id, 8*time.Second, r.Float64()*100, r.Float64()*100)
+		net.Observe(id, 0, []float64{r.Float64() * 100, r.Float64() * 100})
+		net.Observe(id, 8*time.Second, []float64{r.Float64() * 100, r.Float64() * 100})
 	}
 	if _, err := net.Settle(100000); err != nil {
 		t.Fatal(err)

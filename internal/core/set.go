@@ -377,24 +377,6 @@ func (r *run) oldest() time.Duration {
 	return oldest
 }
 
-// EvictOrigin removes every point that originated at the given sensor,
-// supporting the explicit node-removal strategy sketched in §5.3. It
-// returns the number of points evicted.
-func (s *Set) EvictOrigin(origin NodeID) int {
-	if s == nil {
-		return 0
-	}
-	i, ok := s.runOf(origin)
-	if !ok {
-		return 0
-	}
-	evicted := len(s.runs[i].pts)
-	s.runs = slices.Delete(s.runs, i, i+1)
-	s.n -= evicted
-	s.version++
-	return evicted
-}
-
 // SubsetOf reports whether every ID in s is present in t.
 func (s *Set) SubsetOf(t *Set) bool {
 	if s == nil {

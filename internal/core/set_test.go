@@ -93,7 +93,7 @@ func TestNilSetQueries(t *testing.T) {
 	if !s.SubsetOf(NewSet()) {
 		t.Fatal("nil set must be a subset of anything")
 	}
-	if s.EvictBefore(time.Hour) != 0 || s.EvictOrigin(1) != 0 {
+	if s.EvictBefore(time.Hour) != 0 {
 		t.Fatal("nil set evictions")
 	}
 	s.ForEach(func(Point) { t.Fatal("nil set ForEach must not call") })
@@ -163,20 +163,6 @@ func TestSetEvictBefore(t *testing.T) {
 	}
 	if !s.Contains(PointID{Origin: 1, Seq: 1}) {
 		t.Fatal("point born exactly at cutoff must survive")
-	}
-}
-
-func TestSetEvictOrigin(t *testing.T) {
-	s := NewSet(
-		NewPoint(1, 0, 0, 1),
-		NewPoint(2, 0, 0, 2),
-		NewPoint(1, 1, 0, 3),
-	)
-	if got := s.EvictOrigin(1); got != 2 {
-		t.Fatalf("evicted %d, want 2", got)
-	}
-	if s.Len() != 1 || !s.Contains(PointID{Origin: 2, Seq: 0}) {
-		t.Fatalf("wrong survivors: %v", s)
 	}
 }
 
@@ -282,8 +268,7 @@ func (ms modelSet) check(t *testing.T, after string) {
 
 // Property: a Set is its model, a plain map, under any interleaving of
 // Add (overwrites included), AddMinHop, SetHop, Remove, EvictBefore,
-// EvictOrigin, Clone, Filter, MaxHop and Union, with points of each origin
-// arriving in random Seq order. Origins 1 and 2 are born in Seq order, as a
+// Clone, Filter, MaxHop and Union, with points of each origin arriving in random Seq order. Origins 1 and 2 are born in Seq order, as a
 // sensor's readings are, until an overwrite with a new birth breaks that;
 // origins 3 and 4 never are. After every operation the set holds exactly
 // the model's points, each operation reports what the model says it did,
@@ -325,7 +310,7 @@ func TestSetMatchesModel(t *testing.T) {
 				t.Fatalf("step %d: %s reported %v, the model %v", step, op, got, want)
 			}
 		}
-		switch r.IntN(11) {
+		switch r.IntN(10) {
 		case 0, 1:
 			op = "Add"
 			// A PointID names one observation, so a second copy usually
@@ -384,18 +369,6 @@ func TestSetMatchesModel(t *testing.T) {
 				t.Fatalf("step %d: oldest-birth bound %v still below the cutoff %v just evicted to", step, ms.set.oldest, cutoff)
 			}
 		case 7:
-			op = "EvictOrigin"
-			origin := NodeID(1 + r.IntN(4))
-			want := 0
-			for id := range ms.model {
-				if id.Origin == origin {
-					delete(ms.model, id)
-					want++
-				}
-			}
-			report(ms.set.EvictOrigin(origin), want)
-			changed = want > 0
-		case 8:
 			to := r.IntN(len(sets))
 			switch r.IntN(3) {
 			case 0:
@@ -411,7 +384,7 @@ func TestSetMatchesModel(t *testing.T) {
 				sets[to] = modelSet{set: ms.set.MaxHop(h), model: cloneModel(ms.model, func(p Point) bool { return p.Hop <= h })}
 			}
 			sets[to].check(t, op)
-		case 9:
+		case 8:
 			op = "Union"
 			other, to := sets[r.IntN(len(sets))], r.IntN(len(sets))
 			u := cloneModel(ms.model, all)
@@ -422,7 +395,7 @@ func TestSetMatchesModel(t *testing.T) {
 			}
 			sets[to] = modelSet{set: ms.set.Union(other.set, nil), model: u}
 			sets[to].check(t, op)
-		case 10:
+		case 9:
 			op = "Get of an absent ID"
 			p := point()
 			if _, held := ms.model[p.ID]; !held {

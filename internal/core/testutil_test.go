@@ -13,6 +13,23 @@ func rng(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
 
+// observe has d sample one point per feature vector, all born at birth,
+// as one data-change event at the detector's current clock — what
+// SyncNetwork.Observe does for a networked detector.
+func observe(d *Detector, birth time.Duration, values ...[]float64) ([]Point, *Outbound) {
+	return d.StepObserveBatch(d.Now(), observations(birth, values))
+}
+
+// readings turns points sampled by a detector's own sensor into the
+// observations StepObserveBatch takes, each keeping its sequence number.
+func readings(pts ...Point) []Observation {
+	obs := make([]Observation, len(pts))
+	for i, p := range pts {
+		obs[i] = Observation{Birth: p.Birth, Value: p.Value, Seq: p.ID.Seq, Assigned: true}
+	}
+	return obs
+}
+
 // randPoint builds a point with a random feature vector of the given
 // dimension, coordinates uniform in [0, span).
 func randPoint(r *rand.Rand, origin NodeID, seq uint32, dim int, span float64) Point {
@@ -145,7 +162,7 @@ func buildNetwork(t *testing.T, r *rand.Rand, g geomGraph, cfg Config, ptsPerNod
 	}
 	for _, id := range g.nodes {
 		for s := 0; s < ptsPerNode; s++ {
-			net.Observe(id, time.Duration(s)*time.Second, r.Float64()*100, r.Float64()*100)
+			net.Observe(id, time.Duration(s)*time.Second, []float64{r.Float64() * 100, r.Float64() * 100})
 		}
 	}
 	if _, err := net.Settle(100000); err != nil {

@@ -47,9 +47,8 @@ func ExamplePeer() {
 	_ = p1.AddNeighbor(ctx, 2) // link-up events on both ends
 	_ = p2.AddNeighbor(ctx, 1)
 
-	_ = p1.Observe(ctx, 0, 20.0)
-	_ = p1.Observe(ctx, 0, 20.2)
-	_ = p2.Observe(ctx, 0, 48.0) // the faulty reading
+	_ = p1.ObserveBatch(ctx, 0, []core.Observation{{Value: []float64{20.0}}, {Value: []float64{20.2}}})
+	_ = p2.ObserveBatch(ctx, 0, []core.Observation{{Value: []float64{48.0}}}) // the faulty reading
 
 	_ = mesh.WaitQuiescent(ctx) // the algorithm has converged
 	for _, pt := range p1.Estimate() {

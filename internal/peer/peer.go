@@ -24,10 +24,13 @@
 //	  │                             callers' commands and posts off the
 //	  │                             mailbox in arrival order
 //	  ▼
-//	Observe / ObserveBatch /        feed: each call queues one event and
-//	AdvanceTo / AddNeighbor /       returns once the detector has reacted
-//	RemoveNeighbor / Holdings;      and any broadcast is queued at every
-//	Post                            neighbor; Post queues and returns
+//	ObserveBatch / AddNeighbor /    feed: each call queues one event and
+//	RemoveNeighbor / ReserveSeq /   returns once the detector has reacted
+//	Holdings / Stats; Post          and any broadcast is queued at every
+//	                                neighbor; Post queues and returns.
+//	                                ObserveBatch is the one data event:
+//	                                readings, a clock tick (no readings)
+//	                                or both at once
 //	  │
 //	  ▼
 //	cancel ctx, or close the        close: Run returns ctx.Err() on cancel,
@@ -105,9 +108,6 @@ func New(cfg Config) (*Peer, error) {
 		done: make(chan struct{}),
 	}, nil
 }
-
-// ID returns the peer's node ID.
-func (p *Peer) ID() core.NodeID { return p.cfg.Detector.Node }
 
 // Run processes events until ctx is canceled or the mailbox is closed
 // and empty. It must be called exactly once; it blocks, so callers
@@ -189,17 +189,10 @@ func (p *Peer) do(ctx context.Context, fn func(*core.Detector) *core.Outbound) e
 	}
 }
 
-// Observe feeds a new sample into the peer.
-func (p *Peer) Observe(ctx context.Context, birth time.Duration, value ...float64) error {
-	return p.do(ctx, func(d *core.Detector) *core.Outbound {
-		_, out := d.Observe(birth, value...)
-		return out
-	})
-}
-
 // ObserveBatch feeds a burst of readings as one data-change event: the
 // clock advances to now, expired window contents leave, and all readings
-// land under a single ranking pass (core.Detector.StepObserveBatch).
+// land under a single ranking pass (core.Detector.StepObserveBatch). With
+// no readings it is a clock tick that only expires the window.
 func (p *Peer) ObserveBatch(ctx context.Context, now time.Duration, obs []core.Observation) error {
 	return p.do(ctx, func(d *core.Detector) *core.Outbound {
 		_, out := d.StepObserveBatch(now, obs)
@@ -215,11 +208,6 @@ func (p *Peer) ReserveSeq(ctx context.Context, seq uint32) error {
 		d.ReserveSeq(seq)
 		return nil
 	})
-}
-
-// AdvanceTo moves the peer's clock, evicting expired window contents.
-func (p *Peer) AdvanceTo(ctx context.Context, now time.Duration) error {
-	return p.do(ctx, func(d *core.Detector) *core.Outbound { return d.AdvanceTo(now) })
 }
 
 // AddNeighbor delivers a link-up event.

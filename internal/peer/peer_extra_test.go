@@ -13,10 +13,10 @@ func TestPeerStats(t *testing.T) {
 	c := startCluster(t, core.Config{Ranker: core.NN(), N: 1}, 2, lineEdges(2))
 	defer c.stop()
 	ctx := context.Background()
-	if err := c.peers[1].Observe(ctx, 0, 1); err != nil {
+	if err := observe(ctx, c.peers[1], 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.peers[1].Observe(ctx, 0, 100); err != nil {
+	if err := observe(ctx, c.peers[1], 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	c.settle(t)
@@ -36,6 +36,8 @@ func TestPeerStats(t *testing.T) {
 	}
 }
 
+// TestPeerID: a peer's identity is its detector's node, and every point
+// it mints carries it.
 func TestPeerID(t *testing.T) {
 	mesh := NewMesh()
 	tr, err := mesh.Attach(9)
@@ -46,8 +48,22 @@ func TestPeerID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ID() != 9 {
-		t.Fatalf("ID() = %d", p.ID())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = p.Run(ctx)
+	}()
+	defer func() { cancel(); <-done }()
+	if err := observe(ctx, p, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	held, err := p.Holdings(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts := held.Points(); len(pts) != 1 || pts[0].ID.Origin != 9 {
+		t.Fatalf("holdings %v, want one point from node 9", pts)
 	}
 }
 
@@ -96,7 +112,7 @@ func TestPeerCommandAfterCancel(t *testing.T) {
 	// than hanging.
 	cctx, ccancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer ccancel()
-	if err := p.Observe(cctx, 0, 1); err == nil {
+	if err := observe(cctx, p, 0, 1); err == nil {
 		t.Fatal("command against a stopped peer must time out")
 	}
 }
@@ -189,7 +205,8 @@ func TestEventReturnsAfterBroadcast(t *testing.T) {
 
 	returned := make(chan bool, 1) // carries whether Broadcast had returned first
 	go func() {
-		err := p.Observe(ctx, 0, 42) // the first point is owed to neighbor 2
+		// The first point is owed to neighbor 2.
+		err := p.ObserveBatch(ctx, 0, []core.Observation{{Value: []float64{42}}})
 		returned <- err == nil && tr.left.Load()
 	}()
 	<-tr.entered
@@ -197,11 +214,11 @@ func TestEventReturnsAfterBroadcast(t *testing.T) {
 	// early every chance to show it before opening the gate.
 	select {
 	case <-returned:
-		t.Fatal("Observe returned while its broadcast was still inside the transport")
+		t.Fatal("ObserveBatch returned while its broadcast was still inside the transport")
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(tr.release)
 	if !<-returned {
-		t.Fatal("Observe failed, or returned before Broadcast did")
+		t.Fatal("ObserveBatch failed, or returned before Broadcast did")
 	}
 }

@@ -73,6 +73,12 @@ func (c *cluster) settle(t *testing.T) {
 	}
 }
 
+// observe feeds p one reading born at birth, as a data event at clock
+// birth.
+func observe(ctx context.Context, p *Peer, birth time.Duration, value ...float64) error {
+	return p.ObserveBatch(ctx, birth, []core.Observation{{Birth: birth, Value: value}})
+}
+
 func lineEdges(n int) [][2]core.NodeID {
 	var edges [][2]core.NodeID
 	for i := 1; i < n; i++ {
@@ -93,7 +99,7 @@ func TestLivePeersConvergeGlobally(t *testing.T) {
 		p := c.peers[core.NodeID(i)]
 		for s := 0; s < 5; s++ {
 			v := []float64{rng.Float64() * 100, rng.Float64() * 100}
-			if err := p.Observe(ctx, 0, v...); err != nil {
+			if err := observe(ctx, p, 0, v...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -152,7 +158,7 @@ func TestLivePeersMatchSyncGroundTruth(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		for s := 0; s < 6; s++ {
 			v := []float64{rng.Float64() * 50, rng.Float64() * 50}
-			if err := c.peers[core.NodeID(i)].Observe(ctx, 0, v...); err != nil {
+			if err := observe(ctx, c.peers[core.NodeID(i)], 0, v...); err != nil {
 				t.Fatal(err)
 			}
 			union.Add(core.NewPoint(core.NodeID(i), uint32(s), 0, v...))
@@ -177,7 +183,7 @@ func TestLivePeerDynamicUpdateAndChurn(t *testing.T) {
 	ctx := context.Background()
 	for i := 1; i <= n; i++ {
 		for s := 0; s < 3; s++ {
-			if err := c.peers[core.NodeID(i)].Observe(ctx, 0, float64(10*i+s)); err != nil {
+			if err := observe(ctx, c.peers[core.NodeID(i)], 0, float64(10*i+s)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +191,7 @@ func TestLivePeerDynamicUpdateAndChurn(t *testing.T) {
 	c.settle(t)
 
 	// Inject an extreme outlier at the tail.
-	if err := c.peers[n].Observe(ctx, 0, 1e6); err != nil {
+	if err := observe(ctx, c.peers[n], 0, 1e6); err != nil {
 		t.Fatal(err)
 	}
 	c.settle(t)
@@ -229,12 +235,12 @@ func TestLivePeerSlidingWindow(t *testing.T) {
 
 	ctx := context.Background()
 	// Old outlier, then fresh normals.
-	if err := c.peers[1].Observe(ctx, 0, 9999); err != nil {
+	if err := observe(ctx, c.peers[1], 0, 9999); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
 		for s := 0; s < 3; s++ {
-			if err := c.peers[core.NodeID(i)].Observe(ctx, 8*time.Second, float64(i*3+s)); err != nil {
+			if err := observe(ctx, c.peers[core.NodeID(i)], 8*time.Second, float64(i*3+s)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -246,7 +252,7 @@ func TestLivePeerSlidingWindow(t *testing.T) {
 
 	// Advance clocks: the outlier expires everywhere.
 	for i := 1; i <= n; i++ {
-		if err := c.peers[core.NodeID(i)].AdvanceTo(ctx, 15*time.Second); err != nil {
+		if err := c.peers[core.NodeID(i)].ObserveBatch(ctx, 15*time.Second, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

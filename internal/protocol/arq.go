@@ -54,8 +54,9 @@ func newARQ() *arq {
 	}
 }
 
-// sendReliable fragments the packet M into mote-sized frames, each with
-// a fresh sequence number and its own retransmission timer.
+// sendReliable transmits a detector reaction, if any: it fragments the
+// packet M into mote-sized frames, each with a fresh sequence number and
+// its own retransmission timer.
 func (a *App) sendReliable(n *wsn.Node, out *core.Outbound) {
 	if out == nil || n.Down() {
 		return
@@ -169,7 +170,7 @@ func (a *App) handlePoints(n *wsn.Node, f *wsn.Frame) {
 		return // duplicate retransmission
 	}
 	a.arq.processed[key] = true
-	a.send(n, a.det.Receive(out.From, pts))
+	a.sendReliable(n, a.det.Receive(out.From, pts))
 }
 
 func (a *App) sendAck(n *wsn.Node, to core.NodeID, seq uint32) {

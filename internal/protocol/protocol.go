@@ -70,9 +70,9 @@ func (a *App) Detector() *core.Detector { return a.det }
 // every epoch of the stream.
 func (a *App) Start(n *wsn.Node) {
 	for _, j := range a.cfg.Topology.Neighbors(n.ID) {
-		a.send(n, a.det.AddNeighbor(j))
+		a.sendReliable(n, a.det.AddNeighbor(j))
 	}
-	a.send(n, a.det.Start())
+	a.sendReliable(n, a.det.Start())
 	a.scheduleEpoch(n, 0)
 }
 
@@ -90,24 +90,30 @@ func (a *App) scheduleEpoch(n *wsn.Node, epoch int) {
 	})
 }
 
-// sample advances the window and feeds one reading into the detector as
-// a single data-change event. Births are stamped with the logical epoch
-// boundary rather than the jittered transmission instant, so every
-// sensor's sliding window covers exactly the same sample epochs (the
-// paper assumes "sensor clocks are synchronized sufficiently well"; the
-// jitter exists only on the radio).
+// sample advances the window and feeds the epoch's reading, if the
+// stream has one, into the detector as a single data-change event. Births
+// are stamped with the logical epoch boundary rather than the jittered
+// transmission instant, so every sensor's sliding window covers exactly
+// the same sample epochs (the paper assumes "sensor clocks are
+// synchronized sufficiently well"; the jitter exists only on the radio).
+// The reading's sequence number is its epoch: an epoch without a sample
+// skips a number, which the detector's own counter would not.
 func (a *App) sample(n *wsn.Node, epoch int) {
 	if n.Down() {
 		return
 	}
 	logical := time.Duration(epoch) * a.cfg.Stream.Period()
-	s, ok := a.cfg.Stream.At(n.ID, epoch)
-	if !ok {
-		a.send(n, a.det.AdvanceTo(logical))
-		return
+	var obs []core.Observation
+	if s, ok := a.cfg.Stream.At(n.ID, epoch); ok {
+		obs = []core.Observation{{
+			Birth:    logical,
+			Value:    s.Features(a.cfg.LocationWeight),
+			Seq:      uint32(epoch),
+			Assigned: true,
+		}}
 	}
-	p := core.NewPoint(n.ID, uint32(epoch), logical, s.Features(a.cfg.LocationWeight)...)
-	a.send(n, a.det.StepObserve(logical, p))
+	_, out := a.det.StepObserveBatch(logical, obs)
+	a.sendReliable(n, out)
 }
 
 // Receive implements wsn.App: packets M go through the reliability layer
@@ -131,9 +137,3 @@ func (a *App) Receive(n *wsn.Node, f *wsn.Frame) {
 // original sender. A few airtimes of random delay decorrelates the storm,
 // the same remedy mote MACs apply to broadcast traffic.
 const responseJitterMax = 250 * time.Millisecond
-
-// send transmits a detector reaction, if any, through the reliability
-// layer.
-func (a *App) send(n *wsn.Node, out *core.Outbound) {
-	a.sendReliable(n, out)
-}

@@ -81,7 +81,7 @@ func TestGlobalEquivalentToCentralizedBaseline(t *testing.T) {
 						if r.IntN(12) == 0 {
 							v += 40
 						}
-						net.Observe(id, at, v, r.Float64(), r.Float64())
+						net.Observe(id, at, []float64{v, r.Float64(), r.Float64()})
 					}
 					if _, err := net.Settle(1_000_000); err != nil {
 						t.Fatal(err)

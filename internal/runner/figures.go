@@ -150,6 +150,14 @@ type Session struct {
 	// under parallel execution. Set it before the first figure request.
 	Observer func(cfg Config, res Result)
 	obsMu    sync.Mutex
+
+	// Workers bounds how many seed simulations run at once across every
+	// cell of the session (a cell's own Config.Workers does not apply);
+	// zero means runtime.GOMAXPROCS. Set it before the first figure
+	// request.
+	Workers int
+	semOnce sync.Once
+	sem     chan struct{}
 }
 
 // sessionCell is the single-flight slot for one experiment cell.
@@ -183,8 +191,9 @@ func (s *Session) run(cfg Config) (Result, error) {
 		s.cache[key] = cell
 	}
 	s.mu.Unlock()
+	s.semOnce.Do(func() { s.sem = slots(s.Workers) })
 	cell.once.Do(func() {
-		cell.res, cell.err = Run(cfg)
+		cell.res, cell.err = runCell(cfg, s.sem)
 		if cell.err == nil && s.Observer != nil {
 			s.obsMu.Lock()
 			s.Observer(cfg, cell.res)

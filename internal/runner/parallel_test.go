@@ -92,21 +92,6 @@ func TestFigureOutputDeterministicUnderParallelism(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkersResize exercises pool resizing around live runs.
-func TestDefaultWorkersResize(t *testing.T) {
-	DefaultWorkers(2)
-	defer DefaultWorkers(0) // no-op; documents intent
-	cfg := quickCfg(AlgoGlobal)
-	cfg.Seeds = []uint64{1, 2}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	DefaultWorkers(8)
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunSeedErrorSurfaces keeps error plumbing intact across the pool:
 // a failing seed must fail the whole Run, with the earliest seed named
 // and a zero Result returned.

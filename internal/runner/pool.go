@@ -7,49 +7,25 @@ import (
 
 // The experiment engine runs one simulation per (cell, seed) pair, and a
 // figure session fans many cells out at once. Cell goroutines are cheap
-// coordinators; only seed simulations do CPU work, so the pool bounds the
-// number of simulations executing at any moment process-wide. That keeps
-// total parallelism at the worker count no matter how many figures or
-// sweeps are in flight, instead of multiplying per-call limits.
-var seedPool struct {
-	mu   sync.Mutex
-	size int
-	sem  chan struct{}
-}
+// coordinators; only seed simulations do CPU work, so a semaphore bounds
+// how many simulations execute at any moment. A Session owns one that all
+// its cells share, which keeps total parallelism at the session's worker
+// count no matter how many figures or sweeps are in flight; a Run outside
+// a session has its own.
 
-// sharedSlots returns the process-wide simulation pool, sized
-// GOMAXPROCS by default.
-func sharedSlots() chan struct{} {
-	seedPool.mu.Lock()
-	defer seedPool.mu.Unlock()
-	if seedPool.sem == nil {
-		seedPool.size = runtime.GOMAXPROCS(0)
-		seedPool.sem = make(chan struct{}, seedPool.size)
-	}
-	return seedPool.sem
-}
-
-// DefaultWorkers resizes the shared pool used by Run when Config.Workers
-// is zero (the -workers flag of cmd/expfig and cmd/innetsim). n < 1 keeps
-// the current size. Runs already in flight finish under the pool they
-// started with.
-func DefaultWorkers(n int) {
+// slots returns a semaphore of n slots, or of GOMAXPROCS slots when n < 1.
+func slots(n int) chan struct{} {
 	if n < 1 {
-		return
+		n = runtime.GOMAXPROCS(0)
 	}
-	seedPool.mu.Lock()
-	defer seedPool.mu.Unlock()
-	if seedPool.sem == nil || seedPool.size != n {
-		seedPool.size = n
-		seedPool.sem = make(chan struct{}, n)
-	}
+	return make(chan struct{}, n)
 }
 
 // forEachIndex runs fn(0..n-1) on its own goroutines and returns the
 // lowest-index error, making fan-out failures deterministic. It is the
 // coordination layer for sweeps: the goroutines it spawns do no
-// simulation work themselves and are throttled transitively by the seed
-// pool inside Run.
+// simulation work themselves and are throttled transitively by the
+// session's semaphore.
 func forEachIndex(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup

@@ -102,13 +102,12 @@ type Config struct {
 	// not the steady state the paper plots. Defaults to 10.
 	WarmupRounds int
 
-	// Workers bounds how many seed simulations of this Run execute
-	// concurrently. Zero (the default) draws slots from the shared
-	// process-wide pool sized runtime.GOMAXPROCS (see DefaultWorkers);
-	// a positive value gives this Run a private pool of that size.
-	// Results are independent of the setting: each seed's simulation is
-	// self-contained and deterministic, and aggregation always proceeds
-	// in seed order.
+	// Workers bounds how many seed simulations of a Run execute
+	// concurrently; zero (the default) means runtime.GOMAXPROCS. Cells
+	// run by a Session share the session's bound (Session.Workers)
+	// instead. Results are independent of the setting: each seed's
+	// simulation is self-contained and deterministic, and aggregation
+	// always proceeds in seed order.
 	Workers int
 }
 
@@ -185,16 +184,17 @@ type Result struct {
 	MedianTxAtDeath float64
 }
 
-// Run executes the experiment cell, fanning the seeds out across the
-// worker pool (see Config.Workers), and averages over them. The result is
-// identical to a sequential run: seeds share no state and the averages
-// accumulate in seed order regardless of completion order.
+// Run executes the experiment cell, fanning the seeds out across
+// Config.Workers concurrent simulations, and averages over them. The
+// result is identical to a sequential run: seeds share no state and the
+// averages accumulate in seed order regardless of completion order.
 func Run(cfg Config) (Result, error) {
+	return runCell(cfg, slots(cfg.Workers))
+}
+
+// runCell is Run with the seed simulations bounded by sem.
+func runCell(cfg Config, sem chan struct{}) (Result, error) {
 	cfg.applyDefaults()
-	sem := sharedSlots()
-	if cfg.Workers > 0 {
-		sem = make(chan struct{}, cfg.Workers)
-	}
 	results := make([]Result, len(cfg.Seeds))
 	errs := make([]error, len(cfg.Seeds))
 	var wg sync.WaitGroup
@@ -479,61 +479,55 @@ func (r *seedRun) windowSet(id core.NodeID, epoch int) []core.Point {
 	return pts
 }
 
-// measureAccuracy compares every sensor's current answer with the
-// centrally computed ground truth for the end of the given epoch.
+// measureAccuracy compares every sensor's current answer with the ground
+// truth for the end of the given epoch. The truth comes from the
+// exhaustive oracle (baseline.Compute), never from the cutoff-pruned
+// ranking kernel the detectors run, so a kernel bug cannot make both
+// sides agree on the same wrong answer.
 func (r *seedRun) measureAccuracy(epoch int) (hits, total int) {
-	switch r.cfg.Algo {
-	case AlgoGlobal:
-		union := core.NewSet()
-		for _, id := range r.topo.Nodes() {
-			for _, p := range r.windowSet(id, epoch) {
-				union.Add(p)
-			}
+	nodes := r.topo.Nodes()
+	windows := make(map[core.NodeID][]core.Point, len(nodes))
+	for _, id := range nodes {
+		windows[id] = r.windowSet(id, epoch)
+	}
+	truth := func(ids []core.NodeID) map[core.PointID]bool {
+		union := make([][]core.Point, len(ids))
+		for i, id := range ids {
+			union[i] = windows[id]
 		}
-		truth := idSet(core.TopN(r.ranker, union, r.cfg.N))
-		for _, id := range r.topo.Nodes() {
-			total++
-			if sameIDSet(truth, idSet(r.distApps[id].Detector().Estimate())) {
-				hits++
-			}
-		}
-	case AlgoSemiGlobal:
+		return idSet(baseline.Compute(r.ranker, r.cfg.N, union...))
+	}
+	if r.cfg.Algo == AlgoSemiGlobal {
 		hop := r.cfg.HopLimit
 		if hop == 0 {
 			hop = 1
 		}
-		for _, id := range r.topo.Nodes() {
-			dist := r.topo.HopDistances(id)
-			union := core.NewSet()
-			for other, d := range dist {
+		for _, id := range nodes {
+			var near []core.NodeID
+			for other, d := range r.topo.HopDistances(id) {
 				if d <= hop {
-					for _, p := range r.windowSet(other, epoch) {
-						union.Add(p)
-					}
+					near = append(near, other)
 				}
 			}
-			truth := idSet(core.TopN(r.ranker, union, r.cfg.N))
 			total++
-			if sameIDSet(truth, idSet(r.distApps[id].Detector().Estimate())) {
+			if sameIDSet(truth(near), idSet(r.distApps[id].Detector().Estimate())) {
 				hits++
 			}
 		}
-	case AlgoCentralized:
-		union := core.NewSet()
-		for _, id := range r.topo.Nodes() {
-			for _, p := range r.windowSet(id, epoch) {
-				union.Add(p)
-			}
-		}
-		truth := idSet(core.TopN(r.ranker, union, r.cfg.N))
-		for _, id := range r.topo.Nodes() {
-			res, at := r.centApps[id].LastResult()
-			total++
+		return hits, total
+	}
+	global := truth(nodes)
+	for _, id := range nodes {
+		total++
+		if r.cfg.Algo == AlgoCentralized {
 			// The sink computes from data shipped during the round, so
 			// a result exists and is recent.
-			if at > 0 && sameIDSet(truth, idSet(res)) {
+			res, at := r.centApps[id].LastResult()
+			if at > 0 && sameIDSet(global, idSet(res)) {
 				hits++
 			}
+		} else if sameIDSet(global, idSet(r.distApps[id].Detector().Estimate())) {
+			hits++
 		}
 	}
 	return hits, total

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static checks: go vet over every package, plus govulncheck when the
+# Static checks: go vet over every package, gofmt, a check that every
+# test a CI step selects by name exists, plus govulncheck when the
 # tool is on PATH (CI installs it; locally it is optional, since the
 # sandbox may have no network to fetch it). New wire-protocol fields
 # must pass vet's unreachable/unused analysis on both the encode and
@@ -18,6 +19,21 @@ UNFORMATTED=$(gofmt -l . 2>/dev/null || true)
 if [[ -n "$UNFORMATTED" ]]; then
   echo "gofmt needed on:" >&2
   echo "$UNFORMATTED" >&2
+  exit 1
+fi
+
+# A -run regex that matches nothing passes silently ("no tests to run"),
+# so renaming a test CI names would drop it from CI without a failure.
+echo "== tests named in ci.yml exist"
+DEFINED=$(go test -list '^Test' ./... | grep '^Test' | sort -u)
+MISSING=0
+for name in $(grep -oE -- "-run[ =]('[^']*'|[^ ]+)" .github/workflows/ci.yml | grep -oE 'Test[A-Za-z0-9_]+' | sort -u); do
+  if ! grep -qx "$name" <<<"$DEFINED"; then
+    echo "ci.yml runs $name, which no package defines" >&2
+    MISSING=1
+  fi
+done
+if [[ $MISSING -ne 0 ]]; then
   exit 1
 fi
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -201,5 +202,128 @@ func TestMergeSourceEmpty(t *testing.T) {
 	got, exchanged := starMerge(t, NN(), 2, [][]Point{nil, nil}, 4)
 	if len(got) != 0 || exchanged != 0 {
 		t.Fatalf("empty star: estimate %s, %d exchanged", idList(got), exchanged)
+	}
+}
+
+// freshLink is the reference a MergeLink is held against: P kept whole as
+// a Set, base and absorbed points alike, and the source rebuilt cold over
+// all of it for every Delta — no hint, no reuse, nothing remembered but
+// the two sets.
+type freshLink struct {
+	r      Ranker
+	n      int
+	p      *Set
+	shared *Set
+}
+
+func newFreshLink(r Ranker, n int, base []Point) *freshLink {
+	return &freshLink{r: r, n: n, p: NewSet(base...), shared: NewSet()}
+}
+
+func (f *freshLink) absorb(pts []Point) {
+	for _, p := range pts {
+		f.shared.AddMinHop(p)
+		f.p.AddMinHop(p)
+	}
+}
+
+func (f *freshLink) delta() []Point {
+	d := NewMergeSource(f.r, f.n, f.p.Points()).Delta(f.shared)
+	for _, p := range d {
+		f.shared.AddMinHop(p)
+	}
+	return d
+}
+
+// pointDiff reports where two point slices first differ in ID, hop,
+// birth or feature bits, or nil when they are equal point for point.
+func pointDiff(got, want []Point) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d points %s, want %d %s", len(got), idList(got), len(want), idList(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.Hop != w.Hop || g.Birth != w.Birth || !slices.Equal(g.Value, w.Value) {
+			return fmt.Errorf("slot %d: %v hop %d birth %v %v, want %v hop %d birth %v %v",
+				i, g.ID, g.Hop, g.Birth, g.Value, w.ID, w.Hop, w.Birth, w.Value)
+		}
+	}
+	return nil
+}
+
+// TestMergeLinkMatchesFresh holds every MergeLink of a star exchange
+// against a freshLink fed the same receipts: after every Absorb, the
+// link's Delta must be the reference's, point for point and in order,
+// whatever the link keeps between rounds to get there.
+func TestMergeLinkMatchesFresh(t *testing.T) {
+	type star struct {
+		name  string
+		parts [][]Point
+	}
+	var stars []star
+	for seed := uint64(1); seed <= 3; seed++ {
+		parts, _ := clusteredParts(seed, 3, 150)
+		if seed%2 == 0 {
+			parts[1] = append(parts[1], parts[0][:50]...) // overlap
+		}
+		stars = append(stars, star{fmt.Sprintf("clustered/seed=%d", seed), parts})
+		r := rng(seed)
+		uniform := make([][]Point, 3)
+		for i := range uniform {
+			uniform[i] = randPoints(r, NodeID(i+1), 80, 2, 100)
+		}
+		stars = append(stars, star{fmt.Sprintf("uniform/seed=%d", seed), uniform})
+	}
+	for _, rk := range []Ranker{NN(), KNN{K: 3}, CountWithin{Alpha: 2}} {
+		for _, s := range stars {
+			t.Run(rk.Name()+"/"+s.name, func(t *testing.T) {
+				const n = 4
+				links := make([]*MergeLink, len(s.parts))
+				refs := make([]*freshLink, len(s.parts))
+				ledgers := make([]*Set, len(s.parts))
+				for i, pts := range s.parts {
+					links[i] = NewMergeSource(rk, n, pts).NewLink()
+					refs[i] = newFreshLink(rk, n, pts)
+					ledgers[i] = NewSet()
+				}
+				cand := NewSet()
+				for round := 0; ; round++ {
+					if round == 64 {
+						t.Fatal("star exchange did not converge in 64 rounds")
+					}
+					quiet := true
+					var center *MergeSource
+					if cand.Len() > 0 {
+						center = NewMergeSource(rk, n, cand.Points())
+					}
+					for i := range links {
+						if center != nil {
+							down := center.Delta(ledgers[i])
+							quiet = quiet && len(down) == 0
+							for _, p := range down {
+								ledgers[i].AddMinHop(p)
+							}
+							links[i].Absorb(down)
+							refs[i].absorb(down)
+							if round%2 == 1 {
+								links[i].Absorb(down) // a redelivery changes nothing
+							}
+						}
+						up := links[i].Delta()
+						if err := pointDiff(up, refs[i].delta()); err != nil {
+							t.Fatalf("round %d link %d: Delta differs from a fresh source's: %v", round, i, err)
+						}
+						quiet = quiet && len(up) == 0
+						for _, p := range up {
+							ledgers[i].AddMinHop(p)
+							cand.AddMinHop(p)
+						}
+					}
+					if quiet {
+						return
+					}
+				}
+			})
+		}
 	}
 }

@@ -185,6 +185,9 @@ type Coordinator struct {
 	shards  map[string]*shardState
 	sensors map[core.NodeID]*sensorRoute
 	closed  bool
+	// lastOutliers is the last answer a query served: the full path ranks
+	// its union from it, as a detector ranks from its previous estimate.
+	lastOutliers []core.Point
 
 	routed, rejected, stale, failed atomic.Uint64
 	reroutes, frames                atomic.Uint64
@@ -757,6 +760,9 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		}
 		if err == nil {
 			c.obs.queryLat.With(res.Mode).Observe(elapsed.Seconds())
+			c.mu.Lock()
+			c.lastOutliers = slices.Clone(res.Outliers)
+			c.mu.Unlock()
 		}
 		span := obs.Span{
 			Trace:  traceID,
@@ -786,6 +792,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	}
 	version := c.smap.Version()
 	total := c.smap.Len()
+	hint := c.lastOutliers
 	var targets []*shardState
 	for _, addr := range c.smap.Shards() {
 		if st := c.shards[addr]; st != nil && st.up {
@@ -849,16 +856,18 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 			"trace", traceHex(traceID), "rounds", cres.rounds, "err", err)
 	}
 
-	var (
-		wg    sync.WaitGroup
-		setMu sync.Mutex
-		union = core.NewSet()
-		ok    int
+	// Each shard's reply lands in its own slot; the union is one merge of
+	// them once every shard has answered or given up.
+	type reply struct {
+		pts   []core.Point
 		bytes int
-	)
-	for _, st := range targets {
+		ok    bool
+	}
+	replies := make([]reply, len(targets))
+	var wg sync.WaitGroup
+	for i, st := range targets {
 		wg.Add(1)
-		go func(st *shardState) {
+		go func(rep *reply, st *shardState) {
 			defer wg.Done()
 			shardStart := time.Now()
 			var pts []core.Point
@@ -881,22 +890,24 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 				span.Err = err.Error()
 			}
 			c.traceLog.Record(span)
-			if err != nil {
-				return
+			if err == nil {
+				*rep = reply{pts: pts, bytes: nb, ok: true}
 			}
-			setMu.Lock()
-			defer setMu.Unlock()
-			ok++
-			bytes += nb
-			for _, p := range pts {
-				union.AddMinHop(p)
-			}
-		}(st)
+		}(&replies[i], st)
 	}
 	wg.Wait()
 
+	windows := make([][]core.Point, 0, len(replies))
+	ok, bytes := 0, 0
+	for _, rep := range replies {
+		if rep.ok {
+			windows = append(windows, rep.pts)
+			ok++
+			bytes += rep.bytes
+		}
+	}
 	res := MergeResult{
-		Window:       union.Points(),
+		Window:       core.UnionPoints(windows...),
 		Mode:         MergeFull,
 		PayloadBytes: bytes,
 		MapVersion:   version,
@@ -904,7 +915,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		ShardsOK:     ok,
 		Degraded:     ok < total,
 	}
-	res.Outliers = core.TopN(c.cfg.Detector.Ranker, union, c.cfg.Detector.N)
+	res.Outliers = core.TopNHinted(c.cfg.Detector.Ranker, res.Window, c.cfg.Detector.N, hint)
 	c.mergeFullBytes.Add(uint64(bytes))
 	if ok == 0 && total > 0 {
 		return finish(res, errors.New("cluster: no shard answered the estimate query"))

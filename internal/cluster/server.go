@@ -430,7 +430,8 @@ func fingerprintPoints(pts []core.Point) uint64 {
 // The snapshot's merge source (spatial index, ranking batch, Eq. (2)
 // seed) is reused across sessions while the window fingerprint is
 // unchanged, so repeated queries over a quiet window skip straight to
-// the fixed point.
+// the fixed point; once the window changes, the new source is ranked
+// from the estimate of the one it replaces.
 func (s *ShardServer) mergeSession(id uint64, create bool, trace uint64) (*mergeSession, error) {
 	s.mergeMu.Lock()
 	if sess := s.sessions[id]; sess != nil {
@@ -459,11 +460,15 @@ func (s *ShardServer) mergeSession(id uint64, create bool, trace uint64) (*merge
 	}
 	hit := true // Hit: the cached merge source covered this snapshot
 	src := s.lastSrc
-	if src == nil || s.lastFP != fp || src.Len() != len(snap) {
+	switch {
+	case src == nil:
 		hit = false
 		src = core.NewMergeSource(s.svc.DetectorConfig().Ranker, s.svc.DetectorConfig().N, snap)
-		s.lastSrc, s.lastFP = src, fp
+	case s.lastFP != fp || src.Len() != len(snap):
+		hit = false
+		src = src.Rebase(snap) // the window moved on: rank from its last estimate
 	}
+	s.lastSrc, s.lastFP = src, fp
 	s.svc.Traces().Record(obs.Span{
 		Trace:  trace,
 		Op:     obs.OpSessionCreate,

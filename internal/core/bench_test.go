@@ -460,3 +460,47 @@ func BenchmarkSyncRound53(b *testing.B) {
 	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/queries, "abandoned-share")
 	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
 }
+
+// BenchmarkMergeLinkRound is one shard-side round of the compact merge
+// after the coordinator has sent something new: a fresh link over the
+// shard's cached 1,600-point base absorbs 8 foreign candidates — the other
+// party's top 8, its fault among them — and computes its delta, which
+// rebuilds the link's source over base ∪ absorbed from the base's estimate.
+// The base is what a shard holds once its window has moved: a rebase of
+// the previous one. index-builds/op counts the rebuilt sources that built a
+// spatial index. The clustered window (two-dimensional Gaussian readings,
+// IDs blind to position) is one the hint's floor does not prune, so its
+// rebuilds build the index first; the fleet window (the bench fleet's
+// faulty stream, 16 sensors) is one it prunes, so they scan.
+func BenchmarkMergeLinkRound(b *testing.B) {
+	clustered, _ := clusteredParts(1, 2, 1599)
+	var fleet [2][]Point
+	for _, p := range fleetPoints(32, 100) {
+		fleet[(p.ID.Origin-1)/16] = append(fleet[(p.ID.Origin-1)/16], p)
+	}
+	for _, c := range []struct {
+		name          string
+		base, foreign []Point
+	}{
+		{"clustered", clustered[0], clustered[1]},
+		{"fleet", fleet[0], fleet[1]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rk, n := KNN{K: 3}, 4
+			base := NewMergeSource(rk, n, c.base[1:]).Rebase(c.base)
+			foreign := byID(TopN(rk, NewSet(c.foreign...), 8))
+			builds := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				link := base.NewLink()
+				link.Absorb(foreign)
+				link.Delta()
+				if link.src != base && link.src.st.sup.ix != nil {
+					builds++
+				}
+			}
+			b.ReportMetric(float64(builds)/float64(b.N), "index-builds/op")
+		})
+	}
+}

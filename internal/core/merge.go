@@ -29,7 +29,21 @@ type MergeSource struct {
 	n   int
 	st  stratum
 	pts []Point
+
+	// indexFirst is how many more rebases in a row build their index
+	// before ranking. Ranking from a hint scans, and builds the index
+	// only once the scan has cost what the index is worth (see
+	// supporter.topN): on data the hint's floor prunes that is never, and
+	// on data it does not prune it is twice the work of building first. A
+	// hinted ranking that paid that price sets the count, so the rebases
+	// after it skip the scan; once it has run out, the next rebase scans
+	// again, in case the window has changed character.
+	indexFirst int
 }
+
+// rebasesIndexFirst is the count a ranking that had to build its index
+// mid-scan hands on.
+const rebasesIndexFirst = 8
 
 // NewMergeSource snapshots pts (which must be duplicate-free by PointID,
 // e.g. Set.Points output) as the exchange's dataset P and precomputes
@@ -37,15 +51,45 @@ type MergeSource struct {
 // mutated afterwards; input not already in ID order is cloned and sorted
 // so membership probes can binary-search it.
 func NewMergeSource(r Ranker, n int, pts []Point) *MergeSource {
-	if !slices.IsSortedFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) }) {
-		pts = slices.Clone(pts)
-		slices.SortFunc(pts, func(a, b Point) int { return idCompare(a.ID, b.ID) })
+	return newMergeSource(r, n, pts, nil, 0)
+}
+
+// Rebase returns the source NewMergeSource would build over pts, ranked
+// from this source's estimate first. A dataset that grew by a few points,
+// or a window that moved on a little, mostly keeps its outliers, so the
+// ranking batch's floor is final after n queries and the spatial index is
+// built only if the scan comes to cost more than it would (see
+// supporter.topN). The hint changes the work, never the source. Rebase
+// only reads m, so sessions sharing m may call it concurrently.
+func (m *MergeSource) Rebase(pts []Point) *MergeSource {
+	return newMergeSource(m.r, m.n, pts, m.st.sup.topN(m.n), m.indexFirst)
+}
+
+// newMergeSource builds a source over pts, its ranking batch hinted with
+// hint, and its index built first if indexFirst is positive (see
+// MergeSource.indexFirst).
+func newMergeSource(r Ranker, n int, pts []Point, hint []Ranked, indexFirst int) *MergeSource {
+	sup := supporterFor(r, inIDOrder(pts))
+	sup.hint = hint
+	if indexFirst > 0 {
+		sup.ensureIndex()
+		indexFirst--
 	}
 	// newStratum runs the ranking batch, which builds the spatial index
 	// (when the ranker supports one and P is large enough) and memoizes
 	// the estimate — the construction does all the mutating work up
-	// front, which is what makes Delta safe for concurrent sessions.
-	return &MergeSource{r: r, n: n, st: newStratum(supporterFor(r, pts), n), pts: pts}
+	// front, which is what makes Delta safe for concurrent sessions. The
+	// batch's work is counted, then the counter detached: Delta ranks its
+	// pools through this supporter, and concurrent sessions must not
+	// share a counter.
+	var work Stats
+	sup.stats = &work
+	st := newStratum(sup, n)
+	sup.stats = nil
+	if work.IndexBuilds > 0 && work.RankVisits > indexPrice(len(sup.pts)) {
+		indexFirst = rebasesIndexFirst // the scan paid for the index, then built it
+	}
+	return &MergeSource{r: r, n: n, st: st, pts: sup.pts, indexFirst: indexFirst}
 }
 
 // Len returns |P|.
@@ -79,26 +123,28 @@ func (m *MergeSource) Delta(shared *Set) []Point {
 }
 
 // MergeLink is one party's resumable state for a single exchange link:
-// the growing dataset P (the source snapshot plus everything absorbed
-// from the peer — Algorithm 1 folds receipts into P_i before reacting,
-// and the Eq. (2) support lookups must run over the grown set or a
-// peer's candidate can never be refuted by local context), the shared
-// ledger D(i→j) ∪ D(j→i), and the source rebuilt only when P actually
-// grew. Until the first novel absorb, Delta answers straight from the
-// shared (possibly cached) base source. MergeLink is not safe for
-// concurrent use; drivers serialize per link.
+// the growing dataset P — the base source's snapshot plus everything
+// absorbed from the peer (Algorithm 1 folds receipts into P_i before
+// reacting, and the Eq. (2) support lookups must run over the grown set or
+// a peer's candidate can never be refuted by local context) — and the
+// shared ledger D(i→j) ∪ D(j→i). The link keeps the base and the absorbed
+// points apart and rebuilds its source over their merge only when P
+// actually grew, ranked from the source it replaces (Rebase): until the
+// first novel absorb, Delta answers straight from the shared (possibly
+// cached) base source. MergeLink is not safe for concurrent use; drivers
+// serialize per link.
 type MergeLink struct {
-	src    *MergeSource
-	p      *Set // nil until a received point falls outside the base snapshot
-	shared *Set
-	dirty  bool
+	base     *MergeSource // the snapshot the link started from; shared, never changed
+	src      *MergeSource // over base ∪ absorbed: base itself until P grows
+	absorbed []Point      // receipts base lacks (or holds at a higher hop), in ID order
+	shared   *Set
+	dirty    bool // absorbed changed since src was built
 }
 
 // NewLink starts a fresh exchange over this source's dataset with an
-// empty ledger. Many links may share one base source; each link clones
-// the dataset lazily, only if the peer ever contributes a novel point.
+// empty ledger. Many links may share one base source; none copies it.
 func (m *MergeSource) NewLink() *MergeLink {
-	return &MergeLink{src: m, shared: NewSet()}
+	return &MergeLink{base: m, src: m, shared: NewSet()}
 }
 
 // Absorb records points received from the peer into the shared ledger
@@ -108,17 +154,24 @@ func (l *MergeLink) Absorb(pts []Point) int {
 	added := 0
 	for _, p := range pts {
 		l.shared.AddMinHop(p)
-		if l.p == nil {
-			if l.src.has(p.ID) {
+		known := false
+		if i, ok := slotOf(l.base.pts, p.ID); ok {
+			if l.base.pts[i].Hop <= p.Hop {
 				continue
 			}
-			l.p = NewSet(l.src.pts...)
+			known = true
 		}
-		if a, _ := l.p.AddMinHop(p); a {
-			added++
+		switch i, held := slotOf(l.absorbed, p.ID); {
+		case !held:
+			l.absorbed = slices.Insert(l.absorbed, i, p)
+			if !known {
+				added++
+			}
+		case p.Hop < l.absorbed[i].Hop:
+			l.absorbed[i] = p
+		default:
+			continue
 		}
-	}
-	if added > 0 {
 		l.dirty = true
 	}
 	return added
@@ -130,7 +183,7 @@ func (l *MergeLink) Absorb(pts []Point) int {
 // the returned slice per round rather than calling Delta again.
 func (l *MergeLink) Delta() []Point {
 	if l.dirty {
-		l.src = NewMergeSource(l.src.r, l.src.n, l.p.Points())
+		l.src = l.src.Rebase(UnionPoints(l.base.pts, l.absorbed))
 		l.dirty = false
 	}
 	delta := l.src.Delta(l.shared)
@@ -138,12 +191,4 @@ func (l *MergeLink) Delta() []Point {
 		l.shared.AddMinHop(p)
 	}
 	return delta
-}
-
-// has reports whether the base snapshot holds the given ID. The snapshot
-// is in ID order (Set.Points), so a binary search avoids materializing a
-// set per link.
-func (m *MergeSource) has(id PointID) bool {
-	_, ok := slotOf(m.pts, id)
-	return ok
 }

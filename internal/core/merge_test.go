@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -326,4 +327,34 @@ func TestMergeLinkMatchesFresh(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestMergeLinksShareASource runs links over one shared source from
+// several goroutines at once, as a shard's concurrent sessions do: each
+// link rebuilds its own source from the shared one's estimate (Rebase only
+// reads it), and each delta must still be a freshLink's. Run it under
+// -race.
+func TestMergeLinksShareASource(t *testing.T) {
+	parts, _ := clusteredParts(5, 5, 300)
+	rk, n := KNN{K: 3}, 4
+	base := NewMergeSource(rk, n, parts[0][1:]).Rebase(parts[0])
+	want := make([][]Point, len(parts)-1)
+	for i := range want {
+		ref := newFreshLink(rk, n, parts[0])
+		ref.absorb(TopN(rk, NewSet(parts[i+1]...), 8))
+		want[i] = ref.delta()
+	}
+	var wg sync.WaitGroup
+	for i := range want {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			link := base.NewLink()
+			link.Absorb(TopN(rk, NewSet(parts[i+1]...), 8))
+			if err := pointDiff(link.Delta(), want[i]); err != nil {
+				t.Errorf("link %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

@@ -74,6 +74,27 @@ func TopNRanked(r Ranker, set *Set, n int) []Ranked {
 	return newSupporter(r, set).topN(n)
 }
 
+// TopNHinted is TopN over pts — duplicate-free, and in ID order for speed
+// (UnionPoints and Set.Points give it) — ranked from hint first: the last
+// answer over a dataset like this one, which a query that comes after it
+// mostly repeats. The hint is advice, as a detector's previous estimate is
+// to its next ranking: points pts does not hold, repeats and points that
+// have since become inliers cost time, never correctness, and the result
+// is TopN's whatever the hint.
+func TopNHinted(r Ranker, pts []Point, n int, hint []Point) []Point {
+	return rankedPoints(topNHinted(r, pts, n, hint))
+}
+
+// topNHinted is TopNHinted with the rank values.
+func topNHinted(r Ranker, pts []Point, n int, hint []Point) []Ranked {
+	s := supporterFor(r, pts)
+	s.hint = make([]Ranked, len(hint))
+	for i, p := range hint {
+		s.hint[i].Point = p
+	}
+	return s.topN(n)
+}
+
 // RankAll ranks every point of P against P \ {x} and returns them all in
 // (rank desc, ≺) order. It is the exhaustive computation On(P) is defined
 // by — finish every query, sort everything — and exists as the oracle the

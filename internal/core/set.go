@@ -268,38 +268,79 @@ func (s *Set) Clone() *Set {
 }
 
 // Union returns a new set holding the points of s and of every other set,
-// min-merged on the hop field.
+// min-merged on the hop field: one k-way merge of their ID-ordered walks.
 func (s *Set) Union(others ...*Set) *Set {
-	u := s.Clone()
+	cs := make([]cursor, 0, 1+len(others))
+	size := s.Len()
+	cs = append(cs, s.cursor(anyHop))
 	for _, o := range others {
-		o.ForEach(func(p Point) { u.AddMinHop(p) })
+		cs = append(cs, o.cursor(anyHop))
+		size += o.Len()
 	}
-	return u
+	return orderedSet(mergeMinHop(cs, size))
+}
+
+// UnionPoints is the union of point lists that are not held in sets — a
+// shard's snapshot, a sensor's holdings — in ID order, every ID once, as the
+// copy with the lowest hop field (the earliest list's on a tie, as folding
+// the lists into a set with AddMinHop keeps it). Each list is expected in ID
+// order (Set.Points gives it); one that is not is sorted in a copy first.
+func UnionPoints(lists ...[]Point) []Point {
+	cs := make([]cursor, len(lists))
+	size := 0
+	for i, l := range lists {
+		cs[i] = cursor{pts: inIDOrder(l), maxHop: anyHop}
+		size += len(l)
+	}
+	return mergeMinHop(cs, size)
+}
+
+// inIDOrder returns pts if it is in ID order, and a sorted copy otherwise;
+// points with equal IDs keep their order.
+func inIDOrder(pts []Point) []Point {
+	byID := func(a, b Point) int { return idCompare(a.ID, b.ID) }
+	if slices.IsSortedFunc(pts, byID) {
+		return pts
+	}
+	pts = slices.Clone(pts)
+	slices.SortStableFunc(pts, byID)
+	return pts
 }
 
 // Filter returns a new set holding the points for which keep returns true,
-// with an exact oldest-birth bound. Its runs share one backing array, each
-// capped at its own end, so growing one never writes into the next.
+// with an exact oldest-birth bound.
 func (s *Set) Filter(keep func(Point) bool) *Set {
-	f := &Set{oldest: noBirth}
 	if s == nil {
-		return f
+		return orderedSet(nil)
 	}
 	buf := make([]Point, 0, s.n)
 	for _, r := range s.runs {
-		from := len(buf)
 		for _, p := range r.pts {
 			if keep(p) {
 				buf = append(buf, p)
-				f.oldest = min(f.oldest, p.Birth)
 			}
 		}
-		if kept := buf[from:len(buf):len(buf)]; len(kept) > 0 {
-			f.runs = append(f.runs, run{origin: r.origin, unordered: !birthOrdered(kept), pts: kept})
-		}
 	}
-	f.n = len(buf)
-	return f
+	return orderedSet(buf)
+}
+
+// orderedSet returns a set holding pts — in ID order, no ID twice — in
+// place, with an exact oldest-birth bound: its runs are pts cut where the
+// origin changes, each capped at its own end, so growing one never writes
+// into the next.
+func orderedSet(pts []Point) *Set {
+	s := &Set{n: len(pts), oldest: noBirth}
+	for len(pts) > 0 {
+		k := 0
+		for k < len(pts) && pts[k].ID.Origin == pts[0].ID.Origin {
+			s.oldest = min(s.oldest, pts[k].Birth)
+			k++
+		}
+		r := pts[:k:k]
+		s.runs = append(s.runs, run{origin: r[0].ID.Origin, unordered: !birthOrdered(r), pts: r})
+		pts = pts[k:]
+	}
+	return s
 }
 
 // birthOrdered reports whether births do not decrease along pts.
@@ -464,4 +505,64 @@ func mergeByID(cs []cursor, fn func(Point)) {
 			}
 		}
 	}
+}
+
+// mergeMinHop merges walks, each in ID order, into one ID-ordered slice
+// holding every ID once: the copy with the lowest hop field, the earliest
+// walk's on a tie. A walk may repeat an ID on consecutive points; size is
+// the capacity to allocate. The walks sit in a binary heap on (next ID,
+// walk), so a point costs O(log k) for k walks.
+func mergeMinHop(cs []cursor, size int) []Point {
+	type walk struct {
+		cursor
+		order int
+	}
+	before := func(a, b *walk) bool {
+		if x, y := a.pts[0].ID, b.pts[0].ID; x != y {
+			return idLess(x, y)
+		}
+		return a.order < b.order
+	}
+	h := make([]walk, 0, len(cs))
+	for i := range cs {
+		if cs[i].head() != nil {
+			h = append(h, walk{cs[i], i})
+		}
+	}
+	down := func(i int) {
+		for {
+			m, l := i, 2*i+1
+			if l < len(h) && before(&h[l], &h[m]) {
+				m = l
+			}
+			if l+1 < len(h) && before(&h[l+1], &h[m]) {
+				m = l + 1
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Point, 0, size)
+	for len(h) > 0 {
+		p := h[0].pts[0]
+		if h[0].pts = h[0].pts[1:]; h[0].head() == nil {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+		if last := len(out) - 1; last >= 0 && out[last].ID == p.ID {
+			if p.Hop < out[last].Hop {
+				out[last] = p
+			}
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
 }

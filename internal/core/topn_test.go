@@ -30,7 +30,9 @@ func topNSlice(r Ranker, pts []Point, n int) []Point {
 // snapshot under hints chosen to mislead: points P does not hold, the n
 // lowest-ranked points of P, the n runners-up (on a lattice they tie the
 // floor, and the true members must still displace them by ≺), and the true
-// answer named twice over.
+// answer named twice over, an empty hint, and a stale one — an earlier
+// window's answer, its points gone from P or since become inliers. The
+// exported TopNHinted runs through the same table.
 func checkTopN(t testing.TB, name string, r Ranker, pts []Point, n int) {
 	t.Helper()
 	shuffled := slices.Clone(pts)
@@ -47,10 +49,17 @@ func checkTopN(t testing.TB, name string, r Ranker, pts []Point, n int) {
 			for i := range absent {
 				absent[i].Point = NewPoint(60000, uint32(i), 0, 1)
 			}
+			lowest := all[len(all)-len(want):]
+			var stale []Ranked
+			for i := range lowest {
+				stale = append(stale, absent[i], lowest[i])
+			}
 			hints := map[string][]Ranked{
 				"none":       nil,
+				"empty":      {},
 				"absent":     absent,
-				"lowest":     all[len(all)-len(want):],
+				"lowest":     lowest,
+				"stale":      stale,
 				"runners-up": all[len(want):min(2*len(want), len(all))],
 				"doubled":    append(slices.Clone(want), want...),
 			}
@@ -58,14 +67,19 @@ func checkTopN(t testing.TB, name string, r Ranker, pts []Point, n int) {
 				for _, snapshot := range [][]Point{pts, shuffled} {
 					// prebuilt: the index is there before the first query;
 					// otherwise topN's own rule decides, which under a
-					// hint that warms the floor means mid-batch or never.
+					// hint that warms the floor means mid-batch or never
+					// — the path TopNHinted takes.
 					for _, prebuilt := range []bool{false, true} {
-						s := supporterFor(r, snapshot)
-						s.hint = hint
+						var got []Ranked
 						if prebuilt {
+							s := supporterFor(r, snapshot)
+							s.hint = hint
 							s.ensureIndex()
+							got = s.topN(n)
+						} else {
+							got = topNHinted(r, snapshot, n, rankedPoints(hint))
 						}
-						if err := sameRanked(s.topN(n), want); err != nil {
+						if err := sameRanked(got, want); err != nil {
 							t.Fatalf("%s %s |P|=%d n=%d indexMin=%d hint=%s prebuilt=%v: topN is not the exhaustive prefix: %v",
 								name, r.Name(), len(pts), n, threshold, hinted, prebuilt, err)
 						}

@@ -796,8 +796,9 @@ func (s *Service) Estimate(id core.NodeID) ([]core.Point, error) {
 }
 
 // Snapshot returns the union of every attached sensor's sliding window,
-// deduplicated by point ID and sorted. After Flush it is exactly the data
-// the fleet's estimates are computed over; the cluster shard server
+// deduplicated by point ID (the lowest-hop copy) and in ID order: one
+// merge of the sensors' ID-ordered holdings. After Flush it is exactly the
+// data the fleet's estimates are computed over; the cluster shard server
 // serves it to the coordinator, whose merge over shard snapshots then
 // equals the centralized answer over the union of all windows.
 func (s *Service) Snapshot(ctx context.Context) ([]core.Point, error) {
@@ -807,7 +808,7 @@ func (s *Service) Snapshot(ctx context.Context) ([]core.Point, error) {
 		fleet = append(fleet, sn)
 	}
 	s.mu.RUnlock()
-	union := core.NewSet()
+	holdings := make([][]core.Point, 0, len(fleet))
 	for _, sn := range fleet {
 		held, err := sn.peer.Holdings(ctx)
 		if errors.Is(err, peer.ErrStopped) && s.ctx.Err() == nil {
@@ -816,9 +817,9 @@ func (s *Service) Snapshot(ctx context.Context) ([]core.Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		held.ForEach(func(p core.Point) { union.AddMinHop(p) })
+		holdings = append(holdings, held.Points())
 	}
-	return union.Points(), nil
+	return core.UnionPoints(holdings...), nil
 }
 
 // HoldingsOf returns one attached sensor's sliding window (its own

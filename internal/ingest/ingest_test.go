@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -327,5 +328,71 @@ func TestCloseRefusesFurtherWork(t *testing.T) {
 	}
 	if err := s.Join(2); !errors.Is(err, ErrClosed) {
 		t.Fatalf("join after close: got %v, want ErrClosed", err)
+	}
+}
+
+// TestSnapshotIsTheHoldingsUnion pins Snapshot to its definition: after
+// Flush, the AddMinHop fold of every sensor's HoldingsOf, in ID order,
+// point for point. The fleet is a hop-limited line, so the sensors hold
+// one another's points at several hop counts and the fold's lowest-hop
+// rule decides which copy the union keeps.
+func TestSnapshotIsTheHoldingsUnion(t *testing.T) {
+	cfg := testConfig()
+	cfg.Detector.Ranker, cfg.Detector.N, cfg.Detector.HopLimit = core.KNN{K: 2}, 2, 2
+	cfg.Topology = func(joining core.NodeID, existing []core.NodeID) []core.NodeID {
+		if len(existing) == 0 {
+			return nil
+		}
+		return []core.NodeID{joining - 1}
+	}
+	s := newService(t, cfg)
+	const fleet, per = 6, 8
+	for id := core.NodeID(1); id <= fleet; id++ {
+		if err := s.Join(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < per; i++ {
+		for id := core.NodeID(1); id <= fleet; id++ {
+			v := 20 + float64(i)*0.1 + float64(id)*0.01
+			if int(id) == i%fleet+1 && i%3 == 0 {
+				v = 55 + float64(i) // a fault now and then, so points travel
+			}
+			if err := s.Ingest(Reading{Sensor: id, At: at(i), Values: []float64{v}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustFlush(t, s)
+
+	ctx := context.Background()
+	fold := core.NewSet()
+	relayed := false
+	for _, id := range s.Sensors() {
+		held, err := s.HoldingsOf(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range held {
+			fold.AddMinHop(p)
+			relayed = relayed || p.Hop > 0
+		}
+	}
+	if !relayed {
+		t.Fatal("no sensor holds a relayed copy: the fixture does not exercise the lowest-hop rule")
+	}
+	got, err := s.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fold.Points()
+	if len(got) != len(want) {
+		t.Fatalf("Snapshot holds %d points, the holdings' union %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.Hop != w.Hop || g.Birth != w.Birth || !slices.Equal(g.Value, w.Value) {
+			t.Fatalf("slot %d: Snapshot has %v hop %d, the holdings' union %v hop %d", i, g.ID, g.Hop, w.ID, w.Hop)
+		}
 	}
 }

@@ -109,19 +109,14 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 	// whole query budget before the fallback gets its turn.
 	perAttempt := c.cfg.QueryTimeout / time.Duration(2*c.cfg.RetryAttempts)
 
-	var src *core.MergeSource // over C as it stood at the start of the round
 	for round := 0; round < mergeRounds; round++ {
 		res.rounds++
 		// The coordinator's side of the round: its sufficient delta over
 		// C per link, computed sequentially (C is estimate-sized) so the
 		// shared merge source is only read concurrently, never built.
-		// Each round's source is ranked from the last round's estimate.
-		switch {
-		case cand.Len() == 0:
-		case src == nil:
+		var src *core.MergeSource
+		if cand.Len() > 0 {
 			src = core.NewMergeSource(c.cfg.Detector.Ranker, c.cfg.Detector.N, cand.Points())
-		default:
-			src = src.Rebase(cand.Points())
 		}
 		deltas := make([][]core.Point, len(targets))
 		quiet := true

@@ -470,8 +470,9 @@ func BenchmarkSyncRound53(b *testing.B) {
 // the previous one. index-builds/op counts the rebuilt sources that built a
 // spatial index. The clustered window (two-dimensional Gaussian readings,
 // IDs blind to position) is one the hint's floor does not prune, so its
-// rebuilds build the index first; the fleet window (the bench fleet's
-// faulty stream, 16 sensors) is one it prunes, so they scan.
+// rebuilds scan until the scan has cost what the index is worth and then
+// build it; the fleet window (the bench fleet's faulty stream, 16 sensors)
+// is one it prunes, so they only scan.
 func BenchmarkMergeLinkRound(b *testing.B) {
 	clustered, _ := clusteredParts(1, 2, 1599)
 	var fleet [2][]Point

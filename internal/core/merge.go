@@ -29,21 +29,7 @@ type MergeSource struct {
 	n   int
 	st  stratum
 	pts []Point
-
-	// indexFirst is how many more rebases in a row build their index
-	// before ranking. Ranking from a hint scans, and builds the index
-	// only once the scan has cost what the index is worth (see
-	// supporter.topN): on data the hint's floor prunes that is never, and
-	// on data it does not prune it is twice the work of building first. A
-	// hinted ranking that paid that price sets the count, so the rebases
-	// after it skip the scan; once it has run out, the next rebase scans
-	// again, in case the window has changed character.
-	indexFirst int
 }
-
-// rebasesIndexFirst is the count a ranking that had to build its index
-// mid-scan hands on.
-const rebasesIndexFirst = 8
 
 // NewMergeSource snapshots pts (which must be duplicate-free by PointID,
 // e.g. Set.Points output) as the exchange's dataset P and precomputes
@@ -51,7 +37,7 @@ const rebasesIndexFirst = 8
 // mutated afterwards; input not already in ID order is cloned and sorted
 // so membership probes can binary-search it.
 func NewMergeSource(r Ranker, n int, pts []Point) *MergeSource {
-	return newMergeSource(r, n, pts, nil, 0)
+	return newMergeSource(r, n, pts, nil)
 }
 
 // Rebase returns the source NewMergeSource would build over pts, ranked
@@ -62,34 +48,19 @@ func NewMergeSource(r Ranker, n int, pts []Point) *MergeSource {
 // supporter.topN). The hint changes the work, never the source. Rebase
 // only reads m, so sessions sharing m may call it concurrently.
 func (m *MergeSource) Rebase(pts []Point) *MergeSource {
-	return newMergeSource(m.r, m.n, pts, m.st.sup.topN(m.n), m.indexFirst)
+	return newMergeSource(m.r, m.n, pts, m.st.sup.topN(m.n))
 }
 
 // newMergeSource builds a source over pts, its ranking batch hinted with
-// hint, and its index built first if indexFirst is positive (see
-// MergeSource.indexFirst).
-func newMergeSource(r Ranker, n int, pts []Point, hint []Ranked, indexFirst int) *MergeSource {
+// hint.
+func newMergeSource(r Ranker, n int, pts []Point, hint []Ranked) *MergeSource {
 	sup := supporterFor(r, inIDOrder(pts))
 	sup.hint = hint
-	if indexFirst > 0 {
-		sup.ensureIndex()
-		indexFirst--
-	}
 	// newStratum runs the ranking batch, which builds the spatial index
 	// (when the ranker supports one and P is large enough) and memoizes
 	// the estimate — the construction does all the mutating work up
-	// front, which is what makes Delta safe for concurrent sessions. The
-	// batch's work is counted, then the counter detached: Delta ranks its
-	// pools through this supporter, and concurrent sessions must not
-	// share a counter.
-	var work Stats
-	sup.stats = &work
-	st := newStratum(sup, n)
-	sup.stats = nil
-	if work.IndexBuilds > 0 && work.RankVisits > indexPrice(len(sup.pts)) {
-		indexFirst = rebasesIndexFirst // the scan paid for the index, then built it
-	}
-	return &MergeSource{r: r, n: n, st: st, pts: sup.pts, indexFirst: indexFirst}
+	// front, which is what makes Delta safe for concurrent sessions.
+	return &MergeSource{r: r, n: n, st: newStratum(sup, n), pts: sup.pts}
 }
 
 // Len returns |P|.

@@ -510,7 +510,7 @@ func candidatePool(seed *Set, extra []Point, shared ledgers) []Point {
 		{pts: extra, maxHop: anyHop},
 		shared.sent.cursor(shared.maxHop),
 		shared.recv.cursor(shared.maxHop),
-	}, func(p Point) { pool = append(pool, p) })
+	}, false, func(p Point) { pool = append(pool, p) })
 	return pool
 }
 
@@ -518,7 +518,7 @@ func candidatePool(seed *Set, extra []Point, shared ledgers) []Point {
 // link's peer is owed.
 func unshared(seed *Set, extra []Point, shared ledgers) []Point {
 	var delta []Point
-	mergeByID([]cursor{seed.cursor(anyHop), {pts: extra, maxHop: anyHop}}, func(p Point) {
+	mergeByID([]cursor{seed.cursor(anyHop), {pts: extra, maxHop: anyHop}}, false, func(p Point) {
 		if !shared.contains(p.ID) {
 			delta = append(delta, p)
 		}

@@ -268,7 +268,7 @@ func (s *Set) Clone() *Set {
 }
 
 // Union returns a new set holding the points of s and of every other set,
-// min-merged on the hop field: one k-way merge of their ID-ordered walks.
+// min-merged on the hop field: one merge of their ID-ordered walks.
 func (s *Set) Union(others ...*Set) *Set {
 	cs := make([]cursor, 0, 1+len(others))
 	size := s.Len()
@@ -277,7 +277,7 @@ func (s *Set) Union(others ...*Set) *Set {
 		cs = append(cs, o.cursor(anyHop))
 		size += o.Len()
 	}
-	return orderedSet(mergeMinHop(cs, size))
+	return orderedSet(mergeLowestHop(cs, size))
 }
 
 // UnionPoints is the union of point lists that are not held in sets — a
@@ -292,7 +292,24 @@ func UnionPoints(lists ...[]Point) []Point {
 		cs[i] = cursor{pts: inIDOrder(l), maxHop: anyHop}
 		size += len(l)
 	}
-	return mergeMinHop(cs, size)
+	return mergeLowestHop(cs, size)
+}
+
+// mergeLowestHop is mergeByID's lowest-hop merge collected into a slice of
+// capacity size, every ID once even where a list repeats it (a peer's
+// reply may): the repeat reaches fn right after the first copy.
+func mergeLowestHop(cs []cursor, size int) []Point {
+	out := make([]Point, 0, size)
+	mergeByID(cs, true, func(p Point) {
+		if last := len(out) - 1; last >= 0 && out[last].ID == p.ID {
+			if p.Hop < out[last].Hop {
+				out[last] = p
+			}
+			return
+		}
+		out = append(out, p)
+	})
+	return out
 }
 
 // inIDOrder returns pts if it is in ID order, and a sorted copy otherwise;
@@ -484,9 +501,11 @@ func (c *cursor) head() *Point {
 }
 
 // mergeByID calls fn once for every ID the cursors hold between them, in ID
-// order, with the copy of the first cursor that holds it. Each cursor must
-// walk in ID order with no ID twice.
-func mergeByID(cs []cursor, fn func(Point)) {
+// order, with the copy of the first cursor that holds it — or, if
+// lowestHop, the copy with the lowest hop field, the first cursor's on a
+// tie. Each cursor must walk in ID order; one that holds an ID twice in a
+// row passes it to fn twice.
+func mergeByID(cs []cursor, lowestHop bool, fn func(Point)) {
 	for {
 		var next *Point
 		for i := range cs {
@@ -497,72 +516,15 @@ func mergeByID(cs []cursor, fn func(Point)) {
 		if next == nil {
 			return
 		}
-		id := next.ID
-		fn(*next)
+		pick := *next
 		for i := range cs {
-			if p := cs[i].head(); p != nil && p.ID == id {
+			if p := cs[i].head(); p != nil && p.ID == pick.ID {
+				if lowestHop && p.Hop < pick.Hop {
+					pick = *p
+				}
 				cs[i].pts = cs[i].pts[1:]
 			}
 		}
+		fn(pick)
 	}
-}
-
-// mergeMinHop merges walks, each in ID order, into one ID-ordered slice
-// holding every ID once: the copy with the lowest hop field, the earliest
-// walk's on a tie. A walk may repeat an ID on consecutive points; size is
-// the capacity to allocate. The walks sit in a binary heap on (next ID,
-// walk), so a point costs O(log k) for k walks.
-func mergeMinHop(cs []cursor, size int) []Point {
-	type walk struct {
-		cursor
-		order int
-	}
-	before := func(a, b *walk) bool {
-		if x, y := a.pts[0].ID, b.pts[0].ID; x != y {
-			return idLess(x, y)
-		}
-		return a.order < b.order
-	}
-	h := make([]walk, 0, len(cs))
-	for i := range cs {
-		if cs[i].head() != nil {
-			h = append(h, walk{cs[i], i})
-		}
-	}
-	down := func(i int) {
-		for {
-			m, l := i, 2*i+1
-			if l < len(h) && before(&h[l], &h[m]) {
-				m = l
-			}
-			if l+1 < len(h) && before(&h[l+1], &h[m]) {
-				m = l + 1
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	out := make([]Point, 0, size)
-	for len(h) > 0 {
-		p := h[0].pts[0]
-		if h[0].pts = h[0].pts[1:]; h[0].head() == nil {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-		if last := len(out) - 1; last >= 0 && out[last].ID == p.ID {
-			if p.Hop < out[last].Hop {
-				out[last] = p
-			}
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }

@@ -14,7 +14,7 @@ func microScale() Scale {
 		Duration:      120 * time.Second,
 		Seeds:         []uint64{1},
 		AccuracyEvery: 4,
-		Windows:       []int{5, 8},
+		Windows:       []int{5, 10},
 		Outliers:      []int{1, 2},
 	}
 }

@@ -123,3 +123,53 @@ func TestGoldenSimCells(t *testing.T) {
 		})
 	}
 }
+
+// renderFigures renders every figure × metric TSV that cmd/expfig prints,
+// in its order, each block followed by a blank line as on its stdout.
+func renderFigures(t *testing.T, s *Session, scale Scale) string {
+	t.Helper()
+	type metric struct {
+		name string
+		of   func(SeriesPoint) float64
+	}
+	energy := []metric{{"tx_J_per_round", MetricTx}, {"rx_J_per_round", MetricRx}}
+	figures := []struct {
+		build   func(Scale) (Figure, error)
+		metrics []metric
+	}{
+		{s.Fig4, energy},
+		{s.Fig5, []metric{{"avg_total_J", MetricAvgJ}, {"min_total_J", MetricMinJ}, {"max_total_J", MetricMaxJ}}},
+		{s.Fig6, []metric{{"normalized_min", MetricMinJ}, {"normalized_avg", MetricAvgJ}, {"normalized_max", MetricMaxJ}}},
+		{s.Fig7, energy},
+		{s.Fig8, energy},
+		{s.Fig9, energy},
+		{s.AccuracyTable, []metric{{"accuracy", MetricAccuracy}}},
+		{s.ScaleComparison, energy},
+	}
+	var b strings.Builder
+	for _, f := range figures {
+		fig, err := f.build(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range f.metrics {
+			b.WriteString(fig.TSV(m.of, m.name) + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestFiguresGolden pins every TSV cmd/expfig prints — every figure,
+// metric, curve and x value, to the six significant digits a TSV carries
+// — at microScale, against testdata/figures_micro.golden. A change that
+// means to move a figure replaces the file with the text the failure
+// prints and says why.
+func TestFiguresGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figures_micro.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderFigures(t, NewSession(), microScale()); got != string(want) {
+		t.Errorf("figures moved; testdata/figures_micro.golden would read:\n%s", got)
+	}
+}

@@ -8,7 +8,7 @@
 //	expfig [-fig all|fig4|fig5|fig6|fig7|fig8|fig9|accuracy|scale]
 //	       [-full] [-seeds n] [-duration d] [-out dir] [-workers n] [-v]
 //
-// By default a reduced "quick" scale runs (one seed, 400 s); -full
+// By default a reduced "quick" scale runs (one seed, 750 s); -full
 // selects the paper scale (four seeds, 1000 s, full sweeps), which takes
 // considerably longer.
 package main
@@ -32,9 +32,15 @@ func main() {
 }
 
 func run(args []string) error {
+	names := make([]string, len(runner.Figures))
+	for i, spec := range runner.Figures {
+		names[i] = spec.ID
+	}
+	ids := strings.Join(names, ", ")
+
 	fs := flag.NewFlagSet("expfig", flag.ContinueOnError)
 	var (
-		figFlag  = fs.String("fig", "all", "figure to regenerate (all, fig4..fig9, accuracy, scale)")
+		figFlag  = fs.String("fig", "all", "figure to regenerate (all, "+ids+")")
 		full     = fs.Bool("full", false, "paper scale: 4 seeds, 1000 s, full sweeps")
 		seeds    = fs.Int("seeds", 0, "override the number of seeds")
 		duration = fs.Duration("duration", 0, "override the simulated duration")
@@ -70,53 +76,25 @@ func run(args []string) error {
 		}
 	}
 
-	type metricSpec struct {
-		name   string
-		metric func(runner.SeriesPoint) float64
-	}
-	energyPair := []metricSpec{{"tx_J_per_round", runner.MetricTx}, {"rx_J_per_round", runner.MetricRx}}
-	figures := []struct {
-		id      string
-		build   func(runner.Scale) (runner.Figure, error)
-		metrics []metricSpec
-	}{
-		{"fig4", session.Fig4, energyPair},
-		{"fig5", session.Fig5, []metricSpec{
-			{"avg_total_J", runner.MetricAvgJ},
-			{"min_total_J", runner.MetricMinJ},
-			{"max_total_J", runner.MetricMaxJ},
-		}},
-		{"fig6", session.Fig6, []metricSpec{
-			{"normalized_min", runner.MetricMinJ},
-			{"normalized_avg", runner.MetricAvgJ},
-			{"normalized_max", runner.MetricMaxJ},
-		}},
-		{"fig7", session.Fig7, energyPair},
-		{"fig8", session.Fig8, energyPair},
-		{"fig9", session.Fig9, energyPair},
-		{"accuracy", session.AccuracyTable, []metricSpec{{"accuracy", runner.MetricAccuracy}}},
-		{"scale", session.ScaleComparison, energyPair},
-	}
-
 	want := strings.ToLower(*figFlag)
 	matched := false
-	for _, f := range figures {
-		if want != "all" && want != f.id {
+	for _, spec := range runner.Figures {
+		if want != "all" && want != spec.ID {
 			continue
 		}
 		matched = true
-		fig, err := f.build(scale)
+		fig, err := session.Figure(spec, scale)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.id, err)
+			return fmt.Errorf("%s: %w", spec.ID, err)
 		}
-		for _, m := range f.metrics {
-			tsv := fig.TSV(m.metric, m.name)
+		for _, m := range spec.Metrics {
+			tsv := fig.TSV(m.Of, m.Name)
 			fmt.Println(tsv)
 			if *outDir != "" {
 				if err := os.MkdirAll(*outDir, 0o755); err != nil {
 					return err
 				}
-				path := filepath.Join(*outDir, fmt.Sprintf("%s_%s.tsv", f.id, m.name))
+				path := filepath.Join(*outDir, fmt.Sprintf("%s_%s.tsv", spec.ID, m.Name))
 				if err := os.WriteFile(path, []byte(tsv), 0o644); err != nil {
 					return err
 				}
@@ -124,7 +102,7 @@ func run(args []string) error {
 		}
 	}
 	if !matched {
-		return fmt.Errorf("unknown figure %q", *figFlag)
+		return fmt.Errorf("unknown figure %q (want all, %s)", *figFlag, ids)
 	}
 	return nil
 }

@@ -31,8 +31,6 @@ type Config struct {
 	WindowSamples int
 	// Stream supplies sensor readings.
 	Stream *dataset.Stream
-	// LocationWeight scales coordinate features (1 = paper's raw).
-	LocationWeight float64
 }
 
 // App is the centralized-baseline firmware for one node (sensors and the
@@ -64,9 +62,6 @@ func New(cfg Config) (*App, error) {
 	}
 	if cfg.WindowSamples < 1 {
 		return nil, fmt.Errorf("baseline: WindowSamples must be positive, got %d", cfg.WindowSamples)
-	}
-	if cfg.LocationWeight == 0 {
-		cfg.LocationWeight = 1
 	}
 	return &App{cfg: cfg, collected: make(map[core.PointID]core.Point)}, nil
 }
@@ -144,7 +139,7 @@ func (a *App) sample(n *wsn.Node, epoch int) {
 	if !ok {
 		return
 	}
-	a.window = append(a.window, core.NewPoint(n.ID, uint32(epoch), logical, s.Features(a.cfg.LocationWeight)...))
+	a.window = append(a.window, core.NewPoint(n.ID, uint32(epoch), logical, s.Features()...))
 	if len(a.window) > a.cfg.WindowSamples {
 		a.window = a.window[len(a.window)-a.cfg.WindowSamples:]
 	}

@@ -80,7 +80,7 @@ func TestSinkComputesAndFloodsResult(t *testing.T) {
 				if !ok {
 					continue
 				}
-				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features(1)...))
+				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features()...))
 			}
 		}
 		truth := core.TopN(core.NN(), union, 2)
@@ -153,7 +153,7 @@ func TestLossTolerance(t *testing.T) {
 				if !ok {
 					continue
 				}
-				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features(1)...))
+				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features()...))
 			}
 		}
 		truth := core.TopN(core.NN(), union, 2)

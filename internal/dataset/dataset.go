@@ -68,11 +68,19 @@ type Sample struct {
 }
 
 // Features returns the feature vector the ranking functions consume:
-// temperature plus the location coordinates weighted by locWeight (the
-// paper feeds coordinates in directly, locWeight = 1).
-func (s Sample) Features(locWeight float64) []float64 {
-	return []float64{s.Temp, s.X * locWeight, s.Y * locWeight}
+// temperature plus the location coordinates, fed in directly as the
+// paper does.
+func (s Sample) Features() []float64 {
+	return []float64{s.Temp, s.X, s.Y}
 }
+
+const (
+	// terrain is the edge of the square lab floor, in meters.
+	terrain = 50
+	// imputeWindow is how many preceding readings the missing-value
+	// imputation averages over.
+	imputeWindow = 5
+)
 
 // Config parameterizes stream generation. The zero value of any field
 // takes the defaults of the paper's setup.
@@ -85,13 +93,6 @@ type Config struct {
 	MissingProb float64 // P(reading lost); default 0.03
 	SpikeProb   float64 // P(transient spike per reading); default 0.008
 	StuckProb   float64 // P(entering a stuck-at run per reading); default 0.0015
-
-	Terrain    float64 // terrain edge in meters; default 50
-	RadioRange float64 // connectivity check range; default 6.77
-
-	// ImputeWindow is how many preceding readings the missing-value
-	// imputation averages over; default 5.
-	ImputeWindow int
 }
 
 func (c *Config) applyDefaults() {
@@ -112,15 +113,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.StuckProb == 0 {
 		c.StuckProb = 0.0015
-	}
-	if c.Terrain == 0 {
-		c.Terrain = 50
-	}
-	if c.RadioRange == 0 {
-		c.RadioRange = 6.77
-	}
-	if c.ImputeWindow == 0 {
-		c.ImputeWindow = 5
 	}
 }
 
@@ -158,7 +150,7 @@ func Generate(cfg Config) (*Stream, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5851f42d4c957f2d))
-	positions := LabLayout(cfg.Nodes, cfg.Terrain, rng)
+	positions := LabLayout(cfg.Nodes, terrain, rng)
 
 	st := &Stream{
 		cfg:       cfg,
@@ -222,7 +214,7 @@ func Generate(cfg Config) (*Stream, error) {
 			if rng.Float64() < cfg.MissingProb {
 				s.Missing = true
 				s.Fault = FaultNone
-				s.Temp = st.imputed(id, cfg.ImputeWindow, diurnal+spatialField(pos))
+				s.Temp = st.imputed(id, imputeWindow, diurnal+spatialField(pos))
 			}
 
 			st.byNode[id] = append(st.byNode[id], s)

@@ -197,8 +197,8 @@ func TestMissingImputation(t *testing.T) {
 
 func TestFeatures(t *testing.T) {
 	s := Sample{Temp: 20, X: 3, Y: 4}
-	got := s.Features(0.5)
-	if got[0] != 20 || got[1] != 1.5 || got[2] != 2 {
+	got := s.Features()
+	if got[0] != 20 || got[1] != 3 || got[2] != 4 {
 		t.Fatalf("Features = %v", got)
 	}
 }

@@ -29,10 +29,6 @@ type Config struct {
 	// each sensor accurately maintains Γ_i; neighbor discovery beacons
 	// are out of scope for both the paper and this reproduction).
 	Topology *wsn.Topology
-
-	// LocationWeight scales the coordinate features (1 = the paper's
-	// raw coordinates).
-	LocationWeight float64
 }
 
 // App is the distributed-detection firmware for one node. It implements
@@ -49,9 +45,6 @@ var _ wsn.App = (*App)(nil)
 func New(id core.NodeID, cfg Config) (*App, error) {
 	if cfg.Stream == nil || cfg.Topology == nil {
 		return nil, fmt.Errorf("protocol: Stream and Topology are required")
-	}
-	if cfg.LocationWeight == 0 {
-		cfg.LocationWeight = 1
 	}
 	dcfg := cfg.Detector
 	dcfg.Node = id
@@ -107,7 +100,7 @@ func (a *App) sample(n *wsn.Node, epoch int) {
 	if s, ok := a.cfg.Stream.At(n.ID, epoch); ok {
 		obs = []core.Observation{{
 			Birth:    logical,
-			Value:    s.Features(a.cfg.LocationWeight),
+			Value:    s.Features(),
 			Seq:      uint32(epoch),
 			Assigned: true,
 		}}

@@ -87,7 +87,7 @@ func TestConvergesOverRadio(t *testing.T) {
 				if !ok {
 					continue
 				}
-				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features(1)...))
+				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features()...))
 			}
 		}
 		truth := core.TopN(core.NN(), union, 2)
@@ -122,7 +122,7 @@ func TestSurvivesLoss(t *testing.T) {
 				if !ok {
 					continue
 				}
-				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features(1)...))
+				union.Add(core.NewPoint(id, uint32(e), time.Duration(e)*period, s.Features()...))
 			}
 		}
 		truth := core.TopN(core.NN(), union, 2)

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,12 +16,11 @@ type Scale struct {
 	Period        time.Duration
 	Duration      time.Duration
 	Seeds         []uint64
-	LossProb      float64
 	AccuracyEvery int
-	// Windows is the sliding-window sweep (the paper uses 10..40 in
+	// Windows is the sweep of the w axis (the paper uses 10..40 in
 	// steps of 5).
 	Windows []int
-	// Outliers is the n sweep of Fig. 9 (the paper uses 1..8).
+	// Outliers is the sweep of the n axis, Fig. 9's (the paper uses 1..8).
 	Outliers []int
 }
 
@@ -65,7 +65,6 @@ func (s Scale) base(algo Algorithm) Config {
 		Period:        s.Period,
 		Duration:      s.Duration,
 		Seeds:         s.Seeds,
-		LossProb:      s.LossProb,
 		AccuracyEvery: s.AccuracyEvery,
 	}
 }
@@ -136,10 +135,9 @@ func (f Figure) TSV(metric func(SeriesPoint) float64, metricName string) string 
 
 // Session memoizes experiment cells across figures (Figs. 4–6 share the
 // same runs; the centralized curve is shared by Figs. 7–9). It is safe
-// for concurrent use: the figure builders fan their sweep cells out in
-// parallel, and a cell requested by several figures at once is executed
-// exactly once (per-cell single-flight) with every requester blocking on
-// the same run.
+// for concurrent use: Figure fans a figure's cells out in parallel, and a
+// cell requested by several figures at once is executed exactly once
+// (per-cell single-flight) with every requester blocking on the same run.
 type Session struct {
 	mu    sync.Mutex
 	cache map[string]*sessionCell
@@ -175,10 +173,10 @@ func NewSession() *Session {
 // cacheKey identifies a cell by every field that affects its results;
 // Workers is deliberately absent (it only shapes scheduling).
 func cacheKey(cfg Config) string {
-	return fmt.Sprintf("%v|%s|k%d|n%d|w%d|h%d|%d|%v|%v|%v|%v|%v|acc%d|wu%d",
+	return fmt.Sprintf("%v|%s|k%d|n%d|w%d|h%d|%d|%v|%v|%v|%v|acc%d|wu%d",
 		cfg.Algo, cfg.Ranker, cfg.K, cfg.N, cfg.WindowSamples, cfg.HopLimit,
 		cfg.Nodes, cfg.Period, cfg.Duration, cfg.Seeds, cfg.LossProb,
-		cfg.LocationWeight, cfg.AccuracyEvery, cfg.WarmupRounds)
+		cfg.AccuracyEvery, cfg.WarmupRounds)
 }
 
 func (s *Session) run(cfg Config) (Result, error) {
@@ -215,310 +213,164 @@ func point(x float64, res Result) SeriesPoint {
 	}
 }
 
-// windowSweep runs one algorithm configuration across the window sweep,
-// all cells concurrently. The series is assembled in window order, so the
-// output is independent of scheduling.
-func (s *Session) windowSweep(scale Scale, label string, mutate func(*Config)) (Series, error) {
-	points := make([]SeriesPoint, len(scale.Windows))
-	err := forEachIndex(len(scale.Windows), func(i int) error {
-		w := scale.Windows[i]
-		cfg := scale.base(AlgoGlobal)
-		mutate(&cfg)
-		cfg.WindowSamples = w
+// Axis is the Config field a figure's x axis sets.
+type Axis int
+
+// The x axes of §7.
+const (
+	AxisW     Axis = iota // sliding window w, swept over Scale.Windows
+	AxisN                 // outliers reported n, swept over Scale.Outliers
+	AxisNodes             // network size; a figure on it fixes its values
+)
+
+func (a Axis) String() string { return [...]string{"w", "n", "nodes"}[a] }
+
+func (a Axis) set(cfg *Config, x int) {
+	switch a {
+	case AxisW:
+		cfg.WindowSamples = x
+	case AxisN:
+		cfg.N = x
+	case AxisNodes:
+		cfg.Nodes = x
+	}
+}
+
+func (a Axis) sweep(scale Scale) []int {
+	switch a {
+	case AxisW:
+		return scale.Windows
+	case AxisN:
+		return scale.Outliers
+	}
+	return nil
+}
+
+// Curve is one labeled line of a figure: the algorithm, ranker and ε its
+// cells run. Each cell has the paper's k=4, n=4 and w=20 unless the
+// figure's axis sets one of them.
+type Curve struct {
+	Label    string
+	Algo     Algorithm
+	Ranker   RankerKind
+	HopLimit int
+}
+
+func (c Curve) config(scale Scale) Config {
+	cfg := scale.base(c.Algo)
+	cfg.Ranker, cfg.K, cfg.N, cfg.WindowSamples, cfg.HopLimit = c.Ranker, 4, 4, 20, c.HopLimit
+	return cfg
+}
+
+// Metric is one quantity a figure plots, under its TSV name.
+type Metric struct {
+	Name string
+	Of   func(SeriesPoint) float64
+}
+
+// FigureSpec is one table or figure of §7: its curves over one x axis,
+// and the metrics it plots.
+type FigureSpec struct {
+	ID, Title string
+	X         Axis
+	Xs        []int // the x values; nil takes the axis's sweep from the Scale
+	Curves    []Curve
+	Metrics   []Metric
+	// NormalizeAt keeps only these x values and divides each point's
+	// min/avg/max energy by its average (Fig. 6).
+	NormalizeAt []int
+}
+
+func (f FigureSpec) xs(scale Scale) []int {
+	xs := f.Xs
+	if xs == nil {
+		xs = f.X.sweep(scale)
+	}
+	if f.NormalizeAt == nil {
+		return xs
+	}
+	var kept []int
+	for _, x := range xs {
+		if slices.Contains(f.NormalizeAt, x) {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
+var (
+	globalCurves = []Curve{
+		{"Centralized", AlgoCentralized, RankNN, 0},
+		{"Global-NN", AlgoGlobal, RankNN, 0},
+		{"Global-KNN", AlgoGlobal, RankKNN, 0},
+	}
+	energy = []Metric{{"tx_J_per_round", MetricTx}, {"rx_J_per_round", MetricRx}}
+)
+
+// semiCurves is the centralized curve and the semi-global ones for
+// ε ∈ {1, 2, 3} with the given ranker.
+func semiCurves(ranker RankerKind) []Curve {
+	return []Curve{
+		{"Centralized", AlgoCentralized, RankNN, 0},
+		{"Semi-global, epsilon=1", AlgoSemiGlobal, ranker, 1},
+		{"Semi-global, epsilon=2", AlgoSemiGlobal, ranker, 2},
+		{"Semi-global, epsilon=3", AlgoSemiGlobal, ranker, 3},
+	}
+}
+
+// Figures is §7 in cmd/expfig's order: Figs. 4–9, the §7.1 accuracy
+// claim and the 32- vs 53-node comparison. Figs. 4–6 share their cells,
+// and the centralized curve is shared by Figs. 7–9.
+var Figures = []FigureSpec{
+	{ID: "fig4", Title: "Avg TX/RX energy per node per round vs w (global, n=4, k=4)",
+		X: AxisW, Curves: globalCurves, Metrics: energy},
+	{ID: "fig5", Title: "Avg/min/max total energy per node vs w (global)",
+		X: AxisW, Curves: globalCurves, Metrics: []Metric{
+			{"avg_total_J", MetricAvgJ}, {"min_total_J", MetricMinJ}, {"max_total_J", MetricMaxJ}}},
+	{ID: "fig6", Title: "Normalized min/avg/max node energy (global), w ∈ {10,20,40}",
+		X: AxisW, Curves: globalCurves, NormalizeAt: []int{10, 20, 40}, Metrics: []Metric{
+			{"normalized_min", MetricMinJ}, {"normalized_avg", MetricAvgJ}, {"normalized_max", MetricMaxJ}}},
+	{ID: "fig7", Title: "Avg TX/RX energy per node per round vs w (semi-global NN, n=4)",
+		X: AxisW, Curves: semiCurves(RankNN), Metrics: energy},
+	{ID: "fig8", Title: "Avg TX/RX energy per node per round vs w (semi-global KNN, n=4, k=4)",
+		X: AxisW, Curves: semiCurves(RankKNN), Metrics: energy},
+	{ID: "fig9", Title: "Avg TX/RX energy per node per round vs n (semi-global KNN, w=20, k=4)",
+		X: AxisN, Curves: semiCurves(RankKNN), Metrics: energy},
+	{ID: "accuracy", Title: "Detection accuracy (§7.1 reports ≈0.99 for the distributed algorithms)",
+		X: AxisW, Xs: []int{20}, Curves: []Curve{
+			{"Global-NN", AlgoGlobal, RankNN, 0},
+			{"Global-KNN", AlgoGlobal, RankKNN, 0},
+			{"Semi-global NN eps=2", AlgoSemiGlobal, RankNN, 2},
+			{"Centralized", AlgoCentralized, RankNN, 0},
+		}, Metrics: []Metric{{"accuracy", MetricAccuracy}}},
+	{ID: "scale", Title: "Distributed advantage vs network size (TX J per node per round, w=20, n=4)",
+		X: AxisNodes, Xs: []int{32, 53}, Curves: globalCurves[:2], Metrics: energy},
+}
+
+// Figure runs spec's cells, one per curve and x value, all at once
+// through the session, and assembles the curves by index, so the output
+// does not depend on scheduling.
+func (s *Session) Figure(spec FigureSpec, scale Scale) (Figure, error) {
+	xs := spec.xs(scale)
+	fig := Figure{ID: spec.ID, Title: spec.Title, XLabel: spec.X.String(), Series: make([]Series, len(spec.Curves))}
+	for i, c := range spec.Curves {
+		fig.Series[i] = Series{Label: c.Label, Points: make([]SeriesPoint, len(xs))}
+	}
+	err := forEachIndex(len(spec.Curves)*len(xs), func(i int) error {
+		c, x := spec.Curves[i/len(xs)], xs[i%len(xs)]
+		cfg := c.config(scale)
+		spec.X.set(&cfg, x)
 		res, err := s.run(cfg)
 		if err != nil {
-			return fmt.Errorf("%s w=%d: %w", label, w, err)
+			return fmt.Errorf("%s %s=%d: %w", c.Label, spec.X, x, err)
 		}
-		points[i] = point(float64(w), res)
-		return nil
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	return Series{Label: label, Points: points}, nil
-}
-
-// globalSweepSeries returns the three curves of Figs. 4–6: Centralized,
-// Global-NN and Global-KNN with n=4, k=4. The curves — and their cells —
-// compute concurrently.
-func (s *Session) globalSweepSeries(scale Scale) ([]Series, error) {
-	specs := []struct {
-		label  string
-		mutate func(*Config)
-	}{
-		{"Centralized", func(c *Config) { c.Algo = AlgoCentralized; c.Ranker = RankNN; c.N = 4 }},
-		{"Global-NN", func(c *Config) { c.Algo = AlgoGlobal; c.Ranker = RankNN; c.N = 4 }},
-		{"Global-KNN", func(c *Config) { c.Algo = AlgoGlobal; c.Ranker = RankKNN; c.K = 4; c.N = 4 }},
-	}
-	out := make([]Series, len(specs))
-	err := forEachIndex(len(specs), func(i int) error {
-		series, err := s.windowSweep(scale, specs[i].label, specs[i].mutate)
-		if err != nil {
-			return err
+		p := point(float64(x), res)
+		if spec.NormalizeAt != nil && p.AvgJ > 0 {
+			p.MinJ /= p.AvgJ
+			p.MaxJ /= p.AvgJ
+			p.AvgJ = 1
 		}
-		out[i] = series
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Fig4 regenerates Figure 4: average TX and RX energy per node per
-// sampling period vs w (n=4, k=4) for global outlier detection.
-func (s *Session) Fig4(scale Scale) (Figure, error) {
-	series, err := s.globalSweepSeries(scale)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig4",
-		Title:  "Avg TX/RX energy per node per round vs w (global, n=4, k=4)",
-		XLabel: "w",
-		Series: series,
-	}, nil
-}
-
-// Fig5 regenerates Figure 5: average, minimum and maximum total energy
-// consumed by a node vs w for global outlier detection.
-func (s *Session) Fig5(scale Scale) (Figure, error) {
-	series, err := s.globalSweepSeries(scale)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig5",
-		Title:  "Avg/min/max total energy per node vs w (global)",
-		XLabel: "w",
-		Series: series,
-	}, nil
-}
-
-// Fig6 regenerates Figure 6: min/avg/max energy normalized by the
-// average, at w ∈ {10, 20, 40}.
-func (s *Session) Fig6(scale Scale) (Figure, error) {
-	series, err := s.globalSweepSeries(scale)
-	if err != nil {
-		return Figure{}, err
-	}
-	var out []Series
-	for _, ser := range series {
-		norm := Series{Label: ser.Label}
-		for _, p := range ser.Points {
-			w := int(p.X)
-			if w != 10 && w != 20 && w != 40 {
-				continue
-			}
-			if p.AvgJ > 0 {
-				p.MinJ /= p.AvgJ
-				p.MaxJ /= p.AvgJ
-				p.AvgJ = 1
-			}
-			norm.Points = append(norm.Points, p)
-		}
-		out = append(out, norm)
-	}
-	return Figure{
-		ID:     "fig6",
-		Title:  "Normalized min/avg/max node energy (global), w ∈ {10,20,40}",
-		XLabel: "w",
-		Series: out,
-	}, nil
-}
-
-// semiSweep returns the centralized curve plus semi-global curves for
-// ε ∈ {1,2,3} with the given ranker, across the window sweep; all four
-// curves compute concurrently.
-func (s *Session) semiSweep(scale Scale, ranker RankerKind) ([]Series, error) {
-	out := make([]Series, 4)
-	err := forEachIndex(4, func(i int) error {
-		var (
-			series Series
-			err    error
-		)
-		if i == 0 {
-			series, err = s.windowSweep(scale, "Centralized",
-				func(c *Config) { c.Algo = AlgoCentralized; c.Ranker = RankNN; c.N = 4 })
-		} else {
-			eps := i
-			series, err = s.windowSweep(scale, fmt.Sprintf("Semi-global, epsilon=%d", eps),
-				func(c *Config) {
-					c.Algo = AlgoSemiGlobal
-					c.Ranker = ranker
-					c.K = 4
-					c.N = 4
-					c.HopLimit = eps
-				})
-		}
-		if err != nil {
-			return err
-		}
-		out[i] = series
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Fig7 regenerates Figure 7: TX/RX energy per round vs w for semi-global
-// NN detection, ε ∈ {1,2,3}, against the centralized baseline.
-func (s *Session) Fig7(scale Scale) (Figure, error) {
-	series, err := s.semiSweep(scale, RankNN)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig7",
-		Title:  "Avg TX/RX energy per node per round vs w (semi-global NN, n=4)",
-		XLabel: "w",
-		Series: series,
-	}, nil
-}
-
-// Fig8 regenerates Figure 8: the same sweep with KNN (k=4).
-func (s *Session) Fig8(scale Scale) (Figure, error) {
-	series, err := s.semiSweep(scale, RankKNN)
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig8",
-		Title:  "Avg TX/RX energy per node per round vs w (semi-global KNN, n=4, k=4)",
-		XLabel: "w",
-		Series: series,
-	}, nil
-}
-
-// Fig9 regenerates Figure 9: TX/RX energy per round vs the number of
-// reported outliers n (w=20, k=4) for semi-global KNN detection.
-func (s *Session) Fig9(scale Scale) (Figure, error) {
-	nSweep := func(label string, mutate func(*Config)) (Series, error) {
-		points := make([]SeriesPoint, len(scale.Outliers))
-		err := forEachIndex(len(scale.Outliers), func(i int) error {
-			n := scale.Outliers[i]
-			cfg := scale.base(AlgoGlobal)
-			mutate(&cfg)
-			cfg.N = n
-			cfg.WindowSamples = 20
-			res, err := s.run(cfg)
-			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", label, n, err)
-			}
-			points[i] = point(float64(n), res)
-			return nil
-		})
-		if err != nil {
-			return Series{}, err
-		}
-		return Series{Label: label, Points: points}, nil
-	}
-	series := make([]Series, 4)
-	err := forEachIndex(4, func(i int) error {
-		var (
-			ser Series
-			err error
-		)
-		if i == 0 {
-			ser, err = nSweep("Centralized", func(c *Config) { c.Algo = AlgoCentralized; c.Ranker = RankNN })
-		} else {
-			eps := i
-			ser, err = nSweep(fmt.Sprintf("Semi-global, epsilon=%d", eps), func(c *Config) {
-				c.Algo = AlgoSemiGlobal
-				c.Ranker = RankKNN
-				c.K = 4
-				c.HopLimit = eps
-			})
-		}
-		if err != nil {
-			return err
-		}
-		series[i] = ser
-		return nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return Figure{
-		ID:     "fig9",
-		Title:  "Avg TX/RX energy per node per round vs n (semi-global KNN, w=20, k=4)",
-		XLabel: "n",
-		Series: series,
-	}, nil
-}
-
-// AccuracyTable regenerates the §7.1 accuracy claim: the fraction of
-// sensor-rounds whose estimate equals ground truth, per algorithm, at
-// w=20, n=4.
-func (s *Session) AccuracyTable(scale Scale) (Figure, error) {
-	specs := []struct {
-		label  string
-		mutate func(*Config)
-	}{
-		{"Global-NN", func(c *Config) { c.Algo = AlgoGlobal; c.Ranker = RankNN }},
-		{"Global-KNN", func(c *Config) { c.Algo = AlgoGlobal; c.Ranker = RankKNN; c.K = 4 }},
-		{"Semi-global NN eps=2", func(c *Config) { c.Algo = AlgoSemiGlobal; c.Ranker = RankNN; c.HopLimit = 2 }},
-		{"Centralized", func(c *Config) { c.Algo = AlgoCentralized; c.Ranker = RankNN }},
-	}
-	fig := Figure{
-		ID:     "accuracy",
-		Title:  "Detection accuracy (§7.1 reports ≈0.99 for the distributed algorithms)",
-		XLabel: "w",
-	}
-	fig.Series = make([]Series, len(specs))
-	err := forEachIndex(len(specs), func(i int) error {
-		cfg := scale.base(AlgoGlobal)
-		specs[i].mutate(&cfg)
-		cfg.N = 4
-		cfg.WindowSamples = 20
-		res, err := s.run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", specs[i].label, err)
-		}
-		fig.Series[i] = Series{
-			Label:  specs[i].label,
-			Points: []SeriesPoint{point(20, res)},
-		}
-		return nil
-	})
-	if err != nil {
-		return Figure{}, err
-	}
-	return fig, nil
-}
-
-// ScaleComparison regenerates the §7.1 network-size observation: the
-// distributed algorithm's advantage over centralization grows from the
-// 32-node to the 53-node network.
-func (s *Session) ScaleComparison(scale Scale) (Figure, error) {
-	fig := Figure{
-		ID:     "scale",
-		Title:  "Distributed advantage vs network size (TX J per node per round, w=20, n=4)",
-		XLabel: "nodes",
-	}
-	labels := []string{"Centralized", "Global-NN"}
-	sizes := []int{32, 53}
-	fig.Series = make([]Series, len(labels))
-	for i, label := range labels {
-		fig.Series[i] = Series{Label: label, Points: make([]SeriesPoint, len(sizes))}
-	}
-	err := forEachIndex(len(labels)*len(sizes), func(i int) error {
-		label, nodes := labels[i/len(sizes)], sizes[i%len(sizes)]
-		cfg := scale.base(AlgoGlobal)
-		cfg.Nodes = nodes
-		cfg.N = 4
-		cfg.WindowSamples = 20
-		cfg.Ranker = RankNN
-		if label == "Centralized" {
-			cfg.Algo = AlgoCentralized
-		}
-		res, err := s.run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s nodes=%d: %w", label, nodes, err)
-		}
-		fig.Series[i/len(sizes)].Points[i%len(sizes)] = point(float64(nodes), res)
+		fig.Series[i/len(xs)].Points[i%len(xs)] = p
 		return nil
 	})
 	if err != nil {

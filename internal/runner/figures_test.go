@@ -19,6 +19,28 @@ func microScale() Scale {
 	}
 }
 
+// figureSpec returns the entry of the Figures table with the given ID.
+func figureSpec(t *testing.T, id string) FigureSpec {
+	t.Helper()
+	for _, spec := range Figures {
+		if spec.ID == id {
+			return spec
+		}
+	}
+	t.Fatalf("no figure %q in the table", id)
+	return FigureSpec{}
+}
+
+// figure runs the table's figure with the given ID.
+func figure(t *testing.T, s *Session, id string, scale Scale) Figure {
+	t.Helper()
+	fig, err := s.Figure(figureSpec(t, id), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
 // TestFig4SeriesShape checks every energy figure the session builds on
 // the micro scale: the series the paper plots, one point per x value, and
 // non-zero energy past warm-up.
@@ -28,20 +50,16 @@ func TestFig4SeriesShape(t *testing.T) {
 	semi := []string{"Centralized", "Semi-global, epsilon=1", "Semi-global, epsilon=2", "Semi-global, epsilon=3"}
 	for _, tc := range []struct {
 		id     string
-		build  func(Scale) (Figure, error)
 		labels []string
 		points int
 	}{
-		{"fig4", s.Fig4, []string{"Centralized", "Global-NN", "Global-KNN"}, len(scale.Windows)},
-		{"fig7", s.Fig7, semi, len(scale.Windows)},
-		{"fig8", s.Fig8, semi, len(scale.Windows)},
-		{"fig9", s.Fig9, semi, len(scale.Outliers)},
-		{"scale", s.ScaleComparison, []string{"Centralized", "Global-NN"}, 2},
+		{"fig4", []string{"Centralized", "Global-NN", "Global-KNN"}, len(scale.Windows)},
+		{"fig7", semi, len(scale.Windows)},
+		{"fig8", semi, len(scale.Windows)},
+		{"fig9", semi, len(scale.Outliers)},
+		{"scale", []string{"Centralized", "Global-NN"}, 2},
 	} {
-		fig, err := tc.build(scale)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fig := figure(t, s, tc.id, scale)
 		if fig.ID != tc.id || len(fig.Series) != len(tc.labels) {
 			t.Fatalf("%s shape: %s with %d series", tc.id, fig.ID, len(fig.Series))
 		}
@@ -66,17 +84,11 @@ func TestSessionMemoizesAcrossFigures(t *testing.T) {
 	calls := 0
 	s.Observer = func(Config, Result) { calls++ }
 	scale := microScale()
-	if _, err := s.Fig4(scale); err != nil {
-		t.Fatal(err)
-	}
+	figure(t, s, "fig4", scale)
 	after4 := calls
 	// Fig5 and Fig6 reuse Fig4's runs entirely.
-	if _, err := s.Fig5(scale); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Fig6(scale); err != nil {
-		t.Fatal(err)
-	}
+	figure(t, s, "fig5", scale)
+	figure(t, s, "fig6", scale)
 	if calls != after4 {
 		t.Fatalf("figs 5/6 re-ran %d cells; expected full cache reuse", calls-after4)
 	}
@@ -86,10 +98,7 @@ func TestFig6Normalization(t *testing.T) {
 	s := NewSession()
 	scale := microScale()
 	scale.Windows = []int{10, 20} // fig6 keeps only w ∈ {10,20,40}
-	fig, err := s.Fig6(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, s, "fig6", scale)
 	for _, ser := range fig.Series {
 		for _, p := range ser.Points {
 			if p.AvgJ != 1 {
@@ -104,10 +113,7 @@ func TestFig6Normalization(t *testing.T) {
 
 func TestAccuracyTableSeries(t *testing.T) {
 	s := NewSession()
-	fig, err := s.AccuracyTable(microScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := figure(t, s, "accuracy", microScale())
 	if len(fig.Series) != 4 {
 		t.Fatalf("accuracy table has %d rows", len(fig.Series))
 	}

@@ -128,32 +128,11 @@ func TestGoldenSimCells(t *testing.T) {
 // in its order, each block followed by a blank line as on its stdout.
 func renderFigures(t *testing.T, s *Session, scale Scale) string {
 	t.Helper()
-	type metric struct {
-		name string
-		of   func(SeriesPoint) float64
-	}
-	energy := []metric{{"tx_J_per_round", MetricTx}, {"rx_J_per_round", MetricRx}}
-	figures := []struct {
-		build   func(Scale) (Figure, error)
-		metrics []metric
-	}{
-		{s.Fig4, energy},
-		{s.Fig5, []metric{{"avg_total_J", MetricAvgJ}, {"min_total_J", MetricMinJ}, {"max_total_J", MetricMaxJ}}},
-		{s.Fig6, []metric{{"normalized_min", MetricMinJ}, {"normalized_avg", MetricAvgJ}, {"normalized_max", MetricMaxJ}}},
-		{s.Fig7, energy},
-		{s.Fig8, energy},
-		{s.Fig9, energy},
-		{s.AccuracyTable, []metric{{"accuracy", MetricAccuracy}}},
-		{s.ScaleComparison, energy},
-	}
 	var b strings.Builder
-	for _, f := range figures {
-		fig, err := f.build(scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range f.metrics {
-			b.WriteString(fig.TSV(m.of, m.name) + "\n")
+	for _, spec := range Figures {
+		fig := figure(t, s, spec.ID, scale)
+		for _, m := range spec.Metrics {
+			b.WriteString(fig.TSV(m.Of, m.Name) + "\n")
 		}
 	}
 	return b.String()

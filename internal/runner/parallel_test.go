@@ -46,19 +46,20 @@ func TestSessionSingleFlight(t *testing.T) {
 		mu.Unlock()
 	}
 	scale := microScale()
+	fig4, fig5 := figureSpec(t, "fig4"), figureSpec(t, "fig5")
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Fig4(scale); err != nil {
+			if _, err := s.Figure(fig4, scale); err != nil {
 				t.Error(err)
 			}
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Fig5(scale); err != nil {
+			if _, err := s.Figure(fig5, scale); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -79,11 +80,7 @@ func TestSessionSingleFlight(t *testing.T) {
 // same seeds ⇒ same series, regardless of goroutine scheduling.
 func TestFigureOutputDeterministicUnderParallelism(t *testing.T) {
 	render := func() string {
-		s := NewSession()
-		fig, err := s.Fig4(microScale())
-		if err != nil {
-			t.Fatal(err)
-		}
+		fig := figure(t, NewSession(), "fig4", microScale())
 		return fig.TSV(MetricTx, "tx") + fig.TSV(MetricRx, "rx")
 	}
 	a, b := render(), render()

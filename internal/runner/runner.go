@@ -9,7 +9,7 @@
 //  2. average TX / RX energy per node per sampling period, and
 //  3. the average, minimum and maximum total energy consumed by a node.
 //
-// The per-figure sweeps live in figures.go.
+// The table of §7's figures lives in figures.go.
 package runner
 
 import (
@@ -89,8 +89,6 @@ type Config struct {
 	Seeds    []uint64 // one run per seed, metrics averaged (paper: 4)
 	LossProb float64  // radio loss probability
 
-	LocationWeight float64 // coordinate feature scale (paper: raw, 1.0)
-
 	// AccuracyEvery measures accuracy on every k-th round (ground truth
 	// is expensive at scale); 0 disables accuracy measurement.
 	AccuracyEvery int
@@ -136,9 +134,6 @@ func (c *Config) applyDefaults() {
 	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []uint64{1, 2, 3, 4}
-	}
-	if c.LocationWeight == 0 {
-		c.LocationWeight = 1
 	}
 	if c.WarmupRounds == 0 {
 		c.WarmupRounds = 10
@@ -316,9 +311,8 @@ func buildSeedRun(cfg Config, seed uint64) (*seedRun, error) {
 					Window:   window,
 					HopLimit: hop,
 				},
-				Stream:         stream,
-				Topology:       topo,
-				LocationWeight: cfg.LocationWeight,
+				Stream:   stream,
+				Topology: topo,
 			})
 			if err != nil {
 				return nil, err
@@ -331,12 +325,11 @@ func buildSeedRun(cfg Config, seed uint64) (*seedRun, error) {
 		run.sink = centralNode(stream.Positions(), topo) // the lab's gateway sat mid-floor
 		for _, id := range topo.Nodes() {
 			app, err := baseline.New(baseline.Config{
-				Sink:           run.sink,
-				Ranker:         ranker,
-				N:              cfg.N,
-				WindowSamples:  cfg.WindowSamples,
-				Stream:         stream,
-				LocationWeight: cfg.LocationWeight,
+				Sink:          run.sink,
+				Ranker:        ranker,
+				N:             cfg.N,
+				WindowSamples: cfg.WindowSamples,
+				Stream:        stream,
 			})
 			if err != nil {
 				return nil, err
@@ -473,8 +466,7 @@ func (r *seedRun) windowSet(id core.NodeID, epoch int) []core.Point {
 		if !ok {
 			continue
 		}
-		pts = append(pts, core.NewPoint(id, uint32(e), time.Duration(e)*r.cfg.Period,
-			s.Features(r.cfg.LocationWeight)...))
+		pts = append(pts, core.NewPoint(id, uint32(e), time.Duration(e)*r.cfg.Period, s.Features()...))
 	}
 	return pts
 }

@@ -23,11 +23,13 @@ if [[ -n "$UNFORMATTED" ]]; then
 fi
 
 # A -run regex that matches nothing passes silently ("no tests to run"),
-# so renaming a test CI names would drop it from CI without a failure.
-echo "== tests named in ci.yml exist"
-DEFINED=$(go test -list '^Test' ./... | grep '^Test' | sort -u)
+# and so does a -fuzz name that matches nothing ("no fuzz tests to
+# fuzz"), so renaming a test or fuzzer CI names would drop it from CI
+# without a failure.
+echo "== tests and fuzzers named in ci.yml exist"
+DEFINED=$(go test -list '^(Test|Fuzz)' ./... | grep -E '^(Test|Fuzz)' | sort -u)
 MISSING=0
-for name in $(grep -oE -- "-run[ =]('[^']*'|[^ ]+)" .github/workflows/ci.yml | grep -oE 'Test[A-Za-z0-9_]+' | sort -u); do
+for name in $(grep -oE -- "-(run|fuzz)[ =]('[^']*'|[^ ]+)" .github/workflows/ci.yml | grep -oE '(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); do
   if ! grep -qx "$name" <<<"$DEFINED"; then
     echo "ci.yml runs $name, which no package defines" >&2
     MISSING=1

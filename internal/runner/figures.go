@@ -20,7 +20,7 @@ type Scale struct {
 	// Windows is the sweep of the w axis (the paper uses 10..40 in
 	// steps of 5).
 	Windows []int
-	// Outliers is the sweep of the n axis, Fig. 9's (the paper uses 1..8).
+	// Outliers is the sweep of the n axis (Fig. 9; the paper uses 1..8).
 	Outliers []int
 }
 

@@ -130,7 +130,10 @@ func renderFigures(t *testing.T, s *Session, scale Scale) string {
 	t.Helper()
 	var b strings.Builder
 	for _, spec := range Figures {
-		fig := figure(t, s, spec.ID, scale)
+		fig, err := s.Figure(spec, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range spec.Metrics {
 			b.WriteString(fig.TSV(m.Of, m.Name) + "\n")
 		}

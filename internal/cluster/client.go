@@ -324,51 +324,32 @@ func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint6
 	return c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameEstimate, trace: trace}, estimateFragment)
 }
 
-// ledger delivers one chunk of the coordinator's compact-merge delta to
-// a shard's session ledger; the query's trace ID is the session ID.
-// bytes reports the request payload size. A nonzero reqID pins the
-// request identity across retry attempts.
-func (c *ctlClient) ledger(ctx context.Context, addr *net.UDPAddr, reqID uint32, trace uint64,
-	pts []core.Point) (bytes int, err error) {
-	buf, err := protocol.LedgerBody{Session: trace, Points: pts}.Encode()
-	if err != nil {
-		return 0, err
-	}
-	var resp protocol.Frame
-	collect := func(f protocol.Frame) (bool, error) {
-		if f.Kind != protocol.FrameAck {
-			return false, nil
-		}
-		if f.Flags&protocol.FlagUnknownSession != 0 {
-			return false, errUnknownSession
-		}
-		resp = f
-		return true, nil
-	}
-	req := ctlRequest{kind: protocol.FrameLedger, reqID: reqID, trace: trace, body: buf}
-	if err := c.exchange(ctx, addr, req, collect); err != nil {
-		return 0, err
-	}
-	if _, err := protocol.DecodeAck(resp.Body); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
-}
-
-// sufficient runs one compact-merge round against a shard: it returns
-// the shard's Eq. (2) sufficient delta for the session named by the
-// query's trace ID, reassembled from however many fragments the shard
-// split it into, and the response payload size. Retries are safe: the
-// shard replays a computed round, and refuses — rather than recreates —
-// a session it no longer holds.
-func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uint32, trace uint64,
-	round uint16) ([]core.Point, int, error) {
-	buf, err := protocol.SufficientBody{Session: trace, Round: round, FragCount: 1}.Encode()
+// sufficient sends one fragment of a compact-merge round to a shard:
+// body names the session (the query's trace ID), the round, the
+// fragment and its share of the coordinator's delta. The answer to a
+// non-final fragment is empty; the final fragment's is the shard's
+// Eq. (2) sufficient delta for the round, reassembled from however many
+// fragments the shard split it into. bytes reports the response payload
+// plus the request's when it carries points; a bare round trigger, as
+// every round 0 is, counts as no payload. Retries are safe: a nonzero
+// reqID pins the request identity across attempts, the shard absorbs
+// idempotently and replays a computed round, and it refuses — rather
+// than recreates — a session it no longer holds.
+func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uint32,
+	body protocol.SufficientBody) (delta []core.Point, bytes int, err error) {
+	buf, err := body.Encode()
 	if err != nil {
 		return nil, 0, err
 	}
-	req := ctlRequest{kind: protocol.FrameSufficient, reqID: reqID, trace: trace, body: buf}
-	return c.collectFragments(ctx, addr, req, sufficientFragment(trace, round))
+	req := ctlRequest{kind: protocol.FrameSufficient, reqID: reqID, trace: body.Session, body: buf}
+	delta, n, err := c.collectFragments(ctx, addr, req, sufficientFragment(body.Session, body.Round))
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(body.Points) > 0 {
+		n += len(buf)
+	}
+	return delta, n, nil
 }
 
 // sufficientFragment parses SUFFICIENT response fragments of one session

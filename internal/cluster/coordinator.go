@@ -779,7 +779,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		c.traceLog.Record(span)
 		if c.cfg.SlowQuery > 0 && elapsed >= c.cfg.SlowQuery {
 			c.cfg.Logger.Warn("slow query",
-				"trace", traceHex(traceID), "mode", mode,
+				"trace", traceHex(traceID), "mode", res.Mode,
 				"elapsed", elapsed.Round(time.Microsecond), "threshold", c.cfg.SlowQuery,
 				"rounds", res.Rounds, "payload_bytes", res.PayloadBytes)
 		}

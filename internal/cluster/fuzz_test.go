@@ -30,7 +30,6 @@ var bodyCodecs = []bodyCodec{
 	codec("HANDOFF", protocol.DecodeHandoff, protocol.HandoffBody.Encode),
 	codec("ESTIMATE", protocol.DecodeEstimate, protocol.EstimateBody.Encode),
 	codec("READINGS", protocol.DecodeReadings, protocol.ReadingsBody.Encode),
-	codec("LEDGER", protocol.DecodeLedger, protocol.LedgerBody.Encode),
 	codec("SUFFICIENT", protocol.DecodeSufficient, protocol.SufficientBody.Encode),
 	codec("HEALTH", protocol.DecodeHealth, func(b protocol.HealthBody) ([]byte, error) { return b.Encode(), nil }),
 	codec("ACK", protocol.DecodeAck, func(b protocol.AckBody) ([]byte, error) { return b.Encode(), nil }),

@@ -11,6 +11,7 @@ import (
 
 	"innet/internal/core"
 	"innet/internal/obs"
+	"innet/internal/protocol"
 )
 
 // Compact cluster merge: the coordinator runs the paper's Algorithm 1
@@ -19,12 +20,17 @@ import (
 // a node whose dataset is its frozen window snapshot. Rounds exchange
 // Eq. (2) sufficient-set deltas against per-link shared ledgers:
 //
-//	round r: coordinator → shard   LEDGER chunks: Z_c \ ledger_s, the
-//	                               coordinator's sufficient delta over
-//	                               its candidate set C
-//	         coordinator → shard   SUFFICIENT(session, r): "react"
+//	round r: coordinator → shard   SUFFICIENT(session, r) carrying
+//	                               Z_c \ ledger_s, the coordinator's
+//	                               sufficient delta over its candidate
+//	                               set C (in-order fragments if it
+//	                               outgrows one frame)
 //	         shard → coordinator   the shard's sufficient delta over
-//	                               P_s ∪ received, against the ledger
+//	                               P_s ∪ received, against the ledger,
+//	                               in answer to the last fragment
+//
+// Each round is one request/response exchange per shard, the star's
+// version of Algorithm 1's one packet M per link per reaction.
 //
 // When a full round moves no point in either direction the exchange is
 // quiescent, and by the paper's Lemma 3 the coordinator's On(C) equals
@@ -86,7 +92,7 @@ type compactResult struct {
 	outliers []core.Point
 	cand     *core.Set // the coordinator's accumulated candidate set C
 	rounds   int
-	payload  int // point payload bytes exchanged, both directions
+	payload  int // SUFFICIENT payload bytes exchanged, both directions
 }
 
 // compactMerge drives one compact-merge session against the targets. It
@@ -129,14 +135,16 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 			}
 		}
 
-		// Network phase, fanned out per shard: deliver the delta in
-		// byte-budgeted LEDGER chunks, then ask for the shard's round
-		// delta. Every exchange is idempotent under retry. A failing
-		// shard still reports the bytes it confirmed receiving — they
-		// were on the wire, so the cost accounting must include them.
+		// Network phase, fanned out per shard: the coordinator's delta
+		// rides in the round's SUFFICIENT request, in byte-budgeted
+		// in-order fragments, and the answer to the last one is the
+		// shard's round delta. Every exchange is idempotent under retry.
+		// A failing shard still reports the bytes of the fragments it
+		// answered — they were on the wire, so the cost accounting must
+		// include them.
 		type reply struct {
 			pts   []core.Point
-			bytes int // LEDGER payload delivered + SUFFICIENT payload received
+			bytes int // SUFFICIENT payload sent and received
 			reqID uint32
 			start time.Time
 			rtt   time.Duration
@@ -148,43 +156,29 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 			wg.Add(1)
 			go func(i int, st *shardState) {
 				defer wg.Done()
-				start := time.Now()
-				sent := 0
-				for _, chunk := range chunkByBytes(deltas[i], maxFrameBytes) {
-					if len(chunk) == 0 {
-						continue
-					}
-					// One reqID per logical chunk, reused across retry
+				rep := &replies[i]
+				rep.start = time.Now()
+				defer func() { rep.rtt = time.Since(rep.start) }()
+				frags := chunkByBytes(deltas[i], maxFrameBytes)
+				for k, frag := range frags {
+					// One reqID per fragment, reused across retry
 					// attempts: the shard's dedupe and replay machinery
 					// must see a resend, not a fresh request.
-					reqID := c.client.newReqID()
+					rep.reqID = c.client.newReqID()
+					body := protocol.SufficientBody{Session: trace, Round: uint16(round),
+						Frag: uint16(k), FragCount: uint16(len(frags)), Points: frag}
 					var nb int
 					err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
 						var err error
-						nb, err = c.client.ledger(ctx, st.udp, reqID, trace, chunk)
+						rep.pts, nb, err = c.client.sufficient(ctx, st.udp, rep.reqID, body)
 						return err
 					})
 					if err != nil {
-						replies[i] = reply{bytes: sent, reqID: reqID, start: start, rtt: time.Since(start),
-							err: fmt.Errorf("ledger to %s: %w", st.addr, err)}
+						rep.err = fmt.Errorf("sufficient with %s: %w", st.addr, err)
 						return
 					}
-					sent += nb
+					rep.bytes += nb
 				}
-				reqID := c.client.newReqID()
-				var pts []core.Point
-				var nb int
-				err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
-					var err error
-					pts, nb, err = c.client.sufficient(ctx, st.udp, reqID, trace, uint16(round))
-					return err
-				})
-				if err != nil {
-					replies[i] = reply{bytes: sent, reqID: reqID, start: start, rtt: time.Since(start),
-						err: fmt.Errorf("sufficient from %s: %w", st.addr, err)}
-					return
-				}
-				replies[i] = reply{pts: pts, bytes: sent + nb, reqID: reqID, start: start, rtt: time.Since(start)}
 			}(i, st)
 		}
 		wg.Wait()

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"errors"
 
 	"innet/internal/baseline"
 	"innet/internal/core"
@@ -106,8 +107,9 @@ func (p *lossyProxy) close() {
 }
 
 // mergeCluster boots 3 shards behind lossy proxies plus a coordinator
-// routed through them and a single-process reference.
-func mergeCluster(t *testing.T, replicas int) (*Coordinator, *ingest.Service, []*testShard, []*lossyProxy) {
+// routed through them and a single-process reference. tune, if given,
+// adjusts the coordinator's Config before it starts.
+func mergeCluster(t *testing.T, replicas int, tune ...func(*Config)) (*Coordinator, *ingest.Service, []*testShard, []*lossyProxy) {
 	t.Helper()
 	var shards []*testShard
 	var proxies []*lossyProxy
@@ -120,7 +122,7 @@ func mergeCluster(t *testing.T, replicas int) (*Coordinator, *ingest.Service, []
 		proxies = append(proxies, px)
 		addrs = append(addrs, px.addr())
 	}
-	coord, err := New(Config{
+	cfg := Config{
 		Detector:      clusterDetCfg,
 		Shards:        addrs,
 		Replicas:      replicas,
@@ -132,7 +134,11 @@ func mergeCluster(t *testing.T, replicas int) (*Coordinator, *ingest.Service, []
 		// so down-marking is effectively disabled.
 		HealthInterval: 50 * time.Millisecond,
 		HealthMisses:   1 << 20,
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	coord, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +151,14 @@ func mergeCluster(t *testing.T, replicas int) (*Coordinator, *ingest.Service, []
 	return coord, single, shards, proxies
 }
 
-// dropEveryNth drops every n-th merge-carrying frame (LEDGER, SUFFICIENT
-// and ESTIMATE, both directions), leaving the health plane alone so loss
+// dropEveryNth drops every n-th merge-carrying frame (SUFFICIENT and
+// ESTIMATE, both directions), leaving the health plane alone so loss
 // cannot masquerade as shard death.
 func dropEveryNth(n int) func(protocol.Frame) bool {
 	count := 0
 	return func(f protocol.Frame) bool {
 		switch f.Kind {
-		case protocol.FrameLedger, protocol.FrameSufficient, protocol.FrameEstimate:
+		case protocol.FrameSufficient, protocol.FrameEstimate:
 			count++
 			return count%n == 0
 		}
@@ -332,8 +338,8 @@ func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 	}
 }
 
-// TestCompactMergeBlackholedFramesFallBackExact black-holes every LEDGER
-// and SUFFICIENT frame on one shard's link while ASSIGN/ESTIMATE/READINGS
+// TestCompactMergeBlackholedFramesFallBackExact black-holes every
+// SUFFICIENT frame on one shard's link while ASSIGN/ESTIMATE/READINGS
 // still pass — a shard that is healthy but cannot play the compact
 // exchange. The compact path must time out, fall back to full and stay
 // exact and undegraded.
@@ -342,7 +348,7 @@ func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	defer cancel()
 	coord, single, shards, proxies := mergeCluster(t, 1)
 	proxies[2].setRule(func(f protocol.Frame) bool {
-		return f.Kind == protocol.FrameLedger || f.Kind == protocol.FrameSufficient
+		return f.Kind == protocol.FrameSufficient
 	})
 	feedBoth(t, ctx, coord, single, shards, trace(53, sensorRange(12), 5))
 	snap, err := single.Snapshot(ctx)
@@ -366,6 +372,58 @@ func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogsServedMode: the slow-query line names the mode that
+// served the answer, as the latency histogram's label does. With
+// SUFFICIENT black-holed on one shard's link the compact session falls
+// back, and the line must read mode=full, not the mode asked for.
+func TestSlowQueryLogsServedMode(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var logged lockedBuffer
+	coord, single, shards, proxies := mergeCluster(t, 1, func(cfg *Config) {
+		cfg.QueryTimeout = 4 * time.Second // the black hole costs half of it
+		cfg.SlowQuery = time.Nanosecond
+		cfg.Logger = slog.New(slog.NewTextHandler(&logged, nil))
+	})
+	proxies[2].setRule(func(f protocol.Frame) bool { return f.Kind == protocol.FrameSufficient })
+	feedBoth(t, ctx, coord, single, shards, trace(53, sensorRange(12), 5))
+
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Mode != MergeFull {
+		t.Fatalf("black-holed merge served by %q, want full fallback", merged.Mode)
+	}
+	var line string
+	for _, l := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(l, `msg="slow query"`) && strings.Contains(l, "trace="+traceHex(merged.Trace)) {
+			line = l
+		}
+	}
+	if !strings.Contains(line, " mode=full ") {
+		t.Fatalf("slow-query line %q, want mode=full", line)
+	}
+}
+
+// lockedBuffer is a goroutine-safe log sink.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestMergeSessionEvictionRefused pins the session cap and the
 // mid-exchange eviction contract: opening one session more than the cap
 // evicts exactly one, whatever the clock says about their ages, and
@@ -378,39 +436,11 @@ func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 func TestMergeSessionEvictionRefused(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	svc, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for i := 1; i <= 3; i++ {
-		if err := svc.Ingest(ingest.Reading{Sensor: 1, At: time.Duration(i) * time.Second, Values: []float64{float64(20 + i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewShardServer(ShardServerConfig{Service: svc, Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	go srv.Serve()
-
-	client, err := newCtlClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.close()
-	addr, err := net.ResolveUDPAddr("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, srv, client, addr := directShard(t, ctx, 21, 22, 23)
 
 	open := func(id uint64) {
 		t.Helper()
-		if _, _, err := client.sufficient(ctx, addr, 0, id, 0); err != nil {
+		if _, _, err := client.sufficient(ctx, addr, 0, protocol.SufficientBody{Session: id, FragCount: 1}); err != nil {
 			t.Fatalf("session %d round 0: %v", id, err)
 		}
 	}
@@ -440,15 +470,17 @@ func TestMergeSessionEvictionRefused(t *testing.T) {
 		t.Fatalf("shard holds %d sessions after opening %d (evicted %d), want the cap %d",
 			held, maxMergeSessions+1, evicted, maxMergeSessions)
 	}
-	if _, _, err := client.sufficient(ctx, addr, 0, evicted, 1); !errors.Is(err, errUnknownSession) {
+	if _, _, err := client.sufficient(ctx, addr, 0, protocol.SufficientBody{Session: evicted, Round: 1, FragCount: 1}); !errors.Is(err, errUnknownSession) {
 		t.Fatalf("round 1 on evicted session: err = %v, want errUnknownSession", err)
 	}
-	pt := []core.Point{core.NewPoint(9, 0, 0, 55.3)}
-	if _, err := client.ledger(ctx, addr, 0, evicted, pt); !errors.Is(err, errUnknownSession) {
-		t.Fatalf("ledger on evicted session: err = %v, want errUnknownSession", err)
+	// A round that carries the coordinator's delta is refused the same
+	// way: its points must not land in a recreated session.
+	delta := protocol.SufficientBody{Session: evicted, Round: 1, FragCount: 1, Points: []core.Point{core.NewPoint(9, 0, 0, 55.3)}}
+	if _, _, err := client.sufficient(ctx, addr, 0, delta); !errors.Is(err, errUnknownSession) {
+		t.Fatalf("delta-carrying round 1 on evicted session: err = %v, want errUnknownSession", err)
 	}
 	// A fresh round 0 reopens the session cleanly.
-	if _, _, err := client.sufficient(ctx, addr, 0, evicted, 0); err != nil {
+	if _, _, err := client.sufficient(ctx, addr, 0, protocol.SufficientBody{Session: evicted, FragCount: 1}); err != nil {
 		t.Fatalf("reopened session %d round 0: %v", evicted, err)
 	}
 }

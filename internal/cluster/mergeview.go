@@ -40,7 +40,7 @@ type MergeRound struct {
 // MergeRoundShard is one shard's side of one merge round.
 type MergeRoundShard struct {
 	Shard  string  `json:"shard"`
-	Bytes  int     `json:"bytes"`  // LEDGER payload delivered + SUFFICIENT payload received
+	Bytes  int     `json:"bytes"`  // SUFFICIENT payload sent + received
 	Points int     `json:"points"` // shard delta points received
 	RTTMS  float64 `json:"rtt_ms"` // whole network phase, retries included
 	Err    string  `json:"err,omitempty"`

@@ -221,8 +221,6 @@ func (s *ShardServer) handle(f protocol.Frame, from *net.UDPAddr) {
 		err = s.handleEstimate(f, from)
 	case protocol.FrameReadings:
 		err = s.handleReadings(f, from)
-	case protocol.FrameLedger:
-		err = s.handleLedger(f, from)
 	case protocol.FrameSufficient:
 		err = s.handleSufficient(f, from)
 	}
@@ -523,49 +521,25 @@ func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind pr
 	return err
 }
 
-// handleLedger absorbs one chunk of the coordinator's sufficient-set
-// delta into the session's shared ledger (and dataset — Algorithm 1
-// folds receipts into P before reacting). Redelivery is a no-op; the
-// ACK reports how many points were new. Ledger chunks never open a
-// session: only a round-0 SUFFICIENT does.
-func (s *ShardServer) handleLedger(f protocol.Frame, from *net.UDPAddr) error {
-	start := time.Now()
-	body, err := protocol.DecodeLedger(f.Body)
-	if err != nil {
-		return err
-	}
-	sess, err := s.mergeSession(body.Session, false, f.Trace)
-	if err != nil {
-		return err
-	}
-	if sess == nil {
-		return s.refuseSession(from, f, protocol.FrameAck)
-	}
-	sess.mu.Lock()
-	added := sess.link.Absorb(body.Points)
-	sess.mu.Unlock()
-	s.svc.Traces().Record(obs.Span{
-		Trace:  f.Trace,
-		ReqID:  f.ReqID,
-		Op:     obs.OpLedger,
-		Points: int32(added),
-		Bytes:  int32(len(f.Body)),
-		Start:  start,
-		Dur:    time.Since(start),
-	})
-	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: uint64(added)}.Encode())
-}
-
-// handleSufficient answers one compact-merge round: the session's
-// Eq. (2) sufficient delta against everything exchanged so far,
-// fragmented under the byte budget. A retried round replays the cached
-// delta instead of recomputing, so a lost response frame cannot advance
-// the ledger twice.
+// handleSufficient serves one fragment of a compact-merge round. Every
+// fragment's points, a share of the coordinator's sufficient delta, go
+// into the session's shared ledger and dataset (Algorithm 1 folds
+// receipts into P before reacting); redelivery is a no-op. A non-final
+// fragment is answered with an empty one-fragment response, the final
+// one with the session's Eq. (2) sufficient delta against everything
+// exchanged so far, fragmented under the byte budget. The coordinator
+// sends a round's fragments in order, each after the previous one is
+// answered, so the shard reacts once per round, holding the whole
+// coordinator delta. A retried round replays the cached delta instead of
+// recomputing, so a lost response frame cannot advance the ledger twice.
 func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) error {
 	start := time.Now()
 	body, err := protocol.DecodeSufficient(f.Body)
 	if err != nil {
 		return err
+	}
+	if body.Frag >= body.FragCount {
+		return fmt.Errorf("SUFFICIENT fragment %d of %d", body.Frag, body.FragCount)
 	}
 	sess, err := s.mergeSession(body.Session, body.Round == 0, f.Trace)
 	if err != nil {
@@ -574,11 +548,15 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 	if sess == nil {
 		return s.refuseSession(from, f, protocol.FrameSufficient)
 	}
+	var delta []core.Point
+	replayed := false
 	sess.mu.Lock()
-	delta, ok := sess.rounds[body.Round]
-	if !ok {
-		delta = sess.link.Delta()
-		sess.rounds[body.Round] = delta
+	sess.link.Absorb(body.Points)
+	if body.Frag == body.FragCount-1 {
+		if delta, replayed = sess.rounds[body.Round]; !replayed {
+			delta = sess.link.Delta()
+			sess.rounds[body.Round] = delta
+		}
 	}
 	sess.mu.Unlock()
 	// Hit marks a replay served from the per-round reply cache (a retried
@@ -590,7 +568,8 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 		Op:     obs.OpSufficient,
 		Round:  int32(body.Round),
 		Points: int32(len(delta)),
-		Hit:    ok,
+		Bytes:  int32(len(f.Body)),
+		Hit:    replayed,
 		Start:  start,
 		Dur:    time.Since(start),
 	})

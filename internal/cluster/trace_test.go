@@ -56,7 +56,7 @@ func opCount(spans []wireSpan) map[string]int {
 // coordinator-side round spans at its /debug/traces and shard-side
 // merge-session spans at each shard's /debug/traces. It also pins one ID
 // per query: the merge session is the trace, so every query, round,
-// session-create, ledger and sufficient span in either ring carries it,
+// session-create and sufficient span in either ring carries it,
 // and each shard keys the session by it.
 func TestQueryTraceEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -159,13 +159,23 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 	if n := tally("coordinator", coord.Traces().Snapshot(0, 0), obs.OpQuery, obs.OpMergeRound); n[obs.OpQuery] != 1 || n[obs.OpMergeRound] == 0 {
 		t.Fatalf("coordinator spans = %v, want one query span and ≥1 merge_round", n)
 	}
-	ledgers := 0
+	// A SUFFICIENT request longer than an empty body carried the
+	// coordinator's delta.
+	empty, err := protocol.SufficientBody{}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
 	for _, sh := range shards {
-		n := tally(sh.addr, sh.svc.Traces().Snapshot(0, 0), obs.OpSessionCreate, obs.OpLedger, obs.OpSufficient)
+		n := tally(sh.addr, sh.svc.Traces().Snapshot(0, 0), obs.OpSessionCreate, obs.OpSufficient)
 		if n[obs.OpSessionCreate] != 1 || n[obs.OpSufficient] == 0 {
 			t.Fatalf("shard %s spans = %v, want one session_create and ≥1 sufficient", sh.addr, n)
 		}
-		ledgers += n[obs.OpLedger]
+		for _, s := range sh.svc.Traces().Snapshot(id, 0) {
+			if s.Op == obs.OpSufficient && int(s.Bytes) > len(empty) {
+				delivered++
+			}
+		}
 		sh.srv.mergeMu.Lock()
 		held, keyed := len(sh.srv.sessions), sh.srv.sessions[id] != nil
 		sh.srv.mergeMu.Unlock()
@@ -173,8 +183,8 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 			t.Fatalf("shard %s holds %d sessions, keyed by the query's trace: %v", sh.addr, held, keyed)
 		}
 	}
-	if ledgers == 0 {
-		t.Fatal("no shard recorded a ledger span; the query delivered no candidates")
+	if delivered == 0 {
+		t.Fatal("no shard recorded a point-carrying sufficient span; the query delivered no candidates")
 	}
 }
 

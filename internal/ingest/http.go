@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,6 +15,21 @@ import (
 
 // HTTP wire types. Timestamps travel as integer milliseconds of data
 // time, matching the wire codec's birth encoding.
+
+// maxAtMS is the largest wire timestamp whose time.Duration does not
+// overflow.
+const maxAtMS = math.MaxInt64 / int64(time.Millisecond)
+
+// atFromMS converts a wire timestamp into data time. A value outside
+// [0, maxAtMS] is a bad reading: unchecked, it would wrap into an
+// arbitrary duration that passes Validate and moves the sensor's
+// staleness gate by decades. Both front doors' parsers call it.
+func atFromMS(ms int64) (time.Duration, error) {
+	if ms < 0 || ms > maxAtMS {
+		return 0, fmt.Errorf("%w: timestamp %d ms out of range", ErrBadReading, ms)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
 
 // WireReading is one reading in a POST /v1/observations batch.
 type WireReading struct {
@@ -124,9 +140,13 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]Reading, error) {
 	}
 	readings := make([]Reading, len(batch.Readings))
 	for i, wr := range batch.Readings {
+		at, err := atFromMS(wr.AtMS)
+		if err != nil {
+			return nil, fmt.Errorf("reading %d: %w", i, err)
+		}
 		readings[i] = Reading{
 			Sensor: core.NodeID(wr.Sensor),
-			At:     time.Duration(wr.AtMS) * time.Millisecond,
+			At:     at,
 			Values: wr.Values,
 		}
 	}

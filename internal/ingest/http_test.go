@@ -97,6 +97,28 @@ func TestHTTPMalformedBody(t *testing.T) {
 	if status != http.StatusBadRequest { // AutoJoin off: unknown sensor
 		t.Fatalf("all-rejected batch status %d, want 400", status)
 	}
+	// One out-of-range timestamp fails the whole batch, as an unparseable
+	// body does: it would wrap into a valid-looking data time.
+	if err := s.Join(1); err != nil {
+		t.Fatal(err)
+	}
+	for i, atMS := range []string{"20000000000000", fmt.Sprint(maxAtMS + 1), "-9223372036854775"} {
+		body := `{"readings":[{"sensor":1,"at_ms":1000,"values":[20]},{"sensor":1,"at_ms":` + atMS + `,"values":[55.3]}]}`
+		if status, _ := doJSON(t, "POST", srv.URL+"/v1/observations", body); status != http.StatusBadRequest {
+			t.Fatalf("at_ms %s: status %d, want 400", atMS, status)
+		}
+		if got := s.Stats().Malformed; got != uint64(2+i) {
+			t.Fatalf("at_ms %s: Malformed = %d, want %d", atMS, got, 2+i)
+		}
+	}
+	if got := s.Stats().Accepted; got != 0 {
+		t.Fatalf("Accepted = %d after out-of-range batches, want 0", got)
+	}
+	// The boundary value is exact and accepted.
+	body := `{"readings":[{"sensor":1,"at_ms":` + fmt.Sprint(maxAtMS) + `,"values":[20]}]}`
+	if status, _ := doJSON(t, "POST", srv.URL+"/v1/observations", body); status != http.StatusAccepted {
+		t.Fatalf("at_ms %d: status %d, want 202", maxAtMS, status)
+	}
 }
 
 func TestHTTPJoinLeave(t *testing.T) {
@@ -251,6 +273,21 @@ func TestParseDatagram(t *testing.T) {
 	oneLine := []byte("3 3000 22")
 	if rs, malformed = ParseDatagram(oneLine, len(oneLine)); malformed != 1 || len(rs) != 0 {
 		t.Fatalf("buffer-filling read without a newline: got %+v with %d malformed, want nothing and 1", rs, malformed)
+	}
+
+	// A timestamp whose Duration would overflow, or a negative one that
+	// would wrap positive, is malformed; the largest exact one is not.
+	wrap := fmt.Sprintf("7 20000000000000 55.3\n7 %d 55.3\n7 -9223372036854775 55.3\n7 %d 20.5\n", maxAtMS+1, maxAtMS)
+	buf = make([]byte, 256)
+	n = copy(buf, wrap)
+	rs, malformed = ParseDatagram(buf, n)
+	if malformed != 3 || len(rs) != 1 || rs[0].At != time.Duration(maxAtMS)*time.Millisecond {
+		t.Fatalf("out-of-range timestamps: got %+v with %d malformed, want the boundary reading and 3 malformed", rs, malformed)
+	}
+	for _, line := range []string{"7 20000000000000 55.3", "7 -1 55.3"} {
+		if _, err := ParseLine([]byte(line)); !errors.Is(err, ErrBadReading) {
+			t.Fatalf("ParseLine(%q) = %v, want ErrBadReading", line, err)
+		}
 	}
 }
 

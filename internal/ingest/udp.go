@@ -118,6 +118,10 @@ func ParseLine(line []byte) (Reading, error) {
 	if err != nil {
 		return Reading{}, fmt.Errorf("%w: timestamp %q", ErrBadReading, fields[1])
 	}
+	at, err := atFromMS(atMS)
+	if err != nil {
+		return Reading{}, err
+	}
 	values := make([]float64, 0, len(fields)-2)
 	for _, f := range fields[2:] {
 		v, err := strconv.ParseFloat(string(f), 64)
@@ -128,7 +132,7 @@ func ParseLine(line []byte) (Reading, error) {
 	}
 	return Reading{
 		Sensor: core.NodeID(sensor),
-		At:     time.Duration(atMS) * time.Millisecond,
+		At:     at,
 		Values: values,
 	}, nil
 }

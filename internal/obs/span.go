@@ -37,8 +37,7 @@ const (
 	OpReadings                        // shard: one routed READINGS frame
 	OpSessionCreate                   // shard: merge session opened (Hit = source cache reuse)
 	OpSessionRefuse                   // shard: unknown/evicted merge session refused
-	OpLedger                          // shard: one LEDGER delivery absorbed
-	OpSufficient                      // shard: one SUFFICIENT round served (Hit = replayed)
+	OpSufficient                      // shard: one SUFFICIENT fragment; the last serves the round (Hit = replayed)
 	OpEnqueue                         // shard: queue wait of a drained batch head
 	OpObserve                         // shard: one batch-observe ranking pass
 )
@@ -64,8 +63,6 @@ func (o SpanOp) String() string {
 		return "session_create"
 	case OpSessionRefuse:
 		return "session_refuse"
-	case OpLedger:
-		return "ledger"
 	case OpSufficient:
 		return "sufficient"
 	case OpEnqueue:

@@ -53,7 +53,7 @@ func TestTraceLogFilterAndLimit(t *testing.T) {
 // without a reqID (local work like enqueue/observe) never dedupe.
 func TestTraceLogDedupesRetries(t *testing.T) {
 	l := NewTraceLog(16)
-	s := Span{Trace: 7, Op: OpLedger, ReqID: 42}
+	s := Span{Trace: 7, Op: OpReadings, ReqID: 42}
 	l.Record(s)
 	l.Record(s) // retry duplicate
 	if got := l.Snapshot(7, 0); len(got) != 1 {
@@ -62,7 +62,7 @@ func TestTraceLogDedupesRetries(t *testing.T) {
 	// Same reqID, different op: a different logical event, kept.
 	l.Record(Span{Trace: 7, Op: OpSufficient, ReqID: 42})
 	// Same op, different trace: kept.
-	l.Record(Span{Trace: 8, Op: OpLedger, ReqID: 42})
+	l.Record(Span{Trace: 8, Op: OpReadings, ReqID: 42})
 	if got := l.Snapshot(0, 0); len(got) != 3 {
 		t.Fatalf("distinct keys collapsed: %d spans, want 3", len(got))
 	}
@@ -86,7 +86,7 @@ func TestTraceLogRecordZeroAlloc(t *testing.T) {
 	var req uint32
 	if n := testing.AllocsPerRun(1000, func() {
 		req++
-		l.Record(Span{Trace: 9, Op: OpLedger, ReqID: req})
+		l.Record(Span{Trace: 9, Op: OpReadings, ReqID: req})
 	}); n != 0 {
 		t.Fatalf("deduped Record allocates %.1f times per span, want 0", n)
 	}

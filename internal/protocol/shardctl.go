@@ -34,18 +34,17 @@ package protocol
 //	                                shard's map version and fleet size
 //	READINGS  coordinator → shard   routed ingest batch with
 //	                                coordinator-assigned point identities
-//	ACK       shard → coordinator   count acknowledgment for READINGS,
-//	                                HANDOFF transfers and LEDGER deliveries
-//	LEDGER    coordinator → shard   compact-merge candidate delivery: the
-//	                                coordinator's sufficient-set delta for
-//	                                one merge session, recorded in the
-//	                                link's shared ledger (ACK response)
-//	SUFFICIENT coordinator → shard  compact-merge round query: "compute
-//	                                your Eq. (2) sufficient delta for
-//	                                session S, round R"; the response may
-//	                                span several fragments, each echoing
-//	                                the reqID, and is replayed verbatim on
-//	                                a retried round
+//	ACK       shard → coordinator   count acknowledgment for READINGS
+//	                                and HANDOFF transfers
+//	SUFFICIENT coordinator → shard  compact-merge round: the request
+//	                                carries the coordinator's sufficient
+//	                                delta for session S, round R, in
+//	                                in-order fragments when it outgrows
+//	                                one frame; the final fragment's
+//	                                response is the shard's Eq. (2)
+//	                                delta, possibly in several fragments
+//	                                echoing the reqID, and is replayed
+//	                                verbatim on a retried round
 
 import (
 	"encoding/binary"
@@ -58,7 +57,8 @@ import (
 // FrameKind discriminates shard-control frames.
 type FrameKind uint8
 
-// Shard-control frame kinds.
+// Shard-control frame kinds. Kind 7 (LEDGER) is retired, not reused: a
+// frame carrying it is rejected as unknown.
 const (
 	FrameAssign     FrameKind = 1
 	FrameHandoff    FrameKind = 2
@@ -66,12 +66,11 @@ const (
 	FrameHealth     FrameKind = 4
 	FrameReadings   FrameKind = 5
 	FrameAck        FrameKind = 6
-	FrameLedger     FrameKind = 7
 	FrameSufficient FrameKind = 8
 )
 
 // frameKinds names every kind once: its wire-doc name and its lowercase
-// metric label. A kind is valid exactly when it has an entry here.
+// metric label. A kind is valid exactly when it has a name here.
 var frameKinds = [...]struct{ name, label string }{
 	FrameAssign:     {"ASSIGN", "assign"},
 	FrameHandoff:    {"HANDOFF", "handoff"},
@@ -79,11 +78,10 @@ var frameKinds = [...]struct{ name, label string }{
 	FrameHealth:     {"HEALTH", "health"},
 	FrameReadings:   {"READINGS", "readings"},
 	FrameAck:        {"ACK", "ack"},
-	FrameLedger:     {"LEDGER", "ledger"},
 	FrameSufficient: {"SUFFICIENT", "sufficient"},
 }
 
-func (k FrameKind) valid() bool { return k >= FrameAssign && int(k) < len(frameKinds) }
+func (k FrameKind) valid() bool { return int(k) < len(frameKinds) && frameKinds[k].name != "" }
 
 // String implements fmt.Stringer.
 func (k FrameKind) String() string {
@@ -111,7 +109,7 @@ const (
 	// FlagTransfer turns a HANDOFF from a window request into a window
 	// delivery.
 	FlagTransfer = 1 << 1
-	// FlagUnknownSession marks a LEDGER/SUFFICIENT response refusing a
+	// FlagUnknownSession marks a SUFFICIENT response refusing a
 	// merge session the shard does not hold. Sessions are only created
 	// by a round-0 SUFFICIENT, so a mid-exchange eviction (or shard
 	// restart) surfaces as an explicit refusal instead of a silently
@@ -385,51 +383,20 @@ func DecodeReadings(buf []byte) (ReadingsBody, error) {
 	return ReadingsBody{Points: pts}, nil
 }
 
-// LedgerBody is the LEDGER payload: one chunk of the coordinator's
-// sufficient-set delta for a compact-merge session, to be recorded in
-// the shard's shared ledger for that session. Sessions are identified by
-// a coordinator-chosen 64-bit ID so a retried or reordered chunk lands
-// in the right exchange; delivery is idempotent (ledgers deduplicate by
-// PointID). The response is an AckBody carrying how many points were
-// previously unknown to the session.
-type LedgerBody struct {
-	Session uint64
-	Points  []core.Point
-}
-
-// Encode serializes the LEDGER body.
-func (b LedgerBody) Encode() ([]byte, error) {
-	pts, err := core.EncodePoints(b.Points)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 8+len(pts))
-	buf = binary.BigEndian.AppendUint64(buf, b.Session)
-	return append(buf, pts...), nil
-}
-
-// DecodeLedger parses a LEDGER body.
-func DecodeLedger(buf []byte) (LedgerBody, error) {
-	if len(buf) < 8 {
-		return LedgerBody{}, core.ErrTruncated
-	}
-	b := LedgerBody{Session: binary.BigEndian.Uint64(buf)}
-	pts, err := core.DecodePoints(buf[8:])
-	if err != nil {
-		return LedgerBody{}, err
-	}
-	b.Points = pts
-	return b, nil
-}
-
-// SufficientBody is the SUFFICIENT payload, both directions. The request
-// names a merge session and a round (Frag 0/1, no points); the response
+// SufficientBody is the SUFFICIENT payload, both directions. Sessions
+// are identified by a coordinator-chosen 64-bit ID so a retried or
+// reordered frame lands in the right exchange. The request names a
+// merge session and a round and carries the coordinator's sufficient
+// delta for it, split into in-order fragments Frag 0..FragCount-1 when
+// it outgrows one frame; the shard answers a non-final fragment with an
+// empty one-fragment response. The response to the final fragment
 // carries the shard's Eq. (2) sufficient delta for that round, split
 // over however many fragments the byte budget requires, FragCount
 // repeated on each so the querier can size reassembly from whichever
-// arrives first. Rounds are idempotent: a shard replays a cached round's
-// delta on retry instead of recomputing, so a lost response cannot make
-// the exchange double-count.
+// arrives first. Rounds are idempotent: points deduplicate by PointID,
+// and a shard replays a cached round's delta on retry instead of
+// recomputing, so a lost response cannot make the exchange
+// double-count.
 type SufficientBody struct {
 	Session   uint64
 	Round     uint16

@@ -139,26 +139,11 @@ func TestHandoffEstimateReadingsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLedgerSufficientRoundTrip(t *testing.T) {
+func TestSufficientRoundTrip(t *testing.T) {
 	pts := ctlPoints()
 
-	lb, err := LedgerBody{Session: 0xfeedface00112233, Points: pts}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := DecodeLedger(lb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Session != 0xfeedface00112233 || len(l.Points) != 2 || l.Points[0].ID != pts[0].ID {
-		t.Fatalf("ledger mismatch: %+v", l)
-	}
-	if _, err := DecodeLedger(lb[:5]); err == nil {
-		t.Fatal("truncated LEDGER decoded")
-	}
-
-	// Request shape: no points, Frag 0/1.
-	req, err := SufficientBody{Session: 7, Round: 3, FragCount: 1}.Encode()
+	// Request shape: the coordinator's delta, fragment 0 of 2.
+	req, err := SufficientBody{Session: 0xfeedface00112233, Round: 3, FragCount: 2, Points: pts}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +151,8 @@ func TestLedgerSufficientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rq.Session != 7 || rq.Round != 3 || len(rq.Points) != 0 {
+	if rq.Session != 0xfeedface00112233 || rq.Round != 3 || rq.Frag != 0 || rq.FragCount != 2 ||
+		len(rq.Points) != 2 || rq.Points[0].ID != pts[0].ID {
 		t.Fatalf("sufficient request mismatch: %+v", rq)
 	}
 
@@ -229,7 +215,6 @@ func TestFrameDecodeNeverPanics(t *testing.T) {
 		_, _ = DecodeReadings(f.Body)
 		_, _ = DecodeHealth(f.Body)
 		_, _ = DecodeAck(f.Body)
-		_, _ = DecodeLedger(f.Body)
 		_, _ = DecodeSufficient(f.Body)
 	}
 }
@@ -238,12 +223,12 @@ func TestFrameDecodeNeverPanics(t *testing.T) {
 // query work, zero for untraced control work — and never leaks into the
 // body.
 func TestFrameTraceRoundTrip(t *testing.T) {
-	body, err := LedgerBody{Session: 5, Points: ctlPoints()}.Encode()
+	body, err := SufficientBody{Session: 5, Round: 1, FragCount: 1, Points: ctlPoints()}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, trace := range []uint64{0xabad1dea00c0ffee, 0} {
-		in := Frame{Kind: FrameLedger, ReqID: 7, Trace: trace, Body: body}
+		in := Frame{Kind: FrameSufficient, ReqID: 7, Trace: trace, Body: body}
 		out, err := DecodeFrame(EncodeFrame(in))
 		if err != nil {
 			t.Fatal(err)
@@ -306,15 +291,16 @@ func TestHealthRoundTrip(t *testing.T) {
 }
 
 // TestFrameKindNames: every kind has a wire-doc name and a lowercase
-// metric label; unknown kinds fall back to a printable name and a single
-// fixed label (so a corrupt kind byte cannot grow metric cardinality).
+// metric label; unknown kinds — the retired kind 7 among them — fall
+// back to a printable name and a single fixed label (so a corrupt kind
+// byte cannot grow metric cardinality).
 func TestFrameKindNames(t *testing.T) {
-	for k := FrameAssign; k <= FrameSufficient; k++ {
+	for _, k := range []FrameKind{FrameAssign, FrameHandoff, FrameEstimate, FrameHealth, FrameReadings, FrameAck, FrameSufficient} {
 		if !k.valid() || k.String() == "" || k.MetricLabel() != strings.ToLower(k.String()) {
 			t.Fatalf("kind %d: name %q, label %q", k, k.String(), k.MetricLabel())
 		}
 	}
-	for _, k := range []FrameKind{0, FrameSufficient + 1, 255} {
+	for _, k := range []FrameKind{0, 7, FrameSufficient + 1, 255} {
 		if k.valid() || k.MetricLabel() != "unknown" || !strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("unknown kind %d: valid=%v name %q label %q", k, k.valid(), k.String(), k.MetricLabel())
 		}

@@ -4,7 +4,7 @@
 // consistent rendezvous shard map, routes HTTP/UDP observation batches
 // to the shards owning each sensor — replicating boundary sensors when
 // -replicas > 1 — probes shard health, resynchronizes rejoining shards
-// (ASSIGN + window handoff), and serves the merged cluster-wide outlier
+// (ASSIGN + window copy), and serves the merged cluster-wide outlier
 // view. See the README's "Cluster operations" section.
 //
 // Usage:

@@ -32,8 +32,8 @@ func truncatedDatagram(n, bufLen int) bool { return n >= bufLen }
 // socket multiplexing request/response exchanges with every shard,
 // correlated by the frames' reqID. UDP loses datagrams by design, so
 // every exchange is wrapped in bounded retries by the callers; all
-// requests are idempotent (ASSIGN and HANDOFF transfers re-apply
-// cleanly, READINGS carry preassigned identities, queries are pure).
+// requests are idempotent (ASSIGN re-applies cleanly, READINGS carry
+// preassigned identities, queries are pure).
 type ctlClient struct {
 	conn *net.UDPConn
 
@@ -137,7 +137,8 @@ type ctlRequest struct {
 func (c *ctlClient) newReqID() uint32 { return c.nextReq.Add(1) }
 
 // exchange sends one request frame to addr and feeds response frames
-// echoing its reqID to collect until collect reports done or ctx expires.
+// echoing its reqID and kind to collect until collect reports done or
+// ctx expires. A response of another kind is a stray and is dropped.
 func (c *ctlClient) exchange(ctx context.Context, addr *net.UDPAddr, req ctlRequest,
 	collect func(protocol.Frame) (done bool, err error)) error {
 	reqID := req.reqID
@@ -170,6 +171,9 @@ func (c *ctlClient) exchange(ctx context.Context, addr *net.UDPAddr, req ctlRequ
 		case <-ctx.Done():
 			return ctx.Err()
 		case f := <-ch:
+			if f.Kind != req.kind {
+				continue
+			}
 			done, err := collect(f)
 			if err != nil {
 				return err
@@ -187,22 +191,19 @@ func (c *ctlClient) exchange(ctx context.Context, addr *net.UDPAddr, req ctlRequ
 	}
 }
 
-// one is a collect helper for single-frame responses of the given kind.
-func one(kind protocol.FrameKind, into *protocol.Frame) func(protocol.Frame) (bool, error) {
+// one is a collect helper for single-frame responses.
+func one(into *protocol.Frame) func(protocol.Frame) (bool, error) {
 	return func(f protocol.Frame) (bool, error) {
-		if f.Kind != kind {
-			return false, nil // mismatched stray; keep waiting
-		}
 		*into = f
 		return true, nil
 	}
 }
 
-// ackCount runs a request answered by one ACK-bodied frame of the given
-// kind and returns the count it acknowledges.
-func (c *ctlClient) ackCount(ctx context.Context, addr *net.UDPAddr, req ctlRequest, kind protocol.FrameKind) (uint64, error) {
+// ackCount runs a request answered by one AckBody frame and returns the
+// count it acknowledges.
+func (c *ctlClient) ackCount(ctx context.Context, addr *net.UDPAddr, req ctlRequest) (uint64, error) {
 	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, req, one(kind, &resp)); err != nil {
+	if err := c.exchange(ctx, addr, req, one(&resp)); err != nil {
 		return 0, err
 	}
 	ack, err := protocol.DecodeAck(resp.Body)
@@ -216,27 +217,27 @@ func (c *ctlClient) assign(ctx context.Context, addr *net.UDPAddr, body protocol
 	if err != nil {
 		return 0, err
 	}
-	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameAssign, body: buf}, protocol.FrameAssign)
+	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameAssign, body: buf})
 }
 
 // health probes one shard.
 func (c *ctlClient) health(ctx context.Context, addr *net.UDPAddr) (protocol.HealthBody, error) {
 	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth},
-		one(protocol.FrameHealth, &resp)); err != nil {
+	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth}, one(&resp)); err != nil {
 		return protocol.HealthBody{}, err
 	}
 	return protocol.DecodeHealth(resp.Body)
 }
 
-// readings routes one batch of identity-stamped points and returns the
-// count the shard accepted.
-func (c *ctlClient) readings(ctx context.Context, addr *net.UDPAddr, trace uint64, pts []core.Point) (uint64, error) {
+// readings sends one batch of identity-stamped points and returns the
+// count the shard accepted: a routed ingest batch, or with FlagTransfer
+// one chunk of a window copy.
+func (c *ctlClient) readings(ctx context.Context, addr *net.UDPAddr, flags uint8, trace uint64, pts []core.Point) (uint64, error) {
 	buf, err := protocol.ReadingsBody{Points: pts}.Encode()
 	if err != nil {
 		return 0, err
 	}
-	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameReadings, trace: trace, body: buf}, protocol.FrameAck)
+	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameReadings, flags: flags, trace: trace, body: buf})
 }
 
 // errUnknownSession reports a shard refusing a merge session it no
@@ -286,7 +287,7 @@ func (r *reassembly) join() (pts []core.Point, bytes int) {
 }
 
 // collectFragments runs one request whose response spans FragCount
-// frames (ESTIMATE, HANDOFF window fetches, SUFFICIENT rounds),
+// frames (ESTIMATE, SUFFICIENT rounds),
 // reassembling the fragments in index order. bytes reports the summed
 // response payload, for the merge-cost metrics.
 func (c *ctlClient) collectFragments(ctx context.Context, addr *net.UDPAddr, req ctlRequest,
@@ -308,9 +309,6 @@ func (c *ctlClient) collectFragments(ctx context.Context, addr *net.UDPAddr, req
 
 // estimateFragment parses one ESTIMATE response fragment.
 func estimateFragment(f protocol.Frame) (int, int, []core.Point, bool, error) {
-	if f.Kind != protocol.FrameEstimate {
-		return 0, 0, nil, false, nil
-	}
 	body, err := protocol.DecodeEstimate(f.Body)
 	if err != nil {
 		return 0, 0, nil, false, err
@@ -318,10 +316,12 @@ func estimateFragment(f protocol.Frame) (int, int, []core.Point, bool, error) {
 	return int(body.Frag), int(body.FragCount), body.Points, true, nil
 }
 
-// estimate queries one shard's window snapshot, reassembling however many
-// fragments the shard split it into.
-func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint64) ([]core.Point, int, error) {
-	return c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameEstimate, trace: trace}, estimateFragment)
+// estimate queries one shard's window union, or with a nonzero sensor
+// the points that sensor holds of its own, reassembling however many
+// fragments the shard split the answer into.
+func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint64, sensor core.NodeID) ([]core.Point, int, error) {
+	req := ctlRequest{kind: protocol.FrameEstimate, trace: trace, body: protocol.EncodeEstimateRequest(sensor)}
+	return c.collectFragments(ctx, addr, req, estimateFragment)
 }
 
 // sufficient sends one fragment of a compact-merge round to a shard:
@@ -356,9 +356,6 @@ func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uin
 // round; a refusal aborts the exchange, another round's frame is a stray.
 func sufficientFragment(session uint64, round uint16) fragmentParse {
 	return func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-		if f.Kind != protocol.FrameSufficient {
-			return 0, 0, nil, false, nil
-		}
 		if f.Flags&protocol.FlagUnknownSession != 0 {
 			return 0, 0, nil, false, errUnknownSession
 		}
@@ -371,45 +368,6 @@ func sufficientFragment(session uint64, round uint16) fragmentParse {
 		}
 		return int(body.Frag), int(body.FragCount), body.Points, true, nil
 	}
-}
-
-// handoffFetch asks a shard for one sensor's current window points,
-// reassembling the fragmented response.
-func (c *ctlClient) handoffFetch(ctx context.Context, addr *net.UDPAddr, sensor core.NodeID) ([]core.Point, error) {
-	buf, err := protocol.HandoffBody{Sensor: sensor, FragCount: 1}.Encode()
-	if err != nil {
-		return nil, err
-	}
-	pts, _, err := c.collectFragments(ctx, addr, ctlRequest{kind: protocol.FrameHandoff, body: buf}, handoffFragment(sensor))
-	return pts, err
-}
-
-// handoffFragment parses HANDOFF window-response fragments for one sensor.
-func handoffFragment(sensor core.NodeID) fragmentParse {
-	return func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-		if f.Kind != protocol.FrameHandoff {
-			return 0, 0, nil, false, nil
-		}
-		body, err := protocol.DecodeHandoff(f.Body)
-		if err != nil {
-			return 0, 0, nil, false, err
-		}
-		if body.Sensor != sensor {
-			return 0, 0, nil, false, nil
-		}
-		return int(body.Frag), int(body.FragCount), body.Points, true, nil
-	}
-}
-
-// handoffTransfer delivers one chunk of a sensor's window points to its
-// (new) owner; callers split oversized windows with chunkByBytes.
-func (c *ctlClient) handoffTransfer(ctx context.Context, addr *net.UDPAddr, sensor core.NodeID, pts []core.Point) (uint64, error) {
-	buf, err := protocol.HandoffBody{Sensor: sensor, FragCount: 1, Points: pts}.Encode()
-	if err != nil {
-		return 0, err
-	}
-	req := ctlRequest{kind: protocol.FrameHandoff, flags: protocol.FlagTransfer, body: buf}
-	return c.ackCount(ctx, addr, req, protocol.FrameAck)
 }
 
 // retry runs fn with a fresh per-attempt timeout until it succeeds, the

@@ -294,7 +294,7 @@ func TestClusterShardFailure(t *testing.T) {
 		return false
 	})
 
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestClusterShardRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestClusterShardRejoin(t *testing.T) {
 		return false
 	})
 	waitFor(t, 15*time.Second, "undegraded exact merge after rejoin", func() bool {
-		m, err := coord.MergedEstimate(ctx)
+		m, err := coord.MergedEstimateMode(ctx, MergeCompact)
 		return err == nil && !m.Degraded && samePoints(m.Outliers, want)
 	})
 

@@ -174,7 +174,7 @@ type Stats struct {
 
 // Coordinator is the cluster front door: it owns the shard map, routes
 // identity-stamped readings to owning shards, probes shard health,
-// resynchronizes rejoining shards (ASSIGN + window handoff), and serves
+// resynchronizes rejoining shards (ASSIGN + window copy), and serves
 // the merged outlier view. All methods are safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
@@ -334,7 +334,7 @@ func (c *Coordinator) recoverIdentities() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 			defer cancel()
-			pts, _, err := c.client.estimate(ctx, st.udp, 0)
+			pts, _, err := c.client.estimate(ctx, st.udp, 0, 0)
 			if err == nil {
 				snaps[i] = pts
 			}
@@ -667,7 +667,7 @@ func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) 
 		return false
 	}
 	return c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
-		_, err := c.client.readings(ctx, st.udp, trace, chunk)
+		_, err := c.client.readings(ctx, st.udp, 0, trace, chunk)
 		if err == nil {
 			c.frames.Add(1)
 		}
@@ -706,7 +706,7 @@ func (c *Coordinator) shardState(addr string) *shardState {
 type MergeResult struct {
 	Outliers []core.Point // On over the union of shard windows
 	// Window is the point set the answer was computed over: with
-	// MergeFull the merged window itself (tests, handoff), with
+	// MergeFull the merged window itself (tests), with
 	// MergeCompact the coordinator's accumulated candidate set C — a
 	// provably sufficient subset, not the whole window.
 	Window []core.Point
@@ -720,12 +720,6 @@ type MergeResult struct {
 	ShardsTotal int // shards in the map
 	ShardsOK    int // shards that answered
 	Degraded    bool
-}
-
-// MergedEstimate merges the shards' outlier views by the compact path;
-// see MergedEstimateMode.
-func (c *Coordinator) MergedEstimate(ctx context.Context) (MergeResult, error) {
-	return c.MergedEstimateMode(ctx, MergeCompact)
 }
 
 // MergedEstimateMode serves the cluster-wide outlier estimate — by
@@ -874,7 +868,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 			var nb int
 			err := c.retryCtl(ctx, func(ctx context.Context) error {
 				var err error
-				pts, nb, err = c.client.estimate(ctx, st.udp, traceID)
+				pts, nb, err = c.client.estimate(ctx, st.udp, traceID, 0)
 				return err
 			})
 			span := obs.Span{
@@ -1043,21 +1037,21 @@ func (c *Coordinator) firstUp(addrs []string) *shardState {
 }
 
 // copyWindow copies one sensor's window from a shard that holds it to
-// one that should: a HANDOFF fetch from from, then byte-budgeted HANDOFF
-// transfers to to. It is the one window-copy path behind AddShard,
-// RemoveShard's drain and resync. A failed copy is not retried here:
+// one that should: an ESTIMATE for that sensor from from, then
+// byte-budgeted READINGS flagged FlagTransfer to to. It is the one
+// window-copy path behind AddShard, RemoveShard's drain and resync. A failed copy is not retried here:
 // resync repeats it wherever a surviving copy exists.
 func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	var pts []core.Point
 	err := c.retryCtl(c.ctx, func(ctx context.Context) (err error) {
-		pts, err = c.client.handoffFetch(ctx, from.udp, sensor)
+		pts, _, err = c.client.estimate(ctx, from.udp, 0, sensor)
 		return err
 	})
 	if err != nil || len(pts) == 0 {
 		return
 	}
 	err = c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
-		_, err := c.client.handoffTransfer(ctx, to.udp, sensor, chunk)
+		_, err := c.client.readings(ctx, to.udp, protocol.FlagTransfer, 0, chunk)
 		return err
 	})
 	if err != nil {
@@ -1169,7 +1163,7 @@ func (c *Coordinator) kickResyncs() {
 
 // resync pushes the current map epoch to one shard (ASSIGN) and, for
 // every sensor it owns that has a surviving copy on another up shard,
-// restores the window by handoff. It is how a rejoining shard — which
+// copies the window back (copyWindow). It is how a rejoining shard — which
 // may have restarted empty — converges back to exact answers instead of
 // waiting a full window for refill; with Replicas == 1 there is no
 // surviving copy and refill is the only path (the ASSIGN still re-joins

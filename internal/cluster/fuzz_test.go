@@ -27,12 +27,12 @@ func codec[B any](name string, decode func([]byte) (B, error), encode func(B) ([
 
 var bodyCodecs = []bodyCodec{
 	codec("ASSIGN", protocol.DecodeAssign, protocol.AssignBody.Encode),
-	codec("HANDOFF", protocol.DecodeHandoff, protocol.HandoffBody.Encode),
+	codec("ESTIMATE request", protocol.DecodeEstimateRequest, func(s core.NodeID) ([]byte, error) { return protocol.EncodeEstimateRequest(s), nil }),
 	codec("ESTIMATE", protocol.DecodeEstimate, protocol.EstimateBody.Encode),
 	codec("READINGS", protocol.DecodeReadings, protocol.ReadingsBody.Encode),
 	codec("SUFFICIENT", protocol.DecodeSufficient, protocol.SufficientBody.Encode),
 	codec("HEALTH", protocol.DecodeHealth, func(b protocol.HealthBody) ([]byte, error) { return b.Encode(), nil }),
-	codec("ACK", protocol.DecodeAck, func(b protocol.AckBody) ([]byte, error) { return b.Encode(), nil }),
+	codec("ack", protocol.DecodeAck, func(b protocol.AckBody) ([]byte, error) { return b.Encode(), nil }),
 }
 
 // FuzzShardCtl fuzzes everything that parses an unauthenticated
@@ -69,19 +69,15 @@ func FuzzShardCtl(f *testing.F) {
 			}
 
 			// Reassembly, keyed the way a real exchange would be: on the
-			// session/round/sensor the first decodable frame names.
+			// session/round the first decodable frame names.
 			if parsers == nil {
 				var session uint64
 				var round uint16
-				var sensor core.NodeID
 				if b, err := protocol.DecodeSufficient(fr.Body); err == nil {
 					session, round = b.Session, b.Round
 				}
-				if b, err := protocol.DecodeHandoff(fr.Body); err == nil {
-					sensor = b.Sensor
-				}
-				parsers = []fragmentParse{estimateFragment, sufficientFragment(session, round), handoffFragment(sensor)}
-				sets = []*reassembly{{}, {}, {}}
+				parsers = []fragmentParse{estimateFragment, sufficientFragment(session, round)}
+				sets = []*reassembly{{}, {}}
 			}
 			for i, parse := range parsers {
 				frag, total, pts, ok, err := parse(fr)

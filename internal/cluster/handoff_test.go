@@ -8,13 +8,15 @@ import (
 
 	"innet/internal/core"
 	"innet/internal/ingest"
+	"innet/internal/protocol"
 )
 
 // TestHandoffRestoresWholeWindowAtAnyQueueDepth pins "a window restore
 // must not lose points" against the flag that used to break it: the
-// HANDOFF handler fed sub-batches of 64 — safe below the default queue
+// restore handler fed sub-batches of 64 — safe below the default queue
 // depth of 256, but -queue is the operator's to set, and at depth 8 a
-// 64-reading sub-batch sheds most of itself by latest-wins.
+// 64-reading sub-batch sheds most of itself by latest-wins. A window
+// copy's write is a READINGS frame flagged FlagTransfer.
 func TestHandoffRestoresWholeWindowAtAnyQueueDepth(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -44,7 +46,7 @@ func TestHandoffRestoresWholeWindowAtAnyQueueDepth(t *testing.T) {
 	for i := range window {
 		window[i] = core.NewPoint(sensor, uint32(i), time.Duration(i)*time.Second, 20+float64(i%9))
 	}
-	accepted, err := client.handoffTransfer(ctx, addr, sensor, window)
+	accepted, err := client.readings(ctx, addr, protocol.FlagTransfer, 0, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,5 +59,59 @@ func TestHandoffRestoresWholeWindowAtAnyQueueDepth(t *testing.T) {
 	}
 	if st := svc.Stats(); len(held) != points || st.Dropped != 0 {
 		t.Fatalf("restored window holds %d of %d points, %d shed", len(held), points, st.Dropped)
+	}
+}
+
+// TestResponsesCarryTheRequestKind sends one raw request of each kind to
+// a live shard and holds every response to the wire's one correlation
+// rule: FlagResponse set, the request's reqID and the request's kind.
+func TestResponsesCarryTheRequestKind(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, _, _, addr := directShard(t, ctx, 20, 21, 22)
+	conn, err := net.DialUDP("udp", nil, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	assign, err := protocol.AssignBody{MapVersion: 1, ShardCount: 1, Sensors: []core.NodeID{1}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, err := protocol.ReadingsBody{Points: []core.Point{core.NewPoint(2, 0, time.Second, 20.5)}}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sufficient, err := protocol.SufficientBody{Session: 42, FragCount: 1}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requests := []protocol.Frame{
+		{Kind: protocol.FrameAssign, Body: assign},
+		{Kind: protocol.FrameEstimate, Body: protocol.EncodeEstimateRequest(1)},
+		{Kind: protocol.FrameHealth},
+		{Kind: protocol.FrameReadings, Body: readings},
+		{Kind: protocol.FrameSufficient, Body: sufficient},
+	}
+	buf := make([]byte, maxCtlDatagram)
+	for i, req := range requests {
+		req.ReqID, req.Trace = uint32(100+i), 7
+		if _, err := conn.Write(protocol.EncodeFrame(req)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%v: no response: %v", req.Kind, err)
+		}
+		resp, err := protocol.DecodeFrame(buf[:n])
+		if err != nil {
+			t.Fatalf("%v: undecodable response: %v", req.Kind, err)
+		}
+		if !resp.Response() || resp.ReqID != req.ReqID || resp.Kind != req.Kind {
+			t.Fatalf("%v request answered by %v (flags %#x, reqID %d), want a %v response to reqID %d",
+				req.Kind, resp.Kind, resp.Flags, resp.ReqID, req.Kind, req.ReqID)
+		}
 	}
 }

@@ -193,7 +193,7 @@ func TestCompactMergeEquivalenceUnderLoss(t *testing.T) {
 			want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
 
 			for q := 0; q < 2; q++ {
-				merged, err := coord.MergedEstimate(ctx)
+				merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 				if err != nil {
 					t.Fatalf("query %d: %v", q, err)
 				}
@@ -277,7 +277,7 @@ func TestCompactMergeRetryIdempotent(t *testing.T) {
 			return false
 		})
 	}
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
 
 	// Sanity: a healthy compact merge first.
-	healthy, err := coord.MergedEstimate(ctx)
+	healthy, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil || healthy.Mode != MergeCompact || !samePoints(healthy.Outliers, want) {
 		t.Fatalf("healthy compact merge wrong: mode=%v err=%v %s", healthy.Mode, err, ids(healthy.Outliers))
 	}
@@ -323,7 +323,7 @@ func TestCompactMergeFallbackMidQueryKill(t *testing.T) {
 		}
 		return false
 	})
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestCompactMergeBlackholedFramesFallBackExact(t *testing.T) {
 	}
 	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
 
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,10 @@ func chunkByBytes(pts []core.Point, budget int) [][]core.Point {
 // additional client, not a replacement interface.
 //
 // All handlers are idempotent, matching the coordinator's retry policy:
-// re-ASSIGN re-joins already-joined sensors, re-delivered READINGS and
-// HANDOFF points carry preassigned identities and deduplicate inside the
-// detectors' windows, and queries are pure.
+// re-ASSIGN re-joins already-joined sensors, re-delivered READINGS points
+// carry preassigned identities and deduplicate inside the detectors'
+// windows, and queries are pure. Every response carries its request's
+// kind.
 type ShardServer struct {
 	svc  *ingest.Service
 	conn *net.UDPConn
@@ -101,7 +102,7 @@ const maxMergeSessions = 8
 // ShardServerConfig parameterizes a ShardServer.
 type ShardServerConfig struct {
 	// Service is the shard's ingest fleet. Required. It should run with
-	// AutoJoin so HANDOFF and READINGS for new sensors attach them.
+	// AutoJoin so READINGS for new sensors attach them.
 	Service *ingest.Service
 
 	// Addr is the UDP control listen address, e.g. "127.0.0.1:9100".
@@ -182,7 +183,7 @@ func (s *ShardServer) Serve() error {
 				Sensors:    uint16(len(s.svc.Sensors())),
 				Sessions:   uint16(s.sessionCount()),
 			}
-			s.finish(f, from, s.respond(from, f, protocol.FrameHealth, body.Encode()))
+			s.finish(f, from, s.respond(from, f, body.Encode()))
 			continue
 		}
 		select {
@@ -211,12 +212,6 @@ func (s *ShardServer) handle(f protocol.Frame, from *net.UDPAddr) {
 	switch f.Kind {
 	case protocol.FrameAssign:
 		err = s.handleAssign(f, from)
-	case protocol.FrameHandoff:
-		if f.Flags&protocol.FlagTransfer != 0 {
-			err = s.handleHandoffTransfer(f, from)
-		} else {
-			err = s.handleHandoffFetch(f, from)
-		}
 	case protocol.FrameEstimate:
 		err = s.handleEstimate(f, from)
 	case protocol.FrameReadings:
@@ -242,11 +237,11 @@ func (s *ShardServer) sessionCount() int {
 	return len(s.sessions)
 }
 
-// respond answers req with one frame of the given kind, echoing its
-// reqID and trace ID.
-func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, body []byte) error {
+// respond answers req with one frame, echoing its kind, reqID and trace
+// ID.
+func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, body []byte) error {
 	frame := protocol.EncodeFrame(protocol.Frame{
-		Kind:  kind,
+		Kind:  req.Kind,
 		Flags: protocol.FlagResponse,
 		ReqID: req.ReqID,
 		Trace: req.Trace,
@@ -256,10 +251,10 @@ func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, kind protocol
 	return err
 }
 
-// respondFragments answers req with pts split over as many frames of the
-// given kind as the byte budget requires (at least one, so an empty
-// answer still answers); body encodes fragment frag of count.
-func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind, pts []core.Point,
+// respondFragments answers req with pts split over as many frames as the
+// byte budget requires (at least one, so an empty answer still answers);
+// body encodes fragment frag of count.
+func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, pts []core.Point,
 	body func(frag, count uint16, chunk []core.Point) ([]byte, error)) error {
 	chunks := chunkByBytes(pts, maxFrameBytes)
 	for i, chunk := range chunks {
@@ -267,7 +262,7 @@ func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, kind
 		if err != nil {
 			return err
 		}
-		if err := s.respond(to, req, kind, buf); err != nil {
+		if err := s.respond(to, req, buf); err != nil {
 			return err
 		}
 	}
@@ -312,7 +307,7 @@ func (s *ShardServer) handleAssign(f protocol.Frame, from *net.UDPAddr) error {
 	s.log.Info("ASSIGN adopted", "map_version", body.MapVersion,
 		"slot", body.ShardIndex, "of", body.ShardCount,
 		"sensors", len(body.Sensors), "evictions", len(body.Evict))
-	return s.respond(from, f, protocol.FrameAssign, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
+	return s.respond(from, f, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
 }
 
 // readingOf turns an identity-stamped point back into a reading for the
@@ -330,6 +325,10 @@ func readingOf(trace uint64, p core.Point) ingest.Reading {
 	}
 }
 
+// handleReadings admits a READINGS batch. A live batch goes through
+// Ingest, where latest-wins shedding under burst is the documented
+// policy; a FlagTransfer batch is a window copy, which must not lose
+// points whatever queue depth the shard runs with: that is Admit.
 func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error {
 	start := time.Now()
 	body, err := protocol.DecodeReadings(f.Body)
@@ -337,9 +336,21 @@ func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error 
 		return err
 	}
 	var accepted uint64
-	for _, p := range body.Points {
-		if s.svc.Ingest(readingOf(f.Trace, p)) == nil {
-			accepted++
+	if f.Flags&protocol.FlagTransfer != 0 {
+		restore := make([]ingest.Reading, len(body.Points))
+		for i, p := range body.Points {
+			restore[i] = readingOf(f.Trace, p)
+		}
+		n, err := s.svc.Admit(s.ctx, restore)
+		if err != nil {
+			return err
+		}
+		accepted = uint64(n)
+	} else {
+		for _, p := range body.Points {
+			if s.svc.Ingest(readingOf(f.Trace, p)) == nil {
+				accepted++
+			}
 		}
 	}
 	s.svc.Traces().Record(obs.Span{
@@ -351,52 +362,7 @@ func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error 
 		Start:  start,
 		Dur:    time.Since(start),
 	})
-	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: accepted}.Encode())
-}
-
-// handleHandoffTransfer adopts a sensor's window from another shard.
-// Unlike live READINGS — where latest-wins shedding under burst is the
-// documented policy — a window restore must not lose points, whatever
-// queue depth the shard runs with: that is ingest.Service.Admit.
-func (s *ShardServer) handleHandoffTransfer(f protocol.Frame, from *net.UDPAddr) error {
-	body, err := protocol.DecodeHandoff(f.Body)
-	if err != nil {
-		return err
-	}
-	restore := make([]ingest.Reading, len(body.Points))
-	for i, p := range body.Points {
-		restore[i] = readingOf(f.Trace, p)
-	}
-	accepted, err := s.svc.Admit(s.ctx, restore)
-	if err != nil {
-		return err
-	}
-	s.log.Info("HANDOFF adopted", "sensor", uint64(body.Sensor),
-		"accepted", accepted, "points", len(body.Points))
-	return s.respond(from, f, protocol.FrameAck, protocol.AckBody{Count: uint64(accepted)}.Encode())
-}
-
-// handleHandoffFetch returns one sensor's current window points, in as
-// many fragments as the byte budget requires. The sensor's own peer
-// holds every point it originated (plus the exchanged rest), so one
-// event-loop round trip suffices; a sensor this shard never attached
-// has nothing to hand off.
-func (s *ShardServer) handleHandoffFetch(f protocol.Frame, from *net.UDPAddr) error {
-	body, err := protocol.DecodeHandoff(f.Body)
-	if err != nil {
-		return err
-	}
-	var pts []core.Point
-	if held, err := s.svc.HoldingsOf(s.ctx, body.Sensor); err == nil {
-		for _, p := range held {
-			if p.ID.Origin == body.Sensor {
-				pts = append(pts, p)
-			}
-		}
-	}
-	return s.respondFragments(from, f, protocol.FrameHandoff, pts, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
-		return protocol.HandoffBody{Sensor: body.Sensor, Frag: frag, FragCount: count, Points: chunk}.Encode()
-	})
+	return s.respond(from, f, protocol.AckBody{Count: accepted}.Encode())
 }
 
 // fingerprintPoints hashes a window snapshot's content (IDs and birth
@@ -504,7 +470,7 @@ func (s *ShardServer) mergeSession(id uint64, create bool, trace uint64) (*merge
 
 // refuseSession answers a frame naming a merge session this shard no
 // longer holds; see mergeSession.
-func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind protocol.FrameKind) error {
+func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame) error {
 	s.svc.Traces().Record(obs.Span{
 		Trace: req.Trace,
 		ReqID: req.ReqID,
@@ -512,7 +478,7 @@ func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame, kind pr
 		Start: time.Now(),
 	})
 	frame := protocol.EncodeFrame(protocol.Frame{
-		Kind:  kind,
+		Kind:  req.Kind,
 		Flags: protocol.FlagResponse | protocol.FlagUnknownSession,
 		ReqID: req.ReqID,
 		Trace: req.Trace,
@@ -546,7 +512,7 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 		return err
 	}
 	if sess == nil {
-		return s.refuseSession(from, f, protocol.FrameSufficient)
+		return s.refuseSession(from, f)
 	}
 	var delta []core.Point
 	replayed := false
@@ -573,19 +539,35 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, from *net.UDPAddr) erro
 		Start:  start,
 		Dur:    time.Since(start),
 	})
-	return s.respondFragments(from, f, protocol.FrameSufficient, delta, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+	return s.respondFragments(from, f, delta, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
 		return protocol.SufficientBody{Session: body.Session, Round: body.Round, Frag: frag, FragCount: count, Points: chunk}.Encode()
 	})
 }
 
-// handleEstimate streams the shard's window snapshot back as however
-// many fragments the byte budget requires.
+// handleEstimate streams back the shard's window union, or one sensor's
+// own points when the request names it, as however many fragments the
+// byte budget requires. The sensor's own peer holds every point it
+// originated and has not aged out (plus the exchanged rest), so one
+// event-loop round trip suffices; a sensor this shard never attached
+// answers empty.
 func (s *ShardServer) handleEstimate(f protocol.Frame, from *net.UDPAddr) error {
-	snap, err := s.svc.Snapshot(s.ctx)
+	sensor, err := protocol.DecodeEstimateRequest(f.Body)
 	if err != nil {
 		return err
 	}
-	return s.respondFragments(from, f, protocol.FrameEstimate, snap, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+	var pts []core.Point
+	if sensor == 0 {
+		if pts, err = s.svc.Snapshot(s.ctx); err != nil {
+			return err
+		}
+	} else if held, err := s.svc.HoldingsOf(s.ctx, sensor); err == nil {
+		for _, p := range held {
+			if p.ID.Origin == sensor {
+				pts = append(pts, p)
+			}
+		}
+	}
+	return s.respondFragments(from, f, pts, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
 		return protocol.EstimateBody{Frag: frag, FragCount: count, Points: chunk}.Encode()
 	})
 }

@@ -223,7 +223,7 @@ func TestRetryDoesNotDuplicateSpans(t *testing.T) {
 			return false
 		})
 	}
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestFallbackSpanSharesTrace(t *testing.T) {
 		}
 		return false
 	})
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestFirstQueryTracedBeforeAnyProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := coord.MergedEstimate(ctx)
+	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatal(err)
 	}

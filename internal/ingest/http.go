@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -130,13 +131,18 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 
 // DecodeBatch reads a POST /v1/observations body into the readings it
 // carries. Both front doors speaking this format — this service's and the
-// cluster coordinator's — decode through it.
+// cluster coordinator's — decode through it. The body is one batch
+// object: anything but whitespace after it (garbage, a second batch)
+// fails the whole body, as an unparseable one does.
 func DecodeBatch(w http.ResponseWriter, r *http.Request) ([]Reading, error) {
 	var batch WireBatch
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {
 		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("data after the batch object")
 	}
 	readings := make([]Reading, len(batch.Readings))
 	for i, wr := range batch.Readings {

@@ -97,18 +97,32 @@ func TestHTTPMalformedBody(t *testing.T) {
 	if status != http.StatusBadRequest { // AutoJoin off: unknown sensor
 		t.Fatalf("all-rejected batch status %d, want 400", status)
 	}
-	// One out-of-range timestamp fails the whole batch, as an unparseable
-	// body does: it would wrap into a valid-looking data time.
 	if err := s.Join(1); err != nil {
 		t.Fatal(err)
 	}
+	// One batch object is the whole body: trailing garbage or a second
+	// batch fails it, as an unparseable body does, though the first
+	// object alone would be admitted.
+	for i, body := range []string{
+		`{"readings":[{"sensor":1,"at_ms":5,"values":[1]}]} garbage`,
+		`{"readings":[{"sensor":1,"at_ms":5,"values":[1]}]}{"readings":[{"sensor":1,"at_ms":6,"values":[2]}]}`,
+	} {
+		if status, _ := doJSON(t, "POST", srv.URL+"/v1/observations", body); status != http.StatusBadRequest {
+			t.Fatalf("trailing data %d: status %d, want 400", i, status)
+		}
+		if got := s.Stats().Malformed; got != uint64(2+i) {
+			t.Fatalf("trailing data %d: Malformed = %d, want %d", i, got, 2+i)
+		}
+	}
+	// One out-of-range timestamp fails the whole batch, as an unparseable
+	// body does: it would wrap into a valid-looking data time.
 	for i, atMS := range []string{"20000000000000", fmt.Sprint(maxAtMS + 1), "-9223372036854775"} {
 		body := `{"readings":[{"sensor":1,"at_ms":1000,"values":[20]},{"sensor":1,"at_ms":` + atMS + `,"values":[55.3]}]}`
 		if status, _ := doJSON(t, "POST", srv.URL+"/v1/observations", body); status != http.StatusBadRequest {
 			t.Fatalf("at_ms %s: status %d, want 400", atMS, status)
 		}
-		if got := s.Stats().Malformed; got != uint64(2+i) {
-			t.Fatalf("at_ms %s: Malformed = %d, want %d", atMS, got, 2+i)
+		if got := s.Stats().Malformed; got != uint64(4+i) {
+			t.Fatalf("at_ms %s: Malformed = %d, want %d", atMS, got, 4+i)
 		}
 	}
 	if got := s.Stats().Accepted; got != 0 {

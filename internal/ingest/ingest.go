@@ -825,7 +825,8 @@ func (s *Service) Snapshot(ctx context.Context) ([]core.Point, error) {
 // HoldingsOf returns one attached sensor's sliding window (its own
 // points plus everything it has received), sorted. Unlike Snapshot it
 // costs one event-loop round trip instead of one per sensor, which is
-// what the cluster handoff path wants when moving a single sensor.
+// what a shard wants when it answers an ESTIMATE for a single sensor
+// (the read half of the cluster's window copy).
 func (s *Service) HoldingsOf(ctx context.Context, id core.NodeID) ([]core.Point, error) {
 	s.mu.RLock()
 	sn, ok := s.sensors[id]
@@ -882,16 +883,6 @@ func (s *Service) Sensors() []core.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// QueueDepth reports how many readings are queued for the given sensor.
-func (s *Service) QueueDepth(id core.NodeID) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sn, ok := s.sensors[id]; ok {
-		return len(sn.queue)
-	}
-	return 0
 }
 
 // Stats snapshots the service counters.

@@ -113,7 +113,6 @@ func TestIngestFlushBarrierUnderConcurrency(t *testing.T) {
 			}
 			_, _ = svc.Snapshot(ctx)
 			_ = svc.SensorStats()
-			_ = svc.QueueDepth(1)
 		}
 	}()
 

@@ -240,7 +240,7 @@ func ask[T any](ctx context.Context, p *Peer, get func(*core.Detector) T) (T, er
 // Holdings snapshots the peer's full sliding window P_i (own and received
 // points) via the event loop, so the copy is consistent. The cluster shard
 // server serves window snapshots from this for the coordinator's estimate
-// merge and for sensor handoff.
+// merge and for the one-sensor ESTIMATE behind a window copy.
 func (p *Peer) Holdings(ctx context.Context) (*core.Set, error) {
 	return ask(ctx, p, (*core.Detector).Holdings)
 }

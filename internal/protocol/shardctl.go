@@ -23,19 +23,19 @@ package protocol
 //	ASSIGN    coordinator → shard   shard-map epoch: version, the shard's
 //	                                slot, the sensors it owns, and the
 //	                                sensors moved away from it (detach)
-//	HANDOFF   coordinator → shard   without FlagTransfer: "return sensor
-//	                                s's window points" (rejoin resync);
-//	                                with FlagTransfer: "here are sensor
-//	                                s's points, adopt them"
-//	ESTIMATE  coordinator → shard   window-snapshot query; the response
-//	                                may span several fragments, each its
-//	                                own frame echoing the reqID
+//	ESTIMATE  coordinator → shard   window query: an empty request asks
+//	                                for the shard's window union, a
+//	                                sensor ID for the points that
+//	                                sensor holds of its own (a window
+//	                                copy's read); the response may span
+//	                                several fragments, each its own
+//	                                frame echoing the reqID
 //	HEALTH    coordinator → shard   liveness probe; response reports the
 //	                                shard's map version and fleet size
 //	READINGS  coordinator → shard   routed ingest batch with
-//	                                coordinator-assigned point identities
-//	ACK       shard → coordinator   count acknowledgment for READINGS
-//	                                and HANDOFF transfers
+//	                                coordinator-assigned point identities;
+//	                                with FlagTransfer, one chunk of a
+//	                                window copy's write
 //	SUFFICIENT coordinator → shard  compact-merge round: the request
 //	                                carries the coordinator's sufficient
 //	                                delta for session S, round R, in
@@ -45,6 +45,9 @@ package protocol
 //	                                delta, possibly in several fragments
 //	                                echoing the reqID, and is replayed
 //	                                verbatim on a retried round
+//
+// Every response carries its request's kind. ASSIGN and READINGS are
+// answered with an AckBody count.
 
 import (
 	"encoding/binary"
@@ -57,15 +60,13 @@ import (
 // FrameKind discriminates shard-control frames.
 type FrameKind uint8
 
-// Shard-control frame kinds. Kind 7 (LEDGER) is retired, not reused: a
-// frame carrying it is rejected as unknown.
+// Shard-control frame kinds. Kinds 2 (HANDOFF), 6 (ACK) and 7 (LEDGER)
+// are retired, not reused: a frame carrying one is rejected as unknown.
 const (
 	FrameAssign     FrameKind = 1
-	FrameHandoff    FrameKind = 2
 	FrameEstimate   FrameKind = 3
 	FrameHealth     FrameKind = 4
 	FrameReadings   FrameKind = 5
-	FrameAck        FrameKind = 6
 	FrameSufficient FrameKind = 8
 )
 
@@ -73,11 +74,9 @@ const (
 // metric label. A kind is valid exactly when it has a name here.
 var frameKinds = [...]struct{ name, label string }{
 	FrameAssign:     {"ASSIGN", "assign"},
-	FrameHandoff:    {"HANDOFF", "handoff"},
 	FrameEstimate:   {"ESTIMATE", "estimate"},
 	FrameHealth:     {"HEALTH", "health"},
 	FrameReadings:   {"READINGS", "readings"},
-	FrameAck:        {"ACK", "ack"},
 	FrameSufficient: {"SUFFICIENT", "sufficient"},
 }
 
@@ -106,8 +105,9 @@ func (k FrameKind) MetricLabel() string {
 const (
 	// FlagResponse marks a frame answering the request with the same reqID.
 	FlagResponse = 1 << 0
-	// FlagTransfer turns a HANDOFF from a window request into a window
-	// delivery.
+	// FlagTransfer marks a READINGS request as a window copy's write:
+	// the shard admits every point (a restore must not shed), where a
+	// live batch is ingested latest-wins.
 	FlagTransfer = 1 << 1
 	// FlagUnknownSession marks a SUFFICIENT response refusing a
 	// merge session the shard does not hold. Sessions are only created
@@ -250,55 +250,10 @@ func DecodeAssign(buf []byte) (AssignBody, error) {
 	return b, nil
 }
 
-// HandoffBody is the HANDOFF payload: the sensor changing hands and — on
-// FlagTransfer frames and on responses to window requests — its window
-// points, identities preserved. Like ESTIMATE, a window response may
-// span several fragments (a dense sensor's window does not fit one
-// datagram); FragCount rides on every fragment so the requester can
-// size reassembly from whichever arrives first. Requests and transfers
-// use Frag 0/1.
-type HandoffBody struct {
-	Sensor    core.NodeID
-	Frag      uint16
-	FragCount uint16
-	Points    []core.Point
-}
-
-// Encode serializes the HANDOFF body.
-func (b HandoffBody) Encode() ([]byte, error) {
-	pts, err := core.EncodePoints(b.Points)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 6+len(pts))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(b.Sensor))
-	buf = binary.BigEndian.AppendUint16(buf, b.Frag)
-	buf = binary.BigEndian.AppendUint16(buf, b.FragCount)
-	return append(buf, pts...), nil
-}
-
-// DecodeHandoff parses a HANDOFF body.
-func DecodeHandoff(buf []byte) (HandoffBody, error) {
-	if len(buf) < 6 {
-		return HandoffBody{}, core.ErrTruncated
-	}
-	b := HandoffBody{
-		Sensor:    core.NodeID(binary.BigEndian.Uint16(buf)),
-		Frag:      binary.BigEndian.Uint16(buf[2:]),
-		FragCount: binary.BigEndian.Uint16(buf[4:]),
-	}
-	pts, err := core.DecodePoints(buf[6:])
-	if err != nil {
-		return HandoffBody{}, err
-	}
-	b.Points = pts
-	return b, nil
-}
-
 // EstimateBody is the ESTIMATE response payload: one fragment of the
-// shard's window snapshot. FragCount is repeated on every fragment so the
-// querier can size its reassembly from whichever fragment arrives first;
-// the request body is empty.
+// requested window points. FragCount is repeated on every fragment so
+// the querier can size its reassembly from whichever fragment arrives
+// first. The request body is EncodeEstimateRequest's.
 type EstimateBody struct {
 	Frag      uint16
 	FragCount uint16
@@ -332,6 +287,28 @@ func DecodeEstimate(buf []byte) (EstimateBody, error) {
 	}
 	b.Points = pts
 	return b, nil
+}
+
+// EncodeEstimateRequest serializes an ESTIMATE request: empty for the
+// shard's whole window union, or one sensor's 2-byte ID for the points
+// that sensor holds of its own.
+func EncodeEstimateRequest(sensor core.NodeID) []byte {
+	if sensor == 0 {
+		return nil
+	}
+	return binary.BigEndian.AppendUint16(nil, uint16(sensor))
+}
+
+// DecodeEstimateRequest parses an ESTIMATE request body; 0 asks for the
+// whole window union.
+func DecodeEstimateRequest(buf []byte) (core.NodeID, error) {
+	if len(buf) == 0 {
+		return 0, nil
+	}
+	if len(buf) == 2 && binary.BigEndian.Uint16(buf) != 0 {
+		return core.NodeID(binary.BigEndian.Uint16(buf)), nil
+	}
+	return 0, fmt.Errorf("protocol: %d-byte ESTIMATE request, want 0 or a nonzero sensor ID", len(buf))
 }
 
 // HealthBody is the HEALTH response payload (the request body is empty).
@@ -438,18 +415,18 @@ func DecodeSufficient(buf []byte) (SufficientBody, error) {
 	return b, nil
 }
 
-// AckBody is the generic count acknowledgment: readings accepted, points
-// adopted, or the map version adopted by an ASSIGN.
+// AckBody is the ASSIGN and READINGS response payload: the map version
+// an ASSIGN left the shard on, or the points a READINGS accepted.
 type AckBody struct {
 	Count uint64
 }
 
-// Encode serializes the ACK body.
+// Encode serializes the ack body.
 func (b AckBody) Encode() []byte {
 	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), b.Count)
 }
 
-// DecodeAck parses an ACK body.
+// DecodeAck parses an ack body.
 func DecodeAck(buf []byte) (AckBody, error) {
 	if len(buf) != 8 {
 		return AckBody{}, core.ErrTruncated

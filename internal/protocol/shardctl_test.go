@@ -18,11 +18,11 @@ func ctlPoints() []core.Point {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	body, err := HandoffBody{Sensor: 7, Points: ctlPoints()}.Encode()
+	body, err := ReadingsBody{Points: ctlPoints()}.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := Frame{Kind: FrameHandoff, Flags: FlagResponse | FlagTransfer, ReqID: 0xdeadbeef, Body: body}
+	in := Frame{Kind: FrameReadings, Flags: FlagResponse | FlagTransfer, ReqID: 0xdeadbeef, Body: body}
 	out, err := DecodeFrame(EncodeFrame(in))
 	if err != nil {
 		t.Fatal(err)
@@ -92,21 +92,8 @@ func TestAssignRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHandoffEstimateReadingsRoundTrip(t *testing.T) {
+func TestEstimateReadingsRoundTrip(t *testing.T) {
 	pts := ctlPoints()
-
-	hb, err := HandoffBody{Sensor: 3, Frag: 2, FragCount: 5, Points: pts}.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := DecodeHandoff(hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Sensor != 3 || h.Frag != 2 || h.FragCount != 5 ||
-		len(h.Points) != 2 || h.Points[0].ID != pts[0].ID {
-		t.Fatalf("handoff mismatch: %+v", h)
-	}
 
 	eb, err := EstimateBody{Frag: 1, FragCount: 4, Points: pts}.Encode()
 	if err != nil {
@@ -136,6 +123,27 @@ func TestHandoffEstimateReadingsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeReadings(rb[:3]); err == nil {
 		t.Fatal("truncated READINGS decoded")
+	}
+}
+
+// TestEstimateRequestRoundTrip: an ESTIMATE request is empty (the whole
+// window union) or one nonzero 2-byte sensor ID; decode∘encode is the
+// identity, and every other body is refused.
+func TestEstimateRequestRoundTrip(t *testing.T) {
+	for _, sensor := range []core.NodeID{0, 1, 3, 0xffff} {
+		enc := EncodeEstimateRequest(sensor)
+		if (len(enc) == 0) != (sensor == 0) || len(enc) > 2 {
+			t.Fatalf("sensor %d: %d-byte request", sensor, len(enc))
+		}
+		got, err := DecodeEstimateRequest(enc)
+		if err != nil || got != sensor {
+			t.Fatalf("sensor %d: decoded %d, %v", sensor, got, err)
+		}
+	}
+	for _, buf := range [][]byte{{0, 0}, {3}, {0, 3, 0}, {0, 0, 0, 0}} {
+		if id, err := DecodeEstimateRequest(buf); err == nil {
+			t.Fatalf("request %x decoded as sensor %d", buf, id)
+		}
 	}
 }
 
@@ -210,7 +218,7 @@ func TestFrameDecodeNeverPanics(t *testing.T) {
 		}
 		// Header decoded: body decoding must also stay panic-free.
 		_, _ = DecodeAssign(f.Body)
-		_, _ = DecodeHandoff(f.Body)
+		_, _ = DecodeEstimateRequest(f.Body)
 		_, _ = DecodeEstimate(f.Body)
 		_, _ = DecodeReadings(f.Body)
 		_, _ = DecodeHealth(f.Body)
@@ -291,18 +299,28 @@ func TestHealthRoundTrip(t *testing.T) {
 }
 
 // TestFrameKindNames: every kind has a wire-doc name and a lowercase
-// metric label; unknown kinds — the retired kind 7 among them — fall
-// back to a printable name and a single fixed label (so a corrupt kind
-// byte cannot grow metric cardinality).
+// metric label; unknown kinds — the retired kinds 2, 6 and 7 among them —
+// fall back to a printable name and a single fixed label (so a corrupt
+// kind byte cannot grow metric cardinality), and decode as unknown.
 func TestFrameKindNames(t *testing.T) {
-	for _, k := range []FrameKind{FrameAssign, FrameHandoff, FrameEstimate, FrameHealth, FrameReadings, FrameAck, FrameSufficient} {
+	kinds := map[FrameKind]string{FrameAssign: "ASSIGN", FrameEstimate: "ESTIMATE", FrameHealth: "HEALTH", FrameReadings: "READINGS", FrameSufficient: "SUFFICIENT"}
+	for b := range 256 {
+		k := FrameKind(b)
+		if name, ok := kinds[k]; k.valid() != ok || (ok && k.String() != name) {
+			t.Fatalf("kind %d: valid=%v name %q, want exactly ASSIGN 1, ESTIMATE 3, HEALTH 4, READINGS 5, SUFFICIENT 8", b, k.valid(), k.String())
+		}
+	}
+	for k := range kinds {
 		if !k.valid() || k.String() == "" || k.MetricLabel() != strings.ToLower(k.String()) {
 			t.Fatalf("kind %d: name %q, label %q", k, k.String(), k.MetricLabel())
 		}
 	}
-	for _, k := range []FrameKind{0, 7, FrameSufficient + 1, 255} {
+	for _, k := range []FrameKind{0, 2, 6, 7, FrameSufficient + 1, 255} {
 		if k.valid() || k.MetricLabel() != "unknown" || !strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("unknown kind %d: valid=%v name %q label %q", k, k.valid(), k.String(), k.MetricLabel())
+		}
+		if _, err := DecodeFrame(EncodeFrame(Frame{Kind: k, ReqID: 1})); err == nil || errors.Is(err, ErrNotControlFrame) {
+			t.Fatalf("unknown kind %d: decode got %v, want a malformed-frame error", k, err)
 		}
 	}
 }

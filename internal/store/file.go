@@ -322,21 +322,10 @@ func (f *File) PutIdentities(ids []Identity) error {
 // Compact implements Store: write the snapshot to a temp file, fsync,
 // rename over the old one, then truncate the WAL.
 func (f *File) Compact(recs []Record, ids []Identity) error {
-	body := make([]byte, 0, 64+len(recs)*32)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(recs)))
-	for _, r := range recs {
-		if len(r.Values) > 255 {
-			return fmt.Errorf("store: %d features exceeds the record format", len(r.Values))
-		}
-		body = appendReadingBody(body, r)
+	buf, err := encodeSnapshot(recs, ids)
+	if err != nil {
+		return err
 	}
-	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
-	for _, id := range ids {
-		body = appendIdentityBody(body, id)
-	}
-	buf := append([]byte{}, snapMagic[:]...)
-	buf = appendFrame(buf, body)
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -379,6 +368,23 @@ func (f *File) Compact(recs []Record, ids []Identity) error {
 	f.metrics.Compacts++
 	f.observe("compact", compactStart)
 	return nil
+}
+
+// encodeSnapshot lays out snapshot.dat's bytes for the given state.
+func encodeSnapshot(recs []Record, ids []Identity) ([]byte, error) {
+	body := make([]byte, 0, 64+len(recs)*32)
+	body = binary.BigEndian.AppendUint32(body, uint32(len(recs)))
+	for _, r := range recs {
+		if len(r.Values) > 255 {
+			return nil, fmt.Errorf("store: %d features exceeds the record format", len(r.Values))
+		}
+		body = appendReadingBody(body, r)
+	}
+	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
+	for _, id := range ids {
+		body = appendIdentityBody(body, id)
+	}
+	return appendFrame(append([]byte{}, snapMagic[:]...), body), nil
 }
 
 func syncFile(path string) error {
@@ -428,13 +434,13 @@ func (f *File) loadSnapshot() (recs []Record, ids []Identity, corrupt bool) {
 		return nil, nil, true
 	}
 	body := buf[4 : 4+n]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[4+n:]) {
+	if len(body) < 4 || crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[4+n:]) {
 		return nil, nil, true
 	}
 	count := binary.BigEndian.Uint32(body)
 	body = body[4:]
 	for i := uint32(0); i < count; i++ {
-		if len(body) < 16 {
+		if len(body) < 16 || body[0] != kindReading {
 			return nil, nil, true
 		}
 		size := 16 + 8*int(body[15])
@@ -454,7 +460,7 @@ func (f *File) loadSnapshot() (recs []Record, ids []Identity, corrupt bool) {
 	count = binary.BigEndian.Uint32(body)
 	body = body[4:]
 	for i := uint32(0); i < count; i++ {
-		if len(body) < 15 {
+		if len(body) < 15 || body[0] != kindIdentity {
 			return nil, nil, true
 		}
 		id, err := parseIdentityBody(body[:15])

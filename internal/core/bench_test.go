@@ -169,6 +169,76 @@ func BenchmarkTopNPool(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowSlide is the ranking kernel under a sliding window: a
+// 16-origin, 3,200-point window, KNN k=2, n=3, where one op takes one
+// reading in, evicts the oldest, and ranks the new window with a
+// supporter built from the one before — hinted with its estimate and, in
+// the carry rows, given its rank bounds (supporter.inherit) as a detector's
+// rebuild is; the hint-only rows carry nothing. On the faulty stream (the
+// fleet_round one) the floor sits far above the bulk, on the quiet stream
+// in the tail of the noise. Beside the time it reports the candidates a
+// point cost on average and the share of points a carried bound placed.
+func BenchmarkWindowSlide(b *testing.B) {
+	const size = 3200
+	for _, stream := range []struct {
+		name         string
+		rate, offset float64
+	}{{"faulty", 0.005, 15000}, {"quiet", 0.001, 150}} {
+		for _, carry := range []bool{true, false} {
+			name := stream.name + "/carry"
+			if !carry {
+				name = stream.name + "/hint-only"
+			}
+			b.Run(name, func(b *testing.B) {
+				value := burstStream(size, stream.rate, stream.offset)
+				// Reading j is sensor 1+j%16's j/16-th, born at j: the
+				// window's oldest reading is the only one a cutoff of
+				// j−size+1 evicts.
+				reading := func(j int) Point {
+					return NewPoint(NodeID(1+j%16), uint32(j/16), time.Duration(j), value())
+				}
+				held := NewSet()
+				for j := range size {
+					held.Add(reading(j))
+				}
+				var stats Stats
+				var spare []rankBound
+				var prev *supporter
+				slide := func(j int) {
+					held.Add(reading(j))
+					cutoff := time.Duration(j - size + 1)
+					held.EvictBefore(cutoff)
+					sup := supporterFor(KNN{K: 2}, held.Points())
+					sup.stats = &stats
+					if prev != nil {
+						sup.hint = prev.top
+					}
+					if carry {
+						spare = sup.inherit(prev, cutoff, spare)
+					}
+					sup.topN(3)
+					prev = sup
+				}
+				// One window's worth of slides first: every bound carried in
+				// the timed ops was proved on a window that moved since.
+				for j := size; j < 2*size; j++ {
+					slide(j)
+				}
+				before := stats
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					slide(2*size + i)
+				}
+				b.StopTimer()
+				queries := float64(max(1, stats.RankQueries-before.RankQueries))
+				b.ReportMetric(float64(stats.RankVisits-before.RankVisits)/queries, "visits/query")
+				b.ReportMetric(float64(stats.RankCarried-before.RankCarried)/queries, "carried-share")
+			})
+		}
+	}
+}
+
 // streamPoints draws count one-dimensional readings from value, sixteen
 // sensors taking turns, and returns them in ID order.
 func streamPoints(value func() float64, count int) []Point {
@@ -238,6 +308,7 @@ func sumStats(dets map[NodeID]*Detector) Stats {
 		sum.MemoHits += st.MemoHits
 		sum.MemoMisses += st.MemoMisses
 		sum.RankQueries += st.RankQueries
+		sum.RankCarried += st.RankCarried
 		sum.RankAbandoned += st.RankAbandoned
 		sum.RankVisits += st.RankVisits
 		sum.IndexBuilds += st.IndexBuilds
@@ -251,8 +322,9 @@ func sumStats(dets map[NodeID]*Detector) Stats {
 // until the network is quiescent again. Beside the time it reports what
 // the reaction path had to do for it: the share of per-link rankings the
 // link memos answered, ranking queries started per reading, the candidates
-// a query visited on average and the share of queries the cutoff
-// abandoned, and spatial indexes built per reading.
+// a query visited on average, the shares of queries the cutoff abandoned
+// and that a carried rank bound answered with no scan, and spatial
+// indexes built per reading.
 func BenchmarkReactClique16(b *testing.B) {
 	ph, value := steadyClique16(b)
 	before := ph.totalStats()
@@ -273,6 +345,7 @@ func BenchmarkReactClique16(b *testing.B) {
 	b.ReportMetric(float64(queries)/float64(b.N), "rank-queries/op")
 	b.ReportMetric(float64(after.RankVisits-before.RankVisits)/float64(max(1, queries)), "visits/query")
 	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/float64(max(1, queries)), "abandoned-share")
+	b.ReportMetric(float64(after.RankCarried-before.RankCarried)/float64(max(1, queries)), "carried-share")
 	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 )
@@ -112,13 +113,14 @@ type Stats struct {
 	// On(seed ∪ shared) of Eq. (2) that were answered from the link's
 	// memory of the previous event and that had to be recomputed.
 	MemoHits, MemoMisses int
-	// RankQueries is the number of ranking queries R(x, ·) started by
-	// top-n passes over the window, its hop strata and the per-link
-	// candidate pools; RankAbandoned is how many of them the top-n cutoff
-	// stopped before they finished, and RankVisits how many candidates
-	// their linear scans looked at (a query through a spatial index
-	// counts none).
-	RankQueries, RankAbandoned, RankVisits int
+	// RankQueries is the number of points the top-n passes over the
+	// window, its hop strata and the per-link candidate pools had to
+	// place; RankCarried is how many of them a rank bound carried over
+	// from an earlier window placed below the floor with no query,
+	// RankAbandoned how many queries the top-n cutoff stopped before they
+	// finished, and RankVisits how many candidates the queries' linear
+	// scans looked at (a query through a spatial index counts none).
+	RankQueries, RankCarried, RankAbandoned, RankVisits int
 	// IndexBuilds is the number of spatial indexes built.
 	IndexBuilds int
 }
@@ -137,9 +139,10 @@ func (st *Stats) memo(hit bool) {
 	}
 }
 
-func (st *Stats) ranked(queries, abandoned, visits int) {
+func (st *Stats) ranked(queries, abandoned, carried, visits int) {
 	if st != nil {
 		st.RankQueries += queries
+		st.RankCarried += carried
 		st.RankAbandoned += abandoned
 		st.RankVisits += visits
 	}
@@ -187,6 +190,10 @@ type Detector struct {
 	// that leaves the window unchanged reuses them wholesale.
 	strata  []stratum
 	strataV uint64
+
+	// spare is the rank-bound buffer of the supporter the last rebuild
+	// replaced, which the next rebuild fills (see supporter.inherit).
+	spare []rankBound
 
 	stats Stats
 }
@@ -275,15 +282,27 @@ func (d *Detector) heldSupporter() *supporter {
 }
 
 // supporterAfter snapshots set for ranking, counted in the detector's
-// stats and hinted with whatever prev — the supporter this one replaces,
-// nil if none — last estimated.
+// stats, hinted with whatever prev — the supporter this one replaces, nil
+// if none — last estimated, and given the rank bounds of prev's that the
+// window still holds the witnesses of.
 func (d *Detector) supporterAfter(prev *supporter, set *Set) *supporter {
 	sup := newSupporter(d.cfg.Ranker, set)
 	sup.stats = &d.stats
 	if prev != nil {
 		sup.hint = prev.top
 	}
+	d.spare = sup.inherit(prev, d.cutoff(), d.spare)
 	return sup
+}
+
+// cutoff is the sliding window's eviction cutoff: every point born before
+// it has been evicted, and it never falls. Without a window nothing is
+// ever evicted, and every birth is at or after the cutoff.
+func (d *Detector) cutoff() time.Duration {
+	if d.cfg.Window <= 0 {
+		return math.MinInt64
+	}
+	return d.now - d.cfg.Window
 }
 
 // Estimate returns the sensor's current outlier estimate On(P_i) in
@@ -409,7 +428,7 @@ func (d *Detector) advance(now time.Duration) bool {
 	if d.cfg.Window <= 0 {
 		return false
 	}
-	cutoff := d.now - d.cfg.Window
+	cutoff := d.cutoff()
 	// P_i holds every point (own included), so its eviction count is
 	// the authoritative one; the other books are subsets.
 	evicted := d.held.EvictBefore(cutoff)

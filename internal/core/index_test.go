@@ -158,10 +158,15 @@ func TestIndexedRankersMatchBrute(t *testing.T) {
 		for _, r := range rankers {
 			for _, x := range queriesFor(pts) {
 				want := r.Rank(x, pts)
-				got, ok := r.rankBounded(x, pts, 0, ix, math.Inf(-1), scratch)
+				got, oldest, ok := r.rankBounded(x, pts, 0, ix, math.Inf(-1), scratch)
 				if !ok || want != got {
 					t.Fatalf("%s %s n=%d x=%v: Rank %v != indexed %v",
 						name, r.Name(), len(pts), x, want, got)
+				}
+				// Both paths find the same witnesses, so the same oldest.
+				if _, scanned, _ := r.rankBounded(x, pts, 0, nil, math.Inf(-1), scratch); scanned != oldest {
+					t.Fatalf("%s %s n=%d x=%v: oldest witness born %v scanned, %v indexed",
+						name, r.Name(), len(pts), x, scanned, oldest)
 				}
 				ws, gs := r.Support(x, pts), r.supportIndexed(x, ix)
 				wantIDs := NewSet(ws...)

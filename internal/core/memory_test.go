@@ -195,10 +195,12 @@ func TestMemoryIsInvisible(t *testing.T) {
 
 // The memory must also be alive: in the fleet's steady state most readings
 // are inliers that move neither a seed nor a ledger, so most per-link
-// rankings are answered by the memos, and with the floor warm from the
-// hint a 200-odd-point window is never worth an index. A memo that
-// silently stopped holding, or a hint that stopped warming, would pass
-// every equality test above and only slow a benchmark; this fails instead.
+// rankings are answered by the memos, with the floor warm from the hint a
+// 200-odd-point window is never worth an index, and most points of P_i
+// keep a rank bound from the window before whose witnesses are all still
+// held. A memo that silently stopped holding, a hint that stopped warming
+// or bounds that stopped carrying would pass every equality test above and
+// only slow a benchmark; this fails instead.
 func TestSteadyStateCliqueRemembers(t *testing.T) {
 	ph, value := steadyClique16(t)
 	before := ph.totalStats()
@@ -211,14 +213,18 @@ func TestSteadyStateCliqueRemembers(t *testing.T) {
 	if share := float64(hits) / float64(hits+misses); share <= 0.5 {
 		t.Errorf("link memos answered %d of %d per-link rankings (%.2f), want more than half", hits, hits+misses, share)
 	}
-	t.Logf("%d hits, %d misses, %d index builds, %d of %d queries abandoned", hits, misses, after.IndexBuilds-before.IndexBuilds,
-		after.RankAbandoned-before.RankAbandoned, after.RankQueries-before.RankQueries)
+	t.Logf("%d hits, %d misses, %d index builds, %d of %d queries abandoned, %d placed by a carried bound", hits, misses,
+		after.IndexBuilds-before.IndexBuilds, after.RankAbandoned-before.RankAbandoned, after.RankQueries-before.RankQueries,
+		after.RankCarried-before.RankCarried)
 	readings := rounds * len(ph.ids)
 	if builds := after.IndexBuilds - before.IndexBuilds; builds >= readings {
 		t.Errorf("%d index builds over %d readings, want fewer than one a reading", builds, readings)
 	}
 	if after.RankAbandoned == before.RankAbandoned {
 		t.Error("no ranking query was abandoned by the cutoff")
+	}
+	if after.RankCarried == before.RankCarried {
+		t.Error("no point of P_i was placed by a rank bound carried from the window before")
 	}
 }
 

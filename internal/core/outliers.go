@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 )
 
 // Ranked pairs a point with its rank R(x, P) within the dataset it was
@@ -115,9 +116,8 @@ func RankAll(r Ranker, set *Set) []Ranked {
 // scans they replaced.
 type supporter struct {
 	r   Ranker
-	pts []Point       // the snapshot, in ID order (see supporterFor)
-	ir  indexedRanker // nil when r implements only the public Ranker
-	ix  *Index        // built lazily, see ensureIndex
+	pts []Point // the snapshot, in ID order (see supporterFor)
+	ix  *Index  // built lazily, see ensureIndex
 
 	// hint names points topN should rank before the rest: whatever was
 	// On(·) the last time something like P was ranked. It is advice, not
@@ -128,9 +128,27 @@ type supporter struct {
 	// which is what keeps a MergeSource's supporter read-only.
 	stats *Stats
 
-	top    []Ranked // memoized topN(topFor) result (the snapshot is immutable)
-	topFor int
+	// bounds holds, slot for slot with pts, an upper bound on each point's
+	// rank that topN need not beat with a scan (see inherit); nil on a
+	// supporter that carries nothing — a pool's, a MergeSource's, a one-off
+	// TopN's — which then never records one either.
+	bounds []rankBound
+
+	// top is the memoized topN(len(top)) result: the snapshot is immutable.
+	top []Ranked
 }
+
+// rankBound is what one ranking query proved about a point: R(x, W) ≥
+// R(x, P′) for every dataset P′ holding x and the witnesses W, whose
+// earliest Birth is oldest (see indexedRanker.rankBounded).
+type rankBound struct {
+	rank   float64
+	oldest time.Duration
+}
+
+// unbounded is the slot of a point nothing is known about: no floor is
+// above +Inf, so topN queries it.
+var unbounded = rankBound{rank: math.Inf(1), oldest: noBirth}
 
 func newSupporter(r Ranker, set *Set) *supporter {
 	return supporterFor(r, set.Points())
@@ -143,30 +161,80 @@ func newSupporter(r Ranker, set *Set) *supporter {
 // query's own slot, where its nearest candidates are, and the hint is
 // found by binary search.
 func supporterFor(r Ranker, pts []Point) *supporter {
-	s := &supporter{r: r, pts: pts}
-	s.ir, _ = r.(indexedRanker)
-	return s
+	return &supporter{r: r, pts: pts}
+}
+
+// indexed returns the ranker as an indexedRanker, or nil when it implements
+// only the public interface. A batch looks it up once; the supporter does
+// not keep it, because a detector allocates a supporter per window change
+// and every field is paid for there.
+func (s *supporter) indexed() indexedRanker {
+	ir, _ := s.r.(indexedRanker)
+	return ir
+}
+
+// inherit gives s — a detector's rebuild of prev over the same window or
+// hop stratum after it changed — the rank bounds prev recorded, matched by
+// ID in one walk of the two ID-ordered snapshots. A bound is kept only if
+// its oldest witness was born at or after cutoff, the window's eviction
+// cutoff: points leave P_i (and P≤h, whose hop fields only fall) by
+// EvictBefore alone, at a cutoff that never falls, and a PointID names one
+// observation, so every witness is then still held, unchanged, and the
+// bound still holds by anti-monotonicity. Slots prev did not hold or whose
+// bound lost a witness start unbounded, as does every slot when prev is
+// nil. A ranker that implements only the public interface reports no
+// witnesses, so its supporters carry nothing.
+//
+// The bounds are written into buf, a buffer no supporter uses, and prev's
+// are returned for the next rebuild to write into: a detector replaces a
+// supporter, never shares it, so its chains of rebuilds trade buffers and
+// allocate none once they have reached their size.
+func (s *supporter) inherit(prev *supporter, cutoff time.Duration, buf []rankBound) (spare []rankBound) {
+	if s.indexed() == nil {
+		return buf
+	}
+	var old []Point
+	var from []rankBound
+	if prev != nil {
+		old, from = prev.pts, prev.bounds
+	}
+	// Grown with append's headroom: a window that creeps past the size
+	// it last had does not cost a buffer a rebuild.
+	buf = slices.Grow(buf[:0], len(s.pts))[:len(s.pts)]
+	j := 0
+	for i, p := range s.pts {
+		for j < len(from) && idLess(old[j].ID, p.ID) {
+			j++
+		}
+		if j < len(from) && old[j].ID == p.ID && from[j].oldest >= cutoff {
+			buf[i] = from[j]
+		} else {
+			buf[i] = unbounded
+		}
+	}
+	s.bounds = buf
+	return from
 }
 
 // ensureIndex builds the spatial index if the ranker supports one and P
 // is large enough; call it only when the upcoming query volume
 // amortizes the build.
 func (s *supporter) ensureIndex() {
-	if s.ir != nil && s.ix == nil && len(s.pts) >= indexMinPoints {
+	if s.ix == nil && len(s.pts) >= indexMinPoints && s.indexed() != nil {
 		s.ix = NewIndex(s.pts)
 		s.stats.indexBuilt()
 	}
 }
 
 // rank is the one ranking query: R(x, P) for x = pts[i], unless it is
-// provably below floor (see indexedRanker.rankBounded). A ranker that
-// implements only the public interface cannot be interrupted and always
-// finishes.
-func (s *supporter) rank(i int, floor float64, scratch *bestList) (float64, bool) {
-	if s.ir == nil {
-		return s.r.Rank(s.pts[i], s.pts), true
+// provably below floor (see indexedRanker.rankBounded); ir is s.indexed().
+// A ranker that implements only the public interface cannot be
+// interrupted, always finishes and names no witnesses.
+func (s *supporter) rank(ir indexedRanker, i int, floor float64, scratch *bestList) (float64, time.Duration, bool) {
+	if ir == nil {
+		return s.r.Rank(s.pts[i], s.pts), noBirth, true
 	}
-	return s.ir.rankBounded(s.pts[i], s.pts, i, s.ix, floor, scratch)
+	return ir.rankBounded(s.pts[i], s.pts, i, s.ix, floor, scratch)
 }
 
 // topN computes On(P) with rank values, in (rank desc, ≺) order, without
@@ -198,6 +266,12 @@ func (s *supporter) rank(i int, floor float64, scratch *bestList) (float64, bool
 //     the price once on top of the indexed batch, the classic rent-or-buy
 //     bound, instead of the scan's quadratic worst case.
 //
+// A point whose carried bound (see inherit) is strictly below the floor
+// cannot be in On(P) and is passed over without a query, by the same
+// strict comparison the query would have stopped on; whatever is queried
+// records the bound it stopped on, for the supporter that replaces this
+// one.
+//
 // The result is memoized (the snapshot never changes), so a supporter
 // cached across events answers repeat estimates for free; callers must
 // treat the returned slice as read-only.
@@ -208,15 +282,22 @@ func (s *supporter) topN(n int) []Ranked {
 	if n <= 0 {
 		return nil
 	}
-	if s.top != nil && s.topFor == n {
+	if len(s.top) == n {
 		return s.top
 	}
 	top := make([]Ranked, 0, n)
 	floor := math.Inf(-1)
-	scratch := newBestList(1)
-	price, abandoned := indexPrice(len(s.pts)), 0
+	ir, scratch := s.indexed(), newBestList(1)
+	price, abandoned, carried := indexPrice(len(s.pts)), 0, 0
 	offer := func(i int) {
-		rank, ok := s.rank(i, floor, scratch)
+		if s.bounds != nil && s.bounds[i].rank < floor {
+			carried++
+			return
+		}
+		rank, oldest, ok := s.rank(ir, i, floor, scratch)
+		if s.bounds != nil {
+			s.bounds[i] = rankBound{rank: rank, oldest: oldest}
+		}
 		if scratch.visited > price {
 			s.ensureIndex()
 		}
@@ -267,8 +348,8 @@ func (s *supporter) topN(n int) []Ranked {
 		}
 		offer(i)
 	}
-	s.stats.ranked(len(s.pts), abandoned, scratch.visited)
-	s.top, s.topFor = top, n
+	s.stats.ranked(len(s.pts), abandoned, carried, scratch.visited)
+	s.top = top
 	return top
 }
 
@@ -278,9 +359,9 @@ func (s *supporter) topN(n int) []Ranked {
 func (s *supporter) rankAll() []Ranked {
 	s.ensureIndex()
 	ranked := make([]Ranked, len(s.pts))
-	scratch := newBestList(1)
+	ir, scratch := s.indexed(), newBestList(1)
 	for i, x := range s.pts {
-		rank, _ := s.rank(i, math.Inf(-1), scratch)
+		rank, _, _ := s.rank(ir, i, math.Inf(-1), scratch)
 		ranked[i] = Ranked{Point: x, Rank: rank}
 	}
 	sortRanked(ranked)
@@ -305,10 +386,11 @@ func sortRanked(ranked []Ranked) {
 // eachSupport calls fn for every point of [P|x], for each x ∈ q in turn,
 // through the index when one has been built.
 func (s *supporter) eachSupport(q []Point, fn func(Point)) {
+	ir := s.indexed()
 	for _, x := range q {
 		var sup []Point
 		if s.ix != nil {
-			sup = s.ir.supportIndexed(x, s.ix)
+			sup = ir.supportIndexed(x, s.ix)
 		} else {
 			sup = s.r.Support(x, s.pts)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 )
 
 // Ranker is the paper's outlier ranking function R. Rank maps a point x
@@ -61,11 +62,19 @@ type Ranker interface {
 // bit-identical ranks; supportIndexed returns the same support points as
 // Support. The batch entry points (supporter, SupportOf) are the callers.
 //
+// Either way the query reports what it stopped on: rank is the exact rank
+// (ok) or the bound below floor (!ok), and in both cases it is R(x, W) for
+// the witnesses W the query had found — the nearest list for KNN and
+// KthNN, the neighbors counted so far for CountWithin — whose earliest
+// Birth is oldest (noBirth for W = ∅). By anti-monotonicity rank stays an
+// upper bound on R(x, P′) for every P′ ⊇ W ∪ {x}, which is what lets a
+// detector carry it to its next window (see supporter.inherit).
+//
 // scratch is a bestList owned by the calling batch so the per-point hot
 // loop allocates nothing; implementations that do not need one ignore it.
 type indexedRanker interface {
 	Ranker
-	rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (rank float64, ok bool)
+	rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (rank float64, oldest time.Duration, ok bool)
 	supportIndexed(x Point, ix *Index) []Point
 }
 
@@ -118,7 +127,7 @@ func (r KNN) Name() string {
 // neighbors, with missing neighbors charged MissingNeighborPenalty.
 func (r KNN) Rank(x Point, neighbors []Point) float64 {
 	at, _ := slotOf(neighbors, x.ID)
-	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
+	rank, _, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
 	return rank
 }
 
@@ -129,7 +138,7 @@ func (r KNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-func (r KNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+func (r KNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, time.Duration, bool) {
 	return scratch.rankBounded(x, pts, at, ix, r.k(), meanOfNearest, floor)
 }
 
@@ -163,7 +172,7 @@ func (r KthNN) Name() string { return fmt.Sprintf("%dthNN", r.k()) }
 // point strictly lowers an undersupplied rank (smoothness).
 func (r KthNN) Rank(x Point, neighbors []Point) float64 {
 	at, _ := slotOf(neighbors, x.ID)
-	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
+	rank, _, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), newBestList(r.k()))
 	return rank
 }
 
@@ -172,7 +181,7 @@ func (r KthNN) Support(x Point, neighbors []Point) []Point {
 	return kNearest(x, neighbors, r.k())
 }
 
-func (r KthNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+func (r KthNN) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, time.Duration, bool) {
 	return scratch.rankBounded(x, pts, at, ix, r.k(), kthNearest, floor)
 }
 
@@ -196,36 +205,38 @@ func (r CountWithin) Name() string { return fmt.Sprintf("DB(%g)", r.Alpha) }
 // Rank implements Ranker.
 func (r CountWithin) Rank(x Point, neighbors []Point) float64 {
 	at, _ := slotOf(neighbors, x.ID)
-	rank, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), nil)
+	rank, _, _ := r.rankBounded(x, neighbors, at, nil, math.Inf(-1), nil)
 	return rank
 }
 
 // rankBounded counts the neighbors within Alpha; every one found lowers
-// the bound 1/(1+count so far), which is the rank formula on that count.
-func (r CountWithin) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, bool) {
+// the bound 1/(1+count so far), which is the rank formula on that count,
+// and is one more witness to it.
+func (r CountWithin) rankBounded(x Point, pts []Point, at int, ix *Index, floor float64, scratch *bestList) (float64, time.Duration, bool) {
 	a2 := r.Alpha * r.Alpha
-	count := 0
-	more := func() bool {
+	count, oldest := 0, noBirth
+	more := func(p *Point) bool {
 		count++
+		oldest = min(oldest, p.Birth)
 		return 1/float64(1+count) >= floor
 	}
+	ok := true
 	if ix != nil {
 		// A negative radius admits nothing on the index path, as ever.
-		if r.Alpha >= 0 && len(ix.pts) > 0 &&
-			!ix.within(0, x, a2, func(*Point, float64) bool { return more() }) {
-			return 0, false
+		ok = r.Alpha < 0 || len(ix.pts) == 0 ||
+			ix.within(0, x, a2, func(p *Point, _ float64) bool { return more(p) })
+	} else {
+		w := newOutward(at, len(pts))
+		for i := w.next(); i >= 0; i = w.next() {
+			if p := &pts[i]; p.ID != x.ID && x.dist2(*p) <= a2 {
+				if ok = more(p); !ok {
+					break
+				}
+			}
 		}
-		return 1 / float64(1+count), true
+		scratch.visit(w.visited())
 	}
-	w := newOutward(at, len(pts))
-	for i := w.next(); i >= 0; i = w.next() {
-		if p := &pts[i]; p.ID != x.ID && x.dist2(*p) <= a2 && !more() {
-			scratch.visit(w.visited())
-			return 0, false
-		}
-	}
-	scratch.visit(len(pts))
-	return 1 / float64(1+count), true
+	return 1 / float64(1+count), oldest, ok
 }
 
 // Support implements Ranker.
@@ -279,6 +290,7 @@ type bestList struct {
 	kind  nnRank
 	floor float64
 	best  []distPoint
+	stop  float64 // the rank abandoned last compared with floor
 
 	// visited counts the candidates the linear scans of the batch this
 	// list serves have looked at; reset leaves it alone. It is how
@@ -322,22 +334,33 @@ func (b *bestList) rank() float64 {
 // rank of what it holds — an upper bound on the final rank, because every
 // later candidate can only replace an entry with a closer one, and sqrt,
 // float addition and division are monotone — is strictly below the floor.
+// That rank is kept in stop, the bound an abandoned query reports.
 func (b *bestList) abandoned() bool {
-	return len(b.best) == b.k && b.rank() < b.floor
+	if len(b.best) < b.k {
+		return false
+	}
+	b.stop = b.rank()
+	return b.stop < b.floor
 }
 
 // rankBounded is indexedRanker.rankBounded for the k-nearest-neighbor
-// rankers.
-func (b *bestList) rankBounded(x Point, pts []Point, at int, ix *Index, k int, kind nnRank, floor float64) (float64, bool) {
+// rankers: the list's entries are the witnesses.
+func (b *bestList) rankBounded(x Point, pts []Point, at int, ix *Index, k int, kind nnRank, floor float64) (float64, time.Duration, bool) {
 	b.reset(k, kind, floor)
+	var ok bool
 	if ix != nil {
-		if len(ix.pts) > 0 && !ix.knn(0, x, b) {
-			return 0, false
-		}
-	} else if !b.scan(x, pts, at) {
-		return 0, false
+		ok = len(ix.pts) == 0 || ix.knn(0, x, b)
+	} else {
+		ok = b.scan(x, pts, at)
 	}
-	return b.rank(), true
+	rank, oldest := b.stop, noBirth
+	if ok {
+		rank = b.rank()
+	}
+	for _, dp := range b.best {
+		oldest = min(oldest, dp.p.Birth)
+	}
+	return rank, oldest, ok
 }
 
 // closer reports whether candidate (d2, p) precedes `than` in the

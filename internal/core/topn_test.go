@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
+	"time"
 )
 
 // withIndexMin runs fn with the index threshold forced: 1 indexes every
@@ -240,4 +241,103 @@ func FuzzTopN(f *testing.F) {
 		}
 		checkTopN(t, "fuzz", rk, pts, n)
 	})
+}
+
+// TestCarriedBoundsMatchFresh slides a window through chains of
+// supporters, each built from the one before with its rank bounds carried
+// over (supporter.inherit), as a detector rebuilds its supporter over P_i
+// and over each hop stratum P≤h when the window moves. Every step inserts
+// readings born anywhere in the window, at hop counts that some later step
+// lowers, and evicts by a cutoff that never falls; now and then the cutoff
+// is raised to just past the birth of the current top outlier, or of the
+// oldest witness of a bound a supporter holds, so that what a bound was
+// proved from disappears. Readings come in a tight bulk with lone faults
+// and small far-off groups whose members witness each other: when a group
+// shrinks, the rest of it turn into outliers while their old bounds say
+// they are inliers. At every step topN must be the exhaustive ranking's
+// prefix, rank bits included, on the scan and on the index path.
+func TestCarriedBoundsMatchFresh(t *testing.T) {
+	const window = 30 * time.Second
+	for _, rk := range []Ranker{KNN{K: 1}, KNN{K: 2}, KNN{K: 4}, KthNN{K: 3}, CountWithin{Alpha: 1}} {
+		for path, indexMin := range map[string]int{"scan": math.MaxInt, "index": 1} {
+			withIndexMin(indexMin, func() {
+				r := rng(0xca77 + uint64(indexMin%7))
+				held := NewSet()
+				seq := make(map[NodeID]uint32)
+				add := func(now, cutoff time.Duration, v float64) {
+					origin := NodeID(1 + r.IntN(8))
+					p := NewPoint(origin, seq[origin], cutoff+time.Duration(r.Int64N(int64(now-cutoff)+1)), v)
+					seq[origin]++
+					p.Hop = uint8(r.IntN(3))
+					held.Add(p)
+				}
+				// chains[0] ranks P_i; chains[1+h] the stratum P≤h of
+				// Algorithm 2 with HopLimit 2.
+				var chains [3]*supporter
+				var spare []rankBound
+				var stats Stats
+				now := window
+				for step := 0; step < 400; step++ {
+					now += time.Second
+					cutoff := now - window
+					switch prev := chains[0]; {
+					case prev == nil:
+					case step%13 == 5 && len(prev.top) > 0: // the top outlier goes
+						cutoff = max(cutoff, prev.top[0].Point.Birth+1)
+					case step%7 == 3: // a live witness of some bound goes
+						live := slices.DeleteFunc(slices.Clone(prev.bounds), func(b rankBound) bool {
+							return math.IsInf(b.rank, 1) || b.oldest < cutoff || b.oldest == noBirth
+						})
+						if len(live) > 0 {
+							cutoff = max(cutoff, live[r.IntN(len(live))].oldest+1)
+						}
+					}
+					now = cutoff + window
+					held.EvictBefore(cutoff)
+					for range 1 + r.IntN(3) {
+						v := 20 + r.NormFloat64()
+						if r.IntN(8) == 0 {
+							v += 40 + 40*r.Float64()
+						}
+						add(now, cutoff, v)
+					}
+					if r.IntN(6) == 0 {
+						at := 100 + 100*r.Float64()
+						for range 1 + r.IntN(5) {
+							add(now, cutoff, at+0.5*r.Float64())
+						}
+					}
+					if r.IntN(3) == 0 { // a shorter route turns up for some point
+						pts := held.Points()
+						if p := pts[r.IntN(len(pts))]; p.Hop > 0 {
+							held.SetHop(p.ID, p.Hop-1)
+						}
+					}
+					n := 1 + step%4
+					for c := range chains {
+						set := held
+						if c > 0 {
+							set = held.MaxHop(uint8(c - 1))
+						}
+						sup := supporterFor(rk, set.Points())
+						sup.stats = &stats
+						if prev := chains[c]; prev != nil {
+							sup.hint = prev.top
+						}
+						spare = sup.inherit(chains[c], cutoff, spare)
+						chains[c] = sup
+						all := supporterFor(rk, set.Points()).rankAll()
+						if err := sameRanked(sup.topN(n), all[:min(n, len(all))]); err != nil {
+							t.Fatalf("%s %s, step %d, chain %d (|P|=%d, n=%d, cutoff %v): topN with carried bounds is not the exhaustive prefix: %v",
+								rk.Name(), path, step, c, len(all), n, cutoff, err)
+						}
+					}
+				}
+				if stats.RankCarried == 0 {
+					t.Fatalf("%s %s: no query was answered by a carried bound over %d queries", rk.Name(), path, stats.RankQueries)
+				}
+				t.Logf("%s %s: %d of %d points placed by a carried bound", rk.Name(), path, stats.RankCarried, stats.RankQueries)
+			})
+		}
+	}
 }

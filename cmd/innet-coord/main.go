@@ -12,14 +12,17 @@
 //	innet-coord -shards addr1,addr2,... [-http addr] [-udp addr]
 //	            [-replicas n] [-query-timeout d] [-health-interval d]
 //	            [-ranker nn|knn|kthnn|db] [-k n] [-eps α] [-n outliers]
-//	            [-window d] [-data-dir dir] [-fsync] [-debug-addr addr]
-//	            [-slow-query d] [-log-format text|json] [-trace-file path] [-v]
+//	            [-window d] [-debug-addr addr] [-slow-query d]
+//	            [-log-format text|json] [-trace-file path] [-v]
 //
-// With -data-dir the coordinator persists its per-sensor identity
-// counters (next sequence number, newest timestamp) and recovers them
-// from its own store at startup instead of depending on shard windows
-// surviving the restart — the piece that keeps identity stamping
-// continuous through a full-cluster cold restart.
+// The coordinator holds no durable state, so it takes no -data-dir: a
+// point's identity is its sensor and data time, which every shard
+// derives from the reading itself, and the staleness gate it applies
+// before routing is the one the shards apply again. A restarted
+// coordinator routes a re-sent reading to the point its shards already
+// hold, where it is a repeat. At startup it asks every shard for its
+// window to learn which sensors exist, so shard add, remove and resync
+// still move every sensor's window.
 //
 // With -debug-addr the coordinator serves the pprof suite and Go
 // runtime gauges on a separate listener. -slow-query logs merged
@@ -80,7 +83,6 @@ func parseFlags(args []string) (options, error) {
 	o.Register(fs, map[string]string{
 		"ranker":     "ranking function: nn, knn, kthnn or db (must match the shards)",
 		"window":     "time-based sliding window (must match the shards)",
-		"data-dir":   "durability directory for the identity WAL + snapshots (empty = in-memory only)",
 		"slow-query": "log merged queries slower than this threshold (0 disables)",
 		"trace-file": "append every recorded span to this file as JSONL (empty disables)",
 		"v":          "log requests and fleet events",
@@ -133,14 +135,12 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 			HealthInterval: o.healthInterval,
 			SlowQuery:      o.SlowQuery,
 			Logger:         logger,
-			Store:          sh.Store(),
 			TraceSink:      sh.TraceSink(),
 		})
 		if err != nil {
 			return err
 		}
-		// Closing the coordinator stops its health loop and control socket
-		// and leaves the identity store compact.
+		// Closing the coordinator stops its health loop and control socket.
 		sh.Defer(func(context.Context) error { return coord.Close() })
 		logger.Info("coordinating shards", "shards", coord.ShardMapSnapshot().Len())
 		return sh.Listen(coord.Handler(), coord.ServeUDP)

@@ -13,8 +13,8 @@
 //	       [-batch max] [-data-dir dir] [-fsync] [-debug-addr addr]
 //	       [-slow-query d] [-log-format text|json] [-trace-file path] [-v]
 //
-// With -data-dir the daemon's sliding windows are durable: every minted
-// reading is appended to a write-ahead log under the directory, startup
+// With -data-dir the daemon's sliding windows are durable: every point a
+// detector adds is appended to a write-ahead log under the directory, startup
 // replays the persisted windows before serving (so a restart resumes
 // with exact answers over the data it held), and periodic snapshots
 // bound the log. Without it — the default — state is purely in-memory,
@@ -84,6 +84,7 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("innetd", flag.ContinueOnError)
 	var o options
 	o.Register(fs, nil)
+	o.RegisterStore(fs)
 	fs.StringVar(&o.shardAddr, "shard", "", "UDP shard-control listen address for cluster mode (empty disables)")
 	fs.StringVar(&o.sensors, "sensors", "", "sensors to attach at startup, e.g. \"1-9\" or \"1,2,5\"")
 	fs.BoolVar(&o.autojoin, "autojoin", true, "attach unknown sensors on first contact")
@@ -185,8 +186,8 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 		}
 		// Deferred last, so it runs first and only on a clean start:
 		// compact while the fleet is still up, so the snapshot holds
-		// exactly the final windows and identity floors and the next start
-		// replays a minimal, duplicate-free log.
+		// exactly the final windows and the next start replays a minimal,
+		// duplicate-free log.
 		sh.Defer(svc.CompactStore)
 		return nil
 	})

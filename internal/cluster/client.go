@@ -229,7 +229,7 @@ func (c *ctlClient) health(ctx context.Context, addr *net.UDPAddr) (protocol.Hea
 	return protocol.DecodeHealth(resp.Body)
 }
 
-// readings sends one batch of identity-stamped points and returns the
+// readings sends one batch of points and returns the
 // count the shard accepted: a routed ingest batch, or with FlagTransfer
 // one chunk of a window copy.
 func (c *ctlClient) readings(ctx context.Context, addr *net.UDPAddr, flags uint8, trace uint64, pts []core.Point) (uint64, error) {

@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -472,4 +478,189 @@ func TestClusterMembershipChange(t *testing.T) {
 		return err == nil && !m.Degraded && m.ShardsTotal == 3 &&
 			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
 	})
+}
+
+// TestCoordinatorRestartDrainsEverySensor: a restarted coordinator
+// learns which sensors the shards hold before it serves. Removing a shard
+// at Replicas 1 before any sensor reports again must still drain every
+// sensor's window to its new owner, so the merged window and the answer
+// stay what they were before the restart.
+func TestCoordinatorRestartDrainsEverySensor(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var shards []*testShard
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		sh := startShard(t, "")
+		defer sh.stop()
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr)
+	}
+	cfg := Config{
+		Detector:       clusterDetCfg,
+		Shards:         addrs,
+		Replicas:       1,
+		QueryTimeout:   5 * time.Second,
+		HealthInterval: 50 * time.Millisecond,
+		HealthMisses:   2,
+	}
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sensors := sensorRange(12)
+	feedBoth(t, ctx, first, single, shards, trace(53, sensors, 5))
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := single.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
+
+	second, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := second.Stats().Sensors; got != len(sensors) {
+		t.Fatalf("restarted coordinator knows %d sensors, want %d", got, len(sensors))
+	}
+	if err := second.RemoveShard(shards[0].addr); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "exact merge after removal by a restarted coordinator", func() bool {
+		m, err := second.MergedEstimateMode(ctx, MergeFull)
+		return err == nil && !m.Degraded && m.ShardsTotal == 2 &&
+			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
+	})
+}
+
+// TestCoordinatorRepeatedReadingIsANoOp: a batch delivered twice to the
+// coordinator — a retried POST, a duplicated datagram — reaches every
+// replica as the points it already holds. Neither the merged window nor
+// the answer moves, and the shards count the copies as repeats.
+func TestCoordinatorRepeatedReadingIsANoOp(t *testing.T) {
+	const rounds = 4
+	readings := trace(37, sensorRange(6), rounds)
+	lastRound := readings[len(readings)-6:]
+	for _, door := range []string{"http", "udp"} {
+		t.Run(door, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			coord, single, shards, _ := mergeCluster(t, 2)
+			send := coordinatorSender(t, coord, door)
+			state := func() MergeResult {
+				t.Helper()
+				for _, sh := range shards {
+					if err := sh.svc.Flush(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := coord.MergedEstimateMode(ctx, MergeFull)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+
+			send(readings)
+			before := state()
+			repeats := func() (n uint64) {
+				for _, sh := range shards {
+					n += sh.svc.Stats().Repeated
+				}
+				return n
+			}
+			repeatedBefore := repeats()
+			for _, r := range readings {
+				if err := single.Ingest(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := single.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := single.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
+			if len(before.Window) != len(readings) || !samePoints(before.Outliers, want) {
+				t.Fatalf("before the repeat: %d-point window, outliers %s; want %d points and %s",
+					len(before.Window), ids(before.Outliers), len(readings), ids(want))
+			}
+
+			send(lastRound)
+			after := state()
+			if !samePoints(after.Window, before.Window) || !samePoints(after.Outliers, before.Outliers) {
+				t.Fatalf("the repeat moved the cluster: window %d -> %d points, outliers %s -> %s",
+					len(before.Window), len(after.Window), ids(before.Outliers), ids(after.Outliers))
+			}
+			// Replicas 2: each copy reaches two shards. A READINGS frame the
+			// coordinator retried adds more.
+			if got, want := repeats()-repeatedBefore, uint64(2*len(lastRound)); got < want {
+				t.Fatalf("shards counted %d repeats, want at least %d", got, want)
+			}
+		})
+	}
+}
+
+// coordinatorSender returns a function that delivers readings to the
+// coordinator through the named front door ("http" or "udp") and returns
+// once it has routed them.
+func coordinatorSender(t *testing.T, coord *Coordinator, door string) func([]ingest.Reading) {
+	t.Helper()
+	if door == "http" {
+		srv := httptest.NewServer(coord.Handler())
+		t.Cleanup(srv.Close)
+		return func(rs []ingest.Reading) {
+			t.Helper()
+			var batch ingest.WireBatch
+			for _, r := range rs {
+				batch.Readings = append(batch.Readings, ingest.WireReading{Sensor: uint16(r.Sensor), AtMS: r.At.Milliseconds(), Values: r.Values})
+			}
+			body, err := json.Marshal(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(srv.URL+"/v1/observations", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("POST status %d, want 202", resp.StatusCode)
+			}
+		}
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go coord.ServeUDP(pc)
+	conn, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return func(rs []ingest.Reading) {
+		t.Helper()
+		want := coord.Stats().Routed + uint64(len(rs))
+		var lines []string
+		for _, r := range rs {
+			lines = append(lines, fmt.Sprintf("%d %d %v", r.Sensor, r.At.Milliseconds(), r.Values[0]))
+		}
+		if _, err := conn.Write([]byte(strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, "the datagram's readings routed", func() bool { return coord.Stats().Routed >= want })
+	}
 }

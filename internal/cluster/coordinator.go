@@ -17,7 +17,6 @@ import (
 	"innet/internal/ingest"
 	"innet/internal/obs"
 	"innet/internal/protocol"
-	"innet/internal/store"
 )
 
 // Coordinator errors.
@@ -59,15 +58,6 @@ type Config struct {
 	// Default 3.
 	RetryAttempts int
 
-	// Store, when set, persists the coordinator's per-sensor identity
-	// state (next sequence number, newest timestamp): every batch that
-	// advances a sensor's counters appends the new floors, and startup
-	// recovery reads them back before falling back to the shard-window
-	// fan. Nil keeps identity state purely in memory, recovered only
-	// from surviving shard windows. The Coordinator uses the store but
-	// does not own it; the caller closes it after Close.
-	Store store.Store
-
 	// Logger receives structured fleet and query events. Every record
 	// that belongs to a query carries its trace ID as a "trace" attr.
 	// Nil discards.
@@ -92,10 +82,6 @@ type Config struct {
 // period: a short period keeps down-detection snappy without a scheduling
 // hiccup on a loaded host counting as a miss.
 const probeTimeout = time.Second
-
-// identityCompactEvery bounds the identity WAL: after this many appended
-// identity updates the store is compacted down to one record per sensor.
-const identityCompactEvery = 4096
 
 func (c *Config) applyDefaults() {
 	if c.Replicas < 1 {
@@ -135,15 +121,6 @@ type shardState struct {
 	lastRTT time.Duration // last successful probe's round trip
 }
 
-// sensorRoute is the coordinator-side per-sensor ingest state: the next
-// sequence number to stamp and the newest timestamp seen (for the same
-// staleness gate the shards apply, so identity assignment is
-// deterministic no matter which replicas are reachable).
-type sensorRoute struct {
-	nextSeq uint32
-	latest  time.Duration
-}
-
 // Stats snapshots the coordinator counters for /metrics.
 type Stats struct {
 	Routed          uint64 // readings accepted by ≥1 owning shard
@@ -159,9 +136,6 @@ type Stats struct {
 	MergeRounds     uint64 // compact-merge rounds driven, total
 	MergeBytes      uint64 // compact-merge point payload bytes, both directions
 	MergeFullBytes  uint64 // full-path window-snapshot payload bytes received
-	Recovered       uint64 // sensors whose identity counters were recovered at startup
-	IdentitySource  string // where startup recovery got them: store, shard-fan, none
-	WALErrors       uint64 // failed identity-store appends (routing keeps going)
 	Assigns         uint64 // ASSIGN epochs acknowledged
 	HandoffSensors  uint64 // sensors restored via handoff
 	HandoffPoints   uint64 // points moved via handoff
@@ -169,22 +143,22 @@ type Stats struct {
 	TruncatedFrames uint64 // control datagrams dropped as kernel-truncated
 	ShardsUp        int
 	ShardsTotal     int
-	Sensors         int // distinct sensors routed so far
+	Sensors         int // distinct sensors known: routed, or found on a shard at startup
 }
 
 // Coordinator is the cluster front door: it owns the shard map, routes
-// identity-stamped readings to owning shards, probes shard health,
+// readings to owning shards, probes shard health,
 // resynchronizes rejoining shards (ASSIGN + window copy), and serves
 // the merged outlier view. All methods are safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
 	client *ctlClient
 
-	mu      sync.Mutex
-	smap    *ShardMap
-	shards  map[string]*shardState
-	sensors map[core.NodeID]*sensorRoute
-	closed  bool
+	mu     sync.Mutex
+	smap   *ShardMap
+	shards map[string]*shardState
+	latest map[core.NodeID]time.Duration // newest timestamp per known sensor: the shards' staleness gate
+	closed bool
 	// lastOutliers is the last answer a query served: the full path ranks
 	// its union from it, as a detector ranks from its previous estimate.
 	lastOutliers []core.Point
@@ -194,13 +168,8 @@ type Coordinator struct {
 	merges, mergesDegraded          atomic.Uint64
 	mergesCompact, mergeFallbacks   atomic.Uint64
 	mergeRounds, mergeBytes         atomic.Uint64
-	mergeFullBytes, recovered       atomic.Uint64
+	mergeFullBytes, flaps           atomic.Uint64
 	assigns, handoffSen, handoffPts atomic.Uint64
-	flaps                           atomic.Uint64
-
-	// Identity durability (wal is nil and inert when cfg.Store is nil).
-	identitySource atomic.Value // string: store, shard-fan, none
-	wal            *store.Policy
 
 	// traceIDs mints the trace ID of every query and ingest batch; IDs
 	// never repeat within this process, so a compact merge uses its
@@ -249,7 +218,7 @@ func New(cfg Config) (*Coordinator, error) {
 		client:     client,
 		smap:       smap,
 		shards:     shards,
-		sensors:    make(map[core.NodeID]*sensorRoute),
+		latest:     make(map[core.NodeID]time.Duration),
 		traceIDs:   newTraceIDGen(),
 		ctx:        ctx,
 		cancel:     cancel,
@@ -260,134 +229,52 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.TraceSink != nil {
 		c.traceLog.SetSink(cfg.TraceSink)
 	}
-	// Install the RPC timing hook before the first exchange — recovery
-	// below already talks to shards — so the field is never written
-	// concurrently with a read.
+	// Install the RPC timing hook before the first exchange, so the field
+	// is never written concurrently with a read.
 	client.onRTT = c.obs.rpcObserve
-	c.wal = store.NewPolicy(cfg.Store, identityCompactEvery, c.traceLog, c.obs.walTiming,
-		func(context.Context) (store.State, error) {
-			return store.State{Identities: c.identitySnapshot()}, nil
-		})
-	c.recoverIdentities()
+	c.discoverSensors()
 	go c.healthLoop()
 	return c, nil
+}
+
+// discoverSensors learns, at startup, which sensors the shards already
+// hold: AddShard's copy, RemoveShard's drain and resync's eviction walk
+// only the sensors in latest, so a restarted coordinator that knew just
+// the sensors reporting since the restart would strand the others'
+// windows. One window query per configured shard; each point's birth
+// also seeds its sensor's staleness gate. Best-effort: a shard that does
+// not answer contributes nothing (its sensors rejoin latest when they
+// next report).
+func (c *Coordinator) discoverSensors() {
+	snaps := make([][]core.Point, 0, len(c.shards))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, st := range c.shards {
+		wg.Add(1)
+		go func(st *shardState) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
+			defer cancel()
+			if pts, _, err := c.client.estimate(ctx, st.udp, 0, 0); err == nil {
+				mu.Lock()
+				snaps = append(snaps, pts)
+				mu.Unlock()
+			}
+		}(st)
+	}
+	wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, pts := range snaps {
+		for _, p := range pts {
+			c.latest[p.ID.Origin] = max(c.latest[p.ID.Origin], p.Birth)
+		}
+	}
 }
 
 // Traces returns the coordinator's span flight recorder — the ring
 // /debug/traces serves.
 func (c *Coordinator) Traces() *obs.TraceLog { return c.traceLog }
-
-// recoverIdentities closes the restart hole in coordinator-minted point
-// identity: per-sensor sequence counters live in coordinator memory, so
-// a coordinator restarted inside a live window used to re-mint in-window
-// PointIDs. Recovery reads the coordinator's own identity store first —
-// it is authoritative (it covers sensors whose points already aged out
-// of every shard window) and does not depend on any shard being up.
-// Only without a store, or with an empty one, does it fall back to
-// fanning window-snapshot queries to every configured shard and seeding
-// each sensor's counter past the largest sequence observed — and its
-// staleness clock to the newest birth. The fallback is best-effort by
-// design: a shard that is down contributes nothing (its points either
-// survive on a replica or age out), and an empty cluster costs one probe
-// round trip per shard.
-func (c *Coordinator) recoverIdentities() {
-	c.identitySource.Store("none")
-	if c.cfg.Store != nil {
-		st, err := c.cfg.Store.Load()
-		if err != nil {
-			c.cfg.Logger.Warn("identity store load failed, falling back to shard fan", "err", err)
-		} else if len(st.Identities) > 0 {
-			c.mu.Lock()
-			for _, id := range st.Identities {
-				sr := c.sensors[id.Sensor]
-				if sr == nil {
-					sr = &sensorRoute{}
-					c.sensors[id.Sensor] = sr
-				}
-				if id.NextSeq > sr.nextSeq {
-					sr.nextSeq = id.NextSeq
-				}
-				if id.Latest > sr.latest {
-					sr.latest = id.Latest
-				}
-			}
-			n := len(c.sensors)
-			c.mu.Unlock()
-			c.recovered.Store(uint64(n))
-			c.identitySource.Store("store")
-			c.cfg.Logger.Info("recovered identity counters", "source", "store", "sensors", n)
-			return
-		}
-	}
-	c.mu.Lock()
-	targets := make([]*shardState, 0, len(c.shards))
-	for _, st := range c.shards {
-		targets = append(targets, st)
-	}
-	c.mu.Unlock()
-
-	snaps := make([][]core.Point, len(targets))
-	var wg sync.WaitGroup
-	for i, st := range targets {
-		wg.Add(1)
-		go func(i int, st *shardState) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
-			defer cancel()
-			pts, _, err := c.client.estimate(ctx, st.udp, 0, 0)
-			if err == nil {
-				snaps[i] = pts
-			}
-		}(i, st)
-	}
-	wg.Wait()
-
-	c.mu.Lock()
-	for _, pts := range snaps {
-		for _, p := range pts {
-			sr := c.sensors[p.ID.Origin]
-			if sr == nil {
-				sr = &sensorRoute{}
-				c.sensors[p.ID.Origin] = sr
-			}
-			if p.ID.Seq >= sr.nextSeq {
-				sr.nextSeq = p.ID.Seq + 1
-			}
-			if p.Birth > sr.latest {
-				sr.latest = p.Birth
-			}
-		}
-	}
-	n := len(c.sensors)
-	c.mu.Unlock()
-	if n > 0 {
-		c.recovered.Store(uint64(n))
-		c.identitySource.Store("shard-fan")
-		c.cfg.Logger.Info("recovered identity counters", "source", "shard-fan", "sensors", n)
-		// Seed the store so the next restart recovers without shards.
-		_ = c.wal.PutIdentities(c.ctx, 0, c.identitySnapshot())
-	}
-}
-
-// IdentitySource reports where startup recovery found the identity
-// counters: "store", "shard-fan", or "none".
-func (c *Coordinator) IdentitySource() string {
-	if s, ok := c.identitySource.Load().(string); ok {
-		return s
-	}
-	return "none"
-}
-
-// identitySnapshot copies the full per-sensor identity state.
-func (c *Coordinator) identitySnapshot() []store.Identity {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]store.Identity, 0, len(c.sensors))
-	for id, sr := range c.sensors {
-		out = append(out, store.Identity{Sensor: id, NextSeq: sr.nextSeq, Latest: sr.latest})
-	}
-	return out
-}
 
 // Close stops the health loop and releases the control socket.
 func (c *Coordinator) Close() error {
@@ -400,9 +287,6 @@ func (c *Coordinator) Close() error {
 	c.mu.Unlock()
 	c.cancel()
 	<-c.healthDone
-	// Leave the identity store compact: one record per sensor, no WAL
-	// suffix for the next start to replay.
-	_ = c.wal.Compact(context.Background())
 	return c.client.close()
 }
 
@@ -451,7 +335,7 @@ func (c *Coordinator) ShardInfos() []ShardInfo {
 // Stats snapshots the coordinator counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
-	up, total, sensors := 0, len(c.shards), len(c.sensors)
+	up, total, sensors := 0, len(c.shards), len(c.latest)
 	for _, st := range c.shards {
 		if st.up {
 			up++
@@ -472,9 +356,6 @@ func (c *Coordinator) Stats() Stats {
 		MergeRounds:     c.mergeRounds.Load(),
 		MergeBytes:      c.mergeBytes.Load(),
 		MergeFullBytes:  c.mergeFullBytes.Load(),
-		Recovered:       c.recovered.Load(),
-		IdentitySource:  c.IdentitySource(),
-		WALErrors:       c.wal.Errors(),
 		Assigns:         c.assigns.Load(),
 		HandoffSensors:  c.handoffSen.Load(),
 		HandoffPoints:   c.handoffPts.Load(),
@@ -486,33 +367,33 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Ingest validates, stamps and routes one reading; see IngestBatch.
+// Ingest validates and routes one reading; see IngestBatch.
 func (c *Coordinator) Ingest(r ingest.Reading) error {
 	return c.IngestBatch([]ingest.Reading{r})[0]
 }
 
-// IngestBatch validates, identity-stamps and routes a batch of readings
-// to the healthy shards owning each sensor, one READINGS frame per shard
-// chunk. The returned slice has one entry per input reading: nil when at
-// least one owning shard accepted it.
+// IngestBatch validates and routes a batch of readings to the healthy
+// shards owning each sensor, one READINGS frame per shard chunk. Each
+// reading travels as the point its identity names (ingest.SeqOf), so
+// replicas and retries carry the same PointID. The returned slice has
+// one entry per input reading: nil when at least one owning shard
+// accepted it.
 func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 	errs := make([]error, len(rs))
 	// One trace ID covers the whole batch: the UDP and HTTP ingest front
 	// doors hand the coordinator batches, not single readings, and the
-	// batch is the unit that fans out and persists.
+	// batch is the unit that fans out.
 	trace := c.traceIDs.next()
 	startBatch := time.Now()
 
-	// Phase 1 (under the lock): gate, stamp, group by shard. Identity
-	// assignment must be serialized so replicas agree on sequence
-	// numbers; the network sends happen outside the lock.
+	// Phase 1 (under the lock): gate and group by shard; the network
+	// sends happen outside the lock.
 	type routed struct {
 		reading int // index into rs/errs
 	}
 	perShard := make(map[string][]core.Point)
 	perShardIdx := make(map[string][]routed)
-	accepted := make([]int, len(rs))            // owning shards that took reading i
-	var advanced map[core.NodeID]store.Identity // identity floors moved by this batch
+	accepted := make([]int, len(rs)) // owning shards that took reading i
 
 	c.mu.Lock()
 	if c.closed {
@@ -529,22 +410,18 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 			c.rejected.Add(1)
 			continue
 		}
-		sr := c.sensors[r.Sensor]
-		if sr == nil {
-			sr = &sensorRoute{}
-			c.sensors[r.Sensor] = sr
-		}
-		if window > 0 && r.At < sr.latest-window {
-			errs[i] = fmt.Errorf("%w: %v is older than %v − %v", ingest.ErrStale, r.At, sr.latest, window)
+		latest := c.latest[r.Sensor]
+		if window > 0 && r.At < latest-window {
+			errs[i] = fmt.Errorf("%w: %v is older than %v − %v", ingest.ErrStale, r.At, latest, window)
 			c.stale.Add(1)
 			continue
 		}
 		owners, rerouted := c.healthyOwnersLocked(r.Sensor)
 		if len(owners) == 0 {
-			// Bail before touching the sensor's gate or counter: a
-			// reading that goes nowhere must not make the coordinator
-			// stricter than the shards (a later reading the shards
-			// would accept would be rejected as stale here).
+			// Bail before touching the sensor's gate: a reading that
+			// goes nowhere must not make the coordinator stricter than
+			// the shards (a later reading the shards would accept
+			// would be rejected as stale here).
 			errs[i] = fmt.Errorf("%w: sensor %d", ErrNoHealthyShard, r.Sensor)
 			c.failed.Add(1)
 			continue
@@ -552,40 +429,14 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 		if rerouted {
 			c.reroutes.Add(1)
 		}
-		if r.At > sr.latest {
-			sr.latest = r.At
-		}
-		seq := sr.nextSeq
-		if r.HasSeq {
-			seq = r.Seq
-		}
-		if seq >= sr.nextSeq {
-			sr.nextSeq = seq + 1
-		}
-		if c.cfg.Store != nil {
-			if advanced == nil {
-				advanced = make(map[core.NodeID]store.Identity)
-			}
-			advanced[r.Sensor] = store.Identity{Sensor: r.Sensor, NextSeq: sr.nextSeq, Latest: sr.latest}
-		}
-		p := core.NewPoint(r.Sensor, seq, r.At, r.Values...)
+		c.latest[r.Sensor] = max(latest, r.At)
+		p := core.NewPoint(r.Sensor, ingest.SeqOf(r.At), r.At, r.Values...)
 		for _, addr := range owners {
 			perShard[addr] = append(perShard[addr], p)
 			perShardIdx[addr] = append(perShardIdx[addr], routed{reading: i})
 		}
 	}
 	c.mu.Unlock()
-
-	// Persist the identity floors this batch advanced BEFORE the fan-out
-	// acknowledges anything: once a shard holds a point, a restarted
-	// coordinator must never re-mint its identity.
-	if len(advanced) > 0 {
-		ids := make([]store.Identity, 0, len(advanced))
-		for _, id := range advanced {
-			ids = append(ids, id)
-		}
-		_ = c.wal.PutIdentities(c.ctx, trace, ids)
-	}
 
 	// Phase 2: fan the per-shard batches out concurrently. A failed
 	// send only misses its ack — the health probes own the up/down
@@ -1064,8 +915,8 @@ func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 }
 
 func (c *Coordinator) seenSensorsLocked() []core.NodeID {
-	out := make([]core.NodeID, 0, len(c.sensors))
-	for id := range c.sensors {
+	out := make([]core.NodeID, 0, len(c.latest))
+	for id := range c.latest {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -47,7 +47,7 @@ type WireMergedEstimate struct {
 //	GET    /debug/traces      recorded query spans (?trace=<hex> filters)
 //	GET    /debug/merges      the same spans grouped per compact-merge session
 //	GET    /debug/status      one-snapshot cluster view: shards, health,
-//	                          identity/WAL state, build info
+//	                          build info
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/observations", c.handleObservations)
@@ -153,36 +153,30 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // in one JSON snapshot, aggregating what /healthz, /v1/shards, and
 // /metrics each show a slice of.
 type WireStatus struct {
-	Status         string        `json:"status"` // ok, degraded or down
-	ShardsUp       int           `json:"shards_up"`
-	ShardsTotal    int           `json:"shards_total"`
-	Sensors        int           `json:"sensors"`
-	MapVersion     uint64        `json:"map_version"`
-	Shards         []ShardInfo   `json:"shards"`
-	IdentitySource string        `json:"identity_source"` // store, shard-fan or none
-	Recovered      uint64        `json:"recovered"`       // identity counters recovered at startup
-	WALErrors      uint64        `json:"wal_errors"`
-	Traces         uint64        `json:"traces"` // spans recorded so far
-	Build          obs.BuildInfo `json:"build_info"`
+	Status      string        `json:"status"` // ok, degraded or down
+	ShardsUp    int           `json:"shards_up"`
+	ShardsTotal int           `json:"shards_total"`
+	Sensors     int           `json:"sensors"`
+	MapVersion  uint64        `json:"map_version"`
+	Shards      []ShardInfo   `json:"shards"`
+	Traces      uint64        `json:"traces"` // spans recorded so far
+	Build       obs.BuildInfo `json:"build_info"`
 }
 
 // handleStatus serves the cluster-wide status snapshot: shard map +
-// health + probe RTTs + merge-session occupancy (via ShardInfos),
-// identity floor / WAL state, and build info.
+// health + probe RTTs + merge-session occupancy (via ShardInfos), and
+// build info.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	st := c.Stats()
 	ingest.WriteJSON(w, http.StatusOK, WireStatus{
-		Status:         st.status(),
-		ShardsUp:       st.ShardsUp,
-		ShardsTotal:    st.ShardsTotal,
-		Sensors:        st.Sensors,
-		MapVersion:     c.ShardMapSnapshot().Version(),
-		Shards:         c.ShardInfos(),
-		IdentitySource: st.IdentitySource,
-		Recovered:      st.Recovered,
-		WALErrors:      st.WALErrors,
-		Traces:         c.traceLog.Total(),
-		Build:          obs.ReadBuild(),
+		Status:      st.status(),
+		ShardsUp:    st.ShardsUp,
+		ShardsTotal: st.ShardsTotal,
+		Sensors:     st.Sensors,
+		MapVersion:  c.ShardMapSnapshot().Version(),
+		Shards:      c.ShardInfos(),
+		Traces:      c.traceLog.Total(),
+		Build:       obs.ReadBuild(),
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 // coordObs is the coordinator's metrics surface: one obs.Registry whose
 // counter and gauge series read the coordinator's existing atomics at
 // scrape time (keeping the routing hot path untouched), plus the latency
-// histograms the query, RPC, and durability paths observe into.
+// histograms the query and RPC paths observe into.
 // Registration order reproduces the series order of the retired
 // hand-rolled /metrics writer so dashboards and the smoke scripts' greps
 // keep working.
@@ -20,10 +20,6 @@ type coordObs struct {
 
 	queryLat *obs.HistogramVec // merge-query service time, by served mode
 	rpcLat   *obs.HistogramVec // shard-control exchange round trip, by frame kind
-
-	// walTiming feeds the identity-WAL duration histograms; nil without
-	// a store, like the WAL counters.
-	walTiming func(op string, d time.Duration)
 }
 
 func newCoordObs(c *Coordinator) *coordObs {
@@ -46,8 +42,6 @@ func newCoordObs(c *Coordinator) *coordObs {
 	counter("innetcoord_merge_rounds_total", "Compact-merge rounds driven.", &c.mergeRounds)
 	counter("innetcoord_merge_bytes_total", "Compact-merge point payload bytes, both directions.", &c.mergeBytes)
 	counter("innetcoord_merge_full_bytes_total", "Full-path window-snapshot payload bytes received.", &c.mergeFullBytes)
-	r.GaugeFunc("innetcoord_recovered_sensors", "Sensors whose identity counters were recovered at startup.",
-		func() float64 { return float64(c.recovered.Load()) })
 	counter("innetcoord_assigns_total", "ASSIGN epochs acknowledged.", &c.assigns)
 	counter("innetcoord_handoff_sensors_total", "Sensors restored via handoff.", &c.handoffSen)
 	counter("innetcoord_handoff_points_total", "Points moved via handoff.", &c.handoffPts)
@@ -58,39 +52,8 @@ func newCoordObs(c *Coordinator) *coordObs {
 		func() float64 { return float64(c.Stats().ShardsUp) })
 	r.GaugeFunc("innetcoord_shards", "Shards in the map.",
 		func() float64 { return float64(c.Stats().ShardsTotal) })
-	r.GaugeFunc("innetcoord_sensors", "Distinct sensors routed so far.",
+	r.GaugeFunc("innetcoord_sensors", "Distinct sensors known: routed, or found on a shard at startup.",
 		func() float64 { return float64(c.Stats().Sensors) })
-
-	// Identity-recovery provenance: exactly one source label reads 1.
-	// The rolling-restart e2e asserts source="store" after a restart
-	// with a data dir, and the crash drills assert "shard-fan" without.
-	r.LabeledGaugeFunc("innetcoord_identity_recovery_source",
-		"Where startup recovery found the identity counters; exactly one source reads 1.",
-		func(emit func(string, float64)) {
-			got := c.IdentitySource()
-			for _, src := range []string{"store", "shard-fan", "none"} {
-				v := 0.0
-				if got == src {
-					v = 1
-				}
-				emit(obs.Label("source", src), v)
-			}
-		})
-
-	if c.cfg.Store != nil {
-		r.CounterFunc("innetcoord_wal_bytes_total", "Bytes appended to the identity WAL.",
-			func() float64 { return float64(c.cfg.Store.Metrics().WALBytes) })
-		r.CounterFunc("innetcoord_wal_records_total", "Records appended to the identity WAL.",
-			func() float64 { return float64(c.cfg.Store.Metrics().WALRecords) })
-		r.CounterFunc("innetcoord_wal_fsyncs_total", "Fsync calls issued by the identity store.",
-			func() float64 { return float64(c.cfg.Store.Metrics().Fsyncs) })
-		r.CounterFunc("innetcoord_wal_compactions_total", "Identity-store snapshot rewrites.",
-			func() float64 { return float64(c.cfg.Store.Metrics().Compacts) })
-		r.CounterFunc("innetcoord_snapshot_corrupt_total", "Snapshot files discarded as corrupt at load.",
-			func() float64 { return float64(c.cfg.Store.Metrics().SnapCorrupt) })
-		r.CounterFunc("innetcoord_wal_append_errors_total", "Failed identity-store appends (routing keeps going).",
-			func() float64 { return float64(c.wal.Errors()) })
-	}
 
 	r.LabeledGaugeFunc("innetcoord_shard_up", "Per-shard up/down as seen by the health loop.",
 		func(emit func(string, float64)) {
@@ -108,9 +71,6 @@ func newCoordObs(c *Coordinator) *coordObs {
 		"Merged-estimate service time, labeled by the mode that served the answer.", "mode", b)
 	m.rpcLat = r.HistogramVec("innetcoord_rpc_latency_seconds",
 		"Shard-control exchange round trip (send to last response frame), by frame kind.", "op", b)
-	if c.cfg.Store != nil {
-		m.walTiming = r.StoreTiming("innetcoord", "Identity-WAL", "identity-store snapshot")
-	}
 	// Registered last so existing exposition order is undisturbed.
 	obs.RegisterBuildInfo(r)
 	return m

@@ -310,17 +310,16 @@ func (s *ShardServer) handleAssign(f protocol.Frame, from *net.UDPAddr) error {
 	return s.respond(from, f, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
 }
 
-// readingOf turns an identity-stamped point back into a reading for the
-// normal ingest front door (validation, staleness gate, bounded queues).
-// trace propagates the frame's trace ID into the reading's queue-wait and
-// observe spans.
+// readingOf turns a received point back into a reading for the normal
+// ingest front door (validation, staleness gate, bounded queues), which
+// derives its identity from its birth (ingest.SeqOf) — the ID the sender
+// gave the point. trace propagates the frame's trace ID into the
+// reading's queue-wait and observe spans.
 func readingOf(trace uint64, p core.Point) ingest.Reading {
 	return ingest.Reading{
 		Sensor: p.ID.Origin,
 		At:     p.Birth,
 		Values: p.Value,
-		Seq:    p.ID.Seq,
-		HasSeq: true,
 		Trace:  trace,
 	}
 }

@@ -104,7 +104,9 @@ func TestStrataCacheMatchesFresh(t *testing.T) {
 // TestStepObserveBatchAssignedSeq checks that observations carrying a
 // caller-assigned sequence number mint exactly that identity, that the
 // detector's own counter advances past assigned values, and that
-// re-delivery of an assigned reading does not duplicate the point.
+// re-delivery of an assigned reading does not duplicate the point: the
+// first copy wins, even over different values, and a batch of only
+// repeats is no event.
 func TestStepObserveBatchAssignedSeq(t *testing.T) {
 	det, err := NewDetector(Config{Node: 7, Ranker: NN(), N: 1})
 	if err != nil {
@@ -125,12 +127,29 @@ func TestStepObserveBatchAssignedSeq(t *testing.T) {
 		t.Fatalf("holdings %d, want 3", det.Holdings().Len())
 	}
 	// Re-delivery (e.g. a retried cluster READINGS frame): same identity,
-	// no duplicate in the window.
-	det.StepObserveBatch(0, []Observation{
+	// no duplicate in the window, and the first copy's value stays.
+	events := det.Stats().Events
+	pts, out := det.StepObserveBatch(0, []Observation{
 		{Birth: 0, Value: []float64{1}, Seq: 10, Assigned: true},
+		{Birth: 0, Value: []float64{9}, Seq: 4, Assigned: true},
 	})
+	if pts != nil || out != nil || det.Stats().Events != events {
+		t.Fatalf("repeats-only batch returned %v, %v and counted %d events; want nil, nil, none",
+			pts, out, det.Stats().Events-events)
+	}
 	if det.Holdings().Len() != 3 {
 		t.Fatalf("holdings after redelivery %d, want 3", det.Holdings().Len())
+	}
+	if p, _ := det.Holdings().Get(PointID{Origin: 7, Seq: 4}); p.Value[0] != 2 {
+		t.Fatalf("7#4 holds %v after a repeat with another value, want the first copy's 2", p.Value)
+	}
+	// A batch mixing a repeat with a new reading returns only the new one.
+	pts, _ = det.StepObserveBatch(0, []Observation{
+		{Birth: 0, Value: []float64{1}, Seq: 10, Assigned: true},
+		{Birth: 0, Value: []float64{5}, Seq: 12, Assigned: true},
+	})
+	if len(pts) != 1 || pts[0].ID != (PointID{Origin: 7, Seq: 12}) {
+		t.Fatalf("mixed batch returned %v, want only 7#12", pts)
 	}
 }
 

@@ -225,18 +225,6 @@ func (d *Detector) Stats() Stats { return d.stats }
 // Now returns the detector's current clock reading.
 func (d *Detector) Now() time.Duration { return d.now }
 
-// ReserveSeq raises the per-sensor sequence counter so the next
-// unassigned observation mints at least seq. A warm restart uses this to
-// restore the identity floor past points whose records already aged out
-// of the persisted window — without it, a replayed detector could
-// re-mint a PointID it issued before the restart. Lowering the counter
-// is impossible; a floor at or below the current counter is a no-op.
-func (d *Detector) ReserveSeq(seq uint32) {
-	if seq > d.nextSeq {
-		d.nextSeq = seq
-	}
-}
-
 // Neighbors returns the current immediate neighborhood Γ_i, sorted.
 func (d *Detector) Neighbors() []NodeID { return slices.Clone(d.nbrs) }
 
@@ -446,13 +434,10 @@ func (d *Detector) advance(now time.Duration) bool {
 // streaming ingestion layer (internal/ingest) queues per sensor.
 //
 // When Assigned is set, the reading carries a caller-chosen sequence
-// number instead of taking the detector's next one. The cluster
-// coordinator uses this to stamp every reading with a deterministic
-// identity before fanning it out, so replica shards — which may see
-// different subsets and orderings under UDP loss — still mint identical
-// PointIDs for the same reading and the merged estimate deduplicates
-// instead of double-counting. The simulator firmware (internal/protocol)
-// passes its sampling epoch.
+// number instead of taking the detector's next one. The live runtimes
+// derive it from the reading's data time (ingest.SeqOf), so every copy of
+// a reading — a replica's, a retry's, a replay's — names the same point;
+// the simulator firmware (internal/protocol) passes its sampling epoch.
 type Observation struct {
 	Birth time.Duration
 	Value []float64
@@ -471,21 +456,23 @@ type Observation struct {
 // costs one ranking pass instead of b.
 //
 // Unassigned readings take consecutive sequence numbers in slice order;
-// each keeps its own birth timestamp. The resulting state (P_i, D_i,
+// each keeps its own birth timestamp. A reading whose ID D_i already
+// holds is a repeat: the first copy stays and the repeat is skipped. The
+// returned points are the ones added. The resulting state (P_i, D_i,
 // clock, sequence counter, estimate) is the same as feeding the readings
-// one call at a time at the same now. An empty batch is an expiry-only
-// event: it reacts, and counts an event, only when something was
-// evicted, and otherwise returns nil.
+// one call at a time at the same now. A batch that adds nothing — empty,
+// or only repeats — is an expiry-only event: it reacts, and counts an
+// event, only when something was evicted, and otherwise returns nil.
 func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Point, *Outbound) {
 	evicted := d.advance(now)
-	if len(obs) == 0 && !evicted {
-		return nil, nil
-	}
-	pts := make([]Point, len(obs))
-	for i, o := range obs {
+	pts := make([]Point, 0, len(obs))
+	for _, o := range obs {
 		seq := d.nextSeq
 		if o.Assigned {
 			seq = o.Seq
+		}
+		if d.own.Contains(PointID{Origin: d.cfg.Node, Seq: seq}) {
+			continue
 		}
 		p := NewPoint(d.cfg.Node, seq, o.Birth, o.Value...)
 		if seq >= d.nextSeq {
@@ -493,7 +480,10 @@ func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Poi
 		}
 		d.own.Add(p)
 		d.held.Add(p)
-		pts[i] = p
+		pts = append(pts, p)
+	}
+	if len(pts) == 0 && !evicted {
+		return nil, nil
 	}
 	d.stats.Events++
 	return pts, d.react()

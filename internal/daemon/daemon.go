@@ -1,8 +1,8 @@
 // Package daemon is the process shell innetd and innet-coord share: the
-// flags both take, the resources those flags open (the durable store and
-// the span file), the HTTP, debug and UDP listeners, and the order the
-// process takes all of it down in. A command keeps only its own flags,
-// its engine, and any listener of its own.
+// flags both take, the resources the flags open (innetd's durable store
+// and either daemon's span file), the HTTP, debug and UDP listeners, and
+// the order the process takes all of it down in. A command keeps only
+// its own flags, its engine, and any listener of its own.
 //
 // Shutdown runs in one fixed order (DESIGN.md § "Daemon shell"):
 //
@@ -35,7 +35,7 @@ import (
 )
 
 // Flags are the flags both daemons take, under the same names and
-// defaults.
+// defaults, plus the store flags only innetd registers (RegisterStore).
 type Flags struct {
 	HTTP      string
 	UDP       string
@@ -64,8 +64,6 @@ func (f *Flags) Register(fs *flag.FlagSet, usage map[string]string) {
 	fs.Float64Var(&f.Eps, "eps", 2, "neighborhood radius α for the db ranker")
 	fs.IntVar(&f.N, "n", 2, "number of outliers to detect")
 	fs.DurationVar(&f.Window, "window", 10*time.Minute, "time-based sliding window (0 keeps points forever)")
-	fs.StringVar(&f.DataDir, "data-dir", "", "durability directory for the window WAL + snapshots (empty = in-memory only)")
-	fs.BoolVar(&f.Fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "debug listen address for pprof + runtime metrics (empty disables)")
 	fs.DurationVar(&f.SlowQuery, "slow-query", 0, "log outlier queries slower than this threshold (0 disables)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log output format: text or json")
@@ -74,6 +72,13 @@ func (f *Flags) Register(fs *flag.FlagSet, usage map[string]string) {
 	for name, help := range usage {
 		fs.Lookup(name).Usage = help
 	}
+}
+
+// RegisterStore adds -data-dir and -fsync, the flags of a daemon that
+// holds durable state: innetd's windows. The coordinator holds none.
+func (f *Flags) RegisterStore(fs *flag.FlagSet) {
+	fs.StringVar(&f.DataDir, "data-dir", "", "durability directory for the window WAL + snapshots (empty = in-memory only)")
+	fs.BoolVar(&f.Fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
 }
 
 // Detector returns the detector configuration the flags describe. A bad

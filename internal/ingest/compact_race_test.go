@@ -1,7 +1,10 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +72,7 @@ func TestCompactStoreKeepsRecordsPersistedDuringCompaction(t *testing.T) {
 		t.Fatal("CompactStore never reached Compact")
 	}
 
-	// The compaction now holds its snapshot (reading 1#0 only) and is
+	// The compaction now holds its snapshot (the reading at 1 s only) and is
 	// blocked inside Compact. Ingest a second reading: its persist must
 	// not be allowed to land in the log the compaction will truncate.
 	if err := svc.Ingest(Reading{Sensor: 1, At: 2 * time.Second, Values: []float64{2}}); err != nil {
@@ -91,12 +94,12 @@ func TestCompactStoreKeepsRecordsPersistedDuringCompaction(t *testing.T) {
 	}
 	found := false
 	for _, r := range st.Records {
-		if r.Sensor == 1 && r.Seq == 1 {
+		if r.Sensor == 1 && r.Birth == 2*time.Second {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("record 1#1 persisted during compaction was lost; surviving records: %+v", st.Records)
+		t.Fatalf("sensor 1's reading at 2 s, persisted during compaction, was lost; surviving records: %+v", st.Records)
 	}
 }
 
@@ -160,5 +163,50 @@ func TestCompactStoreConcurrentIngestNoLoss(t *testing.T) {
 			return
 		default:
 		}
+	}
+}
+
+// A data directory written when sequence numbers were minted can hold
+// two points of one sensor at one data time (seqs 0 and 1). Warm derives
+// both IDs from the birth, so they fold into the first copy; the fold is
+// counted as a repeat and logged, not hidden in the restored count.
+func TestWarmFoldsMintedSameTimePoints(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	mem := store.NewMem()
+	if err := mem.AppendReadings([]store.Record{
+		{Sensor: 1, Seq: 0, Birth: 5 * time.Second, Values: []float64{20}},
+		{Sensor: 1, Seq: 1, Birth: 5 * time.Second, Values: []float64{21}},
+		{Sensor: 2, Seq: 0, Birth: 5 * time.Second, Values: []float64{22}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	svc, err := New(Config{
+		Detector:     core.Config{Ranker: core.KNN{K: 2}, N: 2, Window: 10 * time.Minute},
+		AutoJoin:     true,
+		CompactEvery: 1 << 30,
+		Store:        mem,
+		Logger:       slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Warm(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := svc.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 2 || snap[0].ID.Origin != 1 || snap[0].Value[0] != 20 {
+		t.Fatalf("window after warm = %v, want sensor 1's first copy (20) and sensor 2's point", snap)
+	}
+	if got := svc.Stats().Repeated; got != 1 {
+		t.Fatalf("Repeated = %d, want 1", got)
+	}
+	if !strings.Contains(logs.String(), "records=1") {
+		t.Fatalf("warm logged no fold: %q", logs.String())
 	}
 }

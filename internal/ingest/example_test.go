@@ -56,5 +56,5 @@ func Example() {
 		panic(err)
 	}
 	fmt.Print(string(body))
-	// Output: {"sensor":1,"outliers":[{"sensor":3,"seq":0,"at_ms":61000,"values":[55.3]}]}
+	// Output: {"sensor":1,"outliers":[{"sensor":3,"seq":61000,"at_ms":61000,"values":[55.3]}]}
 }

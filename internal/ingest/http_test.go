@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,9 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"innet/internal/core"
 )
 
 func startHTTP(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -327,5 +331,100 @@ func TestServeUDPReturnsOnServiceClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeUDP did not return after the service closed")
+	}
+}
+
+// TestRepeatedReadingIsANoOp: a reading delivered twice — a retried POST,
+// a duplicated datagram — names one point. The second copy is observed
+// and counted as a repeat, and neither the window nor the answer moves.
+// (Were it a second point, the outlier's copy would be its nearest
+// neighbour at distance 0 and the outlier would leave the answer.)
+func TestRepeatedReadingIsANoOp(t *testing.T) {
+	lines := []string{"1 1000 20", "2 2000 20", "3 3000 20", "1 4000 20", "3 5000 20", "2 9000 90"}
+	for _, door := range []string{"http", "udp"} {
+		t.Run(door, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.AutoJoin = true
+			s := newService(t, cfg)
+			send := lineSender(t, s, door)
+			state := func() ([]core.Point, []core.Point) {
+				t.Helper()
+				mustFlush(t, s)
+				window, err := s.Snapshot(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				answer, err := s.Estimate(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return window, answer
+			}
+
+			send(lines...)
+			window, answer := state()
+			if len(window) != len(lines) || len(answer) != 1 || answer[0].Value[0] != 90 {
+				t.Fatalf("before the repeat: window %v, answer %v; want %d points and the 90", window, answer, len(lines))
+			}
+			send(lines[len(lines)-1])
+			again, answerAgain := state()
+			if !reflect.DeepEqual(again, window) || !reflect.DeepEqual(answerAgain, answer) {
+				t.Fatalf("the repeat moved the fleet: window %v -> %v, answer %v -> %v", window, again, answer, answerAgain)
+			}
+			if st := s.Stats(); st.Observed != uint64(len(lines))+1 || st.Repeated != 1 {
+				t.Fatalf("Observed %d, Repeated %d; want %d and 1", st.Observed, st.Repeated, len(lines)+1)
+			}
+		})
+	}
+}
+
+// lineSender returns a function that delivers line-protocol readings to
+// s through the named front door ("http" or "udp") and returns once the
+// service has accepted them.
+func lineSender(t *testing.T, s *Service, door string) func(lines ...string) {
+	t.Helper()
+	if door == "http" {
+		srv := httptest.NewServer(s.Handler())
+		t.Cleanup(srv.Close)
+		return func(lines ...string) {
+			t.Helper()
+			var batch []string
+			for _, l := range lines {
+				r, err := ParseLine([]byte(l))
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch = append(batch, fmt.Sprintf(`{"sensor":%d,"at_ms":%d,"values":[%g]}`, r.Sensor, r.At.Milliseconds(), r.Values[0]))
+			}
+			status, _ := doJSON(t, "POST", srv.URL+"/v1/observations", `{"readings":[`+strings.Join(batch, ",")+`]}`)
+			if status != http.StatusAccepted {
+				t.Fatalf("POST status %d, want 202", status)
+			}
+		}
+	}
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go s.ServeUDP(pc)
+	conn, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return func(lines ...string) {
+		t.Helper()
+		want := s.Stats().Accepted + uint64(len(lines))
+		if _, err := conn.Write([]byte(strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Stats().Accepted < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %d accepted readings: %+v", want, s.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

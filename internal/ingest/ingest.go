@@ -86,20 +86,13 @@ var (
 	ErrFleetFull     = errors.New("ingest: sensor limit reached")
 )
 
-// Reading is one observation as it arrives from the outside world.
-//
-// Seq/HasSeq optionally pin the reading's point identity instead of
-// letting the sensor's detector assign the next sequence number. The
-// cluster coordinator stamps every reading before fanning it out so
-// replica shards mint identical PointIDs for the same datum (see
-// core.Observation); direct HTTP/UDP ingestion leaves them zero.
+// Reading is one observation as it arrives from the outside world. Its
+// point identity is (Sensor, SeqOf(At)): a function of the reading, so
+// every copy of it — a retry, a replica, a replay — names the same point.
 type Reading struct {
 	Sensor core.NodeID
 	At     time.Duration // data-time timestamp (offset from stream epoch)
 	Values []float64     // feature vector, e.g. temperature [, x, y]
-
-	Seq    uint32
-	HasSeq bool
 
 	// Trace, when nonzero, is the distributed trace ID the reading
 	// arrived under (a coordinator-stamped READINGS frame); the spans the
@@ -107,6 +100,12 @@ type Reading struct {
 	// HTTP/UDP ingestion leaves it zero.
 	Trace uint64
 }
+
+// SeqOf is the sequence number of a live point born at data time at: at
+// in milliseconds, the front doors' at_ms unit, so two readings a door
+// can tell apart never share an ID. It wraps mod 2^32 (every 49.7 days of
+// data time); see DESIGN.md § "Identity and replication".
+func SeqOf(at time.Duration) uint32 { return uint32(at / time.Millisecond) }
 
 // Validate checks the reading's shape (ID, timestamp, feature vector)
 // without consulting any service state. The cluster coordinator applies
@@ -162,18 +161,17 @@ type Config struct {
 	// examples/livenet) can shape multi-hop meshes.
 	Topology func(joining core.NodeID, existing []core.NodeID) []core.NodeID
 
-	// Store, when set, makes the fleet's windows durable: every reading
-	// a detector mints is appended to it (in detector order, with its
-	// assigned identity), and Warm replays the persisted state so a
-	// restarted daemon serves exact answers over the data it held when
-	// it went down. Nil — the default — keeps today's purely in-memory
+	// Store, when set, makes the fleet's windows durable: every point a
+	// detector adds is appended to it (in detector order), and Warm
+	// replays the persisted state so a restarted daemon serves exact
+	// answers over the data it held when it went down. Nil — the default — keeps today's purely in-memory
 	// behavior. The Service uses the store but does not own it; the
 	// caller closes it after Close.
 	Store store.Store
 
 	// CompactEvery bounds WAL growth: after this many appended records
 	// the service compacts the store down to the current window union
-	// (plus identity floors) in the background. Default 8192.
+	// in the background. Default 8192.
 	CompactEvery int
 
 	// SlowQuery, when positive, logs every GET /v1/outliers that takes
@@ -221,6 +219,7 @@ func (c *Config) applyDefaults() {
 type Stats struct {
 	Accepted  uint64 // readings admitted to a queue
 	Observed  uint64 // readings fed into a detector
+	Repeated  uint64 // observed readings whose point the detector already held (first copy wins)
 	Batches   uint64 // batch-observe events (ranking passes)
 	Dropped   uint64 // readings shed by the latest-wins policy
 	Stale     uint64 // readings rejected as older than the window
@@ -250,7 +249,6 @@ type sensor struct {
 
 	latest  atomic.Int64  // newest ingested timestamp, nanoseconds
 	drops   atomic.Uint64 // readings this sensor shed (latest-wins + leave drain)
-	nextSeq atomic.Int64  // 1 + highest seq minted for this sensor (0 = none); identity floor for compaction
 	runDone chan struct{} // closed when the peer's Run has returned
 
 	drain func(*core.Detector) *core.Outbound // Service.drain bound to this sensor, built once
@@ -295,6 +293,7 @@ type Service struct {
 	accepted, observed, batches atomic.Uint64
 	dropped, stale, malformed   atomic.Uint64
 	unknown, joins, leaves      atomic.Uint64
+	repeated                    atomic.Uint64
 
 	obs    *serviceObs   // metrics registry + latency histograms, built in New
 	traces *obs.TraceLog // /debug/traces flight-recorder ring of spans
@@ -491,7 +490,7 @@ func (s *Service) enqueue(sn *sensor, r Reading) error {
 	}
 	raise(&sn.latest, int64(r.At))
 	item := queued{
-		obs:   core.Observation{Birth: r.At, Value: r.Values, Seq: r.Seq, Assigned: r.HasSeq},
+		obs:   core.Observation{Birth: r.At, Value: r.Values, Seq: SeqOf(r.At), Assigned: true},
 		enq:   time.Now(),
 		trace: r.Trace,
 	}
@@ -541,7 +540,7 @@ func (s *Service) shed(sn *sensor) bool {
 // drain is the event Ingest posts to a sensor's peer: on the goroutine
 // that owns the detector it takes what the queue holds (up to MaxBatch; the
 // next drain is queued before this one ends), feeds it as one batch-observe
-// event, appends what the detector minted to the store, and returns the
+// event, appends what the detector added to the store, and returns the
 // reaction for the peer to broadcast.
 func (s *Service) drain(sn *sensor, d *core.Detector) *core.Outbound {
 	sn.kickMu.Lock()
@@ -587,8 +586,8 @@ take:
 	for _, o := range batch {
 		now = max(now, o.Birth)
 	}
-	minted, out := d.StepObserveBatch(now, batch)
-	s.persist(sn, trace, minted)
+	added, out := d.StepObserveBatch(now, batch)
+	s.persist(trace, added)
 	s.obs.observeDur.Observe(time.Since(drained).Seconds())
 	s.traces.Record(obs.Span{
 		Trace:  trace,
@@ -599,28 +598,28 @@ take:
 	})
 	s.pending.Add(-int64(len(batch)))
 	s.observed.Add(uint64(len(batch)))
+	s.repeated.Add(uint64(len(batch) - len(added)))
 	s.batches.Add(1)
 	clear(batch) // keep no feature vector alive until the next drain
 	return out
 }
 
-// persist appends one observed batch's minted points (identities included:
-// exactly what a replay needs) to the store, if there is one; the policy
-// counts the append toward the next background compaction.
-func (s *Service) persist(sn *sensor, trace uint64, minted []core.Point) {
-	if s.wal == nil || len(minted) == 0 {
+// persist appends the points one observed batch added to the store, if
+// there is one; the policy counts the append toward the next background
+// compaction.
+func (s *Service) persist(trace uint64, added []core.Point) {
+	if s.wal == nil || len(added) == 0 {
 		return
 	}
-	recs := make([]store.Record, len(minted))
-	for i, p := range minted {
+	recs := make([]store.Record, len(added))
+	for i, p := range added {
 		recs[i] = store.RecordOf(p)
-		raise(&sn.nextSeq, int64(p.ID.Seq)+1)
 	}
 	_ = s.wal.AppendReadings(s.ctx, trace, recs)
 }
 
-// CompactStore snapshots the current window union and identity floors
-// into the store and truncates its WAL. It is called automatically as
+// CompactStore snapshots the current window union into the store and
+// truncates its WAL. It is called automatically as
 // the WAL grows; callers (Warm, tests) may also invoke it directly.
 // Records persisted while the snapshot is taken are folded in by the
 // store's policy, so none is lost to the truncation.
@@ -628,8 +627,7 @@ func (s *Service) CompactStore(ctx context.Context) error {
 	return s.wal.Compact(ctx)
 }
 
-// durableState is the fleet's side of a compaction: the window union
-// and every sensor's identity floor.
+// durableState is the fleet's side of a compaction: the window union.
 func (s *Service) durableState(ctx context.Context) (store.State, error) {
 	pts, err := s.Snapshot(ctx)
 	if err != nil {
@@ -639,25 +637,13 @@ func (s *Service) durableState(ctx context.Context) (store.State, error) {
 	for i, p := range pts {
 		recs[i] = store.RecordOf(p)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]store.Identity, 0, len(s.sensors))
-	for id, sn := range s.sensors {
-		next := sn.nextSeq.Load()
-		latest := time.Duration(sn.latest.Load())
-		if next == 0 && latest == 0 {
-			continue
-		}
-		ids = append(ids, store.Identity{Sensor: id, NextSeq: uint32(next), Latest: latest})
-	}
-	return store.State{Records: recs, Identities: ids}, nil
+	return store.State{Records: recs}, nil
 }
 
 // Warm replays the store's persisted state into a freshly started fleet:
-// sensors are joined, surviving window records are re-ingested with
-// their original identities (per-sensor order preserved, so unassigned
-// future readings mint the same sequence numbers a never-restarted
-// process would), identity floors are reserved past aged-out points, and
+// sensors are joined, surviving window records are re-ingested through
+// the front door (which derives each point's identity from its birth and
+// restores each sensor's staleness gate from the births it sees), and
 // the store is compacted down to what actually survived. It returns the
 // number of records restored. Call it once, after New and before serving
 // traffic; with no store (or an empty one) it is a no-op.
@@ -672,7 +658,7 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 	// Records older than their sensor's window have already been evicted
 	// everywhere; re-ingesting them would only bounce off the staleness
 	// gate (polluting the stale counter) or, worse, resurrect data the
-	// pre-crash fleet no longer held. Identity floors still cover them.
+	// pre-crash fleet no longer held.
 	cutoff := make(map[core.NodeID]time.Duration)
 	if w := s.cfg.Detector.Window; w > 0 {
 		for _, r := range st.Records {
@@ -689,32 +675,21 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 		if err := s.ensureJoined(r.Sensor); err != nil {
 			return 0, fmt.Errorf("ingest: warm: %w", err)
 		}
-		replay = append(replay, Reading{Sensor: r.Sensor, At: r.Birth, Values: r.Values, Seq: r.Seq, HasSeq: true})
+		replay = append(replay, Reading{Sensor: r.Sensor, At: r.Birth, Values: r.Values})
 	}
+	repeatedBefore := s.repeated.Load()
 	restored, err := s.Admit(ctx, replay)
 	if err != nil {
 		return restored, fmt.Errorf("ingest: warm: %w", err)
 	}
+	// A directory written when sequence numbers were minted can hold two
+	// points of one sensor at one data time; their derived IDs coincide,
+	// so the first copy stands for both.
+	if n := s.repeated.Load() - repeatedBefore; n > 0 {
+		s.cfg.Logger.Warn("warm replay folded records that share a sensor and data time", "records", n)
+	}
 	if restored != len(replay) {
 		return restored, fmt.Errorf("ingest: warm: the front door rejected %d of %d surviving records", len(replay)-restored, len(replay))
-	}
-	for _, id := range st.Identities {
-		if err := s.ensureJoined(id.Sensor); err != nil {
-			return restored, fmt.Errorf("ingest: warm: %w", err)
-		}
-		s.mu.RLock()
-		sn := s.sensors[id.Sensor]
-		s.mu.RUnlock()
-		if sn == nil {
-			continue // left while warming; nothing to floor
-		}
-		if err := sn.peer.ReserveSeq(ctx, id.NextSeq); err != nil {
-			return restored, fmt.Errorf("ingest: warm: %w", err)
-		}
-		raise(&sn.nextSeq, int64(id.NextSeq))
-		// Restore the staleness gate so a reading the pre-crash fleet
-		// would have rejected stays rejected after the restart.
-		raise(&sn.latest, int64(id.Latest))
 	}
 	// Replay re-appended every restored record; compacting now collapses
 	// the duplication and bounds WAL growth across repeated restarts.
@@ -893,6 +868,7 @@ func (s *Service) Stats() Stats {
 	return Stats{
 		Accepted:  s.accepted.Load(),
 		Observed:  s.observed.Load(),
+		Repeated:  s.repeated.Load(),
 		Batches:   s.batches.Load(),
 		Dropped:   s.dropped.Load(),
 		Stale:     s.stale.Load(),

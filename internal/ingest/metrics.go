@@ -37,6 +37,7 @@ func newServiceObs(s *Service) *serviceObs {
 	}
 	counter("innetd_readings_accepted_total", "Readings admitted to a sensor queue.", &s.accepted)
 	counter("innetd_readings_observed_total", "Readings fed into a detector.", &s.observed)
+	counter("innetd_readings_repeated_total", "Observed readings whose point the detector already held (first copy wins).", &s.repeated)
 	counter("innetd_observe_batches_total", "Batch-observe events (ranking passes).", &s.batches)
 	counter("innetd_readings_dropped_total", "Readings shed by the latest-wins policy.", &s.dropped)
 	counter("innetd_readings_stale_total", "Readings rejected as older than the sliding window.", &s.stale)
@@ -95,9 +96,28 @@ func newServiceObs(s *Service) *serviceObs {
 	m.queryLat = r.Histogram("innetd_query_latency_seconds",
 		"Service time of GET /v1/outliers.", b)
 	if s.cfg.Store != nil {
-		m.walTiming = r.StoreTiming("innetd", "WAL", "snapshot")
+		m.walTiming = storeTiming(r, b)
 	}
 	// Registered last so existing exposition order is undisturbed.
 	obs.RegisterBuildInfo(r)
 	return m
+}
+
+// storeTiming registers the WAL duration histograms and returns the
+// observer a store's SetTiming hook takes: op is "append", "fsync" or
+// "compact".
+func storeTiming(r *obs.Registry, b []float64) func(op string, d time.Duration) {
+	appendDur := r.Histogram("innetd_wal_append_seconds", "WAL write+flush duration per append batch.", b)
+	fsyncDur := r.Histogram("innetd_wal_fsync_seconds", "Duration of one fsync (WAL, snapshot, or directory).", b)
+	compactDur := r.Histogram("innetd_wal_compact_seconds", "Duration of one whole snapshot rewrite.", b)
+	return func(op string, d time.Duration) {
+		switch op {
+		case "append":
+			appendDur.Observe(d.Seconds())
+		case "fsync":
+			fsyncDur.Observe(d.Seconds())
+		case "compact":
+			compactDur.Observe(d.Seconds())
+		}
+	}
 }

@@ -12,7 +12,7 @@ import (
 type Event struct {
 	Sensor  core.NodeID // physical ID the virtual sensor emits as
 	Virtual int         // virtual sensor index in [0, Fleet.Sensors)
-	Step    int         // sweep number; data time = Step * StepMS
+	Step    int         // sweep number; data time = Step*StepMS + Virtual/Attached ms
 	At      time.Duration
 	Values  []float64
 	Down    bool // churn: sensor offline, nothing is generated
@@ -66,11 +66,15 @@ func (t *Trace) Next() Event {
 		t.idx, t.step = 0, t.step+1
 	}
 
+	// The virtual sensors multiplexed onto one attached ID emit a step's
+	// readings 1 ms apart: a point is (sensor, data time in ms), so at one
+	// shared At they would be one point. Validate keeps the stagger inside
+	// the step; with one virtual sensor per ID it is 0.
 	ev := Event{
 		Sensor:  core.NodeID(1 + v%sc.Fleet.Attached),
 		Virtual: v,
 		Step:    step,
-		At:      time.Duration(int64(step)*sc.Traffic.StepMS) * time.Millisecond,
+		At:      time.Duration(int64(step)*sc.Traffic.StepMS+int64(v/sc.Fleet.Attached)) * time.Millisecond,
 	}
 
 	// Churn first: a down sensor generates nothing, and consumes no

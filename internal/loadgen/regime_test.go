@@ -80,7 +80,7 @@ func TestTraceGolden(t *testing.T) {
 	for i, ev := range got {
 		wantSensor := core.NodeID(1 + (i%4)%2)
 		wantStep := i / 4
-		wantAt := time.Duration(wantStep) * 500 * time.Millisecond
+		wantAt := time.Duration(wantStep*500+(i%4)/2) * time.Millisecond // virtual 2 and 3 share IDs with 0 and 1, 1 ms later
 		if ev.Sensor != wantSensor || ev.Virtual != i%4 || ev.Step != wantStep || ev.At != wantAt {
 			t.Errorf("event %d = %+v, want sensor=%d virtual=%d step=%d at=%v",
 				i, ev, wantSensor, i%4, wantStep, wantAt)

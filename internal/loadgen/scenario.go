@@ -13,8 +13,9 @@
 // target sees: NodeID is uint16 and a clique mesh is O(n²) links, so a
 // million-sensor fleet is multiplexed onto a bounded set of attached
 // physical IDs (virtual sensor v emits as physical ID 1 + v mod
-// Attached). The target's per-sensor state stays small while the
-// harness sweeps a fleet of any size through it.
+// Attached, v / Attached ms into each step, so no two of an ID's readings
+// share a data time). The target's per-sensor state stays small while
+// the harness sweeps a fleet of any size through it.
 //
 // Exactness checkpoints are the harness's correctness teeth: between
 // firing segments it freezes ingestion (the Flush barrier), fetches the
@@ -54,7 +55,9 @@ type TrafficConfig struct {
 	// checkpoint segments. Required.
 	DurationS float64 `json:"duration_s"`
 	// StepMS is the data-time advance between a virtual sensor's
-	// consecutive readings. Default 1000.
+	// consecutive readings. Default 1000. It must be at least the number
+	// of virtual sensors per attached ID, ceil(Sensors/Attached): their
+	// readings of one step are 1 ms apart.
 	StepMS int64 `json:"step_ms"`
 	// Rate paces the firehose to this many readings/sec overall;
 	// 0 fires as fast as the target's socket accepts writes.
@@ -200,6 +203,12 @@ func (sc *Scenario) Validate() error {
 	}
 	if sc.Traffic.StepMS < 0 {
 		return errors.New("traffic.step_ms must be positive")
+	}
+	// Each attached ID carries ceil(Sensors/Attached) virtual sensors, whose
+	// readings of one step are staggered 1 ms apart (see Trace.Next).
+	if perID := int64((sc.Fleet.Sensors + sc.Fleet.Attached - 1) / sc.Fleet.Attached); perID > sc.Traffic.StepMS {
+		return fmt.Errorf("traffic.step_ms %d is below the %d readings each attached ID takes per step (1 ms apart): raise step_ms to at least %d or fleet.attached to at least %d",
+			sc.Traffic.StepMS, perID, perID, (sc.Fleet.Sensors+int(sc.Traffic.StepMS)-1)/int(sc.Traffic.StepMS))
 	}
 	if sc.Traffic.Rate < 0 {
 		return errors.New("traffic.rate must be >= 0")

@@ -93,6 +93,7 @@ func TestValidateRejects(t *testing.T) {
 		{"no sensors", func(s *Scenario) { s.Fleet.Sensors = 0 }, "sensors"},
 		{"attached over uint16", func(s *Scenario) { s.Fleet.Attached = 70000 }, "attached"},
 		{"no duration", func(s *Scenario) { s.Traffic.DurationS = 0 }, "duration"},
+		{"stagger past the step", func(s *Scenario) { s.Fleet.Attached, s.Traffic.StepMS = 1, 50 }, "raise step_ms to at least 100"},
 		{"bad regime", func(s *Scenario) { s.Regime.Kind = "chaotic" }, "regime.kind"},
 		{"diurnal no period", func(s *Scenario) { s.Regime.Kind = "diurnal" }, "period"},
 		{"zero burst offset", func(s *Scenario) { s.Burst = &BurstConfig{Rate: 0.1} }, "offset"},

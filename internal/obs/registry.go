@@ -30,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ContentType is the Prometheus text exposition content type served by
@@ -319,27 +318,6 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns how many values have been observed.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// StoreTiming registers a daemon's three WAL duration histograms —
-// prefix_wal_{append,fsync,compact}_seconds, their help naming the log
-// (wal) and its snapshot (snapshot) — and returns the observer a store's
-// SetTiming hook takes: op is "append", "fsync" or "compact".
-func (r *Registry) StoreTiming(prefix, wal, snapshot string) func(op string, d time.Duration) {
-	b := LatencyBuckets()
-	appendDur := r.Histogram(prefix+"_wal_append_seconds", wal+" write+flush duration per append batch.", b)
-	fsyncDur := r.Histogram(prefix+"_wal_fsync_seconds", "Duration of one fsync (WAL, snapshot, or directory).", b)
-	compactDur := r.Histogram(prefix+"_wal_compact_seconds", "Duration of one whole "+snapshot+" rewrite.", b)
-	return func(op string, d time.Duration) {
-		switch op {
-		case "append":
-			appendDur.Observe(d.Seconds())
-		case "fsync":
-			fsyncDur.Observe(d.Seconds())
-		case "compact":
-			compactDur.Observe(d.Seconds())
-		}
-	}
-}
 
 func (h *Histogram) write(b *strings.Builder) {
 	h.writeHeader(b)

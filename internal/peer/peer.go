@@ -25,8 +25,8 @@
 //	  │                             mailbox in arrival order
 //	  ▼
 //	ObserveBatch / AddNeighbor /    feed: each call queues one event and
-//	RemoveNeighbor / ReserveSeq /   returns once the detector has reacted
-//	Holdings / Stats; Post          and any broadcast is queued at every
+//	RemoveNeighbor / Holdings /     returns once the detector has reacted
+//	Stats; Post                     and any broadcast is queued at every
 //	                                neighbor; Post queues and returns.
 //	                                ObserveBatch is the one data event:
 //	                                readings, a clock tick (no readings)
@@ -197,16 +197,6 @@ func (p *Peer) ObserveBatch(ctx context.Context, now time.Duration, obs []core.O
 	return p.do(ctx, func(d *core.Detector) *core.Outbound {
 		_, out := d.StepObserveBatch(now, obs)
 		return out
-	})
-}
-
-// ReserveSeq raises the detector's sequence floor (see
-// core.Detector.ReserveSeq); warm restarts call it after replay so
-// re-minted identities cannot collide with aged-out ones.
-func (p *Peer) ReserveSeq(ctx context.Context, seq uint32) error {
-	return p.do(ctx, func(d *core.Detector) *core.Outbound {
-		d.ReserveSeq(seq)
-		return nil
 	})
 }
 

@@ -339,8 +339,8 @@ func DecodeHealth(buf []byte) (HealthBody, error) {
 }
 
 // ReadingsBody is the READINGS payload: a routed ingest batch. Each point
-// carries the coordinator-assigned identity (origin sensor, sequence
-// number), its data-time birth, and the feature vector; the hop field is
+// carries its identity (origin sensor, sequence number derived from its
+// birth), its data-time birth, and the feature vector; the hop field is
 // unused and must be zero.
 type ReadingsBody struct {
 	Points []core.Point

@@ -29,6 +29,11 @@ import (
 //	            dim:uint8 value:float64*dim
 //	identity := kind=2 sensor:uint16 nextSeq:uint32 latestNs:int64
 //
+// Identity frames are retired: nothing writes one, and replay reads one
+// (a data directory written before point identity was derived from the
+// reading) and drops it. Stopping there instead would truncate every
+// reading appended after it.
+//
 // The CRC (IEEE, over the body) makes a torn or bit-rotten tail
 // detectable: replay stops at the first frame whose length is impossible
 // or whose CRC disagrees, truncates the file there, and resumes
@@ -36,7 +41,9 @@ import (
 //
 // The snapshot file is one frame of kind=3 whose payload is
 // recordCount:uint32 reading-payload* identCount:uint32
-// identity-payload*, preceded by a 8-byte magic. It is written to a
+// identity-payload*, preceded by a 8-byte magic. Compact writes an empty
+// identity section (so an older build still opens the directory), and
+// Load reads a nonempty one and drops it. It is written to a
 // temp file, fsynced, and renamed into place, so a crash mid-Compact
 // leaves either the old snapshot or the new one, never a torn mix; the
 // WAL truncation that follows the rename may be lost to a crash, in
@@ -65,8 +72,8 @@ var snapMagic = [8]byte{'I', 'N', 'S', 'N', 'A', 'P', '0', '1'}
 // feature dimension.
 func walRecordSize(dim int) int { return frameOverhead + 1 + 2 + 4 + 8 + 1 + 8*dim }
 
-// walIdentitySize is the framed size of an identity update.
-const walIdentitySize = frameOverhead + 1 + 2 + 4 + 8
+// identityBodySize is the body size of a retired identity frame.
+const identityBodySize = 1 + 2 + 4 + 8
 
 // Config parameterizes a file store.
 type Config struct {
@@ -127,7 +134,7 @@ func Open(cfg Config) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	valid, _, _, err := scanWAL(wal)
+	valid, _, err := scanWAL(wal)
 	if err != nil {
 		wal.Close()
 		return nil, err
@@ -174,13 +181,6 @@ func appendReadingBody(buf []byte, r Record) []byte {
 	return buf
 }
 
-func appendIdentityBody(buf []byte, id Identity) []byte {
-	buf = append(buf, kindIdentity)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(id.Sensor))
-	buf = binary.BigEndian.AppendUint32(buf, id.NextSeq)
-	return binary.BigEndian.AppendUint64(buf, uint64(id.Latest))
-}
-
 var errBadBody = errors.New("store: bad record body")
 
 func parseReadingBody(body []byte) (Record, error) {
@@ -204,59 +204,47 @@ func parseReadingBody(body []byte) (Record, error) {
 	return r, nil
 }
 
-func parseIdentityBody(body []byte) (Identity, error) {
-	if len(body) != 1+2+4+8 {
-		return Identity{}, errBadBody
-	}
-	return Identity{
-		Sensor:  core.NodeID(binary.BigEndian.Uint16(body[1:])),
-		NextSeq: binary.BigEndian.Uint32(body[3:]),
-		Latest:  time.Duration(binary.BigEndian.Uint64(body[7:])),
-	}, nil
-}
-
 // scanWAL replays the log from the start, returning the byte offset of
-// the longest valid prefix and the records and identities it carries. A
-// frame with an impossible length, a short tail, a CRC mismatch, or an
-// unparseable body ends the scan — everything at and after it is torn.
-func scanWAL(r io.ReadSeeker) (valid int64, recs []Record, ids []Identity, err error) {
+// the longest valid prefix and the records it carries. A frame with an
+// impossible length, a short tail, a CRC mismatch, or an unparseable body
+// ends the scan — everything at and after it is torn. A well-formed
+// retired identity frame is skipped.
+func scanWAL(r io.ReadSeeker) (valid int64, recs []Record, err error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return 0, nil, nil, fmt.Errorf("store: %w", err)
+		return 0, nil, fmt.Errorf("store: %w", err)
 	}
 	br := bufio.NewReaderSize(r, 64*1024)
 	var header [4]byte
 	for {
 		if _, err := io.ReadFull(br, header[:]); err != nil {
-			return valid, recs, ids, nil // clean EOF or torn length
+			return valid, recs, nil // clean EOF or torn length
 		}
 		n := binary.BigEndian.Uint32(header[:])
 		if n == 0 || n > maxFrameBody {
-			return valid, recs, ids, nil
+			return valid, recs, nil
 		}
 		body := make([]byte, n+4)
 		if _, err := io.ReadFull(br, body); err != nil {
-			return valid, recs, ids, nil
+			return valid, recs, nil
 		}
 		crc := binary.BigEndian.Uint32(body[n:])
 		body = body[:n]
 		if crc32.ChecksumIEEE(body) != crc {
-			return valid, recs, ids, nil
+			return valid, recs, nil
 		}
 		switch body[0] {
 		case kindReading:
 			rec, err := parseReadingBody(body)
 			if err != nil {
-				return valid, recs, ids, nil
+				return valid, recs, nil
 			}
 			recs = append(recs, rec)
 		case kindIdentity:
-			id, err := parseIdentityBody(body)
-			if err != nil {
-				return valid, recs, ids, nil
+			if len(body) != identityBodySize {
+				return valid, recs, nil
 			}
-			ids = append(ids, id)
 		default:
-			return valid, recs, ids, nil
+			return valid, recs, nil
 		}
 		valid += int64(len(header)) + int64(n) + 4
 	}
@@ -307,22 +295,10 @@ func (f *File) AppendReadings(recs []Record) error {
 	return f.append(frames, len(recs))
 }
 
-// PutIdentities implements Store.
-func (f *File) PutIdentities(ids []Identity) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	var frames []byte
-	for _, id := range ids {
-		frames = appendFrame(frames, appendIdentityBody(nil, id))
-	}
-	return f.append(frames, len(ids))
-}
-
 // Compact implements Store: write the snapshot to a temp file, fsync,
 // rename over the old one, then truncate the WAL.
-func (f *File) Compact(recs []Record, ids []Identity) error {
-	buf, err := encodeSnapshot(recs, ids)
+func (f *File) Compact(recs []Record, _ []Identity) error {
+	buf, err := encodeSnapshot(recs)
 	if err != nil {
 		return err
 	}
@@ -370,8 +346,9 @@ func (f *File) Compact(recs []Record, ids []Identity) error {
 	return nil
 }
 
-// encodeSnapshot lays out snapshot.dat's bytes for the given state.
-func encodeSnapshot(recs []Record, ids []Identity) ([]byte, error) {
+// encodeSnapshot lays out snapshot.dat's bytes for the given records,
+// with an empty identity section.
+func encodeSnapshot(recs []Record) ([]byte, error) {
 	body := make([]byte, 0, 64+len(recs)*32)
 	body = binary.BigEndian.AppendUint32(body, uint32(len(recs)))
 	for _, r := range recs {
@@ -380,10 +357,7 @@ func encodeSnapshot(recs []Record, ids []Identity) ([]byte, error) {
 		}
 		body = appendReadingBody(body, r)
 	}
-	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
-	for _, id := range ids {
-		body = appendIdentityBody(body, id)
-	}
+	body = binary.BigEndian.AppendUint32(body, 0)
 	return appendFrame(append([]byte{}, snapMagic[:]...), body), nil
 }
 
@@ -416,64 +390,60 @@ func syncDir(dir string) error {
 // suffix is still replayed) and reported as corrupt — a half-written
 // temp never gets renamed, so corruption here means the disk, not a
 // crash, damaged the file, and the caller counts it so operators can
-// tell it apart from a fresh start.
-func (f *File) loadSnapshot() (recs []Record, ids []Identity, corrupt bool) {
+// tell it apart from a fresh start. A retired identity section is read
+// and dropped.
+func (f *File) loadSnapshot() (recs []Record, corrupt bool) {
 	buf, err := os.ReadFile(filepath.Join(f.cfg.Dir, snapName))
 	if err != nil {
-		return nil, nil, !os.IsNotExist(err)
+		return nil, !os.IsNotExist(err)
 	}
 	if len(buf) < len(snapMagic)+frameOverhead {
-		return nil, nil, true
+		return nil, true
 	}
 	if [8]byte(buf[:8]) != snapMagic {
-		return nil, nil, true
+		return nil, true
 	}
 	buf = buf[8:]
 	n := binary.BigEndian.Uint32(buf)
 	if int(n)+frameOverhead != len(buf) {
-		return nil, nil, true
+		return nil, true
 	}
 	body := buf[4 : 4+n]
 	if len(body) < 4 || crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(buf[4+n:]) {
-		return nil, nil, true
+		return nil, true
 	}
 	count := binary.BigEndian.Uint32(body)
 	body = body[4:]
 	for i := uint32(0); i < count; i++ {
 		if len(body) < 16 || body[0] != kindReading {
-			return nil, nil, true
+			return nil, true
 		}
 		size := 16 + 8*int(body[15])
 		if len(body) < size {
-			return nil, nil, true
+			return nil, true
 		}
 		rec, err := parseReadingBody(body[:size])
 		if err != nil {
-			return nil, nil, true
+			return nil, true
 		}
 		recs = append(recs, rec)
 		body = body[size:]
 	}
 	if len(body) < 4 {
-		return nil, nil, true
+		return nil, true
 	}
 	count = binary.BigEndian.Uint32(body)
 	body = body[4:]
 	for i := uint32(0); i < count; i++ {
-		if len(body) < 15 || body[0] != kindIdentity {
-			return nil, nil, true
+		if len(body) < identityBodySize || body[0] != kindIdentity {
+			return nil, true
 		}
-		id, err := parseIdentityBody(body[:15])
-		if err != nil {
-			return nil, nil, true
-		}
-		ids = append(ids, id)
-		body = body[15:]
+		body = body[identityBodySize:]
 	}
 	if len(body) != 0 {
-		return nil, nil, true
+		return nil, true
 	}
-	return recs, ids, false
+	return recs, false
 }
 
 // Load implements Store: snapshot first, then the WAL suffix.
@@ -490,25 +460,18 @@ func (f *File) Load() (State, error) {
 	if err != nil {
 		return State{}, fmt.Errorf("store: %w", err)
 	}
-	_, walRecs, walIDs, err := scanWAL(f.wal)
+	_, walRecs, err := scanWAL(f.wal)
 	if err != nil {
 		return State{}, err
 	}
 	if _, err := f.wal.Seek(pos, io.SeekStart); err != nil {
 		return State{}, fmt.Errorf("store: %w", err)
 	}
-	recs, snapIDs, corrupt := f.loadSnapshot()
+	recs, corrupt := f.loadSnapshot()
 	if corrupt {
 		f.metrics.SnapCorrupt++
 	}
-	ids := make(map[core.NodeID]Identity, len(snapIDs)+len(walIDs))
-	for _, id := range snapIDs {
-		mergeIdentity(ids, id)
-	}
-	for _, id := range walIDs {
-		mergeIdentity(ids, id)
-	}
-	return finishState(append(recs, walRecs...), ids), nil
+	return finishState(append(recs, walRecs...)), nil
 }
 
 // Sync implements Store.

@@ -2,37 +2,61 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
-
-	"innet/internal/core"
 )
 
 // buildWALBytes frames the given records the way AppendReadings does,
-// without touching disk — seed material for the fuzzer.
-func buildWALBytes(recs []Record, ids []Identity) []byte {
+// followed by the given retired identity bodies, without touching disk —
+// seed material for the fuzzer.
+func buildWALBytes(recs []Record, ids ...[]byte) []byte {
 	var out []byte
 	for _, r := range recs {
 		out = appendFrame(out, appendReadingBody(nil, r))
 	}
 	for _, id := range ids {
-		out = appendFrame(out, appendIdentityBody(nil, id))
+		out = appendFrame(out, id)
 	}
 	return out
 }
 
+// identityBody lays out a retired identity floor (kind 2) the way the
+// store wrote one before point identity was derived from the reading: a
+// WAL frame's body, or one entry of a snapshot's identity section.
+func identityBody(sensor uint16, nextSeq uint32, latest time.Duration) []byte {
+	body := []byte{kindIdentity}
+	body = binary.BigEndian.AppendUint16(body, sensor)
+	body = binary.BigEndian.AppendUint32(body, nextSeq)
+	return binary.BigEndian.AppendUint64(body, uint64(latest))
+}
+
+// legacySnapshot lays out snapshot.dat with an identity section of the
+// given bodies, as the store wrote it before the section was retired.
+func legacySnapshot(recs []Record, ids ...[]byte) []byte {
+	body := binary.BigEndian.AppendUint32(nil, uint32(len(recs)))
+	for _, r := range recs {
+		body = appendReadingBody(body, r)
+	}
+	body = binary.BigEndian.AppendUint32(body, uint32(len(ids)))
+	for _, id := range ids {
+		body = append(body, id...)
+	}
+	return appendFrame(append([]byte(nil), snapMagic[:]...), body)
+}
+
 // FuzzWALReplay throws arbitrary bytes at the WAL recovery path and
 // checks the invariants torn-tail truncation promises: Open never
-// errors on corrupt data, Load's identity floors cover every recovered
-// record, the store accepts appends afterwards, and a close/reopen
-// round-trips the recovered state exactly.
+// errors on corrupt data, no (sensor, seq) survives twice, the store
+// accepts appends afterwards, and a close/reopen round-trips the
+// recovered state exactly.
 func FuzzWALReplay(f *testing.F) {
 	valid := buildWALBytes(
 		[]Record{rec(1, 0, 1000, 1.5), rec(2, 0, 1500, -3, 4), rec(1, 1, 2000, 2.5)},
-		[]Identity{{Sensor: 7, NextSeq: 42, Latest: time.Minute}},
+		identityBody(7, 42, time.Minute),
 	)
 	f.Add([]byte{})
 	f.Add(valid)
@@ -41,7 +65,7 @@ func FuzzWALReplay(f *testing.F) {
 	flipped[9] ^= 0xff // CRC break in the first frame
 	f.Add(flipped)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // absurd length
-	f.Add(buildWALBytes(nil, []Identity{{Sensor: 1, NextSeq: 1, Latest: 1}})[:walIdentitySize-1])
+	f.Add(buildWALBytes(nil, identityBody(1, 1, 1))[:frameOverhead+identityBodySize-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -56,13 +80,6 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Load after recovery: %v", err)
 		}
-		floors := make(map[core.NodeID]Identity, len(st.Identities))
-		for i, id := range st.Identities {
-			if i > 0 && st.Identities[i-1].Sensor >= id.Sensor {
-				t.Fatalf("identities not strictly sorted: %+v", st.Identities)
-			}
-			floors[core.NodeID(id.Sensor)] = id
-		}
 		seen := map[[2]uint64]bool{}
 		for _, r := range st.Records {
 			key := [2]uint64{uint64(r.Sensor), uint64(r.Seq)}
@@ -70,10 +87,6 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("duplicate record %d#%d survived recovery", r.Sensor, r.Seq)
 			}
 			seen[key] = true
-			fl, ok := floors[core.NodeID(r.Sensor)]
-			if !ok || fl.NextSeq <= r.Seq || fl.Latest < r.Birth {
-				t.Fatalf("identity floor %+v does not cover record %+v", fl, r)
-			}
 		}
 
 		// Recovery must leave a writable store whose state round-trips.
@@ -111,14 +124,11 @@ func FuzzWALReplay(f *testing.F) {
 // wrapped in the magic and a valid frame, so the fuzzer reaches the body
 // parser past the CRC. Open and Load never error; a snapshot Load does
 // not count in Metrics.SnapCorrupt must re-encode to exactly its bytes,
-// and one it counts must leave the WAL's state alone; close and reopen
-// return the same State.
+// but for the retired identity section it drops, and one it counts must
+// leave the WAL's state alone; close and reopen return the same State.
 func FuzzSnapshotLoad(f *testing.F) {
 	recs := []Record{rec(1, 0, 1000, 1), rec(1, 1, 2000, 2)}
-	good, err := encodeSnapshot(recs, []Identity{{Sensor: 1, NextSeq: 5, Latest: time.Minute}})
-	if err != nil {
-		f.Fatal(err)
-	}
+	good := legacySnapshot(recs, identityBody(1, 5, time.Minute))
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xff
 	f.Add(good, false)
@@ -128,7 +138,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(good[len(snapMagic)+4:len(good)-4], true) // the frame body alone
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, true)     // empty state
 
-	wal := buildWALBytes(recs, nil)
+	wal := buildWALBytes(recs)
 	walOnly := func(t testing.TB) []byte {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
@@ -168,8 +178,16 @@ func FuzzSnapshotLoad(f *testing.F) {
 		loaded := encodeState(t, st)
 		switch g.Metrics().SnapCorrupt {
 		case 0:
-			snapRecs, snapIDs, _ := g.loadSnapshot()
-			if enc, err := encodeSnapshot(snapRecs, snapIDs); err != nil || !bytes.Equal(enc, data) {
+			// The records re-encode byte for byte; the identity section,
+			// which Load drops, is carried over as read.
+			snapRecs, _ := g.loadSnapshot()
+			enc, err := encodeSnapshot(snapRecs)
+			recEnd := len(enc) - 8 // the empty identity count and the CRC
+			if err == nil && len(data) >= recEnd+8 {
+				body := append(enc[len(snapMagic)+4:recEnd:recEnd], data[recEnd:len(data)-4]...)
+				enc = appendFrame(append([]byte(nil), snapMagic[:]...), body)
+			}
+			if err != nil || !bytes.Equal(enc, data) {
 				t.Fatalf("uncounted snapshot is not canonical (%v):\nin  %x\nout %x", err, data, enc)
 			}
 		case 1:
@@ -197,7 +215,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 // key, since reflect.DeepEqual calls a NaN feature unequal to itself.
 func encodeState(t testing.TB, st State) []byte {
 	t.Helper()
-	enc, err := encodeSnapshot(st.Records, st.Identities)
+	enc, err := encodeSnapshot(st.Records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (g *gatedStore) Compact(recs []Record, ids []Identity) error {
 // exactly as a record minted after a sensor's holdings were read is.
 func (g *gatedStore) snapshot(context.Context) (State, error) {
 	g.mu.Lock()
-	st := State{Records: slices.Clone(g.live.Records), Identities: slices.Clone(g.live.Identities)}
+	st := State{Records: slices.Clone(g.live.Records)}
 	again := g.snapped
 	g.snapped = true
 	g.mu.Unlock()
@@ -80,21 +80,14 @@ func waitGate(t *testing.T, at chan struct{}, what string) {
 // TestPolicyKeepsAppendsDuringCompaction: an append made while the
 // snapshot is in flight is folded into the compacted state, one made while
 // the store's Compact runs waits and lands in the fresh log, and neither
-// is lost — for a window record and for an identity floor, whether the
-// compaction was started by the threshold (1: every append) or by hand.
+// is lost, whether the compaction was started by the threshold (1: every
+// append) or by hand.
 func TestPolicyKeepsAppendsDuringCompaction(t *testing.T) {
-	for _, kind := range []string{"record", "identity"} {
-		for _, manual := range []bool{false, true} {
-			name := kind + "/threshold"
-			if manual {
-				name = kind + "/manual"
-			}
-			t.Run(name, func(t *testing.T) { testPolicyKeeps(t, kind == "record", manual) })
-		}
-	}
+	t.Run("record/threshold", func(t *testing.T) { testPolicyKeeps(t, false) })
+	t.Run("record/manual", func(t *testing.T) { testPolicyKeeps(t, true) })
 }
 
-func testPolicyKeeps(t *testing.T, records, manual bool) {
+func testPolicyKeeps(t *testing.T, manual bool) {
 	ctx := context.Background()
 	g := newGatedStore()
 	every := 1
@@ -103,19 +96,13 @@ func testPolicyKeeps(t *testing.T, records, manual bool) {
 	}
 	p := NewPolicy(g, every, obs.NewTraceLog(64), nil, g.snapshot)
 
-	// Append i is sensor i's reading seq 0, or sensor i's floor nextSeq 1.
+	// Append i is sensor i's reading seq 0.
 	appendOne := func(i int) error {
-		id := core.NodeID(i)
 		g.mu.Lock()
 		defer g.mu.Unlock() // held across the append: the engine's memory and its log move together
-		if records {
-			rec := Record{Sensor: id, Birth: time.Duration(i) * time.Second, Values: []float64{float64(i)}}
-			g.live.Records = append(g.live.Records, rec)
-			return p.AppendReadings(ctx, 0, []Record{rec})
-		}
-		floor := Identity{Sensor: id, NextSeq: 1, Latest: time.Duration(i) * time.Second}
-		g.live.Identities = append(g.live.Identities, floor)
-		return p.PutIdentities(ctx, 0, []Identity{floor})
+		rec := Record{Sensor: core.NodeID(i), Birth: time.Duration(i) * time.Second, Values: []float64{float64(i)}}
+		g.live.Records = append(g.live.Records, rec)
+		return p.AppendReadings(ctx, 0, []Record{rec})
 	}
 	background := func(f func() error) chan error {
 		done := make(chan error, 1)
@@ -171,14 +158,8 @@ func testPolicyKeeps(t *testing.T, records, manual bool) {
 	}
 	for i := core.NodeID(1); i <= 3; i++ {
 		found := false
-		if records {
-			for _, r := range st.Records {
-				found = found || r.Sensor == i
-			}
-		} else {
-			for _, id := range st.Identities {
-				found = found || (id.Sensor == i && id.NextSeq == 1)
-			}
+		for _, r := range st.Records {
+			found = found || r.Sensor == i
 		}
 		if !found {
 			t.Errorf("append %d lost by the compaction; durable state %+v", i, st)

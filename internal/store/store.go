@@ -1,8 +1,6 @@
 // Package store is the durability layer under the streaming system: it
-// persists the two kinds of state a restart used to lose — the readings
-// that make up each shard's sliding windows, and the coordinator's
-// per-sensor identity counters (next sequence number, newest timestamp) —
-// so daemons restart warm instead of empty.
+// persists the readings that make up a fleet's sliding windows, so an
+// innetd restarts warm instead of empty.
 //
 // The package deliberately exposes one narrow interface, Store, with two
 // implementations held to the same contract:
@@ -30,7 +28,6 @@
 package store
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -57,24 +54,20 @@ func RecordOf(p core.Point) Record {
 	return Record{Sensor: p.ID.Origin, Seq: p.ID.Seq, Birth: p.Birth, Values: p.Value}
 }
 
-// Identity is one sensor's identity-assignment state: the next sequence
-// number to mint and the newest data timestamp seen (the staleness-gate
-// clock). The coordinator persists these so a restart continues the
-// identity stream instead of re-minting in-window PointIDs; shards
-// persist them at compaction so a warm restart restores sequence floors
-// even for sensors whose high-seq points already aged out of the window.
+// Identity is a retired per-sensor identity floor (next sequence number,
+// newest timestamp). Point identity is now derived from the reading, so
+// nothing writes one: a data directory written before that change may
+// still hold some, and Load reads and drops them. The type survives only
+// as Compact's ignored parameter.
 type Identity struct {
 	Sensor  core.NodeID
 	NextSeq uint32
 	Latest  time.Duration
 }
 
-// State is everything a replay recovers: window records in append order
-// (per-sensor order is what seq reproduction rides on) and the merged
-// identity floors.
+// State is everything a replay recovers: window records in append order.
 type State struct {
-	Records    []Record
-	Identities []Identity // sorted by sensor
+	Records []Record
 }
 
 // Metrics counts the store's durability work for /metrics.
@@ -87,19 +80,18 @@ type Metrics struct {
 	SnapCorrupt uint64 // snapshot files discarded as corrupt at Load
 }
 
-// Store persists shard window records and identity state. All methods
-// are safe for concurrent use. Implementations must guarantee that after
-// Compact the WAL is empty and Load reproduces exactly the compacted
-// state; between compactions Load reproduces snapshot + appended suffix.
+// Store persists window records. All methods are safe for concurrent
+// use. Implementations must guarantee that after Compact the WAL is empty
+// and Load reproduces exactly the compacted state; between compactions
+// Load reproduces snapshot + appended suffix.
 type Store interface {
 	// AppendReadings appends window records to the log.
 	AppendReadings(recs []Record) error
-	// PutIdentities appends identity-floor updates to the log. Per
-	// sensor, Load keeps the component-wise maximum across all updates.
-	PutIdentities(ids []Identity) error
 	// Compact atomically replaces the persisted state with exactly the
-	// given records and identities and discards the log — the periodic
-	// snapshot that bounds replay work and drops aged-out records.
+	// given records and discards the log — the periodic snapshot that
+	// bounds replay work and drops aged-out records. ids is ignored; it
+	// stays only because bench/layers.go passes it, and goes with the
+	// next change to the benchmark.
 	Compact(recs []Record, ids []Identity) error
 	// Load returns the full recovered state.
 	Load() (State, error)
@@ -111,25 +103,11 @@ type Store interface {
 	Close() error
 }
 
-// mergeIdentity folds one identity update into the per-sensor maxima.
-func mergeIdentity(into map[core.NodeID]Identity, id Identity) {
-	cur := into[id.Sensor]
-	cur.Sensor = id.Sensor
-	if id.NextSeq > cur.NextSeq {
-		cur.NextSeq = id.NextSeq
-	}
-	if id.Latest > cur.Latest {
-		cur.Latest = id.Latest
-	}
-	into[id.Sensor] = cur
-}
-
 // finishState normalizes a replayed state: duplicate records (the same
 // PointID re-appended by a warm replay that crashed before compacting)
-// collapse to their first occurrence, and identity floors are raised to
-// cover every record, then sorted. Both implementations funnel through
+// collapse to their first occurrence. Both implementations funnel through
 // this so their Load results are comparable byte for byte.
-func finishState(recs []Record, ids map[core.NodeID]Identity) State {
+func finishState(recs []Record) State {
 	type key struct {
 		sensor core.NodeID
 		seq    uint32
@@ -143,16 +121,8 @@ func finishState(recs []Record, ids map[core.NodeID]Identity) State {
 		}
 		seen[k] = true
 		out = append(out, r)
-		mergeIdentity(ids, Identity{Sensor: r.Sensor, NextSeq: r.Seq + 1, Latest: r.Birth})
 	}
-	st := State{Records: out, Identities: make([]Identity, 0, len(ids))}
-	for _, id := range ids {
-		st.Identities = append(st.Identities, id)
-	}
-	slices.SortFunc(st.Identities, func(a, b Identity) int {
-		return int(a.Sensor) - int(b.Sensor)
-	})
-	return st
+	return State{Records: out}
 }
 
 // Mem is the in-memory Store: the pre-durability behavior factored
@@ -162,14 +132,11 @@ func finishState(recs []Record, ids map[core.NodeID]Identity) State {
 type Mem struct {
 	mu      sync.Mutex
 	records []Record
-	ids     map[core.NodeID]Identity
 	metrics Metrics
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	return &Mem{ids: make(map[core.NodeID]Identity)}
-}
+func NewMem() *Mem { return &Mem{} }
 
 // AppendReadings implements Store.
 func (m *Mem) AppendReadings(recs []Record) error {
@@ -183,29 +150,13 @@ func (m *Mem) AppendReadings(recs []Record) error {
 	return nil
 }
 
-// PutIdentities implements Store.
-func (m *Mem) PutIdentities(ids []Identity) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, id := range ids {
-		mergeIdentity(m.ids, id)
-		m.metrics.WALRecords++
-		m.metrics.WALBytes += uint64(walIdentitySize)
-	}
-	return nil
-}
-
 // Compact implements Store.
-func (m *Mem) Compact(recs []Record, ids []Identity) error {
+func (m *Mem) Compact(recs []Record, _ []Identity) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.records = make([]Record, 0, len(recs))
 	for _, r := range recs {
 		m.records = append(m.records, cloneRecord(r))
-	}
-	m.ids = make(map[core.NodeID]Identity, len(ids))
-	for _, id := range ids {
-		mergeIdentity(m.ids, id)
 	}
 	m.metrics.Compacts++
 	return nil
@@ -219,11 +170,7 @@ func (m *Mem) Load() (State, error) {
 	for _, r := range m.records {
 		recs = append(recs, cloneRecord(r))
 	}
-	ids := make(map[core.NodeID]Identity, len(m.ids))
-	for k, v := range m.ids {
-		ids[k] = v
-	}
-	return finishState(recs, ids), nil
+	return finishState(recs), nil
 }
 
 // Sync implements Store (a no-op in memory).

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,7 +40,7 @@ func openFile(t *testing.T, dir string, fsync bool) *File {
 }
 
 // Both implementations: append → Load returns the records in append
-// order with identity floors raised to cover them.
+// order.
 func TestRoundtrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -58,35 +60,60 @@ func TestRoundtrip(t *testing.T) {
 			if err := s.AppendReadings(recs); err != nil {
 				t.Fatalf("AppendReadings: %v", err)
 			}
-			if err := s.PutIdentities([]Identity{{Sensor: 7, NextSeq: 42, Latest: time.Minute}}); err != nil {
-				t.Fatalf("PutIdentities: %v", err)
-			}
 			st := mustLoad(t, s)
 			if !reflect.DeepEqual(st.Records, recs) {
 				t.Errorf("Records = %+v, want %+v", st.Records, recs)
-			}
-			want := []Identity{
-				{Sensor: 1, NextSeq: 2, Latest: 3000 * time.Millisecond},
-				{Sensor: 2, NextSeq: 1, Latest: 2000 * time.Millisecond},
-				{Sensor: 7, NextSeq: 42, Latest: time.Minute},
-			}
-			if !reflect.DeepEqual(st.Identities, want) {
-				t.Errorf("Identities = %+v, want %+v", st.Identities, want)
 			}
 		})
 	}
 }
 
-// Identity floors never regress: later lower updates are absorbed into
-// the component-wise maximum.
-func TestIdentityFloorsMonotonic(t *testing.T) {
-	s := NewMem()
-	s.PutIdentities([]Identity{{Sensor: 1, NextSeq: 10, Latest: 10 * time.Second}})
-	s.PutIdentities([]Identity{{Sensor: 1, NextSeq: 3, Latest: 20 * time.Second}})
-	st := mustLoad(t, s)
-	want := []Identity{{Sensor: 1, NextSeq: 10, Latest: 20 * time.Second}}
-	if !reflect.DeepEqual(st.Identities, want) {
-		t.Errorf("Identities = %+v, want %+v", st.Identities, want)
+// A data directory written before point identity was derived from the
+// reading holds identity floors: kind-2 WAL frames between readings and a
+// nonempty snapshot identity section. Load reads past both and keeps
+// every reading; treating a floor as a torn tail would truncate the WAL
+// there and lose every reading appended after it. The directory the
+// store then compacts carries an empty identity section.
+func TestLoadsParentFormatDir(t *testing.T) {
+	dir := t.TempDir()
+	snapRecs := []Record{rec(1, 0, 1000, 1), rec(2, 0, 1500, 2)}
+	snap := legacySnapshot(snapRecs, identityBody(1, 1, time.Second), identityBody(2, 1, 1500*time.Millisecond))
+	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var wal []byte
+	walRecs := []Record{rec(1, 1, 2000, 3), rec(2, 1, 2500, 4), rec(1, 2, 3000, 5)}
+	for i, r := range walRecs {
+		wal = appendFrame(wal, identityBody(uint16(r.Sensor), r.Seq+1, r.Birth))
+		wal = appendFrame(wal, appendReadingBody(nil, r))
+		if i == 1 {
+			wal = appendFrame(wal, identityBody(7, 42, time.Minute))
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f := openFile(t, dir, false)
+	defer f.Close()
+	m := f.Metrics()
+	if m.Truncated != 0 || m.SnapCorrupt != 0 {
+		t.Fatalf("parent-format dir read as damaged: %+v", m)
+	}
+	want := append(slices.Clone(snapRecs), walRecs...)
+	st := mustLoad(t, f)
+	if !reflect.DeepEqual(st.Records, want) {
+		t.Fatalf("Records = %+v, want %+v", st.Records, want)
+	}
+	if err := f.Compact(st.Records, nil); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, legacySnapshot(want)) {
+		t.Errorf("compacted snapshot is not the parent layout with an empty identity section")
 	}
 }
 
@@ -134,8 +161,7 @@ func TestFileCompact(t *testing.T) {
 	f := openFile(t, dir, false)
 	f.AppendReadings([]Record{rec(1, 0, 1000, 1), rec(1, 1, 2000, 2), rec(2, 0, 1000, 9)})
 	keep := []Record{rec(1, 1, 2000, 2), rec(2, 0, 1000, 9)}
-	ids := []Identity{{Sensor: 1, NextSeq: 2, Latest: 2 * time.Second}}
-	if err := f.Compact(keep, ids); err != nil {
+	if err := f.Compact(keep, nil); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "wal.log")); err != nil || fi.Size() != 0 {
@@ -152,10 +178,6 @@ func TestFileCompact(t *testing.T) {
 	st = mustLoad(t, f)
 	if !reflect.DeepEqual(st.Records, keep) {
 		t.Errorf("reopened Records = %+v, want %+v", st.Records, keep)
-	}
-	// Aged-out sensor 1#0 must still be covered by the identity floor.
-	if st.Identities[0].NextSeq != 2 {
-		t.Errorf("sensor 1 NextSeq = %d, want 2", st.Identities[0].NextSeq)
 	}
 }
 
@@ -197,12 +219,12 @@ func TestMetricsCounters(t *testing.T) {
 	f := openFile(t, t.TempDir(), false)
 	defer f.Close()
 	f.AppendReadings([]Record{rec(1, 0, 1000, 1, 2, 3)})
-	f.PutIdentities([]Identity{{Sensor: 1, NextSeq: 1, Latest: time.Second}})
+	f.AppendReadings([]Record{rec(1, 1, 2000, 4)})
 	m := f.Metrics()
 	if m.WALRecords != 2 {
 		t.Errorf("WALRecords = %d, want 2", m.WALRecords)
 	}
-	wantBytes := uint64(walRecordSize(3) + walIdentitySize)
+	wantBytes := uint64(walRecordSize(3) + walRecordSize(1))
 	if m.WALBytes != wantBytes {
 		t.Errorf("WALBytes = %d, want %d", m.WALBytes, wantBytes)
 	}

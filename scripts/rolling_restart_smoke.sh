@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Rolling-restart end-to-end test for the durable store: start 1
-# coordinator + 3 detector shards, every process with its own -data-dir,
-# at replicas=1 — so a restarted shard's window survives ONLY via its
-# WAL, not via a sibling replica. Fill both the cluster and a
-# single-process reference innetd with the same data, then:
+# coordinator + 3 detector shards, every shard with its own -data-dir
+# (the coordinator holds no durable state), at replicas=1 — so a
+# restarted shard's window survives ONLY via its WAL, not via a sibling
+# replica. Fill both the cluster and a single-process reference innetd
+# with the same data, then:
 #
 #   1. SIGTERM + restart each shard in sequence, asserting the merged
 #      outlier answer equals the never-restarted reference after every
 #      step (the WAL replay must restore the exact window).
 #   2. Cold-stop the WHOLE cluster (coordinator included), restart it,
 #      and assert the merged answer comes back with zero surviving
-#      replicas — and that the coordinator recovered sensor identities
-#      from its own store (innetcoord_identity_recovery_source).
+#      replicas.
 #   3. Ingest a fresh burst into both sides and assert they still agree:
-#      post-restart sequence minting must continue where the WAL left
-#      off, not collide with replayed points.
+#      a new reading is a new point next to the replayed ones.
+#   4. Restart the coordinator alone mid-window and re-send the burst,
+#      as a producer retrying across the restart would: the shards count
+#      every copy as a repeat, and neither the merged window's size nor
+#      the answer moves.
 #
 # Needs: go, curl, bash (uses /dev/udp). CI runs this; it is also
 # runnable locally: scripts/rolling_restart_smoke.sh
@@ -54,7 +57,7 @@ start_shard() { # start_shard <index>
 start_coord() {
   "$BINDIR/innet-coord" -http "$COORD_HTTP" -udp "$HOST:$COORD_UDP_PORT" \
     -shards "$(IFS=,; echo "${SHARD_CTL[*]}")" -replicas 1 \
-    -health-interval 100ms -data-dir "$DATADIR/coord" "${DETFLAGS[@]}" &
+    -health-interval 100ms "${DETFLAGS[@]}" &
   COORD_PID=$!
 }
 
@@ -78,6 +81,17 @@ outliers() { # extract the outlier array from a query response
 
 metric() { # metric <host:port> <name> — one counter from /metrics
   curl -fsS "http://$1/metrics" | awk -v m="$2" '$1 == m {print $2}'
+}
+
+repeated() { # innetd_readings_repeated_total summed over the shards
+  local SUM=0
+  for addr in "${SHARD_HTTP[@]}"; do SUM=$((SUM + $(metric "$addr" innetd_readings_repeated_total))); done
+  echo "$SUM"
+}
+
+window_points() { # points in the merged window the full path ranks over
+  curl -fsS "http://$COORD_HTTP/v1/outliers?merge=full&window=1" \
+    | grep -o '"window":\[.*\]' | grep -o '"seq":' | wc -l
 }
 
 # Poll until the cluster's merged answer is healthy, complete, and equal
@@ -167,19 +181,9 @@ start_coord
 for addr in "${SHARD_HTTP[@]}"; do wait_ok "$addr"; done
 wait_ok "$COORD_HTTP"
 
-echo "== the coordinator must have recovered identities from its own store"
-SRC=$(curl -fsS "http://$COORD_HTTP/metrics" \
-  | awk '$1 == "innetcoord_identity_recovery_source{source=\"store\"}" {print $2}')
-[[ "$SRC" == "1" ]] || {
-  echo "identity recovery source != store:" >&2
-  curl -fsS "http://$COORD_HTTP/metrics" | grep identity_recovery >&2 || true
-  exit 1
-}
-echo "identity recovery source: store"
-
 expect_match "after full cold restart"
 
-echo "== fresh burst after the cold restart: minting must continue, not collide"
+echo "== fresh burst after the cold restart: new readings are new points"
 BURST='{"readings":['
 for S in 1 2 3 4 5 6; do
   BURST+="{\"sensor\":$S,\"at_ms\":580000,\"values\":[21.$S]},"
@@ -188,6 +192,25 @@ BURST+='{"sensor":9,"at_ms":581000,"values":[56.0]}]}'
 curl -fsS -X POST "http://$COORD_HTTP/v1/observations" -d "$BURST" >/dev/null
 curl -fsS -X POST "http://$SINGLE_HTTP/v1/observations" -d "$BURST" >/dev/null
 expect_match "post-restart burst"
+
+echo "== restart the coordinator mid-window and re-send the burst"
+POINTS=$(window_points)
+REPEATED=$(repeated)
+stop_pid "$COORD_PID"
+start_coord
+wait_ok "$COORD_HTTP"
+curl -fsS -X POST "http://$COORD_HTTP/v1/observations" -d "$BURST" >/dev/null
+WANT=$((REPEATED + 7))
+for _ in $(seq 1 100); do
+  [[ "$(repeated)" -ge "$WANT" ]] && break
+  sleep 0.1
+done
+[[ "$(repeated)" -ge "$WANT" ]] || { # a READINGS frame the coordinator retried adds more
+  echo "shards counted $(repeated) repeats after the re-sent burst, want at least $WANT" >&2; exit 1; }
+expect_match "re-sent burst after a coordinator restart"
+[[ "$(window_points)" -eq "$POINTS" ]] || {
+  echo "re-sent burst changed the merged window: $POINTS -> $(window_points) points" >&2; exit 1; }
+echo "re-sent burst: $POINTS-point window unchanged, $(($(repeated) - REPEATED)) repeats counted"
 
 echo "== clean shutdown"
 stop_pid "$COORD_PID"; COORD_PID=0

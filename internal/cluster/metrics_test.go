@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -320,4 +321,148 @@ func TestCompactTraceBytesMatchCounter(t *testing.T) {
 	if got := coord.MergeSessions(0); len(got) != 1 {
 		t.Errorf("view holds %d sessions after a full-mode query, want still 1", len(got))
 	}
+}
+
+// TestCoordinatorMetricsGolden pins the coordinator's /metrics page: every
+// innetcoord_* family's # HELP and # TYPE line, in exposition order (the
+// smoke scripts and dashboards grep these names), and the counter lines
+// that are deterministic after one ingest round and one merge of each
+// mode on a one-shard cluster whose health loop never ticks.
+func TestCoordinatorMetricsGolden(t *testing.T) {
+	sh := startShard(t, "")
+	t.Cleanup(sh.stop)
+	coord, err := New(Config{
+		Detector:       clusterDetCfg,
+		Shards:         []string{sh.addr},
+		QueryTimeout:   15 * time.Second,
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	t.Cleanup(cancel)
+	for _, err := range coord.IngestBatch(trace(42, sensorRange(12), 1)) {
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+	}
+	if err := sh.svc.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{MergeCompact, MergeFull} {
+		if res, err := coord.MergedEstimateMode(ctx, mode); err != nil || res.Mode != mode {
+			t.Fatalf("%s merge served by %q: %v", mode, res.Mode, err)
+		}
+	}
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+
+	var headers []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# HELP innetcoord_") || strings.HasPrefix(line, "# TYPE innetcoord_") {
+			headers = append(headers, line)
+		}
+	}
+	if want := coordMetricHeaders; !slices.Equal(headers, want) {
+		t.Errorf("innetcoord_* family headers differ:\ngot:\n%s\nwant:\n%s",
+			strings.Join(headers, "\n"), strings.Join(want, "\n"))
+	}
+	for _, want := range []string{
+		"innetcoord_readings_routed_total 12",
+		"innetcoord_readings_rejected_total 0",
+		"innetcoord_readings_stale_total 0",
+		"innetcoord_readings_failed_total 0",
+		"innetcoord_readings_rerouted_total 0",
+		"innetcoord_readings_frames_total 1",
+		"innetcoord_merges_total 2",
+		"innetcoord_merges_degraded_total 0",
+		"innetcoord_merges_compact_total 1",
+		"innetcoord_merge_fallbacks_total 0",
+		"innetcoord_merge_rounds_total 2",
+		"innetcoord_merge_bytes_total 232",
+		"innetcoord_merge_full_bytes_total 246",
+		"innetcoord_assigns_total 0",
+		"innetcoord_handoff_sensors_total 0",
+		"innetcoord_handoff_points_total 0",
+		"innetcoord_shard_flaps_total 0",
+		"innetcoord_truncated_frames_total 0",
+		"innetcoord_shards_up 1",
+		"innetcoord_shards 1",
+		"innetcoord_sensors 12",
+		`innetcoord_shard_up{shard="` + sh.addr + `"} 1`,
+		`innetcoord_query_latency_seconds_count{mode="compact"} 1`,
+		`innetcoord_query_latency_seconds_count{mode="full"} 1`,
+		`innetcoord_rpc_latency_seconds_count{op="estimate"} 2`,
+		`innetcoord_rpc_latency_seconds_count{op="readings"} 1`,
+		`innetcoord_rpc_latency_seconds_count{op="sufficient"} 2`,
+	} {
+		if !strings.Contains(body, "\n"+want+"\n") {
+			t.Errorf("metrics missing exact line %q", want)
+		}
+	}
+}
+
+// coordMetricHeaders is the coordinator's /metrics family list, in
+// exposition order.
+var coordMetricHeaders = []string{
+	"# HELP innetcoord_readings_routed_total Readings accepted by at least one owning shard.",
+	"# TYPE innetcoord_readings_routed_total counter",
+	"# HELP innetcoord_readings_rejected_total Readings failing validation.",
+	"# TYPE innetcoord_readings_rejected_total counter",
+	"# HELP innetcoord_readings_stale_total Readings older than the sliding window.",
+	"# TYPE innetcoord_readings_stale_total counter",
+	"# HELP innetcoord_readings_failed_total Readings no owning shard accepted.",
+	"# TYPE innetcoord_readings_failed_total counter",
+	"# HELP innetcoord_readings_rerouted_total Readings routed past a down owner.",
+	"# TYPE innetcoord_readings_rerouted_total counter",
+	"# HELP innetcoord_readings_frames_total READINGS frames sent.",
+	"# TYPE innetcoord_readings_frames_total counter",
+	"# HELP innetcoord_merges_total Estimate merges served.",
+	"# TYPE innetcoord_merges_total counter",
+	"# HELP innetcoord_merges_degraded_total Merges with at least one shard missing.",
+	"# TYPE innetcoord_merges_degraded_total counter",
+	"# HELP innetcoord_merges_compact_total Merges served by the compact iterative path.",
+	"# TYPE innetcoord_merges_compact_total counter",
+	"# HELP innetcoord_merge_fallbacks_total Compact merges that fell back to the full path.",
+	"# TYPE innetcoord_merge_fallbacks_total counter",
+	"# HELP innetcoord_merge_rounds_total Compact-merge rounds driven.",
+	"# TYPE innetcoord_merge_rounds_total counter",
+	"# HELP innetcoord_merge_bytes_total Compact-merge point payload bytes, both directions.",
+	"# TYPE innetcoord_merge_bytes_total counter",
+	"# HELP innetcoord_merge_full_bytes_total Full-path window-snapshot payload bytes received.",
+	"# TYPE innetcoord_merge_full_bytes_total counter",
+	"# HELP innetcoord_assigns_total ASSIGN epochs acknowledged.",
+	"# TYPE innetcoord_assigns_total counter",
+	"# HELP innetcoord_handoff_sensors_total Sensors restored via handoff.",
+	"# TYPE innetcoord_handoff_sensors_total counter",
+	"# HELP innetcoord_handoff_points_total Points moved via handoff.",
+	"# TYPE innetcoord_handoff_points_total counter",
+	"# HELP innetcoord_shard_flaps_total Up-to-down shard transitions observed.",
+	"# TYPE innetcoord_shard_flaps_total counter",
+	"# HELP innetcoord_truncated_frames_total Control datagrams dropped as kernel-truncated.",
+	"# TYPE innetcoord_truncated_frames_total counter",
+	"# HELP innetcoord_shards_up Shards the health loop currently considers up.",
+	"# TYPE innetcoord_shards_up gauge",
+	"# HELP innetcoord_shards Shards in the map.",
+	"# TYPE innetcoord_shards gauge",
+	"# HELP innetcoord_sensors Distinct sensors known: routed, or found on a shard at startup.",
+	"# TYPE innetcoord_sensors gauge",
+	"# HELP innetcoord_shard_up Per-shard up/down as seen by the health loop.",
+	"# TYPE innetcoord_shard_up gauge",
+	"# HELP innetcoord_query_latency_seconds Merged-estimate service time, labeled by the mode that served the answer.",
+	"# TYPE innetcoord_query_latency_seconds histogram",
+	"# HELP innetcoord_rpc_latency_seconds Shard-control exchange round trip (send to last response frame), by frame kind.",
+	"# TYPE innetcoord_rpc_latency_seconds histogram",
 }

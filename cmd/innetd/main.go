@@ -58,6 +58,7 @@ import (
 	"innet/internal/core"
 	"innet/internal/daemon"
 	"innet/internal/ingest"
+	"innet/internal/store"
 )
 
 func main() {
@@ -71,6 +72,8 @@ func main() {
 // end-to-end test can drive the daemon in-process.
 type options struct {
 	daemon.Flags
+	dataDir    string
+	fsync      bool
 	shardAddr  string
 	sensors    string
 	autojoin   bool
@@ -84,7 +87,8 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("innetd", flag.ContinueOnError)
 	var o options
 	o.Register(fs, nil)
-	o.RegisterStore(fs)
+	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory for the window WAL + snapshots (empty = in-memory only)")
+	fs.BoolVar(&o.fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
 	fs.StringVar(&o.shardAddr, "shard", "", "UDP shard-control listen address for cluster mode (empty disables)")
 	fs.StringVar(&o.sensors, "sensors", "", "sensors to attach at startup, e.g. \"1-9\" or \"1,2,5\"")
 	fs.BoolVar(&o.autojoin, "autojoin", true, "attach unknown sensors on first contact")
@@ -137,6 +141,10 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 		return nil, err
 	}
 	return daemon.Open(o.Flags, logger, func(sh *daemon.Shell) error {
+		st, err := openStore(sh, o.dataDir, o.fsync)
+		if err != nil {
+			return err
+		}
 		svc, err := ingest.New(ingest.Config{
 			Detector:   det,
 			QueueDepth: o.queue,
@@ -145,7 +153,7 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 			MaxSensors: o.maxSensors,
 			SlowQuery:  o.SlowQuery,
 			Logger:     logger,
-			Store:      sh.Store(),
+			Store:      st,
 			TraceSink:  sh.TraceSink(),
 		})
 		if err != nil {
@@ -157,17 +165,17 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 				return err
 			}
 		}
-		if o.DataDir != "" {
+		if st != nil {
 			// Replay the persisted windows before any listener binds, so the
 			// first request already sees the pre-restart answers.
 			warmCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			restored, err := svc.Warm(warmCtx)
 			cancel()
 			if err != nil {
-				return fmt.Errorf("warm replay from %s: %w", o.DataDir, err)
+				return fmt.Errorf("warm replay from %s: %w", o.dataDir, err)
 			}
 			if restored > 0 {
-				logger.Info("replayed records", "records", restored, "dir", o.DataDir)
+				logger.Info("replayed records", "records", restored, "dir", o.dataDir)
 			}
 		}
 		if err := sh.Listen(svc.Handler(), svc.ServeUDP); err != nil {
@@ -191,6 +199,22 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 		sh.Defer(svc.CompactStore)
 		return nil
 	})
+}
+
+// openStore opens the window store under dir and defers its close on sh
+// before the engine exists, so the store closes after the final
+// compaction and the engine. Without dir it returns nil, no interface
+// value at all, which is how ingest.Config says "no store".
+func openStore(sh *daemon.Shell, dir string, fsync bool) (store.Store, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	f, err := store.Open(store.Config{Dir: dir, Fsync: fsync})
+	if err != nil {
+		return nil, err
+	}
+	sh.Defer(func(context.Context) error { return f.Close() })
+	return f, nil
 }
 
 func run(args []string) error {

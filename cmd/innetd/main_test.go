@@ -3,14 +3,19 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"innet/internal/daemon"
+	"innet/internal/store"
 )
 
 // testLogger routes daemon slog records into the test log.
@@ -182,6 +187,124 @@ func TestDaemonEndToEnd(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// storeOpen reports whether st still takes appends.
+func storeOpen(st store.Store) bool {
+	return st.AppendReadings([]store.Record{{Sensor: 1, Values: []float64{1}}}) == nil
+}
+
+// TestShutdownClosesStoreLast: the store innetd opens is deferred before
+// the engine, so it is still open for the final compaction and the
+// engine's close, which run last-deferred first, and closed once Serve
+// returns.
+func TestShutdownClosesStoreLast(t *testing.T) {
+	var got []string
+	var st store.Store
+	sh, err := daemon.Open(daemon.Flags{HTTP: "127.0.0.1:0"}, testLogger(t), func(sh *daemon.Shell) error {
+		var err error
+		if st, err = openStore(sh, t.TempDir(), false); err != nil {
+			return err
+		}
+		sh.Defer(func(context.Context) error {
+			got = append(got, fmt.Sprintf("engine closed (store open: %v)", storeOpen(st)))
+			return nil
+		})
+		sh.Defer(func(context.Context) error {
+			got = append(got, fmt.Sprintf("compacted (store open: %v)", storeOpen(st)))
+			return nil
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := sh.Serve(ctx); err != nil {
+		t.Fatalf("Serve = %v, want nil", err)
+	}
+	want := []string{"compacted (store open: true)", "engine closed (store open: true)"}
+	if !slices.Equal(got, want) {
+		t.Errorf("shutdown steps %q, want %q", got, want)
+	}
+	if storeOpen(st) {
+		t.Error("store still open after Serve returned")
+	}
+}
+
+// TestDataDirCleanShutdown: the real daemon with -data-dir shuts down
+// without error (its final compaction found the store open) and leaves
+// the window it held in the directory.
+func TestDataDirCleanShutdown(t *testing.T) {
+	dir := t.TempDir()
+	o, err := parseFlags([]string{"-http", "127.0.0.1:0", "-sensors", "1", "-data-dir", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newDaemon(o, testLogger(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- d.Serve(ctx) }()
+	base := "http://" + d.Addr("http")
+	waitOK(t, base+"/healthz")
+	resp, err := http.Post(base+"/v1/observations", "application/json",
+		strings.NewReader(`{"readings":[{"sensor":1,"at_ms":60000,"values":[20.5]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/observations: %d", resp.StatusCode)
+	}
+	cancel()
+	if err := <-serveDone; err != nil {
+		t.Fatalf("Serve = %v, want nil", err)
+	}
+	f, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	state, err := f.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(state.Records) != 1 || state.Records[0].Values[0] != 20.5 {
+		t.Errorf("data dir holds %+v after shutdown, want the one reading", state.Records)
+	}
+}
+
+// TestFailedStartClosesStore: a start that fails after the store opened
+// leaves it closed.
+func TestFailedStartClosesStore(t *testing.T) {
+	boom := errors.New("boom")
+	var st store.Store
+	_, err := daemon.Open(daemon.Flags{}, testLogger(t), func(sh *daemon.Shell) error {
+		var err error
+		if st, err = openStore(sh, t.TempDir(), false); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Open = %v, want the build error", err)
+	}
+	if storeOpen(st) {
+		t.Error("store still open after a failed start")
+	}
+}
+
+// TestStoreAbsentWithoutDataDir: without -data-dir the engine's
+// ingest.Config.Store is no store at all — not a typed nil *store.File,
+// which ingest would take for a store and write to.
+func TestStoreAbsentWithoutDataDir(t *testing.T) {
+	if st, err := openStore(nil, "", false); st != nil || err != nil {
+		t.Errorf("openStore without a dir = %#v, %v; want an untyped nil", st, err)
 	}
 }
 

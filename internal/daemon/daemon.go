@@ -1,18 +1,18 @@
 // Package daemon is the process shell innetd and innet-coord share: the
-// flags both take, the resources the flags open (innetd's durable store
-// and either daemon's span file), the HTTP, debug and UDP listeners, and
-// the order the process takes all of it down in. A command keeps only
-// its own flags, its engine, and any listener of its own.
+// flags both take, the span file -trace-file opens, the HTTP, debug and
+// UDP listeners, and the order the process takes all of it down in. A
+// command keeps only its own flags, its engine, any resource only it
+// opens (innetd's durable store) and any listener of its own.
 //
 // Shutdown runs in one fixed order (DESIGN.md § "Daemon shell"):
 //
 //  1. the listeners, in the order they serve: HTTP (graceful, in-flight
 //     requests finish), debug, UDP, then the command's own — each waited
 //     for, so no request or datagram reaches the engine after this step;
-//  2. whatever the command deferred, last deferred first: a final
-//     compaction while the engine is still up, then the engine itself;
-//  3. the span file and the store, which the engine wrote to until step 2
-//     ended.
+//  2. whatever the command deferred, last deferred first: in innetd a
+//     final compaction while the engine is still up, then the engine
+//     itself, then the store it deferred before building the engine;
+//  3. the span file, which the engine wrote to until step 2 ended.
 package daemon
 
 import (
@@ -31,11 +31,10 @@ import (
 
 	"innet/internal/core"
 	"innet/internal/obs"
-	"innet/internal/store"
 )
 
 // Flags are the flags both daemons take, under the same names and
-// defaults, plus the store flags only innetd registers (RegisterStore).
+// defaults.
 type Flags struct {
 	HTTP      string
 	UDP       string
@@ -44,8 +43,6 @@ type Flags struct {
 	Eps       float64
 	N         int
 	Window    time.Duration
-	DataDir   string
-	Fsync     bool
 	DebugAddr string
 	SlowQuery time.Duration
 	LogFormat string
@@ -72,13 +69,6 @@ func (f *Flags) Register(fs *flag.FlagSet, usage map[string]string) {
 	for name, help := range usage {
 		fs.Lookup(name).Usage = help
 	}
-}
-
-// RegisterStore adds -data-dir and -fsync, the flags of a daemon that
-// holds durable state: innetd's windows. The coordinator holds none.
-func (f *Flags) RegisterStore(fs *flag.FlagSet) {
-	fs.StringVar(&f.DataDir, "data-dir", "", "durability directory for the window WAL + snapshots (empty = in-memory only)")
-	fs.BoolVar(&f.Fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
 }
 
 // Detector returns the detector configuration the flags describe. A bad
@@ -123,16 +113,15 @@ type listener struct {
 type Shell struct {
 	flags     Flags
 	log       *slog.Logger
-	store     *store.File // nil without -data-dir
-	trace     *os.File    // nil without -trace-file
+	trace     *os.File // nil without -trace-file
 	closers   []func(context.Context) error
 	listeners []listener
 }
 
-// Open opens what the shared flags ask for — the store under -data-dir,
-// the span file -trace-file names — and hands the shell to build, which
-// creates the engine, defers its close and binds the listeners. If
-// anything fails, everything already opened or bound is closed again.
+// Open opens the span file -trace-file names and hands the shell to
+// build, which opens what only its command needs, creates the engine,
+// defers their closes and binds the listeners. If anything fails,
+// everything already opened or bound is closed again.
 func Open(f Flags, logger *slog.Logger, build func(*Shell) error) (_ *Shell, err error) {
 	sh := &Shell{flags: f, log: logger}
 	defer func() {
@@ -140,12 +129,6 @@ func Open(f Flags, logger *slog.Logger, build func(*Shell) error) (_ *Shell, err
 			sh.shutdown(context.Background(), nil)
 		}
 	}()
-	if f.DataDir != "" {
-		if sh.store, err = store.Open(store.Config{Dir: f.DataDir, Fsync: f.Fsync}); err != nil {
-			return nil, err
-		}
-		sh.Defer(func(context.Context) error { return sh.store.Close() })
-	}
 	if f.TraceFile != "" {
 		if sh.trace, err = os.OpenFile(f.TraceFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 			return nil, fmt.Errorf("open -trace-file: %w", err)
@@ -156,15 +139,6 @@ func Open(f Flags, logger *slog.Logger, build func(*Shell) error) (_ *Shell, err
 		return nil, err
 	}
 	return sh, nil
-}
-
-// Store is the engine's durable store: nil (no interface value at all)
-// without -data-dir.
-func (s *Shell) Store() store.Store {
-	if s.store == nil {
-		return nil
-	}
-	return s.store
 }
 
 // TraceSink is where the engine tees its spans: nil without -trace-file.

@@ -9,19 +9,16 @@ import (
 	"slices"
 	"sync"
 	"testing"
-
-	"innet/internal/store"
 )
 
 func quiet() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
-func localFlags(t *testing.T) Flags {
-	return Flags{HTTP: "127.0.0.1:0", UDP: "127.0.0.1:0", DebugAddr: "127.0.0.1:0", DataDir: t.TempDir()}
+func localFlags() Flags {
+	return Flags{HTTP: "127.0.0.1:0", UDP: "127.0.0.1:0", DebugAddr: "127.0.0.1:0"}
 }
 
 // TestShutdownOrder: listeners stop in serving order with the command's
-// own last, then the deferred steps run last-deferred first, then the
-// store closes.
+// own last, then the deferred steps run last-deferred first.
 func TestShutdownOrder(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
@@ -30,9 +27,7 @@ func TestShutdownOrder(t *testing.T) {
 		got = append(got, s)
 		mu.Unlock()
 	}
-	var st store.Store
-	sh, err := Open(localFlags(t), quiet(), func(sh *Shell) error {
-		st = sh.Store()
+	sh, err := Open(localFlags(), quiet(), func(sh *Shell) error {
 		sh.Defer(func(context.Context) error { note("engine closed"); return nil })
 		serveUDP := func(conn net.PacketConn) error {
 			_, _, err := conn.ReadFrom(make([]byte, 1))
@@ -65,19 +60,14 @@ func TestShutdownOrder(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("shutdown order %q, want %q", got, want)
 	}
-	if err := st.AppendReadings([]store.Record{{Sensor: 1, Values: []float64{1}}}); err == nil {
-		t.Error("store still open after Serve returned")
-	}
 }
 
 // TestOpenFailureReleasesEverything: a build that fails after binding
-// leaves no socket bound and no store open.
+// leaves no socket bound.
 func TestOpenFailureReleasesEverything(t *testing.T) {
 	boom := errors.New("boom")
-	var st store.Store
 	var httpAddr, udpAddr string
-	_, err := Open(localFlags(t), quiet(), func(sh *Shell) error {
-		st = sh.Store()
+	_, err := Open(localFlags(), quiet(), func(sh *Shell) error {
 		if err := sh.Listen(http.NotFoundHandler(), func(net.PacketConn) error { return nil }); err != nil {
 			return err
 		}
@@ -99,19 +89,16 @@ func TestOpenFailureReleasesEverything(t *testing.T) {
 	} else {
 		conn.Close()
 	}
-	if err := st.AppendReadings([]store.Record{{Sensor: 1, Values: []float64{1}}}); err == nil {
-		t.Error("store still open after a failed Open")
-	}
 }
 
-// TestSinksAbsentWithoutFlags: without -data-dir and -trace-file the
-// engine sees no store and no span sink at all — not typed nils.
+// TestSinksAbsentWithoutFlags: without -trace-file the engine sees no
+// span sink at all — not a typed nil.
 func TestSinksAbsentWithoutFlags(t *testing.T) {
 	sh, err := Open(Flags{}, quiet(), func(*Shell) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Store() != nil || sh.TraceSink() != nil {
-		t.Errorf("Store() = %v, TraceSink() = %v; want untyped nils", sh.Store(), sh.TraceSink())
+	if sh.TraceSink() != nil {
+		t.Errorf("TraceSink() = %v; want an untyped nil", sh.TraceSink())
 	}
 }

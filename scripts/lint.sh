@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Static checks: go vet over every package, gofmt, a check that every
-# test a CI step selects by name exists, plus govulncheck when the
+# test a CI step selects by name exists, a check that the shared daemon
+# shell does not import the store, plus govulncheck when the
 # tool is on PATH (CI installs it; locally it is optional, since the
 # sandbox may have no network to fetch it). New wire-protocol fields
 # must pass vet's unreachable/unused analysis on both the encode and
@@ -36,6 +37,14 @@ for name in $(grep -oE -- "-(run|fuzz)[ =]('[^']*'|[^ ]+)" .github/workflows/ci.
   fi
 done
 if [[ $MISSING -ne 0 ]]; then
+  exit 1
+fi
+
+# The shell both daemons share holds no durable state: the store is
+# innetd's alone, opened and closed in cmd/innetd.
+echo "== internal/daemon does not import internal/store"
+if go list -deps ./internal/daemon | grep -qx 'innet/internal/store'; then
+  echo "internal/daemon depends on innet/internal/store; open the store in cmd/innetd" >&2
   exit 1
 fi
 

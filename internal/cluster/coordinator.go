@@ -1,3 +1,8 @@
+// The coordinator's state and lifecycle. Its roles have a file each
+// (route.go, membership.go, query.go), whose header names the c.mu fields
+// the role reads and writes. Here Close writes closed; Stats, ShardInfos
+// and the shard-state helpers read smap, shards and latest.
+
 package cluster
 
 import (
@@ -9,7 +14,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"innet/internal/core"
@@ -161,20 +165,12 @@ type Coordinator struct {
 	// its union from it, as a detector ranks from its previous estimate.
 	lastOutliers []core.Point
 
-	routed, rejected, stale, failed atomic.Uint64
-	reroutes, frames                atomic.Uint64
-	merges, mergesDegraded          atomic.Uint64
-	mergesCompact, mergeFallbacks   atomic.Uint64
-	mergeRounds, mergeBytes         atomic.Uint64
-	mergeFullBytes, flaps           atomic.Uint64
-	assigns, handoffSen, handoffPts atomic.Uint64
-
 	// traceIDs mints the trace ID of every query and ingest batch; IDs
 	// never repeat within this process, so a compact merge uses its
 	// query's trace as its merge-session ID (see merge.go).
 	traceIDs *traceIDGen
 
-	obs      *coordObs     // metrics registry + latency histograms, built in New
+	obs      *coordObs     // metrics registry, counters and latency histograms, built in New
 	traceLog *obs.TraceLog // span flight recorder behind /debug/traces and /debug/merges
 
 	ctx        context.Context
@@ -306,23 +302,23 @@ func (c *Coordinator) Stats() Stats {
 	}
 	c.mu.Unlock()
 	return Stats{
-		Routed:          c.routed.Load(),
-		Rejected:        c.rejected.Load(),
-		Stale:           c.stale.Load(),
-		Failed:          c.failed.Load(),
-		Reroutes:        c.reroutes.Load(),
-		Frames:          c.frames.Load(),
-		Merges:          c.merges.Load(),
-		MergesDegraded:  c.mergesDegraded.Load(),
-		MergesCompact:   c.mergesCompact.Load(),
-		MergeFallbacks:  c.mergeFallbacks.Load(),
-		MergeRounds:     c.mergeRounds.Load(),
-		MergeBytes:      c.mergeBytes.Load(),
-		MergeFullBytes:  c.mergeFullBytes.Load(),
-		Assigns:         c.assigns.Load(),
-		HandoffSensors:  c.handoffSen.Load(),
-		HandoffPoints:   c.handoffPts.Load(),
-		Flaps:           c.flaps.Load(),
+		Routed:          c.obs.routed.Value(),
+		Rejected:        c.obs.rejected.Value(),
+		Stale:           c.obs.stale.Value(),
+		Failed:          c.obs.failed.Value(),
+		Reroutes:        c.obs.reroutes.Value(),
+		Frames:          c.obs.frames.Value(),
+		Merges:          c.obs.merges.Value(),
+		MergesDegraded:  c.obs.mergesDegraded.Value(),
+		MergesCompact:   c.obs.mergesCompact.Value(),
+		MergeFallbacks:  c.obs.mergeFallbacks.Value(),
+		MergeRounds:     c.obs.mergeRounds.Value(),
+		MergeBytes:      c.obs.mergeBytes.Value(),
+		MergeFullBytes:  c.obs.mergeFullBytes.Value(),
+		Assigns:         c.obs.assigns.Value(),
+		HandoffSensors:  c.obs.handoffSen.Value(),
+		HandoffPoints:   c.obs.handoffPts.Value(),
+		Flaps:           c.obs.flaps.Value(),
 		TruncatedFrames: c.client.truncated.Load(),
 		ShardsUp:        up,
 		ShardsTotal:     total,

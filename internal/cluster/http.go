@@ -58,7 +58,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.Handle("GET /metrics", c.obs.reg.Handler())
 	mux.Handle("GET /debug/merges", obs.RingHandler("merges",
-		func() uint64 { return c.mergesCompact.Load() + c.mergeFallbacks.Load() },
+		func() uint64 { return c.obs.mergesCompact.Value() + c.obs.mergeFallbacks.Value() },
 		func(_ *http.Request, limit int) any { return c.MergeSessions(limit) }))
 	mux.Handle("GET /debug/traces", c.traceLog.Handler())
 	mux.HandleFunc("GET /debug/status", c.handleStatus)
@@ -68,7 +68,7 @@ func (c *Coordinator) Handler() http.Handler {
 func (c *Coordinator) handleObservations(w http.ResponseWriter, r *http.Request) {
 	readings, err := ingest.DecodeBatch(w, r)
 	if err != nil {
-		c.rejected.Add(1)
+		c.obs.rejected.Inc()
 		ingest.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad batch: %w", err))
 		return
 	}
@@ -187,7 +187,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // reported. It returns when conn is closed or the coordinator shuts down.
 func (c *Coordinator) ServeUDP(conn net.PacketConn) error {
 	return ingest.ServeLines(c.ctx, conn, ErrClosed, func(readings []ingest.Reading, malformed int) {
-		c.rejected.Add(uint64(malformed))
+		c.obs.rejected.Add(uint64(malformed))
 		if len(readings) > 0 {
 			c.IngestBatch(readings)
 		}

@@ -1,11 +1,15 @@
+// Membership (§5.3): startup discovery, shard add and remove, window
+// copy, health and resync. c.mu: reads smap, shards, latest and closed;
+// writes smap, shards (and each shard's state) and latest.
+
 package cluster
 
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,30 +26,25 @@ import (
 // not answer contributes nothing (its sensors rejoin latest when they
 // next report).
 func (c *Coordinator) discoverSensors() {
-	snaps := make([][]core.Point, 0, len(c.shards))
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, st := range c.shards {
 		wg.Add(1)
-		go func(st *shardState) {
+		go func() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 			defer cancel()
-			if pts, _, err := c.client.estimate(ctx, st.udp, 0, 0); err == nil {
-				mu.Lock()
-				snaps = append(snaps, pts)
-				mu.Unlock()
+			pts, _, err := c.client.estimate(ctx, st.udp, 0, 0)
+			if err != nil {
+				return
 			}
-		}(st)
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			for _, p := range pts {
+				c.latest[p.ID.Origin] = max(c.latest[p.ID.Origin], p.Birth)
+			}
+		}()
 	}
 	wg.Wait()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, pts := range snaps {
-		for _, p := range pts {
-			c.latest[p.ID.Origin] = max(c.latest[p.ID.Origin], p.Birth)
-		}
-	}
 }
 
 // AddShard registers a new shard and rebalances: the map version
@@ -81,20 +80,14 @@ func (c *Coordinator) AddShard(addr string) error {
 		if !slices.Contains(newMap.Owners(sensor, c.cfg.Replicas), addr) {
 			continue
 		}
-		from, to := c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas)), c.firstUp([]string{addr})
+		from, to := c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas), ""), c.firstUp([]string{addr}, "")
 		if from != nil && to != nil {
 			c.copyWindow(sensor, from, to)
 		}
 	}
 
-	c.mu.Lock()
-	c.smap = newMap
-	for _, st := range c.shards {
-		st.synced = false
-	}
-	c.mu.Unlock()
 	c.cfg.Logger.Info("shard added", "shard", addr, "map_version", newMap.Version())
-	c.kickResyncs()
+	c.publish(newMap, "")
 	return nil
 }
 
@@ -123,44 +116,27 @@ func (c *Coordinator) RemoveShard(addr string) error {
 			// Only sensors that would lose their last copy need moving:
 			// their other owners are down, so the first up new owner is
 			// the shard that gains them.
-			if c.firstUp(remove(oldMap.Owners(sensor, c.cfg.Replicas), addr)) != nil {
+			if c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas), addr) != nil {
 				continue
 			}
-			if to := c.firstUp(newMap.Owners(sensor, c.cfg.Replicas)); to != nil {
+			if to := c.firstUp(newMap.Owners(sensor, c.cfg.Replicas), ""); to != nil {
 				c.copyWindow(sensor, st, to)
 			}
 		}
 	}
 
-	c.mu.Lock()
-	c.smap = newMap
-	delete(c.shards, addr)
-	for _, other := range c.shards {
-		other.synced = false
-	}
-	c.mu.Unlock()
 	c.cfg.Logger.Info("shard removed", "shard", addr, "map_version", newMap.Version())
-	c.kickResyncs()
+	c.publish(newMap, addr)
 	return nil
 }
 
-func remove(addrs []string, addr string) []string {
-	out := make([]string, 0, len(addrs))
-	for _, a := range addrs {
-		if a != addr {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// firstUp returns the first shard among addrs the health loop considers
-// up, or nil.
-func (c *Coordinator) firstUp(addrs []string) *shardState {
+// firstUp returns the first shard among addrs, other than except, that
+// the health loop considers up, or nil.
+func (c *Coordinator) firstUp(addrs []string, except string) *shardState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, a := range addrs {
-		if st := c.shards[a]; st != nil && st.up {
+		if st := c.shards[a]; a != except && st != nil && st.up {
 			return st
 		}
 	}
@@ -188,19 +164,14 @@ func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	if err != nil {
 		return
 	}
-	c.handoffSen.Add(1)
-	c.handoffPts.Add(uint64(len(pts)))
+	c.obs.handoffSen.Inc()
+	c.obs.handoffPts.Add(uint64(len(pts)))
 	c.cfg.Logger.Info("sensor handed off", "sensor", uint64(sensor), "points", len(pts),
 		"from", from.addr, "to", to.addr)
 }
 
 func (c *Coordinator) seenSensorsLocked() []core.NodeID {
-	out := make([]core.NodeID, 0, len(c.latest))
-	for id := range c.latest {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(c.latest))
 }
 
 // healthLoop probes every shard each interval and drives the
@@ -237,28 +208,28 @@ func (c *Coordinator) healthLoop() {
 				} else {
 					c.noteUp(st, h, time.Since(probeStart))
 				}
-				c.mu.Lock()
-				st.probing = false
-				c.mu.Unlock()
 			}(st)
 		}
 	}
 }
 
+// noteMiss and noteUp apply one probe's outcome and end the probe.
 func (c *Coordinator) noteMiss(st *shardState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	st.probing = false
 	st.misses++
 	if st.misses >= c.cfg.HealthMisses && st.up {
 		st.up = false
 		st.synced = false
-		c.flaps.Add(1)
+		c.obs.flaps.Inc()
 		c.cfg.Logger.Warn("shard marked down", "shard", st.addr, "misses", st.misses)
 	}
 }
 
 func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, rtt time.Duration) {
 	c.mu.Lock()
+	st.probing = false
 	wasDown := !st.up
 	st.up = true
 	st.misses = 0
@@ -276,12 +247,16 @@ func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, rtt time.Dur
 	}
 }
 
-// kickResyncs marks every up shard for resync on the new map without
-// waiting for the next health tick.
-func (c *Coordinator) kickResyncs() {
+// publish installs newMap, drops the shard removed (if any) and resyncs
+// every up shard onto the new map without waiting for the next health
+// tick.
+func (c *Coordinator) publish(newMap *ShardMap, removed string) {
 	c.mu.Lock()
-	targets := make([]*shardState, 0, len(c.shards))
+	c.smap = newMap
+	delete(c.shards, removed)
+	var targets []*shardState
 	for _, st := range c.shards {
+		st.synced = false
 		if st.up {
 			targets = append(targets, st)
 		}
@@ -319,13 +294,9 @@ func (c *Coordinator) resync(st *shardState) {
 	}
 
 	owned := smap.Owned(st.addr, seen, c.cfg.Replicas)
-	isOwned := make(map[core.NodeID]bool, len(owned))
-	for _, id := range owned {
-		isOwned[id] = true
-	}
 	var evict []core.NodeID
 	for _, id := range seen {
-		if !isOwned[id] {
+		if _, found := slices.BinarySearch(owned, id); !found {
 			evict = append(evict, id)
 		}
 	}
@@ -343,10 +314,10 @@ func (c *Coordinator) resync(st *shardState) {
 	if err != nil {
 		return // next health tick retries
 	}
-	c.assigns.Add(1)
+	c.obs.assigns.Inc()
 
 	for _, sensor := range owned {
-		if from := c.firstUp(remove(smap.Owners(sensor, c.cfg.Replicas), st.addr)); from != nil {
+		if from := c.firstUp(smap.Owners(sensor, c.cfg.Replicas), st.addr); from != nil {
 			c.copyWindow(sensor, from, st)
 		}
 	}

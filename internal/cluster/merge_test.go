@@ -559,7 +559,7 @@ func TestCoordinatorIdentityRecovery(t *testing.T) {
 
 	// A new in-window reading for sensor 3 is a new point.
 	at := rounds * time.Minute
-	if err := second.Ingest(ingest.Reading{Sensor: 3, At: at, Values: []float64{20.7}}); err != nil {
+	if err := second.IngestBatch([]ingest.Reading{{Sensor: 3, At: at, Values: []float64{20.7}}})[0]; err != nil {
 		t.Fatal(err)
 	}
 	for _, sh := range shards {

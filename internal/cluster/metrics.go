@@ -1,22 +1,25 @@
 package cluster
 
 import (
-	"sync/atomic"
 	"time"
 
 	"innet/internal/obs"
 	"innet/internal/protocol"
 )
 
-// coordObs is the coordinator's metrics surface: one obs.Registry whose
-// counter and gauge series read the coordinator's existing atomics at
-// scrape time (keeping the routing hot path untouched), plus the latency
-// histograms the query and RPC paths observe into.
-// Registration order reproduces the series order of the retired
-// hand-rolled /metrics writer so dashboards and the smoke scripts' greps
-// keep working.
+// coordObs is the coordinator's metrics surface: one obs.Registry, the
+// counters the coordinator increments (Stats reads the same ones), gauges
+// read at scrape time, and the latency histograms the query and RPC
+// paths observe into. Registration order reproduces the series order of
+// the retired hand-rolled /metrics writer so dashboards and the smoke
+// scripts' greps keep working (TestCoordinatorMetricsGolden).
 type coordObs struct {
 	reg *obs.Registry
+
+	routed, rejected, stale, failed, reroutes, frames     *obs.Counter
+	merges, mergesDegraded, mergesCompact, mergeFallbacks *obs.Counter
+	mergeRounds, mergeBytes, mergeFullBytes, assigns      *obs.Counter
+	handoffSen, handoffPts, flaps                         *obs.Counter
 
 	queryLat *obs.HistogramVec // merge-query service time, by served mode
 	rpcLat   *obs.HistogramVec // shard-control exchange round trip, by frame kind
@@ -26,26 +29,23 @@ func newCoordObs(c *Coordinator) *coordObs {
 	r := obs.NewRegistry()
 	m := &coordObs{reg: r}
 
-	counter := func(name, help string, v *atomic.Uint64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("innetcoord_readings_routed_total", "Readings accepted by at least one owning shard.", &c.routed)
-	counter("innetcoord_readings_rejected_total", "Readings failing validation.", &c.rejected)
-	counter("innetcoord_readings_stale_total", "Readings older than the sliding window.", &c.stale)
-	counter("innetcoord_readings_failed_total", "Readings no owning shard accepted.", &c.failed)
-	counter("innetcoord_readings_rerouted_total", "Readings routed past a down owner.", &c.reroutes)
-	counter("innetcoord_readings_frames_total", "READINGS frames sent.", &c.frames)
-	counter("innetcoord_merges_total", "Estimate merges served.", &c.merges)
-	counter("innetcoord_merges_degraded_total", "Merges with at least one shard missing.", &c.mergesDegraded)
-	counter("innetcoord_merges_compact_total", "Merges served by the compact iterative path.", &c.mergesCompact)
-	counter("innetcoord_merge_fallbacks_total", "Compact merges that fell back to the full path.", &c.mergeFallbacks)
-	counter("innetcoord_merge_rounds_total", "Compact-merge rounds driven.", &c.mergeRounds)
-	counter("innetcoord_merge_bytes_total", "Compact-merge point payload bytes, both directions.", &c.mergeBytes)
-	counter("innetcoord_merge_full_bytes_total", "Full-path window-snapshot payload bytes received.", &c.mergeFullBytes)
-	counter("innetcoord_assigns_total", "ASSIGN epochs acknowledged.", &c.assigns)
-	counter("innetcoord_handoff_sensors_total", "Sensors restored via handoff.", &c.handoffSen)
-	counter("innetcoord_handoff_points_total", "Points moved via handoff.", &c.handoffPts)
-	counter("innetcoord_shard_flaps_total", "Up-to-down shard transitions observed.", &c.flaps)
+	m.routed = r.Counter("innetcoord_readings_routed_total", "Readings accepted by at least one owning shard.")
+	m.rejected = r.Counter("innetcoord_readings_rejected_total", "Readings failing validation.")
+	m.stale = r.Counter("innetcoord_readings_stale_total", "Readings older than the sliding window.")
+	m.failed = r.Counter("innetcoord_readings_failed_total", "Readings no owning shard accepted.")
+	m.reroutes = r.Counter("innetcoord_readings_rerouted_total", "Readings routed past a down owner.")
+	m.frames = r.Counter("innetcoord_readings_frames_total", "READINGS frames sent.")
+	m.merges = r.Counter("innetcoord_merges_total", "Estimate merges served.")
+	m.mergesDegraded = r.Counter("innetcoord_merges_degraded_total", "Merges with at least one shard missing.")
+	m.mergesCompact = r.Counter("innetcoord_merges_compact_total", "Merges served by the compact iterative path.")
+	m.mergeFallbacks = r.Counter("innetcoord_merge_fallbacks_total", "Compact merges that fell back to the full path.")
+	m.mergeRounds = r.Counter("innetcoord_merge_rounds_total", "Compact-merge rounds driven.")
+	m.mergeBytes = r.Counter("innetcoord_merge_bytes_total", "Compact-merge point payload bytes, both directions.")
+	m.mergeFullBytes = r.Counter("innetcoord_merge_full_bytes_total", "Full-path window-snapshot payload bytes received.")
+	m.assigns = r.Counter("innetcoord_assigns_total", "ASSIGN epochs acknowledged.")
+	m.handoffSen = r.Counter("innetcoord_handoff_sensors_total", "Sensors restored via handoff.")
+	m.handoffPts = r.Counter("innetcoord_handoff_points_total", "Points moved via handoff.")
+	m.flaps = r.Counter("innetcoord_shard_flaps_total", "Up-to-down shard transitions observed.")
 	r.CounterFunc("innetcoord_truncated_frames_total", "Control datagrams dropped as kernel-truncated.",
 		func() float64 { return float64(c.client.truncated.Load()) })
 	r.GaugeFunc("innetcoord_shards_up", "Shards the health loop currently considers up.",

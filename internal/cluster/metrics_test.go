@@ -255,7 +255,7 @@ func TestCompactTraceBytesMatchCounter(t *testing.T) {
 		}
 	}
 
-	before := coord.mergeBytes.Load()
+	before := coord.Stats().MergeBytes
 	res, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
 		t.Fatalf("compact merge: %v", err)
@@ -263,7 +263,7 @@ func TestCompactTraceBytesMatchCounter(t *testing.T) {
 	if res.Mode != MergeCompact {
 		t.Fatalf("merge served by %q, want compact", res.Mode)
 	}
-	delta := int(coord.mergeBytes.Load() - before)
+	delta := int(coord.Stats().MergeBytes - before)
 
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(srv.Close)

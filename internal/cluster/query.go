@@ -1,3 +1,7 @@
+// Query: the merged answer, by the compact exchange (merge.go) or the
+// full-window fan. c.mu: reads smap, shards, closed and lastOutliers;
+// writes lastOutliers.
+
 package cluster
 
 import (
@@ -16,7 +20,7 @@ import (
 type MergeResult struct {
 	Outliers []core.Point // On over the union of shard windows
 	// Window is the point set the answer was computed over: with
-	// MergeFull the merged window itself (tests), with
+	// MergeFull the merged window itself (what ?window=1 serves), with
 	// MergeCompact the coordinator's accumulated candidate set C — a
 	// provably sufficient subset, not the whole window.
 	Window []core.Point
@@ -58,9 +62,9 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	finish := func(res MergeResult, err error) (MergeResult, error) {
 		elapsed := time.Since(start)
 		res.Trace = traceID
-		c.merges.Add(1)
+		c.obs.merges.Inc()
 		if res.Degraded {
-			c.mergesDegraded.Add(1)
+			c.obs.mergesDegraded.Inc()
 		}
 		if err == nil {
 			c.obs.queryLat.With(res.Mode).Observe(elapsed.Seconds())
@@ -97,10 +101,13 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	version := c.smap.Version()
 	total := c.smap.Len()
 	hint := c.lastOutliers
-	var targets []*shardState
+	var targets, all []*shardState
 	for _, addr := range c.smap.Shards() {
-		if st := c.shards[addr]; st != nil && st.up {
-			targets = append(targets, st)
+		if st := c.shards[addr]; st != nil {
+			all = append(all, st)
+			if st.up {
+				targets = append(targets, st)
+			}
 		}
 	}
 	if len(targets) == 0 {
@@ -108,11 +115,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		// them all anyway — a shard that answers is better evidence
 		// than a stale verdict, and one that is really down just eats
 		// its timeout.
-		for _, addr := range c.smap.Shards() {
-			if st := c.shards[addr]; st != nil {
-				targets = append(targets, st)
-			}
-		}
+		targets = all
 	}
 	c.mu.Unlock()
 
@@ -126,8 +129,8 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		compactCtx, ccancel := context.WithTimeout(ctx, c.cfg.QueryTimeout/2)
 		cres, err := c.compactMerge(compactCtx, targets, traceID)
 		ccancel()
-		c.mergeRounds.Add(uint64(cres.rounds))
-		c.mergeBytes.Add(uint64(cres.payload))
+		c.obs.mergeRounds.Add(uint64(cres.rounds))
+		c.obs.mergeBytes.Add(uint64(cres.payload))
 		if err == nil {
 			res := MergeResult{
 				Outliers:     cres.outliers,
@@ -140,10 +143,10 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 				ShardsOK:     len(targets),
 				Degraded:     len(targets) < total,
 			}
-			c.mergesCompact.Add(1)
+			c.obs.mergesCompact.Inc()
 			return finish(res, nil)
 		}
-		c.mergeFallbacks.Add(1)
+		c.obs.mergeFallbacks.Inc()
 		// The fallback event carries the query's trace ID — the span and
 		// the log line tie the abandoned compact rounds to the full-path
 		// rescue that follows.
@@ -160,18 +163,17 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 			"trace", traceHex(traceID), "rounds", cres.rounds, "err", err)
 	}
 
-	// Each shard's reply lands in its own slot; the union is one merge of
-	// them once every shard has answered or given up.
-	type reply struct {
-		pts   []core.Point
-		bytes int
-		ok    bool
-	}
-	replies := make([]reply, len(targets))
-	var wg sync.WaitGroup
+	// Each shard's window lands in its own slot (nil if it gave up); the
+	// union is one merge of them once every shard has answered or given up.
+	windows := make([][]core.Point, len(targets))
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex // guards ok and bytes
+		ok, bytes int
+	)
 	for i, st := range targets {
 		wg.Add(1)
-		go func(rep *reply, st *shardState) {
+		go func() {
 			defer wg.Done()
 			shardStart := time.Now()
 			var pts []core.Point
@@ -195,21 +197,15 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 			}
 			c.traceLog.Record(span)
 			if err == nil {
-				*rep = reply{pts: pts, bytes: nb, ok: true}
+				mu.Lock()
+				windows[i] = pts
+				ok++
+				bytes += nb
+				mu.Unlock()
 			}
-		}(&replies[i], st)
+		}()
 	}
 	wg.Wait()
-
-	windows := make([][]core.Point, 0, len(replies))
-	ok, bytes := 0, 0
-	for _, rep := range replies {
-		if rep.ok {
-			windows = append(windows, rep.pts)
-			ok++
-			bytes += rep.bytes
-		}
-	}
 	res := MergeResult{
 		Window:       core.UnionPoints(windows...),
 		Mode:         MergeFull,
@@ -220,7 +216,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		Degraded:     ok < total,
 	}
 	res.Outliers = core.TopNHinted(c.cfg.Detector.Ranker, res.Window, c.cfg.Detector.N, hint)
-	c.mergeFullBytes.Add(uint64(bytes))
+	c.obs.mergeFullBytes.Add(uint64(bytes))
 	if ok == 0 && total > 0 {
 		return finish(res, errors.New("cluster: no shard answered the estimate query"))
 	}

@@ -1,3 +1,6 @@
+// Routing: each reading goes to its sensor's first Replicas up shards.
+// c.mu: reads smap, shards, latest and closed; writes latest.
+
 package cluster
 
 import (
@@ -11,11 +14,6 @@ import (
 	"innet/internal/ingest"
 	"innet/internal/obs"
 )
-
-// Ingest validates and routes one reading; see IngestBatch.
-func (c *Coordinator) Ingest(r ingest.Reading) error {
-	return c.IngestBatch([]ingest.Reading{r})[0]
-}
 
 // IngestBatch validates and routes a batch of readings to the healthy
 // shards owning each sensor, one READINGS frame per shard chunk. Each
@@ -33,12 +31,9 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 
 	// Phase 1 (under the lock): gate and group by shard; the network
 	// sends happen outside the lock.
-	type routed struct {
-		reading int // index into rs/errs
-	}
 	perShard := make(map[string][]core.Point)
-	perShardIdx := make(map[string][]routed)
-	accepted := make([]int, len(rs)) // owning shards that took reading i
+	perShardIdx := make(map[string][]int) // indices into rs/errs
+	accepted := make([]int, len(rs))      // owning shards that took reading i
 
 	c.mu.Lock()
 	if c.closed {
@@ -52,13 +47,13 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 	for i, r := range rs {
 		if err := r.Validate(); err != nil {
 			errs[i] = err
-			c.rejected.Add(1)
+			c.obs.rejected.Inc()
 			continue
 		}
 		latest := c.latest[r.Sensor]
 		if window > 0 && r.At < latest-window {
 			errs[i] = fmt.Errorf("%w: %v is older than %v − %v", ingest.ErrStale, r.At, latest, window)
-			c.stale.Add(1)
+			c.obs.stale.Inc()
 			continue
 		}
 		owners, rerouted := c.healthyOwnersLocked(r.Sensor)
@@ -68,17 +63,17 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 			// the shards (a later reading the shards would accept
 			// would be rejected as stale here).
 			errs[i] = fmt.Errorf("%w: sensor %d", ErrNoHealthyShard, r.Sensor)
-			c.failed.Add(1)
+			c.obs.failed.Inc()
 			continue
 		}
 		if rerouted {
-			c.reroutes.Add(1)
+			c.obs.reroutes.Inc()
 		}
 		c.latest[r.Sensor] = max(latest, r.At)
 		p := core.NewPoint(r.Sensor, ingest.SeqOf(r.At), r.At, r.Values...)
 		for _, addr := range owners {
 			perShard[addr] = append(perShard[addr], p)
-			perShardIdx[addr] = append(perShardIdx[addr], routed{reading: i})
+			perShardIdx[addr] = append(perShardIdx[addr], i)
 		}
 	}
 	c.mu.Unlock()
@@ -92,15 +87,15 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 	)
 	for addr, pts := range perShard {
 		wg.Add(1)
-		go func(addr string, pts []core.Point, idx []routed) {
+		go func(addr string, pts []core.Point, idx []int) {
 			defer wg.Done()
 			if !c.sendReadings(addr, trace, pts) {
 				return
 			}
 			ackMu.Lock()
 			defer ackMu.Unlock()
-			for _, rt := range idx {
-				accepted[rt.reading]++
+			for _, i := range idx {
+				accepted[i]++
 			}
 		}(addr, pts, perShardIdx[addr])
 	}
@@ -116,11 +111,11 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 		}
 		if accepted[i] == 0 {
 			errs[i] = ErrRouteFailed
-			c.failed.Add(1)
+			c.obs.failed.Inc()
 			failedN++
 			continue
 		}
-		c.routed.Add(1)
+		c.obs.routed.Inc()
 		routedN++
 	}
 	span := obs.Span{
@@ -165,7 +160,7 @@ func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) 
 	return c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
 		_, err := c.client.readings(ctx, st.udp, 0, trace, chunk)
 		if err == nil {
-			c.frames.Add(1)
+			c.obs.frames.Inc()
 		}
 		return err
 	}) == nil

@@ -181,7 +181,7 @@ func WriteBatchResult(w http.ResponseWriter, errs []error) {
 func (s *Service) handleObservations(w http.ResponseWriter, r *http.Request) {
 	readings, err := DecodeBatch(w, r)
 	if err != nil {
-		s.malformed.Add(1)
+		s.obs.malformed.Inc()
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("ingest: bad batch: %w", err))
 		return
 	}

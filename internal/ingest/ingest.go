@@ -290,12 +290,7 @@ type Service struct {
 	wal      *store.Policy
 	replayed atomic.Uint64 // records restored by Warm
 
-	accepted, observed, batches atomic.Uint64
-	dropped, stale, malformed   atomic.Uint64
-	unknown, joins, leaves      atomic.Uint64
-	repeated                    atomic.Uint64
-
-	obs    *serviceObs   // metrics registry + latency histograms, built in New
+	obs    *serviceObs   // metrics registry, counters and latency histograms, built in New
 	traces *obs.TraceLog // /debug/traces flight-recorder ring of spans
 }
 
@@ -406,7 +401,7 @@ func (s *Service) Join(id core.NodeID) error {
 			return err
 		}
 	}
-	s.joins.Add(1)
+	s.obs.joins.Inc()
 	return nil
 }
 
@@ -441,7 +436,7 @@ func (s *Service) Leave(id core.NodeID) error {
 			_ = other.peer.RemoveNeighbor(s.ctx, id)
 		}
 	}
-	s.leaves.Add(1)
+	s.obs.leaves.Inc()
 	return nil
 }
 
@@ -450,7 +445,7 @@ func (s *Service) Leave(id core.NodeID) error {
 // slow detector: a full queue sheds its oldest reading instead.
 func (s *Service) Ingest(r Reading) error {
 	if err := r.Validate(); err != nil {
-		s.malformed.Add(1)
+		s.obs.malformed.Inc()
 		return err
 	}
 	for {
@@ -463,7 +458,7 @@ func (s *Service) Ingest(r Reading) error {
 		if !ok {
 			s.mu.RUnlock()
 			if !s.cfg.AutoJoin {
-				s.unknown.Add(1)
+				s.obs.unknown.Inc()
 				return fmt.Errorf("%w: sensor %d", ErrUnknownSensor, r.Sensor)
 			}
 			// A concurrent Ingest may join the sensor first; losing
@@ -484,7 +479,7 @@ func (s *Service) Ingest(r Reading) error {
 func (s *Service) enqueue(sn *sensor, r Reading) error {
 	if w := s.cfg.Detector.Window; w > 0 {
 		if latest := time.Duration(sn.latest.Load()); r.At < latest-w {
-			s.stale.Add(1)
+			s.obs.stale.Inc()
 			return fmt.Errorf("%w: %v is older than %v − %v", ErrStale, r.At, latest, w)
 		}
 	}
@@ -507,7 +502,7 @@ func (s *Service) enqueue(sn *sensor, r Reading) error {
 			// reading is observed or shed — the barrier the exactness
 			// checkpoints and the cluster snapshot protocol stand on.
 			sn.kick()
-			s.accepted.Add(1)
+			s.obs.accepted.Inc()
 			return nil
 		default:
 			s.shed(sn) // full: the oldest queued reading makes room
@@ -529,7 +524,7 @@ func (s *Service) shed(sn *sensor) bool {
 	select {
 	case <-sn.queue:
 		s.pending.Add(-1)
-		s.dropped.Add(1)
+		s.obs.dropped.Inc()
 		sn.drops.Add(1)
 		return true
 	default:
@@ -597,9 +592,9 @@ take:
 		Dur:    time.Since(drained),
 	})
 	s.pending.Add(-int64(len(batch)))
-	s.observed.Add(uint64(len(batch)))
-	s.repeated.Add(uint64(len(batch) - len(added)))
-	s.batches.Add(1)
+	s.obs.observed.Add(uint64(len(batch)))
+	s.obs.repeated.Add(uint64(len(batch) - len(added)))
+	s.obs.batches.Inc()
 	clear(batch) // keep no feature vector alive until the next drain
 	return out
 }
@@ -677,7 +672,7 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 		}
 		replay = append(replay, Reading{Sensor: r.Sensor, At: r.Birth, Values: r.Values})
 	}
-	repeatedBefore := s.repeated.Load()
+	repeatedBefore := s.obs.repeated.Value()
 	restored, err := s.Admit(ctx, replay)
 	if err != nil {
 		return restored, fmt.Errorf("ingest: warm: %w", err)
@@ -685,7 +680,7 @@ func (s *Service) Warm(ctx context.Context) (int, error) {
 	// A directory written when sequence numbers were minted can hold two
 	// points of one sensor at one data time; their derived IDs coincide,
 	// so the first copy stands for both.
-	if n := s.repeated.Load() - repeatedBefore; n > 0 {
+	if n := s.obs.repeated.Value() - repeatedBefore; n > 0 {
 		s.cfg.Logger.Warn("warm replay folded records that share a sensor and data time", "records", n)
 	}
 	if restored != len(replay) {
@@ -866,16 +861,16 @@ func (s *Service) Stats() Stats {
 	n := len(s.sensors)
 	s.mu.RUnlock()
 	return Stats{
-		Accepted:  s.accepted.Load(),
-		Observed:  s.observed.Load(),
-		Repeated:  s.repeated.Load(),
-		Batches:   s.batches.Load(),
-		Dropped:   s.dropped.Load(),
-		Stale:     s.stale.Load(),
-		Malformed: s.malformed.Load(),
-		Unknown:   s.unknown.Load(),
-		Joins:     s.joins.Load(),
-		Leaves:    s.leaves.Load(),
+		Accepted:  s.obs.accepted.Value(),
+		Observed:  s.obs.observed.Value(),
+		Repeated:  s.obs.repeated.Value(),
+		Batches:   s.obs.batches.Value(),
+		Dropped:   s.obs.dropped.Value(),
+		Stale:     s.obs.stale.Value(),
+		Malformed: s.obs.malformed.Value(),
+		Unknown:   s.obs.unknown.Value(),
+		Joins:     s.obs.joins.Value(),
+		Leaves:    s.obs.leaves.Value(),
 		Sensors:   n,
 		Pending:   s.pending.Load(),
 	}

@@ -2,22 +2,23 @@ package ingest
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"innet/internal/obs"
 	"innet/internal/store"
 )
 
-// serviceObs is the daemon's metrics surface: one obs.Registry whose
-// counter and gauge series are closures over the service's existing
-// atomics (so the hot path keeps its plain atomic increments — the
-// registry only reads at scrape time) plus the latency histograms the
-// hot paths observe into directly. Registration order reproduces the
-// series order of the retired hand-rolled /metrics writer so existing
-// dashboards and the smoke scripts' greps keep working.
+// serviceObs is the daemon's metrics surface: one obs.Registry, the
+// counters the service increments (Stats reads the same ones), gauges
+// read at scrape time, and the latency histograms the hot paths observe
+// into directly. Registration order reproduces the series order of the
+// retired hand-rolled /metrics writer so existing dashboards and the
+// smoke scripts' greps keep working.
 type serviceObs struct {
 	reg *obs.Registry
+
+	accepted, observed, repeated, batches, dropped *obs.Counter
+	stale, malformed, unknown, joins, leaves       *obs.Counter
 
 	queueLat   *obs.Histogram // enqueue → drain on the sensor's peer, per reading
 	observeDur *obs.Histogram // one ObserveBatch ranking pass
@@ -32,19 +33,16 @@ func newServiceObs(s *Service) *serviceObs {
 	r := obs.NewRegistry()
 	m := &serviceObs{reg: r}
 
-	counter := func(name, help string, v *atomic.Uint64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("innetd_readings_accepted_total", "Readings admitted to a sensor queue.", &s.accepted)
-	counter("innetd_readings_observed_total", "Readings fed into a detector.", &s.observed)
-	counter("innetd_readings_repeated_total", "Observed readings whose point the detector already held (first copy wins).", &s.repeated)
-	counter("innetd_observe_batches_total", "Batch-observe events (ranking passes).", &s.batches)
-	counter("innetd_readings_dropped_total", "Readings shed by the latest-wins policy.", &s.dropped)
-	counter("innetd_readings_stale_total", "Readings rejected as older than the sliding window.", &s.stale)
-	counter("innetd_readings_malformed_total", "Payloads, lines, or readings that failed to parse.", &s.malformed)
-	counter("innetd_readings_unknown_sensor_total", "Readings rejected for unknown sensor IDs.", &s.unknown)
-	counter("innetd_sensor_joins_total", "Sensors attached (initial + dynamic).", &s.joins)
-	counter("innetd_sensor_leaves_total", "Sensors detached.", &s.leaves)
+	m.accepted = r.Counter("innetd_readings_accepted_total", "Readings admitted to a sensor queue.")
+	m.observed = r.Counter("innetd_readings_observed_total", "Readings fed into a detector.")
+	m.repeated = r.Counter("innetd_readings_repeated_total", "Observed readings whose point the detector already held (first copy wins).")
+	m.batches = r.Counter("innetd_observe_batches_total", "Batch-observe events (ranking passes).")
+	m.dropped = r.Counter("innetd_readings_dropped_total", "Readings shed by the latest-wins policy.")
+	m.stale = r.Counter("innetd_readings_stale_total", "Readings rejected as older than the sliding window.")
+	m.malformed = r.Counter("innetd_readings_malformed_total", "Payloads, lines, or readings that failed to parse.")
+	m.unknown = r.Counter("innetd_readings_unknown_sensor_total", "Readings rejected for unknown sensor IDs.")
+	m.joins = r.Counter("innetd_sensor_joins_total", "Sensors attached (initial + dynamic).")
+	m.leaves = r.Counter("innetd_sensor_leaves_total", "Sensors detached.")
 	r.GaugeFunc("innetd_sensors", "Currently attached sensors.", func() float64 {
 		s.mu.RLock()
 		n := len(s.sensors)

@@ -33,7 +33,7 @@ const maxUDPPayload = 64 * 1024
 // ServeLines.
 func (s *Service) ServeUDP(conn net.PacketConn) error {
 	return ServeLines(s.ctx, conn, ErrClosed, func(readings []Reading, malformed int) {
-		s.malformed.Add(uint64(malformed))
+		s.obs.malformed.Add(uint64(malformed))
 		for _, r := range readings {
 			_ = s.Ingest(r) // rejections are counted by Ingest; UDP has no reply
 		}

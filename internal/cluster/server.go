@@ -162,7 +162,7 @@ func (s *ShardServer) Serve() error {
 				Sensors:    uint16(len(s.svc.Sensors())),
 				Sessions:   uint16(s.sessionCount()),
 			}
-			s.finish(f, from, s.respond(from, f, body.Encode()))
+			s.finish(f, from, s.respond(from, f, 0, body.Encode()))
 			continue
 		}
 		select {
@@ -210,11 +210,11 @@ func (s *ShardServer) finish(f protocol.Frame, from *net.UDPAddr, err error) {
 }
 
 // respond answers req with one frame, echoing its kind, reqID and trace
-// ID.
-func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, body []byte) error {
+// ID; flags are set beside FlagResponse.
+func (s *ShardServer) respond(to *net.UDPAddr, req protocol.Frame, flags uint8, body []byte) error {
 	frame := protocol.EncodeFrame(protocol.Frame{
 		Kind:  req.Kind,
-		Flags: protocol.FlagResponse,
+		Flags: protocol.FlagResponse | flags,
 		ReqID: req.ReqID,
 		Trace: req.Trace,
 		Body:  body,
@@ -234,7 +234,7 @@ func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, pts 
 		if err != nil {
 			return err
 		}
-		if err := s.respond(to, req, buf); err != nil {
+		if err := s.respond(to, req, 0, buf); err != nil {
 			return err
 		}
 	}
@@ -249,7 +249,7 @@ func (s *ShardServer) respondFragments(to *net.UDPAddr, req protocol.Frame, pts 
 // still held by remaining peers age out of the sliding windows normally
 // (§5.3). Eviction only applies when the epoch is newly adopted, so a
 // reordered stale ASSIGN neither rolls the version back nor detaches
-// anything.
+// anything, and only an adopted epoch is logged.
 func (s *ShardServer) handleAssign(f protocol.Frame, from *net.UDPAddr) error {
 	body, err := protocol.DecodeAssign(f.Body)
 	if err != nil {
@@ -261,25 +261,21 @@ func (s *ShardServer) handleAssign(f protocol.Frame, from *net.UDPAddr) error {
 		}
 	}
 	adopted := false
-	for {
-		cur := s.mapVersion.Load()
-		if body.MapVersion <= cur {
-			break
-		}
-		if s.mapVersion.CompareAndSwap(cur, body.MapVersion) {
-			adopted = true
-			break
-		}
+	for cur := s.mapVersion.Load(); !adopted && body.MapVersion > cur; cur = s.mapVersion.Load() {
+		adopted = s.mapVersion.CompareAndSwap(cur, body.MapVersion)
 	}
 	if adopted {
+		evicted := 0
 		for _, id := range body.Evict {
-			_ = s.svc.Leave(id) // not-joined is fine: nothing to detach
+			if s.svc.Leave(id) == nil { // not-joined is fine: nothing to detach
+				evicted++
+			}
 		}
+		s.log.Info("ASSIGN adopted", "map_version", body.MapVersion,
+			"slot", body.ShardIndex, "of", body.ShardCount,
+			"sensors", len(body.Sensors), "evictions", evicted)
 	}
-	s.log.Info("ASSIGN adopted", "map_version", body.MapVersion,
-		"slot", body.ShardIndex, "of", body.ShardCount,
-		"sensors", len(body.Sensors), "evictions", len(body.Evict))
-	return s.respond(from, f, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
+	return s.respond(from, f, 0, protocol.AckBody{Count: s.mapVersion.Load()}.Encode())
 }
 
 // readingOf turns a received point back into a reading for the normal
@@ -333,7 +329,7 @@ func (s *ShardServer) handleReadings(f protocol.Frame, from *net.UDPAddr) error 
 		Start:  start,
 		Dur:    time.Since(start),
 	})
-	return s.respond(from, f, protocol.AckBody{Count: accepted}.Encode())
+	return s.respond(from, f, 0, protocol.AckBody{Count: accepted}.Encode())
 }
 
 // handleEstimate streams back the shard's window union, or one sensor's

@@ -151,14 +151,7 @@ func (s *ShardServer) refuseSession(to *net.UDPAddr, req protocol.Frame) error {
 		Op:    obs.OpSessionRefuse,
 		Start: time.Now(),
 	})
-	frame := protocol.EncodeFrame(protocol.Frame{
-		Kind:  req.Kind,
-		Flags: protocol.FlagResponse | protocol.FlagUnknownSession,
-		ReqID: req.ReqID,
-		Trace: req.Trace,
-	})
-	_, err := s.conn.WriteToUDP(frame, to)
-	return err
+	return s.respond(to, req, protocol.FlagUnknownSession, nil)
 }
 
 // handleSufficient serves one fragment of a compact-merge round. Every

@@ -35,7 +35,7 @@ func TestOwnPointsVersusHoldings(t *testing.T) {
 		t.Fatal(err)
 	}
 	observe(det, 0, []float64{5})
-	det.Receive(2, []Point{NewPoint(2, 0, 0, 7)})
+	receive(det, 2, []Point{NewPoint(2, 0, 0, 7)})
 	if det.OwnPoints().Len() != 1 {
 		t.Fatalf("D_i = %d, want only the local sample", det.OwnPoints().Len())
 	}
@@ -86,9 +86,9 @@ func TestReceiveIdempotent(t *testing.T) {
 		}
 		observe(det, 0, []float64{r.Float64() * 10})
 		pts := randPoints(r, 2, 1+r.IntN(8), 2, 100)
-		det.Receive(2, pts)
+		receive(det, 2, pts)
 		before := det.Holdings()
-		det.Receive(2, pts)
+		receive(det, 2, pts)
 		return det.Holdings().EqualIDs(before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -316,37 +316,85 @@ func sumStats(dets map[NodeID]*Detector) Stats {
 	return sum
 }
 
+// settleRuns is settle under the live fleet's mailbox discipline: the
+// recipient of the oldest queued group takes every group queued for it,
+// in order, as one run — one ReceiveBatch, one reaction. It returns the
+// runs and receipts delivered.
+func (ph *packetHasher) settleRuns(t testing.TB) (runs, receipts int) {
+	t.Helper()
+	var run []Receipt
+	for budget := 1 << 22; len(ph.inbox) > 0; budget-- {
+		if budget == 0 {
+			t.Fatal("network did not go quiescent")
+		}
+		to, rest := ph.inbox[0].to, ph.inbox[:0]
+		run = run[:0]
+		for _, q := range ph.inbox {
+			if q.to == to {
+				run = append(run, Receipt{From: q.from, Points: q.pts})
+			} else {
+				rest = append(rest, q)
+			}
+		}
+		ph.inbox = rest
+		runs++
+		receipts += len(run)
+		ph.emit(ph.dets[to].ReceiveBatch(run))
+	}
+	return runs, receipts
+}
+
 // BenchmarkReactClique16 measures one reading's cost in the fleet's
 // steady state: 16 detectors on a clique with a full 200-round window;
 // one op is one sensor's StepObserveBatch plus every receipt it triggers
-// until the network is quiescent again. Beside the time it reports what
-// the reaction path had to do for it: the share of per-link rankings the
-// link memos answered, ranking queries started per reading, the candidates
-// a query visited on average, the shares of queries the cutoff abandoned
+// until the network is quiescent again. The "one" row reacts to every
+// receipt, as the simulator does; the "coalesced" row delivers each
+// sensor's queued receipts as one run, as the live fleet's mailbox does,
+// and reports reactions/receipt. Beside the time each reports what the
+// reaction path had to do for it: the share of per-link rankings the link
+// memos answered, ranking queries started per reading, the candidates a
+// query visited on average, the shares of queries the cutoff abandoned
 // and that a carried rank bound answered with no scan, and spatial
 // indexes built per reading.
 func BenchmarkReactClique16(b *testing.B) {
-	ph, value := steadyClique16(b)
-	before := ph.totalStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := time.Duration(200+i/16) * time.Second
-		id := ph.ids[i%16]
-		_, out := ph.dets[id].StepObserveBatch(now, []Observation{{Birth: now, Value: []float64{value()}}})
-		ph.emit(out)
-		ph.settle(b)
+	for _, row := range []struct {
+		name     string
+		coalesce bool
+	}{{"one", false}, {"coalesced", true}} {
+		coalesce := row.coalesce
+		b.Run(row.name, func(b *testing.B) {
+			ph, value := steadyClique16(b)
+			before := ph.totalStats()
+			runs, receipts := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := time.Duration(200+i/16) * time.Second
+				id := ph.ids[i%16]
+				_, out := ph.dets[id].StepObserveBatch(now, []Observation{{Birth: now, Value: []float64{value()}}})
+				ph.emit(out)
+				if coalesce {
+					r, n := ph.settleRuns(b)
+					runs, receipts = runs+r, receipts+n
+				} else {
+					ph.settle(b)
+				}
+			}
+			b.StopTimer()
+			after := ph.totalStats()
+			hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses
+			queries := after.RankQueries - before.RankQueries
+			if coalesce {
+				b.ReportMetric(float64(runs)/float64(max(1, receipts)), "reactions/receipt")
+			}
+			b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "memo-hit-share")
+			b.ReportMetric(float64(queries)/float64(b.N), "rank-queries/op")
+			b.ReportMetric(float64(after.RankVisits-before.RankVisits)/float64(max(1, queries)), "visits/query")
+			b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/float64(max(1, queries)), "abandoned-share")
+			b.ReportMetric(float64(after.RankCarried-before.RankCarried)/float64(max(1, queries)), "carried-share")
+			b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
+		})
 	}
-	b.StopTimer()
-	after := ph.totalStats()
-	hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses
-	queries := after.RankQueries - before.RankQueries
-	b.ReportMetric(float64(hits)/float64(max(1, hits+misses)), "memo-hit-share")
-	b.ReportMetric(float64(queries)/float64(b.N), "rank-queries/op")
-	b.ReportMetric(float64(after.RankVisits-before.RankVisits)/float64(max(1, queries)), "visits/query")
-	b.ReportMetric(float64(after.RankAbandoned-before.RankAbandoned)/float64(max(1, queries)), "abandoned-share")
-	b.ReportMetric(float64(after.RankCarried-before.RankCarried)/float64(max(1, queries)), "carried-share")
-	b.ReportMetric(float64(after.IndexBuilds-before.IndexBuilds)/float64(b.N), "index-builds/op")
 }
 
 // BenchmarkBurstStates replays the fleet's burst shape — 16 detectors on a
@@ -440,7 +488,7 @@ func BenchmarkDetectorReceive(b *testing.B) {
 	incoming := randPoints(r, 2, 10000, 3, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.Receive(2, incoming[i%len(incoming):i%len(incoming)+1])
+		receive(det, 2, incoming[i%len(incoming):i%len(incoming)+1])
 	}
 }
 

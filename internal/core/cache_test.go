@@ -38,12 +38,12 @@ func TestHeldSupporterCache(t *testing.T) {
 				readings(randPoint(r, 1, uint32(s), 2, 100)))
 			check("observe")
 			if s%5 == 0 {
-				det.Receive(2, []Point{randPoint(r, 2, uint32(s), 2, 100)})
+				receive(det, 2, []Point{randPoint(r, 2, uint32(s), 2, 100)})
 				check("receive")
 			}
 			if s%7 == 0 {
 				// Redundant receipt: changes nothing, estimate must hold.
-				det.Receive(2, []Point{randPoint(r, 1, uint32(s), 2, 100)})
+				receive(det, 2, []Point{randPoint(r, 1, uint32(s), 2, 100)})
 				check("redundant receive")
 			}
 		}
@@ -84,7 +84,7 @@ func TestStrataCacheMatchesFresh(t *testing.T) {
 		if s%4 == 0 {
 			in := randPoint(r, 2, uint32(s), 2, 100)
 			in.Hop = 1
-			feed(func(d *Detector) *Outbound { return d.Receive(2, []Point{in}) })
+			feed(func(d *Detector) *Outbound { return receive(d, 2, []Point{in}) })
 		}
 		// Churn only on one detector: these events leave the window
 		// untouched, so the churned detector serves them from the strata

@@ -338,27 +338,41 @@ func (d *Detector) RemoveNeighbor(j NodeID) *Outbound {
 	return d.react()
 }
 
-// Receive processes the points tagged for this sensor in a packet from
-// neighbor j (paper event iii). Points from unknown neighbors establish
-// the link first, mirroring the paper's treatment of sensor addition.
-// A receipt that changes no state — every point already held, at an
-// equal-or-better hop count — provably produces the identical (empty)
-// reaction, so the recomputation is skipped.
-func (d *Detector) Receive(from NodeID, pts []Point) *Outbound {
-	if len(pts) == 0 {
-		return nil
-	}
-	l, ok := d.links[from]
-	if !ok {
-		l = d.link(from)
-	}
-	d.stats.Events++
-	d.stats.PointsReceived += len(pts)
-	var changed bool
-	if d.cfg.HopLimit > 0 {
-		changed = d.receiveSemiGlobal(l, pts)
-	} else {
-		changed = d.receiveGlobal(l, pts)
+// Receipt is the points one packet from neighbor From tagged for this
+// sensor (paper event iii).
+type Receipt struct {
+	From   NodeID
+	Points []Point
+}
+
+// ReceiveBatch processes a run of receipts, in order, as one event per
+// receipt and one reaction for the run. Each receipt from an unknown
+// neighbor establishes the link first, mirroring the paper's treatment of
+// sensor addition, and is counted in Events and PointsReceived; an empty
+// one is not an event. A run that changes no state — every point already
+// held, at an equal-or-better hop count — provably produces the identical
+// (empty) reaction, so the recomputation is skipped. Under Algorithm 1,
+// reacting once after the run rather than after each receipt reaches the
+// same fixed point, On(∪P) (DESIGN.md § "One mailbox, one counter"); the
+// simulator and SyncNetwork pass runs of one, the live fleet the receipts
+// its mailbox has queued.
+func (d *Detector) ReceiveBatch(rs []Receipt) *Outbound {
+	changed := false
+	for _, r := range rs {
+		if len(r.Points) == 0 {
+			continue
+		}
+		l, ok := d.links[r.From]
+		if !ok {
+			l = d.link(r.From)
+		}
+		d.stats.Events++
+		d.stats.PointsReceived += len(r.Points)
+		if d.cfg.HopLimit > 0 {
+			changed = d.receiveSemiGlobal(l, r.Points) || changed
+		} else {
+			changed = d.receiveGlobal(l, r.Points) || changed
+		}
 	}
 	if !changed {
 		return nil

@@ -82,9 +82,9 @@ func TestExample51SequentialTrace(t *testing.T) {
 		}
 		totalSent += out.PointCount()
 		if out.From == pi.Node() {
-			out = pj.Receive(1, out.For(2))
+			out = receive(pj, 1, out.For(2))
 		} else {
-			out = pi.Receive(2, out.For(1))
+			out = receive(pi, 2, out.For(1))
 		}
 	}
 
@@ -355,7 +355,7 @@ func TestDetectorStats(t *testing.T) {
 	if st.PointsSent != sent || sent == 0 {
 		t.Errorf("PointsSent = %d, packets carried %d", st.PointsSent, sent)
 	}
-	det.Receive(2, []Point{NewPoint(2, 0, 0, 55)})
+	receive(det, 2, []Point{NewPoint(2, 0, 0, 55)})
 	if got := det.Stats().PointsReceived; got != 1 {
 		t.Errorf("PointsReceived = %d, want 1", got)
 	}
@@ -366,7 +366,7 @@ func TestReceiveFromUnknownNeighborEstablishesLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.Receive(9, []Point{NewPoint(9, 0, 0, 1)})
+	receive(det, 9, []Point{NewPoint(9, 0, 0, 1)})
 	found := false
 	for _, id := range det.Neighbors() {
 		if id == 9 {

@@ -67,11 +67,11 @@ func TestNoChangeReceiveIsSilent(t *testing.T) {
 	// A fresh extreme point: its nearest neighbor (30) was never sent,
 	// so the detector must answer with it.
 	pts := []Point{NewPoint(2, 0, 0, 1000)}
-	first := det.Receive(2, pts)
+	first := receive(det, 2, pts)
 	if first == nil {
 		t.Fatal("fresh points must trigger a reaction")
 	}
-	if again := det.Receive(2, pts); again != nil {
+	if again := receive(det, 2, pts); again != nil {
 		t.Fatalf("duplicate delivery reacted: %v", again)
 	}
 	// Stats still count the event and the received points.

@@ -44,9 +44,9 @@ func ExampleDetector() {
 	out := a.AddNeighbor(2)
 	for out != nil {
 		if out.From == 1 {
-			out = b.Receive(1, out.For(2))
+			out = b.ReceiveBatch([]core.Receipt{{From: 1, Points: out.For(2)}})
 		} else {
-			out = a.Receive(2, out.For(1))
+			out = a.ReceiveBatch([]core.Receipt{{From: 2, Points: out.For(1)}})
 		}
 	}
 	fmt.Println(a.Estimate()[0].Value[0], b.Estimate()[0].Value[0])

@@ -119,7 +119,7 @@ func (ph *packetHasher) settle(t testing.TB) {
 		}
 		q := ph.inbox[0]
 		ph.inbox = ph.inbox[1:]
-		ph.emit(ph.dets[q.to].Receive(q.from, q.pts))
+		ph.emit(receive(ph.dets[q.to], q.from, q.pts))
 	}
 }
 

@@ -111,9 +111,9 @@ func (tn *twinNet) settle() {
 		}
 		q := tn.inbox[0]
 		tn.inbox = tn.inbox[1:]
-		tn.event("receive", q.to, func(d *Detector) *Outbound { return d.Receive(q.from, q.pts) })
+		tn.event("receive", q.to, func(d *Detector) *Outbound { return receive(d, q.from, q.pts) })
 		if n%3 == 0 {
-			tn.event("redundant receive", q.to, func(d *Detector) *Outbound { return d.Receive(q.from, q.pts) })
+			tn.event("redundant receive", q.to, func(d *Detector) *Outbound { return receive(d, q.from, q.pts) })
 		}
 	}
 }

@@ -16,15 +16,10 @@ import (
 type SyncNetwork struct {
 	detectors map[NodeID]*Detector
 	adj       map[NodeID]map[NodeID]bool
-	inbox     map[NodeID][]delivery
+	inbox     map[NodeID][]Receipt
 
 	pointsSent int
 	broadcasts int
-}
-
-type delivery struct {
-	from NodeID
-	pts  []Point
 }
 
 // NewSyncNetwork returns an empty network.
@@ -32,7 +27,7 @@ func NewSyncNetwork() *SyncNetwork {
 	return &SyncNetwork{
 		detectors: make(map[NodeID]*Detector),
 		adj:       make(map[NodeID]map[NodeID]bool),
-		inbox:     make(map[NodeID][]delivery),
+		inbox:     make(map[NodeID][]Receipt),
 	}
 }
 
@@ -132,7 +127,7 @@ func (n *SyncNetwork) enqueue(out *Outbound) {
 	for _, g := range out.Groups {
 		n.pointsSent += len(g.Points)
 		if n.adj[out.From][g.To] {
-			n.inbox[g.To] = append(n.inbox[g.To], delivery{from: out.From, pts: g.Points})
+			n.inbox[g.To] = append(n.inbox[g.To], Receipt{From: out.From, Points: g.Points})
 		}
 	}
 }
@@ -147,7 +142,7 @@ func (n *SyncNetwork) Settle(maxRounds int) (int, error) {
 			return round - 1, fmt.Errorf("core: network not quiescent after %d rounds", maxRounds)
 		}
 		pending := n.inbox
-		n.inbox = make(map[NodeID][]delivery)
+		n.inbox = make(map[NodeID][]Receipt)
 		if len(pending) == 0 {
 			return round - 1, nil
 		}
@@ -157,9 +152,9 @@ func (n *SyncNetwork) Settle(maxRounds int) (int, error) {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			det := n.detectors[id]
-			for _, dl := range pending[id] {
-				n.enqueue(det.Receive(dl.from, dl.pts))
+			det, rs := n.detectors[id], pending[id]
+			for i := range rs {
+				n.enqueue(det.ReceiveBatch(rs[i : i+1]))
 			}
 		}
 	}

@@ -154,16 +154,16 @@ func TestSemiGlobalMinHopReplacement(t *testing.T) {
 	far.Hop = 3
 	near := far.Clone()
 	near.Hop = 1
-	det.Receive(2, []Point{far})
+	receive(det, 2, []Point{far})
 	if got, _ := det.Holdings().Get(far.ID); got.Hop != 3 {
 		t.Fatalf("hop = %d, want 3", got.Hop)
 	}
-	det.Receive(3, []Point{near})
+	receive(det, 3, []Point{near})
 	if got, _ := det.Holdings().Get(far.ID); got.Hop != 1 {
 		t.Fatalf("hop after shorter path = %d, want 1", got.Hop)
 	}
 	// A later, worse copy must not regress the hop.
-	det.Receive(4, []Point{far})
+	receive(det, 4, []Point{far})
 	if got, _ := det.Holdings().Get(far.ID); got.Hop != 1 {
 		t.Fatalf("hop regressed to %d", got.Hop)
 	}

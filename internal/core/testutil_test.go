@@ -20,6 +20,12 @@ func observe(d *Detector, birth time.Duration, values ...[]float64) ([]Point, *O
 	return d.StepObserveBatch(d.Now(), observations(birth, values))
 }
 
+// receive delivers one packet's points from neighbor from as a run of one
+// receipt — what SyncNetwork does for each delivery.
+func receive(d *Detector, from NodeID, pts []Point) *Outbound {
+	return d.ReceiveBatch([]Receipt{{From: from, Points: pts}})
+}
+
 // readings turns points sampled by a detector's own sensor into the
 // observations StepObserveBatch takes, each keeping its sequence number.
 func readings(pts ...Point) []Observation {

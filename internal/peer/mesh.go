@@ -50,13 +50,12 @@ func (m *Mesh) add(n int) {
 }
 
 // event is one unit of work for a peer's goroutine: the points a neighbor
-// tagged for it, or (fn set) a function to run on the detector — a
+// tagged for it (fn nil), or a function to run on the detector — a
 // caller's command when done is set, a fire-and-forget post otherwise.
 type event struct {
-	from core.NodeID
-	pts  []core.Point
-	fn   func(*core.Detector) *core.Outbound
-	done chan struct{} // closed once the event is fully processed
+	receipt core.Receipt
+	fn      func(*core.Detector) *core.Outbound
+	done    chan struct{} // closed once the event is fully processed
 }
 
 // Mailbox is one peer's attachment to the mesh and its event queue: a
@@ -74,7 +73,7 @@ type Mailbox struct {
 	queue  []event
 	closed bool
 
-	batch []event // the consumer's own: swapped out of queue, taken one by one
+	batch []event // the consumer's own: swapped out of queue, taken in order
 	pos   int
 }
 
@@ -133,6 +132,18 @@ func (b *Mailbox) next(stop <-chan struct{}) (ev event, ok bool) {
 	}
 	b.pos++
 	return b.batch[b.pos-1], true
+}
+
+// takeReceipts appends to rs the receipts that directly follow the event
+// next just yielded in the consumer's batch, up to the first command or
+// post, so a run never reorders against them; the caller owes one unit
+// of the mesh counter for each receipt taken. It never waits: what is
+// still in the queue waits for the next swap.
+func (b *Mailbox) takeReceipts(rs []core.Receipt) []core.Receipt {
+	for ; b.pos < len(b.batch) && b.batch[b.pos].fn == nil; b.pos++ {
+		rs = append(rs, b.batch[b.pos].receipt)
+	}
+	return rs
 }
 
 // close stops the mailbox accepting events and wakes its consumer.
@@ -214,7 +225,7 @@ func (m *Mesh) Neighbors(id core.NodeID) []core.NodeID {
 // its recipient's mailbox iff the link still exists, as in
 // core.SyncNetwork; a node no group is tagged for sees no event (§5.2).
 // Points are handed over by reference: a packet is immutable once the
-// detector's reaction has returned it, and Receive only reads.
+// detector's reaction has returned it, and ReceiveBatch only reads.
 func (b *Mailbox) Broadcast(out *core.Outbound) {
 	m := b.mesh
 	m.mu.Lock()
@@ -222,7 +233,7 @@ func (b *Mailbox) Broadcast(out *core.Outbound) {
 	links := m.adj[b.id]
 	for _, g := range out.Groups {
 		if links[g.To] {
-			m.boxes[g.To].put(event{from: out.From, pts: g.Points})
+			m.boxes[g.To].put(event{receipt: core.Receipt{From: out.From, Points: g.Points}})
 		}
 	}
 }

@@ -69,7 +69,7 @@ func TestMailboxNeverRefusesUntilDetach(t *testing.T) {
 		if !ok {
 			t.Fatalf("mailbox ran dry after %d events, want %d", want, sent)
 		}
-		if ev.from != 1 || len(ev.pts) != 1 || ev.pts[0].ID.Seq != uint32(want) {
+		if r := ev.receipt; r.From != 1 || len(r.Points) != 1 || r.Points[0].ID.Seq != uint32(want) {
 			t.Fatalf("event %d is %+v: out of order", want, ev)
 		}
 		mesh.add(-1)
@@ -82,7 +82,7 @@ func TestMailboxNeverRefusesUntilDetach(t *testing.T) {
 	// not count as in flight (quiescence still settles); its mailbox
 	// refuses direct puts the same way.
 	ta.Broadcast(packetFor(1, 2, sent))
-	if box.put(event{from: 1}) {
+	if box.put(event{receipt: core.Receipt{From: 1}}) {
 		t.Fatal("a closed mailbox accepted an event")
 	}
 	wctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

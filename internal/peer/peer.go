@@ -9,7 +9,10 @@
 // FIFO mailbox emptied by one goroutine, so the algorithm code is shared
 // unmodified with the simulator and the test harness — and a node handles
 // its events one at a time over links that deliver in order, which is all
-// the paper asks of a runtime.
+// the paper asks of a runtime. The one liberty it takes: the receipts
+// queued back to back in its mailbox are absorbed together and answered
+// with one reaction, which under Algorithm 1 reaches the same fixed point
+// with fewer broadcasts (DESIGN.md § "One mailbox, one counter").
 //
 // # Lifecycle
 //
@@ -84,7 +87,8 @@ type Peer struct {
 	cfg  Config
 	det  *core.Detector
 	box  *Mailbox
-	done chan struct{} // closed when Run returns; after that nothing takes events
+	done chan struct{}  // closed when Run returns; after that nothing takes events
+	run  []core.Receipt // handle's buffer for a run of receipts, reused
 
 	mu       sync.Mutex
 	estimate []core.Point
@@ -138,12 +142,19 @@ func (p *Peer) Run(ctx context.Context) error {
 // estimate is refreshed, the reaction is queued at every neighbor — and
 // only then does the event give up its unit of the mesh counter and release
 // its caller, or either could see a quiescent mesh about to be disturbed.
+// A receipt brings along the run of receipts queued right behind it: the
+// detector absorbs the run and reacts once, and the run gives back all
+// its units together.
 func (p *Peer) handle(ev event) {
+	units := 1
 	var out *core.Outbound
 	if ev.fn != nil {
 		out = ev.fn(p.det)
 	} else {
-		out = p.det.Receive(ev.from, ev.pts)
+		p.run = p.box.takeReceipts(append(p.run[:0], ev.receipt))
+		units = len(p.run)
+		out = p.det.ReceiveBatch(p.run)
+		clear(p.run) // hold no packet past its run
 	}
 	est := p.det.Estimate()
 	p.mu.Lock()
@@ -152,7 +163,7 @@ func (p *Peer) handle(ev event) {
 	if out != nil {
 		p.cfg.Transport.Broadcast(out)
 	}
-	p.box.mesh.add(-1)
+	p.box.mesh.add(-units)
 	if ev.done != nil {
 		close(ev.done)
 	}

@@ -222,3 +222,92 @@ func TestEventReturnsAfterBroadcast(t *testing.T) {
 		t.Fatal("ObserveBatch failed, or returned before Broadcast did")
 	}
 }
+
+// countingTransport counts broadcasts and delivers none; the mailbox is
+// the embedded mesh transport's.
+type countingTransport struct {
+	Transport
+	broadcasts atomic.Int64
+}
+
+func (c *countingTransport) Broadcast(*core.Outbound) { c.broadcasts.Add(1) }
+
+// Receipts queued back to back are one run: each is an event and its
+// points are counted, but the detector reacts once, so one broadcast
+// answers all of them. A post between two receipts ends the run, so a
+// drain or a command never sees a receipt queued after it. Every receipt
+// of a run gives its unit of the mesh counter back.
+func TestQueuedReceiptsReactOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		split      int // a Post is queued after this many receipts; 0: none
+		broadcasts int64
+	}{
+		{"one run", 0, 1},
+		{"a post splits the run", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := NewMesh()
+			inner, err := mesh.Attach(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &countingTransport{Transport: inner}
+			// N covers all six points, so every point received is an
+			// outlier owed to the two neighbours it did not come from.
+			p, err := New(Config{Detector: core.Config{Node: 1, Ranker: core.NN(), N: 6}, Transport: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Links up before anything is held, so nothing is owed yet.
+			var before core.Stats
+			p.Post(func(d *core.Detector) *core.Outbound {
+				for j := core.NodeID(2); j <= 4; j++ {
+					d.AddNeighbor(j)
+				}
+				before = d.Stats()
+				return nil
+			})
+			box := inner.Mailbox()
+			for i, from := range []core.NodeID{2, 3, 4} {
+				if i > 0 && i == tc.split {
+					p.Post(func(*core.Detector) *core.Outbound { return nil })
+				}
+				pts := make([]core.Point, i+1) // 1, 2 and 3 novel points
+				for s := range pts {
+					pts[s] = core.NewPoint(from, uint32(s), 0, float64(10*int(from)+s))
+				}
+				if !box.put(event{receipt: core.Receipt{From: from, Points: pts}}) {
+					t.Fatal("an open mailbox refused a receipt")
+				}
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				_ = p.Run(ctx)
+			}()
+			defer func() { cancel(); <-done }()
+			st, err := p.Stats(ctx) // queued behind the receipts
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.broadcasts.Load(); got != tc.broadcasts {
+				t.Errorf("%d broadcasts, want %d", got, tc.broadcasts)
+			}
+			if got := st.Broadcasts - before.Broadcasts; got != int(tc.broadcasts) {
+				t.Errorf("Stats.Broadcasts +%d, want +%d", got, tc.broadcasts)
+			}
+			if got := st.Events - before.Events; got != 3 {
+				t.Errorf("Events +%d, want +3: one per receipt", got)
+			}
+			if got := st.PointsReceived - before.PointsReceived; got != 6 {
+				t.Errorf("PointsReceived +%d, want +6", got)
+			}
+			if err := mesh.WaitQuiescent(ctx); err != nil {
+				t.Fatalf("mesh not quiescent once every event was handled: %v", err)
+			}
+		})
+	}
+}

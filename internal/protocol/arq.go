@@ -170,7 +170,7 @@ func (a *App) handlePoints(n *wsn.Node, f *wsn.Frame) {
 		return // duplicate retransmission
 	}
 	a.arq.processed[key] = true
-	a.sendReliable(n, a.det.Receive(out.From, pts))
+	a.sendReliable(n, a.det.ReceiveBatch([]core.Receipt{{From: out.From, Points: pts}}))
 }
 
 func (a *App) sendAck(n *wsn.Node, to core.NodeID, seq uint32) {

@@ -10,7 +10,7 @@
 //	innetd [-http addr] [-udp addr] [-shard addr]
 //	       [-sensors list] [-autojoin] [-ranker nn|knn|kthnn|db] [-k n]
 //	       [-eps α] [-n outliers] [-window d] [-hop d] [-queue depth]
-//	       [-batch max] [-data-dir dir] [-fsync] [-debug-addr addr]
+//	       [-data-dir dir] [-fsync] [-debug-addr addr]
 //	       [-slow-query d] [-log-format text|json] [-trace-file path] [-v]
 //
 // With -data-dir the daemon's sliding windows are durable: every point a
@@ -79,7 +79,6 @@ type options struct {
 	autojoin   bool
 	hop        int
 	queue      int
-	batch      int
 	maxSensors int
 }
 
@@ -94,7 +93,6 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.autojoin, "autojoin", true, "attach unknown sensors on first contact")
 	fs.IntVar(&o.hop, "hop", 0, "hop diameter d for semi-global detection (0 = global)")
 	fs.IntVar(&o.queue, "queue", 256, "per-sensor ingest queue depth")
-	fs.IntVar(&o.batch, "batch", 64, "max readings coalesced into one batch-observe event")
 	fs.IntVar(&o.maxSensors, "max-sensors", 1024, "fleet size cap (joins beyond it are rejected)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -148,7 +146,6 @@ func newDaemon(o options, logger *slog.Logger) (*daemon.Shell, error) {
 		svc, err := ingest.New(ingest.Config{
 			Detector:   det,
 			QueueDepth: o.queue,
-			MaxBatch:   o.batch,
 			AutoJoin:   o.autojoin,
 			MaxSensors: o.maxSensors,
 			SlowQuery:  o.SlowQuery,

@@ -19,10 +19,10 @@
 //
 // Each sensor owns one queue and one goroutine: its peer's. Ingest posts
 // a drain to the peer's mailbox (at most one outstanding per sensor); the
-// peer runs it in turn with its neighbors' packets, taking whatever has
-// accumulated (up to Config.MaxBatch) as a single batch-observe event, so
-// a sensor that falls behind catches up with one ranking pass instead of
-// one per queued reading. Flush is the mesh's quiescence wait.
+// peer runs it in turn with its neighbors' packets, taking everything that
+// has accumulated as a single batch-observe event, so a sensor that falls
+// behind catches up with one ranking pass instead of one per queued
+// reading. Flush is the mesh's quiescence wait.
 //
 // # Backpressure and drop policy
 //
@@ -140,10 +140,6 @@ type Config struct {
 	// oldest queued reading is dropped (latest wins). Default 256.
 	QueueDepth int
 
-	// MaxBatch caps how many queued readings one drain takes into a
-	// single batch-observe event. Default 64.
-	MaxBatch int
-
 	// AutoJoin makes readings for unknown sensor IDs attach the sensor
 	// on first contact instead of being rejected.
 	AutoJoin bool
@@ -198,9 +194,6 @@ func (c *Config) applyDefaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
 	if c.MaxSensors == 0 {
 		c.MaxSensors = 1024
 	}
@@ -243,33 +236,22 @@ type queued struct {
 // sensor is one attached sensor: its peer, its bounded queue, and the
 // drain event that moves readings from the one to the other.
 type sensor struct {
-	id    core.NodeID
-	peer  *peer.Peer
-	queue chan queued // every send and receive on it is non-blocking
-
-	latest  atomic.Int64  // newest ingested timestamp, nanoseconds
-	drops   atomic.Uint64 // readings this sensor shed (latest-wins + leave drain)
+	id      core.NodeID
+	peer    *peer.Peer
 	runDone chan struct{} // closed when the peer's Run has returned
 
 	drain func(*core.Detector) *core.Outbound // Service.drain bound to this sensor, built once
-	batch []core.Observation                  // the drain's buffer; the peer goroutine's only
 
-	kickMu sync.Mutex
-	posted bool // a drain sits in the mailbox and has not begun
-}
+	mu     sync.Mutex
+	latest time.Duration // newest ingested timestamp: the staleness gate and the drain's clock
+	drops  uint64        // readings this sensor shed by latest-wins
+	queue  []queued      // oldest first, at most QueueDepth
+	posted bool          // a drain sits in the peer's mailbox, on the mesh counter
 
-// kick makes sure a drain is queued in the peer's mailbox — one at most,
-// so a stalled sensor's mailbox stays as bounded as its queue. A drain
-// clears posted before it looks at the queue, so it sees any reading whose
-// kick found posted set. The mutex makes "posted" mean "already on the mesh
-// counter": behind a bare flag a second producer could return while the
-// first was still on its way to Post, and a Flush then find nothing in flight.
-func (sn *sensor) kick() {
-	sn.kickMu.Lock()
-	if !sn.posted {
-		sn.posted = sn.peer.Post(sn.drain)
-	}
-	sn.kickMu.Unlock()
+	// The drain's own buffers, touched only on the peer goroutine: taken
+	// is swapped with queue under mu, batch is what the detector observes.
+	taken []queued
+	batch []core.Observation
 }
 
 // Service owns the fleet: the mesh, one sensor record per attached ID,
@@ -303,8 +285,8 @@ func New(cfg Config) (*Service, error) {
 	if _, err := core.NewDetector(probe); err != nil {
 		return nil, err
 	}
-	if cfg.QueueDepth < 1 || cfg.MaxBatch < 1 || cfg.MaxSensors < 1 {
-		return nil, errors.New("ingest: QueueDepth, MaxBatch and MaxSensors must be positive")
+	if cfg.QueueDepth < 1 || cfg.MaxSensors < 1 {
+		return nil, errors.New("ingest: QueueDepth and MaxSensors must be positive")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -365,9 +347,7 @@ func (s *Service) Join(id core.NodeID) error {
 	sn := &sensor{
 		id:      id,
 		peer:    p,
-		queue:   make(chan queued, s.cfg.QueueDepth),
 		runDone: make(chan struct{}),
-		batch:   make([]core.Observation, 0, s.cfg.MaxBatch),
 	}
 	sn.drain = func(d *core.Detector) *core.Outbound { return s.drain(sn, d) }
 	s.sensors[id] = sn
@@ -426,8 +406,13 @@ func (s *Service) Leave(id core.NodeID) error {
 
 	s.mesh.Detach(id) // closes the mailbox → Run empties it, then returns nil
 	<-sn.runDone
-	for s.shed(sn) { // what the last drain left behind: nobody will post another
-	}
+	// A drain that a closing service stopped before it ran leaves its
+	// readings queued; nobody will post another, so they are shed.
+	sn.mu.Lock()
+	left := len(sn.queue)
+	sn.mu.Unlock()
+	s.pending.Add(-int64(left))
+	s.obs.dropped.Add(uint64(left))
 	for _, nb := range neighbors {
 		s.mu.RLock()
 		other, ok := s.sensors[nb]
@@ -475,101 +460,70 @@ func (s *Service) Ingest(r Reading) error {
 }
 
 // enqueue admits the reading under the service read lock (which excludes
-// Leave/Close), applying the staleness gate and the latest-wins policy.
+// Leave/Close). Under the sensor's lock it applies the staleness gate,
+// sheds the oldest queued reading if the queue is full (latest wins),
+// queues the reading and posts a drain unless one is already posted.
 func (s *Service) enqueue(sn *sensor, r Reading) error {
-	if w := s.cfg.Detector.Window; w > 0 {
-		if latest := time.Duration(sn.latest.Load()); r.At < latest-w {
-			s.obs.stale.Inc()
-			return fmt.Errorf("%w: %v is older than %v − %v", ErrStale, r.At, latest, w)
-		}
-	}
-	raise(&sn.latest, int64(r.At))
 	item := queued{
 		obs:   core.Observation{Birth: r.At, Value: r.Values, Seq: SeqOf(r.At), Assigned: true},
 		enq:   time.Now(),
 		trace: r.Trace,
 	}
-	// Pending counts the reading before the send, so that a drain cannot
-	// take the gauge below zero; every exit below either sends it or sheds
-	// a previously counted one, so the gauge stays conserved.
-	s.pending.Add(1)
-	for {
-		select {
-		case sn.queue <- item:
-			// Kick before counting the reading accepted: a drain that will
-			// see it then holds a unit of the mesh counter, so no Flush
-			// begun once the new Accepted is readable returns before the
-			// reading is observed or shed — the barrier the exactness
-			// checkpoints and the cluster snapshot protocol stand on.
-			sn.kick()
-			s.obs.accepted.Inc()
-			return nil
-		default:
-			s.shed(sn) // full: the oldest queued reading makes room
-		}
+	sn.mu.Lock()
+	if w := s.cfg.Detector.Window; w > 0 && r.At < sn.latest-w {
+		latest := sn.latest
+		sn.mu.Unlock()
+		s.obs.stale.Inc()
+		return fmt.Errorf("%w: %v is older than %v − %v", ErrStale, r.At, latest, w)
 	}
-}
-
-// raise lifts a to at least v.
-func raise(a *atomic.Int64, v int64) {
-	for old := a.Load(); v > old; old = a.Load() {
-		if a.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-// shed drops the oldest queued reading, if there is one.
-func (s *Service) shed(sn *sensor) bool {
-	select {
-	case <-sn.queue:
-		s.pending.Add(-1)
+	sn.latest = max(sn.latest, r.At)
+	if len(sn.queue) == s.cfg.QueueDepth {
+		sn.queue = append(sn.queue[:0], sn.queue[1:]...)
+		sn.drops++
 		s.obs.dropped.Inc()
-		sn.drops.Add(1)
-		return true
-	default:
-		return false
+	} else {
+		s.pending.Add(1)
 	}
+	sn.queue = append(sn.queue, item)
+	if !sn.posted {
+		sn.posted = sn.peer.Post(sn.drain)
+	}
+	sn.mu.Unlock()
+	// The drain that will take the reading is on the mesh counter before
+	// the reading counts as accepted, so no Flush begun once the new
+	// Accepted is readable returns before the reading is observed or shed
+	// — the barrier the exactness checkpoints and the cluster snapshot
+	// protocol stand on.
+	s.obs.accepted.Inc()
+	return nil
 }
 
 // drain is the event Ingest posts to a sensor's peer: on the goroutine
-// that owns the detector it takes what the queue holds (up to MaxBatch; the
-// next drain is queued before this one ends), feeds it as one batch-observe
-// event, appends what the detector added to the store, and returns the
-// reaction for the peer to broadcast.
+// that owns the detector it swaps the whole queue out, feeds it as one
+// batch-observe event, appends what the detector added to the store, and
+// returns the reaction for the peer to broadcast.
 func (s *Service) drain(sn *sensor, d *core.Detector) *core.Outbound {
-	sn.kickMu.Lock()
+	sn.mu.Lock()
 	sn.posted = false
-	sn.kickMu.Unlock()
+	sn.taken, sn.queue = sn.queue, sn.taken[:0]
+	now := sn.latest
+	sn.mu.Unlock()
 	drained := time.Now()
-	batch := sn.batch[:0]
-	var first time.Time
+	taken, batch := sn.taken, sn.batch[:0]
 	var trace uint64
-take:
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case q := <-sn.queue:
-			if len(batch) == 0 {
-				first = q.enq
-			}
-			s.obs.queueLat.Observe(drained.Sub(q.enq).Seconds())
-			batch = append(batch, q.obs)
-			if trace == 0 {
-				trace = q.trace
-			}
-		default:
-			break take
+	for _, q := range taken {
+		s.obs.queueLat.Observe(drained.Sub(q.enq).Seconds())
+		batch = append(batch, q.obs)
+		if trace == 0 {
+			trace = q.trace
 		}
-	}
-	if len(batch) == 0 {
-		return nil // shed, or taken by a drain that ran between the send and the kick
-	}
-	if len(sn.queue) > 0 {
-		sn.kick()
 	}
 	// One enqueue→drain span per batch, carrying the first traced
 	// reading's ID: per-reading spans would flood the ring under
 	// burst, and the batch is the unit the detector observes anyway.
+	// The batch is never empty: a drain is posted with a reading, and
+	// while the peer runs only a drain takes readings out of the queue.
+	first := taken[0].enq
 	s.traces.Record(obs.Span{
 		Trace:  trace,
 		Op:     obs.OpEnqueue,
@@ -577,10 +531,6 @@ take:
 		Start:  first,
 		Dur:    drained.Sub(first),
 	})
-	now := time.Duration(sn.latest.Load())
-	for _, o := range batch {
-		now = max(now, o.Birth)
-	}
 	added, out := d.StepObserveBatch(now, batch)
 	s.persist(trace, added)
 	s.obs.observeDur.Observe(time.Since(drained).Seconds())
@@ -595,7 +545,10 @@ take:
 	s.obs.observed.Add(uint64(len(batch)))
 	s.obs.repeated.Add(uint64(len(batch) - len(added)))
 	s.obs.batches.Inc()
-	clear(batch) // keep no feature vector alive until the next drain
+	// Keep no feature vector alive until the next drain.
+	clear(taken)
+	clear(batch)
+	sn.batch = batch
 	return out
 }
 
@@ -837,7 +790,9 @@ func (s *Service) SensorStats() []SensorStat {
 	defer s.mu.RUnlock()
 	out := make([]SensorStat, 0, len(s.sensors))
 	for id, sn := range s.sensors {
-		out = append(out, SensorStat{ID: id, Queue: len(sn.queue), Drops: sn.drops.Load()})
+		sn.mu.Lock()
+		out = append(out, SensorStat{ID: id, Queue: len(sn.queue), Drops: sn.drops})
+		sn.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"innet/internal/core"
+	"innet/internal/obs"
 )
 
 func testConfig() Config {
@@ -171,12 +172,63 @@ func TestBackpressureLatestWins(t *testing.T) {
 		t.Errorf("pending = %d, want %d", got, cfg.QueueDepth)
 	}
 	// The survivors are the newest readings, oldest-first.
-	for want := total - cfg.QueueDepth; want < total; want++ {
-		got := <-sn.queue
-		if got.obs.Value[0] != float64(want) {
-			t.Fatalf("queue yielded value %v, want %d (latest-wins order)", got.obs.Value[0], want)
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if len(sn.queue) != cfg.QueueDepth {
+		t.Fatalf("queue holds %d readings, want %d", len(sn.queue), cfg.QueueDepth)
+	}
+	for i, got := range sn.queue {
+		if want := total - cfg.QueueDepth + i; got.obs.Value[0] != float64(want) {
+			t.Fatalf("queue[%d] holds value %v, want %d (latest-wins order)", i, got.obs.Value[0], want)
 		}
-		s.pending.Add(-1) // keep the gauge honest
+	}
+}
+
+// TestDrainTakesWholeQueue pins that a backlog is one event: readings that
+// pile up behind a busy peer reach the detector as one batch-observe
+// event, whatever the backlog's size up to QueueDepth.
+func TestDrainTakesWholeQueue(t *testing.T) {
+	s := newService(t, testConfig())
+	if err := s.Join(1); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, s)
+	s.mu.RLock()
+	sn := s.sensors[1]
+	s.mu.RUnlock()
+	parked, gate := make(chan struct{}), make(chan struct{})
+	sn.peer.Post(func(*core.Detector) *core.Outbound {
+		close(parked)
+		<-gate
+		return nil
+	})
+	<-parked
+
+	const total = 100
+	before := s.Stats()
+	for i := 0; i < total; i++ {
+		if err := s.Ingest(Reading{Sensor: 1, At: at(i), Values: []float64{float64(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	mustFlush(t, s)
+
+	st := s.Stats()
+	if got := st.Batches - before.Batches; got != 1 {
+		t.Errorf("the backlog took %d batch-observe events, want 1", got)
+	}
+	if st.Observed != total || st.Dropped != 0 {
+		t.Errorf("Observed = %d, Dropped = %d; want %d and 0", st.Observed, st.Dropped, total)
+	}
+	var observes []int32
+	for _, sp := range s.traces.Snapshot(0, 0) {
+		if sp.Op == obs.OpObserve {
+			observes = append(observes, sp.Points)
+		}
+	}
+	if !slices.Equal(observes, []int32{total}) {
+		t.Errorf("observe spans cover %v points, want one span of %d", observes, total)
 	}
 }
 

@@ -33,7 +33,6 @@ func TestIngestFlushBarrierUnderConcurrency(t *testing.T) {
 		Detector:   core.Config{Ranker: core.KNN{K: 2}, N: 3, Window: time.Hour},
 		AutoJoin:   true,
 		QueueDepth: 2, // force constant shedding
-		MaxBatch:   4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func parseShardList(spec string) ([]string, error) {
 		if part == "" {
 			continue
 		}
-		if _, err := net.ResolveUDPAddr("udp", part); err != nil {
+		if _, err := net.ResolveTCPAddr("tcp", part); err != nil {
 			return nil, fmt.Errorf("bad shard address %q: %w", part, err)
 		}
 		out = append(out, part)

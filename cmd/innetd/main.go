@@ -10,7 +10,7 @@
 //	innetd [-http addr] [-udp addr] [-shard addr]
 //	       [-sensors list] [-autojoin] [-ranker nn|knn|kthnn|db] [-k n]
 //	       [-eps α] [-n outliers] [-window d] [-hop d] [-queue depth]
-//	       [-data-dir dir] [-fsync] [-debug-addr addr]
+//	       [-max-sensors n] [-data-dir dir] [-fsync] [-debug-addr addr]
 //	       [-slow-query d] [-log-format text|json] [-trace-file path] [-v]
 //
 // With -data-dir the daemon's sliding windows are durable: every point a
@@ -37,7 +37,7 @@
 //	innetd -http :8080 -udp :9971 -sensors 1-9 -ranker knn -k 2 -n 2 -window 10m
 //
 // With -shard the daemon additionally serves the cluster control plane
-// on the given UDP address, so an innet-coord coordinator can route
+// on the given TCP address, so an innet-coord coordinator can route
 // readings to it, hand windows off, and fold its estimate into the
 // cluster-wide merge (see the README's cluster operations guide):
 //
@@ -88,7 +88,7 @@ func parseFlags(args []string) (options, error) {
 	o.Register(fs, nil)
 	fs.StringVar(&o.dataDir, "data-dir", "", "durability directory for the window WAL + snapshots (empty = in-memory only)")
 	fs.BoolVar(&o.fsync, "fsync", false, "fsync every WAL append batch (survives machine crashes, not just process crashes)")
-	fs.StringVar(&o.shardAddr, "shard", "", "UDP shard-control listen address for cluster mode (empty disables)")
+	fs.StringVar(&o.shardAddr, "shard", "", "TCP shard-control listen address for cluster mode (empty disables)")
 	fs.StringVar(&o.sensors, "sensors", "", "sensors to attach at startup, e.g. \"1-9\" or \"1,2,5\"")
 	fs.BoolVar(&o.autojoin, "autojoin", true, "attach unknown sensors on first contact")
 	fs.IntVar(&o.hop, "hop", 0, "hop diameter d for semi-global detection (0 = global)")

@@ -1,209 +1,224 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"innet/internal/core"
 	"innet/internal/protocol"
 )
 
-// maxCtlDatagram sizes the control-plane receive buffers on both ends
-// of the wire. A read that fills the buffer exactly is the kernel's
-// truncation sentinel — indistinguishable from a larger datagram cut to
-// fit — and the frame codec has no body-length field to notice the
-// missing tail, so such reads must be dropped before decoding, not
-// handed to the codec as if complete. IPv4 caps UDP payloads at 65507
-// bytes, just under this buffer, so today the sentinel cannot fire from
-// a well-formed peer; the guard is for the day a transport with bigger
-// datagrams (IPv6 jumbograms, a proxy) carries the frames.
-const maxCtlDatagram = 64 * 1024
+// maxIdleConns bounds the idle connections the coordinator keeps per
+// shard. A busier moment dials more; a connection released past the
+// bound is closed.
+const maxIdleConns = 4
 
-// truncatedDatagram reports whether a read of n bytes into a bufLen
-// buffer hit the kernel-truncation sentinel.
-func truncatedDatagram(n, bufLen int) bool { return n >= bufLen }
+// maxFramePoints bounds the points one READINGS frame carries: at the
+// widest point the codec admits (255 features) such a frame stays under
+// maxFrameLen, and the count under the point codec's 65,535.
+const maxFramePoints = 4096
 
-// ctlClient is the coordinator's side of the shard-control wire: one UDP
-// socket multiplexing request/response exchanges with every shard,
-// correlated by the frames' reqID. UDP loses datagrams by design, so
-// every exchange is wrapped in bounded retries by the callers; all
-// requests are idempotent (ASSIGN re-applies cleanly, READINGS carry
-// preassigned identities, queries are pure).
+// ctlClient is the coordinator's side of the shard-control wire: per
+// shard, a small pool of idle TCP connections, each carrying one
+// request at a time (stream.go). An exchange checks a connection out and
+// returns it; a connection that failed is closed, never reused.
 type ctlClient struct {
-	conn *net.UDPConn
-
-	nextReq atomic.Uint32
-
-	// truncated counts datagrams dropped by the truncation sentinel;
-	// surfaced as Stats.TruncatedFrames. The bounded retries around
-	// every exchange re-request a frame lost this way.
-	truncated atomic.Uint64
-
 	// onRTT, when set, observes each successful exchange's round trip
-	// (send to last response frame) with the request's frame kind. Set
-	// once before the first exchange; never mutated after.
+	// (request written to response read) with the request's frame kind.
+	// Set once before the first exchange; never mutated after.
 	onRTT func(kind protocol.FrameKind, d time.Duration)
 
-	mu      sync.Mutex
-	pending map[uint32]chan protocol.Frame
-	closed  bool
+	mu     sync.Mutex
+	idle   map[string][]*ctlConn
+	open   map[*ctlConn]struct{} // every connection, idle or checked out
+	closed bool
+}
 
-	readerDone chan struct{}
+// ctlConn is one control connection to one shard.
+type ctlConn struct {
+	addr   string
+	conn   net.Conn
+	r      *bufio.Reader
+	pooled bool // checked out of the idle pool: the shard may have gone since
+	broken bool // failed, or its deadline may be poisoned: close, never reuse
 }
 
 // errClientClosed reports an exchange attempted after Close.
 var errClientClosed = errors.New("cluster: control client closed")
 
-func newCtlClient() (*ctlClient, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4zero, Port: 0})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bind control socket: %w", err)
-	}
-	c := &ctlClient{
-		conn:       conn,
-		pending:    make(map[uint32]chan protocol.Frame),
-		readerDone: make(chan struct{}),
-	}
-	go c.readLoop()
-	return c, nil
+// errNoResponse wraps a failure before any response byte arrived: the
+// request was written into a connection the shard no longer serves.
+var errNoResponse = errors.New("no response")
+
+func newCtlClient() *ctlClient {
+	return &ctlClient{idle: make(map[string][]*ctlConn), open: make(map[*ctlConn]struct{})}
 }
 
-func (c *ctlClient) readLoop() {
-	defer close(c.readerDone)
-	buf := make([]byte, maxCtlDatagram)
-	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed
-		}
-		if truncatedDatagram(n, len(buf)) {
-			c.truncated.Add(1)
-			continue // tail lost in the kernel; retry re-requests it
-		}
-		f, err := protocol.DecodeFrame(buf[:n])
-		if err != nil || !f.Response() {
-			continue // stray datagram; drop like a corrupt radio frame
-		}
-		body := make([]byte, len(f.Body))
-		copy(body, f.Body)
-		f.Body = body
-		c.mu.Lock()
-		ch := c.pending[f.ReqID]
-		c.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- f:
-			default: // slow collector: shed, the retry path covers it
-			}
-		}
-	}
-}
-
-func (c *ctlClient) close() error {
+// get checks out an idle connection to addr, or dials a fresh one.
+func (c *ctlClient) get(ctx context.Context, addr string) (*ctlConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil
+		return nil, errClientClosed
 	}
-	c.closed = true
+	if idle := c.idle[addr]; len(idle) > 0 {
+		cc := idle[len(idle)-1]
+		c.idle[addr] = idle[:len(idle)-1]
+		c.mu.Unlock()
+		cc.pooled = true
+		return cc, nil
+	}
 	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.readerDone
-	return err
+	return c.dial(ctx, addr)
 }
 
-// ctlRequest describes one shard-control request. A zero reqID is
-// minted fresh by exchange; callers that retry a logical operation
-// mint the reqID once (newReqID) and reuse it across attempts, so a
-// shard sees the retry as the same request — its replay caches and the
-// span dedupe both key on it. trace is the query the request belongs to
-// (0 for untraced control work).
+// dial opens a fresh connection to addr.
+func (c *ctlClient) dial(ctx context.Context, addr string) (*ctlConn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
+	}
+	cc := &ctlConn{addr: addr, conn: conn, r: bufio.NewReader(conn)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, errClientClosed
+	}
+	c.open[cc] = struct{}{}
+	return cc, nil
+}
+
+// put returns a checked-out connection: to the idle pool if it is
+// healthy and the pool has room, closed otherwise.
+func (c *ctlClient) put(cc *ctlConn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !cc.broken && !c.closed && len(c.idle[cc.addr]) < maxIdleConns {
+		c.idle[cc.addr] = append(c.idle[cc.addr], cc)
+		return
+	}
+	delete(c.open, cc)
+	cc.conn.Close()
+}
+
+// forget closes the idle connections to addr, a shard leaving the map.
+func (c *ctlClient) forget(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, cc := range c.idle[addr] {
+		delete(c.open, cc)
+		cc.conn.Close()
+	}
+	delete(c.idle, addr)
+}
+
+// close closes every connection, idle or checked out: an exchange
+// blocked on one returns at once.
+func (c *ctlClient) close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for cc := range c.open {
+		cc.conn.Close()
+	}
+	clear(c.open)
+	clear(c.idle)
+	return nil
+}
+
+// ctlRequest describes one shard-control request. trace is the query
+// the request belongs to (0 for untraced control work).
 type ctlRequest struct {
 	kind  protocol.FrameKind
 	flags uint8
-	reqID uint32
 	trace uint64
 	body  []byte
 }
 
-// newReqID mints a request ID for a logical operation that will be
-// retried (the reqID must survive the attempts, so exchange's
-// per-attempt minting cannot own it).
-func (c *ctlClient) newReqID() uint32 { return c.nextReq.Add(1) }
-
-// exchange sends one request frame to addr and feeds response frames
-// echoing its reqID and kind to collect until collect reports done or
-// ctx expires. A response of another kind is a stray and is dropped.
-func (c *ctlClient) exchange(ctx context.Context, addr *net.UDPAddr, req ctlRequest,
-	collect func(protocol.Frame) (done bool, err error)) error {
-	reqID := req.reqID
-	if reqID == 0 {
-		reqID = c.nextReq.Add(1)
+// roundTrip writes req on cc and reads its response, giving up when ctx
+// ends. Any failure marks cc broken; one before a response byte arrived
+// wraps errNoResponse.
+func (c *ctlClient) roundTrip(ctx context.Context, cc *ctlConn, req ctlRequest) (protocol.Frame, error) {
+	if err := ctx.Err(); err != nil {
+		return protocol.Frame{}, err
 	}
-	ch := make(chan protocol.Frame, 64)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errClientClosed
-	}
-	c.pending[reqID] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, reqID)
-		c.mu.Unlock()
-	}()
-
-	frame := protocol.EncodeFrame(protocol.Frame{
-		Kind: req.kind, Flags: req.flags, ReqID: reqID, Trace: req.trace, Body: req.body,
-	})
+	// Ending ctx poisons the connection's deadline, which unblocks the
+	// read or write; a connection whose deadline may have been poisoned
+	// is not reused.
+	stop := context.AfterFunc(ctx, func() { cc.conn.SetDeadline(time.Unix(1, 0)) })
 	start := time.Now()
-	if _, err := c.conn.WriteToUDP(frame, addr); err != nil {
-		return fmt.Errorf("cluster: send %v to %s: %w", req.kind, addr, err)
+	resp, err := c.send(cc, req)
+	if !stop() {
+		cc.broken = true
 	}
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case f := <-ch:
-			if f.Kind != req.kind {
-				continue
-			}
-			done, err := collect(f)
-			if err != nil {
-				return err
-			}
-			if done {
-				// Only completed exchanges are observed: a timeout says
-				// nothing about the wire (the retry wrapper owns failure
-				// accounting), while a completed one is a true RTT.
-				if c.onRTT != nil {
-					c.onRTT(req.kind, time.Since(start))
-				}
-				return nil
-			}
+	if err != nil {
+		cc.broken = true
+		if ctx.Err() != nil {
+			err = ctx.Err()
 		}
+		return protocol.Frame{}, fmt.Errorf("cluster: %v with %s: %w", req.kind, cc.addr, err)
 	}
+	if c.onRTT != nil {
+		c.onRTT(req.kind, time.Since(start))
+	}
+	return resp, nil
 }
 
-// one is a collect helper for single-frame responses.
-func one(into *protocol.Frame) func(protocol.Frame) (bool, error) {
-	return func(f protocol.Frame) (bool, error) {
-		*into = f
-		return true, nil
+// send is roundTrip's I/O: one frame out, one frame back, which must
+// answer a request of the same kind.
+func (c *ctlClient) send(cc *ctlConn, req ctlRequest) (protocol.Frame, error) {
+	err := writeFrame(cc.conn, protocol.Frame{Kind: req.kind, Flags: req.flags, Trace: req.trace, Body: req.body})
+	if err == nil {
+		_, err = cc.r.Peek(1)
 	}
+	if err != nil {
+		return protocol.Frame{}, fmt.Errorf("%w: %w", errNoResponse, err)
+	}
+	resp, err := readFrame(cc.r)
+	if err != nil {
+		return protocol.Frame{}, err
+	}
+	if !resp.Response() || resp.Kind != req.kind {
+		return protocol.Frame{}, fmt.Errorf("answered by a %v frame (flags %#x)", resp.Kind, resp.Flags)
+	}
+	return resp, nil
+}
+
+// exchange runs one request on a connection to addr. A kind other than
+// SUFFICIENT that fails on a pooled connection before any response byte
+// arrived is sent once more on a fresh dial: the pooled connection was
+// stale, as after the shard restarted on the same address. SUFFICIENT
+// is never re-sent (a compact merge holds its own connections and falls
+// back instead).
+func (c *ctlClient) exchange(ctx context.Context, addr string, req ctlRequest) (protocol.Frame, error) {
+	cc, err := c.get(ctx, addr)
+	if err != nil {
+		return protocol.Frame{}, err
+	}
+	resp, err := c.roundTrip(ctx, cc, req)
+	if err != nil && cc.pooled && errors.Is(err, errNoResponse) && ctx.Err() == nil {
+		c.put(cc)
+		if cc, err = c.dial(ctx, addr); err != nil {
+			return protocol.Frame{}, err
+		}
+		resp, err = c.roundTrip(ctx, cc, req)
+	}
+	c.put(cc)
+	return resp, err
 }
 
 // ackCount runs a request answered by one AckBody frame and returns the
 // count it acknowledges.
-func (c *ctlClient) ackCount(ctx context.Context, addr *net.UDPAddr, req ctlRequest) (uint64, error) {
-	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, req, one(&resp)); err != nil {
+func (c *ctlClient) ackCount(ctx context.Context, addr string, req ctlRequest) (uint64, error) {
+	resp, err := c.exchange(ctx, addr, req)
+	if err != nil {
 		return 0, err
 	}
 	ack, err := protocol.DecodeAck(resp.Body)
@@ -212,7 +227,7 @@ func (c *ctlClient) ackCount(ctx context.Context, addr *net.UDPAddr, req ctlRequ
 
 // assign pushes one shard-map epoch and returns the version the shard
 // acknowledged.
-func (c *ctlClient) assign(ctx context.Context, addr *net.UDPAddr, body protocol.AssignBody) (uint64, error) {
+func (c *ctlClient) assign(ctx context.Context, addr string, body protocol.AssignBody) (uint64, error) {
 	buf, err := body.Encode()
 	if err != nil {
 		return 0, err
@@ -221,169 +236,80 @@ func (c *ctlClient) assign(ctx context.Context, addr *net.UDPAddr, body protocol
 }
 
 // health probes one shard.
-func (c *ctlClient) health(ctx context.Context, addr *net.UDPAddr) (protocol.HealthBody, error) {
-	var resp protocol.Frame
-	if err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth}, one(&resp)); err != nil {
+func (c *ctlClient) health(ctx context.Context, addr string) (protocol.HealthBody, error) {
+	resp, err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameHealth})
+	if err != nil {
 		return protocol.HealthBody{}, err
 	}
 	return protocol.DecodeHealth(resp.Body)
 }
 
-// readings sends one batch of points and returns the
-// count the shard accepted: a routed ingest batch, or with FlagTransfer
-// one chunk of a window copy.
-func (c *ctlClient) readings(ctx context.Context, addr *net.UDPAddr, flags uint8, trace uint64, pts []core.Point) (uint64, error) {
-	buf, err := protocol.ReadingsBody{Points: pts}.Encode()
-	if err != nil {
-		return 0, err
-	}
-	return c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameReadings, flags: flags, trace: trace, body: buf})
-}
-
-// errUnknownSession reports a shard refusing a merge session it no
-// longer holds (evicted under concurrent-query pressure, or the shard
-// restarted mid-exchange). The compact merge must abandon the session —
-// its ledger counts points the shard would no longer know about — and
-// fall back to the full-window path.
-var errUnknownSession = errors.New("cluster: shard no longer holds the merge session")
-
-// fragmentParse extracts one fragment of a fragmented response: ok=false
-// ignores the frame as a stray, a non-nil error aborts the exchange.
-type fragmentParse func(f protocol.Frame) (frag, total int, pts []core.Point, ok bool, err error)
-
-// reassembly collects the fragments of one multi-frame response. Every
-// fragment repeats the response's fragment count, so the set is sized
-// from whichever arrives first.
-type reassembly struct {
-	total int
-	frags map[int][]core.Point
-	bytes map[int]int // fragment body sizes, for the merge-cost metrics
-}
-
-// add records one fragment and reports whether all of 0..total-1 are now
-// held. A fragment outside its own count is a stray; one announcing a
-// different count than the fragments held so far starts the set over, so
-// a complete set is always one response's worth.
-func (r *reassembly) add(frag, total int, pts []core.Point, bodyBytes int) (done bool) {
-	if frag < 0 || frag >= total {
-		return false
-	}
-	if total != r.total {
-		r.total, r.frags, r.bytes = total, make(map[int][]core.Point), make(map[int]int)
-	}
-	r.frags[frag] = pts
-	r.bytes[frag] = bodyBytes
-	return len(r.frags) == total
-}
-
-// join returns a complete set's points in fragment order and its summed
-// body bytes.
-func (r *reassembly) join() (pts []core.Point, bytes int) {
-	for i := 0; i < r.total; i++ {
-		pts = append(pts, r.frags[i]...)
-		bytes += r.bytes[i]
-	}
-	return pts, bytes
-}
-
-// collectFragments runs one request whose response spans FragCount
-// frames (ESTIMATE, SUFFICIENT rounds),
-// reassembling the fragments in index order. bytes reports the summed
-// response payload, for the merge-cost metrics.
-func (c *ctlClient) collectFragments(ctx context.Context, addr *net.UDPAddr, req ctlRequest,
-	parse fragmentParse) (pts []core.Point, bytes int, err error) {
-	var set reassembly
-	collect := func(f protocol.Frame) (bool, error) {
-		frag, total, fpts, ok, err := parse(f)
-		if err != nil || !ok {
-			return false, err
+// readings sends one batch of points and returns the count the shard
+// accepted: a routed ingest batch, or with FlagTransfer a window copy's
+// write. The batch goes maxFramePoints to a frame, and the first frame
+// that fails ends it.
+func (c *ctlClient) readings(ctx context.Context, addr string, flags uint8, trace uint64, pts []core.Point) (frames int, accepted uint64, err error) {
+	for len(pts) > 0 {
+		chunk := pts[:min(len(pts), maxFramePoints)]
+		pts = pts[len(chunk):]
+		buf, err := protocol.ReadingsBody{Points: chunk}.Encode()
+		if err != nil {
+			return frames, accepted, err
 		}
-		return set.add(frag, total, fpts, len(f.Body)), nil
+		n, err := c.ackCount(ctx, addr, ctlRequest{kind: protocol.FrameReadings, flags: flags, trace: trace, body: buf})
+		if err != nil {
+			return frames, accepted, err
+		}
+		frames++
+		accepted += n
 	}
-	if err := c.exchange(ctx, addr, req, collect); err != nil {
-		return nil, 0, err
-	}
-	pts, bytes = set.join()
-	return pts, bytes, nil
-}
-
-// estimateFragment parses one ESTIMATE response fragment.
-func estimateFragment(f protocol.Frame) (int, int, []core.Point, bool, error) {
-	body, err := protocol.DecodeEstimate(f.Body)
-	if err != nil {
-		return 0, 0, nil, false, err
-	}
-	return int(body.Frag), int(body.FragCount), body.Points, true, nil
+	return frames, accepted, nil
 }
 
 // estimate queries one shard's window union, or with a nonzero sensor
-// the points that sensor holds of its own, reassembling however many
-// fragments the shard split the answer into.
-func (c *ctlClient) estimate(ctx context.Context, addr *net.UDPAddr, trace uint64, sensor core.NodeID) ([]core.Point, int, error) {
-	req := ctlRequest{kind: protocol.FrameEstimate, trace: trace, body: protocol.EncodeEstimateRequest(sensor)}
-	return c.collectFragments(ctx, addr, req, estimateFragment)
+// the points that sensor holds of its own. bytes is the response
+// payload, for the merge-cost metrics.
+func (c *ctlClient) estimate(ctx context.Context, addr string, trace uint64, sensor core.NodeID) (pts []core.Point, bytes int, err error) {
+	resp, err := c.exchange(ctx, addr, ctlRequest{kind: protocol.FrameEstimate, trace: trace, body: protocol.EncodeEstimateRequest(sensor)})
+	if err != nil {
+		return nil, 0, err
+	}
+	body, err := protocol.DecodeEstimate(resp.Body)
+	if err != nil {
+		return nil, 0, err
+	}
+	if body.Frag != 0 || body.FragCount != 1 {
+		return nil, 0, fmt.Errorf("cluster: ESTIMATE answered as fragment %d of %d", body.Frag, body.FragCount)
+	}
+	return body.Points, len(resp.Body), nil
 }
 
-// sufficient sends one fragment of a compact-merge round to a shard:
-// body names the session (the query's trace ID), the round, the
-// fragment and its share of the coordinator's delta. The answer to a
-// non-final fragment is empty; the final fragment's is the shard's
-// Eq. (2) sufficient delta for the round, reassembled from however many
-// fragments the shard split it into. bytes reports the response payload
-// plus the request's when it carries points; a bare round trigger, as
-// every round 0 is, counts as no payload. Retries are safe: a nonzero
-// reqID pins the request identity across attempts, the shard absorbs
-// idempotently and replays a computed round, and it refuses — rather
-// than recreates — a session it no longer holds.
-func (c *ctlClient) sufficient(ctx context.Context, addr *net.UDPAddr, reqID uint32,
-	body protocol.SufficientBody) (delta []core.Point, bytes int, err error) {
+// sufficient runs one compact-merge round on cc, the connection that
+// holds the merge's session with this shard: body names the session (the
+// query's trace ID), the round and the coordinator's delta; the answer is
+// the shard's Eq. (2) sufficient delta for the round. bytes reports the
+// response payload plus the request's when it carries points; a bare
+// round trigger, as every round 0 is, counts as no payload.
+func (c *ctlClient) sufficient(ctx context.Context, cc *ctlConn, body protocol.SufficientBody) (delta []core.Point, bytes int, err error) {
 	buf, err := body.Encode()
 	if err != nil {
 		return nil, 0, err
 	}
-	req := ctlRequest{kind: protocol.FrameSufficient, reqID: reqID, trace: body.Session, body: buf}
-	delta, n, err := c.collectFragments(ctx, addr, req, sufficientFragment(body.Session, body.Round))
+	resp, err := c.roundTrip(ctx, cc, ctlRequest{kind: protocol.FrameSufficient, trace: body.Session, body: buf})
 	if err != nil {
 		return nil, 0, err
 	}
+	got, err := protocol.DecodeSufficient(resp.Body)
+	if err != nil {
+		return nil, 0, err
+	}
+	if got.Session != body.Session || got.Round != body.Round || got.Frag != 0 || got.FragCount != 1 {
+		return nil, 0, fmt.Errorf("cluster: SUFFICIENT session %016x round %d answered by session %016x round %d fragment %d of %d",
+			body.Session, body.Round, got.Session, got.Round, got.Frag, got.FragCount)
+	}
+	bytes = len(resp.Body)
 	if len(body.Points) > 0 {
-		n += len(buf)
+		bytes += len(buf)
 	}
-	return delta, n, nil
-}
-
-// sufficientFragment parses SUFFICIENT response fragments of one session
-// round; a refusal aborts the exchange, another round's frame is a stray.
-func sufficientFragment(session uint64, round uint16) fragmentParse {
-	return func(f protocol.Frame) (int, int, []core.Point, bool, error) {
-		if f.Flags&protocol.FlagUnknownSession != 0 {
-			return 0, 0, nil, false, errUnknownSession
-		}
-		body, err := protocol.DecodeSufficient(f.Body)
-		if err != nil {
-			return 0, 0, nil, false, err
-		}
-		if body.Session != session || body.Round != round {
-			return 0, 0, nil, false, nil
-		}
-		return int(body.Frag), int(body.FragCount), body.Points, true, nil
-	}
-}
-
-// retry runs fn with a fresh per-attempt timeout until it succeeds, the
-// attempts are spent, or the parent context dies.
-func retry(ctx context.Context, attempts int, timeout time.Duration, fn func(context.Context) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		attemptCtx, cancel := context.WithTimeout(ctx, timeout)
-		err = fn(attemptCtx)
-		cancel()
-		if err == nil || ctx.Err() != nil {
-			return err
-		}
-	}
-	return err
+	return got.Points, bytes, nil
 }

@@ -46,7 +46,8 @@ type Config struct {
 	// because every point survives on another shard. Default 1.
 	Replicas int
 
-	// QueryTimeout bounds the whole estimate fan-out. Default 2s.
+	// QueryTimeout bounds the whole estimate fan-out, and every other
+	// shard exchange on its own. Default 2s.
 	QueryTimeout time.Duration
 
 	// HealthInterval is the probe period. Default 500ms.
@@ -55,10 +56,6 @@ type Config struct {
 	// HealthMisses is how many consecutive probe failures mark a shard
 	// down. Default 3.
 	HealthMisses int
-
-	// RetryAttempts bounds per-RPC retries on the lossy control wire.
-	// Default 3.
-	RetryAttempts int
 
 	// Logger receives structured fleet and query events. Every record
 	// that belongs to a query carries its trace ID as a "trace" attr.
@@ -98,9 +95,6 @@ func (c *Config) applyDefaults() {
 	if c.HealthMisses < 1 {
 		c.HealthMisses = 3
 	}
-	if c.RetryAttempts < 1 {
-		c.RetryAttempts = 3
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -112,7 +106,6 @@ func (c *Config) applyDefaults() {
 // shardState is the coordinator's view of one shard process.
 type shardState struct {
 	addr    string
-	udp     *net.UDPAddr
 	up      bool // last probe round reached it (optimistic at birth)
 	synced  bool // acknowledged the current map version
 	syncing bool // a resync goroutine is in flight
@@ -125,27 +118,26 @@ type shardState struct {
 
 // Stats snapshots the coordinator counters for /metrics.
 type Stats struct {
-	Routed          uint64 // readings accepted by ≥1 owning shard
-	Rejected        uint64 // readings failing validation
-	Stale           uint64 // readings older than the window
-	Failed          uint64 // readings no owning shard accepted
-	Reroutes        uint64 // readings routed past a down owner
-	Frames          uint64 // READINGS frames sent
-	Merges          uint64 // estimate merges served
-	MergesDegraded  uint64 // merges with ≥1 shard missing
-	MergesCompact   uint64 // merges served by the compact iterative path
-	MergeFallbacks  uint64 // compact merges that fell back to full
-	MergeRounds     uint64 // compact-merge rounds driven, total
-	MergeBytes      uint64 // compact-merge point payload bytes, both directions
-	MergeFullBytes  uint64 // full-path window-snapshot payload bytes received
-	Assigns         uint64 // ASSIGN epochs acknowledged
-	HandoffSensors  uint64 // sensors restored via handoff
-	HandoffPoints   uint64 // points moved via handoff
-	Flaps           uint64 // up→down transitions observed
-	TruncatedFrames uint64 // control datagrams dropped as kernel-truncated
-	ShardsUp        int
-	ShardsTotal     int
-	Sensors         int // distinct sensors known: routed, or found on a shard at startup
+	Routed         uint64 // readings accepted by ≥1 owning shard
+	Rejected       uint64 // readings failing validation
+	Stale          uint64 // readings older than the window
+	Failed         uint64 // readings no owning shard accepted
+	Reroutes       uint64 // readings routed past a down owner
+	Frames         uint64 // READINGS frames sent
+	Merges         uint64 // estimate merges served
+	MergesDegraded uint64 // merges with ≥1 shard missing
+	MergesCompact  uint64 // merges served by the compact iterative path
+	MergeFallbacks uint64 // compact merges that fell back to full
+	MergeRounds    uint64 // compact-merge rounds driven, total
+	MergeBytes     uint64 // compact-merge point payload bytes, both directions
+	MergeFullBytes uint64 // full-path window-snapshot payload bytes received
+	Assigns        uint64 // ASSIGN epochs acknowledged
+	HandoffSensors uint64 // sensors restored via handoff
+	HandoffPoints  uint64 // points moved via handoff
+	Flaps          uint64 // up→down transitions observed
+	ShardsUp       int
+	ShardsTotal    int
+	Sensors        int // distinct sensors known: routed, or found on a shard at startup
 }
 
 // Coordinator is the cluster front door: it owns the shard map, routes
@@ -178,8 +170,8 @@ type Coordinator struct {
 	healthDone chan struct{}
 }
 
-// New validates cfg, binds the control socket, pushes the initial shard
-// map, and starts the health loop.
+// New validates cfg, learns which sensors the shards hold, and starts the
+// health loop, which pushes the shard map.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.applyDefaults()
 	probe := cfg.Detector
@@ -190,22 +182,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: at least one shard is required")
 	}
-	client, err := newCtlClient()
-	if err != nil {
-		return nil, err
-	}
 	smap := NewShardMap(cfg.Shards)
 	shards := make(map[string]*shardState, smap.Len())
 	for _, addr := range smap.Shards() {
-		udp, err := net.ResolveUDPAddr("udp", addr)
-		if err != nil {
-			client.close()
+		if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 			return nil, fmt.Errorf("cluster: resolve shard %q: %w", addr, err)
 		}
 		// Optimistic birth: route immediately; the health loop demotes
 		// unreachable shards within HealthMisses probes.
-		shards[addr] = &shardState{addr: addr, udp: udp, up: true}
+		shards[addr] = &shardState{addr: addr, up: true}
 	}
+	client := newCtlClient()
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:        cfg,
@@ -235,7 +222,7 @@ func New(cfg Config) (*Coordinator, error) {
 // /debug/traces serves.
 func (c *Coordinator) Traces() *obs.TraceLog { return c.traceLog }
 
-// Close stops the health loop and releases the control socket.
+// Close stops the health loop and closes every control connection.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -266,7 +253,7 @@ type ShardInfo struct {
 	MapVersion    uint64    `json:"map_version"` // epoch the shard last reported
 	LastSeen      time.Time `json:"last_seen,omitzero"`
 	LastRTTMS     float64   `json:"last_rtt_ms"`    // last successful health probe's round trip
-	MergeSessions int       `json:"merge_sessions"` // merge-session cache occupancy the shard last reported
+	MergeSessions int       `json:"merge_sessions"` // control connections holding a merge session, as the shard last reported
 }
 
 // ShardInfos returns every shard's state, sorted by address.
@@ -302,40 +289,33 @@ func (c *Coordinator) Stats() Stats {
 	}
 	c.mu.Unlock()
 	return Stats{
-		Routed:          c.obs.routed.Value(),
-		Rejected:        c.obs.rejected.Value(),
-		Stale:           c.obs.stale.Value(),
-		Failed:          c.obs.failed.Value(),
-		Reroutes:        c.obs.reroutes.Value(),
-		Frames:          c.obs.frames.Value(),
-		Merges:          c.obs.merges.Value(),
-		MergesDegraded:  c.obs.mergesDegraded.Value(),
-		MergesCompact:   c.obs.mergesCompact.Value(),
-		MergeFallbacks:  c.obs.mergeFallbacks.Value(),
-		MergeRounds:     c.obs.mergeRounds.Value(),
-		MergeBytes:      c.obs.mergeBytes.Value(),
-		MergeFullBytes:  c.obs.mergeFullBytes.Value(),
-		Assigns:         c.obs.assigns.Value(),
-		HandoffSensors:  c.obs.handoffSen.Value(),
-		HandoffPoints:   c.obs.handoffPts.Value(),
-		Flaps:           c.obs.flaps.Value(),
-		TruncatedFrames: c.client.truncated.Load(),
-		ShardsUp:        up,
-		ShardsTotal:     total,
-		Sensors:         sensors,
+		Routed:         c.obs.routed.Value(),
+		Rejected:       c.obs.rejected.Value(),
+		Stale:          c.obs.stale.Value(),
+		Failed:         c.obs.failed.Value(),
+		Reroutes:       c.obs.reroutes.Value(),
+		Frames:         c.obs.frames.Value(),
+		Merges:         c.obs.merges.Value(),
+		MergesDegraded: c.obs.mergesDegraded.Value(),
+		MergesCompact:  c.obs.mergesCompact.Value(),
+		MergeFallbacks: c.obs.mergeFallbacks.Value(),
+		MergeRounds:    c.obs.mergeRounds.Value(),
+		MergeBytes:     c.obs.mergeBytes.Value(),
+		MergeFullBytes: c.obs.mergeFullBytes.Value(),
+		Assigns:        c.obs.assigns.Value(),
+		HandoffSensors: c.obs.handoffSen.Value(),
+		HandoffPoints:  c.obs.handoffPts.Value(),
+		Flaps:          c.obs.flaps.Value(),
+		ShardsUp:       up,
+		ShardsTotal:    total,
+		Sensors:        sensors,
 	}
 }
 
-// retryCtl runs one shard exchange under the standard policy:
-// RetryAttempts tries, each with an equal share of QueryTimeout.
-func (c *Coordinator) retryCtl(ctx context.Context, fn func(context.Context) error) error {
-	return retry(ctx, c.cfg.RetryAttempts, c.cfg.QueryTimeout/time.Duration(c.cfg.RetryAttempts), fn)
-}
-
-func (c *Coordinator) shardState(addr string) *shardState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards[addr]
+// ctlCtx bounds one background shard exchange (routing, resync, window
+// copy) by QueryTimeout, ending early when the coordinator closes.
+func (c *Coordinator) ctlCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(c.ctx, c.cfg.QueryTimeout)
 }
 
 // traceHex renders a trace ID the way every JSON surface does — 16 hex

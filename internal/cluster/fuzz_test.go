@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"innet/internal/core"
@@ -35,72 +37,62 @@ var bodyCodecs = []bodyCodec{
 	codec("ack", protocol.DecodeAck, func(b protocol.AckBody) ([]byte, error) { return b.Encode(), nil }),
 }
 
-// FuzzShardCtl fuzzes everything that parses an unauthenticated
-// shard-control datagram: protocol.DecodeFrame, every body decoder, and
-// the client's fragment reassembly. Two datagrams are fed in sequence, as
-// the two halves of a fragmented response would arrive. Decoders must
-// reject or accept, never panic; whatever they accept must re-encode to
-// exactly the input bytes (every field is fixed-width, so the format has
-// no redundant representations); and a fragment set that reports itself
-// complete must hold every index of exactly one response.
+// FuzzShardCtl fuzzes everything that parses unauthenticated
+// shard-control bytes: protocol.DecodeFrame, every body decoder, and the
+// length-prefixed stream reader. Each input is decoded as one frame, and
+// first‖second is read as a stream. Decoders must reject or accept,
+// never panic; whatever they accept must re-encode to exactly the input
+// bytes (every field is fixed-width, so the format has no redundant
+// representations); and the stream reader must return whole frames, each
+// exactly the bytes its prefix names, until it returns an error — at a
+// prefix over the cap, errFrameTooLarge, before reading any further
+// (TestReadFrameRefusesOversizePrefix pins that it allocates nothing).
 func FuzzShardCtl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, first, second []byte) {
-		var parsers []fragmentParse
-		var sets []*reassembly
-		for _, dgram := range [][]byte{first, second} {
-			fr, err := protocol.DecodeFrame(dgram)
-			if err != nil {
-				continue
-			}
-			if enc := protocol.EncodeFrame(fr); !bytes.Equal(enc, dgram) {
-				t.Fatalf("frame round-trip not identity:\nin  %x\nout %x", dgram, enc)
-			}
-			for _, c := range bodyCodecs {
-				enc, ok, err := c.recode(fr.Body)
-				if !ok {
-					continue
-				}
-				if err != nil {
-					t.Fatalf("decoded %s body failed to re-encode: %v", c.name, err)
-				}
-				if !bytes.Equal(enc, fr.Body) {
-					t.Fatalf("%s body round-trip not identity:\nin  %x\nout %x", c.name, fr.Body, enc)
-				}
-			}
-
-			// Reassembly, keyed the way a real exchange would be: on the
-			// session/round the first decodable frame names.
-			if parsers == nil {
-				var session uint64
-				var round uint16
-				if b, err := protocol.DecodeSufficient(fr.Body); err == nil {
-					session, round = b.Session, b.Round
-				}
-				parsers = []fragmentParse{estimateFragment, sufficientFragment(session, round)}
-				sets = []*reassembly{{}, {}}
-			}
-			for i, parse := range parsers {
-				frag, total, pts, ok, err := parse(fr)
-				if err != nil || !ok {
-					continue
-				}
-				if !sets[i].add(frag, total, pts, len(fr.Body)) {
-					continue
-				}
-				wantPts, wantBytes := 0, 0
-				for idx := 0; idx < sets[i].total; idx++ {
-					held, present := sets[i].frags[idx]
-					if !present {
-						t.Fatalf("set of %d reported complete without fragment %d", sets[i].total, idx)
-					}
-					wantPts += len(held)
-					wantBytes += sets[i].bytes[idx]
-				}
-				joined, n := sets[i].join()
-				if len(joined) != wantPts || n != wantBytes {
-					t.Fatalf("join returned %d points / %d bytes, fragments hold %d / %d", len(joined), n, wantPts, wantBytes)
-				}
+		for _, raw := range [][]byte{first, second} {
+			if fr, err := protocol.DecodeFrame(raw); err == nil {
+				checkFrame(t, fr, raw)
 			}
 		}
+
+		stream := append(append([]byte(nil), first...), second...)
+		r := bytes.NewReader(stream)
+		for {
+			at := len(stream) - r.Len()
+			fr, err := readFrame(r)
+			rest := stream[at:]
+			if err != nil {
+				if len(rest) >= 4 && binary.BigEndian.Uint32(rest) > maxFrameLen && !errors.Is(err, errFrameTooLarge) {
+					t.Fatalf("prefix %#x over the cap read as %v, want errFrameTooLarge", rest[:4], err)
+				}
+				break
+			}
+			n := int(binary.BigEndian.Uint32(rest))
+			if read := len(stream) - r.Len() - at; read != 4+n {
+				t.Fatalf("frame of %d bytes consumed %d stream bytes", n, read)
+			}
+			checkFrame(t, fr, rest[4:4+n])
+		}
 	})
+}
+
+// checkFrame holds a decoded frame, and each body decoder's reading of
+// its body, to re-encoding byte for byte as raw.
+func checkFrame(t *testing.T, fr protocol.Frame, raw []byte) {
+	t.Helper()
+	if enc := protocol.EncodeFrame(fr); !bytes.Equal(enc, raw) {
+		t.Fatalf("frame round-trip not identity:\nin  %x\nout %x", raw, enc)
+	}
+	for _, c := range bodyCodecs {
+		enc, ok, err := c.recode(fr.Body)
+		if !ok {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("decoded %s body failed to re-encode: %v", c.name, err)
+		}
+		if !bytes.Equal(enc, fr.Body) {
+			t.Fatalf("%s body round-trip not identity:\nin  %x\nout %x", c.name, fr.Body, enc)
+		}
+	}
 }

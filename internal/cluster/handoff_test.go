@@ -31,22 +31,15 @@ func TestHandoffRestoresWholeWindowAtAnyQueueDepth(t *testing.T) {
 	}
 	defer srv.Close()
 	go srv.Serve()
-	client, err := newCtlClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := newCtlClient()
 	defer client.close()
-	addr, err := net.ResolveUDPAddr("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const sensor, points = core.NodeID(5), 256
 	window := make([]core.Point, points)
 	for i := range window {
 		window[i] = core.NewPoint(sensor, uint32(i), time.Duration(i)*time.Second, 20+float64(i%9))
 	}
-	accepted, err := client.readings(ctx, addr, protocol.FlagTransfer, 0, window)
+	_, accepted, err := client.readings(ctx, srv.Addr(), protocol.FlagTransfer, 0, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +55,15 @@ func TestHandoffRestoresWholeWindowAtAnyQueueDepth(t *testing.T) {
 	}
 }
 
-// TestResponsesCarryTheRequestKind sends one raw request of each kind to
-// a live shard and holds every response to the wire's one correlation
-// rule: FlagResponse set, the request's reqID and the request's kind.
+// TestResponsesCarryTheRequestKind sends one raw request of each kind,
+// in turn on one connection, to a live shard and holds every response
+// to the wire's rule: the next frame on the stream, FlagResponse set,
+// echoing the request's kind, reqID and trace.
 func TestResponsesCarryTheRequestKind(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	_, _, _, addr := directShard(t, ctx, 20, 21, 22)
-	conn, err := net.DialUDP("udp", nil, addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,24 +88,19 @@ func TestResponsesCarryTheRequestKind(t *testing.T) {
 		{Kind: protocol.FrameReadings, Body: readings},
 		{Kind: protocol.FrameSufficient, Body: sufficient},
 	}
-	buf := make([]byte, maxCtlDatagram)
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	for i, req := range requests {
 		req.ReqID, req.Trace = uint32(100+i), 7
-		if _, err := conn.Write(protocol.EncodeFrame(req)); err != nil {
+		if err := writeFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		n, err := conn.Read(buf)
+		resp, err := readFrame(conn)
 		if err != nil {
 			t.Fatalf("%v: no response: %v", req.Kind, err)
 		}
-		resp, err := protocol.DecodeFrame(buf[:n])
-		if err != nil {
-			t.Fatalf("%v: undecodable response: %v", req.Kind, err)
-		}
-		if !resp.Response() || resp.ReqID != req.ReqID || resp.Kind != req.Kind {
-			t.Fatalf("%v request answered by %v (flags %#x, reqID %d), want a %v response to reqID %d",
-				req.Kind, resp.Kind, resp.Flags, resp.ReqID, req.Kind, req.ReqID)
+		if !resp.Response() || resp.ReqID != req.ReqID || resp.Kind != req.Kind || resp.Trace != req.Trace {
+			t.Fatalf("%v request answered by %v (flags %#x, reqID %d, trace %d), want a %v response to reqID %d, trace %d",
+				req.Kind, resp.Kind, resp.Flags, resp.ReqID, resp.Trace, req.Kind, req.ReqID, req.Trace)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (c *Coordinator) discoverSensors() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 			defer cancel()
-			pts, _, err := c.client.estimate(ctx, st.udp, 0, 0)
+			pts, _, err := c.client.estimate(ctx, st.addr, 0, 0)
 			if err != nil {
 				return
 			}
@@ -51,8 +51,7 @@ func (c *Coordinator) discoverSensors() {
 // advances, every shard is re-ASSIGNed, and sensors gaining the new
 // shard as an owner are handed off to it by their current owners.
 func (c *Coordinator) AddShard(addr string) error {
-	udp, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
+	if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 		return fmt.Errorf("cluster: resolve shard %q: %w", addr, err)
 	}
 	c.mu.Lock()
@@ -71,7 +70,7 @@ func (c *Coordinator) AddShard(addr string) error {
 	// during the copy, so no reading is mis-homed meanwhile.
 	oldMap := c.smap
 	newMap := c.smap.WithShard(addr)
-	c.shards[addr] = &shardState{addr: addr, udp: udp, up: true}
+	c.shards[addr] = &shardState{addr: addr, up: true}
 	seen := c.seenSensorsLocked()
 	c.mu.Unlock()
 	// Adding a shard changes no other shard's rendezvous score, so the
@@ -144,23 +143,20 @@ func (c *Coordinator) firstUp(addrs []string, except string) *shardState {
 }
 
 // copyWindow copies one sensor's window from a shard that holds it to
-// one that should: an ESTIMATE for that sensor from from, then
-// byte-budgeted READINGS flagged FlagTransfer to to. It is the one
-// window-copy path behind AddShard, RemoveShard's drain and resync. A failed copy is not retried here:
-// resync repeats it wherever a surviving copy exists.
+// one that should: an ESTIMATE for that sensor from from, then READINGS
+// flagged FlagTransfer to to. It is the one window-copy path behind
+// AddShard, RemoveShard's drain and resync. A failed copy is not retried
+// here: resync repeats it wherever a surviving copy exists.
 func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
-	var pts []core.Point
-	err := c.retryCtl(c.ctx, func(ctx context.Context) (err error) {
-		pts, _, err = c.client.estimate(ctx, from.udp, 0, sensor)
-		return err
-	})
+	ctx, cancel := c.ctlCtx()
+	pts, _, err := c.client.estimate(ctx, from.addr, 0, sensor)
+	cancel()
 	if err != nil || len(pts) == 0 {
 		return
 	}
-	err = c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
-		_, err := c.client.readings(ctx, to.udp, protocol.FlagTransfer, 0, chunk)
-		return err
-	})
+	ctx, cancel = c.ctlCtx()
+	_, _, err = c.client.readings(ctx, to.addr, protocol.FlagTransfer, 0, pts)
+	cancel()
 	if err != nil {
 		return
 	}
@@ -176,8 +172,10 @@ func (c *Coordinator) seenSensorsLocked() []core.NodeID {
 
 // healthLoop probes every shard each interval and drives the
 // up/down/resync state machine. Probes are fire-and-forget with a
-// per-shard in-flight guard: one unreachable shard eating its full
-// ProbeTimeout must not stretch the probe period for the healthy ones.
+// per-shard in-flight guard: one stalled shard eating its full
+// probeTimeout must not stretch the probe period for the healthy ones.
+// A probe checks out a connection of its own, so it never waits behind
+// a snapshot or a merge.
 func (c *Coordinator) healthLoop() {
 	defer close(c.healthDone)
 	ticker := time.NewTicker(c.cfg.HealthInterval)
@@ -201,7 +199,7 @@ func (c *Coordinator) healthLoop() {
 			go func(st *shardState) {
 				ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 				probeStart := time.Now()
-				h, err := c.client.health(ctx, st.udp)
+				h, err := c.client.health(ctx, st.addr)
 				cancel()
 				if err != nil {
 					c.noteMiss(st)
@@ -247,9 +245,9 @@ func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, rtt time.Dur
 	}
 }
 
-// publish installs newMap, drops the shard removed (if any) and resyncs
-// every up shard onto the new map without waiting for the next health
-// tick.
+// publish installs newMap, drops the shard removed (if any) and its idle
+// connections, and resyncs every up shard onto the new map without
+// waiting for the next health tick.
 func (c *Coordinator) publish(newMap *ShardMap, removed string) {
 	c.mu.Lock()
 	c.smap = newMap
@@ -262,6 +260,9 @@ func (c *Coordinator) publish(newMap *ShardMap, removed string) {
 		}
 	}
 	c.mu.Unlock()
+	if removed != "" {
+		c.client.forget(removed)
+	}
 	for _, st := range targets {
 		go c.resync(st)
 	}
@@ -307,10 +308,9 @@ func (c *Coordinator) resync(st *shardState) {
 		Sensors:    owned,
 		Evict:      evict,
 	}
-	err := c.retryCtl(c.ctx, func(ctx context.Context) error {
-		_, err := c.client.assign(ctx, st.udp, body)
-		return err
-	})
+	ctx, cancel := c.ctlCtx()
+	_, err := c.client.assign(ctx, st.addr, body)
+	cancel()
 	if err != nil {
 		return // next health tick retries
 	}

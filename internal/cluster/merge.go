@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -23,14 +22,13 @@ import (
 //	round r: coordinator → shard   SUFFICIENT(session, r) carrying
 //	                               Z_c \ ledger_s, the coordinator's
 //	                               sufficient delta over its candidate
-//	                               set C (in-order fragments if it
-//	                               outgrows one frame)
+//	                               set C
 //	         shard → coordinator   the shard's sufficient delta over
-//	                               P_s ∪ received, against the ledger,
-//	                               in answer to the last fragment
+//	                               P_s ∪ received, against the ledger
 //
-// Each round is one request/response exchange per shard, the star's
-// version of Algorithm 1's one packet M per link per reaction.
+// Each round is one request/response exchange per shard on the
+// connection the session holds, the star's version of Algorithm 1's one
+// packet M per link per reaction over a link that delivers in order.
 //
 // When a full round moves no point in either direction the exchange is
 // quiescent, and by the paper's Lemma 3 the coordinator's On(C) equals
@@ -43,9 +41,8 @@ import (
 // ?merge= query parameter; compact is the default.
 const (
 	// MergeCompact runs the iterative Algorithm 1 exchange and falls
-	// back to MergeFull when a shard cannot play (its merge frames go
-	// unanswered, it dies mid-query, it refuses an evicted session) or the
-	// round budget runs out.
+	// back to MergeFull when a shard cannot play (its connection breaks
+	// or stalls mid-query) or the round budget runs out.
 	MergeCompact = "compact"
 	// MergeFull ships every shard's window snapshot and computes On
 	// over the union.
@@ -65,15 +62,13 @@ var errMergeRounds = errors.New("cluster: compact merge round budget exhausted")
 var errMergeMode = errors.New("cluster: unknown merge mode")
 
 // traceIDGen mints trace IDs, and a compact merge's session ID is its
-// query's trace ID. Shards key merge state — frozen snapshot link,
-// ledger, per-round reply cache — by that ID alone, so two concurrent
-// queries that collide replay each other's cached rounds and answer over
-// each other's snapshots. A bare rand.Uint64() per query makes that
-// collision merely improbable; salting a monotone counter makes it
-// impossible within a process: the salt is fixed at startup and the
-// counter never repeats, so IDs are pairwise distinct for the life of
-// the coordinator (while the salt still keeps two coordinators sharing a
-// shard from walking the same ID sequence).
+// query's trace ID, so a trace found in either side's span ring names
+// one query. A bare rand.Uint64() per query makes two queries sharing an
+// ID merely improbable; salting a monotone counter makes it impossible
+// within a process: the salt is fixed at startup and the counter never
+// repeats, so IDs are pairwise distinct for the life of the coordinator
+// (while the salt still keeps two coordinators sharing a shard from
+// walking the same ID sequence).
 type traceIDGen struct {
 	salt uint64
 	seq  atomic.Uint64
@@ -102,18 +97,23 @@ type compactResult struct {
 // union of the targets' windows. trace is the query's trace ID and the
 // session's ID: it rides every merge frame, in the header and in the
 // body's session field, and every round records one coordinator-side
-// span per shard.
+// span per shard. The merge holds one connection per shard for all of
+// its rounds: the shard keeps the session on that connection.
 func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, trace uint64) (compactResult, error) {
 	cand := core.NewSet()
 	ledgers := make([]*core.Set, len(targets))
 	for i := range ledgers {
 		ledgers[i] = core.NewSet()
 	}
+	conns := make([]*ctlConn, len(targets))
+	defer func() {
+		for _, cc := range conns {
+			if cc != nil {
+				c.client.put(cc)
+			}
+		}
+	}()
 	res := compactResult{cand: cand}
-	// Merge exchanges are small and fast; a tighter per-attempt timeout
-	// than the big transfers use keeps a dead shard from eating the
-	// whole query budget before the fallback gets its turn.
-	perAttempt := c.cfg.QueryTimeout / time.Duration(2*c.cfg.RetryAttempts)
 
 	for round := 0; round < mergeRounds; round++ {
 		res.rounds++
@@ -136,16 +136,12 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 		}
 
 		// Network phase, fanned out per shard: the coordinator's delta
-		// rides in the round's SUFFICIENT request, in byte-budgeted
-		// in-order fragments, and the answer to the last one is the
-		// shard's round delta. Every exchange is idempotent under retry.
-		// A failing shard still reports the bytes of the fragments it
-		// answered — they were on the wire, so the cost accounting must
-		// include them.
+		// rides in the round's SUFFICIENT request and the answer is the
+		// shard's round delta. A round is never re-sent: a failed one
+		// ends the session.
 		type reply struct {
 			pts   []core.Point
 			bytes int // SUFFICIENT payload sent and received
-			reqID uint32
 			start time.Time
 			rtt   time.Duration
 			err   error
@@ -159,26 +155,13 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				rep := &replies[i]
 				rep.start = time.Now()
 				defer func() { rep.rtt = time.Since(rep.start) }()
-				frags := chunkByBytes(deltas[i], maxFrameBytes)
-				for k, frag := range frags {
-					// One reqID per fragment, reused across retry
-					// attempts: the shard's dedupe and replay machinery
-					// must see a resend, not a fresh request.
-					rep.reqID = c.client.newReqID()
-					body := protocol.SufficientBody{Session: trace, Round: uint16(round),
-						Frag: uint16(k), FragCount: uint16(len(frags)), Points: frag}
-					var nb int
-					err := retry(ctx, c.cfg.RetryAttempts, perAttempt, func(ctx context.Context) error {
-						var err error
-						rep.pts, nb, err = c.client.sufficient(ctx, st.udp, rep.reqID, body)
-						return err
-					})
-					if err != nil {
-						rep.err = fmt.Errorf("sufficient with %s: %w", st.addr, err)
+				if conns[i] == nil {
+					if conns[i], rep.err = c.client.get(ctx, st.addr); rep.err != nil {
 						return
 					}
-					rep.bytes += nb
 				}
+				body := protocol.SufficientBody{Session: trace, Round: uint16(round), FragCount: 1, Points: deltas[i]}
+				rep.pts, rep.bytes, rep.err = c.client.sufficient(ctx, conns[i], body)
 			}(i, st)
 		}
 		wg.Wait()
@@ -194,7 +177,6 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				Trace:  trace,
 				Op:     obs.OpMergeRound,
 				Shard:  targets[i].addr,
-				ReqID:  rep.reqID,
 				Round:  int32(round),
 				Points: int32(len(rep.pts)),
 				Bytes:  int32(rep.bytes),

@@ -42,7 +42,7 @@ type MergeRoundShard struct {
 	Shard  string  `json:"shard"`
 	Bytes  int     `json:"bytes"`  // SUFFICIENT payload sent + received
 	Points int     `json:"points"` // shard delta points received
-	RTTMS  float64 `json:"rtt_ms"` // whole network phase, retries included
+	RTTMS  float64 `json:"rtt_ms"` // whole network phase
 	Err    string  `json:"err,omitempty"`
 }
 

@@ -46,8 +46,6 @@ func newCoordObs(c *Coordinator) *coordObs {
 	m.handoffSen = r.Counter("innetcoord_handoff_sensors_total", "Sensors restored via handoff.")
 	m.handoffPts = r.Counter("innetcoord_handoff_points_total", "Points moved via handoff.")
 	m.flaps = r.Counter("innetcoord_shard_flaps_total", "Up-to-down shard transitions observed.")
-	r.CounterFunc("innetcoord_truncated_frames_total", "Control datagrams dropped as kernel-truncated.",
-		func() float64 { return float64(c.client.truncated.Load()) })
 	r.GaugeFunc("innetcoord_shards_up", "Shards the health loop currently considers up.",
 		func() float64 { return float64(c.Stats().ShardsUp) })
 	r.GaugeFunc("innetcoord_shards", "Shards in the map.",

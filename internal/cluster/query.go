@@ -125,7 +125,8 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 	if mode == MergeCompact {
 		// The compact path needs every target to answer every round, so
 		// give it half the query budget and keep the rest for the
-		// full-window fallback should a shard die mid-session.
+		// full-window fallback should a shard stall mid-session (a
+		// killed one is an EOF at once).
 		compactCtx, ccancel := context.WithTimeout(ctx, c.cfg.QueryTimeout/2)
 		cres, err := c.compactMerge(compactCtx, targets, traceID)
 		ccancel()
@@ -176,13 +177,7 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		go func() {
 			defer wg.Done()
 			shardStart := time.Now()
-			var pts []core.Point
-			var nb int
-			err := c.retryCtl(ctx, func(ctx context.Context) error {
-				var err error
-				pts, nb, err = c.client.estimate(ctx, st.udp, traceID, 0)
-				return err
-			})
+			pts, nb, err := c.client.estimate(ctx, st.addr, traceID, 0)
 			span := obs.Span{
 				Trace:  traceID,
 				Op:     obs.OpMergeFull,

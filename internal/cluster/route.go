@@ -4,7 +4,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -18,7 +17,7 @@ import (
 // IngestBatch validates and routes a batch of readings to the healthy
 // shards owning each sensor, one READINGS frame per shard chunk. Each
 // reading travels as the point its identity names (ingest.SeqOf), so
-// replicas and retries carry the same PointID. The returned slice has
+// replicas and re-sent readings carry the same PointID. The returned slice has
 // one entry per input reading: nil when at least one owning shard
 // accepted it.
 func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
@@ -149,34 +148,13 @@ func (c *Coordinator) healthyOwnersLocked(sensor core.NodeID) (owners []string, 
 	return owners, rerouted
 }
 
-// sendReadings ships one shard's batch as chunked READINGS frames with
-// retries, reporting whether every chunk was acknowledged. trace is the
-// ingest batch's trace ID, stamped onto the frames.
+// sendReadings ships one shard's batch as READINGS frames, reporting
+// whether every frame was acknowledged. trace is the ingest batch's
+// trace ID, stamped onto the frames.
 func (c *Coordinator) sendReadings(addr string, trace uint64, pts []core.Point) bool {
-	st := c.shardState(addr)
-	if st == nil {
-		return false
-	}
-	return c.sendChunks(pts, func(ctx context.Context, chunk []core.Point) error {
-		_, err := c.client.readings(ctx, st.udp, 0, trace, chunk)
-		if err == nil {
-			c.obs.frames.Inc()
-		}
-		return err
-	}) == nil
-}
-
-// sendChunks ships pts in byte-budgeted chunks, each retried
-// independently (re-delivery is a no-op: the points carry their
-// identities), and stops at the first chunk that fails.
-func (c *Coordinator) sendChunks(pts []core.Point, send func(context.Context, []core.Point) error) error {
-	for _, chunk := range chunkByBytes(pts, maxFrameBytes) {
-		if len(chunk) == 0 {
-			continue
-		}
-		if err := c.retryCtl(c.ctx, func(ctx context.Context) error { return send(ctx, chunk) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	ctx, cancel := c.ctlCtx()
+	defer cancel()
+	frames, _, err := c.client.readings(ctx, addr, 0, trace, pts)
+	c.obs.frames.Add(uint64(frames))
+	return err == nil
 }

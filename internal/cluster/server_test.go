@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"log/slog"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -67,15 +66,9 @@ func TestAssignLogsOnlyAnAdoptedEpoch(t *testing.T) {
 	}
 	defer srv.Close()
 	go srv.Serve()
-	client, err := newCtlClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := newCtlClient()
 	defer client.close()
-	addr, err := net.ResolveUDPAddr("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := srv.Addr()
 
 	assign := func(version uint64, evict ...core.NodeID) {
 		t.Helper()

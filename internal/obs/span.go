@@ -36,8 +36,7 @@ const (
 	OpWALAppend                       // either: one durable-store append
 	OpReadings                        // shard: one routed READINGS frame
 	OpSessionCreate                   // shard: merge session opened (Hit = source cache reuse)
-	OpSessionRefuse                   // shard: unknown/evicted merge session refused
-	OpSufficient                      // shard: one SUFFICIENT fragment; the last serves the round (Hit = replayed)
+	OpSufficient                      // shard: one SUFFICIENT round served
 	OpEnqueue                         // shard: queue wait of a drained batch head
 	OpObserve                         // shard: one batch-observe ranking pass
 )
@@ -61,8 +60,6 @@ func (o SpanOp) String() string {
 		return "readings"
 	case OpSessionCreate:
 		return "session_create"
-	case OpSessionRefuse:
-		return "session_refuse"
 	case OpSufficient:
 		return "sufficient"
 	case OpEnqueue:
@@ -81,11 +78,10 @@ type Span struct {
 	Trace  uint64        // query trace ID; 0 = untraced work
 	Op     SpanOp        // what happened
 	Shard  string        // peer address, "" for local work
-	ReqID  uint32        // shard-control reqID, 0 if none
 	Round  int32         // merge round, meaningful for merge ops
 	Points int32         // points moved/observed
 	Bytes  int32         // payload bytes moved
-	Hit    bool          // cache hit / replay, per op docs
+	Hit    bool          // cache hit, per op docs
 	Err    string        // failure, "" on success
 	Start  time.Time     // when the spanned work began
 	Dur    time.Duration // how long it took
@@ -98,7 +94,6 @@ type spanWire struct {
 	Trace   string  `json:"trace"`
 	Op      string  `json:"op"`
 	Shard   string  `json:"shard,omitempty"`
-	ReqID   uint32  `json:"req_id,omitempty"`
 	Round   int32   `json:"round"`
 	Points  int32   `json:"points,omitempty"`
 	Bytes   int32   `json:"bytes,omitempty"`
@@ -114,7 +109,6 @@ func (s Span) MarshalJSON() ([]byte, error) {
 		Trace:   fmt.Sprintf("%016x", s.Trace),
 		Op:      s.Op.String(),
 		Shard:   s.Shard,
-		ReqID:   s.ReqID,
 		Round:   s.Round,
 		Points:  s.Points,
 		Bytes:   s.Bytes,
@@ -126,27 +120,15 @@ func (s Span) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// dedupeSlots is how many recent (trace, reqID, op) keys the log
-// remembers. A compact merge emits at most rounds×shards×2 request-
-// driven spans, far under this, so every retry inside one query window
-// is reliably recognized.
-const dedupeSlots = 256
-
 // TraceLog is a bounded flight-recorder ring of spans: oldest evicted
 // first, snapshots newest first, optionally teeing each record as one
-// JSON line to a sink. Spans that carry a reqID are deduplicated — a
-// retried shard-control request re-executes (or replays) server-side
-// work, and recording it twice would make one logical round look like
-// two — by remembering the last dedupeSlots request keys in a fixed
-// array, so the dedupe costs no allocation either.
+// JSON line to a sink.
 type TraceLog struct {
-	mu     sync.Mutex
-	buf    []Span
-	next   int
-	total  uint64
-	sink   io.Writer
-	dedupe [dedupeSlots]uint64
-	dnext  int
+	mu    sync.Mutex
+	buf   []Span
+	next  int
+	total uint64
+	sink  io.Writer
 }
 
 // NewTraceLog returns a ring holding the last capacity spans.
@@ -167,22 +149,10 @@ func (l *TraceLog) SetSink(w io.Writer) {
 	l.mu.Unlock()
 }
 
-// Record appends one span, evicting the oldest past capacity. A span
-// with a nonzero ReqID already recorded under the same (trace, reqID,
-// op) recently is dropped as a retry duplicate.
+// Record appends one span, evicting the oldest past capacity.
 func (l *TraceLog) Record(s Span) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if s.ReqID != 0 {
-		key := s.Trace ^ uint64(s.ReqID)<<8 ^ uint64(s.Op)
-		for _, k := range l.dedupe {
-			if k == key {
-				return
-			}
-		}
-		l.dedupe[l.dnext] = key
-		l.dnext = (l.dnext + 1) % dedupeSlots
-	}
 	if len(l.buf) < cap(l.buf) {
 		l.buf = append(l.buf, s)
 	} else {

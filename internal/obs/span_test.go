@@ -47,33 +47,6 @@ func TestTraceLogFilterAndLimit(t *testing.T) {
 	}
 }
 
-// TestTraceLogDedupesRetries pins the retry contract: a span carrying a
-// reqID records once per (trace, reqID, op) — an ARQ retransmit that
-// re-executes server-side work must not double its span — while spans
-// without a reqID (local work like enqueue/observe) never dedupe.
-func TestTraceLogDedupesRetries(t *testing.T) {
-	l := NewTraceLog(16)
-	s := Span{Trace: 7, Op: OpReadings, ReqID: 42}
-	l.Record(s)
-	l.Record(s) // retry duplicate
-	if got := l.Snapshot(7, 0); len(got) != 1 {
-		t.Fatalf("retried reqID span recorded %d times, want 1", len(got))
-	}
-	// Same reqID, different op: a different logical event, kept.
-	l.Record(Span{Trace: 7, Op: OpSufficient, ReqID: 42})
-	// Same op, different trace: kept.
-	l.Record(Span{Trace: 8, Op: OpReadings, ReqID: 42})
-	if got := l.Snapshot(0, 0); len(got) != 3 {
-		t.Fatalf("distinct keys collapsed: %d spans, want 3", len(got))
-	}
-	// reqID 0 = not request-driven: records every time.
-	l.Record(Span{Trace: 7, Op: OpEnqueue})
-	l.Record(Span{Trace: 7, Op: OpEnqueue})
-	if got := l.Snapshot(0, 0); len(got) != 5 {
-		t.Fatalf("reqID-0 spans deduped: %d spans, want 5", len(got))
-	}
-}
-
 // TestTraceLogRecordZeroAlloc enforces the hot-path contract: without a
 // sink, Record allocates nothing — it sits on the ingest drain and the
 // per-round merge accounting.
@@ -82,13 +55,6 @@ func TestTraceLogRecordZeroAlloc(t *testing.T) {
 	s := Span{Trace: 9, Op: OpEnqueue, Shard: "127.0.0.1:9101", Points: 12, Start: time.Now(), Dur: time.Millisecond}
 	if n := testing.AllocsPerRun(1000, func() { l.Record(s) }); n != 0 {
 		t.Fatalf("Record allocates %.1f times per span, want 0", n)
-	}
-	var req uint32
-	if n := testing.AllocsPerRun(1000, func() {
-		req++
-		l.Record(Span{Trace: 9, Op: OpReadings, ReqID: req})
-	}); n != 0 {
-		t.Fatalf("deduped Record allocates %.1f times per span, want 0", n)
 	}
 }
 

@@ -4,15 +4,17 @@ package protocol
 // detector's tagged-broadcast packets (core.EncodeOutbound). Where the
 // detector wire carries the paper's algorithm between sensors, these
 // frames carry the cluster-control plane between the coordinator process
-// and its detector shard processes, as UDP datagrams.
+// and its detector shard processes, each behind a 4-byte length prefix
+// on a TCP connection that carries one request at a time.
 //
 //	frame := magic:'C' ver:0x02 kind:uint8 flags:uint8 reqID:uint32 trace:uint64 body
 //
-// Multi-byte integers are big-endian, matching the detector wire. Every
-// request carries a caller-chosen reqID; the response echoes it with
-// FlagResponse set, which is all the correlation a UDP request/response
-// exchange needs. The trace field carries the query-scoped trace ID the
-// frame belongs to (0 = untraced work) and is echoed on responses. There
+// Multi-byte integers are big-endian, matching the detector wire. A
+// response carries FlagResponse and echoes the request's kind, reqID and
+// trace; since a connection has one request in flight, the response is
+// simply the next frame, and the reqID correlates nothing. The trace
+// field carries the query-scoped trace ID the
+// frame belongs to (0 = untraced work). There
 // is one layout and one version: coordinator and shards deploy from one
 // build, and a frame of any other version is dropped as not ours. Bodies
 // reuse core.EncodePoints wherever points travel, so the point codec —
@@ -27,9 +29,8 @@ package protocol
 //	                                for the shard's window union, a
 //	                                sensor ID for the points that
 //	                                sensor holds of its own (a window
-//	                                copy's read); the response may span
-//	                                several fragments, each its own
-//	                                frame echoing the reqID
+//	                                copy's read); the response is one
+//	                                frame, fragment 0 of 1
 //	HEALTH    coordinator → shard   liveness probe; response reports the
 //	                                shard's map version and fleet size
 //	READINGS  coordinator → shard   routed ingest batch with
@@ -38,13 +39,10 @@ package protocol
 //	                                window copy's write
 //	SUFFICIENT coordinator → shard  compact-merge round: the request
 //	                                carries the coordinator's sufficient
-//	                                delta for session S, round R, in
-//	                                in-order fragments when it outgrows
-//	                                one frame; the final fragment's
+//	                                delta for session S, round R; the
 //	                                response is the shard's Eq. (2)
-//	                                delta, possibly in several fragments
-//	                                echoing the reqID, and is replayed
-//	                                verbatim on a retried round
+//	                                delta, each one frame, fragment 0
+//	                                of 1
 //
 // Every response carries its request's kind. ASSIGN and READINGS are
 // answered with an AckBody count.
@@ -101,23 +99,14 @@ func (k FrameKind) MetricLabel() string {
 	return frameKinds[k].label
 }
 
-// Frame flags.
+// Frame flags. Bit 2 (a refused merge session) is retired, not reused.
 const (
-	// FlagResponse marks a frame answering the request with the same reqID.
+	// FlagResponse marks a frame answering a request.
 	FlagResponse = 1 << 0
 	// FlagTransfer marks a READINGS request as a window copy's write:
 	// the shard admits every point (a restore must not shed), where a
 	// live batch is ingested latest-wins.
 	FlagTransfer = 1 << 1
-	// FlagUnknownSession marks a SUFFICIENT response refusing a
-	// merge session the shard does not hold. Sessions are only created
-	// by a round-0 SUFFICIENT, so a mid-exchange eviction (or shard
-	// restart) surfaces as an explicit refusal instead of a silently
-	// recreated session with an empty ledger — the coordinator must
-	// abandon the compact session and fall back to the full-window
-	// path, because its own ledger already counts points the shard
-	// would no longer know about.
-	FlagUnknownSession = 1 << 2
 )
 
 const (
@@ -126,7 +115,7 @@ const (
 	frameHeader  = 2 + 1 + 1 + 4 + 8
 )
 
-// ErrNotControlFrame reports a datagram that is not a shard-control frame
+// ErrNotControlFrame reports bytes that are not a shard-control frame
 // at all (wrong magic/version), as opposed to a malformed one.
 var ErrNotControlFrame = errors.New("protocol: not a shard-control frame")
 
@@ -151,7 +140,7 @@ func EncodeFrame(f Frame) []byte {
 	return append(buf, f.Body...)
 }
 
-// DecodeFrame parses a datagram produced by EncodeFrame. The body is a
+// DecodeFrame parses a frame produced by EncodeFrame. The body is a
 // sub-slice of buf, not a copy.
 func DecodeFrame(buf []byte) (Frame, error) {
 	if len(buf) < frameHeader {
@@ -250,10 +239,10 @@ func DecodeAssign(buf []byte) (AssignBody, error) {
 	return b, nil
 }
 
-// EstimateBody is the ESTIMATE response payload: one fragment of the
-// requested window points. FragCount is repeated on every fragment so
-// the querier can size its reassembly from whichever fragment arrives
-// first. The request body is EncodeEstimateRequest's.
+// EstimateBody is the ESTIMATE response payload: the requested window
+// points. A response is sent whole, as fragment 0 of 1; the fields stay
+// because the layout encodes them. The request body is
+// EncodeEstimateRequest's.
 type EstimateBody struct {
 	Frag      uint16
 	FragCount uint16
@@ -360,20 +349,12 @@ func DecodeReadings(buf []byte) (ReadingsBody, error) {
 	return ReadingsBody{Points: pts}, nil
 }
 
-// SufficientBody is the SUFFICIENT payload, both directions. Sessions
-// are identified by a coordinator-chosen 64-bit ID so a retried or
-// reordered frame lands in the right exchange. The request names a
-// merge session and a round and carries the coordinator's sufficient
-// delta for it, split into in-order fragments Frag 0..FragCount-1 when
-// it outgrows one frame; the shard answers a non-final fragment with an
-// empty one-fragment response. The response to the final fragment
-// carries the shard's Eq. (2) sufficient delta for that round, split
-// over however many fragments the byte budget requires, FragCount
-// repeated on each so the querier can size reassembly from whichever
-// arrives first. Rounds are idempotent: points deduplicate by PointID,
-// and a shard replays a cached round's delta on retry instead of
-// recomputing, so a lost response cannot make the exchange
-// double-count.
+// SufficientBody is the SUFFICIENT payload, both directions. The
+// request names a merge session (a coordinator-chosen 64-bit ID) and a
+// round and carries the coordinator's sufficient delta for it; the
+// response carries the shard's Eq. (2) sufficient delta for that round.
+// Both travel whole, as fragment 0 of 1; the fields stay because the
+// layout encodes them.
 type SufficientBody struct {
 	Session   uint64
 	Round     uint16

@@ -397,7 +397,6 @@ func TestCoordinatorMetricsGolden(t *testing.T) {
 		"innetcoord_handoff_sensors_total 0",
 		"innetcoord_handoff_points_total 0",
 		"innetcoord_shard_flaps_total 0",
-		"innetcoord_truncated_frames_total 0",
 		"innetcoord_shards_up 1",
 		"innetcoord_shards 1",
 		"innetcoord_sensors 12",
@@ -451,8 +450,6 @@ var coordMetricHeaders = []string{
 	"# TYPE innetcoord_handoff_points_total counter",
 	"# HELP innetcoord_shard_flaps_total Up-to-down shard transitions observed.",
 	"# TYPE innetcoord_shard_flaps_total counter",
-	"# HELP innetcoord_truncated_frames_total Control datagrams dropped as kernel-truncated.",
-	"# TYPE innetcoord_truncated_frames_total counter",
 	"# HELP innetcoord_shards_up Shards the health loop currently considers up.",
 	"# TYPE innetcoord_shards_up gauge",
 	"# HELP innetcoord_shards Shards in the map.",

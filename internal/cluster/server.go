@@ -50,10 +50,9 @@ type ShardServer struct {
 
 	sessions atomic.Int64 // connections that hold a merge session
 
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{} // connections being served
-	closed bool
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // connections being served
+	wg    sync.WaitGroup
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -107,7 +106,6 @@ func (s *ShardServer) Close() error {
 	err := s.ln.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
 	for conn := range s.conns {
 		conn.Close()
 	}
@@ -125,7 +123,7 @@ func (s *ShardServer) Serve() error {
 			return err
 		}
 		s.mu.Lock()
-		admit := !s.closed && len(s.conns) < maxShardConns
+		admit := s.ctx.Err() == nil && len(s.conns) < maxShardConns
 		if admit {
 			s.conns[conn] = struct{}{}
 			s.wg.Add(1)

@@ -105,10 +105,14 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 	for i := range ledgers {
 		ledgers[i] = core.NewSet()
 	}
+	// The merge's connections are closed when it ends, and with them
+	// each shard's session: a shard holds a session only while its merge
+	// runs.
 	conns := make([]*ctlConn, len(targets))
 	defer func() {
 		for _, cc := range conns {
 			if cc != nil {
+				cc.broken = true
 				c.client.put(cc)
 			}
 		}
@@ -156,11 +160,11 @@ func (c *Coordinator) compactMerge(ctx context.Context, targets []*shardState, t
 				rep.start = time.Now()
 				defer func() { rep.rtt = time.Since(rep.start) }()
 				if conns[i] == nil {
-					if conns[i], rep.err = c.client.get(ctx, st.addr); rep.err != nil {
+					if conns[i], rep.err = c.client.get(ctx, st.addr, protocol.FrameSufficient); rep.err != nil {
 						return
 					}
 				}
-				body := protocol.SufficientBody{Session: trace, Round: uint16(round), FragCount: 1, Points: deltas[i]}
+				body := protocol.SufficientBody{Session: trace, Round: uint16(round), Points: deltas[i]}
 				rep.pts, rep.bytes, rep.err = c.client.sufficient(ctx, conns[i], body)
 			}(i, st)
 		}

@@ -163,14 +163,14 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		body, err := s.handle(f, &sess)
-		if err == nil {
+		bodies, err := s.handle(f, r, &sess)
+		for i := 0; err == nil && i < len(bodies); i++ {
 			err = writeFrame(conn, protocol.Frame{
 				Kind:  f.Kind,
 				Flags: protocol.FlagResponse,
 				ReqID: f.ReqID,
 				Trace: f.Trace,
-				Body:  body,
+				Body:  bodies[i],
 			})
 		}
 		if err != nil {
@@ -183,29 +183,34 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 	}
 }
 
-// handle serves one request and returns its response body.
-func (s *ShardServer) handle(f protocol.Frame, sess *mergeSession) ([]byte, error) {
+// handle serves one request, whose first frame is f, and returns its
+// response's frame bodies. A request sent as a run of fragments reads
+// the rest of its run from r.
+func (s *ShardServer) handle(f protocol.Frame, r io.Reader, sess *mergeSession) ([][]byte, error) {
 	if f.Response() {
 		return nil, errors.New("a response frame where a request belongs")
 	}
 	switch f.Kind {
 	case protocol.FrameAssign:
-		return s.handleAssign(f)
+		return one(s.handleAssign(f))
 	case protocol.FrameEstimate:
 		return s.handleEstimate(f)
 	case protocol.FrameHealth:
-		return protocol.HealthBody{
+		return one(protocol.HealthBody{
 			MapVersion: s.mapVersion.Load(),
 			Sensors:    uint16(len(s.svc.Sensors())),
 			Sessions:   uint16(s.sessions.Load()),
-		}.Encode(), nil
+		}.Encode(), nil)
 	case protocol.FrameReadings:
-		return s.handleReadings(f)
+		return one(s.handleReadings(f))
 	case protocol.FrameSufficient:
-		return s.handleSufficient(f, sess)
+		return s.handleSufficient(f, r, sess)
 	}
 	return nil, fmt.Errorf("no handler for %v", f.Kind)
 }
+
+// one is a one-frame response.
+func one(body []byte, err error) ([][]byte, error) { return [][]byte{body}, err }
 
 // handleAssign adopts a shard-map epoch: the owned sensors are
 // pre-joined (so a freshly (re)started shard has its fleet up before
@@ -298,11 +303,11 @@ func (s *ShardServer) handleReadings(f protocol.Frame) ([]byte, error) {
 }
 
 // handleEstimate answers with the shard's window union, or one sensor's
-// own points when the request names it, in one frame. The sensor's own
-// peer holds every point it originated and has not aged out (plus the
-// exchanged rest), so one event-loop round trip suffices; a sensor this
-// shard never attached answers empty.
-func (s *ShardServer) handleEstimate(f protocol.Frame) ([]byte, error) {
+// own points when the request names it, as a run of fragments. The
+// sensor's own peer holds every point it originated and has not aged
+// out (plus the exchanged rest), so one event-loop round trip suffices;
+// a sensor this shard never attached answers empty.
+func (s *ShardServer) handleEstimate(f protocol.Frame) ([][]byte, error) {
 	sensor, err := protocol.DecodeEstimateRequest(f.Body)
 	if err != nil {
 		return nil, err
@@ -319,5 +324,7 @@ func (s *ShardServer) handleEstimate(f protocol.Frame) ([]byte, error) {
 			}
 		}
 	}
-	return protocol.EstimateBody{FragCount: 1, Points: pts}.Encode()
+	return splitPoints(pts, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+		return protocol.EstimateBody{Frag: frag, FragCount: count, Points: chunk}.Encode()
+	})
 }

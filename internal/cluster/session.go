@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"time"
 
 	"innet/internal/core"
@@ -82,17 +83,42 @@ func (s *ShardServer) openLink(trace uint64) (*core.MergeLink, error) {
 // coordinator's sufficient delta, go into the session's ledger and
 // dataset before the shard reacts (Algorithm 1 folds receipts into P
 // first), and the response is the session's Eq. (2) sufficient delta
-// against everything exchanged so far. The connection carries one
-// request at a time and never delivers one twice, so each round is
-// absorbed and answered exactly once.
-func (s *ShardServer) handleSufficient(f protocol.Frame, sess *mergeSession) ([]byte, error) {
+// against everything exchanged so far. Either may span a run of
+// fragments; the rest of the request's run is read from r. The
+// connection carries one request at a time and never delivers one
+// twice, so each round is absorbed and answered exactly once.
+func (s *ShardServer) handleSufficient(f protocol.Frame, r io.Reader, sess *mergeSession) ([][]byte, error) {
 	start := time.Now()
 	body, err := protocol.DecodeSufficient(f.Body)
 	if err != nil {
 		return nil, err
 	}
-	if body.Frag != 0 || body.FragCount != 1 {
-		return nil, fmt.Errorf("SUFFICIENT fragment %d of %d: a round travels whole", body.Frag, body.FragCount)
+	bytes := len(f.Body)
+	var run fragRun
+	for frag := body; ; {
+		done, err := run.add(frag.Frag, frag.FragCount)
+		if err != nil {
+			return nil, fmt.Errorf("SUFFICIENT %w", err)
+		}
+		if done {
+			break
+		}
+		next, err := readFrame(r)
+		if err != nil {
+			return nil, err
+		}
+		if next.Kind != protocol.FrameSufficient || next.Response() {
+			return nil, fmt.Errorf("a %v frame (flags %#x) inside a SUFFICIENT request", next.Kind, next.Flags)
+		}
+		if frag, err = protocol.DecodeSufficient(next.Body); err != nil {
+			return nil, err
+		}
+		if frag.Session != body.Session || frag.Round != body.Round {
+			return nil, fmt.Errorf("SUFFICIENT session %016x round %d continued by session %016x round %d",
+				body.Session, body.Round, frag.Session, frag.Round)
+		}
+		body.Points = append(body.Points, frag.Points...)
+		bytes += len(next.Body)
 	}
 	switch {
 	case body.Round == 0:
@@ -114,9 +140,11 @@ func (s *ShardServer) handleSufficient(f protocol.Frame, sess *mergeSession) ([]
 		Op:     obs.OpSufficient,
 		Round:  int32(body.Round),
 		Points: int32(len(delta)),
-		Bytes:  int32(len(f.Body)),
+		Bytes:  int32(bytes),
 		Start:  start,
 		Dur:    time.Since(start),
 	})
-	return protocol.SufficientBody{Session: body.Session, Round: body.Round, FragCount: 1, Points: delta}.Encode()
+	return splitPoints(delta, func(frag, count uint16, chunk []core.Point) ([]byte, error) {
+		return protocol.SufficientBody{Session: body.Session, Round: body.Round, Frag: frag, FragCount: count, Points: chunk}.Encode()
+	})
 }

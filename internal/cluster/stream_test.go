@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,5 +148,116 @@ func TestRestartedShardGetsReadingsThroughOneRedial(t *testing.T) {
 	}
 	if len(held) != 1 || held[0].ID != (core.PointID{Origin: 4, Seq: ingest.SeqOf(2 * time.Second)}) {
 		t.Fatalf("restarted shard holds %v, want the one reading sent after the restart", held)
+	}
+}
+
+// TestFullMergeOverWindowPastOneFrame: a shard window of more points
+// than one frame's codec admits (65,535) is answered as a run of
+// fragments, so a restarted coordinator still learns its sensors, and
+// the full merge serves it whole: not degraded, every point, and the
+// same outliers the compact merge finds.
+func TestFullMergeOverWindowPastOneFrame(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const points = 66_000
+	svc, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true, QueueDepth: 1 << 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	readings := make([]ingest.Reading, points)
+	for i := range readings {
+		v := 20 + float64(i%1000)/100
+		if i%9973 == 0 {
+			v = 90 + float64(i)/1000 // a handful of faults
+		}
+		readings[i] = ingest.Reading{Sensor: 1, At: time.Duration(i+1) * 5 * time.Millisecond, Values: []float64{v}}
+	}
+	if n, err := svc.Admit(ctx, readings); err != nil || n != points {
+		t.Fatalf("admitted %d of %d readings: %v", n, points, err)
+	}
+	srv, err := NewShardServer(ShardServerConfig{Service: svc, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve()
+
+	coord, err := New(Config{Detector: clusterDetCfg, Shards: []string{srv.Addr()}, QueryTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.mu.Lock()
+	got := coord.seenSensorsLocked()
+	coord.mu.Unlock()
+	if len(got) != 1 || got[0] != 1 {
+		t.Fatalf("the coordinator learned sensors %v from the shard, want sensor 1", got)
+	}
+	full, err := coord.MergedEstimateMode(ctx, MergeFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Degraded || full.ShardsOK != 1 || len(full.Window) != points {
+		t.Fatalf("full merge: degraded %v, %d of 1 shards, %d of %d points", full.Degraded, full.ShardsOK, len(full.Window), points)
+	}
+	compact, err := coord.MergedEstimateMode(ctx, MergeCompact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compact.Mode != MergeCompact || !samePoints(full.Outliers, compact.Outliers) {
+		t.Fatalf("compact (%s) answered %v, full %v", compact.Mode, ids(compact.Outliers), ids(full.Outliers))
+	}
+}
+
+// TestConcurrentIngestWaitsForASlot: more routed batches in flight at
+// once than a shard serves connections wait for one of the
+// coordinator's ctlSlots instead of failing, and health probes, which
+// take no slot, keep the shard up throughout.
+func TestConcurrentIngestWaitsForASlot(t *testing.T) {
+	sh := startShard(t, "")
+	defer sh.stop()
+	p := newStreamProxy(t, sh.addr)
+	p.setRule(func(f protocol.Frame) fault {
+		if f.Kind == protocol.FrameReadings {
+			return delay // hold every exchange long enough for the batches to pile up
+		}
+		return pass
+	})
+	coord, err := New(Config{
+		Detector:       clusterDetCfg,
+		Shards:         []string{p.addr()},
+		QueryTimeout:   20 * time.Second,
+		HealthInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	const batches = 3 * maxShardConns
+	errs := make([]error, batches)
+	var wg sync.WaitGroup
+	for i := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = coord.IngestBatch([]ingest.Reading{{Sensor: core.NodeID(1 + i%16), At: time.Duration(i+1) * time.Second, Values: []float64{20}}})[0]
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batch %d of %d: %v", i, batches, err)
+		}
+	}
+	if st := coord.Stats(); st.Flaps != 0 {
+		t.Fatalf("the shard flapped %d times under the load", st.Flaps)
+	}
+	coord.client.mu.Lock()
+	open := len(coord.client.open)
+	coord.client.mu.Unlock()
+	if open > ctlSlots+1 {
+		t.Fatalf("%d connections open to one shard, over the %d slots and one probe", open, ctlSlots)
 	}
 }

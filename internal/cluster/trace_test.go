@@ -55,8 +55,8 @@ func opCount(spans []wireSpan) map[string]int {
 // coordinator-side round spans at its /debug/traces and shard-side
 // merge-session spans at each shard's /debug/traces. It also pins one ID
 // per query: the merge session is the trace, so every query, round,
-// session-create and sufficient span in either ring carries it, and each
-// shard holds the session on the one connection the query used.
+// session-create and sufficient span in either ring carries it, and no
+// shard holds the session once the query is over.
 func TestQueryTraceEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -175,9 +175,9 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 				delivered++
 			}
 		}
-		if held := sh.srv.sessions.Load(); held != 1 {
-			t.Fatalf("shard %s has %d connections holding a session, want the query's one", sh.addr, held)
-		}
+		// The merge closed its connections as it ended, and each shard's
+		// session with them.
+		waitFor(t, 5*time.Second, "sessions released after the query", func() bool { return sh.srv.sessions.Load() == 0 })
 	}
 	if delivered == 0 {
 		t.Fatal("no shard recorded a point-carrying sufficient span; the query delivered no candidates")

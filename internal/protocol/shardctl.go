@@ -29,8 +29,9 @@ package protocol
 //	                                for the shard's window union, a
 //	                                sensor ID for the points that
 //	                                sensor holds of its own (a window
-//	                                copy's read); the response is one
-//	                                frame, fragment 0 of 1
+//	                                copy's read); the response may span
+//	                                a run of fragments, sent back to
+//	                                back in order
 //	HEALTH    coordinator → shard   liveness probe; response reports the
 //	                                shard's map version and fleet size
 //	READINGS  coordinator → shard   routed ingest batch with
@@ -41,8 +42,9 @@ package protocol
 //	                                carries the coordinator's sufficient
 //	                                delta for session S, round R; the
 //	                                response is the shard's Eq. (2)
-//	                                delta, each one frame, fragment 0
-//	                                of 1
+//	                                delta; either may span a run of
+//	                                fragments, sent back to back in
+//	                                order
 //
 // Every response carries its request's kind. ASSIGN and READINGS are
 // answered with an AckBody count.
@@ -239,9 +241,9 @@ func DecodeAssign(buf []byte) (AssignBody, error) {
 	return b, nil
 }
 
-// EstimateBody is the ESTIMATE response payload: the requested window
-// points. A response is sent whole, as fragment 0 of 1; the fields stay
-// because the layout encodes them. The request body is
+// EstimateBody is the ESTIMATE response payload: one fragment of the
+// requested window points, fragment Frag of a run of FragCount frames
+// that travel back to back in order. The request body is
 // EncodeEstimateRequest's.
 type EstimateBody struct {
 	Frag      uint16
@@ -353,8 +355,8 @@ func DecodeReadings(buf []byte) (ReadingsBody, error) {
 // request names a merge session (a coordinator-chosen 64-bit ID) and a
 // round and carries the coordinator's sufficient delta for it; the
 // response carries the shard's Eq. (2) sufficient delta for that round.
-// Both travel whole, as fragment 0 of 1; the fields stay because the
-// layout encodes them.
+// Either may be a run of FragCount frames, fragment Frag of them, that
+// travel back to back in order.
 type SufficientBody struct {
 	Session   uint64
 	Round     uint16

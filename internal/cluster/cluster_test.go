@@ -160,6 +160,34 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// steppedCoordinator starts a coordinator whose health loop never ticks
+// on its own. step runs one probe round and returns once every probe it
+// started, and the resync that followed, has ended; it runs the first
+// round before returning, as the first tick would.
+func steppedCoordinator(t *testing.T, cfg Config) (coord *Coordinator, step func()) {
+	t.Helper()
+	coord, err := start(cfg, make(chan time.Time))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	step = func() { coord.probeRound().Wait() }
+	step()
+	return coord, step
+}
+
+// shardUp reports the coordinator's view of one shard: up, and synced.
+func shardUp(t *testing.T, coord *Coordinator, addr string) (up, synced bool) {
+	t.Helper()
+	for _, info := range coord.ShardInfos() {
+		if info.Addr == addr {
+			return info.Up, info.Synced
+		}
+	}
+	t.Fatalf("shard %s is not registered", addr)
+	return false, false
+}
+
 // TestClusterEquivalence is the acceptance property: for random ingest
 // traces over random shard assignments (the rendezvous map changes with
 // the OS-assigned ports), the coordinator's merged outlier set over 3
@@ -265,18 +293,13 @@ func TestClusterShardFailure(t *testing.T) {
 		shards = append(shards, sh)
 		addrs = append(addrs, sh.addr)
 	}
-	coord, err := New(Config{
-		Detector:       clusterDetCfg,
-		Shards:         addrs,
-		Replicas:       2,
-		QueryTimeout:   5 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		HealthMisses:   2,
+	coord, step := steppedCoordinator(t, Config{
+		Detector:     clusterDetCfg,
+		Shards:       addrs,
+		Replicas:     2,
+		QueryTimeout: 5 * time.Second,
+		HealthMisses: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
 	single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
 	if err != nil {
 		t.Fatal(err)
@@ -290,15 +313,16 @@ func TestClusterShardFailure(t *testing.T) {
 	}
 	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
 
+	// Two missed probes mark the stopped shard down.
 	shards[1].stop()
-	waitFor(t, 10*time.Second, "shard marked down", func() bool {
-		for _, info := range coord.ShardInfos() {
-			if info.Addr == shards[1].addr && !info.Up {
-				return true
-			}
-		}
-		return false
-	})
+	step()
+	if up, _ := shardUp(t, coord, shards[1].addr); !up {
+		t.Fatal("shard marked down after one missed probe, want two")
+	}
+	step()
+	if up, _ := shardUp(t, coord, shards[1].addr); up {
+		t.Fatal("shard not marked down after two missed probes")
+	}
 
 	merged, err := coord.MergedEstimateMode(ctx, MergeCompact)
 	if err != nil {
@@ -330,18 +354,13 @@ func TestClusterShardRejoin(t *testing.T) {
 		shards = append(shards, sh)
 		addrs = append(addrs, sh.addr)
 	}
-	coord, err := New(Config{
-		Detector:       clusterDetCfg,
-		Shards:         addrs,
-		Replicas:       2,
-		QueryTimeout:   2 * time.Second,
-		HealthInterval: 50 * time.Millisecond,
-		HealthMisses:   2,
+	coord, step := steppedCoordinator(t, Config{
+		Detector:     clusterDetCfg,
+		Shards:       addrs,
+		Replicas:     2,
+		QueryTimeout: 2 * time.Second,
+		HealthMisses: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
 	single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
 	if err != nil {
 		t.Fatal(err)
@@ -353,17 +372,14 @@ func TestClusterShardRejoin(t *testing.T) {
 	phase1, phase2 := full[:len(full)/2], full[len(full)/2:]
 	feedBoth(t, ctx, coord, single, shards, phase1)
 
-	// Kill one shard and wait for the coordinator to notice.
+	// Kill one shard; two missed probes mark it down.
 	victim := shards[1]
 	victim.stop()
-	waitFor(t, 10*time.Second, "shard marked down", func() bool {
-		for _, info := range coord.ShardInfos() {
-			if info.Addr == victim.addr && !info.Up {
-				return true
-			}
-		}
-		return false
-	})
+	step()
+	step()
+	if up, _ := shardUp(t, coord, victim.addr); up {
+		t.Fatal("shard not marked down after two missed probes")
+	}
 
 	// Ingest while degraded: readings for the victim's sensors reroute
 	// to the surviving shards.
@@ -384,20 +400,17 @@ func TestClusterShardRejoin(t *testing.T) {
 	}
 
 	// Rejoin: a fresh empty process binds the same control address.
+	// One answered probe rejoins it, and its resync ends with the round.
 	reborn := startShard(t, victim.addr)
 	defer reborn.stop()
-	waitFor(t, 15*time.Second, "rejoined shard synced", func() bool {
-		for _, info := range coord.ShardInfos() {
-			if info.Addr == reborn.addr {
-				return info.Up && info.Synced
-			}
-		}
-		return false
-	})
-	waitFor(t, 15*time.Second, "undegraded exact merge after rejoin", func() bool {
-		m, err := coord.MergedEstimateMode(ctx, MergeCompact)
-		return err == nil && !m.Degraded && samePoints(m.Outliers, want)
-	})
+	step()
+	if up, synced := shardUp(t, coord, reborn.addr); !up || !synced {
+		t.Fatalf("rejoined shard up=%v synced=%v after one answered probe", up, synced)
+	}
+	m, err := coord.MergedEstimateMode(ctx, MergeCompact)
+	if err != nil || m.Degraded || !samePoints(m.Outliers, want) {
+		t.Fatalf("merge after rejoin: degraded=%v outliers %s, want %s (%v)", m.Degraded, ids(m.Outliers), ids(want), err)
+	}
 
 	// The reborn shard really was restored by handoff: it holds window
 	// points again for the sensors it owns (it restarted empty, and
@@ -405,10 +418,10 @@ func TestClusterShardRejoin(t *testing.T) {
 	smap := coord.ShardMapSnapshot()
 	owned := smap.Owned(reborn.addr, sensors, 2)
 	if len(owned) > 0 {
-		waitFor(t, 15*time.Second, "handoff restored the reborn shard's windows", func() bool {
-			pts, err := reborn.svc.Snapshot(ctx)
-			return err == nil && len(pts) > 0
-		})
+		pts, err := reborn.svc.Snapshot(ctx)
+		if err != nil || len(pts) == 0 {
+			t.Fatalf("handoff restored none of the reborn shard's windows (%v)", err)
+		}
 	}
 }
 
@@ -461,23 +474,24 @@ func TestClusterMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The full path: this test pins window movement through the result's
-	// Window field, which the compact path does not materialize.
-	waitFor(t, 15*time.Second, "exact merge after shard add", func() bool {
+	// Window field, which the compact path does not materialize. A change
+	// returns done, so the merge is checked as soon as it returns.
+	exact := func(what string, shards int) {
+		t.Helper()
 		m, err := coord.MergedEstimateMode(ctx, MergeFull)
-		return err == nil && !m.Degraded && m.ShardsTotal == 4 &&
-			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
-	})
+		if err != nil || m.Degraded || m.ShardsTotal != shards || !samePoints(m.Outliers, want) || !samePoints(m.Window, snap) {
+			t.Fatalf("merge after shard %s: degraded=%v over %d shards, %d-point window (want %d), outliers %s (want %s) (%v)",
+				what, m.Degraded, m.ShardsTotal, len(m.Window), len(snap), ids(m.Outliers), ids(want), err)
+		}
+	}
+	exact("add", 4)
 
 	// Shrink: remove one of the original shards; its sensors drain to
 	// their new owners before it disappears from the query set.
 	if err := coord.RemoveShard(shards[0].addr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "exact merge after shard removal", func() bool {
-		m, err := coord.MergedEstimateMode(ctx, MergeFull)
-		return err == nil && !m.Degraded && m.ShardsTotal == 3 &&
-			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
-	})
+	exact("removal", 3)
 }
 
 // TestCoordinatorRestartDrainsEverySensor: a restarted coordinator
@@ -535,11 +549,12 @@ func TestCoordinatorRestartDrainsEverySensor(t *testing.T) {
 	if err := second.RemoveShard(shards[0].addr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "exact merge after removal by a restarted coordinator", func() bool {
-		m, err := second.MergedEstimateMode(ctx, MergeFull)
-		return err == nil && !m.Degraded && m.ShardsTotal == 2 &&
-			samePoints(m.Outliers, want) && samePoints(m.Window, snap)
-	})
+	// The removal returns done: the merge is whole as soon as it returns.
+	m, err := second.MergedEstimateMode(ctx, MergeFull)
+	if err != nil || m.Degraded || m.ShardsTotal != 2 || !samePoints(m.Outliers, want) || !samePoints(m.Window, snap) {
+		t.Fatalf("merge after removal by a restarted coordinator: degraded=%v over %d shards, %d-point window (want %d), outliers %s (want %s) (%v)",
+			m.Degraded, m.ShardsTotal, len(m.Window), len(snap), ids(m.Outliers), ids(want), err)
+	}
 }
 
 // TestCoordinatorRepeatedReadingIsANoOp: a batch delivered twice to the

@@ -108,8 +108,7 @@ type shardState struct {
 	addr    string
 	up      bool // last probe round reached it (optimistic at birth)
 	synced  bool // acknowledged the current map version
-	syncing bool // a resync goroutine is in flight
-	probing bool // a health probe is in flight
+	probing bool // a health probe, or the resync after it, is in flight
 	misses  int
 	last    protocol.HealthBody
 	lastAt  time.Time
@@ -148,6 +147,11 @@ type Coordinator struct {
 	cfg    Config
 	client *ctlClient
 
+	// member is held for writing by a membership change (AddShard,
+	// RemoveShard) and for reading by a probe's resync: changes run one
+	// at a time, and no resync overlaps one.
+	member sync.RWMutex
+
 	mu     sync.Mutex
 	smap   *ShardMap
 	shards map[string]*shardState
@@ -172,7 +176,11 @@ type Coordinator struct {
 
 // New validates cfg, learns which sensors the shards hold, and starts the
 // health loop, which pushes the shard map.
-func New(cfg Config) (*Coordinator, error) {
+func New(cfg Config) (*Coordinator, error) { return start(cfg, nil) }
+
+// start is New with the health loop's tick supplied: nil ticks every
+// HealthInterval; a test passes its own and runs rounds (probeRound).
+func start(cfg Config, tick <-chan time.Time) (*Coordinator, error) {
 	cfg.applyDefaults()
 	probe := cfg.Detector
 	probe.Node = 1
@@ -214,7 +222,7 @@ func New(cfg Config) (*Coordinator, error) {
 	// is never written concurrently with a read.
 	client.onRTT = c.obs.rpcObserve
 	c.discoverSensors()
-	go c.healthLoop()
+	go c.healthLoop(tick)
 	return c, nil
 }
 

@@ -1,6 +1,7 @@
 // Membership (§5.3): startup discovery, shard add and remove, window
 // copy, health and resync. c.mu: reads smap, shards, latest and closed;
-// writes smap, shards (and each shard's state) and latest.
+// writes smap, shards (and each shard's state) and latest. c.member
+// orders a map change against every resync.
 
 package cluster
 
@@ -18,8 +19,8 @@ import (
 )
 
 // discoverSensors learns, at startup, which sensors the shards already
-// hold: AddShard's copy, RemoveShard's drain and resync's eviction walk
-// only the sensors in latest, so a restarted coordinator that knew just
+// hold: a membership change's copies and resync's eviction walk only
+// the sensors in latest, so a restarted coordinator that knew just
 // the sensors reporting since the restart would strand the others'
 // windows. One window query per configured shard; each point's birth
 // also seeds its sensor's staleness gate. Best-effort: a shard that does
@@ -47,85 +48,104 @@ func (c *Coordinator) discoverSensors() {
 	wg.Wait()
 }
 
-// AddShard registers a new shard and rebalances: the map version
-// advances, every shard is re-ASSIGNed, and sensors gaining the new
-// shard as an owner are handed off to it by their current owners.
+// AddShard registers a new shard and moves the cluster onto a map that
+// includes it (change).
 func (c *Coordinator) AddShard(addr string) error {
 	if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 		return fmt.Errorf("cluster: resolve shard %q: %w", addr, err)
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	if _, dup := c.shards[addr]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: shard %s already registered", addr)
-	}
-	// Register the shard and copy the windows it will own BEFORE
-	// publishing the new map: once the map version moves, resyncs evict
-	// the moved sensors from their old owners, and with Replicas 1 the
-	// old owner held the only copy. Routing keeps using the old map
-	// during the copy, so no reading is mis-homed meanwhile.
-	oldMap := c.smap
-	newMap := c.smap.WithShard(addr)
-	c.shards[addr] = &shardState{addr: addr, up: true}
-	seen := c.seenSensorsLocked()
-	c.mu.Unlock()
-	// Adding a shard changes no other shard's rendezvous score, so the
-	// new shard is the only owner any sensor can gain.
-	for _, sensor := range seen {
-		if !slices.Contains(newMap.Owners(sensor, c.cfg.Replicas), addr) {
-			continue
-		}
-		from, to := c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas), ""), c.firstUp([]string{addr}, "")
-		if from != nil && to != nil {
-			c.copyWindow(sensor, from, to)
-		}
-	}
-
-	c.cfg.Logger.Info("shard added", "shard", addr, "map_version", newMap.Version())
-	c.publish(newMap, "")
-	return nil
+	return c.change(addr, true)
 }
 
-// RemoveShard drains and deregisters a shard: while it is still
-// reachable its sensors' windows are handed off to their new owners
-// first, then the map version advances and the rest re-ASSIGNs.
+// RemoveShard moves the cluster onto a map without the shard (change),
+// draining its windows while it is reachable, and deregisters it.
 func (c *Coordinator) RemoveShard(addr string) error {
+	return c.change(addr, false)
+}
+
+// change is the one membership path: it adds addr to the map or removes
+// it. Changes run one at a time under c.member, so each builds on the
+// map the last one installed, in three steps:
+//  1. every window that gains an owner is copied to that owner, if it is
+//     up, from the sensor's first up old owner (a shard being removed
+//     counts while it answers). Routing keeps the old map meanwhile.
+//  2. the new map is installed and a removed shard dropped.
+//  3. every up shard is resynced onto the new map (ASSIGN, which evicts
+//     the sensors it lost), and change waits for all of them.
+//
+// So the evicting ASSIGNs come only after the copies, and when change
+// returns every up shard that answered holds the new epoch: no ASSIGN
+// of an older map is left in flight to evict a window the next change
+// copies. A probe's resync holds c.member for reading, so it runs
+// before or after a change, never inside one.
+func (c *Coordinator) change(addr string, add bool) error {
+	c.member.Lock()
+	defer c.member.Unlock()
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+	_, known := c.shards[addr]
+	var err error
+	switch {
+	case c.closed:
+		err = ErrClosed
+	case add && known:
+		err = fmt.Errorf("cluster: shard %s already registered", addr)
+	case !add && !known:
+		err = fmt.Errorf("%w: %s", ErrUnknownShard, addr)
 	}
-	st, ok := c.shards[addr]
-	if !ok {
+	if err != nil {
 		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownShard, addr)
+		return err
 	}
-	oldMap := c.smap
-	newMap := c.smap.WithoutShard(addr)
-	drainable := st.up && newMap.Len() > 0
+	oldMap, newMap := c.smap, c.smap.WithoutShard(addr)
+	if add {
+		newMap = c.smap.WithShard(addr)
+		c.shards[addr] = &shardState{addr: addr, up: true}
+	}
 	seen := c.seenSensorsLocked()
 	c.mu.Unlock()
 
-	if drainable {
-		for _, sensor := range oldMap.Owned(addr, seen, c.cfg.Replicas) {
-			// Only sensors that would lose their last copy need moving:
-			// their other owners are down, so the first up new owner is
-			// the shard that gains them.
-			if c.firstUp(oldMap.Owners(sensor, c.cfg.Replicas), addr) != nil {
+	for _, sensor := range seen {
+		was := oldMap.Owners(sensor, c.cfg.Replicas)
+		for _, gains := range newMap.Owners(sensor, c.cfg.Replicas) {
+			if slices.Contains(was, gains) {
 				continue
 			}
-			if to := c.firstUp(newMap.Owners(sensor, c.cfg.Replicas), ""); to != nil {
-				c.copyWindow(sensor, st, to)
+			if from, to := c.firstUp(was, ""), c.firstUp([]string{gains}, ""); from != nil && to != nil {
+				c.copyWindow(sensor, from, to)
 			}
 		}
 	}
 
-	c.cfg.Logger.Info("shard removed", "shard", addr, "map_version", newMap.Version())
-	c.publish(newMap, addr)
+	c.mu.Lock()
+	c.smap = newMap
+	if !add {
+		delete(c.shards, addr)
+	}
+	var targets []*shardState
+	for _, st := range c.shards {
+		st.synced = false
+		if st.up {
+			targets = append(targets, st)
+		}
+	}
+	c.mu.Unlock()
+	if !add {
+		c.client.forget(addr)
+	}
+	var wg sync.WaitGroup
+	for _, st := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.resync(st)
+		}()
+	}
+	wg.Wait()
+	msg := "shard removed"
+	if add {
+		msg = "shard added"
+	}
+	c.cfg.Logger.Info(msg, "shard", addr, "map_version", newMap.Version())
 	return nil
 }
 
@@ -144,9 +164,9 @@ func (c *Coordinator) firstUp(addrs []string, except string) *shardState {
 
 // copyWindow copies one sensor's window from a shard that holds it to
 // one that should: an ESTIMATE for that sensor from from, then READINGS
-// flagged FlagTransfer to to. It is the one window-copy path behind
-// AddShard, RemoveShard's drain and resync. A failed copy is not retried
-// here: resync repeats it wherever a surviving copy exists.
+// flagged FlagTransfer to to. It is the one window-copy path behind a
+// membership change and resync. A failed copy is not retried here:
+// resync repeats it wherever a surviving copy exists.
 func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	ctx, cancel := c.ctlCtx()
 	pts, _, err := c.client.estimate(ctx, from.addr, 0, sensor)
@@ -170,128 +190,102 @@ func (c *Coordinator) seenSensorsLocked() []core.NodeID {
 	return slices.Sorted(maps.Keys(c.latest))
 }
 
-// healthLoop probes every shard each interval and drives the
-// up/down/resync state machine. Probes are fire-and-forget with a
-// per-shard in-flight guard: one stalled shard eating its full
-// probeTimeout must not stretch the probe period for the healthy ones.
-// A probe checks out a connection of its own, so it never waits behind
-// a snapshot or a merge.
-func (c *Coordinator) healthLoop() {
+// healthLoop runs a probe round on every tick: of a HealthInterval
+// ticker, or of the channel a test passed to start.
+func (c *Coordinator) healthLoop(tick <-chan time.Time) {
 	defer close(c.healthDone)
-	ticker := time.NewTicker(c.cfg.HealthInterval)
-	defer ticker.Stop()
+	if tick == nil {
+		ticker := time.NewTicker(c.cfg.HealthInterval)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-c.ctx.Done():
 			return
-		case <-ticker.C:
+		case <-tick:
 		}
-		c.mu.Lock()
-		targets := make([]*shardState, 0, len(c.shards))
-		for _, st := range c.shards {
-			if !st.probing {
-				st.probing = true
-				targets = append(targets, st)
-			}
-		}
-		c.mu.Unlock()
-		for _, st := range targets {
-			go func(st *shardState) {
-				ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
-				probeStart := time.Now()
-				h, err := c.client.health(ctx, st.addr)
-				cancel()
-				if err != nil {
-					c.noteMiss(st)
-				} else {
-					c.noteUp(st, h, time.Since(probeStart))
-				}
-			}(st)
-		}
+		c.probeRound()
 	}
 }
 
-// noteMiss and noteUp apply one probe's outcome and end the probe.
-func (c *Coordinator) noteMiss(st *shardState) {
+// probeRound probes every shard whose last probe has ended, each on its
+// own goroutine: one stalled shard eating its full probeTimeout must not
+// stretch the probe period for the healthy ones, and a shard whose probe
+// or resync is still running is skipped, so goroutines cannot pile up.
+// A probe checks out a connection of its own, so it never waits behind a
+// snapshot or a merge. The returned group is done when every probe the
+// round started, and the resync that followed it, has ended.
+func (c *Coordinator) probeRound() *sync.WaitGroup {
+	var round sync.WaitGroup
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st.probing = false
-	st.misses++
-	if st.misses >= c.cfg.HealthMisses && st.up {
-		st.up = false
-		st.synced = false
-		c.obs.flaps.Inc()
-		c.cfg.Logger.Warn("shard marked down", "shard", st.addr, "misses", st.misses)
-	}
-}
-
-func (c *Coordinator) noteUp(st *shardState, h protocol.HealthBody, rtt time.Duration) {
-	c.mu.Lock()
-	st.probing = false
-	wasDown := !st.up
-	st.up = true
-	st.misses = 0
-	st.last = h
-	st.lastAt = time.Now()
-	st.lastRTT = rtt
-	version := c.smap.Version()
-	needSync := wasDown || !st.synced || h.MapVersion != version
-	c.mu.Unlock()
-	if wasDown {
-		c.cfg.Logger.Info("shard back up", "shard", st.addr, "map_version", h.MapVersion)
-	}
-	if needSync {
-		go c.resync(st)
-	}
-}
-
-// publish installs newMap, drops the shard removed (if any) and its idle
-// connections, and resyncs every up shard onto the new map without
-// waiting for the next health tick.
-func (c *Coordinator) publish(newMap *ShardMap, removed string) {
-	c.mu.Lock()
-	c.smap = newMap
-	delete(c.shards, removed)
-	var targets []*shardState
 	for _, st := range c.shards {
-		st.synced = false
-		if st.up {
-			targets = append(targets, st)
+		if st.probing {
+			continue
 		}
+		st.probing = true
+		round.Add(1)
+		go func() {
+			defer round.Done()
+			c.probe(st)
+		}()
 	}
-	c.mu.Unlock()
-	if removed != "" {
-		c.client.forget(removed)
-	}
-	for _, st := range targets {
-		go c.resync(st)
-	}
+	return &round
 }
 
-// resync pushes the current map epoch to one shard (ASSIGN) and, for
-// every sensor it owns that has a surviving copy on another up shard,
-// copies the window back (copyWindow). It is how a rejoining shard — which
-// may have restarted empty — converges back to exact answers instead of
-// waiting a full window for refill; with Replicas == 1 there is no
-// surviving copy and refill is the only path (the ASSIGN still re-joins
-// the sensors so fresh readings land immediately).
+// probe sends one shard a HEALTH and drives its up/down state. A shard
+// that answered but has not acknowledged the current map is resynced,
+// under a read hold of c.member. Then the probe ends.
+func (c *Coordinator) probe(st *shardState) {
+	ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
+	start := time.Now()
+	h, err := c.client.health(ctx, st.addr)
+	rtt := time.Since(start)
+	cancel()
+	c.mu.Lock()
+	if err != nil {
+		st.misses++
+		if st.misses >= c.cfg.HealthMisses && st.up {
+			st.up = false
+			st.synced = false
+			c.obs.flaps.Inc()
+			c.cfg.Logger.Warn("shard marked down", "shard", st.addr, "misses", st.misses)
+		}
+	} else {
+		if !st.up {
+			c.cfg.Logger.Info("shard back up", "shard", st.addr, "map_version", h.MapVersion)
+		}
+		st.up = true
+		st.misses = 0
+		st.last = h
+		st.lastAt = time.Now()
+		st.lastRTT = rtt
+	}
+	needSync := err == nil && (!st.synced || h.MapVersion != c.smap.Version())
+	c.mu.Unlock()
+	if needSync {
+		c.member.RLock()
+		c.resync(st)
+		c.member.RUnlock()
+	}
+	c.mu.Lock()
+	st.probing = false
+	c.mu.Unlock()
+}
+
+// resync pushes the current map epoch to one shard (ASSIGN) and copies
+// back each window it owns that survives on another up shard, so a shard
+// that rejoined empty converges to exact answers without waiting a full
+// window for refill (at Replicas 1 refill is the only path; the ASSIGN
+// still joins its sensors). The caller holds c.member: change for
+// writing, probe for reading.
 func (c *Coordinator) resync(st *shardState) {
 	c.mu.Lock()
-	if st.syncing || c.closed {
-		c.mu.Unlock()
-		return
-	}
-	st.syncing = true
-	smap := c.smap
-	seen := c.seenSensorsLocked()
+	closed, smap, seen := c.closed, c.smap, c.seenSensorsLocked()
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		st.syncing = false
-		c.mu.Unlock()
-	}()
-	if smap.Index(st.addr) < 0 {
-		return // mid-AddShard: registered but not published yet
+	if closed || smap.Index(st.addr) < 0 {
+		return // closing, or removed since its probe began
 	}
 
 	owned := smap.Owned(st.addr, seen, c.cfg.Replicas)
@@ -322,9 +316,6 @@ func (c *Coordinator) resync(st *shardState) {
 		}
 	}
 	c.mu.Lock()
-	// Only mark synced if the map did not move underneath the resync.
-	if c.smap.Version() == smap.Version() {
-		st.synced = true
-	}
+	st.synced = true // no change can move the map while c.member is held
 	c.mu.Unlock()
 }

@@ -24,12 +24,17 @@ type fault uint8
 const (
 	pass  fault = iota
 	delay       // forward it after faultDelay
+	hold        // forward it once a rule calls openLocked, or after holdLimit
 	stall       // forward nothing more on its connection, either way, and keep it open
 	cut         // close both ends of its connection
 )
 
-// faultDelay is how long a delayed frame is held.
-const faultDelay = 3 * time.Millisecond
+// faultDelay is how long a delayed frame is held; holdLimit bounds how
+// long a held one waits to be let through.
+const (
+	faultDelay = 3 * time.Millisecond
+	holdLimit  = 100 * time.Millisecond
+)
 
 // streamProxy is a man-in-the-middle between the coordinator and one
 // shard on the control stream. Each connection the coordinator opens is
@@ -45,6 +50,7 @@ type streamProxy struct {
 
 	mu    sync.Mutex
 	rule  func(protocol.Frame) fault // nil passes everything
+	gate  chan struct{}              // closed to let the held frames through
 	conns map[net.Conn]struct{}
 	wg    sync.WaitGroup
 }
@@ -55,7 +61,7 @@ func newStreamProxy(t testing.TB, shardAddr string) *streamProxy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &streamProxy{ln: ln, shard: shardAddr, conns: make(map[net.Conn]struct{})}
+	p := &streamProxy{ln: ln, shard: shardAddr, gate: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	p.wg.Add(1)
 	go p.accept()
 	t.Cleanup(p.close)
@@ -119,6 +125,7 @@ func (p *streamProxy) pump(src, dst net.Conn, stalled *atomic.Bool) {
 		if p.rule != nil {
 			what = p.rule(f)
 		}
+		gate := p.gate
 		p.mu.Unlock()
 		switch what {
 		case cut:
@@ -128,6 +135,11 @@ func (p *streamProxy) pump(src, dst net.Conn, stalled *atomic.Bool) {
 			continue
 		case delay:
 			time.Sleep(faultDelay)
+		case hold: // outside the mutex, so other frames' rules still run
+			select {
+			case <-gate:
+			case <-time.After(holdLimit):
+			}
 		}
 		if writeFrame(dst, f) != nil {
 			return
@@ -141,6 +153,13 @@ func (p *streamProxy) setRule(rule func(protocol.Frame) fault) {
 	p.mu.Lock()
 	p.rule = rule
 	p.mu.Unlock()
+}
+
+// openLocked lets every held frame through; a frame held after it waits
+// for the next call. A rule calls it, under the proxy mutex.
+func (p *streamProxy) openLocked() {
+	close(p.gate)
+	p.gate = make(chan struct{})
 }
 
 func (p *streamProxy) addr() string { return p.ln.Addr().String() }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Static checks: go vet over every package, gofmt, a check that every
-# test a CI step selects by name exists, a check that the shared daemon
+# test a CI step selects by name exists, a check that every `pkg.Name`
+# DESIGN.md and README.md give an internal package is declared there
+# (scripts/docnames), a check that the shared daemon
 # shell does not import the store, plus govulncheck when the
 # tool is on PATH (CI installs it; locally it is optional, since the
 # sandbox may have no network to fetch it). New wire-protocol fields
@@ -39,6 +41,11 @@ done
 if [[ $MISSING -ne 0 ]]; then
   exit 1
 fi
+
+# A doc that names a function, type or field that was renamed or deleted
+# sends its reader looking for code that is not there.
+echo "== names the docs give internal packages exist"
+go run ./scripts/docnames DESIGN.md README.md
 
 # The shell both daemons share holds no durable state: the store is
 # innetd's alone, opened and closed in cmd/innetd.

@@ -3,9 +3,9 @@
 // detector shard processes (innetd instances started with -shard) via a
 // consistent rendezvous shard map, routes HTTP/UDP observation batches
 // to the shards owning each sensor — replicating boundary sensors when
-// -replicas > 1 — probes shard health, resynchronizes rejoining shards
-// (ASSIGN + window copy), and serves the merged cluster-wide outlier
-// view. See the README's "Cluster operations" section.
+// -replicas > 1 — probes shard health, moves the map as shards are
+// added, removed, marked down or back up (ASSIGN + window copy), and
+// serves the merged cluster-wide outlier view. See the README's "Cluster operations" section.
 //
 // Usage:
 //
@@ -21,8 +21,9 @@
 // before routing is the one the shards apply again. A restarted
 // coordinator routes a re-sent reading to the point its shards already
 // hold, where it is a repeat. At startup it asks every shard for its
-// window to learn which sensors exist, so shard add, remove and resync
-// still move every sensor's window.
+// window to learn which sensors exist, so every membership change still
+// moves every sensor's window, and for its map epoch, so its own map
+// starts above it.
 //
 // With -debug-addr the coordinator serves the pprof suite and Go
 // runtime gauges on a separate listener. -slow-query logs merged

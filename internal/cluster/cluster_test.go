@@ -162,8 +162,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // steppedCoordinator starts a coordinator whose health loop never ticks
 // on its own. step runs one probe round and returns once every probe it
-// started, and the resync that followed, has ended; it runs the first
-// round before returning, as the first tick would.
+// started, and the change or refill that followed, has ended; it runs
+// the first round before returning, as the first tick would.
 func steppedCoordinator(t *testing.T, cfg Config) (coord *Coordinator, step func()) {
 	t.Helper()
 	coord, err := start(cfg, make(chan time.Time))
@@ -339,10 +339,10 @@ func TestClusterShardFailure(t *testing.T) {
 }
 
 // TestClusterShardRejoin drives the full failure lifecycle: a shard
-// dies, ingestion reroutes around it, and when a fresh (empty) process
-// rejoins at the same address the coordinator re-ASSIGNs it and restores
-// its sensors' windows by handoff from the surviving replicas — the
-// merged view converges back to exact and undegraded.
+// dies, the map drops it and ingestion follows the map, and when a fresh
+// (empty) process rejoins at the same address the map takes it back and
+// its sensors' windows are restored by handoff from the surviving
+// replicas — the merged view converges back to exact and undegraded.
 func TestClusterShardRejoin(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -400,7 +400,7 @@ func TestClusterShardRejoin(t *testing.T) {
 	}
 
 	// Rejoin: a fresh empty process binds the same control address.
-	// One answered probe rejoins it, and its resync ends with the round.
+	// One answered probe rejoins it, and its change ends with the round.
 	reborn := startShard(t, victim.addr)
 	defer reborn.stop()
 	step()

@@ -1,7 +1,7 @@
 // The coordinator's state and lifecycle. Its roles have a file each
 // (route.go, membership.go, query.go), whose header names the c.mu fields
-// the role reads and writes. Here Close writes closed; Stats, ShardInfos
-// and the shard-state helpers read smap, shards and latest.
+// the role reads and writes. Here start writes smap's first epoch, Close
+// writes closed; Stats and ShardInfos read smap, shards and latest.
 
 package cluster
 
@@ -106,11 +106,10 @@ func (c *Config) applyDefaults() {
 // shardState is the coordinator's view of one shard process.
 type shardState struct {
 	addr    string
-	up      bool // last probe round reached it (optimistic at birth)
-	synced  bool // acknowledged the current map version
-	probing bool // a health probe, or the resync after it, is in flight
+	up      bool // in the live map, or being removed; set by a change (optimistic at birth)
+	probing bool // a health probe, or the change or refill it started, is in flight
 	misses  int
-	last    protocol.HealthBody
+	last    protocol.HealthBody // MapVersion: as last probed, or acknowledged by an ASSIGN since
 	lastAt  time.Time
 	lastRTT time.Duration // last successful probe's round trip
 }
@@ -135,26 +134,27 @@ type Stats struct {
 	HandoffPoints  uint64 // points moved via handoff
 	Flaps          uint64 // up→down transitions observed
 	ShardsUp       int
-	ShardsTotal    int
+	ShardsTotal    int // registered shards, up or down
 	Sensors        int // distinct sensors known: routed, or found on a shard at startup
 }
 
 // Coordinator is the cluster front door: it owns the shard map, routes
-// readings to owning shards, probes shard health,
-// resynchronizes rejoining shards (ASSIGN + window copy), and serves
-// the merged outlier view. All methods are safe for concurrent use.
+// readings to owning shards, probes shard health, moves the map as
+// shards come and go (install, window copy, ASSIGN), and serves the
+// merged outlier view. All methods are safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
 	client *ctlClient
 
-	// member is held for writing by a membership change (AddShard,
-	// RemoveShard) and for reading by a probe's resync: changes run one
-	// at a time, and no resync overlaps one.
+	// member is held for writing by a membership change (change) and
+	// for reading by a probe's refill: changes run one at a time, and no
+	// refill overlaps one.
 	member sync.RWMutex
 
 	mu     sync.Mutex
-	smap   *ShardMap
-	shards map[string]*shardState
+	smap   *ShardMap                     // the live map: the registered shards that are up; it alone decides owners
+	shards map[string]*shardState        // registered shards: added and not yet removed, up or down
+	floor  uint64                        // highest epoch a shard has reported; every map installed is above it
 	latest map[core.NodeID]time.Duration // newest timestamp per known sensor: the shards' staleness gate
 	closed bool
 	// lastOutliers is the last answer a query served: the full path ranks
@@ -174,8 +174,9 @@ type Coordinator struct {
 	healthDone chan struct{}
 }
 
-// New validates cfg, learns which sensors the shards hold, and starts the
-// health loop, which pushes the shard map.
+// New validates cfg, learns which sensors the shards hold and the highest
+// epoch they have adopted, starts its map one epoch above that, and
+// starts the health loop, which pushes the map.
 func New(cfg Config) (*Coordinator, error) { return start(cfg, nil) }
 
 // start is New with the health loop's tick supplied: nil ticks every
@@ -196,8 +197,8 @@ func start(cfg Config, tick <-chan time.Time) (*Coordinator, error) {
 		if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 			return nil, fmt.Errorf("cluster: resolve shard %q: %w", addr, err)
 		}
-		// Optimistic birth: route immediately; the health loop demotes
-		// unreachable shards within HealthMisses probes.
+		// Optimistic birth: route immediately; the health loop marks
+		// unreachable shards down within HealthMisses probes.
 		shards[addr] = &shardState{addr: addr, up: true}
 	}
 	client := newCtlClient()
@@ -222,6 +223,7 @@ func start(cfg Config, tick <-chan time.Time) (*Coordinator, error) {
 	// is never written concurrently with a read.
 	client.onRTT = c.obs.rpcObserve
 	c.discoverSensors()
+	c.smap.version = c.floor + 1
 	go c.healthLoop(tick)
 	return c, nil
 }
@@ -255,10 +257,10 @@ func (c *Coordinator) ShardMapSnapshot() *ShardMap {
 type ShardInfo struct {
 	Addr          string    `json:"addr"`
 	Up            bool      `json:"up"`
-	Synced        bool      `json:"synced"`
+	Synced        bool      `json:"synced"` // up, and MapVersion is the live map's epoch
 	Misses        int       `json:"misses"`
 	Sensors       int       `json:"sensors"`     // fleet size the shard last reported
-	MapVersion    uint64    `json:"map_version"` // epoch the shard last reported
+	MapVersion    uint64    `json:"map_version"` // epoch the shard last reported: to a probe, or in an ASSIGN's ack
 	LastSeen      time.Time `json:"last_seen,omitzero"`
 	LastRTTMS     float64   `json:"last_rtt_ms"`    // last successful health probe's round trip
 	MergeSessions int       `json:"merge_sessions"` // control connections holding a merge session, as the shard last reported
@@ -273,7 +275,7 @@ func (c *Coordinator) ShardInfos() []ShardInfo {
 		out = append(out, ShardInfo{
 			Addr:          st.addr,
 			Up:            st.up,
-			Synced:        st.synced,
+			Synced:        st.up && st.last.MapVersion == c.smap.Version(),
 			Misses:        st.misses,
 			Sensors:       int(st.last.Sensors),
 			MapVersion:    st.last.MapVersion,
@@ -320,7 +322,7 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// ctlCtx bounds one background shard exchange (routing, resync, window
+// ctlCtx bounds one background shard exchange (routing, ASSIGN, window
 // copy) by QueryTimeout, ending early when the coordinator closes.
 func (c *Coordinator) ctlCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(c.ctx, c.cfg.QueryTimeout)

@@ -1,7 +1,9 @@
-// Membership (§5.3): startup discovery, shard add and remove, window
-// copy, health and resync. c.mu: reads smap, shards, latest and closed;
-// writes smap, shards (and each shard's state) and latest. c.member
-// orders a map change against every resync.
+// Membership (§5.3): startup discovery, the one membership path that a
+// shard added, removed, marked down or back up all take (change), the
+// window copy, and the health loop that marks shards down and back up.
+// c.mu: reads smap, shards, latest, floor and closed; writes smap,
+// shards (and each shard's state) and floor. c.member orders every
+// change against the others and against a probe's refill.
 
 package cluster
 
@@ -19,13 +21,14 @@ import (
 )
 
 // discoverSensors learns, at startup, which sensors the shards already
-// hold: a membership change's copies and resync's eviction walk only
-// the sensors in latest, so a restarted coordinator that knew just
-// the sensors reporting since the restart would strand the others'
-// windows. One window query per configured shard; each point's birth
-// also seeds its sensor's staleness gate. Best-effort: a shard that does
-// not answer contributes nothing (its sensors rejoin latest when they
-// next report).
+// hold: a change's copies and evictions walk only the sensors in latest,
+// so a restarted coordinator that knew just the sensors reporting since
+// the restart would strand the others' windows. It also raises floor to
+// the highest epoch a shard holds, which ignores an ASSIGN at or below
+// it. One probe and one window query per configured shard; each point's
+// birth also seeds its sensor's staleness gate. Best-effort: a shard
+// that does not answer contributes nothing until it reports or a probe
+// reaches it.
 func (c *Coordinator) discoverSensors() {
 	var wg sync.WaitGroup
 	for _, st := range c.shards {
@@ -34,12 +37,11 @@ func (c *Coordinator) discoverSensors() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 			defer cancel()
-			pts, _, err := c.client.estimate(ctx, st.addr, 0, 0)
-			if err != nil {
-				return
-			}
+			h, _ := c.client.health(ctx, st.addr) // zero if it does not answer
+			pts, _, _ := c.client.estimate(ctx, st.addr, 0, 0)
 			c.mu.Lock()
 			defer c.mu.Unlock()
+			c.floor = max(c.floor, h.MapVersion)
 			for _, p := range pts {
 				c.latest[p.ID.Origin] = max(c.latest[p.ID.Origin], p.Birth)
 			}
@@ -54,128 +56,134 @@ func (c *Coordinator) AddShard(addr string) error {
 	if _, err := net.ResolveTCPAddr("tcp", addr); err != nil {
 		return fmt.Errorf("cluster: resolve shard %q: %w", addr, err)
 	}
-	return c.change(addr, true)
+	return c.change(addr, stepAdd)
 }
 
 // RemoveShard moves the cluster onto a map without the shard (change),
 // draining its windows while it is reachable, and deregisters it.
 func (c *Coordinator) RemoveShard(addr string) error {
-	return c.change(addr, false)
+	return c.change(addr, stepRemove)
 }
 
-// change is the one membership path: it adds addr to the map or removes
-// it. Changes run one at a time under c.member, so each builds on the
-// map the last one installed, in three steps:
-//  1. every window that gains an owner is copied to that owner, if it is
-//     up, from the sensor's first up old owner (a shard being removed
-//     counts while it answers). Routing keeps the old map meanwhile.
-//  2. the new map is installed and a removed shard dropped.
-//  3. every up shard is resynced onto the new map (ASSIGN, which evicts
-//     the sensors it lost), and change waits for all of them.
+// step is what a change does to its shard, as its log line says it.
+type step string
+
+const (
+	stepAdd    step = "shard added"
+	stepRemove step = "shard removed"
+	stepDown   step = "shard marked down"
+	stepUp     step = "shard back up"
+)
+
+// change is the one membership path: a shard added, removed, marked down
+// or back up moves the live map to a new epoch, above floor. Changes run
+// one at a time under c.member, each on the map the last one installed,
+// in three steps:
+//  1. Install: readings route by the new map from here on. A shard
+//     being removed stays registered, so queries still read it.
+//  2. Fill: each up shard gets every window it gains, copied from the
+//     first up shard that owned it under the old map.
+//  3. Assign: every shard in the new map gets its epoch (ASSIGN), which
+//     evicts what it lost; change waits for all of them, then drops a
+//     removed shard.
 //
-// So the evicting ASSIGNs come only after the copies, and when change
-// returns every up shard that answered holds the new epoch: no ASSIGN
-// of an older map is left in flight to evict a window the next change
-// copies. A probe's resync holds c.member for reading, so it runs
-// before or after a change, never inside one.
-func (c *Coordinator) change(addr string, add bool) error {
+// So a reading routed during the copy lands beside the copied window,
+// and the old owner's copy stays readable until the ASSIGN evicts it.
+func (c *Coordinator) change(addr string, s step) error {
 	c.member.Lock()
 	defer c.member.Unlock()
 	c.mu.Lock()
-	_, known := c.shards[addr]
+	st := c.shards[addr]
 	var err error
 	switch {
 	case c.closed:
 		err = ErrClosed
-	case add && known:
+	case s == stepAdd && st != nil:
 		err = fmt.Errorf("cluster: shard %s already registered", addr)
-	case !add && !known:
+	case s != stepAdd && st == nil:
 		err = fmt.Errorf("%w: %s", ErrUnknownShard, addr)
 	}
 	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	oldMap, newMap := c.smap, c.smap.WithoutShard(addr)
-	if add {
-		newMap = c.smap.WithShard(addr)
-		c.shards[addr] = &shardState{addr: addr, up: true}
+	old := c.smap
+	was, now := old, old.WithoutShard(addr)
+	switch s {
+	case stepAdd, stepUp:
+		// Fill a shard that rejoins as if the old map never held it: it
+		// may have restarted empty.
+		was, now = old.WithoutShard(addr), old.WithShard(addr)
+		if st == nil {
+			st = &shardState{addr: addr}
+			c.shards[addr] = st
+		}
+		st.up = true
+	case stepDown:
+		st.up = false
 	}
-	seen := c.seenSensorsLocked()
+	now.version = max(old.version, c.floor) + 1
+	c.smap = now
+	seen := slices.Sorted(maps.Keys(c.latest))
+	var targets []*shardState
+	for _, a := range now.Shards() {
+		targets = append(targets, c.shards[a])
+	}
 	c.mu.Unlock()
 
-	for _, sensor := range seen {
-		was := oldMap.Owners(sensor, c.cfg.Replicas)
-		for _, gains := range newMap.Owners(sensor, c.cfg.Replicas) {
-			if slices.Contains(was, gains) {
-				continue
-			}
-			if from, to := c.firstUp(was, ""), c.firstUp([]string{gains}, ""); from != nil && to != nil {
+	c.fill(was, now, seen)
+	var wg sync.WaitGroup
+	for _, t := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.assign(t, now, seen)
+		}()
+	}
+	wg.Wait()
+	if s == stepRemove {
+		c.mu.Lock()
+		delete(c.shards, addr)
+		c.mu.Unlock()
+		c.client.forget(addr)
+	}
+	c.cfg.Logger.Info(string(s), "shard", addr, "map_version", now.Version())
+	return nil
+}
+
+// fill copies to each shard of now every window it owns under now and
+// did not under was, from the sensor's first up owner under was.
+func (c *Coordinator) fill(was, now *ShardMap, sensors []core.NodeID) {
+	for _, sensor := range sensors {
+		from := was.Owners(sensor, c.cfg.Replicas)
+		for _, to := range now.Owners(sensor, c.cfg.Replicas) {
+			if !slices.Contains(from, to) {
 				c.copyWindow(sensor, from, to)
 			}
 		}
 	}
+}
 
+// copyWindow copies one sensor's window to the shard to from the first
+// up shard among from: an ESTIMATE for that sensor, then READINGS
+// flagged FlagTransfer. It is the one window-copy path, behind every
+// change and refill. A failed copy is not retried here: the next change
+// or refill repeats it wherever a surviving copy exists.
+func (c *Coordinator) copyWindow(sensor core.NodeID, from []string, to string) {
 	c.mu.Lock()
-	c.smap = newMap
-	if !add {
-		delete(c.shards, addr)
-	}
-	var targets []*shardState
-	for _, st := range c.shards {
-		st.synced = false
-		if st.up {
-			targets = append(targets, st)
-		}
-	}
+	src := slices.IndexFunc(from, func(a string) bool { return c.shards[a] != nil && c.shards[a].up })
 	c.mu.Unlock()
-	if !add {
-		c.client.forget(addr)
+	if src < 0 {
+		return
 	}
-	var wg sync.WaitGroup
-	for _, st := range targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.resync(st)
-		}()
-	}
-	wg.Wait()
-	msg := "shard removed"
-	if add {
-		msg = "shard added"
-	}
-	c.cfg.Logger.Info(msg, "shard", addr, "map_version", newMap.Version())
-	return nil
-}
-
-// firstUp returns the first shard among addrs, other than except, that
-// the health loop considers up, or nil.
-func (c *Coordinator) firstUp(addrs []string, except string) *shardState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range addrs {
-		if st := c.shards[a]; a != except && st != nil && st.up {
-			return st
-		}
-	}
-	return nil
-}
-
-// copyWindow copies one sensor's window from a shard that holds it to
-// one that should: an ESTIMATE for that sensor from from, then READINGS
-// flagged FlagTransfer to to. It is the one window-copy path behind a
-// membership change and resync. A failed copy is not retried here:
-// resync repeats it wherever a surviving copy exists.
-func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	ctx, cancel := c.ctlCtx()
-	pts, _, err := c.client.estimate(ctx, from.addr, 0, sensor)
+	pts, _, err := c.client.estimate(ctx, from[src], 0, sensor)
 	cancel()
 	if err != nil || len(pts) == 0 {
 		return
 	}
 	ctx, cancel = c.ctlCtx()
-	_, _, err = c.client.readings(ctx, to.addr, protocol.FlagTransfer, 0, pts)
+	_, _, err = c.client.readings(ctx, to, protocol.FlagTransfer, 0, pts)
 	cancel()
 	if err != nil {
 		return
@@ -183,11 +191,35 @@ func (c *Coordinator) copyWindow(sensor core.NodeID, from, to *shardState) {
 	c.obs.handoffSen.Inc()
 	c.obs.handoffPts.Add(uint64(len(pts)))
 	c.cfg.Logger.Info("sensor handed off", "sensor", uint64(sensor), "points", len(pts),
-		"from", from.addr, "to", to.addr)
+		"from", from[src], "to", to)
 }
 
-func (c *Coordinator) seenSensorsLocked() []core.NodeID {
-	return slices.Sorted(maps.Keys(c.latest))
+// assign sends one shard the map's epoch: the known sensors it owns, to
+// join, and the others, to evict. A shard that does not acknowledge it
+// is found behind by its next probe.
+func (c *Coordinator) assign(st *shardState, smap *ShardMap, seen []core.NodeID) {
+	owned := smap.Owned(st.addr, seen, c.cfg.Replicas)
+	evict := slices.DeleteFunc(slices.Clone(seen), func(id core.NodeID) bool {
+		_, found := slices.BinarySearch(owned, id)
+		return found
+	})
+	body := protocol.AssignBody{
+		MapVersion: smap.Version(),
+		ShardIndex: uint16(smap.Index(st.addr)),
+		ShardCount: uint16(smap.Len()),
+		Sensors:    owned,
+		Evict:      evict,
+	}
+	ctx, cancel := c.ctlCtx()
+	acked, err := c.client.assign(ctx, st.addr, body)
+	cancel()
+	if err != nil {
+		return
+	}
+	c.obs.assigns.Inc()
+	c.mu.Lock()
+	st.last.MapVersion = acked
+	c.mu.Unlock()
 }
 
 // healthLoop runs a probe round on every tick: of a HealthInterval
@@ -210,12 +242,11 @@ func (c *Coordinator) healthLoop(tick <-chan time.Time) {
 }
 
 // probeRound probes every shard whose last probe has ended, each on its
-// own goroutine: one stalled shard eating its full probeTimeout must not
-// stretch the probe period for the healthy ones, and a shard whose probe
-// or resync is still running is skipped, so goroutines cannot pile up.
-// A probe checks out a connection of its own, so it never waits behind a
-// snapshot or a merge. The returned group is done when every probe the
-// round started, and the resync that followed it, has ended.
+// own goroutine and connection, so one stalled shard eating its full
+// probeTimeout does not stretch the period for the others, and a shard
+// whose probe (or the change or refill after it) still runs is skipped.
+// The returned group is done when every probe the round started, and
+// whatever followed it, has ended.
 func (c *Coordinator) probeRound() *sync.WaitGroup {
 	var round sync.WaitGroup
 	c.mu.Lock()
@@ -229,14 +260,19 @@ func (c *Coordinator) probeRound() *sync.WaitGroup {
 		go func() {
 			defer round.Done()
 			c.probe(st)
+			c.mu.Lock()
+			st.probing = false
+			c.mu.Unlock()
 		}()
 	}
 	return &round
 }
 
-// probe sends one shard a HEALTH and drives its up/down state. A shard
-// that answered but has not acknowledged the current map is resynced,
-// under a read hold of c.member. Then the probe ends.
+// probe sends one shard a HEALTH. HealthMisses misses in a row mark an
+// up shard down, and an answer marks a down one back up: each is a
+// change. An answer above the live map's epoch (from an earlier
+// coordinator) is a change too, which moves the map above it; an answer
+// below it is a refill.
 func (c *Coordinator) probe(st *shardState) {
 	ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 	start := time.Now()
@@ -246,76 +282,45 @@ func (c *Coordinator) probe(st *shardState) {
 	c.mu.Lock()
 	if err != nil {
 		st.misses++
-		if st.misses >= c.cfg.HealthMisses && st.up {
-			st.up = false
-			st.synced = false
-			c.obs.flaps.Inc()
-			c.cfg.Logger.Warn("shard marked down", "shard", st.addr, "misses", st.misses)
-		}
 	} else {
-		if !st.up {
-			c.cfg.Logger.Info("shard back up", "shard", st.addr, "map_version", h.MapVersion)
-		}
-		st.up = true
-		st.misses = 0
-		st.last = h
-		st.lastAt = time.Now()
-		st.lastRTT = rtt
+		st.misses, st.last, st.lastAt, st.lastRTT = 0, h, time.Now(), rtt
+		c.floor = max(c.floor, h.MapVersion)
 	}
-	needSync := err == nil && (!st.synced || h.MapVersion != c.smap.Version())
+	version := c.smap.Version()
+	down := err != nil && st.up && st.misses >= c.cfg.HealthMisses
+	up := err == nil && (!st.up || h.MapVersion > version)
+	behind := err == nil && st.up && h.MapVersion < version
 	c.mu.Unlock()
-	if needSync {
-		c.member.RLock()
-		c.resync(st)
-		c.member.RUnlock()
+	// A change fails only when the coordinator is closing or the shard
+	// was removed since the probe began: either way there is no more to do.
+	switch {
+	case down:
+		c.obs.flaps.Inc()
+		_ = c.change(st.addr, stepDown)
+	case up:
+		_ = c.change(st.addr, stepUp)
+	case behind:
+		c.refill(st)
 	}
-	c.mu.Lock()
-	st.probing = false
-	c.mu.Unlock()
 }
 
-// resync pushes the current map epoch to one shard (ASSIGN) and copies
-// back each window it owns that survives on another up shard, so a shard
-// that rejoined empty converges to exact answers without waiting a full
-// window for refill (at Replicas 1 refill is the only path; the ASSIGN
-// still joins its sensors). The caller holds c.member: change for
-// writing, probe for reading.
-func (c *Coordinator) resync(st *shardState) {
+// refill brings an up shard that is behind the live map's epoch (it
+// restarted between probes, or missed an ASSIGN) back onto it: each
+// window it owns is copied to it from the sensor's other owners, and the
+// epoch is sent again, under a read hold of c.member.
+func (c *Coordinator) refill(st *shardState) {
+	c.member.RLock()
+	defer c.member.RUnlock()
 	c.mu.Lock()
-	closed, smap, seen := c.closed, c.smap, c.seenSensorsLocked()
+	smap, seen := c.smap, slices.Sorted(maps.Keys(c.latest))
+	current := smap.Index(st.addr) < 0 || st.last.MapVersion >= smap.Version()
 	c.mu.Unlock()
-	if closed || smap.Index(st.addr) < 0 {
-		return // closing, or removed since its probe began
+	if current {
+		return // removed, or acknowledged an ASSIGN, since its probe
 	}
-
-	owned := smap.Owned(st.addr, seen, c.cfg.Replicas)
-	var evict []core.NodeID
-	for _, id := range seen {
-		if _, found := slices.BinarySearch(owned, id); !found {
-			evict = append(evict, id)
-		}
+	for _, sensor := range smap.Owned(st.addr, seen, c.cfg.Replicas) {
+		others := slices.DeleteFunc(smap.Owners(sensor, c.cfg.Replicas), func(a string) bool { return a == st.addr })
+		c.copyWindow(sensor, others, st.addr)
 	}
-	body := protocol.AssignBody{
-		MapVersion: smap.Version(),
-		ShardIndex: uint16(smap.Index(st.addr)),
-		ShardCount: uint16(smap.Len()),
-		Sensors:    owned,
-		Evict:      evict,
-	}
-	ctx, cancel := c.ctlCtx()
-	_, err := c.client.assign(ctx, st.addr, body)
-	cancel()
-	if err != nil {
-		return // next health tick retries
-	}
-	c.obs.assigns.Inc()
-
-	for _, sensor := range owned {
-		if from := c.firstUp(smap.Owners(sensor, c.cfg.Replicas), st.addr); from != nil {
-			c.copyWindow(sensor, from, st)
-		}
-	}
-	c.mu.Lock()
-	st.synced = true // no change can move the map while c.member is held
-	c.mu.Unlock()
+	c.assign(st, smap, seen)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 
 	"innet/internal/baseline"
 	"innet/internal/core"
+	"innet/internal/ingest"
 	"innet/internal/protocol"
 )
 
@@ -229,4 +231,345 @@ func TestConcurrentMembershipChanges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wholeMerge flushes the shards and the reference, then checks that the
+// full merge's window and answer are the reference's.
+func wholeMerge(t *testing.T, ctx context.Context, coord *Coordinator, single *ingest.Service, shards []*testShard) {
+	t.Helper()
+	for _, sh := range append(shards, &testShard{svc: single}) {
+		if err := sh.svc.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := single.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := baseline.Compute(clusterDetCfg.Ranker, clusterDetCfg.N, snap)
+	m, err := coord.MergedEstimateMode(ctx, MergeFull)
+	if err != nil || !samePoints(m.Window, snap) || !samePoints(m.Outliers, want) {
+		t.Fatalf("merge over %d of %d shards: %d-point window (want %d), outliers %s (want %s) (%v)",
+			m.ShardsOK, m.ShardsTotal, len(m.Window), len(snap), ids(m.Outliers), ids(want), err)
+	}
+}
+
+// ownPoints counts the points in pts that sensor originated.
+func ownPoints(pts []core.Point, sensor core.NodeID) (n int) {
+	for _, p := range pts {
+		if p.ID.Origin == sensor {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReadingDuringMembershipChange: at Replicas 1, a reading of a
+// sensor whose window a change is copying must not be lost. The proxy
+// of the shard the window is copied from holds its answer to the copy's
+// ESTIMATE while one reading of that sensor is routed. The new map is
+// installed before the copy, so the reading goes to the sensor's new
+// owner, which then holds the copied window and the reading; routed by
+// the old map, it would land on the shard that the change evicts the
+// sensor from (add) or drops (removal).
+func TestReadingDuringMembershipChange(t *testing.T) {
+	for _, remove := range []bool{false, true} {
+		name := "add"
+		if remove {
+			name = "remove"
+		}
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			coord, single, shards, proxies := mergeCluster(t, 1)
+			sensors := sensorRange(12)
+			feedBoth(t, ctx, coord, single, shards, trace(71, sensors, 5))
+
+			// moved leaves the shard behind source.
+			v1 := coord.ShardMapSnapshot()
+			backend := make(map[string]*testShard)
+			for i, px := range proxies {
+				backend[px.addr()] = shards[i]
+			}
+			var moved core.NodeID
+			var from string
+			var change func() error
+			if remove {
+				from = proxies[slices.IndexFunc(proxies, func(px *streamProxy) bool {
+					return len(v1.Owned(px.addr(), sensors, 1)) > 0
+				})].addr()
+				moved = v1.Owned(from, sensors, 1)[0]
+				change = func() error { return coord.RemoveShard(from) }
+			} else {
+				for try := 0; moved == 0; try++ {
+					if try == 50 {
+						t.Fatal("no added shard gains a sensor")
+					}
+					sh := startShard(t, "")
+					t.Cleanup(sh.stop)
+					if gains := v1.WithShard(sh.addr).Owned(sh.addr, sensors, 1); len(gains) > 0 {
+						moved, from = gains[0], v1.Owners(gains[0], 1)[0]
+						shards, backend[sh.addr] = append(shards, sh), sh
+						change = func() error { return coord.AddShard(sh.addr) }
+					}
+				}
+			}
+			source := proxies[slices.IndexFunc(proxies, func(px *streamProxy) bool { return px.addr() == from })]
+			asked := false
+			held := make(chan struct{})
+			source.setRule(func(f protocol.Frame) fault {
+				switch {
+				case f.Kind != protocol.FrameEstimate:
+				case !f.Response():
+					sensor, err := protocol.DecodeEstimateRequest(f.Body)
+					asked = err == nil && sensor == moved
+				case asked:
+					asked = false
+					close(held)
+					return hold
+				}
+				return pass
+			})
+
+			done := make(chan error, 1)
+			go func() { done <- change() }()
+			select {
+			case <-held:
+			case <-ctx.Done():
+				t.Fatal("the change never read the moving sensor's window")
+			}
+			r := ingest.Reading{Sensor: moved, At: 5 * time.Minute, Values: []float64{20.7}}
+			if err := coord.IngestBatch([]ingest.Reading{r})[0]; err != nil {
+				t.Fatal(err)
+			}
+			if err := single.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
+			source.mu.Lock()
+			source.openLocked()
+			source.mu.Unlock()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			wholeMerge(t, ctx, coord, single, shards)
+			snap, err := single.Snapshot(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner := backend[coord.ShardMapSnapshot().Owners(moved, 1)[0]]
+			if held, err := owner.svc.HoldingsOf(ctx, moved); err != nil || ownPoints(held, moved) != ownPoints(snap, moved) {
+				t.Fatalf("sensor %d's new owner holds %d of its %d points (%v)", moved, ownPoints(held, moved), ownPoints(snap, moved), err)
+			}
+		})
+	}
+}
+
+// TestRejoinedOwnerTakesBackItsSensors: while a shard is down, its
+// sensors' readings go to the shards that own them in the map without
+// it. When it is back up, it gets their windows, and those shards evict
+// the sensors: a detector left behind would stop its clock and serve
+// its points after they leave the window. A window after the rejoin the
+// merged window is the reference's. Rounds are fed one at a time, so
+// every batch a detector observes is one reading.
+func TestRejoinedOwnerTakesBackItsSensors(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+			defer cancel()
+			var shards []*testShard
+			var addrs []string
+			for range 3 {
+				sh := startShard(t, "")
+				t.Cleanup(sh.stop)
+				shards = append(shards, sh)
+				addrs = append(addrs, sh.addr)
+			}
+			coord, step := steppedCoordinator(t, Config{
+				Detector:     clusterDetCfg,
+				Shards:       addrs,
+				Replicas:     replicas,
+				QueryTimeout: 2 * time.Second,
+				HealthMisses: 2,
+			})
+			single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { single.Close() })
+
+			sensors := sensorRange(8)
+			rs := trace(uint64(73+replicas), sensors, 19)
+			feed := func(from, to int, live []*testShard) {
+				for i := from; i < to; i++ {
+					feedBoth(t, ctx, coord, single, live, rs[i*len(sensors):(i+1)*len(sensors)])
+				}
+			}
+			smap := coord.ShardMapSnapshot()
+			v := slices.IndexFunc(shards, func(sh *testShard) bool { return len(smap.Owned(sh.addr, sensors, replicas)) > 0 })
+			victim := shards[v]
+			live := slices.Delete(slices.Clone(shards), v, v+1)
+
+			feed(0, 4, shards)
+			victim.stop()
+			step()
+			step()
+			if up, _ := shardUp(t, coord, victim.addr); up {
+				t.Fatal("shard not marked down after two missed probes")
+			}
+			feed(4, 8, live)
+			reborn := startShard(t, victim.addr)
+			t.Cleanup(reborn.stop)
+			step()
+			if up, synced := shardUp(t, coord, reborn.addr); !up || !synced {
+				t.Fatalf("rejoined shard up=%v synced=%v after one answered probe", up, synced)
+			}
+			live = append(live, reborn)
+			feed(8, 19, live) // past round 17 the outage's rounds have left the window
+			wholeMerge(t, ctx, coord, single, live)
+		})
+	}
+}
+
+// TestShardRestartedBetweenProbesIsRefilled: at Replicas 2, a shard that
+// restarts empty on its address before any probe misses it is behind
+// the map's epoch at its next probe, which copies its windows back from
+// their other owners. So when a second shard fails after that, every
+// point still has a live copy and the merge stays exact.
+func TestShardRestartedBetweenProbesIsRefilled(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var shards []*testShard
+	var addrs []string
+	for range 3 {
+		sh := startShard(t, "")
+		t.Cleanup(sh.stop)
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr)
+	}
+	coord, step := steppedCoordinator(t, Config{
+		Detector:     clusterDetCfg,
+		Shards:       addrs,
+		Replicas:     2,
+		QueryTimeout: 2 * time.Second,
+		HealthMisses: 2,
+	})
+	single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
+	sensors := sensorRange(12)
+	feedBoth(t, ctx, coord, single, shards, trace(83, sensors, 5))
+	snap, err := single.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shards[0].stop()
+	reborn := startShard(t, shards[0].addr)
+	t.Cleanup(reborn.stop)
+	step()
+	for _, sensor := range coord.ShardMapSnapshot().Owned(reborn.addr, sensors, 2) {
+		held, err := reborn.svc.HoldingsOf(ctx, sensor)
+		if err != nil || ownPoints(held, sensor) != ownPoints(snap, sensor) {
+			t.Fatalf("restarted shard holds %d of sensor %d's %d points after one probe (%v)",
+				ownPoints(held, sensor), sensor, ownPoints(snap, sensor), err)
+		}
+	}
+
+	shards[1].stop()
+	step()
+	step()
+	if up, _ := shardUp(t, coord, shards[1].addr); up {
+		t.Fatal("shard not marked down after two missed probes")
+	}
+	wholeMerge(t, ctx, coord, single, []*testShard{reborn, shards[2]})
+}
+
+// TestRestartedCoordinatorStartsAboveShardEpochs: a shard ignores an
+// ASSIGN at or below the epoch it holds, so a coordinator must never
+// send one. Restarted after two membership changes, it starts above the
+// epoch its shards hold; a shard that reports a higher epoch later (as
+// one down at its start would) moves the map above that one. Either way
+// every shard adopts the map, an add after the restart is adopted too,
+// and the merge stays exact as the window slides on.
+func TestRestartedCoordinatorStartsAboveShardEpochs(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	var shards []*testShard
+	var addrs []string
+	for range 5 {
+		sh := startShard(t, "")
+		t.Cleanup(sh.stop)
+		shards = append(shards, sh)
+		addrs = append(addrs, sh.addr)
+	}
+	cfg := Config{
+		Detector:     clusterDetCfg,
+		Shards:       addrs[:3],
+		Replicas:     1,
+		QueryTimeout: 5 * time.Second,
+		HealthMisses: 2,
+	}
+	first, _ := steppedCoordinator(t, cfg)
+	single, err := ingest.New(ingest.Config{Detector: clusterDetCfg, AutoJoin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { single.Close() })
+	sensors := sensorRange(8)
+	rs := trace(97, sensors, 25)
+	round := func(coord *Coordinator, i int, live []*testShard) {
+		feedBoth(t, ctx, coord, single, live, rs[i*len(sensors):(i+1)*len(sensors)])
+	}
+	for i := range 4 {
+		round(first, i, shards[:3])
+	}
+	if err := first.AddShard(addrs[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.RemoveShard(addrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live := shards[1:4]
+
+	// adopted checks that every registered shard is up and holds the
+	// map's epoch, and that the epoch is above floor.
+	adopted := func(coord *Coordinator, floor uint64) {
+		t.Helper()
+		version := coord.ShardMapSnapshot().Version()
+		for _, info := range coord.ShardInfos() {
+			if !info.Up || !info.Synced || info.MapVersion != version || version <= floor {
+				t.Fatalf("map at epoch %d (want above %d): shard %s up=%v synced=%v at epoch %d",
+					version, floor, info.Addr, info.Up, info.Synced, info.MapVersion)
+			}
+		}
+	}
+	cfg.Shards = addrs[1:4]
+	second, step := steppedCoordinator(t, cfg)
+	for range 5 {
+		step()
+	}
+	adopted(second, 3)
+
+	client := newCtlClient()
+	defer client.close()
+	if _, err := client.assign(ctx, addrs[1], protocol.AssignBody{MapVersion: 9, ShardCount: 1}); err != nil {
+		t.Fatal(err)
+	}
+	step()
+	adopted(second, 9)
+
+	if err := second.AddShard(addrs[4]); err != nil {
+		t.Fatal(err)
+	}
+	adopted(second, 10)
+	live = append(live, shards[4])
+	for i := 4; i < 25; i++ {
+		round(second, i, live)
+	}
+	wholeMerge(t, ctx, second, single, live)
 }

@@ -1,6 +1,6 @@
 // Query: the merged answer, by the compact exchange (merge.go) or the
-// full-window fan. c.mu: reads smap, shards, closed and lastOutliers;
-// writes lastOutliers.
+// full-window fan, over every registered shard that is up. c.mu: reads
+// smap, shards, closed and lastOutliers; writes lastOutliers.
 
 package cluster
 
@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -31,7 +32,7 @@ type MergeResult struct {
 	Trace        uint64 // the query's trace ID (key into /debug/traces)
 
 	MapVersion  uint64
-	ShardsTotal int // shards in the map
+	ShardsTotal int // registered shards, up or down
 	ShardsOK    int // shards that answered
 	Degraded    bool
 }
@@ -41,7 +42,8 @@ type MergeResult struct {
 // all sensor windows. MergeCompact (also mode "") runs the iterative
 // Algorithm 1 exchange, falling back to the full path when a shard
 // cannot play or the round budget runs out; MergeFull fans ESTIMATE
-// snapshot queries to every up shard and computes On over the union.
+// snapshot queries to every registered up shard (a shard being removed
+// included) and computes On over the union.
 // Any other mode is refused before any shard is asked.
 func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (MergeResult, error) {
 	switch mode {
@@ -99,15 +101,14 @@ func (c *Coordinator) MergedEstimateMode(ctx context.Context, mode string) (Merg
 		return MergeResult{}, ErrClosed
 	}
 	version := c.smap.Version()
-	total := c.smap.Len()
+	total := len(c.shards)
 	hint := c.lastOutliers
 	var targets, all []*shardState
-	for _, addr := range c.smap.Shards() {
-		if st := c.shards[addr]; st != nil {
-			all = append(all, st)
-			if st.up {
-				targets = append(targets, st)
-			}
+	for _, addr := range slices.Sorted(maps.Keys(c.shards)) {
+		st := c.shards[addr]
+		all = append(all, st)
+		if st.up {
+			targets = append(targets, st)
 		}
 	}
 	if len(targets) == 0 {

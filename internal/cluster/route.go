@@ -1,5 +1,7 @@
-// Routing: each reading goes to its sensor's first Replicas up shards.
-// c.mu: reads smap, shards, latest and closed; writes latest.
+// Routing: each reading goes to its sensor's owners in the live map (the
+// first Replicas shards in its rendezvous order), the same owners window
+// copies and evictions follow. c.mu: reads smap, shards, latest and
+// closed; writes latest.
 
 package cluster
 
@@ -14,12 +16,12 @@ import (
 	"innet/internal/obs"
 )
 
-// IngestBatch validates and routes a batch of readings to the healthy
-// shards owning each sensor, one READINGS frame per shard chunk. Each
-// reading travels as the point its identity names (ingest.SeqOf), so
-// replicas and re-sent readings carry the same PointID. The returned slice has
-// one entry per input reading: nil when at least one owning shard
-// accepted it.
+// IngestBatch validates and routes a batch of readings to the shards
+// owning each sensor in the live map, one READINGS frame per shard
+// chunk. Each reading travels as the point its identity names
+// (ingest.SeqOf), so replicas and re-sent readings carry the same
+// PointID. The returned slice has one entry per input reading: nil when
+// at least one owning shard accepted it.
 func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 	errs := make([]error, len(rs))
 	// One trace ID covers the whole batch: the UDP and HTTP ingest front
@@ -55,7 +57,7 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 			c.obs.stale.Inc()
 			continue
 		}
-		owners, rerouted := c.healthyOwnersLocked(r.Sensor)
+		owners := c.smap.Owners(r.Sensor, c.cfg.Replicas)
 		if len(owners) == 0 {
 			// Bail before touching the sensor's gate: a reading that
 			// goes nowhere must not make the coordinator stricter than
@@ -65,7 +67,7 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 			c.obs.failed.Inc()
 			continue
 		}
-		if rerouted {
+		if c.reroutedLocked(r.Sensor, owners) {
 			c.obs.reroutes.Inc()
 		}
 		c.latest[r.Sensor] = max(latest, r.At)
@@ -131,21 +133,20 @@ func (c *Coordinator) IngestBatch(rs []ingest.Reading) []error {
 	return errs
 }
 
-// healthyOwnersLocked returns the first Replicas up shards in the
-// sensor's rendezvous order, and whether any down owner was skipped.
-// Callers hold c.mu.
-func (c *Coordinator) healthyOwnersLocked(sensor core.NodeID) (owners []string, rerouted bool) {
-	for _, addr := range c.smap.RendezvousOrder(sensor) {
-		if st := c.shards[addr]; st != nil && st.up {
-			owners = append(owners, addr)
-			if len(owners) == c.cfg.Replicas {
-				break
-			}
-		} else {
-			rerouted = true
+// reroutedLocked reports whether a registered shard outside the live
+// map (down, or being removed) would own the sensor ahead of one of its
+// live owners. Callers hold c.mu.
+func (c *Coordinator) reroutedLocked(sensor core.NodeID, owners []string) bool {
+	if len(c.shards) == c.smap.Len() {
+		return false // every registered shard is in the map
+	}
+	last := weigh(owners[len(owners)-1], sensor)
+	for addr := range c.shards {
+		if c.smap.Index(addr) < 0 && (len(owners) < c.cfg.Replicas || weigh(addr, sensor).compare(last) < 0) {
+			return true
 		}
 	}
-	return owners, rerouted
+	return false
 }
 
 // sendReadings ships one shard's batch as READINGS frames, reporting

@@ -13,7 +13,9 @@
 // weight. The assignment is consistent — adding or removing one shard
 // moves only the sensors that gained or lost that shard in their top set,
 // never reshuffles the rest — and needs no state beyond the shard list,
-// so coordinator and tests can both derive it. Replicas > 1 is the
+// so coordinator and tests can both derive it. The coordinator's map
+// holds only the shards that are up, so a shard marked down or back up
+// moves sensors the way a removal or an add does. Replicas > 1 is the
 // boundary-sensor replication knob: each reading is routed to several
 // shards, buying exact answers through single-shard failures at the cost
 // of proportional ingest fan-out.
@@ -42,6 +44,7 @@
 package cluster
 
 import (
+	"cmp"
 	"hash/fnv"
 	"slices"
 	"sort"
@@ -128,47 +131,35 @@ func rendezvousWeight(addr string, sensor core.NodeID) uint64 {
 	return x
 }
 
-// RendezvousOrder returns every shard ordered by descending rendezvous
-// weight for the sensor (ties by address). The first Replicas entries own
-// the sensor; the remainder is the deterministic failover order the
-// coordinator routes through when owners are down.
-func (m *ShardMap) RendezvousOrder(sensor core.NodeID) []string {
-	type weighted struct {
-		addr string
-		w    uint64
-	}
-	ws := make([]weighted, len(m.shards))
-	for i, addr := range m.shards {
-		ws[i] = weighted{addr: addr, w: rendezvousWeight(addr, sensor)}
-	}
-	slices.SortFunc(ws, func(a, b weighted) int {
-		switch {
-		case a.w > b.w:
-			return -1
-		case a.w < b.w:
-			return 1
-		default:
-			return strings.Compare(a.addr, b.addr)
-		}
-	})
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.addr
-	}
-	return out
+// weighted is one shard's rendezvous weight for one sensor.
+type weighted struct {
+	addr string
+	w    uint64
 }
 
-// Owners returns the replicas shards owning the sensor, in rendezvous
-// order (clamped to the shard count).
+func weigh(addr string, sensor core.NodeID) weighted {
+	return weighted{addr: addr, w: rendezvousWeight(addr, sensor)}
+}
+
+// compare orders two shards as the sensor's rendezvous order does: the
+// higher weight first, ties by address.
+func (a weighted) compare(b weighted) int {
+	return cmp.Or(cmp.Compare(b.w, a.w), strings.Compare(a.addr, b.addr))
+}
+
+// Owners returns the replicas shards owning the sensor: the first
+// replicas shards by rendezvous order (clamped to the shard count).
 func (m *ShardMap) Owners(sensor core.NodeID, replicas int) []string {
-	order := m.RendezvousOrder(sensor)
-	if replicas < 1 {
-		replicas = 1
+	ws := make([]weighted, len(m.shards))
+	for i, addr := range m.shards {
+		ws[i] = weigh(addr, sensor)
 	}
-	if replicas > len(order) {
-		replicas = len(order)
+	slices.SortFunc(ws, weighted.compare)
+	out := make([]string, min(max(replicas, 1), len(ws)))
+	for i := range out {
+		out[i] = ws[i].addr
 	}
-	return order[:replicas]
+	return out
 }
 
 // Owned returns, from the given sensors, those the shard owns under the

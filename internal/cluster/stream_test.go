@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -189,7 +191,7 @@ func TestFullMergeOverWindowPastOneFrame(t *testing.T) {
 	}
 	defer coord.Close()
 	coord.mu.Lock()
-	got := coord.seenSensorsLocked()
+	got := slices.Sorted(maps.Keys(coord.latest))
 	coord.mu.Unlock()
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("the coordinator learned sensors %v from the shard, want sensor 1", got)

@@ -35,13 +35,13 @@ func encodeState(t *testing.T, d *Detector) []byte {
 	return buf.Bytes()
 }
 
-func batchDetector(t *testing.T, neighbors ...NodeID) *Detector {
+func batchDetector(t *testing.T, window time.Duration, neighbors ...NodeID) *Detector {
 	t.Helper()
 	d, err := NewDetector(Config{
 		Node:   1,
 		Ranker: KNN{K: 2},
 		N:      2,
-		Window: 2 * time.Minute,
+		Window: window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,9 @@ func batchDetector(t *testing.T, neighbors ...NodeID) *Detector {
 // contract: a burst fed through one StepObserveBatch call leaves the
 // detector in a byte-identical state to an expiry-only event followed by
 // the same readings fed one call at a time, while spending one event (one
-// ranking pass) instead of N.
+// ranking pass) instead of N. A burst that reaches back past the window
+// at now adds only the readings inside it, in both paths: readings at
+// minutes 8–23 with a 10-minute window at minute 23 leave 11 points.
 func TestStepObserveBatchMatchesSingles(t *testing.T) {
 	burst := []Observation{
 		{Birth: 10 * time.Second, Value: []float64{20.1}},
@@ -65,26 +67,34 @@ func TestStepObserveBatchMatchesSingles(t *testing.T) {
 		{Birth: 12 * time.Second, Value: []float64{55.3}},
 		{Birth: 12 * time.Second, Value: []float64{20.0}},
 	}
-	now := 13 * time.Second
+	var late []Observation
+	for m := 8; m <= 23; m++ {
+		late = append(late, Observation{Birth: time.Duration(m) * time.Minute, Value: []float64{20 + float64(m%3)}})
+	}
 
 	for _, tc := range []struct {
 		name      string
+		window    time.Duration
+		now       time.Duration
+		burst     []Observation
+		added     int
 		neighbors []NodeID
 	}{
-		{"isolated", nil},
-		{"with-neighbors", []NodeID{2, 3}},
+		{"isolated", 2 * time.Minute, 13 * time.Second, burst, len(burst), nil},
+		{"with-neighbors", 2 * time.Minute, 13 * time.Second, burst, len(burst), []NodeID{2, 3}},
+		{"past-the-window", 10 * time.Minute, 23 * time.Minute, late, 11, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batched := batchDetector(t, tc.neighbors...)
-			pts, _ := batched.StepObserveBatch(now, burst)
-			if len(pts) != len(burst) {
-				t.Fatalf("StepObserveBatch returned %d points, want %d", len(pts), len(burst))
+			batched := batchDetector(t, tc.window, tc.neighbors...)
+			pts, _ := batched.StepObserveBatch(tc.now, tc.burst)
+			if len(pts) != tc.added {
+				t.Fatalf("StepObserveBatch returned %d points, want %d", len(pts), tc.added)
 			}
 
-			single := batchDetector(t, tc.neighbors...)
-			single.StepObserveBatch(now, nil)
-			for i := range burst {
-				single.StepObserveBatch(now, burst[i:i+1])
+			single := batchDetector(t, tc.window, tc.neighbors...)
+			single.StepObserveBatch(tc.now, nil)
+			for i := range tc.burst {
+				single.StepObserveBatch(tc.now, tc.burst[i:i+1])
 			}
 
 			got, want := encodeState(t, batched), encodeState(t, single)
@@ -97,8 +107,8 @@ func TestStepObserveBatchMatchesSingles(t *testing.T) {
 			if ev := batched.Stats().Events - base; ev != 1 {
 				t.Errorf("batched path processed %d events, want 1 (advance folded into one batch event)", ev)
 			}
-			if ev := single.Stats().Events - base; ev != len(burst) {
-				t.Errorf("single path processed %d events, want %d", ev, len(burst))
+			if ev := single.Stats().Events - base; ev != tc.added {
+				t.Errorf("single path processed %d events, want %d", ev, tc.added)
 			}
 		})
 	}
@@ -107,7 +117,7 @@ func TestStepObserveBatchMatchesSingles(t *testing.T) {
 // TestStepObserveBatchEvicts checks the clock advance inside the batch
 // path: readings land and expired window contents leave in one event.
 func TestStepObserveBatchEvicts(t *testing.T) {
-	d := batchDetector(t)
+	d := batchDetector(t, 2*time.Minute)
 	d.StepObserveBatch(0, []Observation{{Birth: 0, Value: []float64{20}}})
 	// Window is 2 min: advancing to 3 min evicts the first point.
 	pts, _ := d.StepObserveBatch(3*time.Minute, []Observation{{Birth: 3 * time.Minute, Value: []float64{21}}})
@@ -127,7 +137,7 @@ func TestStepObserveBatchEvicts(t *testing.T) {
 // with something to evict it is one data-change event that moves the
 // clock and empties what aged out.
 func TestStepObserveBatchEmpty(t *testing.T) {
-	d := batchDetector(t)
+	d := batchDetector(t, 2*time.Minute)
 	if pts, out := d.StepObserveBatch(time.Second, nil); pts != nil || out != nil {
 		t.Fatalf("empty batch with nothing evicted produced pts=%v out=%v", pts, out)
 	}

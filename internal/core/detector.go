@@ -471,16 +471,22 @@ type Observation struct {
 //
 // Unassigned readings take consecutive sequence numbers in slice order;
 // each keeps its own birth timestamp. A reading whose ID D_i already
-// holds is a repeat: the first copy stays and the repeat is skipped. The
-// returned points are the ones added. The resulting state (P_i, D_i,
-// clock, sequence counter, estimate) is the same as feeding the readings
-// one call at a time at the same now. A batch that adds nothing — empty,
+// holds is a repeat: the first copy stays and the repeat is skipped. A
+// reading born before the window's start at now is skipped too, as the
+// advance of a later call would evict it. The returned points are the
+// ones added. The resulting state (P_i, D_i, clock, sequence counter,
+// estimate) is the same as feeding the readings one call at a time at
+// the same now. A batch that adds nothing — empty,
 // or only repeats — is an expiry-only event: it reacts, and counts an
 // event, only when something was evicted, and otherwise returns nil.
 func (d *Detector) StepObserveBatch(now time.Duration, obs []Observation) ([]Point, *Outbound) {
 	evicted := d.advance(now)
+	cutoff := d.cutoff()
 	pts := make([]Point, 0, len(obs))
 	for _, o := range obs {
+		if o.Birth < cutoff {
+			continue
+		}
 		seq := d.nextSeq
 		if o.Assigned {
 			seq = o.Seq

@@ -40,9 +40,12 @@
 // newest timestamp it has ingested, and window eviction follows that
 // clock. Readings may arrive out of order within the window — points
 // carry their own birth timestamps, so eviction order is unaffected.
-// A reading older than (newest seen for that sensor − Window) would be
-// evicted by the very next advance; it is rejected up front as stale and
-// counted in Stats.Stale.
+// A reading older than (newest seen for that sensor − Window) when it
+// arrives would be evicted by the very next advance; it is rejected up
+// front as stale and counted in Stats.Stale. One that was inside the
+// window when it arrived but that newer readings of its sensor pushed
+// out of it while it waited in the queue is not added when its batch
+// drains; it is counted in Stats.Dropped, not Stats.Observed.
 //
 // # Join and leave
 //
@@ -214,7 +217,7 @@ type Stats struct {
 	Observed  uint64 // readings fed into a detector
 	Repeated  uint64 // observed readings whose point the detector already held (first copy wins)
 	Batches   uint64 // batch-observe events (ranking passes)
-	Dropped   uint64 // readings shed by the latest-wins policy
+	Dropped   uint64 // readings shed by the latest-wins policy, or past the window when drained
 	Stale     uint64 // readings rejected as older than the window
 	Malformed uint64 // payloads/lines/readings that failed to parse
 	Unknown   uint64 // readings rejected for unknown sensor IDs
@@ -541,9 +544,18 @@ func (s *Service) drain(sn *sensor, d *core.Detector) *core.Outbound {
 		Start:  drained,
 		Dur:    time.Since(drained),
 	})
+	expired := 0
+	if w := s.cfg.Detector.Window; w > 0 {
+		for _, o := range batch {
+			if o.Birth < d.Now()-w {
+				expired++
+			}
+		}
+	}
 	s.pending.Add(-int64(len(batch)))
-	s.obs.observed.Add(uint64(len(batch)))
-	s.obs.repeated.Add(uint64(len(batch) - len(added)))
+	s.obs.observed.Add(uint64(len(batch) - expired))
+	s.obs.dropped.Add(uint64(expired))
+	s.obs.repeated.Add(uint64(len(batch) - expired - len(added)))
 	s.obs.batches.Inc()
 	// Keep no feature vector alive until the next drain.
 	clear(taken)

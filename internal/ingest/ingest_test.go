@@ -189,21 +189,7 @@ func TestBackpressureLatestWins(t *testing.T) {
 // event, whatever the backlog's size up to QueueDepth.
 func TestDrainTakesWholeQueue(t *testing.T) {
 	s := newService(t, testConfig())
-	if err := s.Join(1); err != nil {
-		t.Fatal(err)
-	}
-	mustFlush(t, s)
-	s.mu.RLock()
-	sn := s.sensors[1]
-	s.mu.RUnlock()
-	parked, gate := make(chan struct{}), make(chan struct{})
-	sn.peer.Post(func(*core.Detector) *core.Outbound {
-		close(parked)
-		<-gate
-		return nil
-	})
-	<-parked
-
+	release := parkSensor(t, s, 1)
 	const total = 100
 	before := s.Stats()
 	for i := 0; i < total; i++ {
@@ -211,7 +197,7 @@ func TestDrainTakesWholeQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	close(gate)
+	release()
 	mustFlush(t, s)
 
 	st := s.Stats()
@@ -229,6 +215,54 @@ func TestDrainTakesWholeQueue(t *testing.T) {
 	}
 	if !slices.Equal(observes, []int32{total}) {
 		t.Errorf("observe spans cover %v points, want one span of %d", observes, total)
+	}
+}
+
+// parkSensor joins the sensor and parks its peer until release is
+// called, so the readings ingested meanwhile wait in its queue.
+func parkSensor(t *testing.T, s *Service, id core.NodeID) (release func()) {
+	t.Helper()
+	if err := s.Join(id); err != nil {
+		t.Fatal(err)
+	}
+	mustFlush(t, s)
+	s.mu.RLock()
+	sn := s.sensors[id]
+	s.mu.RUnlock()
+	parked, gate := make(chan struct{}), make(chan struct{})
+	sn.peer.Post(func(*core.Detector) *core.Outbound {
+		close(parked)
+		<-gate
+		return nil
+	})
+	<-parked
+	return func() { close(gate) }
+}
+
+// TestDrainDropsReadingsPastTheWindow: a reading inside the window when
+// it arrives, but pushed out of it by a newer reading of its sensor
+// while it waits in the queue, is not added when the queue drains, and
+// counts as dropped, not observed: the window is the one a drain per
+// reading would leave.
+func TestDrainDropsReadingsPastTheWindow(t *testing.T) {
+	cfg := testConfig()
+	cfg.Detector.Window = time.Minute
+	s := newService(t, cfg)
+	release := parkSensor(t, s, 1)
+	for _, sec := range []int{0, 30, 100} {
+		if err := s.Ingest(Reading{Sensor: 1, At: at(sec), Values: []float64{float64(sec)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	mustFlush(t, s)
+	held, err := s.HoldingsOf(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); len(held) != 1 || st.Observed != 1 || st.Dropped != 2 || st.Repeated != 0 || st.Accepted != st.Observed+st.Dropped {
+		t.Fatalf("window holds %d points; accepted %d, observed %d, dropped %d, repeated %d; want 1 point, 3 = 1 + 2, 0 repeats",
+			len(held), st.Accepted, st.Observed, st.Dropped, st.Repeated)
 	}
 }
 

@@ -37,7 +37,7 @@ func newServiceObs(s *Service) *serviceObs {
 	m.observed = r.Counter("innetd_readings_observed_total", "Readings fed into a detector.")
 	m.repeated = r.Counter("innetd_readings_repeated_total", "Observed readings whose point the detector already held (first copy wins).")
 	m.batches = r.Counter("innetd_observe_batches_total", "Batch-observe events (ranking passes).")
-	m.dropped = r.Counter("innetd_readings_dropped_total", "Readings shed by the latest-wins policy.")
+	m.dropped = r.Counter("innetd_readings_dropped_total", "Readings shed by the latest-wins policy, or past the window when drained.")
 	m.stale = r.Counter("innetd_readings_stale_total", "Readings rejected as older than the sliding window.")
 	m.malformed = r.Counter("innetd_readings_malformed_total", "Payloads, lines, or readings that failed to parse.")
 	m.unknown = r.Counter("innetd_readings_unknown_sensor_total", "Readings rejected for unknown sensor IDs.")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Static checks: go vet over every package, gofmt, a check that every
-# test a CI step selects by name exists, a check that every `pkg.Name`
+# test a CI step selects by name, and every test, fuzzer, benchmark or
+# example DESIGN.md and README.md name, exists, a check that every `pkg.Name`
 # DESIGN.md and README.md give an internal package is declared there
 # (scripts/docnames), a check that the shared daemon
 # shell does not import the store, plus govulncheck when the
@@ -29,14 +30,23 @@ fi
 # and so does a -fuzz name that matches nothing ("no fuzz tests to
 # fuzz"), so renaming a test or fuzzer CI names would drop it from CI
 # without a failure.
-echo "== tests and fuzzers named in ci.yml exist"
-DEFINED=$(go test -list '^(Test|Fuzz)' ./... | grep -E '^(Test|Fuzz)' | sort -u)
+echo "== tests and fuzzers named in ci.yml, and tests the docs name, exist"
+DEFINED=$(go test -list '^(Test|Fuzz|Benchmark|Example)' ./... | grep -E '^(Test|Fuzz|Benchmark|Example)' | sort -u)
 MISSING=0
 for name in $(grep -oE -- "-(run|fuzz)[ =]('[^']*'|[^ ]+)" .github/workflows/ci.yml | grep -oE '(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); do
   if ! grep -qx "$name" <<<"$DEFINED"; then
     echo "ci.yml runs $name, which no package defines" >&2
     MISSING=1
   fi
+done
+# A doc that names a test sends its reader to a check that may be gone.
+for doc in DESIGN.md README.md; do
+  for name in $(grep -oE '\b(Test|Fuzz|Benchmark|Example)[A-Z_][A-Za-z0-9_]*' "$doc" | sort -u); do
+    if ! grep -qx "$name" <<<"$DEFINED"; then
+      echo "$doc names $name, which no package defines" >&2
+      MISSING=1
+    fi
+  done
 done
 if [[ $MISSING -ne 0 ]]; then
   exit 1
